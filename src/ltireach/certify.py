@@ -13,6 +13,13 @@ as sum C(n,j) lam_i^n c_ij, its eventual sign is the sign of the
 dominant coefficient, and the threshold is certified by an explicit
 tail-domination inequality checked with exact algebraic comparisons.
 
+Each direction pays for its algebraic parts once: eventual_maximizer
+builds the rows r_ij = tau^T B[i][j] a single time, so every vertex pair's
+coefficients are the products r_ij . (v-w) with rational v-w.  sup_from
+is the one routine that evaluates the closed form.  verify_separator
+feeds it the maximizer and threshold it has just found, and the audit
+(recompute_sup_from_certificate) feeds it the ones a certificate stores.
+
 Candidate directions come from geometry (target facets, partial-sum
 facets, left eigenvectors, small vanishing-condition patterns) and, as a
 completeness fallback, from a fair enumeration of all vectors with real
@@ -41,6 +48,7 @@ from .linalg import (
     SpectralData,
     Vec,
     alg_kernel_basis,
+    bilinear_rows,
     expand_inner_product,
     vec_sub,
 )
@@ -119,16 +127,15 @@ class _PowerCache:
         return val
 
 
-def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau) -> SeqClass:
+def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqClass:
     """Eventual sign of <A^n (v-w), tau>, with a certified threshold.
 
     The returned threshold N satisfies the tail-domination inequality
     |c0| C(n,j0) lam0^n > sum of the other |c| C(n,j) lam^n for every
     n >= N, so the sign is the dominant coefficient's sign from N on.
+    `rows` are bilinear_rows(s, tau) when the caller has them already.
     """
-    tau = _alg_vec(tau)
-    diff = vec_sub(v, w)
-    coeffs = expand_inner_product(s, diff, tau)
+    coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
     nonzero = []
     for i in range(len(s.eigenvalues)):
         for j in range(s.dim):
@@ -187,13 +194,14 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     smallest among ties) and a threshold N from which it beats every
     vertex at every step."""
     tau = _alg_vec(tau)
+    rows = bilinear_rows(s, tau)
     verts = sorted(u.vertices)
     cache: dict[tuple[int, int], SeqClass] = {}
 
     def cls(ia: int, ib: int) -> SeqClass:
         key = (ia, ib)
         if key not in cache:
-            cache[key] = classify_sequence(s, verts[ia], verts[ib], tau)
+            cache[key] = classify_sequence(s, verts[ia], verts[ib], tau, rows)
         return cache[key]
 
     best = 0
@@ -219,15 +227,16 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
-def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
-    """Exact supremum of <x, tau> over the closure of the reachable set."""
+def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> RealAlg:
+    """The closed-form supremum of <x, tau> over the reachable closure,
+    given an eventual maximizer and its threshold: the best vertex at each
+    step below the threshold, then the maximizer's geometric tail."""
     tau = _alg_vec(tau)
     if s.dim == 0:
         return ALG_ZERO
-    maximizer, n = eventual_maximizer(s, u, tau)
     total = ALG_ZERO
     power = RatMatrix.identity(s.dim)
-    for _ in range(n):
+    for _ in range(threshold):
         best = None
         for v in u.vertices:
             val = _alg_dot(tau, power.matvec(v))
@@ -236,8 +245,13 @@ def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
         total = total + best
         power = power @ s.matrix
     tail = power @ s.geometric_sum_matrix()
-    total = total + _alg_dot(tau, tail.matvec(maximizer))
-    return total
+    return total + _alg_dot(tau, tail.matvec(maximizer))
+
+
+def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
+    """Exact supremum of <x, tau> over the closure of the reachable set."""
+    maximizer, n = eventual_maximizer(s, u, tau)
+    return sup_from(s, u, tau, maximizer, n)
 
 
 def _alg_dot(tau: AlgVec, v) -> RealAlg:
@@ -266,7 +280,7 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau) -
         maximizer = u.vertices[0] if u.vertices else ()
         return SeparatorCertificate(zero_tau, ALG_ZERO, maximizer, 0, ALG_ZERO, None)
     maximizer, n = eventual_maximizer(s, u, tau)
-    sup = sup_in_direction(s, u, tau)
+    sup = sup_from(s, u, tau, maximizer, n)
     low = min_over_vertices(q, tau)
     assert low is not None
     if sup.compare(low) <= 0:
@@ -277,18 +291,7 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau) -
 def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate) -> RealAlg:
     """Audit path: rebuild the supremum from (tau, maximizer, threshold)
     alone, without rerunning the maximizer search."""
-    total = ALG_ZERO
-    power = RatMatrix.identity(s.dim)
-    for _ in range(cert.threshold):
-        best = None
-        for v in u.vertices:
-            val = _alg_dot(cert.tau, power.matvec(v))
-            if best is None or val.compare(best) > 0:
-                best = val
-        total = total + best
-        power = power @ s.matrix
-    tail = power @ s.geometric_sum_matrix()
-    return total + _alg_dot(cert.tau, tail.matvec(cert.maximizer))
+    return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,12 @@ def cmd_audit(args) -> int:
     except driver.AuditHashError as exc:
         print(f"hash mismatch: {exc}", file=_sys.stderr)
         return EXIT_HASH_MISMATCH
+    except instances.ParseError:
+        raise
+    except Exception as exc:
+        # an artifact the auditor cannot recheck must never read as a verdict
+        print(f"audit: FAILED ({type(exc).__name__}: {exc})", file=_sys.stderr)
+        return EXIT_AUDIT_FAILED
     print("audit: verdict stands" if ok else "audit: FAILED")
     return EXIT_REACHABLE if ok else EXIT_AUDIT_FAILED
 

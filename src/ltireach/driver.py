@@ -82,7 +82,7 @@ def _candidate_stream(s: SpectralData, form: SimpleForm, budgets: Budgets):
 
 def _prepare_certification(sys: LtiSystem, report):
     """(SpectralData, SimpleForm) when the certificate search applies."""
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, report)
     s = spectral_decompose(form.a_reduced)
     return s, form
 
@@ -202,8 +202,10 @@ def _decide_threaded(sys, budgets, instance_hash, warnings, spectral, form) -> V
 
 def audit(sys: LtiSystem, artifact: dict) -> bool:
     """Recompute everything the artifact claims, from scratch."""
-    from .instances import certificate_from_json, instance_sha256, witness_from_json
+    from .instances import ParseError, certificate_from_json, instance_sha256, witness_from_json
 
+    if not isinstance(artifact, dict):
+        raise ParseError(None, "artifact must be a JSON object")
     expected = instance_sha256(sys)
     stored = artifact.get("instance_sha256")
     if stored != expected:
@@ -225,11 +227,12 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         report = check_simple(sys)
         if not (report.simple and report.source_is_zero):
             return False
-        form = to_simple_form(sys)
-        spectral = spectral_decompose(form.a_reduced)
+        spectral, form = _prepare_certification(sys, report)
         if cert.min_over_q is None:
             return form.q_reduced.is_empty
         if form.q_reduced.is_empty:
+            return False
+        if len(cert.tau) != form.dim or len(cert.maximizer) != form.dim:
             return False
         fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau)
         if fresh is None:
@@ -237,6 +240,11 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         if not (fresh.sup_value - cert.sup_value).sign() == 0:
             return False
         if not (fresh.min_over_q - cert.min_over_q).sign() == 0:
+            return False
+        # the rebuild below costs time linear in the threshold; an honest
+        # decider stores the threshold its own verification derives, so a
+        # larger (or negative) one is rejected before any work is spent
+        if not 0 <= cert.threshold <= fresh.threshold:
             return False
         # independent audit path: the supremum rebuilt from the stored
         # maximizer and threshold alone must agree too

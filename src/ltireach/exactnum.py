@@ -471,6 +471,15 @@ class RealAlg:
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
 
+    def isolating_interval(self) -> tuple[Fraction, Fraction]:
+        """The interval that root isolation of the minimal polynomial gives
+        this root: a function of the value alone, unlike interval(), which
+        reflects how far this object has been narrowed."""
+        if self.is_rational:
+            return self._lo, self._hi
+        return next((lo, hi) for lo, hi in _isolate_squarefree(self.minpoly)
+                    if self.compare(hi) < 0)
+
     def refine(self, steps: int = 1) -> None:
         """Halve the isolating interval `steps` times (no-op for rationals)."""
         if self.is_rational:

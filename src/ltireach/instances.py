@@ -26,7 +26,11 @@ after canonicalization.
 
 Witnesses and separator certificates serialize as JSON; real algebraic
 numbers carry their minimal polynomial and isolating interval so an
-auditor can recompute everything from scratch.
+auditor can recompute everything from scratch.  The interval written is
+the canonical one that root isolation of the minimal polynomial gives,
+so equal numbers serialize to equal bytes however they were computed.
+Loading an artifact checks every key and type it reads and raises
+ParseError on anything malformed.
 """
 
 from __future__ import annotations
@@ -35,7 +39,14 @@ import hashlib
 import json
 
 from .certify import SeparatorCertificate
-from .exactnum import IntPoly, RealAlg, rat_from_str, rat_to_str
+from .exactnum import (
+    DegreeCeilingError,
+    IntPoly,
+    RealAlg,
+    degree_ceiling,
+    rat_from_str,
+    rat_to_str,
+)
 from .forward import ReachWitness, WitnessStep
 from .geometry import ControlSet, GenPolyhedron
 from .linalg import RatMatrix, Vec
@@ -43,8 +54,10 @@ from .preprocess import LtiSystem, SimpleForm
 
 
 class ParseError(Exception):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """Malformed instance text (with its line) or artifact JSON (line None)."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -196,18 +209,48 @@ def _vec_json(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def _vec_from_json(data) -> Vec:
-    return tuple(rat_from_str(x) for x in data)
+def _field(data, key: str, kind):
+    """data[key], which must exist and be an instance of `kind`."""
+    if not isinstance(data, dict):
+        raise ParseError(None, f"expected a JSON object holding {key!r}")
+    if key not in data:
+        raise ParseError(None, f"missing key {key!r}")
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ParseError(None, f"key {key!r} has the wrong type")
+    return value
+
+
+def _rat_from_json(text):
+    if not isinstance(text, str):
+        raise ParseError(None, "rational entries must be strings")
+    try:
+        return rat_from_str(text)
+    except ValueError as exc:
+        raise ParseError(None, str(exc)) from None
+
+
+def _vec_field(data, key: str) -> Vec:
+    return tuple(_rat_from_json(x) for x in _field(data, key, list))
 
 
 def alg_to_json(a: RealAlg) -> dict:
-    lo, hi = a.interval()
+    lo, hi = a.isolating_interval()
     return {"minpoly": list(a.minpoly.coeffs), "lo": rat_to_str(lo), "hi": rat_to_str(hi)}
 
 
 def alg_from_json(data) -> RealAlg:
-    return RealAlg.from_root(IntPoly(tuple(int(c) for c in data["minpoly"])),
-                             rat_from_str(data["lo"]), rat_from_str(data["hi"]))
+    coeffs = _field(data, "minpoly", list)
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
+        raise ParseError(None, "minimal polynomial coefficients must be integers")
+    if len(coeffs) - 1 > degree_ceiling():
+        raise ParseError(None, f"minimal polynomial degree exceeds {degree_ceiling()}")
+    lo = _rat_from_json(_field(data, "lo", str))
+    hi = _rat_from_json(_field(data, "hi", str))
+    try:
+        return RealAlg.from_root(IntPoly(tuple(coeffs)), lo, hi)
+    except (ValueError, DegreeCeilingError) as exc:
+        raise ParseError(None, f"not an algebraic number: {exc}") from None
 
 
 def witness_to_json(w: ReachWitness, instance_hash: str) -> dict:
@@ -230,14 +273,14 @@ def witness_to_json(w: ReachWitness, instance_hash: str) -> dict:
 def witness_from_json(data) -> ReachWitness:
     steps = tuple(
         WitnessStep(
-            int(s["component"]),
-            _vec_from_json(s["vertex_coeffs"]),
-            _vec_from_json(s["ray_coeffs"]),
-            _vec_from_json(s["line_coeffs"]),
+            _field(step, "component", int),
+            _vec_field(step, "vertex_coeffs"),
+            _vec_field(step, "ray_coeffs"),
+            _vec_field(step, "line_coeffs"),
         )
-        for s in data["steps"]
+        for step in _field(data, "steps", list)
     )
-    return ReachWitness(int(data["horizon"]), steps)
+    return ReachWitness(_field(data, "horizon", int), steps)
 
 
 def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_hash: str) -> dict:
@@ -264,13 +307,14 @@ def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_h
 
 
 def certificate_from_json(data) -> SeparatorCertificate:
+    min_over_q = _field(data, "min_over_q", (dict, type(None)))
     return SeparatorCertificate(
-        tau=tuple(alg_from_json(x) for x in data["tau"]),
-        bound=alg_from_json(data["bound"]),
-        maximizer=_vec_from_json(data["maximizer"]),
-        threshold=int(data["threshold"]),
-        sup_value=alg_from_json(data["sup_value"]),
-        min_over_q=None if data["min_over_q"] is None else alg_from_json(data["min_over_q"]),
+        tau=tuple(alg_from_json(x) for x in _field(data, "tau", list)),
+        bound=alg_from_json(_field(data, "bound", dict)),
+        maximizer=_vec_field(data, "maximizer"),
+        threshold=_field(data, "threshold", int),
+        sup_value=alg_from_json(_field(data, "sup_value", dict)),
+        min_over_q=None if min_over_q is None else alg_from_json(min_over_q),
     )
 
 

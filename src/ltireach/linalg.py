@@ -804,21 +804,50 @@ def _poly_mul_alg(a: list[RealAlg], b: list[RealAlg]) -> list[RealAlg]:
     return out
 
 
-def expand_inner_product(s: SpectralData, u, tau) -> list[list[RealAlg]]:
-    """Coefficients c[i][j] = tau^T B[i][j] u of the closed form
-    <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j]."""
-    k = len(s.eigenvalues)
+def bilinear_rows(s: SpectralData, tau) -> list[list[list[RealAlg]]]:
+    """Rows r[i][j] = tau^T B[i][j] of the bilinear forms for one direction.
+
+    Computed once per tau, they turn every coefficient c[i][j] of a vector
+    u into the row-vector product r[i][j] . u."""
+    tau = [as_alg(t) for t in tau]
     d = s.dim
+    if len(tau) != d:
+        raise ValueError(f"direction has {len(tau)} entries, expected {d}")
+    out: list[list[list[RealAlg]]] = []
+    for mats in s.bilinear_mats:
+        row_i = []
+        for m in mats:
+            r = []
+            for k in range(d):
+                acc = ALG_ZERO
+                for t in range(d):
+                    acc = acc + tau[t] * m.get(t, k)
+                r.append(acc)
+            row_i.append(r)
+        out.append(row_i)
+    return out
+
+
+def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAlg]]:
+    """Coefficients c[i][j] = tau^T B[i][j] u of the closed form
+    <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
+
+    `rows` are bilinear_rows(s, tau); a caller expanding many vectors
+    against one direction passes them so they are built once."""
+    if rows is None:
+        rows = bilinear_rows(s, tau)
+    if len(u) != s.dim:
+        raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
+    u = [as_alg(x) for x in u]
     out: list[list[RealAlg]] = []
-    for i in range(k):
-        row = []
-        for j in range(d):
-            bu = s.bilinear_mats[i][j].matvec(list(u))
+    for row_i in rows:
+        coeffs = []
+        for r in row_i:
             acc = ALG_ZERO
-            for t in range(d):
-                acc = acc + as_alg(tau[t]) * bu[t]
-            row.append(acc)
-        out.append(row)
+            for rk, uk in zip(r, u):
+                acc = acc + rk * uk
+            coeffs.append(acc)
+        out.append(coeffs)
     return out
 
 

@@ -170,8 +170,11 @@ def _input_sum(a: RatMatrix, u: GenPolyhedron, steps: int) -> GenPolyhedron:
     return acc
 
 
-def to_simple_form(sys: LtiSystem) -> SimpleForm:
-    report = check_simple(sys)
+def to_simple_form(sys: LtiSystem, report: SimplicityReport | None = None) -> SimpleForm:
+    """Normalize a simple system; `report` is check_simple(sys) when the
+    caller has it already."""
+    if report is None:
+        report = check_simple(sys)
     if not report.simple:
         raise NonSimpleError("; ".join(report.failing_conditions()))
     if not report.source_is_zero:

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from ltireach import driver, instances
-from ltireach.certify import sup_in_direction, verify_separator
+from ltireach.certify import recompute_sup_from_certificate, sup_in_direction, verify_separator
 from ltireach.exactnum import IntPoly, RealAlg, as_alg
 from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron
@@ -117,3 +117,23 @@ def test_supremum_dominates_partial_sums_in_eigen_direction():
         if prev is not None:
             assert (best - prev).sign() >= 0  # nondecreasing
         prev = best
+
+
+def test_supremum_routes_agree_on_quad_and_hex():
+    """The search path (sup_in_direction), the decide path (verify_separator)
+    and the audit path (the stored maximizer and threshold) give one value."""
+    quad_a = RatMatrix.from_rows([[F(1, 3), 0], [0, F(2, 3)]])
+    quad_u = GenPolyhedron.polytope([vec(-2, -1), vec(0, -1), vec(0, 1), vec(2, 1)])
+    sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
+    cases = [(spectral_decompose(quad_a), quad_u, vec(10, 10), tau)
+             for tau in ((1, 0), (0, 1), (1, 1), (1, 2))]
+    cases += [(S, HEX_U, vec(6, 8), tau) for tau in ((2 * sqrt2, -1), (1, 1), (1, 0))]
+    thresholds = set()
+    for s, u, point, tau in cases:
+        tau = tuple(as_alg(t) for t in tau)
+        cert = verify_separator(s, u, GenPolyhedron.point(point), tau)
+        assert cert is not None
+        thresholds.add(cert.threshold)
+        assert (sup_in_direction(s, u, tau) - cert.sup_value).sign() == 0
+        assert (recompute_sup_from_certificate(s, u, cert) - cert.sup_value).sign() == 0
+    assert thresholds == {0, 1, 2}  # the loop below the threshold is exercised

@@ -231,6 +231,24 @@ def test_certificate_audit_path():
     assert (redone - cert.sup_value).sign() == 0
 
 
+def test_verify_separator_searches_the_maximizer_once(monkeypatch):
+    import ltireach.certify as certify
+
+    calls = []
+    search = certify.eventual_maximizer
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "eventual_maximizer", counting)
+    # one separating and one rejected direction: each costs a single search
+    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(10, 10)), (alg(1), alg(1))) is not None
+    assert len(calls) == 1
+    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(1, 1)), (alg(1), alg(1))) is None
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # dominance space
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,38 @@ def test_audit_detects_wrong_instance():
     payload = instances.verdict_to_json(v)
     with pytest.raises(driver.AuditHashError):
         driver.audit(other, payload)
+
+
+@pytest.mark.parametrize("shift", ["negative", "above_fresh", "huge"])
+def test_audit_rejects_out_of_range_threshold(shift):
+    sys_ = quad_system(GenPolyhedron.point(vec(0, 3)))
+    v = driver.decide(sys_, small_budgets())
+    payload = instances.verdict_to_json(v)
+    payload["certificate"]["threshold"] = {"negative": -5, "above_fresh": v.certificate.threshold + 1,
+                                           "huge": 10 ** 9}[shift]
+    start = time.perf_counter()
+    assert driver.audit(sys_, payload) is False
+    assert time.perf_counter() - start < 30  # rejected before any work linear in it
+
+
+def test_decide_and_audit_check_simplicity_once(monkeypatch):
+    from ltireach import preprocess
+
+    calls = []
+    check = preprocess.check_simple
+
+    def counting(sys_):
+        calls.append(sys_)
+        return check(sys_)
+
+    monkeypatch.setattr(preprocess, "check_simple", counting)
+    monkeypatch.setattr(driver, "check_simple", counting)
+    sys_ = quad_system(GenPolyhedron.point(vec(0, 3)))
+    v = driver.decide(sys_, small_budgets())
+    assert v.kind == "unreachable"
+    assert len(calls) == 1
+    assert driver.audit(sys_, instances.verdict_to_json(v)) is True
+    assert len(calls) == 2
 
 
 def test_audit_unknown_is_vacuous():
@@ -309,6 +342,52 @@ def test_cli_bad_input_is_error(tmp_path):
     bad.write_text("dim 2\nmatrix\n1/0 0\n0 1\n")
     assert cli.main(["decide", "--input", str(bad)]) == 5
     assert cli.main(["nonsense"]) == 5
+
+
+@pytest.mark.parametrize("tau", ["missing", 7, [7], "x"])
+def test_cli_audit_malformed_certificate_is_input_error(tmp_path, capsys, tau):
+    unreachable = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", unreachable, "--max-steps", "4", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    if tau == "missing":
+        del data["certificate"]["tau"]
+    else:
+        data["certificate"]["tau"] = tau
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.main(["audit", unreachable, str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("artifact", [
+    [],
+    {"verdict": "reachable", "witness": {"horizon": 1, "steps": "x"}},
+    {"verdict": "reachable", "witness": {"horizon": "1", "steps": []}},
+    {"verdict": "unreachable", "certificate": {"tau": [{"minpoly": [1], "lo": "0", "hi": "0"}]}},
+])
+def test_cli_audit_malformed_artifact_is_input_error(tmp_path, capsys, artifact):
+    inst = write_instance(tmp_path, "r.lti", "1 1")
+    if isinstance(artifact, dict):
+        artifact["instance_sha256"] = instances.instance_sha256(
+            instances.parse_instance((tmp_path / "r.lti").read_text()))
+    out = tmp_path / "bad.json"
+    out.write_text(json.dumps(artifact))
+    assert cli.main(["audit", inst, str(out)]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_audit_unexpected_error_is_not_a_verdict(tmp_path, monkeypatch):
+    unreachable = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    cli.main(["decide", "--input", unreachable, "--max-steps", "4", "--out", str(out)])
+
+    def broken(sys_, artifact):
+        raise RuntimeError("hostile artifact")
+
+    monkeypatch.setattr(driver, "audit", broken)
+    assert cli.main(["audit", unreachable, str(out)]) == cli.EXIT_AUDIT_FAILED
 
 
 def test_cli_out_of_process_audit(tmp_path):

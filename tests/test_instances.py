@@ -7,6 +7,7 @@ from ltireach.instances import (
     ParseError,
     alg_from_json,
     alg_to_json,
+    dump_json,
     emit_instance,
     instance_sha256,
     parse_instance,
@@ -105,3 +106,40 @@ def test_witness_json_roundtrip():
     again = witness_from_json(data)
     assert again == w
     assert verify_witness(sys, again)
+
+
+def test_alg_json_is_canonical():
+    from ltireach.exactnum import ALG_ONE, int_poly, sturm_isolate_real_roots
+
+    r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
+    before = dump_json(alg_to_json(r))
+    r.refine(20)
+    assert dump_json(alg_to_json(r)) == before
+    # the same value reached by arithmetic serializes to the same bytes
+    same = (r + ALG_ONE) * (r - ALG_ONE) * r  # (r^2 - 1) r = r
+    assert (same - r).sign() == 0
+    assert dump_json(alg_to_json(same)) == before
+
+
+def test_artifact_loaders_raise_parse_error():
+    from ltireach.instances import certificate_from_json
+
+    good = {"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"}
+    for bad in (7, {"minpoly": [-2, 0, 1], "lo": "1"}, {"minpoly": "x", "lo": "1", "hi": "2"},
+                {"minpoly": [-2, 0, 1], "lo": 1, "hi": "2"}, {"minpoly": [-2, 0, 1], "lo": "3", "hi": "4"},
+                {"minpoly": [0], "lo": "0", "hi": "0"}, {"minpoly": [1, True], "lo": "0", "hi": "1"}):
+        with pytest.raises(ParseError):
+            alg_from_json(bad)
+    assert alg_from_json(good).degree == 2
+    for bad in ({}, {"horizon": 1, "steps": [{"component": 0}]},
+                {"horizon": 1, "steps": [{"component": 0, "vertex_coeffs": ["1/0"],
+                                          "ray_coeffs": [], "line_coeffs": []}]}):
+        with pytest.raises(ParseError):
+            witness_from_json(bad)
+    cert = {"tau": [good], "bound": good, "maximizer": ["1"], "threshold": 0,
+            "sup_value": good, "min_over_q": None}
+    assert certificate_from_json(cert).threshold == 0
+    for key, value in (("tau", 7), ("threshold", "0"), ("threshold", 1.5), ("min_over_q", []),
+                       ("maximizer", "1")):
+        with pytest.raises(ParseError):
+            certificate_from_json({**cert, key: value})
