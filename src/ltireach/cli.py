@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, instances.ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # an internal failure must never exit 1, which reads as "unreachable"
+        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,12 +17,11 @@ from fractions import Fraction
 from .geometry import (
     GenPolyhedron,
     LinearConstraint,
-    constraint,
     contains_point,
     lp_solve,
     membership_coefficients,
 )
-from .linalg import RatMatrix, Vec, vec_add, vec_scale, zero_vec
+from .linalg import Vec, vec_add, vec_scale, zero_vec
 from .preprocess import LtiSystem
 
 
@@ -131,63 +130,69 @@ class _Layout:
     nonneg: list[bool]
 
 
-def _build_lp(sys: LtiSystem, n: int, assignment, pooled_from: int):
+@dataclass(frozen=True)
+class _StepColumns:
+    """The columns of every horizon-n LP, built once per horizon.
+
+    comps[c][k] holds (A^k vertices, A^k rays, A^k lines) of component c
+    and pooled[k] the same for the pooled hull, for k < n; step t reads
+    power n-1-t.  base is A^n source."""
+
+    comps: tuple[tuple[tuple, ...], ...]
+    pooled: tuple[tuple, ...]
+    base: Vec
+
+
+def _step_columns(sys: LtiSystem, n: int) -> _StepColumns:
+    """A^k g for every generator g and k < n by repeated matvec, and A^n
+    source.  Pooled columns keep the order: all components' vertices, then
+    all rays, then all lines."""
+    a = sys.a
+    comps = []
+    for comp in sys.controls.components:
+        gens = (comp.vertices, comp.rays, comp.lines)
+        table = [gens]
+        for _ in range(n - 1):
+            gens = tuple(tuple(a.matvec(g) for g in group) for group in gens)
+            table.append(gens)
+        comps.append(tuple(table))
+    pooled = tuple(
+        tuple(tuple(g for c in comps for g in c[k][group]) for group in range(3))
+        for k in range(n)
+    )
+    base = sys.source
+    for _ in range(n):
+        base = a.matvec(base)
+    return _StepColumns(tuple(comps), pooled, base)
+
+
+def _build_lp(sys: LtiSystem, assignment, pooled_from: int, cols: _StepColumns):
     """Constraints for: A^n source + sum_t A^(n-1-t) u_t in target, where
     steps before pooled_from use their assigned component and later steps
     use the pooled hull of all components."""
-    d = sys.dim
-    comps = sys.controls.components
-    pooled_v = tuple(v for c in comps for v in c.vertices)
-    pooled_r = tuple(r for c in comps for r in c.rays)
-    pooled_l = tuple(l for c in comps for l in c.lines)
-
-    powers = [RatMatrix.identity(d)]
-    for _ in range(n):
-        powers.append(sys.a @ powers[-1])
-
-    step_gens = []
-    for t in range(n):
-        if t < pooled_from:
-            comp = comps[assignment[t]]
-            step_gens.append((comp.vertices, comp.rays, comp.lines))
-        else:
-            step_gens.append((pooled_v, pooled_r, pooled_l))
+    n = len(cols.pooled)
+    step_gens = [cols.comps[assignment[t]][n - 1 - t] if t < pooled_from else cols.pooled[n - 1 - t]
+                 for t in range(n)]
 
     q = sys.target
     layout_steps = []
-    ncols = 0
+    columns: list[Vec] = []
     nonneg: list[bool] = []
     for (vs, rs, ls) in step_gens:
-        layout_steps.append((ncols, len(vs), len(rs), len(ls)))
-        ncols += len(vs) + len(rs) + len(ls)
+        layout_steps.append((len(columns), len(vs), len(rs), len(ls)))
+        columns += vs + rs + ls
         nonneg += [True] * (len(vs) + len(rs)) + [False] * len(ls)
-    target_slice = (ncols, len(q.vertices), len(q.rays), len(q.lines))
-    ncols += len(q.vertices) + len(q.rays) + len(q.lines)
+    target_slice = (len(columns), len(q.vertices), len(q.rays), len(q.lines))
+    columns += [tuple(-x for x in g) for g in (*q.vertices, *q.rays, *q.lines)]
     nonneg += [True] * (len(q.vertices) + len(q.rays)) + [False] * len(q.lines)
+    ncols = len(columns)
 
-    cons: list[LinearConstraint] = []
-    base = powers[n].matvec(sys.source)
-    for i in range(d):
-        row = [Fraction(0)] * ncols
-        for t, (vs, rs, ls) in enumerate(step_gens):
-            ap = powers[n - 1 - t]
-            start = layout_steps[t][0]
-            for j, g in enumerate((*vs, *rs, *ls)):
-                row[start + j] = ap.matvec(g)[i]
-        tstart = target_slice[0]
-        for j, g in enumerate((*q.vertices, *q.rays, *q.lines)):
-            row[tstart + j] = -g[i]
-        cons.append(constraint(row, "==", -base[i]))
-    for t, (vs, _, _) in enumerate(step_gens):
-        row = [Fraction(0)] * ncols
-        start = layout_steps[t][0]
-        for j in range(len(vs)):
-            row[start + j] = Fraction(1)
-        cons.append(constraint(row, "==", 1))
-    row = [Fraction(0)] * ncols
-    for j in range(target_slice[1]):
-        row[target_slice[0] + j] = Fraction(1)
-    cons.append(constraint(row, "==", 1))
+    cons = [LinearConstraint(tuple(col[i] for col in columns), "==", -cols.base[i])
+            for i in range(sys.dim)]
+    for start, nv, _, _ in (*layout_steps, target_slice):
+        row = [0] * ncols
+        row[start:start + nv] = [1] * nv
+        cons.append(LinearConstraint(tuple(row), "==", 1))
 
     layout = _Layout(layout_steps, target_slice, ncols, nonneg)
     return cons, layout
@@ -221,7 +226,7 @@ def reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
     ncomps = len(sys.controls.components)
     if ncomps == 1:
         assignment = [0] * n
-        cons, layout = _build_lp(sys, n, assignment, pooled_from=n)
+        cons, layout = _build_lp(sys, assignment, n, _step_columns(sys, n))
         res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
         if not res.is_feasible:
             return None
@@ -230,9 +235,10 @@ def reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
     # union controls: DFS over per-step component assignments with
     # hull-relaxation pruning at internal nodes
     assignment = [0] * n
+    cols = _step_columns(sys, n)
 
     def search(depth: int) -> ReachWitness | None:
-        cons, layout = _build_lp(sys, n, assignment, pooled_from=depth)
+        cons, layout = _build_lp(sys, assignment, depth, cols)
         res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
         if not res.is_feasible:
             return None

@@ -41,12 +41,14 @@ class LinearConstraint:
     def __post_init__(self):
         if self.rel not in ("<=", ">=", "=="):
             raise ValueError(f"bad relation {self.rel!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        # the one conversion: lp_solve reads coeffs and rhs as they are
+        object.__setattr__(self, "coeffs",
+                           tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
 
 def constraint(coeffs, rel, rhs) -> LinearConstraint:
-    return LinearConstraint(tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs))
+    return LinearConstraint(tuple(coeffs), rel, rhs)
 
 
 @dataclass(frozen=True)
@@ -67,16 +69,27 @@ class _Tableau:
         self.basis = basis
         self.ncols = ncols
 
-    def pivot(self, r: int, c: int) -> None:
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        self.rows[r] = [x * inv for x in self.rows[r]]
+    def pivot(self, r: int, c: int, red: list[Fraction] | None = None) -> None:
+        """Pivot on (r, c).  Only the columns where the pivot row is nonzero
+        change; `red`, a reduced-cost row, is updated like one more row."""
+        prow = self.rows[r]
+        inv = 1 / prow[c]
+        nz = [j for j, x in enumerate(prow) if x]
+        for j in nz:
+            prow[j] *= inv
         self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][c] != 0:
-                f = self.rows[i][c]
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] -= f * self.rhs[r]
+        b = self.rhs[r]
+        for i, row in enumerate(self.rows):
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] -= f * prow[j]
+                self.rhs[i] -= f * b
+        if red is not None:
+            f = red[c]
+            if f:
+                for j in nz:
+                    red[j] -= f * prow[j]
         self.basis[r] = c
 
     def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
@@ -92,12 +105,13 @@ class _Tableau:
 
     def maximize(self, cost: list[Fraction]) -> str:
         """Bland's rule simplex on the current basis; returns 'optimal' or
-        'unbounded'."""
+        'unbounded'.  The reduced costs are computed once and then carried
+        through the pivots."""
+        red = self.reduced_costs(cost)
         while True:
-            red = self.reduced_costs(cost)
             enter = None
-            for j in range(self.ncols):
-                if red[j] > 0:
+            for j, x in enumerate(red):
+                if x > 0:
                     enter = j
                     break
             if enter is None:
@@ -114,7 +128,7 @@ class _Tableau:
                         leave = i
             if leave is None:
                 return "unbounded"
-            self.pivot(leave, enter)
+            self.pivot(leave, enter, red)
 
     def objective_value(self, cost: list[Fraction]) -> Fraction:
         return sum(cost[b] * self.rhs[r] for r, b in enumerate(self.basis))
@@ -152,14 +166,14 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool 
     for con in constraints:
         coeffs = [Fraction(0)] * nstruct
         for j in range(num_vars):
-            c = Fraction(con.coeffs[j]) if j < len(con.coeffs) else Fraction(0)
-            if c == 0:
+            c = con.coeffs[j] if j < len(con.coeffs) else 0
+            if not c:
                 continue
             p, m = col_of[j]
             coeffs[p] += c
             if m is not None:
                 coeffs[m] -= c
-        b = Fraction(con.rhs)
+        b = con.rhs
         rel = con.rel
         if b < 0:
             coeffs = [-x for x in coeffs]

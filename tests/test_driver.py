@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ltireach import cli, driver, instances, render
+from ltireach import cli, driver, forward, instances, render
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
@@ -388,6 +388,21 @@ def test_cli_audit_unexpected_error_is_not_a_verdict(tmp_path, monkeypatch):
 
     monkeypatch.setattr(driver, "audit", broken)
     assert cli.main(["audit", unreachable, str(out)]) == cli.EXIT_AUDIT_FAILED
+
+
+@pytest.mark.parametrize("command", ["decide", "certify", "forward"])
+def test_cli_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch, command):
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(driver, "decide", broken)
+    monkeypatch.setattr(forward, "reach_within", broken)
+    capsys.readouterr()
+    assert cli.main([command, "--input", inst, "--max-steps", "2"]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: RuntimeError: internal fault\n"
 
 
 def test_cli_out_of_process_audit(tmp_path):

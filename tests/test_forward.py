@@ -121,6 +121,42 @@ def test_union_controls_skolem_like():
     assert verify_witness(sys, w)
 
 
+def reachable_under(sys, n, assign) -> bool:
+    """Brute-force oracle for one fixed component assignment: is the target
+    point in A^n source + sum_t A^(n-1-t) U_{assign[t]}?  Built from matrix
+    powers and Minkowski sums, independent of the forward LP."""
+    acc = GenPolyhedron.point(sys.a.power(n).matvec(sys.source))
+    for t, c in enumerate(assign):
+        acc = minkowski_sum(acc, linear_image(sys.a.power(n - 1 - t), sys.controls.components[c]))
+    (q,) = sys.target.vertices
+    return contains_point(acc, q)
+
+
+def bruteforce_min_horizon(sys, budget):
+    ncomps = len(sys.controls.components)
+    for n in range(budget + 1):
+        hits = [a for a in itertools.product(range(ncomps), repeat=n) if reachable_under(sys, n, a)]
+        if hits:
+            return n, hits
+    return None, []
+
+
+def naive_rows(sys, n, step_gens):
+    """The horizon-n LP rows, column by column from A.power(k).matvec(g)."""
+    q = sys.target
+    cols, blocks = [], []
+    for t, (vs, rs, ls) in enumerate(step_gens):
+        blocks.append((len(cols), len(vs)))
+        cols += [sys.a.power(n - 1 - t).matvec(g) for g in (*vs, *rs, *ls)]
+    blocks.append((len(cols), len(q.vertices)))
+    cols += [tuple(-x for x in g) for g in (*q.vertices, *q.rays, *q.lines)]
+    base = sys.a.power(n).matvec(sys.source)
+    rows = [(tuple(c[i] for c in cols), "==", -base[i]) for i in range(sys.dim)]
+    for start, nv in blocks:
+        rows.append((tuple(F(int(start <= j < start + nv)) for j in range(len(cols))), "==", F(1)))
+    return rows
+
+
 def test_union_matches_bruteforce_enumeration():
     rng = random.Random(19)
     comp0 = GenPolyhedron.polytope([vec(0, 0), vec(1, 0)])
@@ -132,19 +168,50 @@ def test_union_matches_bruteforce_enumeration():
         sys = LtiSystem(a, ControlSet((comp0, comp1, comp2)), vec(0, 0), target)
         for n in range(0, 4):
             got = reach_exactly(sys, n)
-            # exhaustive oracle: every fixed component assignment as one LP
-            from ltireach.forward import _build_lp
-            from ltireach.geometry import lp_solve
-
-            expected = False
-            for assign in itertools.product(range(3), repeat=n):
-                cons, layout = _build_lp(sys, n, list(assign), pooled_from=n)
-                if lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg).is_feasible:
-                    expected = True
-                    break
+            expected = any(reachable_under(sys, n, assign)
+                           for assign in itertools.product(range(3), repeat=n))
             assert (got is not None) == expected
             if got is not None:
                 assert verify_witness(sys, got)
+
+
+def rays_and_lines_system():
+    # y gains 1, 0 or at most -2 per step, so y = 1 at horizon 2 needs one
+    # step in comp0 and one in comp1; rays and lines leave x free
+    comp0 = GenPolyhedron(2, (vec(0, 1),), (vec(1, 0),), ())
+    comp1 = GenPolyhedron(2, (vec(0, 0),), (), (vec(1, 0),))
+    comp2 = GenPolyhedron(2, (vec(0, -2), vec(1, -2)), (vec(0, -1),), ())
+    a = RatMatrix.from_rows([[1, 1], [0, 1]])
+    return LtiSystem(a, ControlSet((comp0, comp1, comp2)), vec(0, 0),
+                     GenPolyhedron.point(vec(-5, 1)))
+
+
+def test_union_with_rays_and_lines_needs_mixed_assignment():
+    sys = rays_and_lines_system()
+    horizon, hits = bruteforce_min_horizon(sys, 3)
+    assert horizon == 2 and all(len(set(h)) == 2 for h in hits)
+    w = reach_within(sys, 3)
+    assert w is not None and w.horizon == horizon
+    assert tuple(s.component for s in w.steps) in hits
+    assert verify_witness(sys, w)
+
+
+def test_build_lp_rows_match_naive_construction():
+    from ltireach.forward import _build_lp, _step_columns
+
+    sys = rays_and_lines_system()
+    comps = sys.controls.components
+    gens = [(c.vertices, c.rays, c.lines) for c in comps]
+    pooled = (tuple(v for c in comps for v in c.vertices), tuple(r for c in comps for r in c.rays),
+              tuple(l for c in comps for l in c.lines))
+    for n in range(1, 4):
+        cols = _step_columns(sys, n)
+        for assign in itertools.product(range(len(comps)), repeat=n):
+            for pooled_from in range(n + 1):
+                step_gens = [gens[assign[t]] if t < pooled_from else pooled for t in range(n)]
+                cons, layout = _build_lp(sys, list(assign), pooled_from, cols)
+                assert [(c.coeffs, c.rel, c.rhs) for c in cons] == naive_rows(sys, n, step_gens)
+                assert layout.ncols == len(cons[0].coeffs)
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():

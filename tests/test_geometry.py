@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ltireach import geometry
 from ltireach.geometry import (
     DimensionCeilingError,
     GenPolyhedron,
@@ -111,6 +112,115 @@ def test_lp_row_scaling_invariance():
         assert base.status == again.status
         if base.status == "optimal":
             assert base.value == again.value
+
+
+class _DenseTableau:
+    """The simplex tableau before sparse pivots and carried reduced costs:
+    every pivot rewrites every column and every iteration recomputes the
+    reduced costs from the basis.  Kept as the reference lp_solve must
+    match exactly."""
+
+    def __init__(self, rows, rhs, basis, ncols):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.ncols = ncols
+
+    def pivot(self, r, c):
+        piv = self.rows[r][c]
+        inv = 1 / piv
+        self.rows[r] = [x * inv for x in self.rows[r]]
+        self.rhs[r] *= inv
+        for i in range(len(self.rows)):
+            if i != r and self.rows[i][c] != 0:
+                f = self.rows[i][c]
+                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
+                self.rhs[i] -= f * self.rhs[r]
+        self.basis[r] = c
+
+    def reduced_costs(self, cost):
+        red = list(cost)
+        for r, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[r]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        red[j] -= cb * row[j]
+        return red
+
+    def maximize(self, cost):
+        while True:
+            red = self.reduced_costs(cost)
+            enter = None
+            for j in range(self.ncols):
+                if red[j] > 0:
+                    enter = j
+                    break
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    key = (ratio, self.basis[i])
+                    if best is None or key < best:
+                        best = key
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def objective_value(self, cost):
+        return sum(cost[b] * self.rhs[r] for r, b in enumerate(self.basis))
+
+
+def random_lps(seed, count):
+    """Small LPs with coefficients in [-2, 2] and many zero right-hand sides,
+    so that degenerate vertices and tied ratios are common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nvars = rng.randint(2, 5)
+        cons = [constraint([rng.randint(-2, 2) for _ in range(nvars)], rng.choice(["<=", "<=", ">=", "=="]),
+                           rng.choice([0, 0, 0, 1, 2, -1]))
+                for _ in range(rng.randint(2, 6))]
+        obj = [rng.randint(-2, 2) for _ in range(nvars)] if rng.random() < 0.8 else None
+        nonneg = [rng.random() < 0.7 for _ in range(nvars)]
+        yield obj, cons, nvars, nonneg, rng.random() < 0.5
+
+
+def test_lp_carries_exact_reduced_costs(monkeypatch):
+    checked = []
+
+    class Checked(geometry._Tableau):
+        def maximize(self, cost):
+            self.cost = cost
+            return super().maximize(cost)
+
+        def pivot(self, r, c, red=None):
+            super().pivot(r, c, red)
+            if red is not None:
+                assert red == self.reduced_costs(self.cost)
+                checked.append(1)
+
+    monkeypatch.setattr(geometry, "_Tableau", Checked)
+    for obj, cons, nvars, nonneg, maximize in random_lps(5, 300):
+        lp_solve(obj, cons, nvars, nonneg=nonneg, maximize=maximize)
+    assert len(checked) > 300
+
+
+def test_lp_matches_dense_tableau(monkeypatch):
+    beale = ([F(3, 4), -20, F(1, 2), -6],
+             [constraint([F(1, 4), -8, -1, 9], "<=", 0), constraint([F(1, 2), -12, F(-1, 2), 3], "<=", 0),
+              constraint([0, 0, 1, 0], "<=", 1)], 4, [True] * 4, True)
+    cases = [beale, *random_lps(23, 300)]
+    got = [lp_solve(obj, cons, n, nonneg=nn, maximize=mx) for obj, cons, n, nn, mx in cases]
+    monkeypatch.setattr(geometry, "_Tableau", _DenseTableau)
+    want = [lp_solve(obj, cons, n, nonneg=nn, maximize=mx) for obj, cons, n, nn, mx in cases]
+    assert got == want
+    assert {r.status for r in got} == {"optimal", "infeasible", "unbounded"}
 
 
 # ---------------------------------------------------------------------------
