@@ -85,11 +85,6 @@ class SeparatorCertificate:
     min_over_q: RealAlg | None
 
 
-@dataclass(frozen=True)
-class DomSpace:
-    basis: tuple[AlgVec, ...]
-
-
 def _alg_vec(v) -> AlgVec:
     return tuple(as_alg(x) for x in v)
 
@@ -239,13 +234,13 @@ def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: 
     for _ in range(threshold):
         best = None
         for v in u.vertices:
-            val = _alg_dot(tau, power.matvec(v))
+            val = _tau_dot(tau, power.matvec(v))
             if best is None or val.compare(best) > 0:
                 best = val
         total = total + best
         power = power @ s.matrix
     tail = power @ s.geometric_sum_matrix()
-    return total + _alg_dot(tau, tail.matvec(maximizer))
+    return total + _tau_dot(tau, tail.matvec(maximizer))
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
@@ -254,7 +249,7 @@ def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
     return sup_from(s, u, tau, maximizer, n)
 
 
-def _alg_dot(tau: AlgVec, v) -> RealAlg:
+def _tau_dot(tau: AlgVec, v) -> RealAlg:
     acc = ALG_ZERO
     for t, x in zip(tau, v):
         acc = acc + t * as_alg(x)
@@ -265,7 +260,7 @@ def min_over_vertices(q: GenPolyhedron, tau) -> RealAlg | None:
     tau = _alg_vec(tau)
     best = None
     for v in q.vertices:
-        val = _alg_dot(tau, v)
+        val = _tau_dot(tau, v)
         if best is None or val.compare(best) < 0:
             best = val
     return best
@@ -292,58 +287,6 @@ def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: Sepa
     """Audit path: rebuild the supremum from (tau, maximizer, threshold)
     alone, without rerunning the maximizer search."""
     return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold)
-
-
-# ---------------------------------------------------------------------------
-# dominance-preserving perturbation space
-# ---------------------------------------------------------------------------
-
-
-def dom_space(s: SpectralData, u: GenPolyhedron, tau) -> DomSpace:
-    """Directions tau' whose bilinear coefficients vanish wherever tau's
-    do, over all vertex differences; computed as an exact kernel."""
-    tau = _alg_vec(tau)
-    conditions: list[list[RealAlg]] = []
-    verts = list(u.vertices)
-    for a_idx in range(len(verts)):
-        for b_idx in range(a_idx + 1, len(verts)):
-            diff = vec_sub(verts[a_idx], verts[b_idx])
-            for i in range(len(s.eigenvalues)):
-                for j in range(s.dim):
-                    normal = s.bilinear_mats[i][j].matvec(list(diff))
-                    if all(x.sign() == 0 for x in normal):
-                        continue
-                    val = ALG_ZERO
-                    for t, x in zip(tau, normal):
-                        val = val + t * x
-                    if val.sign() == 0:
-                        conditions.append(normal)
-    if not conditions:
-        basis = tuple(tuple(ALG_ONE if i == j else ALG_ZERO for j in range(s.dim))
-                      for i in range(s.dim))
-        return DomSpace(basis)
-    m = AlgMatrix(len(conditions), s.dim, [x for row in conditions for x in row])
-    kernel = alg_kernel_basis(m)
-    return DomSpace(tuple(tuple(v) for v in kernel))
-
-
-def alg_in_span(vectors: tuple[AlgVec, ...], target: AlgVec) -> bool:
-    """Exact membership of target in the span of the given vectors."""
-    if not vectors:
-        return all(x.sign() == 0 for x in target)
-    n = len(target)
-    rows = [list(v) for v in vectors] + [list(target)]
-    m = AlgMatrix(len(rows), n, [x for row in rows for x in row])
-    rank_with = len(rows) - len(alg_kernel_basis_rows(m))
-    m2 = AlgMatrix(len(vectors), n, [x for v in vectors for x in v])
-    rank_without = len(vectors) - len(alg_kernel_basis_rows(m2))
-    return rank_with == rank_without
-
-
-def alg_kernel_basis_rows(m: AlgMatrix) -> list[list[RealAlg]]:
-    """Kernel of the transpose (row dependencies)."""
-    t = AlgMatrix(m.cols, m.rows, [m.get(i, j) for j in range(m.cols) for i in range(m.rows)])
-    return alg_kernel_basis(t)
 
 
 # ---------------------------------------------------------------------------

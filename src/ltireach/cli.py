@@ -7,6 +7,7 @@ Exit codes: 0 reachable, 1 unreachable, 2 unknown, 3 failed audit,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 
 from . import driver, instances, render
@@ -47,14 +48,12 @@ def parse_vector_text(text: str):
 
 
 def _budgets_from(args) -> driver.Budgets:
-    workers = 1 if args.single_worker else args.workers
     return driver.Budgets(
         max_steps=args.max_steps,
         max_candidates=args.max_candidates,
         max_degree=args.max_degree,
         max_height=args.max_height,
         extremal_budget=args.extremal_budget,
-        workers=workers,
     )
 
 
@@ -64,9 +63,6 @@ def _add_budget_flags(p):
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--max-height", type=int, default=8)
     p.add_argument("--extremal-budget", type=int, default=6)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--single-worker", action="store_true",
-                   help="force the deterministic sequential driver")
 
 
 def _load_instance(path: str):
@@ -121,11 +117,7 @@ def cmd_forward(args) -> int:
 
 def cmd_certify(args) -> int:
     sys_ = _load_instance(args.input)
-    budgets = _budgets_from(args)
-    budgets = driver.Budgets(max_steps=-1, max_candidates=budgets.max_candidates,
-                             max_degree=budgets.max_degree, max_height=budgets.max_height,
-                             extremal_budget=budgets.extremal_budget, workers=1)
-    verdict = driver.decide(sys_, budgets)
+    verdict = driver.decide(sys_, dataclasses.replace(_budgets_from(args), max_steps=-1))
     for w in verdict.warnings:
         print(f"warning: {w}", file=_sys.stderr)
     if verdict.kind == "unreachable":

@@ -1,10 +1,11 @@
 """The decision driver: interleaved forward search and certificate search.
 
-One round-robin round runs a single forward horizon and then a batch of
-separator candidates, so both semi-procedures advance fairly under one
-budget.  Every positive verdict is replay-verified and every negative
-verdict carries a certificate that an independent process can recheck
-against the instance file (audit).
+`decide` is the one decision loop.  Each round runs a single forward
+horizon and then a batch of CANDIDATE_BATCH separator candidates, so both
+semi-procedures advance fairly under one budget, in one thread, and the
+same input always gives the same verdict.  Every positive verdict is
+replay-verified and every negative verdict carries a certificate that an
+independent process can recheck against the instance file (audit).
 
 Systems that fail a structural condition (union controls, origin not
 interior, spectral radius >= 1, no real-spectrum power, nonzero source)
@@ -15,7 +16,6 @@ failed condition.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .certify import (
@@ -33,12 +33,16 @@ from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
 
 class SoundnessError(Exception):
-    """Both a witness and a certificate were produced; impossible unless
-    something is broken, so fail loudly."""
+    """The forward search produced a witness that does not replay;
+    impossible unless something is broken, so fail loudly."""
 
 
 class AuditHashError(Exception):
     """Artifact was produced for a different instance file."""
+
+
+# separator candidates verified between two forward horizons
+CANDIDATE_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,7 @@ class Budgets:
     max_candidates: int = 4096
     max_degree: int = 4
     max_height: int = 8
-    candidate_batch: int = 16
     extremal_budget: int = 6
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,6 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             return Verdict("unreachable", instance_hash, tuple(warnings),
                            certificate=cert, simple_form=form)
 
-    if budgets.workers > 1 and certifiable:
-        return _decide_threaded(sys, budgets, instance_hash, tuple(warnings), spectral, form)
-
     candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
     tried = 0
     candidates_done = not (certifiable and form.dim > 0)
@@ -127,7 +126,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 return Verdict("reachable", instance_hash, tuple(warnings), witness=witness)
             horizon += 1
         if not candidates_done:
-            batch = list(itertools.islice(candidates, budgets.candidate_batch))
+            batch = list(itertools.islice(candidates, CANDIDATE_BATCH))
             if not batch:
                 candidates_done = True
             for tau in batch:
@@ -144,57 +143,6 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     })
 
 
-def _decide_threaded(sys, budgets, instance_hash, warnings, spectral, form) -> Verdict:
-    stop = threading.Event()
-    lock = threading.Lock()
-    results: dict[str, object] = {}
-    tried = [0]
-
-    def forward_worker():
-        for n in range(budgets.max_steps + 1):
-            if stop.is_set():
-                return
-            witness = reach_exactly(sys, n)
-            if witness is not None and verify_witness(sys, witness):
-                with lock:
-                    results["reachable"] = witness
-                stop.set()
-                return
-
-    def certify_worker():
-        if form.dim == 0:
-            return
-        for tau in _candidate_stream(spectral, form, budgets):
-            if stop.is_set():
-                return
-            tried[0] += 1
-            cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau)
-            if cert is not None:
-                with lock:
-                    results["unreachable"] = cert
-                stop.set()
-                return
-
-    threads = [threading.Thread(target=forward_worker), threading.Thread(target=certify_worker)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if "reachable" in results and "unreachable" in results:
-        raise SoundnessError("witness and certificate produced for the same instance")
-    if "reachable" in results:
-        return Verdict("reachable", instance_hash, warnings, witness=results["reachable"])
-    if "unreachable" in results:
-        return Verdict("unreachable", instance_hash, warnings,
-                       certificate=results["unreachable"], simple_form=form)
-    return Verdict("unknown", instance_hash, warnings, exhausted={
-        "max_steps": budgets.max_steps,
-        "candidates_tried": tried[0],
-        "max_candidates": budgets.max_candidates,
-        "enumeration": [budgets.max_degree, budgets.max_height],
-    })
-
-
 # ---------------------------------------------------------------------------
 # out-of-process audit
 # ---------------------------------------------------------------------------
@@ -202,7 +150,13 @@ def _decide_threaded(sys, budgets, instance_hash, warnings, spectral, form) -> V
 
 def audit(sys: LtiSystem, artifact: dict) -> bool:
     """Recompute everything the artifact claims, from scratch."""
-    from .instances import ParseError, certificate_from_json, instance_sha256, witness_from_json
+    from .instances import (
+        ParseError,
+        certificate_from_json,
+        instance_sha256,
+        reduced_system_to_json,
+        witness_from_json,
+    )
 
     if not isinstance(artifact, dict):
         raise ParseError(None, "artifact must be a JSON object")
@@ -228,11 +182,19 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         if not (report.simple and report.source_is_zero):
             return False
         spectral, form = _prepare_certification(sys, report)
+        # every stored field is checked, so none carries an unverified
+        # claim (render draws the hyperplane at the stored bound)
+        if data.get("reduced_system") != reduced_system_to_json(form):
+            return False
+        if not cert.bound.equals(cert.sup_value):
+            return False
+        if cert.maximizer not in form.u_reduced.vertices:
+            return False
         if cert.min_over_q is None:
             return form.q_reduced.is_empty
         if form.q_reduced.is_empty:
             return False
-        if len(cert.tau) != form.dim or len(cert.maximizer) != form.dim:
+        if len(cert.tau) != form.dim:
             return False
         fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau)
         if fresh is None:
@@ -240,6 +202,11 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         if not (fresh.sup_value - cert.sup_value).sign() == 0:
             return False
         if not (fresh.min_over_q - cert.min_over_q).sign() == 0:
+            return False
+        # an honest decider stores the maximizer its own verification picks
+        # (the lexicographically smallest among ties); another vertex that ties
+        # with it would rebuild the same sup and pass unnoticed
+        if cert.maximizer != fresh.maximizer:
             return False
         # the rebuild below costs time linear in the threshold; an honest
         # decider stores the threshold its own verification derives, so a

@@ -927,13 +927,3 @@ class _SortKey:
 
     def __lt__(self, other: "_SortKey") -> bool:
         return self.value.compare(other.value) < 0
-
-
-def alg_dot(xs, ys) -> RealAlg:
-    """Exact inner product of two sequences of RealAlg / Fraction / int."""
-    total = RealAlg.from_rational(0)
-    for x, y in zip(xs, ys):
-        xa = _coerce(x)
-        ya = _coerce(y)
-        total = total + xa * ya
-    return total

@@ -494,10 +494,6 @@ def linear_image(a: RatMatrix, p: GenPolyhedron) -> GenPolyhedron:
     ))
 
 
-def polytope_is_bounded_check(p: GenPolyhedron) -> bool:
-    return p.is_polytope
-
-
 # ---------------------------------------------------------------------------
 # facets and half-space form
 # ---------------------------------------------------------------------------
@@ -674,22 +670,3 @@ def intersect_with_subspace(p: GenPolyhedron, basis: list[Vec],
     if not verts:
         return GenPolyhedron.empty(k)
     return canonical(GenPolyhedron(k, tuple(verts)))
-
-
-def maximize_over(p: GenPolyhedron, direction: Vec) -> LpResult:
-    """Maximize <direction, x> over the polyhedron via its generators."""
-    if p.is_empty:
-        return LpResult("infeasible")
-    nv, nr, nl = len(p.vertices), len(p.rays), len(p.lines)
-    n = nv + nr + nl
-    cons = [constraint([1] * nv + [0] * (nr + nl), "==", 1)]
-    obj = [vec_dot(direction, g) for g in p.vertices + p.rays + p.lines]
-    nonneg = [True] * (nv + nr) + [False] * nl
-    res = lp_solve(obj, cons, n, nonneg=nonneg)
-    if res.status != "optimal":
-        return res
-    coeffs = res.point
-    x = zero_vec(p.dim)
-    for c, g in zip(coeffs, p.vertices + p.rays + p.lines):
-        x = vec_add(x, vec_scale(g, c))
-    return LpResult("optimal", res.value, x)

@@ -283,8 +283,20 @@ def witness_from_json(data) -> ReachWitness:
     return ReachWitness(_field(data, "horizon", int), steps)
 
 
-def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_hash: str) -> dict:
+def reduced_system_to_json(form: SimpleForm) -> dict:
     back = form.back_map
+    return {
+        "dim": form.dim,
+        "matrix": [_vec_json(form.a_reduced.row(i)) for i in range(form.dim)],
+        "control_vertices": [_vec_json(v) for v in form.u_reduced.vertices],
+        "target_vertices": [_vec_json(v) for v in form.q_reduced.vertices],
+        "power": back.m_power,
+        "fit_applied": back.fit_applied,
+        "span_applied": back.span_applied,
+    }
+
+
+def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_hash: str) -> dict:
     return {
         "kind": "certificate",
         "instance_sha256": instance_hash,
@@ -294,15 +306,7 @@ def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_h
         "threshold": cert.threshold,
         "sup_value": alg_to_json(cert.sup_value),
         "min_over_q": None if cert.min_over_q is None else alg_to_json(cert.min_over_q),
-        "reduced_system": {
-            "dim": form.dim,
-            "matrix": [_vec_json(form.a_reduced.row(i)) for i in range(form.dim)],
-            "control_vertices": [_vec_json(v) for v in form.u_reduced.vertices],
-            "target_vertices": [_vec_json(v) for v in form.q_reduced.vertices],
-            "power": back.m_power,
-            "fit_applied": back.fit_applied,
-            "span_applied": back.span_applied,
-        },
+        "reduced_system": reduced_system_to_json(form),
     }
 
 

@@ -849,15 +849,3 @@ def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAl
             coeffs.append(acc)
         out.append(coeffs)
     return out
-
-
-def inner_product_at(s: SpectralData, coeffs: list[list[RealAlg]], n: int) -> RealAlg:
-    """Evaluate the expanded form at integer n >= 0."""
-    acc = ALG_ZERO
-    for i, lam in enumerate(s.eigenvalues):
-        lam_n = lam ** n
-        for j in range(s.dim):
-            c = coeffs[i][j]
-            if c.sign() != 0 and comb(n, j) != 0:
-                acc = acc + c * comb(n, j) * lam_n
-    return acc

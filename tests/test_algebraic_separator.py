@@ -80,21 +80,6 @@ def test_decide_finds_algebraic_certificate_and_audits():
     assert inside.kind == "reachable"
 
 
-def test_dom_space_degenerates_on_eigen_direction():
-    from ltireach.certify import alg_in_span, dom_space
-
-    sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
-    tau = (2 * sqrt2, as_alg(-1))
-    ds = dom_space(S, HEX_U, tau)
-    # every dominant-eigenvalue coefficient vanishes in this direction, so
-    # the perturbations preserving that are exactly the ray itself
-    assert len(ds.basis) == 1
-    assert alg_in_span(ds.basis, tau)
-    # a generic direction keeps the full space
-    generic = dom_space(S, HEX_U, (as_alg(1), as_alg(1)))
-    assert len(generic.basis) == 2
-
-
 def test_supremum_dominates_partial_sums_in_eigen_direction():
     sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
     tau = (2 * sqrt2, as_alg(-1))

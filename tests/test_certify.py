@@ -4,9 +4,7 @@ from fractions import Fraction
 
 from ltireach.certify import (
     SeqKind,
-    alg_in_span,
     classify_sequence,
-    dom_space,
     enumerate_algebraic_vectors,
     eventual_maximizer,
     extremal_candidates,
@@ -247,36 +245,6 @@ def test_verify_separator_searches_the_maximizer_once(monkeypatch):
     assert len(calls) == 1
     assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(1, 1)), (alg(1), alg(1))) is None
     assert len(calls) == 2
-
-
-# ---------------------------------------------------------------------------
-# dominance space
-# ---------------------------------------------------------------------------
-
-
-def test_dom_space_contains_tau():
-    tau = (alg(1), alg(0))
-    ds = dom_space(DIAG_S, QUAD_U, tau)
-    assert alg_in_span(ds.basis, tau)
-
-
-def test_dom_space_proper_subspace_quad():
-    ds = dom_space(DIAG_S, QUAD_U, (alg(1), alg(0)))
-    # oracle: by hand, the lam=2/3 form is <(0, d2), .> which vanishes on
-    # tau=(1,0) for every vertex pair, forcing tau'_2 = 0
-    assert len(ds.basis) == 1
-    assert ds.basis[0][1].sign() == 0
-
-
-def test_dom_space_zero_tau():
-    ds = dom_space(DIAG_S, QUAD_U, (alg(0), alg(0)))
-    assert ds.basis == ()  # every condition fires; only the zero direction
-
-
-def test_dom_space_generic_full():
-    # a direction with no vanishing coefficient pair leaves the full space
-    ds = dom_space(DIAG_S, QUAD_U, (alg(1), alg(1)))
-    assert len(ds.basis) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltireach import cli, driver, forward, instances, render
 from ltireach.geometry import ControlSet, GenPolyhedron
@@ -24,7 +30,7 @@ def quad_system(target):
 
 def small_budgets(**kw):
     base = dict(max_steps=6, max_candidates=64, max_degree=2, max_height=2,
-                extremal_budget=3, workers=1)
+                extremal_budget=3)
     base.update(kw)
     return driver.Budgets(**base)
 
@@ -66,13 +72,10 @@ def test_decide_non_simple_degrades_with_warning():
     assert any("forward search only" in w for w in v.warnings)
 
 
-def test_decide_threaded_agrees_on_kind():
-    target = GenPolyhedron.point(vec(0, 3))
-    single = driver.decide(quad_system(target), small_budgets())
-    threaded = driver.decide(quad_system(target), small_budgets(workers=2))
-    assert single.kind == threaded.kind == "unreachable"
-    target2 = GenPolyhedron.point(vec(1, 1))
-    assert driver.decide(quad_system(target2), small_budgets(workers=2)).kind == "reachable"
+def test_decide_raises_on_non_replaying_witness(monkeypatch):
+    monkeypatch.setattr(driver, "verify_witness", lambda sys_, witness: False)
+    with pytest.raises(driver.SoundnessError):
+        driver.decide(quad_system(GenPolyhedron.point(vec(1, 1))), small_budgets())
 
 
 def test_decide_empty_reduced_target():
@@ -279,7 +282,7 @@ def test_cli_decide_writes_auditable_verdict(tmp_path):
     unreachable = write_instance(tmp_path, "u.lti", "0 3")
     out = tmp_path / "verdict.json"
     code = cli.main(["decide", "--input", unreachable, "--max-steps", "4",
-                     "--single-worker", "--out", str(out)])
+                     "--out", str(out)])
     assert code == 1
     assert cli.main(["audit", unreachable, str(out)]) == 0
 
@@ -376,6 +379,70 @@ def test_cli_audit_malformed_artifact_is_input_error(tmp_path, capsys, artifact)
     out.write_text(json.dumps(artifact))
     assert cli.main(["audit", inst, str(out)]) == 5
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bound", {"minpoly": [-5, 1], "lo": "5", "hi": "5"}),
+    ("bound", {"minpoly": [1, 1], "lo": "-1", "hi": "-1"}),
+    ("maximizer", ["100", "1"]),
+    ("maximizer", ["2", "1"]),  # a vertex tied with the stored one in direction (0, 1)
+    ("reduced_system", "abc"),
+])
+def test_cli_audit_rejects_tampered_certificate_field(tmp_path, field, value):
+    unreachable = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", unreachable, "--max-steps", "4", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["certificate"][field] != value
+    data["certificate"][field] = value
+    out.write_text(json.dumps(data))
+    assert cli.main(["audit", unreachable, str(out)]) == cli.EXIT_AUDIT_FAILED
+
+
+@functools.cache
+def _quad_unreachable_verdict() -> str:
+    sys_ = instances.parse_instance(QUAD_TEXT.format(target="0 3"))
+    return instances.dump_json(instances.verdict_to_json(driver.decide(sys_, small_budgets())))
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_audit_of_a_mutated_verdict_never_reads_as_a_verdict(data):
+    verdict = json.loads(_quad_unreachable_verdict())
+    path = data.draw(st.sampled_from(_leaf_paths(verdict)))
+    node = verdict
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        inst = os.path.join(tmp, "u.lti")
+        art = os.path.join(tmp, "v.json")
+        with open(inst, "w") as fh:
+            fh.write(QUAD_TEXT.format(target="0 3"))
+        with open(art, "w") as fh:
+            fh.write(json.dumps(verdict))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["audit", inst, art])
+    assert code in (cli.EXIT_REACHABLE, cli.EXIT_AUDIT_FAILED, cli.EXIT_HASH_MISMATCH,
+                    cli.EXIT_ERROR), (path, code)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_audit_unexpected_error_is_not_a_verdict(tmp_path, monkeypatch):

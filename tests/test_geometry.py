@@ -14,7 +14,6 @@ from ltireach.geometry import (
     intersect_with_subspace,
     linear_image,
     lp_solve,
-    maximize_over,
     membership_coefficients,
     minkowski_sum,
     negate,
@@ -22,6 +21,7 @@ from ltireach.geometry import (
     vertices_from_h_rep,
 )
 from ltireach.linalg import RatMatrix, vec
+from oracles import maximize_over
 
 F = Fraction
 

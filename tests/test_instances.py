@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.instances import (
@@ -85,6 +87,38 @@ def test_parse_error_wrong_arity():
 def test_parse_error_missing_section():
     with pytest.raises(ParseError):
         parse_instance("dim 2\nmatrix\n1 0\n0 1\n")
+
+
+_TOKENS = ("dim 0", "dim -1", "dim 3", "dim x", "matrix", "control", "vertices", "rays",
+           "lines", "source", "target", "0", "1/0", "0 0", "0 0 0", "1/3 -2", "x y", "")
+
+
+@st.composite
+def _mangled_quad(draw):
+    """The quad instance with a few lines replaced, dropped or repeated."""
+    lines = QUAD_TEXT.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "drop", "repeat"]))
+        if edit == "replace":
+            lines[i] = draw(st.sampled_from(_TOKENS) | st.text(max_size=12))
+        elif edit == "drop":
+            del lines[i]
+            if not lines:
+                break
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=200) | _mangled_quad())
+def test_parse_instance_parses_or_raises_parse_error(text):
+    try:
+        sys_ = parse_instance(text)
+    except ParseError:
+        return
+    assert isinstance(sys_, LtiSystem)
 
 
 def test_alg_json_roundtrip():

@@ -12,7 +12,6 @@ from ltireach.linalg import (
     charpoly_primitive,
     expand_inner_product,
     fitting_split,
-    inner_product_at,
     krylov_invariant_span,
     real_spectrum_power,
     real_spectrum_power_bound,
@@ -20,6 +19,7 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
+from oracles import inner_product_at
 
 F = Fraction
 
