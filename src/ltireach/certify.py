@@ -12,6 +12,12 @@ exactly: the sequence <A^n (v-w), tau> expands over the eigenvalue basis
 as sum C(n,j) lam_i^n c_ij, its eventual sign is the sign of the
 dominant coefficient, and the threshold is certified by an explicit
 tail-domination inequality checked with exact algebraic comparisons.
+Those comparisons weigh sums of terms k |c| lam^n.  Each is first decided
+on rational interval enclosures of the terms, built from the intervals of
+c and lam without computing lam^n; only when the enclosures still overlap
+after refining c and lam to two fixed widths (and always at n = 0, where no
+product of irrationals arises) is it decided by exact algebraic arithmetic.
+Either way the predicate has its exact value, so thresholds do not change.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
 builds the rows r_ij = tau^T B[i][j] a single time, so every vertex pair's
@@ -106,6 +112,56 @@ def _first_true_at_least(start: int, pred) -> int:
     return lo
 
 
+# widths that c and lam are refined to, in turn, before a threshold predicate
+# whose enclosures overlap falls back to exact arithmetic
+_WIDTHS = (Fraction(1, 2 ** 24), Fraction(1, 2 ** 64))
+
+
+def _power_bounds(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
+    """A rational interval containing x^n for every x in [lo, hi]."""
+    a, b = lo ** n, hi ** n
+    if lo >= 0 or n % 2:
+        return a, b
+    if hi <= 0:
+        return b, a
+    return Fraction(0), max(a, b)
+
+
+def _sum_bounds(terms, n: int) -> tuple[Fraction, Fraction]:
+    """A rational interval containing sum k * c * lam^n over the terms
+    (k, c, lam), k >= 0."""
+    lo = hi = Fraction(0)
+    for k, c, lam in terms:
+        plo, phi = _power_bounds(*lam.interval(), n)
+        clo, chi = c.interval()
+        prods = (clo * plo, clo * phi, chi * plo, chi * phi)
+        lo += k * min(prods)
+        hi += k * max(prods)
+    return lo, hi
+
+
+def _sum_less(left, right, n: int, exact) -> bool:
+    """Whether sum k c lam^n over `left` is below the same sum over `right`.
+
+    Decided on rational enclosures when they separate (or touch the wrong
+    way round), first as the intervals stand, then with every c and lam
+    refined to each width of _WIDTHS; `exact()` decides the rest, and
+    decides n = 0 at once."""
+    if n > 0:
+        for width in (None, *_WIDTHS):
+            if width is not None:
+                for _, c, lam in left + right:
+                    c.refine_below(width)
+                    lam.refine_below(width)
+            llo, lhi = _sum_bounds(left, n)
+            rlo, rhi = _sum_bounds(right, n)
+            if lhi < rlo:
+                return True
+            if llo >= rhi:
+                return False
+    return exact()
+
+
 class _PowerCache:
     def __init__(self, base: RealAlg):
         self.base = base
@@ -152,7 +208,8 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     for (i, j, c) in others:
         lam = s.eigenvalues[i]
         powi = _PowerCache(lam)
-        term_caches.append((i, j, abs(c), powi))
+        absc = abs(c)
+        term_caches.append((lam, j, absc, powi))
         start = max(j, j0)
 
         def ratio_decreasing(n, lam=lam, j=j):
@@ -162,21 +219,29 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
 
         onset = _first_true_at_least(start, ratio_decreasing)
 
-        def share_small(n, j=j, absc=abs(c), powi=powi):
-            lhs = absc * (t_count * comb(n, j)) * powi.get(n)
-            rhs = abs_c0 * comb(n, j0) * pow0.get(n)
-            return lhs.compare(rhs) < 0
+        def share_small(n, lam=lam, j=j, absc=absc, powi=powi):
+            def exact():
+                lhs = absc * (t_count * comb(n, j)) * powi.get(n)
+                rhs = abs_c0 * comb(n, j0) * pow0.get(n)
+                return lhs.compare(rhs) < 0
+
+            return _sum_less([(t_count * comb(n, j), absc, lam)],
+                             [(comb(n, j0), abs_c0, lam0)], n, exact)
 
         crossovers.append(_first_true_at_least(onset, share_small))
     n_star = max(crossovers, default=j0)
     n_star = max(n_star, j0)
 
     def domination_holds(n: int) -> bool:
-        lhs = abs_c0 * comb(n, j0) * pow0.get(n)
-        rhs = ALG_ZERO
-        for (i, j, absc, powi) in term_caches:
-            rhs = rhs + absc * comb(n, j) * powi.get(n)
-        return lhs.compare(rhs) > 0
+        def exact():
+            lhs = abs_c0 * comb(n, j0) * pow0.get(n)
+            rhs = ALG_ZERO
+            for (_, j, absc, powi) in term_caches:
+                rhs = rhs + absc * comb(n, j) * powi.get(n)
+            return lhs.compare(rhs) > 0
+
+        return _sum_less([(comb(n, j), absc, lam) for (lam, j, absc, _) in term_caches],
+                         [(comb(n, j0), abs_c0, lam0)], n, exact)
 
     threshold = n_star
     while threshold > 0 and domination_holds(threshold - 1):

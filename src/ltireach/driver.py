@@ -199,9 +199,9 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau)
         if fresh is None:
             return False
-        if not (fresh.sup_value - cert.sup_value).sign() == 0:
+        if not fresh.sup_value.equals(cert.sup_value):
             return False
-        if not (fresh.min_over_q - cert.min_over_q).sign() == 0:
+        if not fresh.min_over_q.equals(cert.min_over_q):
             return False
         # an honest decider stores the maximizer its own verification picks
         # (the lexicographically smallest among ties); another vertex that ties
@@ -216,5 +216,5 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         # independent audit path: the supremum rebuilt from the stored
         # maximizer and threshold alone must agree too
         redone = recompute_sup_from_certificate(spectral, form.u_reduced, cert)
-        return (redone - cert.sup_value).sign() == 0
+        return redone.equals(cert.sup_value)
     return False

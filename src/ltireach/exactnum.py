@@ -10,7 +10,15 @@ round-trip with Fraction exactly.
 Signs and comparisons are decided exactly: intervals are refined by
 bisection until the question resolves.  Refinement always terminates
 because an irreducible polynomial of degree >= 2 has no rational roots,
-so a rational bisection point is never itself a root.
+so a rational bisection point is never itself a root.  The sign of an
+integer polynomial at a rational p/q is read off the homogenized integer
+form sum c_i p^i q^(d-i), and Sturm chains are stored as primitive integer
+rows, so sign tests and root counts never build a Fraction.
+
+The sum or product of two irrational numbers is a root of the composed
+sum or product of their minimal polynomials, built from power sums with
+Newton's identities (Bostan, Flajolet, Salvy & Schost, 2006); the factor
+of it that owns the root becomes the result's minimal polynomial.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 Rat = Fraction
 
@@ -91,12 +99,6 @@ class IntPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def eval_at(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
@@ -282,30 +284,51 @@ def factor_int_poly(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
 # ---------------------------------------------------------------------------
 
 
-def sturm_chain(p: IntPoly) -> list[list[Fraction]]:
+def sturm_chain(p: IntPoly) -> list[list[int]]:
     return [list(row) for row in _sturm_chain_cached(p.coeffs)]
 
 
+def _positive_primitive(coeffs) -> tuple[int, ...]:
+    """Divide out the content, keeping the sign of every coefficient."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    return tuple(c // g for c in coeffs)
+
+
 @lru_cache(maxsize=4096)
-def _sturm_chain_cached(coeffs: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+def _sturm_chain_cached(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Sturm chain of p.  Each row is a primitive integer polynomial and a
+    positive multiple of the classical row, so it has the same signs: the
+    remainder of a positive multiple of a by any multiple of b is a positive
+    multiple of the remainder of a by b."""
     p = IntPoly(coeffs)
-    chain = [_to_frac(p), _to_frac(p.derivative())]
-    while any(c != 0 for c in chain[-1]):
-        _, r = _frac_divmod(chain[-2], chain[-1])
-        if not any(c != 0 for c in r):
+    chain = [_positive_primitive(p.coeffs)]
+    dp = p.derivative()
+    if dp:
+        chain.append(_positive_primitive(dp.coeffs))
+    while len(chain) > 1:
+        _, r = _frac_divmod([Fraction(c) for c in chain[-2]], [Fraction(c) for c in chain[-1]])
+        if not r:
             break
-        chain.append([-c for c in r])
-    return tuple(tuple(c) for c in chain if any(x != 0 for x in c))
+        chain.append(_positive_primitive(_from_frac([-c for c in r]).coeffs))
+    return tuple(row for row in chain if row)
 
 
-def _sign_at(coeffs: list[Fraction], x: Fraction) -> int:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _sign_at(coeffs, num: int, den: int) -> int:
+    """Sign of the polynomial at num/den (den > 0, not necessarily in lowest
+    terms), from the homogenized integer form sum c_i num^i den^(d-i)."""
+    if not coeffs:
+        return 0
+    acc = coeffs[-1]
+    den_k = 1
+    for c in reversed(coeffs[:-1]):
+        den_k *= den
+        acc = acc * num + c * den_k
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_inf(coeffs: list[Fraction], positive: bool) -> int:
+def _sign_at_inf(coeffs, positive: bool) -> int:
     lead = coeffs[-1]
     s = (lead > 0) - (lead < 0)
     if not positive and (len(coeffs) - 1) % 2 == 1:
@@ -313,7 +336,7 @@ def _sign_at_inf(coeffs: list[Fraction], positive: bool) -> int:
     return s
 
 
-def sign_variations(chain: list[list[Fraction]], x) -> int:
+def sign_variations(chain: list[list[int]], x) -> int:
     """x is a Fraction, or '+inf' / '-inf'."""
     signs = []
     for coeffs in chain:
@@ -322,15 +345,23 @@ def sign_variations(chain: list[list[Fraction]], x) -> int:
         elif x == "-inf":
             s = _sign_at_inf(coeffs, False)
         else:
-            s = _sign_at(coeffs, x)
+            s = _sign_at(coeffs, x.numerator, x.denominator)
         if s != 0:
             signs.append(s)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(chain: list[list[Fraction]], lo, hi) -> int:
+def count_roots_halfopen(chain: list[list[int]], lo, hi) -> int:
     """Distinct real roots in (lo, hi]; endpoints may be '+inf'/'-inf'."""
     return sign_variations(chain, lo) - sign_variations(chain, hi)
+
+
+def _count_roots_closed(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots in [lo, hi] of the chain's first row."""
+    cnt = count_roots_halfopen(chain, lo, hi)
+    if _sign_at(chain[0], lo.numerator, lo.denominator) == 0:
+        cnt += 1
+    return cnt
 
 
 def count_real_roots(p: IntPoly) -> int:
@@ -409,11 +440,7 @@ class RealAlg:
             if self._lo != root or self._hi != root:
                 raise ValueError("degree-1 value must pin its rational root exactly")
         else:
-            chain = sturm_chain(p)
-            inside = count_roots_halfopen(chain, self._lo, self._hi)
-            if p.eval_at(self._lo) == 0:
-                inside += 1
-            if inside != 1:
+            if _count_roots_closed(sturm_chain(p), self._lo, self._hi) != 1:
                 raise ValueError("interval does not isolate exactly one root")
 
     # -- constructors -------------------------------------------------
@@ -442,10 +469,7 @@ class RealAlg:
                 if lo <= root <= hi:
                     owners.append((f, root, root))
             else:
-                chain = sturm_chain(f)
-                cnt = count_roots_halfopen(chain, lo, hi)
-                if f.eval_at(lo) == 0:
-                    cnt += 1
+                cnt = _count_roots_closed(sturm_chain(f), lo, hi)
                 if cnt:
                     owners.append((f, lo, hi) if cnt == 1 else (f, None, None))
         if len(owners) != 1 or owners[0][1] is None:
@@ -481,26 +505,36 @@ class RealAlg:
                     if self.compare(hi) < 0)
 
     def refine(self, steps: int = 1) -> None:
-        """Halve the isolating interval `steps` times (no-op for rationals)."""
-        if self.is_rational:
+        """Halve the isolating interval `steps` times (no-op for rationals).
+
+        Bisects the integers lo*den and hi*den over a common denominator
+        den that doubles each step, so no step builds a Fraction."""
+        if self.is_rational or steps <= 0:
             return
-        p = self.minpoly
+        p = self.minpoly.coeffs
         lo, hi = self._lo, self._hi
-        slo = (p.eval_at(lo) > 0) - (p.eval_at(lo) < 0)
+        den = lo.denominator * hi.denominator
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        slo = _sign_at(p, a, den)
         for _ in range(steps):
-            mid = (lo + hi) / 2
-            smid_val = p.eval_at(mid)
-            smid = (smid_val > 0) - (smid_val < 0)
-            # mid is never a root: p is irreducible of degree >= 2
-            if smid == slo:
-                lo = mid
+            mid = a + b
+            den *= 2
+            # mid/den is never a root: p is irreducible of degree >= 2
+            if _sign_at(p, mid, den) == slo:
+                a, b = mid, 2 * b
             else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+                a, b = 2 * a, mid
+        self._lo, self._hi = Fraction(a, den), Fraction(b, den)
 
     def refine_below(self, width: Fraction) -> None:
-        while self._hi - self._lo > width:
-            self.refine()
+        """Bisect until the interval is no wider than `width`."""
+        steps = 0
+        w = self._hi - self._lo
+        while w > width:
+            w /= 2
+            steps += 1
+        if steps:
+            self.refine(steps)
 
     def sign(self) -> int:
         if self.is_rational:
@@ -644,11 +678,7 @@ class RealAlg:
         while True:
             if a._hi < b._lo or b._hi < a._lo:
                 return False
-            lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
-            cnt = count_roots_halfopen(chain, lo, hi)
-            if a.minpoly.eval_at(lo) == 0:
-                cnt += 1
-            if cnt == 1:
+            if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
                 return True
             a.refine()
             b.refine()
@@ -669,12 +699,8 @@ class RealAlg:
             if a.minpoly == b.minpoly:
                 # overlapping intervals isolate the same root iff the hull
                 # contains exactly one root of the shared minimal polynomial
-                lo, hi = min(a._lo, b._lo), max(a._hi, b._hi)
                 chain = sturm_chain(a.minpoly)
-                cnt = count_roots_halfopen(chain, lo, hi)
-                if a.minpoly.eval_at(lo) == 0:
-                    cnt += 1
-                if cnt == 1:
+                if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
                     return 0
             a.refine()
             b.refine()
@@ -729,131 +755,63 @@ ALG_ONE = RealAlg.from_rational(1)
 
 
 # ---------------------------------------------------------------------------
-# Resultant-based combination of two irrational numbers
+# Composed sum and product of two irrational numbers
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _sylvester_resultant(p: list[int], q: list[int]) -> int:
-    """Resultant of integer polynomials given lowest-first coefficients."""
-    while p and p[-1] == 0:
-        p = p[:-1]
-    while q and q[-1] == 0:
-        q = q[:-1]
-    m, n = len(p) - 1, len(q) - 1
-    if m < 0 or n < 0:
-        return 0
-    if m == 0:
-        return p[0] ** n
-    if n == 0:
-        return q[0] ** m
-    size = m + n
-    rows = []
-    ph = list(reversed(p))
-    qh = list(reversed(q))
-    for i in range(n):
-        rows.append([0] * i + ph + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qh + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
-
-
-def _interp_integer_poly(points: list[tuple[int, int]]) -> IntPoly:
-    """Lagrange interpolation; the result must have integer coefficients."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                new[k + 1] += b
-                new[k] -= b * xj
-            basis = new
-            denom *= xi - xj
-        w = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += w * b
-    assert all(c.denominator == 1 for c in coeffs), "resultant interpolation must be integral"
-    return IntPoly(tuple(int(c) for c in coeffs))
+def _scaled_power_sums(p: tuple[int, ...], count: int) -> list[int]:
+    """Power sums s_0..s_count of the numbers lead(p) * alpha over the roots
+    alpha of p, by Newton's identities.  Those numbers are the roots of the
+    monic integer polynomial lead^(m-1) p(x / lead), so the sums are integers."""
+    m = len(p) - 1
+    lead = p[-1]
+    c = [p[j] * lead ** (m - 1 - j) for j in range(m)]  # monic: c_m = 1
+    sums = [m]
+    for k in range(1, count + 1):
+        acc = -k * c[m - k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc -= c[m - i] * sums[k - i]
+        sums.append(acc)
+    return sums
 
 
 def _combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
     """Integer polynomial vanishing at a+b (op='add') or a*b (op='mul').
 
-    Computed as a resultant in an eliminated variable, by evaluation at
-    enough integer points followed by exact interpolation.
+    Built from power sums, with no resultant determinant.  With leads la, lb
+    of the two minimal polynomials, the numbers la*lb*gamma over all
+    gamma = alpha_i + beta_j (or alpha_i * beta_j) are algebraic integers.
+    Their power sums follow from those of the two root sets,
+    s_k(ab) = s_k(a) s_k(b) and s_k(a+b) = sum_i C(k,i) s_i(a) s_(k-i)(b);
+    Newton's identities turn them into the monic integer polynomial with
+    these roots, and x -> la*lb*x scales the roots back.  The result equals
+    Res_y(p(y), q(x - y)) (or Res_y(p(y), y^n q(x/y))) up to a constant.
     """
     p, q = a.minpoly.coeffs, b.minpoly.coeffs
     m, n = len(p) - 1, len(q) - 1
-    if m * n > _degree_ceiling:
-        raise DegreeCeilingError(f"combination degree {m * n} exceeds ceiling {_degree_ceiling}")
-    npts = m * n + 1
-    points = []
-    t = 0
-    while len(points) < npts:
-        if op == "add":
-            # q(t - y) as a polynomial in y
-            qy = [0] * (n + 1)
-            for i, qi in enumerate(q):
-                # (t - y)^i expanded
-                term = [0] * (i + 1)
-                term[0] = 1
-                for _ in range(i):
-                    new = [0] * (len(term) + 1)
-                    for k, c in enumerate(term):
-                        new[k] += c * t
-                        new[k + 1] -= c
-                    term = new[: i + 1] if len(new) > i + 1 else new
-                for k, c in enumerate(term):
-                    qy[k] += qi * c
-        else:
-            # y^n * q(t/y) = sum q_i t^i y^(n-i)
-            qy = [0] * (n + 1)
-            for i, qi in enumerate(q):
-                qy[n - i] += qi * t ** i
-        res = _sylvester_resultant(list(p), qy)
-        points.append((t, res))
-        t = -t + (1 if t <= 0 else 0)
-    return _interp_integer_poly(points)
-
-
-def _count_roots_closed(p: IntPoly, chain, lo: Fraction, hi: Fraction) -> int:
-    cnt = count_roots_halfopen(chain, lo, hi)
-    if p.eval_at(lo) == 0:
-        cnt += 1
-    return cnt
+    deg = m * n
+    if deg > _degree_ceiling:
+        raise DegreeCeilingError(f"combination degree {deg} exceeds ceiling {_degree_ceiling}")
+    la, lb = p[-1], q[-1]
+    sa, sb = _scaled_power_sums(p, deg), _scaled_power_sums(q, deg)
+    if op == "add":
+        # power sums of la*lb*alpha = lb*(la*alpha) and of la*lb*beta
+        sa = [s * lb ** k for k, s in enumerate(sa)]
+        sb = [s * la ** k for k, s in enumerate(sb)]
+        sums = [sum(comb(k, i) * sa[i] * sb[k - i] for i in range(k + 1)) for k in range(deg + 1)]
+    else:
+        sums = [x * y for x, y in zip(sa, sb)]
+    # Newton's identities: k r_(deg-k) = -sum_{i=1..k} r_(deg-k+i) s_i, r_deg = 1
+    r = [0] * deg + [1]
+    for k in range(1, deg + 1):
+        r[deg - k], rem = divmod(-sum(r[deg - k + i] * sums[i] for i in range(1, k + 1)), k)
+        assert rem == 0, "a monic polynomial over algebraic integers has integer coefficients"
+    scale = la * lb
+    return IntPoly(tuple(c * scale ** j for j, c in enumerate(r)))
 
 
 def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
-    rpoly = _combination_poly(a, b, op).squarefree_part()
+    rpoly = _combination_poly(a, b, op).primitive()
     factors = [IntPoly(f) for f, _ in factor_int_poly(rpoly.coeffs)]
     chains = {f: sturm_chain(f) for f in factors}
 
@@ -865,7 +823,7 @@ def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
 
     while True:
         lo, hi = enclosure()
-        hits = [(f, _count_roots_closed(f, chains[f], lo, hi)) for f in factors]
+        hits = [(f, _count_roots_closed(chains[f], lo, hi)) for f in factors]
         live = [(f, c) for f, c in hits if c > 0]
         if len(live) == 1 and live[0][1] == 1:
             f = live[0][0]

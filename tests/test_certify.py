@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ltireach.certify import (
@@ -14,7 +15,7 @@ from ltireach.certify import (
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import RealAlg, as_alg
+from ltireach.exactnum import RealAlg, as_alg, int_poly, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import RatMatrix, spectral_decompose, vec
 
@@ -135,6 +136,133 @@ def test_classify_agrees_with_direct_eval_randomized():
             assert all(x < 0 for x in values[c.threshold:])
         checked += 1
     assert checked == 40
+
+
+def _quadratic_irrational_matrices(rng: random.Random) -> list[RatMatrix]:
+    """2x2 matrices with two irrational eigenvalues in (0, 1): those of the
+    bench family [[1/2, s/n], [s, 1/2]] (eigenvalues 1/2 +- 1/sqrt(n)) and
+    seeded ones with a positive, non-square discriminant."""
+    out = [RatMatrix.from_rows([[F(1, 2), F(sg, n)], [sg, F(1, 2)]])
+           for n in (8, 12, 15) for sg in (1, -1)]
+    while len(out) < 10:
+        a, b, c, d = (F(rng.randint(-6, 6), rng.randint(1, 8)) for _ in range(4))
+        tr, det = a + d, a * d - b * c
+        disc = tr * tr - 4 * det
+        if disc <= 0 or (disc.numerator ** 0.5).is_integer() and (disc.denominator ** 0.5).is_integer():
+            continue
+        # both eigenvalues in (0, 1): charpoly positive at 0 and 1, vertex inside
+        if det > 0 and 1 - tr + det > 0 and 0 < tr < 2:
+            out.append(RatMatrix.from_rows([[a, b], [c, d]]))
+    return out
+
+
+def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
+    """Every threshold predicate decided with enclosures first has its exact
+    value, and the thresholds equal those of exact predicates alone, on
+    quadratic-irrational spectra with rational and eigenvector directions;
+    the runs include exact ties at n = 0 and n = 1."""
+    import ltireach.certify as certify
+
+    original = certify._sum_less
+    decided = Counter()
+
+    def counted(left, right, n, exact):
+        fell_back = []
+
+        def tracked():
+            fell_back.append(n)
+            return exact()
+
+        out = original(left, right, n, tracked)
+        decided["exact" if fell_back else "bounds", min(n, 2)] += 1
+        assert out == exact()
+        return out
+
+    def directions(s, d):
+        # tau orthogonal to A d makes the n = 1 term vanish: a tie there
+        ad = s.matrix.matvec(d)
+        eig = left_eigenvectors(s)
+        return [(alg(1), alg(0)), (alg(1), alg(-2)), (alg(-ad[1]), alg(ad[0]))] + eig + \
+            [tuple(-x for x in e) for e in eig]
+
+    rng = random.Random(61)
+    square = [vec(1, 1), vec(-1, 1), vec(1, -1), vec(-1, -1), vec(0, 0)]
+    cases = 0
+    for a in _quadratic_irrational_matrices(rng):
+        for _ in range(3):
+            v, w = rng.sample(square, 2)
+            d = tuple(x - y for x, y in zip(v, w))
+            for k in range(len(directions(spectral_decompose(a), d))):
+                # each side decomposes A afresh, so neither sees intervals the
+                # other has narrowed
+                monkeypatch.setattr(certify, "_sum_less", lambda left, right, n, exact: exact())
+                s = spectral_decompose(a)
+                expected = classify_sequence(s, v, w, directions(s, d)[k])
+                monkeypatch.setattr(certify, "_sum_less", counted)
+                s = spectral_decompose(a)
+                got = classify_sequence(s, v, w, directions(s, d)[k])
+                assert (got.kind, got.threshold, got.dominant) == \
+                    (expected.kind, expected.threshold, expected.dominant)
+                cases += 1
+    assert cases >= 100
+    assert decided["bounds", 1] and decided["bounds", 2]
+    assert decided["exact", 0] and decided["exact", 1], decided
+
+
+def test_sum_less_matches_exact_comparison():
+    """The enclosure-first comparison of sums k c lam^n against the exact
+    comparison, on fresh wide isolating intervals (some straddling 0, some
+    degenerate rationals that touch) and on exact ties."""
+    from ltireach.certify import _sum_less
+
+    def fresh(key):
+        """A new object for value `key`, so no interval is narrowed yet."""
+        kind, arg = key
+        if kind == "rat":
+            return RealAlg.from_rational(arg)
+        if kind == "straddle":  # 1/2 - 1/sqrt(8) in [-1/2, 3/10]
+            return RealAlg(int_poly(1, -8, 8), F(-1, 2), F(3, 10))
+        return sturm_isolate_real_roots(int_poly(*arg))[-1]
+
+    values = [("rat", F(k, 8)) for k in range(9)] + [
+        ("straddle", None),
+        ("root", (1, -8, 8)),    # 1/2 + 1/sqrt(8)
+        ("root", (-1, 4, 4)),    # (sqrt(2) - 1)/2
+        ("root", (-2, 0, 1)),    # sqrt(2)
+        ("root", (-1, -1, 4)),   # (1 + sqrt(17))/8
+    ]
+
+    def total(terms, n):
+        acc = RealAlg.from_rational(0)
+        for k, c, lam in terms:
+            acc = acc + k * fresh(c) * fresh(lam) ** n
+        return acc
+
+    straddle, one, eighth, quarter = values[9], values[8], values[1], values[2]
+    # a straddling interval's even power has lower bound 0, and a product of
+    # two straddling intervals has its minimum at a cross term
+    cases = [([(1, one, straddle)], [(1, one, quarter)], 2),
+             ([(1, straddle, straddle)], [(1, eighth, quarter)], 3)]
+    rng = random.Random(67)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        left = [(rng.randint(0, 3), rng.choice(values), rng.choice(values))
+                for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            right = list(left)  # an exact tie
+        else:
+            right = [(rng.randint(0, 3), rng.choice(values), rng.choice(values))
+                     for _ in range(rng.randint(1, 2))]
+        cases.append((left, right, n))
+    outcomes = Counter()
+    for left, right, n in cases:
+        expected = total(left, n).compare(total(right, n)) < 0
+        got = _sum_less([(k, fresh(c), fresh(lam)) for k, c, lam in left],
+                        [(k, fresh(c), fresh(lam)) for k, c, lam in right], n,
+                        lambda: total(left, n).compare(total(right, n)) < 0)
+        assert got == expected
+        outcomes[got, left == right] += 1
+    assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
 
 
 # ---------------------------------------------------------------------------

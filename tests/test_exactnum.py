@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,6 +8,10 @@ from ltireach.exactnum import (
     DegreeCeilingError,
     IntPoly,
     RealAlg,
+    _combination_poly,
+    _count_roots_closed,
+    _frac_divmod,
+    _sign_at,
     alg_arith,
     alg_compare,
     alg_sign,
@@ -15,6 +20,7 @@ from ltireach.exactnum import (
     int_poly,
     rat_from_str,
     rat_to_str,
+    sign_variations,
     sturm_chain,
     sturm_isolate_real_roots,
 )
@@ -64,7 +70,8 @@ def test_rat_field_axioms_randomized():
 def test_intpoly_basics():
     p = int_poly(-2, 0, 1)  # x^2 - 2
     assert p.degree == 2
-    assert p.eval_at(F(2)) == 2
+    assert [_sign_at(p.coeffs, x, 1) for x in (-2, -1, 0, 1, 2)] == [1, -1, -1, -1, 1]
+    assert _sign_at(p.coeffs, 7, 5) == -1 and _sign_at(p.coeffs, 3, 2) == 1
     assert p.derivative() == int_poly(0, 2)
     assert (p * int_poly(1, 1)).coeffs == (-2, -2, 1, 1)
 
@@ -194,7 +201,7 @@ def test_sqrt2_plus_sqrt3():
     b.refine_below(F(1, 10**9))
     lo = a.interval()[0] + b.interval()[0]
     hi = a.interval()[1] + b.interval()[1]
-    assert expected.eval_at(lo) * expected.eval_at(hi) < 0
+    assert horner(expected.coeffs, lo) * horner(expected.coeffs, hi) < 0
     assert s.minpoly == expected
     slo, shi = s.interval()
     assert F(3) <= slo or slo <= F(3)  # interval is rational
@@ -291,3 +298,251 @@ def test_degree_ceiling_guard():
             alg_arith(a, b, "add")
     finally:
         exactnum.set_degree_ceiling(exactnum.DEFAULT_DEGREE_CEILING)
+
+
+# ---------------------------------------------------------------------------
+# frozen Fraction and resultant oracles for the integer fast paths
+# ---------------------------------------------------------------------------
+
+
+def horner(coeffs, x: Fraction) -> Fraction:
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def frac_sign(coeffs, x: Fraction) -> int:
+    v = horner(coeffs, x)
+    return (v > 0) - (v < 0)
+
+
+def frac_sturm_chain(p: IntPoly) -> list[list[Fraction]]:
+    """The classical Sturm chain in Fraction arithmetic."""
+    chain = [[F(c) for c in p.coeffs], [F(c) for c in p.derivative().coeffs]]
+    while any(c != 0 for c in chain[-1]):
+        _, r = _frac_divmod(chain[-2], chain[-1])
+        if not any(c != 0 for c in r):
+            break
+        chain.append([-c for c in r])
+    return [row for row in chain if any(x != 0 for x in row)]
+
+
+def frac_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (frac_sign(row, x) for row in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def bareiss_det(m: list[list[int]]) -> int:
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def sylvester_resultant(p: list[int], q: list[int]) -> int:
+    while p and p[-1] == 0:
+        p = p[:-1]
+    while q and q[-1] == 0:
+        q = q[:-1]
+    m, n = len(p) - 1, len(q) - 1
+    if m < 0 or n < 0:
+        return 0
+    if m == 0:
+        return p[0] ** n
+    if n == 0:
+        return q[0] ** m
+    size = m + n
+    ph, qh = list(reversed(p)), list(reversed(q))
+    rows = [[0] * i + ph + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + qh + [0] * (size - n - 1 - i) for i in range(m)]
+    return bareiss_det(rows)
+
+
+def interp_integer_poly(points: list[tuple[int, int]]) -> IntPoly:
+    n = len(points)
+    coeffs = [F(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [F(1)], F(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            new = [F(0)] * (len(basis) + 1)
+            for k, b in enumerate(basis):
+                new[k + 1] += b
+                new[k] -= b * xj
+            basis = new
+            denom *= xi - xj
+        w = F(yi) / denom
+        for k, b in enumerate(basis):
+            coeffs[k] += w * b
+    assert all(c.denominator == 1 for c in coeffs)
+    return IntPoly(tuple(int(c) for c in coeffs))
+
+
+def resultant_combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
+    """Res_y(p(y), q(t - y)) or Res_y(p(y), y^n q(t/y)), by evaluation at
+    integer points and Lagrange interpolation."""
+    p, q = a.minpoly.coeffs, b.minpoly.coeffs
+    m, n = len(p) - 1, len(q) - 1
+    points = []
+    t = 0
+    while len(points) < m * n + 1:
+        qy = [0] * (n + 1)
+        if op == "add":
+            for i, qi in enumerate(q):  # qi * (t - y)^i
+                for k in range(i + 1):
+                    qy[k] += qi * comb(i, k) * t ** (i - k) * (-1) ** k
+        else:
+            for i, qi in enumerate(q):
+                qy[n - i] += qi * t ** i
+        points.append((t, sylvester_resultant(list(p), qy)))
+        t = -t + (1 if t <= 0 else 0)
+    return interp_integer_poly(points)
+
+
+def seeded_irrationals(seed: int, count: int) -> list[RealAlg]:
+    """Real roots of random irreducible integer polynomials of degree 2-4,
+    with leading coefficients other than 1 among them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        deg = rng.randint(2, 4)
+        coeffs = [rng.randint(-5, 5) for _ in range(deg)] + [rng.randint(1, 3)]
+        p = IntPoly(tuple(coeffs))
+        factors = factor_int_poly(p.coeffs)
+        if len(factors) != 1 or factors[0][1] != 1 or len(factors[0][0]) != deg + 1:
+            continue
+        roots = sturm_isolate_real_roots(p)
+        if roots:
+            out.append(rng.choice(roots))
+    return out
+
+
+def test_composed_poly_matches_resultant_oracle():
+    pool = seeded_irrationals(23, 12)
+    assert any(x.minpoly.coeffs[-1] > 1 for x in pool)
+    assert any(x.degree == 4 for x in pool)
+    rng = random.Random(29)
+    pairs = [(x, x) for x in pool[:4]] + [(rng.choice(pool), rng.choice(pool)) for _ in range(16)]
+    # a root with each of its conjugates: the composed polynomial has a
+    # rational root (a + conj is a trace, a * conj a norm)
+    for x in pool[:3]:
+        pairs += [(x, y) for y in sturm_isolate_real_roots(x.minpoly)]
+    for a, b in pairs:
+        if a.degree * b.degree > 9:
+            continue  # keep the Sylvester oracle cheap
+        for op in ("add", "mul"):
+            got = _combination_poly(a, b, op)
+            assert got.degree == a.degree * b.degree
+            assert got.primitive() == resultant_combination_poly(a, b, op).primitive()
+
+
+def test_composed_results_match_enclosures():
+    pool = seeded_irrationals(31, 8)
+    for a, b in zip(pool, pool[1:] + pool[:1]):
+        for op, fn in (("add", lambda x, y: x + y), ("mul", lambda x, y: x * y)):
+            r = alg_arith(a, b, op)
+            a.refine_below(F(1, 2 ** 40))
+            b.refine_below(F(1, 2 ** 40))
+            (alo, ahi), (blo, bhi) = a.interval(), b.interval()
+            ends = [fn(x, y) for x in (alo, ahi) for y in (blo, bhi)]
+            r.refine_below(F(1, 2 ** 40))
+            rlo, rhi = r.interval()
+            assert rlo <= max(ends) and min(ends) <= rhi
+
+
+def polys_with_rational_roots(seed: int, count: int) -> list[IntPoly]:
+    """Products of linear factors (q x - p), an irreducible quadratic and a
+    random cubic, so that roots fall on rational points."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = int_poly(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            p = p * int_poly(rng.randint(-4, 4), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p = p * int_poly(-rng.choice((2, 3, 5)), 0, 1)
+        if rng.random() < 0.5:
+            p = p * IntPoly(tuple(rng.randint(-3, 3) for _ in range(3)) + (rng.randint(1, 2),))
+        out.append(p)
+    return out
+
+
+def test_integer_sign_test_matches_fraction_horner():
+    rng = random.Random(37)
+    for p in polys_with_rational_roots(41, 60):
+        points = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(10)]
+        points += [r.to_rational() for r in sturm_isolate_real_roots(p) if r.is_rational]
+        for x in points:
+            assert _sign_at(p.coeffs, x.numerator, x.denominator) == frac_sign(p.coeffs, x)
+            # any positive denominator gives the same sign
+            assert _sign_at(p.coeffs, 6 * x.numerator, 6 * x.denominator) == frac_sign(p.coeffs, x)
+
+
+def test_integer_sturm_rows_match_fraction_chain():
+    rng = random.Random(43)
+    for p in polys_with_rational_roots(47, 60):
+        sf = p.squarefree_part()
+        if sf.degree < 1:
+            continue
+        rows, oracle = sturm_chain(sf), frac_sturm_chain(sf)
+        assert len(rows) == len(oracle)
+        assert all(isinstance(c, int) for row in rows for c in row)
+        all_roots = sturm_isolate_real_roots(sf)
+        roots = [r.to_rational() for r in all_roots if r.is_rational]
+        points = [F(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(8)] + roots
+        for x in points:
+            assert [_sign_at(r, x.numerator, x.denominator) for r in rows] == \
+                [frac_sign(r, x) for r in oracle]
+            assert sign_variations(rows, x) == frac_variations(oracle, x)
+        variations = {x: frac_variations(oracle, x) for x in points}
+        for lo in points:
+            for hi in points:
+                if lo > hi:
+                    continue
+                expected = variations[lo] - variations[hi]
+                assert count_roots_halfopen(rows, lo, hi) == expected
+                closed = expected + (horner(sf.coeffs, lo) == 0)
+                assert _count_roots_closed(rows, lo, hi) == closed
+                assert closed == sum(1 for r in all_roots if r.compare(lo) >= 0 and r.compare(hi) <= 0)
+
+
+def test_refine_matches_fraction_bisection():
+    for x in seeded_irrationals(53, 10):
+        lo, hi = x.interval()
+        p = x.minpoly.coeffs
+        for steps in (1, 3, 17, 40):
+            y = RealAlg(x.minpoly, lo, hi)
+            y.refine(steps)
+            a, b = lo, hi
+            for _ in range(steps):
+                mid = (a + b) / 2
+                if frac_sign(p, mid) == frac_sign(p, a):
+                    a = mid
+                else:
+                    b = mid
+            assert y.interval() == (a, b)
+        z = RealAlg(x.minpoly, lo, hi)
+        z.refine_below(F(1, 1000))
+        a, b = lo, hi
+        while b - a > F(1, 1000):
+            mid = (a + b) / 2
+            a, b = (mid, b) if frac_sign(p, mid) == frac_sign(p, a) else (a, mid)
+        assert z.interval() == (a, b)
