@@ -223,36 +223,35 @@ def reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
         if contains_point(sys.target, sys.source):
             return ReachWitness(0, ())
         return None
-    ncomps = len(sys.controls.components)
-    if ncomps == 1:
+    if len(sys.controls.components) == 1:
         assignment = [0] * n
         cons, layout = _build_lp(sys, assignment, n, _step_columns(sys, n))
         res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
         if not res.is_feasible:
             return None
         return _witness_from_solution(sys, n, assignment, layout, res.point)
+    return _search(sys, _step_columns(sys, n), [0] * n, 0)
 
-    # union controls: DFS over per-step component assignments with
-    # hull-relaxation pruning at internal nodes
-    assignment = [0] * n
-    cols = _step_columns(sys, n)
 
-    def search(depth: int) -> ReachWitness | None:
-        cons, layout = _build_lp(sys, assignment, depth, cols)
-        res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
-        if not res.is_feasible:
-            return None
-        if depth == n:
-            return _witness_from_solution(sys, n, assignment, layout, res.point)
-        for c in range(ncomps):
-            assignment[depth] = c
-            found = search(depth + 1)
-            if found is not None:
-                return found
-        assignment[depth] = 0
+def _search(sys: LtiSystem, cols: _StepColumns, assignment: list[int], depth: int) -> ReachWitness | None:
+    """Union controls: DFS over per-step component assignments with
+    hull-relaxation pruning at internal nodes.  A module function, not a
+    closure, so that no reference cycle keeps a horizon's columns alive
+    until the cyclic collector runs."""
+    n = len(assignment)
+    cons, layout = _build_lp(sys, assignment, depth, cols)
+    res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
+    if not res.is_feasible:
         return None
-
-    return search(0)
+    if depth == n:
+        return _witness_from_solution(sys, n, assignment, layout, res.point)
+    for c in range(len(sys.controls.components)):
+        assignment[depth] = c
+        found = _search(sys, cols, assignment, depth + 1)
+        if found is not None:
+            return found
+    assignment[depth] = 0
+    return None
 
 
 def reach_within(sys: LtiSystem, budget: int) -> ReachWitness | None:

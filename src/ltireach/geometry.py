@@ -4,7 +4,12 @@ Polyhedra are kept in generator form (vertices + rays + lines); the
 half-space form is derived on demand for subspace intersections.  One
 exact primitive, a two-phase simplex with Bland's anti-cycling rule,
 backs every predicate: point membership, vertex redundancy, relative
-interior tests, and optimization.
+interior tests, and optimization.  Its tableau is fraction-free: each row
+is a list of integer numerators over one positive integer denominator,
+and a pivot combines rows by integer products and one gcd (Edmonds 1967;
+Bareiss 1968).  It takes the pivots a Fraction tableau would take, so
+it returns the same point; Fractions appear only in that point and the
+objective value.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a dimension ceiling; instances here are small by
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import RatMatrix, Vec, vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vec
 
@@ -63,75 +68,97 @@ class LpResult:
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int], ncols: int):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.ncols = ncols
+    """Simplex tableau in fraction-free form.
 
-    def pivot(self, r: int, c: int, red: list[Fraction] | None = None) -> None:
-        """Pivot on (r, c).  Only the columns where the pivot row is nonzero
-        change; `red`, a reduced-cost row, is updated like one more row."""
+    Row i stands for rows[i] / dens[i]: Python ints, one per column and
+    then the right-hand side, over a positive int, with their common gcd
+    divided out.  A basic column holds dens[i] in its own row and 0 in the
+    others.  While `maximize` runs, red / red_den is the reduced-cost row
+    in the same form; its last entry is minus the objective value."""
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
+        self.rows = rows
+        self.dens = dens
+        self.basis = basis
+        self.red: list[int] | None = None
+        self.red_den = 1
+
+    def pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c).  The pivot row keeps its numerators, negated when
+        the entry is negative, over the entry's absolute value, all divided
+        by their gcd; rows with a zero in column c are not touched."""
         prow = self.rows[r]
-        inv = 1 / prow[c]
-        nz = [j for j, x in enumerate(prow) if x]
-        for j in nz:
-            prow[j] *= inv
-        self.rhs[r] *= inv
-        b = self.rhs[r]
-        for i, row in enumerate(self.rows):
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+            self.rows[r] = prow
+        s = prow[c]
+        self.dens[r] = s
+        rows, dens = self.rows, self.dens
+        for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                self.rhs[i] -= f * b
-        if red is not None:
-            f = red[c]
-            if f:
-                for j in nz:
-                    red[j] -= f * prow[j]
+                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, s)
+        if self.red is not None and self.red[c]:
+            self.red, self.red_den = _eliminate(self.red, self.red_den, self.red[c], prow, s)
         self.basis[r] = c
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        red = list(cost)
+    def reduced_costs(self, cost: list[int], cost_den: int) -> tuple[list[int], int]:
+        """cost / cost_den minus the basic rows weighted by their costs."""
+        red, den = cost + [0], cost_den
         for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        red[j] -= cb * row[j]
-        return red
+            f = red[b]
+            if f:
+                red, den = _eliminate(red, den, f, self.rows[r], self.dens[r])
+        return red, den
 
-    def maximize(self, cost: list[Fraction]) -> str:
+    def maximize(self, cost: list[int], cost_den: int = 1) -> str:
         """Bland's rule simplex on the current basis; returns 'optimal' or
         'unbounded'.  The reduced costs are computed once and then carried
         through the pivots."""
-        red = self.reduced_costs(cost)
+        self.red, self.red_den = self.reduced_costs(cost, cost_den)
+        ncols = len(cost)
         while True:
-            enter = None
-            for j, x in enumerate(red):
+            # first positive reduced cost; stopping on the last slot, the
+            # objective's, means there is none
+            for enter, x in enumerate(self.red):
                 if x > 0:
-                    enter = j
                     break
-            if enter is None:
+            if enter == ncols:
                 return "optimal"
+            # least ratio rhs / entry (the row denominators cancel), ties to
+            # the least basic column
             leave = None
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
+                    b = row[-1]
+                    if leave is None:
+                        leave, best_a, best_b = i, a, b
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, best_a, best_b = i, a, b
             if leave is None:
                 return "unbounded"
-            self.pivot(leave, enter, red)
+            self.pivot(leave, enter)
 
-    def objective_value(self, cost: list[Fraction]) -> Fraction:
-        return sum(cost[b] * self.rhs[r] for r, b in enumerate(self.basis))
+
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], s: int) -> tuple[list[int], int]:
+    """row / den minus (f / den) times prow / s, where prow / s is 1 in the
+    pivot column: s·row − f·prow over den·s."""
+    if s == 1:
+        return _lowest_terms([x - f * y for x, y in zip(row, prow)], den)
+    return _lowest_terms([s * x - f * y for x, y in zip(row, prow)], den * s)
+
+
+def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g != 1:
+        return [x // g for x in row], den // g
+    return row, den
 
 
 def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool = True) -> LpResult:
@@ -140,7 +167,9 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool 
     objective: coefficient sequence or None for pure feasibility.
     nonneg: per-variable bools (default all False, i.e. free variables).
     Every returned point satisfies the constraints exactly; optimality is
-    certified by nonpositive reduced costs at termination.
+    certified by nonpositive reduced costs at termination.  The tableau
+    holds integers only; Fractions are built for the returned point and
+    value.
     """
     if nonneg is None:
         nonneg = [False] * num_vars
@@ -160,111 +189,94 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool 
             ncols += 2
     nstruct = ncols
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # each constraint as integer numerators over the lcm of its denominators
+    rows: list[list[int]] = []
+    dens: list[int] = []
     rels: list[str] = []
     for con in constraints:
-        coeffs = [Fraction(0)] * nstruct
-        for j in range(num_vars):
-            c = con.coeffs[j] if j < len(con.coeffs) else 0
-            if not c:
-                continue
-            p, m = col_of[j]
-            coeffs[p] += c
-            if m is not None:
-                coeffs[m] -= c
-        b = con.rhs
+        coeffs = con.coeffs[:num_vars]
+        den = lcm(con.rhs.denominator, *(c.denominator for c in coeffs))
+        row = [0] * nstruct
+        for (p, m), c in zip(col_of, coeffs):
+            if c:
+                k = c.numerator * (den // c.denominator)
+                row[p] = k
+                if m is not None:
+                    row[m] = -k
+        b = con.rhs.numerator * (den // con.rhs.denominator)
         rel = con.rel
         if b < 0:
-            coeffs = [-x for x in coeffs]
+            row = [-x for x in row]
             b = -b
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        rows.append(coeffs)
-        rhs.append(b)
+        row.append(b)
+        rows.append(row)
+        dens.append(den)
         rels.append(rel)
 
-    # slacks / surplus / artificials
-    total = nstruct
-    slack_col: list[int | None] = []
-    for rel in rels:
-        if rel == "<=":
-            slack_col.append(total)
-            total += 1
-        elif rel == ">=":
-            slack_col.append(total)
-            total += 1
-        else:
-            slack_col.append(None)
-    art_col: list[int | None] = []
-    for rel in rels:
-        if rel == "<=":
-            art_col.append(None)
-        else:
-            art_col.append(total)
-            total += 1
-
-    full_rows = []
+    # slacks / surplus, then artificials, as the last columns
+    nslack = sum(rel != "==" for rel in rels)
+    first_art = nstruct + nslack
+    total = first_art + sum(rel != "<=" for rel in rels)
     basis = []
-    for i, row in enumerate(rows):
-        ext = row + [Fraction(0)] * (total - nstruct)
-        if rels[i] == "<=":
-            ext[slack_col[i]] = Fraction(1)
-            basis.append(slack_col[i])
-        elif rels[i] == ">=":
-            ext[slack_col[i]] = Fraction(-1)
-            ext[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
+    slack = nstruct
+    art = first_art
+    for row, den, rel in zip(rows, dens, rels):
+        ext = [0] * (total - nstruct)
+        if rel != "==":
+            ext[slack - nstruct] = den if rel == "<=" else -den
+            slack += 1
+        if rel == "<=":
+            basis.append(slack - 1)
         else:
-            ext[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        full_rows.append(ext)
+            ext[art - nstruct] = den
+            basis.append(art)
+            art += 1
+        row[nstruct:nstruct] = ext
 
-    tab = _Tableau(full_rows, list(rhs), basis, total)
-    artificials = {c for c in art_col if c is not None}
-
-    if artificials:
-        phase1 = [Fraction(-1) if j in artificials else Fraction(0) for j in range(total)]
+    tab = _Tableau(rows, dens, basis)
+    if total > first_art:
+        phase1 = [0] * first_art + [-1] * (total - first_art)
         status = tab.maximize(phase1)
         assert status == "optimal", "phase 1 is bounded"
-        if tab.objective_value(phase1) != 0:
+        if tab.red[-1] != 0:  # minus the phase-1 optimum: an artificial stays positive
             return LpResult("infeasible")
-        # drive remaining artificials out of the basis
+        tab.red = None
+        # drive remaining artificials out of the basis; the pivot entry may
+        # be negative, and pivot normalizes its sign
         for r in range(len(tab.rows)):
-            if tab.basis[r] in artificials:
-                pivot_col = None
-                for j in range(total):
-                    if j not in artificials and tab.rows[r][j] != 0:
-                        pivot_col = j
+            if tab.basis[r] >= first_art:
+                row = tab.rows[r]
+                for j in range(first_art):
+                    if row[j]:
+                        tab.pivot(r, j)
                         break
-                if pivot_col is not None:
-                    tab.pivot(r, pivot_col)
-        # drop rows still basic in an artificial (redundant constraints)
-        keep = [r for r in range(len(tab.rows)) if tab.basis[r] not in artificials]
-        tab.rows = [tab.rows[r] for r in keep]
-        tab.rhs = [tab.rhs[r] for r in keep]
-        tab.basis = [tab.basis[r] for r in keep]
-        # freeze artificial columns at zero
-        for row in tab.rows:
-            for c in artificials:
-                row[c] = Fraction(0)
+        # drop rows still basic in an artificial (redundant constraints) and
+        # the artificial columns, which phase 2 keeps at zero
+        kept = [(_lowest_terms(row[:first_art] + row[-1:], den), b)
+                for row, den, b in zip(tab.rows, tab.dens, tab.basis) if b < first_art]
+        tab.rows = [row for (row, _), _ in kept]
+        tab.dens = [den for (_, den), _ in kept]
+        tab.basis = [b for _, b in kept]
+        total = first_art
 
-    cost = [Fraction(0)] * total
     if obj is not None:
-        for j in range(num_vars):
-            p, m = col_of[j]
-            cost[p] += obj[j]
-            if m is not None:
-                cost[m] -= obj[j]
-        status = tab.maximize(cost)
-        if status == "unbounded":
+        cost_den = lcm(*(o.denominator for o in obj))
+        cost = [0] * total
+        for (p, m), o in zip(col_of, obj):
+            if o:
+                k = o.numerator * (cost_den // o.denominator)
+                cost[p] = k
+                if m is not None:
+                    cost[m] = -k
+        if tab.maximize(cost, cost_den) == "unbounded":
             return LpResult("unbounded")
 
     values = [Fraction(0)] * total
-    for r, b in enumerate(tab.basis):
-        values[b] = tab.rhs[r]
+    for row, den, b in zip(tab.rows, tab.dens, tab.basis):
+        values[b] = Fraction(row[-1], den)
     point = []
-    for j in range(num_vars):
-        p, m = col_of[j]
+    for p, m in col_of:
         point.append(values[p] - (values[m] if m is not None else Fraction(0)))
     value = None
     if obj is not None:

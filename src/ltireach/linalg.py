@@ -462,19 +462,31 @@ def fitting_split(a: RatMatrix) -> tuple[list[Vec], list[Vec]]:
 
 
 def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
-    """Basis of span{A^i g : 0 <= i < d, g in generators}."""
-    d = a.rows
-    rows: list[Vec] = []
+    """Basis of span{A^i g : i >= 0, g in generators} in reduced row
+    echelon form.  The echelon basis grows one vector at a time, and a
+    generator's powers stop at the first one already in the span: every
+    later power then lies in it too."""
+    basis: dict[int, list[Fraction]] = {}  # pivot column -> row, 0 in the other pivot columns
     for g in generators:
         cur = tuple(Fraction(x) for x in g)
-        for _ in range(d):
-            rows.append(cur)
+        for _ in range(a.rows):
+            v = list(cur)
+            for c, row in basis.items():
+                f = v[c]
+                if f:
+                    v = [x - f * y for x, y in zip(v, row)]
+            piv = next((j for j, x in enumerate(v) if x), None)
+            if piv is None:
+                break
+            inv = 1 / v[piv]
+            v = [x * inv for x in v]
+            for c, row in basis.items():
+                f = row[piv]
+                if f:
+                    basis[c] = [x - f * y for x, y in zip(row, v)]
+            basis[piv] = v
             cur = a.matvec(cur)
-    if not rows:
-        return []
-    m = RatMatrix.from_rows(rows)
-    red, pivots = m.rref()
-    return [tuple(red[i]) for i in range(len(pivots))]
+    return [tuple(basis[c]) for c in sorted(basis)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,10 @@ from ltireach.forward import (
     witness_control_vectors,
     witness_from_control_vectors,
 )
-from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, minkowski_sum, linear_image
+from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, linear_image, lp_solve, minkowski_sum
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
+from oracles import fraction_lp_solve
 
 F = Fraction
 
@@ -194,6 +196,32 @@ def test_union_with_rays_and_lines_needs_mixed_assignment():
     assert w is not None and w.horizon == horizon
     assert tuple(s.component for s in w.steps) in hits
     assert verify_witness(sys, w)
+
+
+def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
+    """Each LP the union search solves, at every DFS node and horizon, gives
+    the Fraction simplex's status, value and point."""
+    from ltireach import forward
+
+    statuses = Counter()
+
+    def both(objective, constraints, num_vars, nonneg=None, maximize=True):
+        got = lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
+        want = fraction_lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
+        assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+        statuses[got.status] += 1
+        return got
+
+    monkeypatch.setattr(forward, "lp_solve", both)
+    comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]),
+             GenPolyhedron.point(vec(-1, -1)))
+    a = RatMatrix.diag(F(1, 2), F(1, 3))
+    union = [LtiSystem(a, ControlSet(comps), vec(0, 0), GenPolyhedron.point(q))
+             for q in (vec(F(3, 4), F(4, 3)), vec(F(-1, 2), F(1, 3)), vec(5, 5))]
+    for sys in (*union, rays_and_lines_system()):
+        for n in range(1, 4):
+            reach_exactly(sys, n)
+    assert statuses["optimal"] > 10 and statuses["infeasible"] > 10
 
 
 def test_build_lp_rows_match_naive_construction():

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from ltireach.geometry import (
     vertices_from_h_rep,
 )
 from ltireach.linalg import RatMatrix, vec
-from oracles import maximize_over
+from oracles import fraction_lp_solve, maximize_over
 
 F = Fraction
 
@@ -114,96 +116,64 @@ def test_lp_row_scaling_invariance():
             assert base.value == again.value
 
 
-class _DenseTableau:
-    """The simplex tableau before sparse pivots and carried reduced costs:
-    every pivot rewrites every column and every iteration recomputes the
-    reduced costs from the basis.  Kept as the reference lp_solve must
-    match exactly."""
-
-    def __init__(self, rows, rhs, basis, ncols):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.ncols = ncols
-
-    def pivot(self, r, c):
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        self.rows[r] = [x * inv for x in self.rows[r]]
-        self.rhs[r] *= inv
-        for i in range(len(self.rows)):
-            if i != r and self.rows[i][c] != 0:
-                f = self.rows[i][c]
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] -= f * self.rhs[r]
-        self.basis[r] = c
-
-    def reduced_costs(self, cost):
-        red = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                row = self.rows[r]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        red[j] -= cb * row[j]
-        return red
-
-    def maximize(self, cost):
-        while True:
-            red = self.reduced_costs(cost)
-            enter = None
-            for j in range(self.ncols):
-                if red[j] > 0:
-                    enter = j
-                    break
-            if enter is None:
-                return "optimal"
-            leave = None
-            best = None
-            for i, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    key = (ratio, self.basis[i])
-                    if best is None or key < best:
-                        best = key
-                        leave = i
-            if leave is None:
-                return "unbounded"
-            self.pivot(leave, enter)
-
-    def objective_value(self, cost):
-        return sum(cost[b] * self.rhs[r] for r, b in enumerate(self.basis))
+def _rational(rng):
+    """Half small integers, half fractions over mixed denominators."""
+    if rng.random() < 0.5:
+        return F(rng.randint(-2, 2))
+    return F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 9]))
 
 
 def random_lps(seed, count):
-    """Small LPs with coefficients in [-2, 2] and many zero right-hand sides,
-    so that degenerate vertices and tied ratios are common."""
+    """Small LPs with rational coefficients over mixed denominators and many
+    zero right-hand sides, so that degenerate vertices and tied ratios are
+    common.  Two in five also get a redundant equality row, a combination
+    of two others with right-hand side 0, so that phase 1 ends with
+    artificials to drive out or rows to drop."""
     rng = random.Random(seed)
     for _ in range(count):
         nvars = rng.randint(2, 5)
-        cons = [constraint([rng.randint(-2, 2) for _ in range(nvars)], rng.choice(["<=", "<=", ">=", "=="]),
-                           rng.choice([0, 0, 0, 1, 2, -1]))
+        rows = [([_rational(rng) for _ in range(nvars)], rng.choice(["<=", "<=", ">=", "=="]),
+                 rng.choice([0, 0, 0, 1, 2, -1, F(1, 3)]))
                 for _ in range(rng.randint(2, 6))]
-        obj = [rng.randint(-2, 2) for _ in range(nvars)] if rng.random() < 0.8 else None
+        if rng.random() < 0.4:
+            (a, _, _), (b, _, _) = rng.sample(rows, 2)
+            ka, kb = _rational(rng), _rational(rng)
+            rows.append(([ka * x + kb * y for x, y in zip(a, b)], "==", 0))
+        cons = [constraint(*row) for row in rows]
+        obj = [_rational(rng) for _ in range(nvars)] if rng.random() < 0.8 else None
         nonneg = [rng.random() < 0.7 for _ in range(nvars)]
         yield obj, cons, nvars, nonneg, rng.random() < 0.5
 
 
+BEALE = ([F(3, 4), -20, F(1, 2), -6],
+         [constraint([F(1, 4), -8, -1, 9], "<=", 0), constraint([F(1, 2), -12, F(-1, 2), 3], "<=", 0),
+          constraint([0, 0, 1, 0], "<=", 1)], 4, [True] * 4, True)
+
+
 def test_lp_carries_exact_reduced_costs(monkeypatch):
+    """After every pivot, each row is in lowest terms over a positive
+    denominator, each basic column is a unit column, and the carried
+    reduced costs equal, as values, the ones recomputed from the basis."""
     checked = []
 
     class Checked(geometry._Tableau):
-        def maximize(self, cost):
-            self.cost = cost
-            return super().maximize(cost)
+        def maximize(self, cost, cost_den=1):
+            self.cost = [F(c, cost_den) for c in cost]
+            return super().maximize(cost, cost_den)
 
-        def pivot(self, r, c, red=None):
-            super().pivot(r, c, red)
-            if red is not None:
-                assert red == self.reduced_costs(self.cost)
-                checked.append(1)
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            rows = [[F(x, den) for x in row] for row, den in zip(self.rows, self.dens)]
+            for i, (row, den) in enumerate(zip(self.rows, self.dens)):
+                assert den > 0 and math.gcd(den, *row) == 1
+                assert [rw[self.basis[i]] for rw in rows] == [int(k == i) for k in range(len(rows))]
+            if self.red is None:
+                return
+            fresh = self.cost + [F(0)]
+            for row, b in zip(rows, self.basis):
+                fresh = [x - self.cost[b] * y for x, y in zip(fresh, row)]
+            assert [F(x, self.red_den) for x in self.red] == fresh
+            checked.append(1)
 
     monkeypatch.setattr(geometry, "_Tableau", Checked)
     for obj, cons, nvars, nonneg, maximize in random_lps(5, 300):
@@ -211,16 +181,17 @@ def test_lp_carries_exact_reduced_costs(monkeypatch):
     assert len(checked) > 300
 
 
-def test_lp_matches_dense_tableau(monkeypatch):
-    beale = ([F(3, 4), -20, F(1, 2), -6],
-             [constraint([F(1, 4), -8, -1, 9], "<=", 0), constraint([F(1, 2), -12, F(-1, 2), 3], "<=", 0),
-              constraint([0, 0, 1, 0], "<=", 1)], 4, [True] * 4, True)
-    cases = [beale, *random_lps(23, 300)]
-    got = [lp_solve(obj, cons, n, nonneg=nn, maximize=mx) for obj, cons, n, nn, mx in cases]
-    monkeypatch.setattr(geometry, "_Tableau", _DenseTableau)
-    want = [lp_solve(obj, cons, n, nonneg=nn, maximize=mx) for obj, cons, n, nn, mx in cases]
-    assert got == want
-    assert {r.status for r in got} == {"optimal", "infeasible", "unbounded"}
+def test_lp_matches_fraction_oracle():
+    """Same status, value and point as the Fraction simplex, on LPs that
+    exercise tied ratios and drive-out pivots on negative entries."""
+    counts = Counter()
+    cases = [BEALE, *random_lps(23, 600)]
+    for obj, cons, n, nn, mx in cases:
+        got = lp_solve(obj, cons, n, nonneg=nn, maximize=mx)
+        want = fraction_lp_solve(obj, cons, n, nonneg=nn, maximize=mx, counts=counts)
+        assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+        assert all(type(x) is F for x in got.point or ())
+    assert counts["tied_ratio"] > 100 and counts["negative_driveout"] > 10
 
 
 # ---------------------------------------------------------------------------

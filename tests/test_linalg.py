@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 import pytest
 
@@ -229,6 +230,50 @@ def test_krylov_span_examples():
     # oracle: rank of [g, Ag]
     g = vec(1, 0)
     assert RatMatrix.from_rows([g, swap_half.matvec(g)]).rank() == 2
+
+
+def all_powers_span(a, generators):
+    """The span as built before: A^i g for every g and i < d stacked into
+    one matrix, then one rref."""
+    rows = []
+    for g in generators:
+        cur = tuple(F(x) for x in g)
+        for _ in range(a.rows):
+            rows.append(cur)
+            cur = a.matvec(cur)
+    if not rows:
+        return []
+    red, pivots = RatMatrix.from_rows(rows).rref()
+    return [tuple(red[i]) for i in range(len(pivots))]
+
+
+def test_krylov_span_matches_all_powers_rref():
+    rng = random.Random(31)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        entries = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) if rng.random() < 0.6 else F(0)
+                   for _ in range(d * d)]
+        a = RatMatrix(d, d, tuple(entries))
+        gens = [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(rng.randint(0, 3))]
+        if gens and rng.random() < 0.5:
+            gens.append(a.matvec(gens[0]))  # already in the span
+        got = krylov_invariant_span(a, gens)
+        assert got == all_powers_span(a, gens)
+        assert all(type(x) is F for row in got for x in row)
+
+
+def test_krylov_span_of_40d_cross_polytope_is_quick():
+    # A = I/2 with the 80 vertices of a cross-polytope: each generator
+    # stops at its first power, so the span takes 80 reductions, not an
+    # rref of 3,200 stacked rows
+    d = 40
+    a = RatMatrix.diag(*[F(1, 2)] * d)
+    gens = [tuple(F(s * (1 + i % 2)) if k == i else F(0) for k in range(d))
+            for i in range(d) for s in (1, -1)]
+    start = time.perf_counter()
+    basis = krylov_invariant_span(a, gens)
+    assert time.perf_counter() - start < 10
+    assert basis == [RatMatrix.identity(d).row(i) for i in range(d)]
 
 
 # ---------------------------------------------------------------------------
