@@ -26,8 +26,8 @@ is the one routine that evaluates the closed form.  verify_separator
 feeds it the maximizer and threshold it has just found, and the audit
 (recompute_sup_from_certificate) feeds it the ones a certificate stores.
 
-Candidate directions come from geometry (target facets, partial-sum
-facets, left eigenvectors, small vanishing-condition patterns) and, as a
+Candidate directions come from geometry (the target's facets and the
+complement of its affine hull, then the left eigenvectors) and, as the
 completeness fallback, from a fair enumeration of all vectors with real
 algebraic entries.
 """
@@ -359,46 +359,6 @@ def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: Sepa
 # ---------------------------------------------------------------------------
 
 
-class _SeenDirections:
-    """Deduplication of directions up to positive scaling.
-
-    Algebraic directions are bucketed by the tuple of entry minimal
-    polynomials; only same-bucket entries need the (cheap) exact equality
-    check, since equal values share their canonical minpoly.
-    """
-
-    def __init__(self):
-        self.rational: set[tuple[Fraction, ...]] = set()
-        self.algebraic: dict[tuple, list[AlgVec]] = {}
-
-    def add(self, v: AlgVec) -> bool:
-        """True if v is new (and records it)."""
-        signs = [x.sign() for x in v]
-        if all(s == 0 for s in signs):
-            return False
-        first = next(i for i, s in enumerate(signs) if s != 0)
-        lead = abs(v[first])
-        if lead.equals(ALG_ONE):
-            canon = v
-        else:
-            scale = lead.inverse()
-            canon = tuple(scale * x for x in v)
-        rats = [x.to_rational() for x in canon]
-        if all(r is not None for r in rats):
-            key = tuple(rats)
-            if key in self.rational:
-                return False
-            self.rational.add(key)
-            return True
-        bucket_key = tuple(x.minpoly.coeffs for x in canon)
-        bucket = self.algebraic.setdefault(bucket_key, [])
-        for prev in bucket:
-            if all(a.equals(b) for a, b in zip(prev, canon)):
-                return False
-        bucket.append(canon)
-        return True
-
-
 def left_eigenvectors(s: SpectralData) -> list[AlgVec]:
     """Kernel bases of (A^T - lam I) for each eigenvalue."""
     out = []
@@ -437,91 +397,21 @@ def _target_direction_seeds(q: GenPolyhedron) -> list[Vec]:
     return seeds
 
 
-def extremal_candidates(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, budget: int):
-    """Stream of separator candidates, geometry-derived first.
+def extremal_candidates(s: SpectralData, q: GenPolyhedron, budget: int):
+    """Stream of geometry-derived separator candidates.
 
-    Stages: (1) target-derived directions; (2) facet normals of the
-    partial input sums up to `budget`; (3) left eigenvectors, both signs;
-    (4) generators of one-dimensional solution spaces of small vanishing-
-    condition patterns.  budget 0 stops after stage 1.  All outputs are
-    deduplicated up to positive scaling.
+    Stages: (1) target-derived directions; (2) when budget > 0, the left
+    eigenvectors with both signs.  Directions may repeat up to positive
+    scaling; the driver's candidate stream removes the repeats.
     """
-    from .geometry import linear_image, minkowski_sum
-
-    seen = _SeenDirections()
-
     if not q.is_empty:
         for n in _target_direction_seeds(q):
-            cand = _alg_vec(n)
-            if seen.add(cand):
-                yield cand
+            yield _alg_vec(n)
     if budget <= 0:
         return
-
-    partial = u
-    power = RatMatrix.identity(s.dim)
-    for step in range(budget + 1):
-        if step > 0:
-            power = power @ s.matrix
-            partial = minkowski_sum(partial, linear_image(power, u))
-        try:
-            normals = facet_normals(partial)
-        except DimensionCeilingError:
-            break
-        for n in normals:
-            cand = _alg_vec(n)
-            if seen.add(cand):
-                yield cand
-
     for ev in left_eigenvectors(s):
-        for signed in (ev, tuple(-x for x in ev)):
-            if seen.add(signed):
-                yield signed
-
-    pool: list[AlgVec] = []
-    pool_seen = _SeenDirections()
-    verts = list(u.vertices)
-    for a_idx in range(len(verts)):
-        for b_idx in range(a_idx + 1, len(verts)):
-            diff = vec_sub(verts[a_idx], verts[b_idx])
-            for i in range(len(s.eigenvalues)):
-                for j in range(s.dim):
-                    normal = tuple(s.bilinear_mats[i][j].matvec(list(diff)))
-                    if any(x.sign() != 0 for x in normal) and pool_seen.add(normal):
-                        pool.append(normal)
-    power = RatMatrix.identity(s.dim)
-    for i in range(min(budget, 3)):
-        for a_idx in range(len(verts)):
-            for b_idx in range(a_idx + 1, len(verts)):
-                normal = _alg_vec(power.matvec(vec_sub(verts[a_idx], verts[b_idx])))
-                if any(x.sign() != 0 for x in normal) and pool_seen.add(normal):
-                    pool.append(normal)
-        power = power @ s.matrix
-    qverts = list(q.vertices)
-    for a_idx in range(len(qverts)):
-        for b_idx in range(a_idx + 1, len(qverts)):
-            normal = _alg_vec(vec_sub(qverts[a_idx], qverts[b_idx]))
-            if any(x.sign() != 0 for x in normal) and pool_seen.add(normal):
-                pool.append(normal)
-
-    max_patterns = 32 * budget
-    tried = 0
-    for size in range(max(1, s.dim - 1), s.dim + 2):
-        if tried >= max_patterns:
-            break
-        for subset in itertools.combinations(range(len(pool)), size):
-            tried += 1
-            if tried > max_patterns:
-                break
-            rows = [pool[i] for i in subset]
-            m = AlgMatrix(len(rows), s.dim, [x for r in rows for x in r])
-            kernel = alg_kernel_basis(m)
-            if len(kernel) != 1:
-                continue
-            gen = tuple(kernel[0])
-            for signed in (gen, tuple(-x for x in gen)):
-                if seen.add(signed):
-                    yield signed
+        yield ev
+        yield tuple(-x for x in ev)
 
 
 def enumerate_algebraic_vectors(dim: int, budget: tuple[int, int]):
@@ -531,10 +421,11 @@ def enumerate_algebraic_vectors(dim: int, budget: tuple[int, int]):
     Batches walk (degree, height) pairs along increasing degree + height;
     batch (D, H) isolates the real roots of every integer polynomial with
     degree exactly D and height exactly H, and emits every dim-tuple over
-    the cumulative root pool that uses at least one new root,
-    deduplicated up to positive scaling within the batch.  Every vector
-    with algebraic entries appears once the budget covers the degrees and
-    heights of its entries' minimal polynomials.
+    the cumulative root pool that uses at least one new root.  Positive
+    multiples of earlier vectors are emitted too; the driver's candidate
+    stream removes them.  Every vector with algebraic entries appears once
+    the budget covers the degrees and heights of its entries' minimal
+    polynomials.
     """
     max_deg, max_height = budget
     known: list[RealAlg] = []
@@ -561,12 +452,11 @@ def enumerate_algebraic_vectors(dim: int, budget: tuple[int, int]):
                 continue
             pool = known + new_roots
             first_new = len(known)
-            seen = _SeenDirections()
             for idxs in itertools.product(range(len(pool)), repeat=dim):
                 if all(i < first_new for i in idxs):
                     continue
                 v = tuple(pool[i] for i in idxs)
-                if any(x.sign() != 0 for x in v) and seen.add(v):
+                if any(x.sign() != 0 for x in v):
                     yield v
             known = pool
 

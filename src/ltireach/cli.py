@@ -57,12 +57,20 @@ def _budgets_from(args) -> driver.Budgets:
     )
 
 
+def _count(text: str) -> int:
+    """argparse type for budgets and step counts: a non-negative int."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_budget_flags(p):
-    p.add_argument("--max-steps", type=int, default=32)
-    p.add_argument("--max-candidates", type=int, default=4096)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--max-height", type=int, default=8)
-    p.add_argument("--extremal-budget", type=int, default=6)
+    p.add_argument("--max-steps", type=_count, default=32)
+    p.add_argument("--max-candidates", type=_count, default=4096)
+    p.add_argument("--max-degree", type=_count, default=4)
+    p.add_argument("--max-height", type=_count, default=8)
+    p.add_argument("--extremal-budget", type=_count, default=6,
+                   help="0: target directions only; > 0: also left eigenvectors")
 
 
 def _load_instance(path: str):
@@ -197,7 +205,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forward", help="bounded forward search only")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-steps", type=int, default=32)
+    p.add_argument("--max-steps", type=_count, default=32)
     p.add_argument("--out", help="write the witness as JSON")
     p.set_defaults(func=cmd_forward)
 
@@ -236,7 +244,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="draw a 2-D instance as SVG")
     p.add_argument("--input", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--verdict", help="verdict JSON; draws the certificate hyperplane")
     p.set_defaults(func=cmd_render)

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .certify import (
+    AlgVec,
     SeparatorCertificate,
-    _SeenDirections,
     enumerate_algebraic_vectors,
     extremal_candidates,
     recompute_sup_from_certificate,
     verify_separator,
 )
-from .exactnum import ALG_ZERO
+from .exactnum import ALG_ONE, ALG_ZERO
 from .forward import ReachWitness, reach_exactly, verify_witness
 from .linalg import SpectralData, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
@@ -51,7 +52,7 @@ class Budgets:
     max_candidates: int = 4096
     max_degree: int = 4
     max_height: int = 8
-    extremal_budget: int = 6
+    extremal_budget: int = 6  # 0: target directions only; > 0: also left eigenvectors
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,54 @@ class Verdict:
     exhausted: dict | None = None
 
 
+class _SeenDirections:
+    """Deduplication of directions up to positive scaling.
+
+    Algebraic directions are bucketed by the tuple of entry minimal
+    polynomials; only same-bucket entries need the (cheap) exact equality
+    check, since equal values share their canonical minpoly.
+    """
+
+    def __init__(self):
+        self.rational: set[tuple[Fraction, ...]] = set()
+        self.algebraic: dict[tuple, list[AlgVec]] = {}
+
+    def add(self, v: AlgVec) -> bool:
+        """True if v is new (and records it)."""
+        signs = [x.sign() for x in v]
+        if all(s == 0 for s in signs):
+            return False
+        first = next(i for i, s in enumerate(signs) if s != 0)
+        lead = abs(v[first])
+        if lead.equals(ALG_ONE):
+            canon = v
+        else:
+            scale = lead.inverse()
+            canon = tuple(scale * x for x in v)
+        rats = [x.to_rational() for x in canon]
+        if all(r is not None for r in rats):
+            key = tuple(rats)
+            if key in self.rational:
+                return False
+            self.rational.add(key)
+            return True
+        bucket_key = tuple(x.minpoly.coeffs for x in canon)
+        bucket = self.algebraic.setdefault(bucket_key, [])
+        for prev in bucket:
+            if all(a.equals(b) for a, b in zip(prev, canon)):
+                return False
+        bucket.append(canon)
+        return True
+
+
 def _candidate_stream(s: SpectralData, form: SimpleForm, budgets: Budgets):
-    """Geometry-derived candidates first, then the generic enumeration;
-    deduplicated across the two sources and capped."""
+    """Geometry-derived candidates first, then the generic enumeration,
+    capped at max_candidates.  The one place where directions are
+    deduplicated up to positive scaling, across both sources."""
     seen = _SeenDirections()
     count = 0
     chain = itertools.chain(
-        extremal_candidates(s, form.u_reduced, form.q_reduced, budgets.extremal_budget),
+        extremal_candidates(s, form.q_reduced, budgets.extremal_budget),
         enumerate_algebraic_vectors(form.dim, (budgets.max_degree, budgets.max_height)),
     )
     for tau in chain:

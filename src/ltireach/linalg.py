@@ -549,16 +549,6 @@ class AlgMatrix:
                 out.append(acc)
         return AlgMatrix(self.rows, other.cols, out)
 
-    def matvec(self, v) -> list[RealAlg]:
-        out = []
-        for i in range(self.rows):
-            acc = ALG_ZERO
-            r = self.row(i)
-            for k in range(self.cols):
-                acc = acc + r[k] * as_alg(v[k])
-            out.append(acc)
-        return out
-
     def is_zero(self) -> bool:
         return all(e.sign() == 0 for e in self.entries)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltireach import cli, driver, forward, instances, render
+from ltireach.certify import enumerate_algebraic_vectors, extremal_candidates
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
-from ltireach.preprocess import LtiSystem
+from ltireach.preprocess import LtiSystem, check_simple
 
 F = Fraction
 
@@ -121,6 +123,75 @@ def test_decide_unknown_when_budgets_tiny():
     v = driver.decide(quad_system(target), small_budgets(max_steps=1, max_candidates=8))
     assert v.kind == "unknown"
     assert v.exhausted["max_steps"] == 1
+
+
+def test_candidate_stream_order_dedup_and_cap():
+    # A's left eigenvectors are (1, -1) and (1, 0); the target segment runs
+    # along (1, 1), so its complement direction (1, -1) is an eigenvector too
+    a = RatMatrix.from_rows([[F(1, 4), 0], [F(-1, 4), F(1, 2)]])
+    sys_ = LtiSystem(a, ControlSet.single(QUAD_U), vec(0, 0),
+                     GenPolyhedron.polytope([vec(4, 4), vec(5, 5)]))
+    s, form = driver._prepare_certification(sys_, check_simple(sys_))
+    budgets = small_budgets(max_candidates=20, max_degree=1, max_height=2, extremal_budget=1)
+
+    def rays(stream):
+        return [tuple(x.to_rational() for x in c) for c in stream]
+
+    got = rays(driver._candidate_stream(s, form, budgets))
+    assert len(got) == budgets.max_candidates
+    # each direction once up to positive scaling, across both sources
+    canon = [tuple(x / abs(next(y for y in v if y)) for x in v) for v in got]
+    assert len(set(canon)) == len(canon)
+    # budget 0 yields the target directions alone; they come first
+    target_dirs = rays(extremal_candidates(s, form.q_reduced, 0))
+    assert set(target_dirs) == {(1, 1), (-1, -1), (1, -1), (-1, 1)}
+    assert got[:4] == target_dirs
+    # then the signed eigenvectors not seen yet
+    assert got[4:6] == [(1, 0), (-1, 0)]
+    # then the enumeration, in its own order
+    enumerated = iter(rays(enumerate_algebraic_vectors(2, (1, 2))))
+    assert all(v in enumerated for v in got[6:])  # consumes: an ordered subsequence
+    capped = dataclasses.replace(budgets, max_candidates=7)
+    assert rays(driver._candidate_stream(s, form, capped)) == got[:7]
+
+
+CROSS_TEXT = """\
+dim 2
+matrix
+{matrix}
+control
+vertices
+-{r1} 0
+0 -{r2}
+{r1} 0
+0 {r2}
+source
+0 0
+target
+vertices
+{target}
+"""
+
+
+@pytest.mark.parametrize("matrix, r1, r2, target, budgets", [
+    # seed-1 rational_batch r4.outside4, formerly won by a partial-sum facet
+    ("3 -21/5\n7/5 -19/10", 1, 1, "615/16 165/8",
+     driver.Budgets(max_steps=4, max_candidates=16, max_degree=1, max_height=2,
+                    extremal_budget=2)),
+    # seed-2 rational_batch r3.grid7, formerly won by the partial-sum facet
+    # (-7, 2); the default enumeration finds another separator
+    ("-3/10 3/10\n-9/5 6/5", 2, 2, "-5/2 1", driver.Budgets()),
+    # seed-1 rational_batch r32.grid7, formerly won by the partial-sum facet
+    # (-338, 119); (-3, 1) separates too, but lies above that workload's
+    # max_height of 2
+    ("-1/2 2/5\n-2 13/10", 1, 2, "-1 1", driver.Budgets()),
+], ids=["r4.outside4", "r3.grid7", "r32.grid7"])
+def test_former_partial_sum_wins_still_certified(matrix, r1, r2, target, budgets):
+    text = CROSS_TEXT.format(matrix=matrix, r1=r1, r2=r2, target=target)
+    sys_ = instances.parse_instance(text)
+    v = driver.decide(sys_, budgets)
+    assert v.kind == "unreachable"
+    assert driver.audit(sys_, instances.verdict_to_json(v)) is True
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +416,23 @@ def test_cli_bad_input_is_error(tmp_path):
     bad.write_text("dim 2\nmatrix\n1/0 0\n0 1\n")
     assert cli.main(["decide", "--input", str(bad)]) == 5
     assert cli.main(["nonsense"]) == 5
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[("decide", f) for f in ("--max-steps", "--max-candidates", "--max-degree",
+                              "--max-height", "--extremal-budget")],
+    ("certify", "--max-candidates"),
+    ("certify", "--extremal-budget"),
+    ("forward", "--max-steps"),
+    ("render", "--steps"),
+])
+def test_cli_negative_count_is_usage_error(tmp_path, capsys, command, flag):
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+    argv = [command, "--input", inst, flag, "-1"]
+    if command == "render":
+        argv += ["--out", str(tmp_path / "fig.svg")]
+    assert cli.main(argv) == 5
+    assert "non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tau", ["missing", 7, [7], "x"])
