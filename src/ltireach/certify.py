@@ -20,8 +20,9 @@ product of irrationals arises) is it decided by exact algebraic arithmetic.
 Either way the predicate has its exact value, so thresholds do not change.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
-builds the rows r_ij = tau^T B[i][j] a single time, so every vertex pair's
-coefficients are the products r_ij . (v-w) with rational v-w.  sup_from
+builds the rows r_ij = tau^T P_i N^j lam_i^-j (j below the multiplicity of
+lam_i) a single time, so every vertex pair's coefficients are the products
+r_ij . (v-w) with rational v-w.  sup_from
 is the one routine that evaluates the closed form.  verify_separator
 feeds it the maximizer and threshold it has just found, and the audit
 (recompute_sup_from_certificate) feeds it the ones a certificate stores.
@@ -49,7 +50,6 @@ from .geometry import (
     facet_normals,
 )
 from .linalg import (
-    AlgMatrix,
     RatMatrix,
     SpectralData,
     Vec,
@@ -187,12 +187,8 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     `rows` are bilinear_rows(s, tau) when the caller has them already.
     """
     coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
-    nonzero = []
-    for i in range(len(s.eigenvalues)):
-        for j in range(s.dim):
-            c = coeffs[i][j]
-            if c.sign() != 0:
-                nonzero.append((i, j, c))
+    nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row)
+               if c.sign() != 0]
     if not nonzero:
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
     i0, j0, c0 = max(nonzero, key=lambda t: (t[0], t[1]))
@@ -364,15 +360,9 @@ def left_eigenvectors(s: SpectralData) -> list[AlgVec]:
     out = []
     at = s.matrix.transpose()
     for lam in s.eigenvalues:
-        entries = []
-        for i in range(s.dim):
-            for j in range(s.dim):
-                e = as_alg(at.get(i, j))
-                if i == j:
-                    e = e - lam
-                entries.append(e)
-        for v in alg_kernel_basis(AlgMatrix(s.dim, s.dim, entries)):
-            out.append(tuple(v))
+        rows = [[as_alg(x) - lam if i == j else as_alg(x) for j, x in enumerate(at.row(i))]
+                for i in range(s.dim)]
+        out.extend(tuple(v) for v in alg_kernel_basis(rows))
     return out
 
 

@@ -25,28 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from math import comb, gcd
 
 Rat = Fraction
 
-DEFAULT_DEGREE_CEILING = 64
-_degree_ceiling = DEFAULT_DEGREE_CEILING
+# no real algebraic number, parsed or computed, has a higher degree
+DEGREE_CEILING = 64
 
 
 class DegreeCeilingError(Exception):
     """Raised when an algebraic operation would exceed the degree guard."""
-
-
-def set_degree_ceiling(limit: int) -> None:
-    global _degree_ceiling
-    if limit < 1:
-        raise ValueError("degree ceiling must be positive")
-    _degree_ceiling = limit
-
-
-def degree_ceiling() -> int:
-    return _degree_ceiling
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -431,8 +420,8 @@ class RealAlg:
             raise ValueError("minimal polynomial must have degree >= 1")
         if p.coeffs[-1] < 0 or p.content() != 1:
             raise ValueError("minimal polynomial must be primitive with positive lead")
-        if p.degree > _degree_ceiling:
-            raise DegreeCeilingError(f"degree {p.degree} exceeds ceiling {_degree_ceiling}")
+        if p.degree > DEGREE_CEILING:
+            raise DegreeCeilingError(f"degree {p.degree} exceeds ceiling {DEGREE_CEILING}")
         if self._lo > self._hi:
             raise ValueError("interval endpoints out of order")
         if p.degree == 1:
@@ -790,8 +779,8 @@ def _combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
     p, q = a.minpoly.coeffs, b.minpoly.coeffs
     m, n = len(p) - 1, len(q) - 1
     deg = m * n
-    if deg > _degree_ceiling:
-        raise DegreeCeilingError(f"combination degree {deg} exceeds ceiling {_degree_ceiling}")
+    if deg > DEGREE_CEILING:
+        raise DegreeCeilingError(f"combination degree {deg} exceeds ceiling {DEGREE_CEILING}")
     la, lb = p[-1], q[-1]
     sa, sb = _scaled_power_sums(p, deg), _scaled_power_sums(q, deg)
     if op == "add":
@@ -861,6 +850,12 @@ def alg_compare(a: RealAlg, b: RealAlg) -> int:
     return a.compare(b)
 
 
+# sort key for ascending RealAlg values; alg_compare looks compare up on the
+# value at each call, so a wrapper installed on RealAlg.compare sees every
+# comparison a sort makes
+alg_key = cmp_to_key(alg_compare)
+
+
 def sturm_isolate_real_roots(p: IntPoly) -> list[RealAlg]:
     """All distinct real roots of p, ascending, multiplicities discarded."""
     if p.is_zero:
@@ -873,15 +868,5 @@ def sturm_isolate_real_roots(p: IntPoly) -> list[RealAlg]:
         else:
             for lo, hi in _isolate_squarefree(f):
                 roots.append(RealAlg(f, lo, hi, _trusted=True))
-    roots.sort(key=_SortKey)
+    roots.sort(key=alg_key)
     return roots
-
-
-class _SortKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value: RealAlg):
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.value.compare(other.value) < 0

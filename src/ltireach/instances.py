@@ -38,12 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+from . import exactnum
 from .certify import SeparatorCertificate
 from .exactnum import (
     DegreeCeilingError,
     IntPoly,
     RealAlg,
-    degree_ceiling,
     rat_from_str,
     rat_to_str,
 )
@@ -243,8 +243,8 @@ def alg_from_json(data) -> RealAlg:
     coeffs = _field(data, "minpoly", list)
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
         raise ParseError(None, "minimal polynomial coefficients must be integers")
-    if len(coeffs) - 1 > degree_ceiling():
-        raise ParseError(None, f"minimal polynomial degree exceeds {degree_ceiling()}")
+    if len(coeffs) - 1 > exactnum.DEGREE_CEILING:
+        raise ParseError(None, f"minimal polynomial degree exceeds {exactnum.DEGREE_CEILING}")
     lo = _rat_from_json(_field(data, "lo", str))
     hi = _rat_from_json(_field(data, "hi", str))
     try:

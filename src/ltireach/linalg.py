@@ -1,15 +1,17 @@
 """Exact linear algebra over Q and over real algebraic numbers.
 
-RatMatrix is the rational workhorse (Fraction entries).  AlgMatrix holds
-matrices whose entries are real algebraic numbers; it only appears in
-spectral data (projectors, bilinear form matrices) and in the
-certificate search.
+RatMatrix is the rational workhorse (Fraction entries).  Values that may
+be irrational (spectral projectors, bilinear-form rows, the matrices of
+the certificate search) are plain lists of rows of RealAlg.
 
 spectral_decompose splits a matrix with real, strictly positive
 eigenvalues into its commuting diagonalizable + nilpotent parts and
 computes the spectral projector onto each generalized eigenspace as a
-polynomial in the matrix, so no eigenvector basis over an extension
-field is ever constructed.
+polynomial in the matrix, h(A) = sum_k h_k A^k over the rational powers
+A^k, so no eigenvector basis over an extension field is ever constructed.
+bilinear_rows then builds, for one direction tau, the rows
+tau^T P_i N^j lam_i^-j for j below the multiplicity of lam_i; P_i N^j
+vanishes from there on.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .exactnum import (
     ALG_ZERO,
     IntPoly,
     RealAlg,
+    alg_key,
     as_alg,
     count_real_roots,
     count_roots_halfopen,
@@ -490,82 +493,15 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# matrices over real algebraic numbers
+# rows of real algebraic numbers
 # ---------------------------------------------------------------------------
 
 
-class AlgMatrix:
-    """Dense matrix with RealAlg entries; ints/Fractions coerce on build."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        self.rows = rows
-        self.cols = cols
-        self.entries: list[RealAlg] = [as_alg(e) for e in entries]
-        if len(self.entries) != rows * cols:
-            raise ValueError("entry count mismatch")
-
-    @staticmethod
-    def from_rat(m: RatMatrix) -> "AlgMatrix":
-        return AlgMatrix(m.rows, m.cols, list(m.entries))
-
-    @staticmethod
-    def identity(n: int) -> "AlgMatrix":
-        return AlgMatrix(n, n, [ALG_ONE if i == j else ALG_ZERO for i in range(n) for j in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "AlgMatrix":
-        return AlgMatrix(r, c, [ALG_ZERO] * (r * c))
-
-    def get(self, i: int, j: int) -> RealAlg:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[RealAlg]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __add__(self, other: "AlgMatrix") -> "AlgMatrix":
-        return AlgMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "AlgMatrix") -> "AlgMatrix":
-        return AlgMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, s) -> "AlgMatrix":
-        s = as_alg(s)
-        return AlgMatrix(self.rows, self.cols, [s * a for a in self.entries])
-
-    def __matmul__(self, other) -> "AlgMatrix":
-        if isinstance(other, RatMatrix):
-            other = AlgMatrix.from_rat(other)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                acc = ALG_ZERO
-                for k in range(self.cols):
-                    acc = acc + r[k] * other.get(k, j)
-                out.append(acc)
-        return AlgMatrix(self.rows, other.cols, out)
-
-    def is_zero(self) -> bool:
-        return all(e.sign() == 0 for e in self.entries)
-
-    def to_rat(self) -> RatMatrix | None:
-        vals = [e.to_rational() for e in self.entries]
-        if any(v is None for v in vals):
-            return None
-        return RatMatrix(self.rows, self.cols, tuple(vals))
-
-    def __repr__(self) -> str:
-        return f"AlgMatrix({self.rows}x{self.cols})"
-
-
-def alg_kernel_basis(m: AlgMatrix) -> list[list[RealAlg]]:
-    """Kernel basis by Gauss elimination over RealAlg (exact sign pivoting)."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    ncols = m.cols
+def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
+    """Kernel basis of the matrix with these rows, by Gauss elimination
+    over RealAlg (exact sign pivoting)."""
+    rows = [list(r) for r in matrix_rows]
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -605,16 +541,18 @@ def alg_kernel_basis(m: AlgMatrix) -> list[list[RealAlg]]:
 
 @dataclass
 class SpectralData:
-    """Eigenvalues ascending, spectral projectors, nilpotent part, and the
-    bilinear form matrices B[i][j] with <A^n u, tau> =
-    sum_{i,j} C(n,j) lam_i^n (tau^T B[i][j] u)."""
+    """Eigenvalues ascending with their multiplicities mu_i, the spectral
+    projectors P_i (d rows of RealAlg each) and the rational nilpotent part
+    N, so that A = sum_i lam_i P_i + N and
+
+        <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i N^j lam_i^-j u).
+    """
 
     matrix: RatMatrix
     eigenvalues: list[RealAlg]
     multiplicities: list[int]
-    projectors: list[AlgMatrix]
+    projectors: list[list[list[RealAlg]]]
     nilpotent: RatMatrix
-    bilinear_mats: list[list[AlgMatrix]]
     _resolvent: RatMatrix | None = field(default=None, repr=False)
 
     @property
@@ -629,17 +567,6 @@ class SpectralData:
                 raise SpectralError("I - A singular; spectral radius not below one")
             self._resolvent = inv
         return self._resolvent
-
-
-def _eval_poly_at_matrix(coeffs: list[RealAlg], a: RatMatrix) -> AlgMatrix:
-    """Horner evaluation of a RealAlg-coefficient polynomial at a rational
-    matrix; cheap because each step multiplies by the rational matrix."""
-    n = a.rows
-    acc = AlgMatrix.zeros(n, n)
-    ident = AlgMatrix.identity(n)
-    for c in reversed(coeffs):
-        acc = (acc @ a) + ident.scale(c)
-    return acc
 
 
 def _semisimple_part(a: RatMatrix) -> RatMatrix:
@@ -675,7 +602,7 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
         raise ValueError("non-square matrix")
     d = a.rows
     if d == 0:
-        return SpectralData(a, [], [], [], a, [])
+        return SpectralData(a, [], [], [], a)
     p = charpoly_primitive(a)
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[RealAlg, int]] = []
@@ -688,59 +615,28 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
             if r.sign() <= 0:
                 raise SpectralError("non-positive eigenvalue detected")
             eig.append((r, mult))
-    order = sorted(range(len(eig)), key=_EigKey(eig))
-    eigenvalues = [eig[i][0] for i in range(len(eig))]
-    eigenvalues = [eigenvalues[i] for i in order]
-    mults = [eig[i][1] for i in order]
+    eig.sort(key=lambda e: alg_key(e[0]))
 
     nilpotent = a - _semisimple_part(a)
 
+    # the rational powers A^k, shared by every projector and built only as
+    # far as the highest nonzero coefficient of a projector polynomial
+    powers = [RatMatrix.identity(d)]
     projectors = []
-    for lam, mu in zip(eigenvalues, mults):
-        projectors.append(_projector_for(p, a, lam, mu))
+    for lam, mu in eig:
+        h = _projector_for(p, lam, mu)
+        while len(powers) < len(h):
+            powers.append(powers[-1] @ a)
+        projectors.append(_poly_at_powers(h, powers))
 
-    bilinear: list[list[AlgMatrix]] = []
-    npow = RatMatrix.identity(d)
-    npows = []
-    for _ in range(d):
-        npows.append(npow)
-        npow = npow @ nilpotent
-    for lam, proj in zip(eigenvalues, projectors):
-        lam_inv = lam.inverse()
-        row = []
-        scale = ALG_ONE
-        for j in range(d):
-            row.append((proj @ npows[j]).scale(scale))
-            scale = scale * lam_inv
-        bilinear.append(row)
-
-    return SpectralData(a, eigenvalues, mults, projectors, nilpotent, bilinear)
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
 
 
-class _EigKey:
-    __slots__ = ("eig",)
-
-    def __init__(self, eig):
-        self.eig = eig
-
-    def __call__(self, i):
-        return _AlgOrd(self.eig[i][0])
-
-
-class _AlgOrd:
-    __slots__ = ("v",)
-
-    def __init__(self, v: RealAlg):
-        self.v = v
-
-    def __lt__(self, other: "_AlgOrd") -> bool:
-        return self.v.compare(other.v) < 0
-
-
-def _projector_for(charp: IntPoly, a: RatMatrix, lam: RealAlg, mu: int) -> AlgMatrix:
-    """Spectral projector onto the generalized eigenspace of lam, as a
-    polynomial in A: h(A) with h == 1 mod (x-lam)^mu and h == 0 modulo the
-    rest of the characteristic polynomial."""
+def _projector_for(charp: IntPoly, lam: RealAlg, mu: int) -> list[RealAlg]:
+    """Coefficients, lowest first and without trailing zeros, of the
+    polynomial h with h(A) the spectral projector onto the generalized
+    eigenspace of lam: h == 1 mod (x-lam)^mu and h == 0 modulo the rest of
+    the characteristic polynomial."""
     # deflate charpoly by (x - lam)^mu via synthetic division over Q(lam)
     coeffs: list[RealAlg] = [as_alg(Fraction(c)) for c in charp.coeffs]
     for _ in range(mu):
@@ -774,7 +670,29 @@ def _projector_for(charp: IntPoly, a: RatMatrix, lam: RealAlg, mu: int) -> AlgMa
     # h == 1 modulo (x-lam)^mu and vanishes to full order at the other
     # eigenvalues, so h(A) is the spectral projector
     h = _poly_mul_alg(cofactor, series)
-    return _eval_poly_at_matrix(h, a)
+    while h and h[-1].sign() == 0:
+        h.pop()
+    return h
+
+
+def _poly_at_powers(h: list[RealAlg], powers: list[RatMatrix]) -> list[list[RealAlg]]:
+    """Rows of h(A) = sum_k h_k A^k from the rational powers A^k.  The terms
+    with a rational h_k are summed as Fractions; only the irrational ones
+    take RealAlg arithmetic."""
+    rat = [(c.to_rational(), m.entries) for c, m in zip(h, powers) if c.is_rational]
+    irr = [(c, m.entries) for c, m in zip(h, powers) if not c.is_rational]
+    d = powers[0].rows
+    rows = []
+    for r in range(d):
+        row = []
+        for k in range(r * d, (r + 1) * d):
+            val = as_alg(sum((q * m[k] for q, m in rat), Fraction(0)))
+            for c, m in irr:
+                if m[k]:
+                    val = val + c * m[k]
+            row.append(val)
+        rows.append(row)
+    return rows
 
 
 def _synthetic_divide(coeffs: list[RealAlg], lam: RealAlg) -> list[RealAlg]:
@@ -806,8 +724,14 @@ def _poly_mul_alg(a: list[RealAlg], b: list[RealAlg]) -> list[RealAlg]:
     return out
 
 
+def _alg_dot(xs, ys) -> RealAlg:
+    return sum((x * y for x, y in zip(xs, ys)), ALG_ZERO)
+
+
 def bilinear_rows(s: SpectralData, tau) -> list[list[list[RealAlg]]]:
-    """Rows r[i][j] = tau^T B[i][j] of the bilinear forms for one direction.
+    """Rows r[i][j] = tau^T P_i N^j lam_i^-j, j < mu_i, of the bilinear forms
+    for one direction: r[i][0] = tau^T P_i and r[i][j] = r[i][j-1] N / lam_i.
+    P_i N^j vanishes once j >= mu_i, so those rows are not built.
 
     Computed once per tau, they turn every coefficient c[i][j] of a vector
     u into the row-vector product r[i][j] . u."""
@@ -815,24 +739,24 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[RealAlg]]]:
     d = s.dim
     if len(tau) != d:
         raise ValueError(f"direction has {len(tau)} entries, expected {d}")
+    ncols = [s.nilpotent.col(k) for k in range(d)]
     out: list[list[list[RealAlg]]] = []
-    for mats in s.bilinear_mats:
-        row_i = []
-        for m in mats:
-            r = []
-            for k in range(d):
-                acc = ALG_ZERO
-                for t in range(d):
-                    acc = acc + tau[t] * m.get(t, k)
-                r.append(acc)
-            row_i.append(r)
-        out.append(row_i)
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
+        row = [_alg_dot(tau, col) for col in zip(*proj)]
+        rows_i = [row]
+        if mu > 1:
+            lam_inv = lam.inverse()
+            for _ in range(1, mu):
+                row = [sum((row[t] * x for t, x in enumerate(col) if x), ALG_ZERO) * lam_inv
+                       for col in ncols]
+                rows_i.append(row)
+        out.append(rows_i)
     return out
 
 
 def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAlg]]:
-    """Coefficients c[i][j] = tau^T B[i][j] u of the closed form
-    <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
+    """Coefficients c[i][j] = tau^T P_i N^j lam_i^-j u, j < mu_i, of the
+    closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
 
     `rows` are bilinear_rows(s, tau); a caller expanding many vectors
     against one direction passes them so they are built once."""
@@ -841,13 +765,4 @@ def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAl
     if len(u) != s.dim:
         raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
     u = [as_alg(x) for x in u]
-    out: list[list[RealAlg]] = []
-    for row_i in rows:
-        coeffs = []
-        for r in row_i:
-            acc = ALG_ZERO
-            for rk, uk in zip(r, u):
-                acc = acc + rk * uk
-            coeffs.append(acc)
-        out.append(coeffs)
-    return out
+    return [[_alg_dot(r, u) for r in row_i] for row_i in rows]

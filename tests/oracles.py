@@ -1,7 +1,8 @@
 """Reference computations the tests check the library against.
 
 Each one recomputes a value the library derives another way: the closed
-form of <A^n u, tau> evaluated term by term, a maximum over a polyhedron
+form of <A^n u, tau> evaluated term by term, its coefficients from the
+spectral projectors and all powers of the nilpotent part, a maximum over a polyhedron
 solved as one LP over its generators, and the simplex over a `Fraction`
 tableau that the integer tableau replaced.
 """
@@ -12,22 +13,39 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from ltireach.exactnum import ALG_ZERO, RealAlg
+from ltireach.exactnum import ALG_ZERO, RealAlg, as_alg
 from ltireach.geometry import GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
 
 
 def inner_product_at(s: SpectralData, coeffs: list[list[RealAlg]], n: int) -> RealAlg:
     """Evaluate the expanded form sum_{i,j} C(n,j) lam_i^n c[i][j] of
-    `linalg.expand_inner_product` at integer n >= 0."""
+    `linalg.expand_inner_product` at integer n >= 0, over the coefficients
+    it gives for each eigenvalue."""
     acc = ALG_ZERO
-    for i, lam in enumerate(s.eigenvalues):
+    for lam, row in zip(s.eigenvalues, coeffs):
         lam_n = lam ** n
-        for j in range(s.dim):
-            c = coeffs[i][j]
+        for j, c in enumerate(row):
             if c.sign() != 0 and comb(n, j) != 0:
                 acc = acc + c * comb(n, j) * lam_n
     return acc
+
+
+def alg_dot(xs, ys) -> RealAlg:
+    return sum((as_alg(x) * as_alg(y) for x, y in zip(xs, ys)), ALG_ZERO)
+
+
+def alg_matmul(a, b) -> list[list[RealAlg]]:
+    """Product of two matrices given as lists of rows of RealAlg or
+    rational entries."""
+    return [[alg_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def bilinear_coeff(s: SpectralData, i: int, j: int, u, tau) -> RealAlg:
+    """tau^T P_i N^j lam_i^-j u for any j >= 0, from the projector and the
+    matrix power N^j themselves."""
+    pn = alg_matmul(s.projectors[i], s.nilpotent.power(j).to_rows())
+    return alg_dot(tau, [alg_dot(row, u) for row in pn]) * s.eigenvalues[i] ** -j
 
 
 def maximize_over(p: GenPolyhedron, direction: Vec) -> LpResult:

@@ -322,11 +322,10 @@ def test_criterion_6_classification_suite():
                 lam0 = s.eigenvalues[i0]
                 lhs = abs(coeffs[i0][j0]) * comb(n, j0) * lam0 ** n
                 rhs = RealAlg.from_rational(0)
-                for i in range(len(s.eigenvalues)):
-                    for j in range(s.dim):
+                for i, row in enumerate(coeffs):
+                    for j, cc in enumerate(row):
                         if (i, j) == (i0, j0):
                             continue
-                        cc = coeffs[i][j]
                         if cc.sign() != 0:
                             rhs = rhs + abs(cc) * comb(n, j) * s.eigenvalues[i] ** n
                 if not (lhs - rhs).sign() > 0:

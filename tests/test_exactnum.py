@@ -287,17 +287,14 @@ def test_mixed_field_products_reduce():
     assert collapsed.to_rational() == 1
 
 
-def test_degree_ceiling_guard():
+def test_degree_ceiling_guard(monkeypatch):
     from ltireach import exactnum
 
-    exactnum.set_degree_ceiling(4)
-    try:
-        a = sqrt_of(2)
-        b = sturm_isolate_real_roots(int_poly(-2, 0, 0, 0, 0, 1))[-1]  # 2^(1/5)
-        with pytest.raises(DegreeCeilingError):
-            alg_arith(a, b, "add")
-    finally:
-        exactnum.set_degree_ceiling(exactnum.DEFAULT_DEGREE_CEILING)
+    monkeypatch.setattr(exactnum, "DEGREE_CEILING", 4)
+    a = sqrt_of(2)
+    b = sturm_isolate_real_roots(int_poly(-2, 0, 0, 0, 0, 1))[-1]  # 2^(1/5)
+    with pytest.raises(DegreeCeilingError):
+        alg_arith(a, b, "add")
 
 
 # ---------------------------------------------------------------------------

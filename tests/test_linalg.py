@@ -3,9 +3,8 @@ import time
 from fractions import Fraction
 import pytest
 
-from ltireach.exactnum import RealAlg, alg_compare, alg_sign, sturm_isolate_real_roots
+from ltireach.exactnum import RealAlg, alg_compare, alg_sign, as_alg, sturm_isolate_real_roots
 from ltireach.linalg import (
-    AlgMatrix,
     RatMatrix,
     SpectralError,
     alg_kernel_basis,
@@ -20,7 +19,7 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import inner_product_at
+from oracles import alg_matmul, bilinear_coeff, inner_product_at
 
 F = Fraction
 
@@ -281,38 +280,45 @@ def test_krylov_span_of_40d_cross_polytope_is_quick():
 # ---------------------------------------------------------------------------
 
 
+def rows_equal(a, b) -> bool:
+    if [len(r) for r in a] != [len(r) for r in b]:
+        return False
+    return all(as_alg(x) == as_alg(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def rows_add(a, b):
+    return [[as_alg(x) + as_alg(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def rat_rows(rows):
+    return [[x.to_rational() for x in r] for r in rows]
+
+
 def check_spectral_invariants(s):
     d = s.dim
-    k = len(s.eigenvalues)
-    total = AlgMatrix.zeros(d, d)
-    for i in range(k):
-        total = total + s.projectors[i]
-        for j in range(k):
-            prod = s.projectors[i] @ s.projectors[j]
-            if i == j:
-                assert (prod - s.projectors[i]).is_zero()
-            else:
-                assert prod.is_zero()
-    assert (total - AlgMatrix.identity(d)).is_zero()
+    zeros = RatMatrix.zeros(d, d).to_rows()
+    total = zeros
+    for i, pi in enumerate(s.projectors):
+        total = rows_add(total, pi)
+        for j, pj in enumerate(s.projectors):
+            assert rows_equal(alg_matmul(pi, pj), pi if i == j else zeros)
+    assert rows_equal(total, RatMatrix.identity(d).to_rows())
     # semisimple + nilpotent recombination
-    smat = AlgMatrix.zeros(d, d)
+    smat = zeros
     for lam, proj in zip(s.eigenvalues, s.projectors):
-        smat = smat + proj.scale(lam)
-    recomposed = smat + AlgMatrix.from_rat(s.nilpotent)
-    assert (recomposed - AlgMatrix.from_rat(s.matrix)).is_zero()
+        smat = rows_add(smat, [[lam * x for x in r] for r in proj])
+    assert rows_equal(rows_add(smat, s.nilpotent.to_rows()), s.matrix.to_rows())
     assert s.nilpotent.power(d) == RatMatrix.zeros(d, d)
     # S and N commute
-    srat = smat.to_rat()
-    assert srat is not None or d == 0
-    if srat is not None:
-        assert srat @ s.nilpotent == s.nilpotent @ srat
+    n = s.nilpotent.to_rows()
+    assert rows_equal(alg_matmul(smat, n), alg_matmul(n, smat))
 
 
 def test_spectral_diag_thirds():
     s = spectral_decompose(QUAD)
     assert [l.to_rational() for l in s.eigenvalues] == [F(1, 3), F(2, 3)]
-    assert s.projectors[0].to_rat() == RatMatrix.diag(1, 0)
-    assert s.projectors[1].to_rat() == RatMatrix.diag(0, 1)
+    assert rat_rows(s.projectors[0]) == RatMatrix.diag(1, 0).to_rows()
+    assert rat_rows(s.projectors[1]) == RatMatrix.diag(0, 1).to_rows()
     assert s.nilpotent == RatMatrix.zeros(2, 2)
     check_spectral_invariants(s)
 
@@ -320,7 +326,7 @@ def test_spectral_diag_thirds():
 def test_spectral_scaled_identity():
     s = spectral_decompose(RatMatrix.identity(2).scale(F(1, 2)))
     assert [l.to_rational() for l in s.eigenvalues] == [F(1, 2)]
-    assert s.projectors[0].to_rat() == RatMatrix.identity(2)
+    assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     assert s.nilpotent == RatMatrix.zeros(2, 2)
 
 
@@ -328,7 +334,7 @@ def test_spectral_jordan_block():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
     s = spectral_decompose(a)
     assert [l.to_rational() for l in s.eigenvalues] == [F(1, 2)]
-    assert s.projectors[0].to_rat() == RatMatrix.identity(2)
+    assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     assert s.nilpotent == mat([[0, 1], [0, 0]])
     check_spectral_invariants(s)
 
@@ -352,8 +358,8 @@ def test_spectral_irrational_eigenvalues():
     check_spectral_invariants(s)
 
 
-def test_spectral_irrational_jordan():
-    # companion matrix of (8x^2 - 8x + 1)^2: repeated irrational pair
+def irrational_jordan_matrix():
+    """Companion matrix of (8x^2 - 8x + 1)^2: a repeated irrational pair."""
     from ltireach.exactnum import IntPoly
 
     p = IntPoly((1, -8, 8)) * IntPoly((1, -8, 8))
@@ -364,8 +370,12 @@ def test_spectral_irrational_jordan():
         rows[i][i - 1] = F(1)
     for i in range(d):
         rows[i][d - 1] = -monic[i]
-    a = mat(rows)
-    s = spectral_decompose(a)
+    return mat(rows)
+
+
+def test_spectral_irrational_jordan():
+    d = 4
+    s = spectral_decompose(irrational_jordan_matrix())
     assert len(s.eigenvalues) == 2
     assert s.multiplicities == [2, 2]
     assert not (s.nilpotent == RatMatrix.zeros(d, d))
@@ -380,10 +390,10 @@ def test_spectral_irrational_jordan():
 def test_expand_diag_example():
     s = spectral_decompose(QUAD)
     coeffs = expand_inner_product(s, vec(2, 1), vec(1, 0))
-    # only the (lam=1/3, j=0) coefficient is nonzero and equals 2
+    # one coefficient per simple eigenvalue; only lam = 1/3's is nonzero
+    assert [len(row) for row in coeffs] == s.multiplicities == [1, 1]
     assert coeffs[0][0].to_rational() == 2
-    assert coeffs[0][1].sign() == 0
-    assert coeffs[1][0].sign() == 0 and coeffs[1][1].sign() == 0
+    assert coeffs[1][0].sign() == 0
     # oracle: <A^n u, tau> = 2 (1/3)^n directly for n = 0..10
     for n in range(11):
         direct = QUAD.power(n).matvec(vec(2, 1))[0]
@@ -423,11 +433,62 @@ def test_bilinear_reconstruction_randomized():
             assert alg_sign(got - RealAlg.from_rational(direct)) == 0
 
 
+def jordan_system(rng, d):
+    """Conjugate of a matrix with eigenvalues from {1/5, 1/2}, mostly in
+    Jordan chains, by a random unimodular integer matrix."""
+    lams = sorted(rng.choice((F(1, 5), F(1, 2))) for _ in range(d))
+    rows = [[lams[i] if i == j else F(0) for j in range(d)] for i in range(d)]
+    for i in range(d - 1):
+        if lams[i] == lams[i + 1] and rng.random() < 0.7:
+            rows[i][i + 1] = F(1)
+    p = RatMatrix.identity(d)
+    for _ in range(3):
+        i, j = rng.sample(range(d), 2)
+        e = RatMatrix.identity(d).to_rows()
+        e[i][j] = F(rng.randint(-2, 2))
+        p = p @ mat(e)
+    return p @ mat(rows) @ p.inverse()
+
+
+def check_expansion_against_all_j(s, u, tau):
+    """expand_inner_product gives mu_i coefficients per eigenvalue, equal to
+    tau^T P_i N^j lam_i^-j u; the same product is 0 for mu_i <= j < d."""
+    coeffs = expand_inner_product(s, u, tau)
+    assert [len(row) for row in coeffs] == s.multiplicities
+    for i, mu in enumerate(s.multiplicities):
+        for j in range(s.dim):
+            want = bilinear_coeff(s, i, j, u, tau)
+            if j < mu:
+                assert coeffs[i][j] == want
+            else:
+                assert want.sign() == 0
+
+
+def test_expansion_matches_all_j_oracle_on_jordan_systems():
+    rng = random.Random(47)
+    for _ in range(12):
+        d = rng.randint(2, 4)
+        s = spectral_decompose(jordan_system(rng, d))
+        u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+        tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+        check_expansion_against_all_j(s, u, tau)
+    s = spectral_decompose(irrational_jordan_matrix())
+    check_expansion_against_all_j(s, vec(1, -2, 0, 3), vec(0, 1, 1, -1))
+
+
+def test_spectral_decompose_d20_scaled_identity_is_fast():
+    a = RatMatrix.identity(20).scale(F(1, 2))
+    start = time.perf_counter()
+    s = spectral_decompose(a)
+    assert time.perf_counter() - start < 5
+    assert s.multiplicities == [20]
+    assert rat_rows(s.projectors[0]) == RatMatrix.identity(20).to_rows()
+
+
 def test_alg_kernel_basis():
     two_roots = sturm_isolate_real_roots(__import__("ltireach.exactnum", fromlist=["int_poly"]).int_poly(-2, 0, 1))
     r2 = two_roots[-1]
-    m = AlgMatrix(1, 2, [r2, RealAlg.from_rational(-1)])
-    basis = alg_kernel_basis(m)
+    basis = alg_kernel_basis([[r2, RealAlg.from_rational(-1)]])
     assert len(basis) == 1
     v = basis[0]
     # kernel vector satisfies sqrt2 * v0 - v1 == 0
