@@ -18,6 +18,8 @@ c and lam without computing lam^n; only when the enclosures still overlap
 after refining c and lam to two fixed widths (and always at n = 0, where no
 product of irrationals arises) is it decided by exact algebraic arithmetic.
 Either way the predicate has its exact value, so thresholds do not change.
+Rational c and lam are Fractions and enter the enclosures as points, so on
+a rational spectrum every comparison is plain Fraction arithmetic.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
 builds the rows r_ij = tau^T P_i N^j lam_i^-j (j below the multiplicity of
@@ -41,7 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-from .exactnum import ALG_ONE, ALG_ZERO, IntPoly, RealAlg, as_alg, sturm_isolate_real_roots
+from .exactnum import Alg, IntPoly, RealAlg, interval, sturm_isolate_real_roots
 from .geometry import (
     DimensionCeilingError,
     GenPolyhedron,
@@ -59,7 +61,7 @@ from .linalg import (
     vec_sub,
 )
 
-AlgVec = tuple[RealAlg, ...]
+AlgVec = tuple[Alg, ...]
 
 
 class SeqKind(Enum):
@@ -84,15 +86,11 @@ class SeparatorCertificate:
     """
 
     tau: AlgVec
-    bound: RealAlg
+    bound: Alg
     maximizer: Vec
     threshold: int
-    sup_value: RealAlg
-    min_over_q: RealAlg | None
-
-
-def _alg_vec(v) -> AlgVec:
-    return tuple(as_alg(x) for x in v)
+    sup_value: Alg
+    min_over_q: Alg | None
 
 
 def _first_true_at_least(start: int, pred) -> int:
@@ -132,8 +130,8 @@ def _sum_bounds(terms, n: int) -> tuple[Fraction, Fraction]:
     (k, c, lam), k >= 0."""
     lo = hi = Fraction(0)
     for k, c, lam in terms:
-        plo, phi = _power_bounds(*lam.interval(), n)
-        clo, chi = c.interval()
+        plo, phi = _power_bounds(*interval(lam), n)
+        clo, chi = interval(c)
         prods = (clo * plo, clo * phi, chi * plo, chi * phi)
         lo += k * min(prods)
         hi += k * max(prods)
@@ -144,15 +142,16 @@ def _sum_less(left, right, n: int, exact) -> bool:
     """Whether sum k c lam^n over `left` is below the same sum over `right`.
 
     Decided on rational enclosures when they separate (or touch the wrong
-    way round), first as the intervals stand, then with every c and lam
-    refined to each width of _WIDTHS; `exact()` decides the rest, and
-    decides n = 0 at once."""
+    way round), first as the intervals stand, then with every irrational c
+    and lam refined to each width of _WIDTHS (a rational is its own
+    interval); `exact()` decides the rest, and decides n = 0 at once."""
     if n > 0:
         for width in (None, *_WIDTHS):
             if width is not None:
                 for _, c, lam in left + right:
-                    c.refine_below(width)
-                    lam.refine_below(width)
+                    for x in (c, lam):
+                        if isinstance(x, RealAlg):
+                            x.refine_below(width)
             llo, lhi = _sum_bounds(left, n)
             rlo, rhi = _sum_bounds(right, n)
             if lhi < rlo:
@@ -163,11 +162,11 @@ def _sum_less(left, right, n: int, exact) -> bool:
 
 
 class _PowerCache:
-    def __init__(self, base: RealAlg):
+    def __init__(self, base: Alg):
         self.base = base
-        self.cache: dict[int, RealAlg] = {0: ALG_ONE, 1: base}
+        self.cache: dict[int, Alg] = {0: Fraction(1), 1: base}
 
-    def get(self, n: int) -> RealAlg:
+    def get(self, n: int) -> Alg:
         if n in self.cache:
             return self.cache[n]
         half = self.get(n // 2)
@@ -187,12 +186,11 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     `rows` are bilinear_rows(s, tau) when the caller has them already.
     """
     coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
-    nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row)
-               if c.sign() != 0]
+    nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c]
     if not nonzero:
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
     i0, j0, c0 = max(nonzero, key=lambda t: (t[0], t[1]))
-    kind = SeqKind.ULTIMATELY_POSITIVE if c0.sign() > 0 else SeqKind.ULTIMATELY_NEGATIVE
+    kind = SeqKind.ULTIMATELY_POSITIVE if c0 > 0 else SeqKind.ULTIMATELY_NEGATIVE
     others = [(i, j, c) for (i, j, c) in nonzero if (i, j) != (i0, j0)]
 
     lam0 = s.eigenvalues[i0]
@@ -211,7 +209,7 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
         def ratio_decreasing(n, lam=lam, j=j):
             lhs = lam * (n + 1 - j0)
             rhs = lam0 * (n + 1 - j)
-            return lhs.compare(rhs) < 0
+            return lhs < rhs
 
         onset = _first_true_at_least(start, ratio_decreasing)
 
@@ -219,7 +217,7 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
             def exact():
                 lhs = absc * (t_count * comb(n, j)) * powi.get(n)
                 rhs = abs_c0 * comb(n, j0) * pow0.get(n)
-                return lhs.compare(rhs) < 0
+                return lhs < rhs
 
             return _sum_less([(t_count * comb(n, j), absc, lam)],
                              [(comb(n, j0), abs_c0, lam0)], n, exact)
@@ -231,10 +229,10 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     def domination_holds(n: int) -> bool:
         def exact():
             lhs = abs_c0 * comb(n, j0) * pow0.get(n)
-            rhs = ALG_ZERO
+            rhs = Fraction(0)
             for (_, j, absc, powi) in term_caches:
                 rhs = rhs + absc * comb(n, j) * powi.get(n)
-            return lhs.compare(rhs) > 0
+            return lhs > rhs
 
         return _sum_less([(comb(n, j), absc, lam) for (lam, j, absc, _) in term_caches],
                          [(comb(n, j0), abs_c0, lam0)], n, exact)
@@ -249,7 +247,6 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     """A vertex maximizing <A^n ., tau> for all large n (lexicographically
     smallest among ties) and a threshold N from which it beats every
     vertex at every step."""
-    tau = _alg_vec(tau)
     rows = bilinear_rows(s, tau)
     verts = sorted(u.vertices)
     cache: dict[tuple[int, int], SeqClass] = {}
@@ -283,20 +280,19 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
-def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> RealAlg:
+def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:
     """The closed-form supremum of <x, tau> over the reachable closure,
     given an eventual maximizer and its threshold: the best vertex at each
     step below the threshold, then the maximizer's geometric tail."""
-    tau = _alg_vec(tau)
     if s.dim == 0:
-        return ALG_ZERO
-    total = ALG_ZERO
+        return Fraction(0)
+    total = Fraction(0)
     power = RatMatrix.identity(s.dim)
     for _ in range(threshold):
         best = None
         for v in u.vertices:
             val = _tau_dot(tau, power.matvec(v))
-            if best is None or val.compare(best) > 0:
+            if best is None or val > best:
                 best = val
         total = total + best
         power = power @ s.matrix
@@ -304,25 +300,21 @@ def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: 
     return total + _tau_dot(tau, tail.matvec(maximizer))
 
 
-def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> RealAlg:
+def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
     """Exact supremum of <x, tau> over the closure of the reachable set."""
     maximizer, n = eventual_maximizer(s, u, tau)
     return sup_from(s, u, tau, maximizer, n)
 
 
-def _tau_dot(tau: AlgVec, v) -> RealAlg:
-    acc = ALG_ZERO
-    for t, x in zip(tau, v):
-        acc = acc + t * as_alg(x)
-    return acc
+def _tau_dot(tau: AlgVec, v) -> Alg:
+    return sum((t * x for t, x in zip(tau, v)), Fraction(0))
 
 
-def min_over_vertices(q: GenPolyhedron, tau) -> RealAlg | None:
-    tau = _alg_vec(tau)
+def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
     best = None
     for v in q.vertices:
         val = _tau_dot(tau, v)
-        if best is None or val.compare(best) < 0:
+        if best is None or val < best:
             best = val
     return best
 
@@ -330,21 +322,21 @@ def min_over_vertices(q: GenPolyhedron, tau) -> RealAlg | None:
 def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau) -> SeparatorCertificate | None:
     """Certificate iff sup over the reachable closure <= min over the
     target (nonstrict: the reachable set itself is open)."""
-    tau = _alg_vec(tau)
+    tau = tuple(tau)
     if q.is_empty:
-        zero_tau = tuple(ALG_ZERO for _ in range(s.dim))
+        zero_tau = tuple(Fraction(0) for _ in range(s.dim))
         maximizer = u.vertices[0] if u.vertices else ()
-        return SeparatorCertificate(zero_tau, ALG_ZERO, maximizer, 0, ALG_ZERO, None)
+        return SeparatorCertificate(zero_tau, Fraction(0), maximizer, 0, Fraction(0), None)
     maximizer, n = eventual_maximizer(s, u, tau)
     sup = sup_from(s, u, tau, maximizer, n)
     low = min_over_vertices(q, tau)
     assert low is not None
-    if sup.compare(low) <= 0:
+    if sup <= low:
         return SeparatorCertificate(tau, sup, maximizer, n, sup, low)
     return None
 
 
-def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate) -> RealAlg:
+def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate) -> Alg:
     """Audit path: rebuild the supremum from (tau, maximizer, threshold)
     alone, without rerunning the maximizer search."""
     return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold)
@@ -360,7 +352,7 @@ def left_eigenvectors(s: SpectralData) -> list[AlgVec]:
     out = []
     at = s.matrix.transpose()
     for lam in s.eigenvalues:
-        rows = [[as_alg(x) - lam if i == j else as_alg(x) for j, x in enumerate(at.row(i))]
+        rows = [[x - lam if i == j else x for j, x in enumerate(at.row(i))]
                 for i in range(s.dim)]
         out.extend(tuple(v) for v in alg_kernel_basis(rows))
     return out
@@ -396,7 +388,7 @@ def extremal_candidates(s: SpectralData, q: GenPolyhedron, budget: int):
     """
     if not q.is_empty:
         for n in _target_direction_seeds(q):
-            yield _alg_vec(n)
+            yield n
     if budget <= 0:
         return
     for ev in left_eigenvectors(s):
@@ -418,25 +410,19 @@ def enumerate_algebraic_vectors(dim: int, budget: tuple[int, int]):
     polynomials.
     """
     max_deg, max_height = budget
-    known: list[RealAlg] = []
-    buckets: dict[tuple, list[RealAlg]] = {}
-
-    def is_new(root: RealAlg) -> bool:
-        bucket = buckets.setdefault(root.minpoly.coeffs, [])
-        if any(root.equals(r) for r in bucket):
-            return False
-        bucket.append(root)
-        return True
+    known: list[Alg] = []
+    seen: set[Alg] = set()  # a RealAlg hashes by minimal polynomial
 
     for total in range(2, max_deg + max_height + 1):
         for deg in range(1, total):
             height = total - deg
             if deg > max_deg or height > max_height:
                 continue
-            new_roots: list[RealAlg] = []
+            new_roots: list[Alg] = []
             for coeffs in _int_polys(deg, height):
                 for root in sturm_isolate_real_roots(IntPoly(coeffs)):
-                    if is_new(root):
+                    if root not in seen:
+                        seen.add(root)
                         new_roots.append(root)
             if not new_roots:
                 continue
@@ -446,7 +432,7 @@ def enumerate_algebraic_vectors(dim: int, budget: tuple[int, int]):
                 if all(i < first_new for i in idxs):
                     continue
                 v = tuple(pool[i] for i in idxs)
-                if any(x.sign() != 0 for x in v):
+                if any(v):
                     yield v
             known = pool
 

@@ -101,7 +101,7 @@ def cmd_decide(args) -> int:
     if verdict.kind == "reachable":
         print(f"horizon: {verdict.witness.horizon}")
     elif verdict.kind == "unreachable":
-        sup = verdict.certificate.sup_value.approx_float()
+        sup = float(verdict.certificate.sup_value)
         print(f"separator sup: {sup:.6g}")
     if args.out:
         _write_or_print(instances.dump_json(instances.verdict_to_json(verdict)), args.out)
@@ -184,8 +184,8 @@ def cmd_render(args) -> int:
         if data.get("verdict") == "unreachable":
             cert = instances.certificate_from_json(data["certificate"])
             certificate = {
-                "tau": tuple(x.approx_float() for x in cert.tau),
-                "bound": cert.bound.approx_float(),
+                "tau": tuple(float(x) for x in cert.tau),
+                "bound": float(cert.bound),
             }
     render.render_partial_reach(sys_, args.steps, args.out, certificate)
     print(f"wrote {args.out}")

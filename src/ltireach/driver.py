@@ -27,7 +27,6 @@ from .certify import (
     recompute_sup_from_certificate,
     verify_separator,
 )
-from .exactnum import ALG_ONE, ALG_ZERO
 from .forward import ReachWitness, reach_exactly, verify_witness
 from .linalg import SpectralData, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
@@ -69,40 +68,25 @@ class Verdict:
 class _SeenDirections:
     """Deduplication of directions up to positive scaling.
 
-    Algebraic directions are bucketed by the tuple of entry minimal
-    polynomials; only same-bucket entries need the (cheap) exact equality
-    check, since equal values share their canonical minpoly.
+    Each direction is scaled so that its first nonzero entry has absolute
+    value 1 and kept in one set: a rational direction is a tuple of
+    Fractions, and a RealAlg hashes by its minimal polynomial, so only
+    entries with equal minimal polynomials meet the exact equality test.
     """
 
     def __init__(self):
-        self.rational: set[tuple[Fraction, ...]] = set()
-        self.algebraic: dict[tuple, list[AlgVec]] = {}
+        self.seen: set[AlgVec] = set()
 
     def add(self, v: AlgVec) -> bool:
         """True if v is new (and records it)."""
-        signs = [x.sign() for x in v]
-        if all(s == 0 for s in signs):
+        lead = next((x for x in v if x), None)
+        if lead is None:
             return False
-        first = next(i for i, s in enumerate(signs) if s != 0)
-        lead = abs(v[first])
-        if lead.equals(ALG_ONE):
-            canon = v
-        else:
-            scale = lead.inverse()
-            canon = tuple(scale * x for x in v)
-        rats = [x.to_rational() for x in canon]
-        if all(r is not None for r in rats):
-            key = tuple(rats)
-            if key in self.rational:
-                return False
-            self.rational.add(key)
-            return True
-        bucket_key = tuple(x.minpoly.coeffs for x in canon)
-        bucket = self.algebraic.setdefault(bucket_key, [])
-        for prev in bucket:
-            if all(a.equals(b) for a, b in zip(prev, canon)):
-                return False
-        bucket.append(canon)
+        lead = abs(lead)
+        canon = v if lead == 1 else tuple(x / lead for x in v)
+        if canon in self.seen:
+            return False
+        self.seen.add(canon)
         return True
 
 
@@ -150,7 +134,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
         spectral, form = _prepare_certification(sys, report)
         if form.q_reduced.is_empty:
             cert = verify_separator(spectral, form.u_reduced, form.q_reduced,
-                                    tuple(ALG_ZERO for _ in range(form.dim)))
+                                    tuple(Fraction(0) for _ in range(form.dim)))
             assert cert is not None
             return Verdict("unreachable", instance_hash, tuple(warnings),
                            certificate=cert, simple_form=form)
@@ -228,7 +212,7 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         # claim (render draws the hyperplane at the stored bound)
         if data.get("reduced_system") != reduced_system_to_json(form):
             return False
-        if not cert.bound.equals(cert.sup_value):
+        if cert.bound != cert.sup_value:
             return False
         if cert.maximizer not in form.u_reduced.vertices:
             return False
@@ -241,9 +225,9 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau)
         if fresh is None:
             return False
-        if not fresh.sup_value.equals(cert.sup_value):
+        if fresh.sup_value != cert.sup_value:
             return False
-        if not fresh.min_over_q.equals(cert.min_over_q):
+        if fresh.min_over_q != cert.min_over_q:
             return False
         # an honest decider stores the maximizer its own verification picks
         # (the lexicographically smallest among ties); another vertex that ties
@@ -258,5 +242,5 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         # independent audit path: the supremum rebuilt from the stored
         # maximizer and threshold alone must agree too
         redone = recompute_sup_from_certificate(spectral, form.u_reduced, cert)
-        return redone.equals(cert.sup_value)
+        return redone == cert.sup_value
     return False

@@ -1,31 +1,36 @@
 """Exact scalar arithmetic: rationals, integer polynomials, real algebraic numbers.
 
-A real algebraic number is stored as a pair (minimal polynomial, isolating
-interval).  The minimal polynomial is an irreducible primitive integer
-polynomial with positive leading coefficient; the interval is a rational
-interval containing exactly one of its real roots.  Rational values are
-pinned with a degenerate interval (lo == hi), so degree-1 numbers
-round-trip with Fraction exactly.
+A number has one representation: a Fraction if and only if it is rational.
+An irrational real algebraic number is a RealAlg, stored as a pair
+(minimal polynomial, isolating interval).  The minimal polynomial is an
+irreducible primitive integer polynomial of degree >= 2 with positive
+leading coefficient; the interval is a rational interval containing
+exactly one of its real roots.  RealAlg arithmetic takes int and Fraction
+operands directly, and an operation whose result is rational (sqrt2 *
+sqrt2, or any product with 0) returns a Fraction.  sign() and interval()
+serve callers that hold either type.
 
 Signs and comparisons are decided exactly: intervals are refined by
 bisection until the question resolves.  Refinement always terminates
 because an irreducible polynomial of degree >= 2 has no rational roots,
-so a rational bisection point is never itself a root.  The sign of an
-integer polynomial at a rational p/q is read off the homogenized integer
-form sum c_i p^i q^(d-i), and Sturm chains are stored as primitive integer
-rows, so sign tests and root counts never build a Fraction.
+so a rational bisection point, or a rational compared against, is never
+itself a root.  The sign of an integer polynomial at a rational p/q is
+read off the homogenized integer form sum c_i p^i q^(d-i), and Sturm
+chains are stored as primitive integer rows, so sign tests and root
+counts never build a Fraction.
 
 The sum or product of two irrational numbers is a root of the composed
 sum or product of their minimal polynomials, built from power sums with
 Newton's identities (Bostan, Flajolet, Salvy & Schost, 2006); the factor
-of it that owns the root becomes the result's minimal polynomial.
+of it that owns the root becomes the result's minimal polynomial, and a
+linear factor makes the result a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import comb, gcd
 
 Rat = Fraction
@@ -158,6 +163,7 @@ class IntPoly:
         """Roots move from a to a*r (r nonzero); computes p(x/r) cleared."""
         if r == 0:
             raise ValueError("scale by zero")
+        r = Fraction(r)
         out = [c / (r ** i) for i, c in enumerate(self.coeffs)]
         return _from_frac(out).primitive()
 
@@ -398,7 +404,9 @@ def _isolate_squarefree(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
 
 
 class RealAlg:
-    """A real algebraic number: irreducible minpoly + isolating interval.
+    """An irrational real algebraic number: irreducible minimal polynomial
+    of degree >= 2 and an isolating interval.  Rational values are Fractions,
+    never RealAlg; an operation whose result is rational returns a Fraction.
 
     Publicly immutable.  The interval is narrowed in place on demand;
     narrowing never changes the represented number, so concurrent
@@ -416,36 +424,31 @@ class RealAlg:
 
     def _validate(self) -> None:
         p = self.minpoly
-        if p.is_zero or p.degree < 1:
-            raise ValueError("minimal polynomial must have degree >= 1")
+        if p.degree < 2:
+            raise ValueError("minimal polynomial must have degree >= 2; rationals are Fractions")
         if p.coeffs[-1] < 0 or p.content() != 1:
             raise ValueError("minimal polynomial must be primitive with positive lead")
         if p.degree > DEGREE_CEILING:
             raise DegreeCeilingError(f"degree {p.degree} exceeds ceiling {DEGREE_CEILING}")
         if self._lo > self._hi:
             raise ValueError("interval endpoints out of order")
-        if p.degree == 1:
-            root = -Fraction(p.coeffs[0], p.coeffs[1])
-            if self._lo != root or self._hi != root:
-                raise ValueError("degree-1 value must pin its rational root exactly")
-        else:
-            if _count_roots_closed(sturm_chain(p), self._lo, self._hi) != 1:
-                raise ValueError("interval does not isolate exactly one root")
+        if _count_roots_closed(sturm_chain(p), self._lo, self._hi) != 1:
+            raise ValueError("interval does not isolate exactly one root")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(q) -> "RealAlg":
-        q = Fraction(q)
-        poly = IntPoly((-q.numerator, q.denominator)).primitive()
-        return RealAlg(poly, q, q, _trusted=True)
+    def from_rational(q) -> Fraction:
+        """The one place a rational result leaves exactnum: as a Fraction."""
+        return Fraction(q)
 
     @staticmethod
-    def from_root(p: IntPoly, lo, hi) -> "RealAlg":
+    def from_root(p: IntPoly, lo, hi) -> Alg:
         """Validated constructor: [lo, hi] must isolate one real root of p.
 
         p need not be irreducible; the irreducible factor owning the root
-        becomes the minimal polynomial, so equality stays structural.
+        becomes the minimal polynomial, so equality stays structural.  A
+        root of a linear factor is returned as a Fraction.
         """
         lo, hi = Fraction(lo), Fraction(hi)
         if p.is_zero:
@@ -453,33 +456,19 @@ class RealAlg:
         owners = []
         for fcoeffs, _ in factor_int_poly(p.coeffs):
             f = IntPoly(fcoeffs)
-            if f.degree == 1:
-                root = -Fraction(f.coeffs[0], f.coeffs[1])
-                if lo <= root <= hi:
-                    owners.append((f, root, root))
-            else:
-                cnt = _count_roots_closed(sturm_chain(f), lo, hi)
-                if cnt:
-                    owners.append((f, lo, hi) if cnt == 1 else (f, None, None))
-        if len(owners) != 1 or owners[0][1] is None:
+            owners += [f] * _count_roots_closed(sturm_chain(f), lo, hi)
+        if len(owners) != 1:
             raise ValueError("interval does not isolate exactly one root")
-        f, flo, fhi = owners[0]
-        return RealAlg(f, flo, fhi)
+        f = owners[0]
+        if f.degree == 1:
+            return RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))
+        return RealAlg(f, lo, hi)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def degree(self) -> int:
         return self.minpoly.degree
-
-    @property
-    def is_rational(self) -> bool:
-        return self.minpoly.degree == 1
-
-    def to_rational(self) -> Fraction | None:
-        if self.is_rational:
-            return -Fraction(self.minpoly.coeffs[0], self.minpoly.coeffs[1])
-        return None
 
     def interval(self) -> tuple[Fraction, Fraction]:
         return self._lo, self._hi
@@ -488,17 +477,15 @@ class RealAlg:
         """The interval that root isolation of the minimal polynomial gives
         this root: a function of the value alone, unlike interval(), which
         reflects how far this object has been narrowed."""
-        if self.is_rational:
-            return self._lo, self._hi
         return next((lo, hi) for lo, hi in _isolate_squarefree(self.minpoly)
                     if self.compare(hi) < 0)
 
     def refine(self, steps: int = 1) -> None:
-        """Halve the isolating interval `steps` times (no-op for rationals).
+        """Halve the isolating interval `steps` times.
 
         Bisects the integers lo*den and hi*den over a common denominator
         den that doubles each step, so no step builds a Fraction."""
-        if self.is_rational or steps <= 0:
+        if steps <= 0:
             return
         p = self.minpoly.coeffs
         lo, hi = self._lo, self._hi
@@ -526,9 +513,6 @@ class RealAlg:
             self.refine(steps)
 
     def sign(self) -> int:
-        if self.is_rational:
-            v = self.to_rational()
-            return (v > 0) - (v < 0)
         while True:
             if self._lo > 0:
                 return 1
@@ -536,102 +520,84 @@ class RealAlg:
                 return -1
             self.refine()
 
-    def approx_float(self, width: Fraction = Fraction(1, 10 ** 12)) -> float:
-        if self.is_rational:
-            return float(self.to_rational())
-        self.refine_below(width)
+    def __bool__(self) -> bool:
+        return True  # an irrational number is never zero
+
+    def __float__(self) -> float:
+        self.refine_below(Fraction(1, 10 ** 12))
         return float((self._lo + self._hi) / 2)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _shift(self, r: Fraction) -> "RealAlg":
+    def _shift(self, r) -> "RealAlg":
+        """self + r for rational r; never rational."""
         if r == 0:
             return self
-        if self.is_rational:
-            return RealAlg.from_rational(self.to_rational() + r)
         return RealAlg(self.minpoly.with_root_shifted(r), self._lo + r, self._hi + r, _trusted=True)
 
-    def _scale(self, r: Fraction) -> "RealAlg":
+    def _scale(self, r) -> Alg:
+        """self * r for rational r; rational only when r is zero."""
         if r == 0:
             return RealAlg.from_rational(0)
         if r == 1:
             return self
-        if self.is_rational:
-            return RealAlg.from_rational(self.to_rational() * r)
         lo, hi = self._lo * r, self._hi * r
         if r < 0:
             lo, hi = hi, lo
         return RealAlg(self.minpoly.with_root_scaled(r), lo, hi, _trusted=True)
 
     def inverse(self) -> "RealAlg":
-        if self.is_rational:
-            v = self.to_rational()
-            if v == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return RealAlg.from_rational(1 / v)
         while self._lo <= 0 <= self._hi:
             self.refine()
         lo, hi = 1 / self._hi, 1 / self._lo
         return RealAlg(self.minpoly.with_root_inverted(), lo, hi, _trusted=True)
 
     def __neg__(self) -> "RealAlg":
-        if self.is_rational:
-            return RealAlg.from_rational(-self.to_rational())
         return RealAlg(self.minpoly.with_root_negated(), -self._hi, -self._lo, _trusted=True)
 
-    def __add__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_rational:
-            return other._shift(self.to_rational())
-        if other.is_rational:
-            return self._shift(other.to_rational())
-        return _resultant_combine(self, other, "add")
+    def __add__(self, other) -> Alg:
+        if isinstance(other, RealAlg):
+            return _resultant_combine(self, other, "add")
+        if isinstance(other, (int, Fraction)):
+            return self._shift(other)
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+    def __sub__(self, other) -> Alg:
+        if isinstance(other, (RealAlg, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, (int, Fraction)):
+            return (-self)._shift(other)
+        return NotImplemented
 
-    def __mul__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_rational:
-            return other._scale(self.to_rational())
-        if other.is_rational:
-            return self._scale(other.to_rational())
-        return _resultant_combine(self, other, "mul")
+    def __mul__(self, other) -> Alg:
+        if isinstance(other, RealAlg):
+            return _resultant_combine(self, other, "mul")
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.sign() == 0:
-            raise ZeroDivisionError("division by zero algebraic number")
-        if other.is_rational:
-            return self._scale(1 / other.to_rational())
-        return self * other.inverse()
+    def __truediv__(self, other) -> Alg:
+        if isinstance(other, RealAlg):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division of an algebraic number by zero")
+            return self._scale(Fraction(1) / other)
+        return NotImplemented
 
-    def __rtruediv__(self, other) -> "RealAlg":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+    def __rtruediv__(self, other) -> Alg:
+        if isinstance(other, (int, Fraction)):
+            return self.inverse()._scale(other)
+        return NotImplemented
 
-    def __pow__(self, n: int) -> "RealAlg":
+    def __pow__(self, n: int) -> Alg:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -652,34 +618,19 @@ class RealAlg:
 
     # -- comparisons ----------------------------------------------------
 
-    def equals(self, other) -> bool:
-        """Exact equality; cheap because equal values share the canonical
-        minimal polynomial, so differing minpolys decide immediately."""
-        other = _coerce(other)
-        if other is NotImplemented:
-            raise TypeError("cannot compare")
-        if self.minpoly != other.minpoly:
-            return False
-        if self.is_rational:
-            return True  # same degree-1 minpoly pins the same rational
-        a, b = self, other
-        chain = sturm_chain(a.minpoly)
-        while True:
-            if a._hi < b._lo or b._hi < a._lo:
-                return False
-            if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
-                return True
-            a.refine()
-            b.refine()
-
     def compare(self, other) -> int:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            # refine until the rational falls outside the interval; it is
+            # never the root itself
+            while True:
+                if self._hi < other:
+                    return -1
+                if other < self._lo:
+                    return 1
+                self.refine()
+        if not isinstance(other, RealAlg):
             raise TypeError("cannot compare")
         a, b = self, other
-        if a.is_rational and b.is_rational:
-            x, y = a.to_rational(), b.to_rational()
-            return (x > y) - (x < y)
         while True:
             if a._hi < b._lo:
                 return -1
@@ -695,10 +646,25 @@ class RealAlg:
             b.refine()
 
     def __eq__(self, other) -> bool:
-        coerced = _coerce(other)
-        if coerced is NotImplemented:
+        """Exact equality; cheap because equal values share the canonical
+        minimal polynomial, so differing minpolys decide immediately.  A
+        rational is never equal: it is no root of an irreducible
+        polynomial of degree >= 2."""
+        if isinstance(other, (int, Fraction)):
+            return False
+        if not isinstance(other, RealAlg):
             return NotImplemented
-        return self.equals(coerced)
+        if self.minpoly != other.minpoly:
+            return False
+        a, b = self, other
+        chain = sturm_chain(a.minpoly)
+        while True:
+            if a._hi < b._lo or b._hi < a._lo:
+                return False
+            if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
+                return True
+            a.refine()
+            b.refine()
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -713,34 +679,28 @@ class RealAlg:
         return self.compare(other) >= 0
 
     def __hash__(self) -> int:
-        if self.is_rational:
-            return hash(self.to_rational())
         return hash(self.minpoly.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_rational:
-            return f"RealAlg({rat_to_str(self.to_rational())})"
         return f"RealAlg({self.minpoly!r} in [{rat_to_str(self._lo)}, {rat_to_str(self._hi)}])"
 
 
-def _coerce(value) -> "RealAlg":
-    if isinstance(value, RealAlg):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RealAlg.from_rational(value)
-    return NotImplemented
+# a real algebraic number: a Fraction exactly when it is rational
+Alg = Fraction | RealAlg
 
 
-def as_alg(value) -> "RealAlg":
-    """Coerce an int / Fraction / RealAlg to RealAlg."""
-    out = _coerce(value)
-    if out is NotImplemented:
-        raise TypeError(f"cannot interpret {value!r} as a real algebraic number")
-    return out
+def sign(x) -> int:
+    """Sign of a Fraction, int or RealAlg."""
+    if isinstance(x, RealAlg):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
-ALG_ZERO = RealAlg.from_rational(0)
-ALG_ONE = RealAlg.from_rational(1)
+def interval(x) -> tuple[Fraction, Fraction]:
+    """A rational interval containing x: [x, x] for a rational."""
+    if isinstance(x, RealAlg):
+        return x.interval()
+    return x, x
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +777,7 @@ def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
         if len(live) == 1 and live[0][1] == 1:
             f = live[0][0]
             if f.degree == 1:
-                return RealAlg.from_rational(-Fraction(f.coeffs[0], f.coeffs[1]))
+                return RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))
             return RealAlg(f, lo, hi, _trusted=True)
         a.refine(2)
         b.refine(2)
@@ -828,8 +788,9 @@ def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
 # ---------------------------------------------------------------------------
 
 
-def alg_arith(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
-    """op in {'add', 'sub', 'mul', 'div'}; div signals ZeroDivisionError."""
+def alg_arith(a, b, op: str):
+    """op in {'add', 'sub', 'mul', 'div'} on Fractions and RealAlgs; div
+    signals ZeroDivisionError."""
     if op == "add":
         return a + b
     if op == "sub":
@@ -841,32 +802,30 @@ def alg_arith(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
     raise ValueError(f"unknown op {op!r}")
 
 
-def alg_sign(a: RealAlg) -> int:
-    return a.sign()
+alg_sign = sign
 
 
-def alg_compare(a: RealAlg, b: RealAlg) -> int:
+def alg_compare(a, b) -> int:
     """-1, 0, +1 consistent with the real order."""
-    return a.compare(b)
+    if isinstance(a, RealAlg):
+        return a.compare(b)
+    if isinstance(b, RealAlg):
+        return -b.compare(a)
+    return (a > b) - (a < b)
 
 
-# sort key for ascending RealAlg values; alg_compare looks compare up on the
-# value at each call, so a wrapper installed on RealAlg.compare sees every
-# comparison a sort makes
-alg_key = cmp_to_key(alg_compare)
-
-
-def sturm_isolate_real_roots(p: IntPoly) -> list[RealAlg]:
-    """All distinct real roots of p, ascending, multiplicities discarded."""
+def sturm_isolate_real_roots(p: IntPoly) -> list[Alg]:
+    """All distinct real roots of p, ascending, multiplicities discarded;
+    the rational ones as Fractions."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    roots: list[RealAlg] = []
+    roots: list[Alg] = []
     for fcoeffs, _ in factor_int_poly(p.coeffs):
         f = IntPoly(fcoeffs)
         if f.degree == 1:
-            roots.append(RealAlg.from_rational(-Fraction(f.coeffs[0], f.coeffs[1])))
+            roots.append(RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1])))
         else:
             for lo, hi in _isolate_squarefree(f):
                 roots.append(RealAlg(f, lo, hi, _trusted=True))
-    roots.sort(key=alg_key)
+    roots.sort()
     return roots

@@ -29,6 +29,8 @@ numbers carry their minimal polynomial and isolating interval so an
 auditor can recompute everything from scratch.  The interval written is
 the canonical one that root isolation of the minimal polynomial gives,
 so equal numbers serialize to equal bytes however they were computed.
+A rational p/q (a Fraction in memory) is written in the same form, as the
+root of q x - p with lo = hi = p/q, and reads back as a Fraction.
 Loading an artifact checks every key and type it reads and raises
 ParseError on anything malformed.
 """
@@ -41,6 +43,7 @@ import json
 from . import exactnum
 from .certify import SeparatorCertificate
 from .exactnum import (
+    Alg,
     DegreeCeilingError,
     IntPoly,
     RealAlg,
@@ -234,12 +237,17 @@ def _vec_field(data, key: str) -> Vec:
     return tuple(_rat_from_json(x) for x in _field(data, key, list))
 
 
-def alg_to_json(a: RealAlg) -> dict:
-    lo, hi = a.isolating_interval()
-    return {"minpoly": list(a.minpoly.coeffs), "lo": rat_to_str(lo), "hi": rat_to_str(hi)}
+def alg_to_json(a: Alg) -> dict:
+    """A rational p/q is written as the root of q x - p, with lo = hi = p/q."""
+    if isinstance(a, RealAlg):
+        minpoly, (lo, hi) = list(a.minpoly.coeffs), a.isolating_interval()
+    else:
+        minpoly, lo, hi = [-a.numerator, a.denominator], a, a
+    return {"minpoly": minpoly, "lo": rat_to_str(lo), "hi": rat_to_str(hi)}
 
 
-def alg_from_json(data) -> RealAlg:
+def alg_from_json(data) -> Alg:
+    """A Fraction for a degree-1 minimal polynomial, else a RealAlg."""
     coeffs = _field(data, "minpoly", list)
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
         raise ParseError(None, "minimal polynomial coefficients must be integers")

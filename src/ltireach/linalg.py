@@ -2,7 +2,9 @@
 
 RatMatrix is the rational workhorse (Fraction entries).  Values that may
 be irrational (spectral projectors, bilinear-form rows, the matrices of
-the certificate search) are plain lists of rows of RealAlg.
+the certificate search) are plain lists of rows whose entries are
+Fractions where rational and RealAlg where not, so a rational spectrum
+never leaves Fraction arithmetic.
 
 spectral_decompose splits a matrix with real, strictly positive
 eigenvalues into its commuting diagonalizable + nilpotent parts and
@@ -21,12 +23,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .exactnum import (
-    ALG_ONE,
-    ALG_ZERO,
+    Alg,
     IntPoly,
-    RealAlg,
-    alg_key,
-    as_alg,
     count_real_roots,
     count_roots_halfopen,
     factor_int_poly,
@@ -497,9 +495,9 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 
-def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
+def alg_kernel_basis(matrix_rows: list[list[Alg]]) -> list[list[Alg]]:
     """Kernel basis of the matrix with these rows, by Gauss elimination
-    over RealAlg (exact sign pivoting)."""
+    over real algebraic numbers (exact zero tests)."""
     rows = [list(r) for r in matrix_rows]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -507,7 +505,7 @@ def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
     for c in range(ncols):
         piv = None
         for i in range(r, len(rows)):
-            if rows[i][c].sign() != 0:
+            if rows[i][c]:
                 piv = i
                 break
         if piv is None:
@@ -516,7 +514,7 @@ def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
         f = rows[r][c]
         rows[r] = [x / f for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c].sign() != 0:
+            if i != r and rows[i][c]:
                 g = rows[i][c]
                 rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -526,8 +524,8 @@ def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v: list[RealAlg] = [ALG_ZERO] * ncols
-        v[fc] = ALG_ONE
+        v: list[Alg] = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
         for rr, pc in enumerate(pivots):
             v[pc] = -rows[rr][fc]
         basis.append(v)
@@ -542,16 +540,16 @@ def alg_kernel_basis(matrix_rows: list[list[RealAlg]]) -> list[list[RealAlg]]:
 @dataclass
 class SpectralData:
     """Eigenvalues ascending with their multiplicities mu_i, the spectral
-    projectors P_i (d rows of RealAlg each) and the rational nilpotent part
+    projectors P_i (d rows each) and the rational nilpotent part
     N, so that A = sum_i lam_i P_i + N and
 
         <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i N^j lam_i^-j u).
     """
 
     matrix: RatMatrix
-    eigenvalues: list[RealAlg]
+    eigenvalues: list[Alg]
     multiplicities: list[int]
-    projectors: list[list[list[RealAlg]]]
+    projectors: list[list[list[Alg]]]
     nilpotent: RatMatrix
     _resolvent: RatMatrix | None = field(default=None, repr=False)
 
@@ -569,10 +567,10 @@ class SpectralData:
         return self._resolvent
 
 
-def _semisimple_part(a: RatMatrix) -> RatMatrix:
+def _semisimple_part(a: RatMatrix, charp: IntPoly) -> RatMatrix:
     """Rational semisimple part S of A (Newton iteration on the squarefree
-    part of the characteristic polynomial); A - S is nilpotent."""
-    p = charpoly_primitive(a).squarefree_part()
+    part of its characteristic polynomial charp); A - S is nilpotent."""
+    p = charp.squarefree_part()
     pf = [Fraction(c) for c in p.coeffs]
     dpf = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
 
@@ -605,19 +603,19 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
         return SpectralData(a, [], [], [], a)
     p = charpoly_primitive(a)
     factors = factor_int_poly(p.coeffs)
-    eig: list[tuple[RealAlg, int]] = []
+    eig: list[tuple[Alg, int]] = []
     for fcoeffs, mult in factors:
         f = IntPoly(fcoeffs)
         roots = sturm_isolate_real_roots(f)
         if len(roots) != f.degree:
             raise SpectralError("non-real eigenvalue detected")
         for r in roots:
-            if r.sign() <= 0:
+            if r <= 0:
                 raise SpectralError("non-positive eigenvalue detected")
             eig.append((r, mult))
-    eig.sort(key=lambda e: alg_key(e[0]))
+    eig.sort(key=lambda e: e[0])
 
-    nilpotent = a - _semisimple_part(a)
+    nilpotent = a - _semisimple_part(a, p)
 
     # the rational powers A^k, shared by every projector and built only as
     # far as the highest nonzero coefficient of a projector polynomial
@@ -632,37 +630,37 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
     return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
 
 
-def _projector_for(charp: IntPoly, lam: RealAlg, mu: int) -> list[RealAlg]:
+def _projector_for(charp: IntPoly, lam: Alg, mu: int) -> list[Alg]:
     """Coefficients, lowest first and without trailing zeros, of the
     polynomial h with h(A) the spectral projector onto the generalized
     eigenspace of lam: h == 1 mod (x-lam)^mu and h == 0 modulo the rest of
     the characteristic polynomial."""
     # deflate charpoly by (x - lam)^mu via synthetic division over Q(lam)
-    coeffs: list[RealAlg] = [as_alg(Fraction(c)) for c in charp.coeffs]
+    coeffs: list[Alg] = [Fraction(c) for c in charp.coeffs]
     for _ in range(mu):
         coeffs = _synthetic_divide(coeffs, lam)
     cofactor = coeffs  # charp / (x-lam)^mu, degree d - mu (up to constant)
     # Taylor coefficients of the cofactor around lam: repeated division
-    taylor: list[RealAlg] = []
+    taylor: list[Alg] = []
     work = list(cofactor)
     for _ in range(mu):
         rem_val, work_next = _synthetic_divide_with_rem(work, lam)
         taylor.append(rem_val)
         work = work_next
     # invert the truncated series: w with (sum taylor_s t^s) * w == 1 + O(t^mu)
-    inv: list[RealAlg] = [taylor[0].inverse()]
+    inv: list[Alg] = [1 / taylor[0]]
     for s in range(1, mu):
-        acc = ALG_ZERO
+        acc = Fraction(0)
         for t in range(1, s + 1):
             acc = acc + taylor[t] * inv[s - t]
         inv.append(-(acc * inv[0]))
     # expand sum_s inv_s (x - lam)^s into standard-basis coefficients
-    series: list[RealAlg] = [ALG_ZERO] * mu
-    basis: list[RealAlg] = [ALG_ONE]
+    series: list[Alg] = [Fraction(0)] * mu
+    basis: list[Alg] = [Fraction(1)]
     for s in range(mu):
         for k, b in enumerate(basis):
             series[k] = series[k] + inv[s] * b
-        nb: list[RealAlg] = [ALG_ZERO] * (len(basis) + 1)
+        nb: list[Alg] = [Fraction(0)] * (len(basis) + 1)
         for k, b in enumerate(basis):
             nb[k + 1] = nb[k + 1] + b
             nb[k] = nb[k] - lam * b
@@ -670,91 +668,79 @@ def _projector_for(charp: IntPoly, lam: RealAlg, mu: int) -> list[RealAlg]:
     # h == 1 modulo (x-lam)^mu and vanishes to full order at the other
     # eigenvalues, so h(A) is the spectral projector
     h = _poly_mul_alg(cofactor, series)
-    while h and h[-1].sign() == 0:
+    while h and not h[-1]:
         h.pop()
     return h
 
 
-def _poly_at_powers(h: list[RealAlg], powers: list[RatMatrix]) -> list[list[RealAlg]]:
-    """Rows of h(A) = sum_k h_k A^k from the rational powers A^k.  The terms
-    with a rational h_k are summed as Fractions; only the irrational ones
-    take RealAlg arithmetic."""
-    rat = [(c.to_rational(), m.entries) for c, m in zip(h, powers) if c.is_rational]
-    irr = [(c, m.entries) for c, m in zip(h, powers) if not c.is_rational]
+def _poly_at_powers(h: list[Alg], powers: list[RatMatrix]) -> list[list[Alg]]:
+    """Rows of h(A) = sum_k h_k A^k from the rational powers A^k."""
     d = powers[0].rows
-    rows = []
-    for r in range(d):
-        row = []
-        for k in range(r * d, (r + 1) * d):
-            val = as_alg(sum((q * m[k] for q, m in rat), Fraction(0)))
-            for c, m in irr:
-                if m[k]:
-                    val = val + c * m[k]
-            row.append(val)
-        rows.append(row)
-    return rows
+    terms = [(c, m.entries) for c, m in zip(h, powers)]
+    return [[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
+             for k in range(r * d, (r + 1) * d)]
+            for r in range(d)]
 
 
-def _synthetic_divide(coeffs: list[RealAlg], lam: RealAlg) -> list[RealAlg]:
+def _synthetic_divide(coeffs: list[Alg], lam: Alg) -> list[Alg]:
     """coeffs / (x - lam), remainder discarded (vanishes when lam is a root)."""
     return _synthetic_divide_with_rem(coeffs, lam)[1]
 
 
-def _synthetic_divide_with_rem(coeffs: list[RealAlg], lam: RealAlg) -> tuple[RealAlg, list[RealAlg]]:
+def _synthetic_divide_with_rem(coeffs: list[Alg], lam: Alg) -> tuple[Alg, list[Alg]]:
     """Return (p(lam), p(x)/(x-lam) quotient)."""
     if not coeffs:
-        return ALG_ZERO, []
+        return Fraction(0), []
     carry = coeffs[-1]
-    out: list[RealAlg] = [ALG_ZERO] * (len(coeffs) - 1)
+    out: list[Alg] = [Fraction(0)] * (len(coeffs) - 1)
     for k in range(len(coeffs) - 2, -1, -1):
         out[k] = carry
         carry = coeffs[k] + carry * lam
     return carry, out
 
 
-def _poly_mul_alg(a: list[RealAlg], b: list[RealAlg]) -> list[RealAlg]:
-    out: list[RealAlg] = [ALG_ZERO] * (len(a) + len(b) - 1)
+def _poly_mul_alg(a: list[Alg], b: list[Alg]) -> list[Alg]:
+    out: list[Alg] = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.sign() == 0:
+        if not x:
             continue
         for j, y in enumerate(b):
-            if y.sign() == 0:
+            if not y:
                 continue
             out[i + j] = out[i + j] + x * y
     return out
 
 
-def _alg_dot(xs, ys) -> RealAlg:
-    return sum((x * y for x, y in zip(xs, ys)), ALG_ZERO)
+def _alg_dot(xs, ys) -> Alg:
+    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
 
-def bilinear_rows(s: SpectralData, tau) -> list[list[list[RealAlg]]]:
+def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
     """Rows r[i][j] = tau^T P_i N^j lam_i^-j, j < mu_i, of the bilinear forms
     for one direction: r[i][0] = tau^T P_i and r[i][j] = r[i][j-1] N / lam_i.
     P_i N^j vanishes once j >= mu_i, so those rows are not built.
 
     Computed once per tau, they turn every coefficient c[i][j] of a vector
     u into the row-vector product r[i][j] . u."""
-    tau = [as_alg(t) for t in tau]
     d = s.dim
     if len(tau) != d:
         raise ValueError(f"direction has {len(tau)} entries, expected {d}")
     ncols = [s.nilpotent.col(k) for k in range(d)]
-    out: list[list[list[RealAlg]]] = []
+    out: list[list[list[Alg]]] = []
     for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
         row = [_alg_dot(tau, col) for col in zip(*proj)]
         rows_i = [row]
         if mu > 1:
-            lam_inv = lam.inverse()
+            lam_inv = 1 / lam
             for _ in range(1, mu):
-                row = [sum((row[t] * x for t, x in enumerate(col) if x), ALG_ZERO) * lam_inv
+                row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * lam_inv
                        for col in ncols]
                 rows_i.append(row)
         out.append(rows_i)
     return out
 
 
-def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAlg]]:
+def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[Alg]]:
     """Coefficients c[i][j] = tau^T P_i N^j lam_i^-j u, j < mu_i, of the
     closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
 
@@ -764,5 +750,4 @@ def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[RealAl
         rows = bilinear_rows(s, tau)
     if len(u) != s.dim:
         raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
-    u = [as_alg(x) for x in u]
     return [[_alg_dot(r, u) for r in row_i] for row_i in rows]

@@ -4,7 +4,8 @@ Each one recomputes a value the library derives another way: the closed
 form of <A^n u, tau> evaluated term by term, its coefficients from the
 spectral projectors and all powers of the nilpotent part, a maximum over a polyhedron
 solved as one LP over its generators, and the simplex over a `Fraction`
-tableau that the integer tableau replaced.
+tableau that the integer tableau replaced.  `rat` checks the representation
+rule that a rational value is always a `Fraction`, never a `RealAlg`.
 """
 
 from __future__ import annotations
@@ -13,35 +14,42 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from ltireach.exactnum import ALG_ZERO, RealAlg, as_alg
+from ltireach.exactnum import Alg
 from ltireach.geometry import GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
 
 
-def inner_product_at(s: SpectralData, coeffs: list[list[RealAlg]], n: int) -> RealAlg:
+def rat(x) -> Fraction:
+    """x itself, after asserting that it is a Fraction: a rational value
+    must never come back as a RealAlg (or an int)."""
+    assert type(x) is Fraction, f"expected a Fraction, got {x!r}"
+    return x
+
+
+def inner_product_at(s: SpectralData, coeffs: list[list[Alg]], n: int) -> Alg:
     """Evaluate the expanded form sum_{i,j} C(n,j) lam_i^n c[i][j] of
     `linalg.expand_inner_product` at integer n >= 0, over the coefficients
     it gives for each eigenvalue."""
-    acc = ALG_ZERO
+    acc = Fraction(0)
     for lam, row in zip(s.eigenvalues, coeffs):
         lam_n = lam ** n
         for j, c in enumerate(row):
-            if c.sign() != 0 and comb(n, j) != 0:
+            if c != 0 and comb(n, j) != 0:
                 acc = acc + c * comb(n, j) * lam_n
     return acc
 
 
-def alg_dot(xs, ys) -> RealAlg:
-    return sum((as_alg(x) * as_alg(y) for x, y in zip(xs, ys)), ALG_ZERO)
+def alg_dot(xs, ys) -> Alg:
+    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
 
-def alg_matmul(a, b) -> list[list[RealAlg]]:
+def alg_matmul(a, b) -> list[list[Alg]]:
     """Product of two matrices given as lists of rows of RealAlg or
     rational entries."""
     return [[alg_dot(row, col) for col in zip(*b)] for row in a]
 
 
-def bilinear_coeff(s: SpectralData, i: int, j: int, u, tau) -> RealAlg:
+def bilinear_coeff(s: SpectralData, i: int, j: int, u, tau) -> Alg:
     """tau^T P_i N^j lam_i^-j u for any j >= 0, from the projector and the
     matrix power N^j themselves."""
     pn = alg_matmul(s.projectors[i], s.nilpotent.power(j).to_rows())

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from ltireach import driver, instances
 from ltireach.certify import SeqKind, classify_sequence, sup_in_direction
-from ltireach.exactnum import RealAlg, alg_sign, as_alg
+from ltireach.exactnum import alg_sign, sign
 from ltireach.forward import reach_within, replay, verify_witness
 from ltireach.gadgets import markov_to_lti, skolem_to_lti, vector_reach_to_lti, VectorReachInstance
 from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
@@ -26,7 +26,7 @@ from ltireach.linalg import (
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, check_simple, lift_witness, to_simple_form
-from oracles import inner_product_at
+from oracles import inner_product_at, rat
 
 F = Fraction
 
@@ -102,12 +102,12 @@ def random_control_polytope(rng, d):
 
 def test_criterion_1_quad_reproduction():
     t0 = time.monotonic()
-    e1 = tuple(as_alg(x) for x in (1, 0))
-    e2 = tuple(as_alg(x) for x in (0, 1))
+    e1 = (F(1), F(0))
+    e2 = (F(0), F(1))
     sup_x = sup_in_direction(DIAG_S, QUAD_U, e1)
     sup_y = sup_in_direction(DIAG_S, QUAD_U, e2)
-    assert alg_sign(sup_x - RealAlg.from_rational(3)) == 0  # tolerance 0
-    assert alg_sign(sup_y - RealAlg.from_rational(3)) == 0
+    assert rat(sup_x) == 3  # tolerance 0
+    assert rat(sup_y) == 3
     for tau in ((1, 0), (0, 1)):
         prev = None
         final = None
@@ -138,8 +138,8 @@ def test_criterion_2_boundary_certification():
     boundary = driver.decide(quad_system(GenPolyhedron.point(vec(0, 3))),
                              driver.Budgets(max_steps=8, max_candidates=256))
     assert boundary.kind == "unreachable"
-    assert boundary.certificate.sup_value.to_rational() == 3
-    assert boundary.certificate.min_over_q.to_rational() == 3
+    assert rat(boundary.certificate.sup_value) == 3
+    assert rat(boundary.certificate.min_over_q) == 3
     inner = driver.decide(quad_system(GenPolyhedron.point(vec(1, 1))),
                           driver.Budgets(max_steps=8, max_candidates=256))
     assert inner.kind == "reachable"
@@ -170,7 +170,7 @@ def test_criterion_3_bilinear_identity_suite():
         for n in ns:
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
             got = inner_product_at(s, coeffs, n)
-            if alg_sign(got - RealAlg.from_rational(direct)) != 0:
+            if alg_sign(got - direct) != 0:
                 failures += 1
     assert failures == 0
     report("3 (bilinear identity, 200 randomized systems, zero failures)", True)
@@ -300,7 +300,7 @@ def test_criterion_6_classification_suite():
         v = vec(*[F(rng.randint(-4, 4)) for _ in range(d)])
         w = vec(*[F(rng.randint(-4, 4)) for _ in range(d)])
         tau_r = [F(rng.randint(-4, 4)) for _ in range(d)]
-        tau = tuple(as_alg(t) for t in tau_r)
+        tau = tuple(tau_r)
         c = classify_sequence(s, v, w, tau)
         diff = tuple(x - y for x, y in zip(v, w))
         n_hi = (c.threshold or 0) + 20
@@ -321,14 +321,14 @@ def test_criterion_6_classification_suite():
             for n in (c.threshold, c.threshold + 1, c.threshold + 7):
                 lam0 = s.eigenvalues[i0]
                 lhs = abs(coeffs[i0][j0]) * comb(n, j0) * lam0 ** n
-                rhs = RealAlg.from_rational(0)
+                rhs = F(0)
                 for i, row in enumerate(coeffs):
                     for j, cc in enumerate(row):
                         if (i, j) == (i0, j0):
                             continue
-                        if cc.sign() != 0:
+                        if sign(cc) != 0:
                             rhs = rhs + abs(cc) * comb(n, j) * s.eigenvalues[i] ** n
-                if not (lhs - rhs).sign() > 0:
+                if not sign(lhs - rhs) > 0:
                     ok = False
         if not ok:
             failures += 1

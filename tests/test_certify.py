@@ -15,9 +15,10 @@ from ltireach.certify import (
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import RealAlg, as_alg, int_poly, sturm_isolate_real_roots
+from ltireach.exactnum import RealAlg, int_poly, sign, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import RatMatrix, spectral_decompose, vec
+from oracles import rat
 
 F = Fraction
 
@@ -27,7 +28,7 @@ DIAG_S = spectral_decompose(DIAG_A)
 
 
 def alg(x):
-    return as_alg(F(x))
+    return F(x)
 
 
 def partial_sum_max(a, u, tau, n):
@@ -125,7 +126,7 @@ def test_classify_agrees_with_direct_eval_randomized():
         tau = tuple(alg(rng.randint(-3, 3)) for _ in range(d))
         c = classify_sequence(s, v, w, tau)
         diff = tuple(x - y for x, y in zip(v, w))
-        taur = [t.to_rational() for t in tau]
+        taur = [rat(t) for t in tau]
         values = [sum(t * x for t, x in zip(taur, a.power(n).matvec(diff)))
                   for n in range(0, (c.threshold or 0) + 20)]
         if c.kind is SeqKind.IDENTICALLY_ZERO:
@@ -211,15 +212,15 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
 
 def test_sum_less_matches_exact_comparison():
     """The enclosure-first comparison of sums k c lam^n against the exact
-    comparison, on fresh wide isolating intervals (some straddling 0, some
-    degenerate rationals that touch) and on exact ties."""
+    comparison, on fresh wide isolating intervals (some straddling 0), on
+    rationals, whose enclosures are points that touch, and on exact ties."""
     from ltireach.certify import _sum_less
 
     def fresh(key):
         """A new object for value `key`, so no interval is narrowed yet."""
         kind, arg = key
         if kind == "rat":
-            return RealAlg.from_rational(arg)
+            return arg
         if kind == "straddle":  # 1/2 - 1/sqrt(8) in [-1/2, 3/10]
             return RealAlg(int_poly(1, -8, 8), F(-1, 2), F(3, 10))
         return sturm_isolate_real_roots(int_poly(*arg))[-1]
@@ -233,7 +234,7 @@ def test_sum_less_matches_exact_comparison():
     ]
 
     def total(terms, n):
-        acc = RealAlg.from_rational(0)
+        acc = F(0)
         for k, c, lam in terms:
             acc = acc + k * fresh(c) * fresh(lam) ** n
         return acc
@@ -256,10 +257,10 @@ def test_sum_less_matches_exact_comparison():
         cases.append((left, right, n))
     outcomes = Counter()
     for left, right, n in cases:
-        expected = total(left, n).compare(total(right, n)) < 0
+        expected = total(left, n) < total(right, n)
         got = _sum_less([(k, fresh(c), fresh(lam)) for k, c, lam in left],
                         [(k, fresh(c), fresh(lam)) for k, c, lam in right], n,
-                        lambda: total(left, n).compare(total(right, n)) < 0)
+                        lambda: total(left, n) < total(right, n))
         assert got == expected
         outcomes[got, left == right] += 1
     assert outcomes[True, False] and outcomes[False, False] and outcomes[False, True]
@@ -299,9 +300,9 @@ def test_maximizer_scale_invariance():
 
 
 def test_sup_quad_directions():
-    assert sup_in_direction(DIAG_S, QUAD_U, (alg(1), alg(0))).to_rational() == 3
-    assert sup_in_direction(DIAG_S, QUAD_U, (alg(0), alg(1))).to_rational() == 3
-    assert sup_in_direction(DIAG_S, QUAD_U, (alg(0), alg(0))).to_rational() == 0
+    assert rat(sup_in_direction(DIAG_S, QUAD_U, (alg(1), alg(0)))) == 3
+    assert rat(sup_in_direction(DIAG_S, QUAD_U, (alg(0), alg(1)))) == 3
+    assert rat(sup_in_direction(DIAG_S, QUAD_U, (alg(0), alg(0)))) == 0
 
 
 def test_sup_sandwich_partial_sums():
@@ -314,11 +315,11 @@ def test_sup_sandwich_partial_sums():
             if prev is not None:
                 assert m >= prev
             prev = m
-            gap = sup - RealAlg.from_rational(m)
-            assert gap.sign() >= 0
+            gap = sup - m
+            assert sign(gap) >= 0
             bound = max(abs(sum(t * x for t, x in zip(tau, v))) for v in QUAD_U.vertices)
             tol = bound * rho ** (n + 1) / (1 - rho)
-            assert (RealAlg.from_rational(tol) - gap).sign() >= 0
+            assert sign(tol - gap) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +331,16 @@ def test_separator_square_above():
     q = GenPolyhedron.polytope([vec(-1, 4), vec(1, 4), vec(1, 5), vec(-1, 5)])
     cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
     assert cert is not None
-    assert cert.sup_value.to_rational() == 3
-    assert cert.min_over_q.to_rational() == 4
+    assert rat(cert.sup_value) == 3
+    assert rat(cert.min_over_q) == 4
 
 
 def test_separator_boundary_point():
     q = GenPolyhedron.point(vec(0, 3))
     cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
     assert cert is not None
-    assert cert.sup_value.to_rational() == 3
-    assert cert.min_over_q.to_rational() == 3
+    assert rat(cert.sup_value) == 3
+    assert rat(cert.min_over_q) == 3
     # oracle: partial-sum maxima stay strictly below 3 at every n
     for n in range(0, 10):
         assert partial_sum_max(DIAG_A, QUAD_U, (0, 1), n) < 3
@@ -354,7 +355,7 @@ def test_certificate_audit_path():
     q = GenPolyhedron.point(vec(0, 3))
     cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
     redone = recompute_sup_from_certificate(DIAG_S, QUAD_U, cert)
-    assert (redone - cert.sup_value).sign() == 0
+    assert sign(redone - cert.sup_value) == 0
 
 
 def test_verify_separator_searches_the_maximizer_once(monkeypatch):
@@ -383,7 +384,7 @@ def test_verify_separator_searches_the_maximizer_once(monkeypatch):
 def test_candidates_target_facets_first():
     q = GenPolyhedron.polytope([vec(F(7, 2), -1), vec(F(9, 2), -1), vec(F(9, 2), 1), vec(F(7, 2), 1)])
     stream = extremal_candidates(DIAG_S, q, budget=0)
-    got = [tuple(x.to_rational() for x in c) for c in stream]
+    got = [tuple(rat(x) for x in c) for c in stream]
     assert (F(1), F(0)) in got
     assert len(got) == 4  # only the target's facet normals at budget 0
 
@@ -392,20 +393,20 @@ def test_candidates_contain_eigenvectors():
     q = GenPolyhedron.point(vec(4, 0))
     got = []
     for c in extremal_candidates(DIAG_S, q, budget=2):
-        got.append(tuple(x.to_rational() if x.is_rational else None for x in c))
+        got.append(tuple(x if type(x) is Fraction else None for x in c))
     assert (F(1), F(0)) in got
     assert (F(0), F(1)) in got
 
 
 def test_left_eigenvectors_diag():
     evs = left_eigenvectors(DIAG_S)
-    dirs = {tuple(x.to_rational() for x in v) for v in evs}
+    dirs = {tuple(rat(x) for x in v) for v in evs}
     assert dirs == {(F(1), F(0)), (F(0), F(1))}
 
 
 def test_enumeration_first_batch():
     got = list(itertools.islice(enumerate_algebraic_vectors(2, (1, 1)), 100))
-    rats = {tuple(x.to_rational() for x in v) for v in got}
+    rats = {tuple(rat(x) for x in v) for v in got}
     for expect in [(1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)]:
         assert tuple(F(e) for e in expect) in rats
     assert all(any(x != 0 for x in v) for v in rats)
@@ -414,7 +415,7 @@ def test_enumeration_first_batch():
 def test_enumeration_reaches_sqrt2():
     found = False
     for v in enumerate_algebraic_vectors(2, (2, 2)):
-        if any((x * x - 2).sign() == 0 for x in v):
+        if any(sign(x * x - 2) == 0 for x in v):
             found = True
             break
     assert found
@@ -425,8 +426,8 @@ def test_enumeration_fairness_for_fixed_vector():
     # minpolys (degree 2, height 2); emission is up to positive scaling
     target_seen = False
     for v in enumerate_algebraic_vectors(2, (2, 2)):
-        if v[0].sign() > 0 and v[1].sign() > 0 and \
-                (v[0] * v[0] - (v[1] * v[1]) * 2).sign() == 0:
+        if sign(v[0]) > 0 and sign(v[1]) > 0 and \
+                sign(v[0] * v[0] - (v[1] * v[1]) * 2) == 0:
             target_seen = True
             break
     assert target_seen
@@ -434,4 +435,4 @@ def test_enumeration_fairness_for_fixed_vector():
 
 def test_min_over_vertices():
     q = GenPolyhedron.polytope([vec(-1, 4), vec(1, 4), vec(1, 5), vec(-1, 5)])
-    assert min_over_vertices(q, (alg(0), alg(1))).to_rational() == 4
+    assert rat(min_over_vertices(q, (alg(0), alg(1)))) == 4

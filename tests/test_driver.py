@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import os
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from ltireach import cli, driver, forward, instances, render
 from ltireach.certify import enumerate_algebraic_vectors, extremal_candidates
+from ltireach.exactnum import interval
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem, check_simple
+from oracles import rat
 
 F = Fraction
 
@@ -53,15 +56,15 @@ def test_decide_unreachable_square():
                                      vec(F(9, 2), F(1, 2)), vec(F(7, 2), F(1, 2))])
     v = driver.decide(quad_system(target), small_budgets())
     assert v.kind == "unreachable"
-    assert v.certificate.sup_value.to_rational() == 3
-    assert v.certificate.min_over_q.to_rational() == F(7, 2)
+    assert rat(v.certificate.sup_value) == 3
+    assert rat(v.certificate.min_over_q) == F(7, 2)
 
 
 def test_decide_boundary_point_unreachable():
     v = driver.decide(quad_system(GenPolyhedron.point(vec(0, 3))), small_budgets())
     assert v.kind == "unreachable"
-    assert v.certificate.sup_value.to_rational() == 3
-    assert v.certificate.min_over_q.to_rational() == 3
+    assert rat(v.certificate.sup_value) == 3
+    assert rat(v.certificate.min_over_q) == 3
 
 
 def test_decide_non_simple_degrades_with_warning():
@@ -111,9 +114,55 @@ def test_decide_single_worker_deterministic():
     a = driver.decide(quad_system(target), small_budgets())
     b = driver.decide(quad_system(target), small_budgets())
     assert a.kind == b.kind == "unreachable"
-    assert [x.interval() for x in a.certificate.tau] == [x.interval() for x in b.certificate.tau]
+    assert [interval(x) for x in a.certificate.tau] == [interval(x) for x in b.certificate.tau]
     assert a.certificate.threshold == b.certificate.threshold
     assert instances.verdict_to_json(a) == instances.verdict_to_json(b)
+
+
+# Instance texts from the benchmark's seed-1 streams, with the budgets of
+# their workloads, and the sha256 of each verdict JSON.  The digests were
+# recorded before rationals stopped being degree-1 RealAlg values; a change
+# of number representation must leave every artifact byte unchanged.
+ALGEBRAIC_BUDGETS = dict(max_steps=4, max_candidates=48, max_degree=2, max_height=2,
+                         extremal_budget=1)
+RATIONAL_BUDGETS = dict(max_steps=4, max_candidates=16, max_degree=1, max_height=2,
+                        extremal_budget=2)
+HEX_CONTROL = "control\nvertices\n-1 -1\n0 -1\n1 0\n1 1\n0 1\n-1 0\n"
+DIAMOND_CONTROL = "control\nvertices\n-1 0\n0 -1\n1 0\n0 1\n"
+GOLDEN_VERDICTS = [
+    # algebraic_2d: hex controls, target on the boundary (degree-2 certificate)
+    ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
+     + "source\n0 0\ntarget\nvertices\n3 -4\n", ALGEBRAIC_BUDGETS, "unreachable",
+     "1d1af213bb93e397f603645a859a9ebe526be97edde24b4970e3150ff5e0f54c"),
+    # algebraic_2d: hex controls, interior target
+    ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
+     + "source\n0 0\ntarget\nvertices\n-1/2 -1/4\n", ALGEBRAIC_BUDGETS, "reachable",
+     "d3789219fa3ef6428cdd71af17d344b5067a8f1d0897d34469fe1d7774705fd0"),
+    # rational_batch: a point outside the reachable closure
+    ("dim 2\nmatrix\n-7/10 18/5\n-3/10 7/5\ncontrol\nvertices\n-2 0\n0 -1\n2 0\n0 1\n"
+     "source\n0 0\ntarget\nvertices\n51/2 73/8\n", RATIONAL_BUDGETS, "unreachable",
+     "2ca2ea857b5b154867f3d1126a4b7e2656ac4ed8d7d0104e47f68a78d1b35de7"),
+    # rational_batch: a diagonal system and a grid point it cannot reach
+    ("dim 2\nmatrix\n1/5 0\n0 3/10\n" + DIAMOND_CONTROL
+     + "source\n0 0\ntarget\nvertices\n4 -3\n", RATIONAL_BUDGETS, "unreachable",
+     "78e54efd42e9c21857cdbe313f5efec2a27d953bb838a31da930294338801788"),
+    # rational_batch: a point reached in one step
+    ("dim 2\nmatrix\n-17/5 21/10\n-7 43/10\n" + DIAMOND_CONTROL
+     + "source\n0 0\ntarget\nvertices\n-1/2 1/2\n", RATIONAL_BUDGETS, "reachable",
+     "00f6dbda377a0049521a58a6eaa87a91361b0aa9280639582d818a0641ff5d6f"),
+    # rational_batch: a one-dimensional system the budgets leave undecided
+    ("dim 1\nmatrix\n4/5\ncontrol\nvertices\n1\n-1\nsource\n0\ntarget\nvertices\n4\n",
+     RATIONAL_BUDGETS, "unknown",
+     "ca9b0bdc4e1eca29007cac75d1fb57d2a67eedc26259dcf1d13afc49342b71a8"),
+]
+
+
+def test_verdict_bytes_golden():
+    for text, budgets, kind, digest in GOLDEN_VERDICTS:
+        body = instances.verdict_to_json(
+            driver.decide(instances.parse_instance(text), driver.Budgets(**budgets)))
+        assert body["verdict"] == kind
+        assert hashlib.sha256(instances.dump_json(body).encode()).hexdigest() == digest
 
 
 def test_decide_unknown_when_budgets_tiny():
@@ -135,7 +184,7 @@ def test_candidate_stream_order_dedup_and_cap():
     budgets = small_budgets(max_candidates=20, max_degree=1, max_height=2, extremal_budget=1)
 
     def rays(stream):
-        return [tuple(x.to_rational() for x in c) for c in stream]
+        return [tuple(rat(x) for x in c) for c in stream]
 
     got = rays(driver._candidate_stream(s, form, budgets))
     assert len(got) == budgets.max_candidates

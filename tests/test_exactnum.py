@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -18,12 +20,15 @@ from ltireach.exactnum import (
     count_roots_halfopen,
     factor_int_poly,
     int_poly,
+    interval,
     rat_from_str,
     rat_to_str,
+    sign,
     sign_variations,
     sturm_chain,
     sturm_isolate_real_roots,
 )
+from oracles import rat
 
 F = Fraction
 
@@ -136,21 +141,21 @@ def test_isolate_sqrt2():
     roots = sturm_isolate_real_roots(int_poly(-2, 0, 1))
     assert len(roots) == 2
     neg, pos = roots
-    assert neg.sign() == -1 and pos.sign() == 1
+    assert sign(neg) == -1 and sign(pos) == 1
     lo, hi = pos.interval()
     assert lo * lo < 2 < hi * hi
 
 
 def test_isolate_linear_exact():
     (root,) = sturm_isolate_real_roots(int_poly(-3, 1))
-    assert root.is_rational and root.to_rational() == 3
-    assert root.interval() == (F(3), F(3))
+    assert rat(root) == 3
+    assert interval(root) == (F(3), F(3))
 
 
 def test_isolate_diag_charpoly():
     # (x - 1/3)(x - 2/3) cleared of denominators: 9x^2 - 9x + 2
     roots = sturm_isolate_real_roots(int_poly(2, -9, 9))
-    assert [r.to_rational() for r in roots] == [F(1, 3), F(2, 3)]
+    assert [rat(r) for r in roots] == [F(1, 3), F(2, 3)]
 
 
 def test_root_count_against_variation_oracle():
@@ -178,7 +183,7 @@ def test_root_count_against_variation_oracle():
 def test_sqrt2_squared_is_two():
     r = sqrt_of(2)
     sq = alg_arith(r, r, "mul")
-    assert sq.is_rational and sq.to_rational() == 2
+    assert rat(sq) == 2
 
 
 def test_add_zero_identity():
@@ -186,7 +191,7 @@ def test_add_zero_identity():
     for _ in range(10):
         q = F(rng.randint(-20, 20), rng.randint(1, 9))
         a = RealAlg.from_rational(q)
-        assert (a + RealAlg.from_rational(0)).to_rational() == q
+        assert rat(a + RealAlg.from_rational(0)) == q
     r = sqrt_of(3)
     assert alg_compare(r + 0, r) == 0
 
@@ -205,7 +210,7 @@ def test_sqrt2_plus_sqrt3():
     assert s.minpoly == expected
     slo, shi = s.interval()
     assert F(3) <= slo or slo <= F(3)  # interval is rational
-    assert 3 < s.approx_float() < 3.5
+    assert 3 < float(s) < 3.5
     # Oracle 2: no quadratic integer divisor exists (brute-force search),
     # so the quartic really is the minimal polynomial.
     assert not brute_force_factor_has_quadratic_divisor(expected)
@@ -214,7 +219,7 @@ def test_sqrt2_plus_sqrt3():
 def test_alg_sign_cases():
     r = sqrt_of(2)
     assert alg_sign(r - F(3, 2)) == -1
-    assert alg_sign(RealAlg.from_rational(0)) == 0
+    assert alg_sign(F(0)) == 0
     # (sqrt2 + sqrt3)^2 - 5 - 2*sqrt6 == 0, by symbolic expansion
     s = sqrt_of(2) + sqrt_of(3)
     val = s * s - 5 - 2 * sqrt_of(6)
@@ -222,18 +227,19 @@ def test_alg_sign_cases():
 
 
 def test_alg_compare_cases():
-    assert alg_compare(RealAlg.from_rational(F(1, 3)), RealAlg.from_rational(F(2, 3))) == -1
+    assert alg_compare(F(1, 3), F(2, 3)) == -1
     r = sqrt_of(2)
     assert alg_compare(r, r) == 0
     # squaring oracle: sqrt2 > 1.41421356 because 2 > 1.41421356^2
     approx = F(141421356, 10 ** 8)
     assert approx * approx < 2
-    assert alg_compare(r, RealAlg.from_rational(approx)) == 1
+    assert alg_compare(r, approx) == 1
+    assert alg_compare(approx, r) == -1
 
 
 def test_sign_agrees_with_compare_randomized():
     rng = random.Random(5)
-    pool = [RealAlg.from_rational(F(rng.randint(-9, 9), rng.randint(1, 7))) for _ in range(8)]
+    pool = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)]
     pool += [sqrt_of(2), sqrt_of(3), -sqrt_of(2), sqrt_of(2) / 2]
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
@@ -244,32 +250,35 @@ def test_rational_roundtrip():
     rng = random.Random(13)
     for _ in range(30):
         q = F(rng.randint(-50, 50), rng.randint(1, 23))
-        assert RealAlg.from_rational(q).to_rational() == q
+        assert rat(RealAlg.from_rational(q)) == q
+        # the degree-1 root form reads back as the Fraction itself
+        linear = IntPoly((-q.numerator, q.denominator))
+        assert rat(RealAlg.from_root(linear, q, q)) == q
 
 
 def test_division_by_zero_signaled():
     with pytest.raises(ZeroDivisionError):
-        alg_arith(sqrt_of(2), RealAlg.from_rational(0), "div")
+        alg_arith(sqrt_of(2), F(0), "div")
 
 
 def test_division_exact():
     r = sqrt_of(2)
-    assert alg_compare(r / r, RealAlg.from_rational(1)) == 0
-    third = RealAlg.from_rational(F(1, 3))
-    assert ((r / third) / r).to_rational() == 3
+    assert rat(r / r) == 1
+    third = F(1, 3)
+    assert rat((r / third) / r) == 3
 
 
 def test_powers():
     r = sqrt_of(2)
-    assert (r ** 4).to_rational() == 4
-    assert alg_compare(r ** -2, RealAlg.from_rational(F(1, 2))) == 0
+    assert rat(r ** 4) == 4
+    assert rat(r ** -2) == F(1, 2)
 
 
 def test_ring_axioms_on_quadratic_irrationals():
     # distributivity/associativity drive the resultant + factoring path
     rng = random.Random(17)
     pool = [sqrt_of(2), sqrt_of(3), -sqrt_of(2), sqrt_of(2) / 2,
-            sqrt_of(2) + 1, RealAlg.from_rational(F(3, 7)), sqrt_of(5) - 2]
+            sqrt_of(2) + 1, F(3, 7), sqrt_of(5) - 2]
     for _ in range(12):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert alg_sign((a + b) * c - (a * c + b * c)) == 0
@@ -284,7 +293,7 @@ def test_mixed_field_products_reduce():
     assert alg_compare(prod, sqrt_of(6)) == 0
     # and collapses to a rational when the fields cancel
     collapsed = (sqrt_of(2) + 1) * (sqrt_of(2) - 1)
-    assert collapsed.to_rational() == 1
+    assert rat(collapsed) == 1
 
 
 def test_degree_ceiling_guard(monkeypatch):
@@ -486,7 +495,7 @@ def test_integer_sign_test_matches_fraction_horner():
     rng = random.Random(37)
     for p in polys_with_rational_roots(41, 60):
         points = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(10)]
-        points += [r.to_rational() for r in sturm_isolate_real_roots(p) if r.is_rational]
+        points += [r for r in sturm_isolate_real_roots(p) if type(r) is Fraction]
         for x in points:
             assert _sign_at(p.coeffs, x.numerator, x.denominator) == frac_sign(p.coeffs, x)
             # any positive denominator gives the same sign
@@ -503,7 +512,7 @@ def test_integer_sturm_rows_match_fraction_chain():
         assert len(rows) == len(oracle)
         assert all(isinstance(c, int) for row in rows for c in row)
         all_roots = sturm_isolate_real_roots(sf)
-        roots = [r.to_rational() for r in all_roots if r.is_rational]
+        roots = [r for r in all_roots if type(r) is Fraction]
         points = [F(rng.randint(-20, 20), rng.randint(1, 8)) for _ in range(8)] + roots
         for x in points:
             assert [_sign_at(r, x.numerator, x.denominator) for r in rows] == \
@@ -518,7 +527,7 @@ def test_integer_sturm_rows_match_fraction_chain():
                 assert count_roots_halfopen(rows, lo, hi) == expected
                 closed = expected + (horner(sf.coeffs, lo) == 0)
                 assert _count_roots_closed(rows, lo, hi) == closed
-                assert closed == sum(1 for r in all_roots if r.compare(lo) >= 0 and r.compare(hi) <= 0)
+                assert closed == sum(1 for r in all_roots if lo <= r <= hi)
 
 
 def test_refine_matches_fraction_bisection():
@@ -543,3 +552,198 @@ def test_refine_matches_fraction_bisection():
             mid = (a + b) / 2
             a, b = (mid, b) if frac_sign(p, mid) == frac_sign(p, a) else (a, mid)
         assert z.interval() == (a, b)
+
+
+# ---------------------------------------------------------------------------
+# one representation per value: a Fraction exactly when rational
+# ---------------------------------------------------------------------------
+
+
+def test_degree_one_realalg_is_rejected():
+    with pytest.raises(ValueError):
+        RealAlg(int_poly(-3, 1), F(3), F(3))
+    with pytest.raises(ValueError):
+        RealAlg(int_poly(-3, 1), F(2), F(4))
+
+
+def test_rational_results_are_fractions():
+    r = sqrt_of(2)
+    results = {
+        "sqrt2 * sqrt2": (r * r, 2),
+        "(sqrt2 + 1) - sqrt2": ((r + 1) - r, 1),
+        "sqrt2 / sqrt2": (r / r, 1),
+        "sqrt2 ** 2": (r ** 2, 2),
+        "sqrt2 * 0": (r * 0, 0),
+        "0 * sqrt2": (0 * r, 0),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is Fraction, name
+        assert got == want, name
+
+
+def test_mixed_operands_agree_in_either_order():
+    irrationals = [sqrt_of(2), -sqrt_of(3), sqrt_of(5) - 2, sqrt_of(2) / 7]
+    rationals = [0, 3, -2, F(1, 3), F(-7, 5), F(0), F(141421356, 10 ** 8)]
+    for a in irrationals:
+        for q in rationals:
+            assert sign(a + q - (q + a)) == 0
+            assert sign((a - q) + (q - a)) == 0
+            assert sign(a * q - q * a) == 0
+            if q != 0:
+                assert rat((a / q) * (q / a)) == 1
+            assert (a < q) == (q > a) and (a > q) == (q < a)
+            assert (a <= q) == (q >= a) and (a >= q) == (q <= a)
+            assert (a == q) is (q == a) is False
+            assert (a != q) is (q != a) is True
+            assert alg_compare(a, q) == -alg_compare(q, a) != 0
+            assert type(a + q) is type(q + a) is RealAlg
+            assert type(a * q) is type(q * a) is (Fraction if q == 0 else RealAlg)
+
+
+def test_float_and_bool():
+    r = sqrt_of(2)
+    assert abs(float(r) - 2 ** 0.5) < 1e-11
+    assert abs(float(-sqrt_of(3) + 1) - (1 - 3 ** 0.5)) < 1e-11
+    assert bool(r) is True and bool(-r) is True
+    assert bool(r - r) is False  # the rational zero, a Fraction
+    assert bool(sqrt_of(2) * sqrt_of(2) - 2) is False
+
+
+def test_seeded_rational_systems_stay_in_fractions():
+    from ltireach.certify import verify_separator
+    from ltireach.geometry import GenPolyhedron
+    from ltireach.linalg import RatMatrix, expand_inner_product, spectral_decompose
+
+    rng = random.Random(59)
+    certified = 0
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        # upper triangular with rational diagonal in (0, 1), conjugated by a
+        # unimodular integer matrix: a rational spectrum, not a diagonal matrix
+        rows = [[F(rng.randint(1, 9), 10) if i == j else
+                 (F(rng.randint(-3, 3), rng.randint(1, 4)) if j > i else F(0))
+                 for j in range(d)] for i in range(d)]
+        p = [[F(int(i == j) + (rng.randint(-1, 1) if j == i + 1 else 0)) for j in range(d)]
+             for i in range(d)]
+        pm = RatMatrix.from_rows(p)
+        a = pm @ RatMatrix.from_rows(rows) @ pm.inverse()
+        s = spectral_decompose(a)
+        for lam in s.eigenvalues:
+            rat(lam)
+        for proj in s.projectors:
+            for row in proj:
+                for x in row:
+                    rat(x)
+        box = GenPolyhedron.polytope([tuple(F(c) for c in corner)
+                                      for corner in itertools.product((-1, 1), repeat=d)])
+        tau = tuple(F(rng.randint(-3, 3) or 1) for _ in range(d))
+        for row in expand_inner_product(s, box.vertices[0], tau):
+            for c in row:
+                rat(c)
+        far = GenPolyhedron.point(tuple(F(1000) * t for t in tau))
+        cert = verify_separator(s, box, far, tau)
+        assert cert is not None
+        certified += 1
+        for x in cert.tau:
+            rat(x)
+        rat(cert.bound)
+        rat(cert.sup_value)
+        rat(cert.min_over_q)
+    assert certified == 12
+
+
+# ---------------------------------------------------------------------------
+# property test against Q(sqrt n) kept as pairs of Fractions
+# ---------------------------------------------------------------------------
+
+
+class QuadOracle:
+    """p + r sqrt(n) as the pair (p, r): exact arithmetic in Q(sqrt n)."""
+
+    def __init__(self, n: int, p: Fraction, r: Fraction):
+        self.n, self.p, self.r = n, F(p), F(r)
+
+    def __add__(self, o):
+        return QuadOracle(self.n, self.p + o.p, self.r + o.r)
+
+    def __sub__(self, o):
+        return QuadOracle(self.n, self.p - o.p, self.r - o.r)
+
+    def __mul__(self, o):
+        return QuadOracle(self.n, self.p * o.p + self.n * self.r * o.r, self.p * o.r + self.r * o.p)
+
+    def __truediv__(self, o):
+        norm = o.p * o.p - self.n * o.r * o.r  # nonzero: sqrt n is irrational
+        return self * QuadOracle(self.n, o.p / norm, -o.r / norm)
+
+    def sign(self) -> int:
+        sp, sr = (self.p > 0) - (self.p < 0), (self.r > 0) - (self.r < 0)
+        if sp == sr or sr == 0:
+            return sp
+        if sp == 0:
+            return sr
+        # opposite signs: p + r sqrt n has the sign of the larger square
+        big = (self.p * self.p > self.n * self.r * self.r) - (self.p * self.p < self.n * self.r * self.r)
+        return sp * big
+
+    def value(self):
+        """The library's value, built from the minimal polynomial alone:
+        (x - p)^2 - r^2 n, the larger root when r > 0."""
+        if self.r == 0:
+            return self.p
+        lead = (self.p * self.p - self.r * self.r * self.n).denominator * self.p.denominator
+        coeffs = [lead * (self.p * self.p - self.r * self.r * self.n), lead * -2 * self.p, lead]
+        low, high = sturm_isolate_real_roots(IntPoly(tuple(int(c) for c in coeffs)))
+        return high if self.r > 0 else low
+
+
+def check_against_oracle(got, want: QuadOracle) -> None:
+    if want.r == 0:
+        assert rat(got) == want.p
+    else:
+        assert type(got) is RealAlg
+        expected = want.value()
+        assert got.minpoly == expected.minpoly
+        assert got == expected
+
+
+def test_quadratic_field_property():
+    rng = random.Random(61)
+
+    def draw(n):
+        p = F(rng.randint(-6, 6), rng.randint(1, 4))
+        r = F(0) if rng.random() < 0.35 else F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        return QuadOracle(n, p, r)
+
+    ops = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+           "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
+    kinds = Counter()
+    for _ in range(120):
+        n = rng.choice((2, 3, 5))
+        x, y = draw(n), draw(n)
+        # a pair whose sum or product is rational while both are irrational
+        if rng.random() < 0.2:
+            y = QuadOracle(n, draw(n).p, -x.r)
+        a, b = x.value(), y.value()
+        kinds[type(a).__name__, type(b).__name__] += 1
+        for name, fn in ops.items():
+            if name == "div" and y.sign() == 0:
+                with pytest.raises(ZeroDivisionError):
+                    fn(a, b)
+                continue
+            want = fn(x, y)
+            got = fn(a, b)
+            check_against_oracle(got, want)
+            assert alg_arith(a, b, name) == got
+            kinds["collapse"] += want.r == 0 and type(a) is type(b) is RealAlg
+        s = (x - y).sign()
+        assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
+        assert (b > a, b == a, b < a) == (s < 0, s == 0, s > 0)
+        assert alg_compare(a, b) == s == -alg_compare(b, a)
+        assert sign(a) == x.sign()
+        check_against_oracle(-a, QuadOracle(n, -x.p, -x.r))
+    # every mix of operand types, and rational results from irrational
+    # operands, occurred
+    assert all(kinds[k] > 0 for k in [("Fraction", "RealAlg"), ("RealAlg", "Fraction"),
+                                       ("RealAlg", "RealAlg"), ("Fraction", "Fraction")])
+    assert kinds["collapse"] > 0

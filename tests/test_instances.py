@@ -12,12 +12,14 @@ from ltireach.instances import (
     dump_json,
     emit_instance,
     instance_sha256,
+    load_json,
     parse_instance,
     witness_from_json,
     witness_to_json,
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
+from oracles import rat
 
 F = Fraction
 
@@ -122,13 +124,26 @@ def test_parse_instance_parses_or_raises_parse_error(text):
 
 
 def test_alg_json_roundtrip():
-    from ltireach.exactnum import int_poly, sturm_isolate_real_roots
+    from ltireach.exactnum import int_poly, sign, sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     again = alg_from_json(alg_to_json(r))
-    assert (again - r).sign() == 0
-    q = alg_from_json(alg_to_json(__import__("ltireach.exactnum", fromlist=["RealAlg"]).RealAlg.from_rational(F(5, 3))))
-    assert q.to_rational() == F(5, 3)
+    assert sign(again - r) == 0
+    q = alg_from_json(alg_to_json(F(5, 3)))
+    assert rat(q) == F(5, 3)
+
+
+def test_rational_alg_json_golden():
+    """A Fraction is written as the degree-1 number the format has always
+    carried: minpoly [-p, q] and lo = hi = p/q, byte for byte."""
+    golden = {
+        F(0): '{\n "hi": "0",\n "lo": "0",\n "minpoly": [\n  0,\n  1\n ]\n}\n',
+        F(-5, 3): '{\n "hi": "-5/3",\n "lo": "-5/3",\n "minpoly": [\n  5,\n  3\n ]\n}\n',
+        F(7): '{\n "hi": "7",\n "lo": "7",\n "minpoly": [\n  -7,\n  1\n ]\n}\n',
+    }
+    for q, text in golden.items():
+        assert dump_json(alg_to_json(q)) == text
+        assert rat(alg_from_json(load_json(text))) == q
 
 
 def test_witness_json_roundtrip():
@@ -143,15 +158,15 @@ def test_witness_json_roundtrip():
 
 
 def test_alg_json_is_canonical():
-    from ltireach.exactnum import ALG_ONE, int_poly, sturm_isolate_real_roots
+    from ltireach.exactnum import int_poly, sign, sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     before = dump_json(alg_to_json(r))
     r.refine(20)
     assert dump_json(alg_to_json(r)) == before
     # the same value reached by arithmetic serializes to the same bytes
-    same = (r + ALG_ONE) * (r - ALG_ONE) * r  # (r^2 - 1) r = r
-    assert (same - r).sign() == 0
+    same = (r + 1) * (r - 1) * r  # (r^2 - 1) r = r
+    assert sign(same - r) == 0
     assert dump_json(alg_to_json(same)) == before
 
 

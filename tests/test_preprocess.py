@@ -220,7 +220,7 @@ def test_reduced_form_invariants():
     for sys in cases:
         form = to_simple_form(sys)
         s = spectral_decompose(form.a_reduced)  # must succeed: positive real
-        assert all(l.sign() > 0 for l in s.eigenvalues)
+        assert all(l > 0 for l in s.eigenvalues)
         if form.dim:
             assert form.a_reduced.det() != 0
             span = krylov_invariant_span(form.a_reduced, list(form.u_reduced.vertices))
