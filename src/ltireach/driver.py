@@ -27,7 +27,7 @@ from .certify import (
     recompute_sup_from_certificate,
     verify_separator,
 )
-from .forward import ReachWitness, reach_exactly, verify_witness
+from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
 from .linalg import SpectralData, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
@@ -142,10 +142,11 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
     tried = 0
     candidates_done = not (certifiable and form.dim > 0)
+    columns = StepColumns(sys)
     horizon = 0
     while horizon <= budgets.max_steps or not candidates_done:
         if horizon <= budgets.max_steps:
-            witness = reach_exactly(sys, horizon)
+            witness = reach_exactly(sys, horizon, columns)
             if witness is not None:
                 if not verify_witness(sys, witness):
                     raise SoundnessError("forward search produced a non-replaying witness")

@@ -9,7 +9,9 @@ is a list of integer numerators over one positive integer denominator,
 and a pivot combines rows by integer products and one gcd (Edmonds 1967;
 Bareiss 1968).  It takes the pivots a Fraction tableau would take, so
 it returns the same point; Fractions appear only in that point and the
-objective value.
+objective value.  Constraints keep int coefficients as ints, so a caller
+that scales its columns to integers (the forward LP gives each variable
+its column's denominator) pays no conversion.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a dimension ceiling; instances here are small by
@@ -39,17 +41,25 @@ class DimensionCeilingError(Exception):
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    coeffs: tuple[Fraction, ...]
+    """One row of an LP.  Coefficients and right-hand side are ints or
+    Fractions; anything else is converted to a Fraction here, the one
+    conversion, since lp_solve reads only `.numerator` and `.denominator`."""
+
+    coeffs: tuple[int | Fraction, ...]
     rel: str  # "<=", ">=", "=="
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.rel not in ("<=", ">=", "=="):
             raise ValueError(f"bad relation {self.rel!r}")
-        # the one conversion: lp_solve reads coeffs and rhs as they are
-        object.__setattr__(self, "coeffs",
-                           tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        if not {*map(type, self.coeffs)} <= _EXACT:
+            object.__setattr__(self, "coeffs", tuple(
+                c if type(c) in _EXACT else Fraction(c) for c in self.coeffs))
+        if type(self.rhs) not in _EXACT:
+            object.__setattr__(self, "rhs", Fraction(self.rhs))
+
+
+_EXACT = {int, Fraction}
 
 
 def constraint(coeffs, rel, rhs) -> LinearConstraint:

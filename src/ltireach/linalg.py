@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .exactnum import (
     Alg,
@@ -292,44 +292,40 @@ class RatMatrix:
 def charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
     """Monic coefficients of det(xI - A), lowest degree first.
 
-    Samuelson-Berkowitz recursion: division-free, exact over Q.
+    Samuelson-Berkowitz recursion, which is division-free, run in integers
+    on B = D·A for D the least common denominator of A's entries; then
+    p_A(x) = D^-n p_B(Dx), so the coefficient of x^k is that of p_B over
+    D^(n-k).
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = a.rows
-    if n == 0:
-        return (Fraction(1),)
-    # coefficients highest degree first, built up one leading block at a time
-    c = [Fraction(1)]
-    for r in range(1, n + 1):
-        d = a.get(r - 1, r - 1)
-        row = [a.get(r - 1, j) for j in range(r - 1)]
-        col = [a.get(i, r - 1) for i in range(r - 1)]
-        block = [[a.get(i, j) for j in range(r - 1)] for i in range(r - 1)]
-        # s_i = row . block^i . col for i = 0..r-2
-        s = []
-        cur = col
-        for _ in range(r - 1):
-            s.append(sum(x * y for x, y in zip(row, cur)))
-            cur = [sum(block[i][j] * cur[j] for j in range(r - 1)) for i in range(r - 1)]
-        first_col = [Fraction(1), -d] + [-x for x in s]
-        new = [Fraction(0)] * (r + 1)
-        for i in range(r + 1):
-            for j in range(len(c)):
-                k = i - j
-                if 0 <= k < len(first_col):
-                    new[i] += first_col[k] * c[j]
-        c = new
-    return tuple(reversed(c))
+    den = lcm(*(e.denominator for e in a.entries))
+    b = [[e.numerator * (den // e.denominator) for e in a.row(i)] for i in range(n)]
+    # coefficients of p_B highest degree first, built up one leading block
+    # at a time: block r+1 has c = T·c, T lower-triangular Toeplitz with
+    # first column (1, -b_rr, -row·col, -row·B_r·col, ...)
+    c = [1]
+    for r in range(n):
+        row = b[r][:r]
+        block = [bi[:r] for bi in b[:r]]
+        cur = [bi[r] for bi in b[:r]]
+        first = [1, -b[r][r]]
+        for k in range(r):
+            first.append(-sum(x * y for x, y in zip(row, cur)))
+            if k + 1 < r:
+                cur = [sum(x * y for x, y in zip(bi, cur)) for bi in block]
+        c = [sum(first[i - j] * c[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
+             for i in range(r + 2)]
+    return tuple(Fraction(c[n - k], den ** (n - k)) for k in range(n + 1))
 
 
-def charpoly_primitive(a: RatMatrix) -> IntPoly:
-    """det(xI - A) cleared of denominators, primitive, positive lead."""
-    coeffs = charpoly(a)
-    den = 1
-    for x in coeffs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return IntPoly(tuple(int(x * den) for x in coeffs)).primitive()
+def charpoly_primitive(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> IntPoly:
+    """det(xI - A) cleared of denominators, primitive, positive lead;
+    `charp` is charpoly(a) when the caller has it already."""
+    coeffs = charpoly(a) if charp is None else charp
+    den = lcm(*(x.denominator for x in coeffs))
+    return IntPoly(tuple(x.numerator * (den // x.denominator) for x in coeffs)).primitive()
 
 
 def _cayley_transform(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
@@ -381,9 +377,10 @@ def _hurwitz_stable(b: list[Fraction]) -> bool:
     return True
 
 
-def schur_stable(a: RatMatrix) -> bool:
-    """True iff every eigenvalue has modulus strictly below one."""
-    coeffs = list(charpoly(a))
+def schur_stable(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> bool:
+    """True iff every eigenvalue has modulus strictly below one; `charp` is
+    charpoly(a) when the caller has it already."""
+    coeffs = list(charpoly(a) if charp is None else charp)
     # roots at zero have modulus zero; strip them
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
@@ -397,8 +394,8 @@ def schur_stable(a: RatMatrix) -> bool:
     return _hurwitz_stable(q)
 
 
-def _real_nonneg_spectrum(a: RatMatrix) -> bool:
-    p = charpoly_primitive(a)
+def _real_nonneg_spectrum(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> bool:
+    p = charpoly_primitive(a, charp)
     coeffs = list(p.coeffs)
     while coeffs and coeffs[0] == 0:
         coeffs = coeffs[1:]
@@ -439,14 +436,18 @@ def real_spectrum_power_bound(d: int) -> int:
     return m
 
 
-def real_spectrum_power(a: RatMatrix) -> int | None:
+def real_spectrum_power(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> int | None:
     """Least M >= 1 with A^M having exclusively real nonnegative spectrum,
-    or None when no M up to the degree-derived bound works."""
+    or None when no M up to the degree-derived bound works; `charp` is
+    charpoly(a) when the caller has it already, and serves the test at
+    M = 1."""
     if not a.is_square:
         raise ValueError("non-square matrix")
+    if _real_nonneg_spectrum(a, charp):
+        return 1
     bound = real_spectrum_power_bound(a.rows) if a.rows > 0 else 1
-    power = RatMatrix.identity(a.rows)
-    for m in range(1, bound + 1):
+    power = a
+    for m in range(2, bound + 1):
         power = power @ a
         if _real_nonneg_spectrum(power):
             return m

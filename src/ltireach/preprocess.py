@@ -34,6 +34,7 @@ from .geometry import (
 from .linalg import (
     RatMatrix,
     Vec,
+    charpoly,
     fitting_split,
     krylov_invariant_span,
     real_spectrum_power,
@@ -97,8 +98,9 @@ class SimplicityReport:
 def check_simple(sys: LtiSystem) -> SimplicityReport:
     is_poly = sys.controls.is_single_polytope
     origin_ok = bool(is_poly and relative_interior_contains_origin(sys.controls.components[0]))
-    schur = schur_stable(sys.a)
-    power = real_spectrum_power(sys.a)
+    charp = charpoly(sys.a)
+    schur = schur_stable(sys.a, charp)
+    power = real_spectrum_power(sys.a, charp)
     simple = is_poly and origin_ok and schur and power is not None
     return SimplicityReport(
         is_polytope=is_poly,

@@ -3,8 +3,10 @@
 Each one recomputes a value the library derives another way: the closed
 form of <A^n u, tau> evaluated term by term, its coefficients from the
 spectral projectors and all powers of the nilpotent part, a maximum over a polyhedron
-solved as one LP over its generators, and the simplex over a `Fraction`
-tableau that the integer tableau replaced.  `rat` checks the representation
+solved as one LP over its generators, the simplex over a `Fraction`
+tableau that the integer tableau replaced, and the characteristic
+polynomial by the `Fraction` Berkowitz recursion that the integer one
+replaced.  `rat` checks the representation
 rule that a rational value is always a `Fraction`, never a `RealAlg`.
 """
 
@@ -16,7 +18,7 @@ from math import comb
 
 from ltireach.exactnum import Alg
 from ltireach.geometry import GenPolyhedron, LpResult, constraint, lp_solve
-from ltireach.linalg import SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
+from ltireach.linalg import RatMatrix, SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
 
 
 def rat(x) -> Fraction:
@@ -296,3 +298,38 @@ def fraction_lp_solve(objective, constraints, num_vars: int, nonneg=None, maximi
         if not maximize:
             value = -value
     return LpResult("optimal", value, tuple(point))
+
+
+# ---------------------------------------------------------------------------
+# the Fraction characteristic polynomial
+# ---------------------------------------------------------------------------
+
+
+def fraction_charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
+    """`linalg.charpoly` as it was: the Samuelson-Berkowitz recursion over
+    the Fraction entries of A, monic, lowest degree first."""
+    n = a.rows
+    if n == 0:
+        return (Fraction(1),)
+    # coefficients highest degree first, built up one leading block at a time
+    c = [Fraction(1)]
+    for r in range(1, n + 1):
+        d = a.get(r - 1, r - 1)
+        row = [a.get(r - 1, j) for j in range(r - 1)]
+        col = [a.get(i, r - 1) for i in range(r - 1)]
+        block = [[a.get(i, j) for j in range(r - 1)] for i in range(r - 1)]
+        # s_i = row . block^i . col for i = 0..r-2
+        s = []
+        cur = col
+        for _ in range(r - 1):
+            s.append(sum(x * y for x, y in zip(row, cur)))
+            cur = [sum(block[i][j] * cur[j] for j in range(r - 1)) for i in range(r - 1)]
+        first_col = [Fraction(1), -d] + [-x for x in s]
+        new = [Fraction(0)] * (r + 1)
+        for i in range(r + 1):
+            for j in range(len(c)):
+                k = i - j
+                if 0 <= k < len(first_col):
+                    new[i] += first_col[k] * c[j]
+        c = new
+    return tuple(reversed(c))

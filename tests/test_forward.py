@@ -16,7 +16,15 @@ from ltireach.forward import (
     witness_control_vectors,
     witness_from_control_vectors,
 )
-from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, linear_image, lp_solve, minkowski_sum
+from ltireach.geometry import (
+    ControlSet,
+    GenPolyhedron,
+    constraint,
+    contains_point,
+    linear_image,
+    lp_solve,
+    minkowski_sum,
+)
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
 from oracles import fraction_lp_solve
@@ -198,48 +206,106 @@ def test_union_with_rays_and_lines_needs_mixed_assignment():
     assert verify_witness(sys, w)
 
 
+def union_systems():
+    comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]),
+             GenPolyhedron.point(vec(-1, -1)))
+    a = RatMatrix.diag(F(1, 2), F(1, 3))
+    return [LtiSystem(a, ControlSet(comps), vec(0, 0), GenPolyhedron.point(q))
+            for q in (vec(F(3, 4), F(4, 3)), vec(F(-1, 2), F(1, 3)), vec(5, 5))]
+
+
+def unscaled(cons, scales):
+    """The LP in the generator coefficients themselves: column j over its
+    scale."""
+    return [constraint([F(c, s) for c, s in zip(con.coeffs, scales)], con.rel, con.rhs) for con in cons]
+
+
 def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
     """Each LP the union search solves, at every DFS node and horizon, gives
-    the Fraction simplex's status, value and point."""
+    the Fraction simplex's status, value and point, and its point times
+    the column scales is the Fraction simplex's point on the unscaled LP."""
     from ltireach import forward
 
     statuses = Counter()
+    layouts = []
+
+    def build(*args):
+        cons, layout = _build_lp(*args)
+        layouts.append(layout)
+        return cons, layout
 
     def both(objective, constraints, num_vars, nonneg=None, maximize=True):
         got = lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
         want = fraction_lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
         assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+        scales = layouts[-1].scales
+        orig = fraction_lp_solve(objective, unscaled(constraints, scales), num_vars, nonneg=nonneg)
+        assert orig.status == got.status
+        if got.point is not None:
+            assert tuple(y * s for y, s in zip(got.point, scales)) == orig.point
         statuses[got.status] += 1
         return got
 
+    _build_lp = forward._build_lp
+    monkeypatch.setattr(forward, "_build_lp", build)
     monkeypatch.setattr(forward, "lp_solve", both)
-    comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]),
-             GenPolyhedron.point(vec(-1, -1)))
-    a = RatMatrix.diag(F(1, 2), F(1, 3))
-    union = [LtiSystem(a, ControlSet(comps), vec(0, 0), GenPolyhedron.point(q))
-             for q in (vec(F(3, 4), F(4, 3)), vec(F(-1, 2), F(1, 3)), vec(5, 5))]
-    for sys in (*union, rays_and_lines_system()):
+    for sys in (*union_systems(), rays_and_lines_system()):
         for n in range(1, 4):
             reach_exactly(sys, n)
     assert statuses["optimal"] > 10 and statuses["infeasible"] > 10
 
 
 def test_build_lp_rows_match_naive_construction():
-    from ltireach.forward import _build_lp, _step_columns
+    """Every coefficient is an int; dividing each column by its scale gives
+    back the rows built from A.power(k).matvec(g)."""
+    from ltireach.forward import StepColumns, _build_lp
 
     sys = rays_and_lines_system()
     comps = sys.controls.components
     gens = [(c.vertices, c.rays, c.lines) for c in comps]
     pooled = (tuple(v for c in comps for v in c.vertices), tuple(r for c in comps for r in c.rays),
               tuple(l for c in comps for l in c.lines))
+    cols = StepColumns(sys)
     for n in range(1, 4):
-        cols = _step_columns(sys, n)
+        cols.grow(n)
         for assign in itertools.product(range(len(comps)), repeat=n):
             for pooled_from in range(n + 1):
                 step_gens = [gens[assign[t]] if t < pooled_from else pooled for t in range(n)]
-                cons, layout = _build_lp(sys, list(assign), pooled_from, cols)
-                assert [(c.coeffs, c.rel, c.rhs) for c in cons] == naive_rows(sys, n, step_gens)
+                cons, layout = _build_lp(list(assign), pooled_from, cols)
+                assert all(type(c) is int for con in cons for c in con.coeffs)
+                assert all(s > 0 for s in layout.scales)
+                rows = [(c.coeffs, c.rel, c.rhs) for c in unscaled(cons, layout.scales)]
+                assert rows == naive_rows(sys, n, step_gens)
                 assert layout.ncols == len(cons[0].coeffs)
+
+
+def test_each_power_is_formed_once_per_decision(monkeypatch):
+    """reach_within(sys, 6) forms A^k g once for every generator g and
+    k < 6, and A^k source once for k <= 6; decide uses one column object
+    for all its horizons."""
+    from ltireach import driver, forward
+
+    made = []
+
+    class Recorded(forward.StepColumns):
+        def __init__(self, sys):
+            super().__init__(sys)
+            made.append(self)
+
+    monkeypatch.setattr(forward, "StepColumns", Recorded)
+    monkeypatch.setattr(driver, "StepColumns", Recorded)
+    sys = union_systems()[2]  # (5, 5) lies outside every reachable set
+    gens = sum(len(c.vertices) + len(c.rays) + len(c.lines) for c in sys.controls.components)
+    assert reach_within(sys, 6) is None
+    (cols,) = made
+    assert [len(table) for table in cols.comps] == [6, 6, 6] and len(cols.pooled) == 6
+    assert len(cols.bases) == 7
+    assert cols.products == gens * 5 + 6
+    with pytest.raises(ValueError):
+        reach_exactly(union_systems()[0], 1, cols)
+    verdict = driver.decide(sys, driver.Budgets(max_steps=6))
+    assert verdict.kind == "unknown" and len(made) == 2
+    assert made[1].products == gens * 5 + 6
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():

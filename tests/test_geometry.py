@@ -194,6 +194,36 @@ def test_lp_matches_fraction_oracle():
     assert counts["tied_ratio"] > 100 and counts["negative_driveout"] > 10
 
 
+def test_lp_column_scaling_keeps_pivots():
+    """Substituting x_j = s_j·y_j with s_j > 0 leaves every Bland choice
+    alone, so the scaled LP has the same status and value and y times s is
+    the Fraction simplex's point on the original LP.  Half the cases scale
+    each column by a multiple of its denominators, which makes every
+    coefficient an int, as the forward LP's columns are."""
+    rng = random.Random(41)
+    counts = Counter()
+    for obj, cons, n, nn, mx in [BEALE, *random_lps(29, 500)]:
+        if rng.random() < 0.5:
+            scales = [math.lcm(*(F(c.coeffs[j]).denominator for c in cons)) * rng.randint(1, 3)
+                      for j in range(n)]
+        else:
+            scales = [rng.choice([1, 1, 2, 3, 5, 12]) for _ in range(n)]
+        scaled = [constraint([c * s for c, s in zip(con.coeffs, scales)], con.rel, con.rhs) for con in cons]
+        sobj = [o * s for o, s in zip(obj, scales)] if obj is not None else None
+        want = fraction_lp_solve(obj, cons, n, nonneg=nn, maximize=mx, counts=counts)
+        got = lp_solve(sobj, scaled, n, nonneg=nn, maximize=mx)
+        assert (got.status, got.value) == (want.status, want.value)
+        if got.point is not None:
+            assert tuple(y * s for y, s in zip(got.point, scales)) == want.point
+    assert counts["tied_ratio"] > 100 and counts["negative_driveout"] > 10
+
+
+def test_linear_constraint_keeps_ints_and_fractions():
+    con = constraint([1, F(1, 2), "3/4", 0], "<=", 2)
+    assert [type(c) for c in con.coeffs] == [int, F, F, int] and type(con.rhs) is int
+    assert con.coeffs == (1, F(1, 2), F(3, 4), 0)
+
+
 # ---------------------------------------------------------------------------
 # minkowski sum and linear image
 # ---------------------------------------------------------------------------

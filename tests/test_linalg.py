@@ -19,7 +19,7 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import alg_matmul, bilinear_coeff, inner_product_at, rat
+from oracles import alg_matmul, bilinear_coeff, fraction_charpoly, inner_product_at, rat
 
 F = Fraction
 
@@ -111,6 +111,62 @@ def test_charpoly_matches_bareiss_det_randomized():
         lhs = sum(c * x ** i for i, c in enumerate(coeffs))
         rhs = (RatMatrix.identity(d).scale(x) - a).det()
         assert lhs == rhs
+
+
+def test_charpoly_matches_fraction_berkowitz_randomized():
+    """The integer recursion on D·A, rescaled, equals the Fraction recursion
+    on A, also with zero rows and columns and denominators that share
+    factors or do not."""
+    rng = random.Random(31)
+    for _ in range(120):
+        d = rng.randint(0, 9)
+        rows = [[F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 7, 12])) if rng.random() < 0.6 else F(0)
+                 for _ in range(d)] for _ in range(d)]
+        if d and rng.random() < 0.5:
+            rows[rng.randrange(d)] = [F(0)] * d
+        if d and rng.random() < 0.5:
+            j = rng.randrange(d)
+            for r in rows:
+                r[j] = F(0)
+        a = RatMatrix(d, d, tuple(x for r in rows for x in r))
+        got = charpoly(a)
+        assert got == fraction_charpoly(a)
+        assert all(type(c) is F for c in got)
+
+
+def test_charpoly_matches_fraction_berkowitz_on_gadget_lifts():
+    from ltireach.gadgets import PoweringInstance, VectorReachInstance, powering_to_vector_reach, vector_reach_to_lti
+
+    a1, a2 = mat([[1, 1], [0, 1]]), mat([[2, 0], [1, F(1, 2)]])
+    lifts = [
+        vector_reach_to_lti(VectorReachInstance((a1, a2), vec(0, 1), vec(2, 1))).system.a,
+        vector_reach_to_lti(powering_to_vector_reach(PoweringInstance((a2,), a2.power(2)))).system.a,
+    ]
+    assert [a.rows for a in lifts] == [8, 9]
+    for a in lifts:
+        assert charpoly(a) == fraction_charpoly(a)
+
+
+def test_check_simple_computes_charpoly_once(monkeypatch):
+    """schur_stable and the M = 1 test of real_spectrum_power share one
+    characteristic polynomial."""
+    from ltireach import linalg, preprocess
+    from ltireach.geometry import ControlSet, GenPolyhedron
+    from ltireach.preprocess import LtiSystem
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return charpoly(a)
+
+    monkeypatch.setattr(linalg, "charpoly", counted)
+    monkeypatch.setattr(preprocess, "charpoly", counted)
+    u = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0), vec(0, 1), vec(0, -1)])
+    sys_ = LtiSystem(QUAD, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(1, 1)))
+    report = preprocess.check_simple(sys_)
+    assert report.simple and report.real_power == 1
+    assert calls == [QUAD]
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,17 @@ and fails at once instead.  The file is loaded, never modified.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 from ltireach.exactnum import RealAlg
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -35,3 +40,53 @@ def test_every_traced_function_exists():
 def test_every_counted_realalg_method_exists():
     spans = load_spans()
     assert [m for m in spans.COUNTED_METHODS if m not in RealAlg.__dict__] == []
+
+
+# runs in a fresh interpreter: install() patches every ltireach module and
+# has no uninstall
+TRACED_FORWARD = """
+import json, sys, types
+from fractions import Fraction as F
+
+module = types.ModuleType("perfbench_spans")
+exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), module.__dict__)
+tracer = module.Tracer()
+module.install(tracer)
+
+from ltireach.forward import reach_within
+from ltireach.geometry import ControlSet, GenPolyhedron
+from ltireach.linalg import RatMatrix, vec
+from ltireach.preprocess import LtiSystem
+
+comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]))
+sys_ = LtiSystem(RatMatrix.diag(F(1, 2), F(1, 3)), ControlSet(comps), vec(0, 0),
+                 GenPolyhedron.point(vec(F(3, 4), F(4, 3))))
+assert reach_within(sys_, 3) is not None
+names = [s[0] for s in tracer.spans]
+parents = [s[3] for s in tracer.spans]
+
+def under_reach(i):
+    while i >= 0:
+        if names[i] == "forward.reach_exactly":
+            return True
+        i = parents[i]
+    return False
+
+lp = [i for i, n in enumerate(names) if n == "geometry.lp_solve"]
+print(json.dumps({"lp_solve": len(lp), "nested": sum(under_reach(parents[i]) for i in lp),
+                  "reach_exactly": names.count("forward.reach_exactly"), "lp_cells": tracer.lp_cells}))
+"""
+
+
+def test_traced_forward_search_records_lp_spans():
+    """A traced reach_within records each forward LP as a geometry.lp_solve
+    span inside a forward.reach_exactly span, and counts its cells, so the
+    benchmark's per-layer LP metrics see the forward search."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", TRACED_FORWARD, str(SPANS_PATH)], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["reach_exactly"] == 4
+    assert got["lp_solve"] > 4 and got["nested"] == got["lp_solve"]
+    assert got["lp_cells"] > 0
