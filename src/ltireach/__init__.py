@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 
 from .exactnum import (  # noqa: F401
     IntPoly,
-    Rat,
     RealAlg,
-    alg_arith,
-    alg_compare,
-    alg_sign,
+    interval,
+    sign,
     sturm_isolate_real_roots,
 )

@@ -8,9 +8,10 @@ replay-verified and every negative verdict carries a certificate that an
 independent process can recheck against the instance file (audit).
 
 Systems that fail a structural condition (union controls, origin not
-interior, spectral radius >= 1, no real-spectrum power, nonzero source)
-degrade to forward-only search with an explicit warning naming the
-failed condition.
+interior, spectral radius >= 1, no real-spectrum power, nonzero source),
+or whose normalization needs facet enumeration above its dimension
+ceiling, degrade to forward-only search with an explicit warning naming
+the reason.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .certify import (
     verify_separator,
 )
 from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
+from .geometry import DimensionCeilingError
 from .linalg import SpectralData, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
@@ -120,24 +122,24 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
 
     instance_hash = instance_sha256(sys)
     report = check_simple(sys)
-    warnings = []
-    certifiable = report.simple and report.source_is_zero
-    if not certifiable:
-        reasons = report.failing_conditions()
-        if not report.source_is_zero:
-            reasons.append("source state is not the origin")
-        warnings.append(
-            "certificate search disabled (" + "; ".join(reasons) + "); forward search only")
-
+    reasons = report.failing_conditions()
+    if not report.source_is_zero:
+        reasons.append("source state is not the origin")
     spectral = form = None
-    if certifiable:
-        spectral, form = _prepare_certification(sys, report)
-        if form.q_reduced.is_empty:
-            cert = verify_separator(spectral, form.u_reduced, form.q_reduced,
-                                    tuple(Fraction(0) for _ in range(form.dim)))
-            assert cert is not None
-            return Verdict("unreachable", instance_hash, tuple(warnings),
-                           certificate=cert, simple_form=form)
+    if not reasons:
+        try:
+            spectral, form = _prepare_certification(sys, report)
+        except DimensionCeilingError as exc:
+            reasons.append(f"normalization needs facet enumeration: {exc}")
+    certifiable = not reasons
+    warnings = [] if certifiable else [
+        "certificate search disabled (" + "; ".join(reasons) + "); forward search only"]
+    if certifiable and form.q_reduced.is_empty:
+        cert = verify_separator(spectral, form.u_reduced, form.q_reduced,
+                                tuple(Fraction(0) for _ in range(form.dim)))
+        assert cert is not None
+        return Verdict("unreachable", instance_hash, tuple(warnings),
+                       certificate=cert, simple_form=form)
 
     candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
     tried = 0
@@ -208,7 +210,10 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         report = check_simple(sys)
         if not (report.simple and report.source_is_zero):
             return False
-        spectral, form = _prepare_certification(sys, report)
+        try:
+            spectral, form = _prepare_certification(sys, report)
+        except DimensionCeilingError:
+            return False
         # every stored field is checked, so none carries an unverified
         # claim (render draws the hyperplane at the stored bound)
         if data.get("reduced_system") != reduced_system_to_json(form):

@@ -33,7 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-Rat = Fraction
 
 # no real algebraic number, parsed or computed, has a higher degree
 DEGREE_CEILING = 64
@@ -189,10 +188,6 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*x^{i}")
         return "IntPoly(" + " + ".join(terms) + ")"
-
-
-def int_poly(*coeffs: int) -> IntPoly:
-    return IntPoly(tuple(coeffs))
 
 
 def _to_frac(p: IntPoly) -> list[Fraction]:
@@ -781,37 +776,6 @@ def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
             return RealAlg(f, lo, hi, _trusted=True)
         a.refine(2)
         b.refine(2)
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation surface
-# ---------------------------------------------------------------------------
-
-
-def alg_arith(a, b, op: str):
-    """op in {'add', 'sub', 'mul', 'div'} on Fractions and RealAlgs; div
-    signals ZeroDivisionError."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-alg_sign = sign
-
-
-def alg_compare(a, b) -> int:
-    """-1, 0, +1 consistent with the real order."""
-    if isinstance(a, RealAlg):
-        return a.compare(b)
-    if isinstance(b, RealAlg):
-        return -b.compare(a)
-    return (a > b) - (a < b)
 
 
 def sturm_isolate_real_roots(p: IntPoly) -> list[Alg]:

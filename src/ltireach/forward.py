@@ -28,7 +28,6 @@ from .geometry import (
     LinearConstraint,
     contains_point,
     lp_solve,
-    membership_coefficients,
 )
 from .linalg import Vec, vec_add, vec_scale, zero_vec
 from .preprocess import LtiSystem
@@ -65,31 +64,6 @@ def _step_vector(comp: GenPolyhedron, step: WitnessStep) -> Vec:
     for c, g in zip(step.line_coeffs, comp.lines):
         acc = vec_add(acc, vec_scale(g, c))
     return acc
-
-
-def witness_control_vectors(u: GenPolyhedron | LtiSystem, witness: ReachWitness) -> list[Vec]:
-    """Reconstruct the exact control vectors of a witness."""
-    if isinstance(u, LtiSystem):
-        comps = u.controls.components
-        return [_step_vector(comps[s.component], s) for s in witness.steps]
-    return [_step_vector(u, s) for s in witness.steps]
-
-
-def witness_from_control_vectors(sys: LtiSystem, controls) -> ReachWitness:
-    """Express raw control vectors as generator coefficients (LP per step)."""
-    steps = []
-    for u in controls:
-        found = None
-        for ci, comp in enumerate(sys.controls.components):
-            coeffs = membership_coefficients(comp, u)
-            if coeffs is not None:
-                found = (ci, coeffs)
-                break
-        if found is None:
-            raise MalformedWitnessError("control vector lies in no component")
-        ci, (vc, rc, lc) = found
-        steps.append(WitnessStep(ci, tuple(vc), tuple(rc), tuple(lc)))
-    return ReachWitness(len(steps), tuple(steps))
 
 
 def replay(sys: LtiSystem, witness: ReachWitness) -> Vec:

@@ -532,6 +532,14 @@ def _affine_basis(vertices: tuple[Vec, ...]) -> tuple[Vec, list[Vec]]:
     return v0, [tuple(red[i]) for i in range(len(pivots))]
 
 
+def check_facet_dimension(dim: int, ceiling: int = FACET_DIMENSION_CEILING) -> None:
+    """Raise DimensionCeilingError if facet enumeration refuses this
+    ambient dimension."""
+    if dim > ceiling:
+        raise DimensionCeilingError(
+            f"ambient dimension {dim} exceeds the facet-enumeration ceiling {ceiling}")
+
+
 def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> list[Vec]:
     """Outward normals of the facets of conv(vertices), primitive rational,
     deduplicated up to positive scaling.
@@ -542,9 +550,7 @@ def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> l
     """
     if not p.is_polytope:
         raise ValueError("facet enumeration requires a polytope")
-    if p.dim > ceiling:
-        raise DimensionCeilingError(
-            f"ambient dimension {p.dim} exceeds the facet-enumeration ceiling {ceiling}")
+    check_facet_dimension(p.dim, ceiling)
     v0, basis = _affine_basis(p.vertices)
     adim = len(basis)
     if adim == 0:

@@ -292,15 +292,14 @@ def witness_from_json(data) -> ReachWitness:
 
 
 def reduced_system_to_json(form: SimpleForm) -> dict:
-    back = form.back_map
     return {
         "dim": form.dim,
         "matrix": [_vec_json(form.a_reduced.row(i)) for i in range(form.dim)],
         "control_vertices": [_vec_json(v) for v in form.u_reduced.vertices],
         "target_vertices": [_vec_json(v) for v in form.q_reduced.vertices],
-        "power": back.m_power,
-        "fit_applied": back.fit_applied,
-        "span_applied": back.span_applied,
+        "power": form.power,
+        "fit_applied": form.fit_applied,
+        "span_applied": form.span_applied,
     }
 
 

@@ -213,44 +213,13 @@ class RatMatrix:
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot column indices."""
-        m = self.to_rows()
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(r, self.rows):
-                if m[i][c] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            f = m[r][c]
-            m[r] = [x / f for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    g = m[i][c]
-                    m[i] = [x - g * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return m, pivots
+        return _gauss_jordan(self.to_rows(), self.cols)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> list[Vec]:
-        m, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -m[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return [tuple(v) for v in alg_kernel_basis(self.to_rows(), self.cols)]
 
     def column_space_basis(self) -> list[Vec]:
         _, pivots = self.rref()
@@ -496,39 +465,44 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
 # ---------------------------------------------------------------------------
 
 
-def alg_kernel_basis(matrix_rows: list[list[Alg]]) -> list[list[Alg]]:
-    """Kernel basis of the matrix with these rows, by Gauss elimination
-    over real algebraic numbers (exact zero tests)."""
-    rows = [list(r) for r in matrix_rows]
-    ncols = len(rows[0]) if rows else 0
+def _gauss_jordan(rows: list[list[Alg]], ncols: int) -> tuple[list[list[Alg]], list[int]]:
+    """Reduced row echelon form of the matrix with these rows (rows of
+    Fractions and RealAlgs, left unmodified) and its pivot columns, by
+    Gauss-Jordan elimination with exact zero tests."""
+    m = [list(r) for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][c]
-        rows[r] = [x / f for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+        m[r], m[piv] = m[piv], m[r]
+        f = m[r][c]
+        m[r] = [x / f for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                g = m[i][c]
+                m[i] = [x - g * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(m):
             break
-    free = [c for c in range(ncols) if c not in pivots]
+    return m, pivots
+
+
+def alg_kernel_basis(matrix_rows: list[list[Alg]], ncols: int | None = None) -> list[list[Alg]]:
+    """Kernel basis of the matrix with these rows and ncols columns (by
+    default the length of the first row), one vector per free column of
+    its reduced row echelon form."""
+    if ncols is None:
+        ncols = len(matrix_rows[0]) if matrix_rows else 0
+    red, pivots = _gauss_jordan(matrix_rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v: list[Alg] = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][fc]
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 

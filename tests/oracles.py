@@ -6,8 +6,10 @@ spectral projectors and all powers of the nilpotent part, a maximum over a polyh
 solved as one LP over its generators, the simplex over a `Fraction`
 tableau that the integer tableau replaced, and the characteristic
 polynomial by the `Fraction` Berkowitz recursion that the integer one
-replaced.  `rat` checks the representation
-rule that a rational value is always a `Fraction`, never a `RealAlg`.
+replaced.  `reduced_witness_lifts` checks the converse of the
+normalization on the original system itself.  `rat` checks the
+representation rule that a rational value is always a `Fraction`, never
+a `RealAlg`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from ltireach.exactnum import Alg
-from ltireach.geometry import GenPolyhedron, LpResult, constraint, lp_solve
+from ltireach.exactnum import Alg, IntPoly
+from ltireach.forward import ReachWitness, reach_exactly, verify_witness
+from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import RatMatrix, SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
+from ltireach.preprocess import LtiSystem, SimpleForm
 
 
 def rat(x) -> Fraction:
@@ -26,6 +30,29 @@ def rat(x) -> Fraction:
     must never come back as a RealAlg (or an int)."""
     assert type(x) is Fraction, f"expected a Fraction, got {x!r}"
     return x
+
+
+def int_poly(*coeffs: int) -> IntPoly:
+    """The integer polynomial with these coefficients, lowest degree first."""
+    return IntPoly(tuple(coeffs))
+
+
+def lifted_horizon(form: SimpleForm, dim: int, n: int) -> int:
+    """M(n + d): the horizon at which the original system, of dimension
+    dim, reaches its target when the reduced one reaches its own at n.  M
+    is the power and d is dim when the invertibility step applied, else 0."""
+    return form.power * (n + (dim if form.fit_applied else 0))
+
+
+def reduced_witness_lifts(sys: LtiSystem, form: SimpleForm, witness: ReachWitness) -> bool:
+    """The witness replays in the reduced system, and the original system
+    has a replaying witness at exactly the lifted horizon."""
+    reduced = LtiSystem(form.a_reduced, ControlSet.single(form.u_reduced),
+                        zero_vec(form.dim), form.q_reduced)
+    if not verify_witness(reduced, witness):
+        return False
+    lifted = reach_exactly(sys, lifted_horizon(form, sys.dim, witness.horizon))
+    return lifted is not None and verify_witness(sys, lifted)
 
 
 def inner_product_at(s: SpectralData, coeffs: list[list[Alg]], n: int) -> Alg:

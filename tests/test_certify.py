@@ -15,10 +15,10 @@ from ltireach.certify import (
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import RealAlg, int_poly, sign, sturm_isolate_real_roots
+from ltireach.exactnum import RealAlg, sign, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import RatMatrix, spectral_decompose, vec
-from oracles import rat
+from oracles import int_poly, rat
 
 F = Fraction
 

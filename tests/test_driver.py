@@ -407,6 +407,33 @@ def test_cli_decide_writes_auditable_verdict(tmp_path):
     assert cli.main(["audit", unreachable, str(out)]) == 0
 
 
+
+def cross_6d_instance_text() -> str:
+    """A = diag(0, 1/2, ..., 1/2), the cross polytope as controls and the
+    point (5, ..., 5) as target: simple, so certifiable, but normalizing
+    it needs facets of a 6-D polytope, above the enumeration ceiling."""
+    rows = [" ".join("0" if j != i else ("0" if i == 0 else "1/2") for j in range(6)) for i in range(6)]
+    verts = [" ".join(str(s) if j == i else "0" for j in range(6)) for i in range(6) for s in (1, -1)]
+    return "\n".join(["dim 6", "matrix", *rows, "control", "vertices", *verts,
+                      "source", "0 0 0 0 0 0", "target", "vertices", "5 5 5 5 5 5", ""])
+
+
+def test_decide_above_the_facet_ceiling_falls_back_to_forward_search(tmp_path, capsys):
+    path = tmp_path / "cross6.lti"
+    path.write_text(cross_6d_instance_text())
+    sys_ = instances.parse_instance(path.read_text())
+    assert check_simple(sys_).simple
+    assert cli.main(["decide", "--input", str(path)]) == cli.EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert "facet-enumeration ceiling" in err and "forward search only" in err
+    v = driver.decide(sys_, small_budgets(max_steps=2))
+    assert v.kind == "unknown" and v.exhausted["candidates_tried"] == 0
+    # a certificate claimed for it cannot be rechecked, so it fails the audit
+    quad = quad_system(GenPolyhedron.point(vec(0, 3)))
+    artifact = instances.verdict_to_json(driver.decide(quad, small_budgets()))
+    artifact["instance_sha256"] = instances.instance_sha256(sys_)
+    assert driver.audit(sys_, artifact) is False
+
 def test_cli_audit_hash_mismatch(tmp_path):
     reachable = write_instance(tmp_path, "r.lti", "1 1")
     other = write_instance(tmp_path, "o.lti", "0 3")

@@ -14,12 +14,8 @@ from ltireach.exactnum import (
     _count_roots_closed,
     _frac_divmod,
     _sign_at,
-    alg_arith,
-    alg_compare,
-    alg_sign,
     count_roots_halfopen,
     factor_int_poly,
-    int_poly,
     interval,
     rat_from_str,
     rat_to_str,
@@ -28,7 +24,7 @@ from ltireach.exactnum import (
     sturm_chain,
     sturm_isolate_real_roots,
 )
-from oracles import rat
+from oracles import int_poly, rat
 
 F = Fraction
 
@@ -172,7 +168,7 @@ def test_root_count_against_variation_oracle():
         expected = count_roots_halfopen(chain, "-inf", "+inf")
         assert len(roots) == expected
         for a, b in zip(roots, roots[1:]):
-            assert alg_compare(a, b) < 0
+            assert a < b
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +178,7 @@ def test_root_count_against_variation_oracle():
 
 def test_sqrt2_squared_is_two():
     r = sqrt_of(2)
-    sq = alg_arith(r, r, "mul")
+    sq = r * r
     assert rat(sq) == 2
 
 
@@ -193,11 +189,11 @@ def test_add_zero_identity():
         a = RealAlg.from_rational(q)
         assert rat(a + RealAlg.from_rational(0)) == q
     r = sqrt_of(3)
-    assert alg_compare(r + 0, r) == 0
+    assert (r + 0).compare(r) == 0
 
 
 def test_sqrt2_plus_sqrt3():
-    s = alg_arith(sqrt_of(2), sqrt_of(3), "add")
+    s = sqrt_of(2) + sqrt_of(3)
     # Oracle 1: the stated minimal polynomial, checked by a sign change of
     # x^4 - 10x^2 + 1 on a high-precision enclosure of sqrt(2)+sqrt(3).
     expected = int_poly(1, 0, -10, 0, 1)
@@ -218,23 +214,23 @@ def test_sqrt2_plus_sqrt3():
 
 def test_alg_sign_cases():
     r = sqrt_of(2)
-    assert alg_sign(r - F(3, 2)) == -1
-    assert alg_sign(F(0)) == 0
+    assert sign(r - F(3, 2)) == -1
+    assert sign(F(0)) == 0
     # (sqrt2 + sqrt3)^2 - 5 - 2*sqrt6 == 0, by symbolic expansion
     s = sqrt_of(2) + sqrt_of(3)
     val = s * s - 5 - 2 * sqrt_of(6)
-    assert alg_sign(val) == 0
+    assert sign(val) == 0
 
 
 def test_alg_compare_cases():
-    assert alg_compare(F(1, 3), F(2, 3)) == -1
+    assert F(1, 3) < F(2, 3)
     r = sqrt_of(2)
-    assert alg_compare(r, r) == 0
+    assert r.compare(r) == 0
     # squaring oracle: sqrt2 > 1.41421356 because 2 > 1.41421356^2
     approx = F(141421356, 10 ** 8)
     assert approx * approx < 2
-    assert alg_compare(r, approx) == 1
-    assert alg_compare(approx, r) == -1
+    assert r.compare(approx) == 1
+    assert approx < r
 
 
 def test_sign_agrees_with_compare_randomized():
@@ -243,7 +239,7 @@ def test_sign_agrees_with_compare_randomized():
     pool += [sqrt_of(2), sqrt_of(3), -sqrt_of(2), sqrt_of(2) / 2]
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert alg_sign(a - b) == alg_compare(a, b)
+        assert sign(a - b) == (a > b) - (a < b)
 
 
 def test_rational_roundtrip():
@@ -258,7 +254,7 @@ def test_rational_roundtrip():
 
 def test_division_by_zero_signaled():
     with pytest.raises(ZeroDivisionError):
-        alg_arith(sqrt_of(2), F(0), "div")
+        sqrt_of(2) / F(0)
 
 
 def test_division_exact():
@@ -281,16 +277,16 @@ def test_ring_axioms_on_quadratic_irrationals():
             sqrt_of(2) + 1, F(3, 7), sqrt_of(5) - 2]
     for _ in range(12):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        assert alg_sign((a + b) * c - (a * c + b * c)) == 0
-        assert alg_sign((a * b) * c - a * (b * c)) == 0
-        assert alg_sign((a + b) - (b + a)) == 0
+        assert sign((a + b) * c - (a * c + b * c)) == 0
+        assert sign((a * b) * c - a * (b * c)) == 0
+        assert sign((a + b) - (b + a)) == 0
 
 
 def test_mixed_field_products_reduce():
     # sqrt2 * sqrt3 lands in a third quadratic field with exact minpoly
     prod = sqrt_of(2) * sqrt_of(3)
     assert prod.minpoly == int_poly(-6, 0, 1)
-    assert alg_compare(prod, sqrt_of(6)) == 0
+    assert prod.compare(sqrt_of(6)) == 0
     # and collapses to a rational when the fields cancel
     collapsed = (sqrt_of(2) + 1) * (sqrt_of(2) - 1)
     assert rat(collapsed) == 1
@@ -303,7 +299,7 @@ def test_degree_ceiling_guard(monkeypatch):
     a = sqrt_of(2)
     b = sturm_isolate_real_roots(int_poly(-2, 0, 0, 0, 0, 1))[-1]  # 2^(1/5)
     with pytest.raises(DegreeCeilingError):
-        alg_arith(a, b, "add")
+        a + b
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ def test_composed_results_match_enclosures():
     pool = seeded_irrationals(31, 8)
     for a, b in zip(pool, pool[1:] + pool[:1]):
         for op, fn in (("add", lambda x, y: x + y), ("mul", lambda x, y: x * y)):
-            r = alg_arith(a, b, op)
+            r = fn(a, b)
             a.refine_below(F(1, 2 ** 40))
             b.refine_below(F(1, 2 ** 40))
             (alo, ahi), (blo, bhi) = a.interval(), b.interval()
@@ -595,7 +591,7 @@ def test_mixed_operands_agree_in_either_order():
             assert (a <= q) == (q >= a) and (a >= q) == (q <= a)
             assert (a == q) is (q == a) is False
             assert (a != q) is (q != a) is True
-            assert alg_compare(a, q) == -alg_compare(q, a) != 0
+            assert a.compare(q) == (q < a) - (a < q) != 0
             assert type(a + q) is type(q + a) is RealAlg
             assert type(a * q) is type(q * a) is (Fraction if q == 0 else RealAlg)
 
@@ -734,12 +730,12 @@ def test_quadratic_field_property():
             want = fn(x, y)
             got = fn(a, b)
             check_against_oracle(got, want)
-            assert alg_arith(a, b, name) == got
+            assert fn(a, b) == got  # again, after the first run refined a and b
             kinds["collapse"] += want.r == 0 and type(a) is type(b) is RealAlg
         s = (x - y).sign()
         assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
         assert (b > a, b == a, b < a) == (s < 0, s == 0, s > 0)
-        assert alg_compare(a, b) == s == -alg_compare(b, a)
+        assert sign(a - b) == s == -sign(b - a)
         assert sign(a) == x.sign()
         check_against_oracle(-a, QuadOracle(n, -x.p, -x.r))
     # every mix of operand types, and rational results from irrational

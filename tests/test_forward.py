@@ -13,8 +13,6 @@ from ltireach.forward import (
     reach_within,
     replay,
     verify_witness,
-    witness_control_vectors,
-    witness_from_control_vectors,
 )
 from ltireach.geometry import (
     ControlSet,
@@ -321,11 +319,3 @@ def test_sequential_lp_agrees_with_minkowski_membership():
             direct = contains_point(acc, q)
             assert (reach_exactly(sys, n) is not None) == direct
 
-
-def test_witness_vector_roundtrip():
-    sys = quad_system(GenPolyhedron.point(vec(1, 1)))
-    w = reach_within(sys, 4)
-    vecs = witness_control_vectors(sys, w)
-    rebuilt = witness_from_control_vectors(sys, vecs)
-    assert verify_witness(sys, rebuilt)
-    assert replay(sys, rebuilt) == replay(sys, w)

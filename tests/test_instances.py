@@ -19,7 +19,7 @@ from ltireach.instances import (
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
-from oracles import rat
+from oracles import int_poly, rat
 
 F = Fraction
 
@@ -124,7 +124,7 @@ def test_parse_instance_parses_or_raises_parse_error(text):
 
 
 def test_alg_json_roundtrip():
-    from ltireach.exactnum import int_poly, sign, sturm_isolate_real_roots
+    from ltireach.exactnum import sign, sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     again = alg_from_json(alg_to_json(r))
@@ -158,7 +158,7 @@ def test_witness_json_roundtrip():
 
 
 def test_alg_json_is_canonical():
-    from ltireach.exactnum import int_poly, sign, sturm_isolate_real_roots
+    from ltireach.exactnum import sign, sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     before = dump_json(alg_to_json(r))

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 import pytest
 
-from ltireach.exactnum import alg_compare, alg_sign, sign, sturm_isolate_real_roots
+from ltireach.exactnum import sign, sturm_isolate_real_roots
 from ltireach.linalg import (
     RatMatrix,
     SpectralError,
@@ -19,7 +19,7 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import alg_matmul, bilinear_coeff, fraction_charpoly, inner_product_at, rat
+from oracles import alg_matmul, bilinear_coeff, fraction_charpoly, inner_product_at, int_poly, rat
 
 F = Fraction
 
@@ -410,7 +410,7 @@ def test_spectral_irrational_eigenvalues():
     s = spectral_decompose(a)
     assert len(s.eigenvalues) == 2
     assert all(l.degree == 2 for l in s.eigenvalues)
-    assert alg_compare(s.eigenvalues[0], s.eigenvalues[1]) < 0
+    assert s.eigenvalues[0] < s.eigenvalues[1]
     check_spectral_invariants(s)
 
 
@@ -486,7 +486,7 @@ def test_bilinear_reconstruction_randomized():
         for n in (0, 1, 2, 5, 11, 30):
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
             got = inner_product_at(s, coeffs, n)
-            assert alg_sign(got - direct) == 0
+            assert sign(got - direct) == 0
 
 
 def jordan_system(rng, d):
@@ -542,10 +542,22 @@ def test_spectral_decompose_d20_scaled_identity_is_fast():
 
 
 def test_alg_kernel_basis():
-    two_roots = sturm_isolate_real_roots(__import__("ltireach.exactnum", fromlist=["int_poly"]).int_poly(-2, 0, 1))
+    two_roots = sturm_isolate_real_roots(int_poly(-2, 0, 1))
     r2 = two_roots[-1]
     basis = alg_kernel_basis([[r2, F(-1)]])
     assert len(basis) == 1
     v = basis[0]
     # kernel vector satisfies sqrt2 * v0 - v1 == 0
     assert sign(r2 * v[0] - v[1]) == 0
+    # rational rows: the same vectors as RatMatrix.kernel_basis, entries
+    # Fractions, each one in the kernel
+    rng = random.Random(8)
+    for rows, cols in [([], 3), ([[0, 0, 0]], 3), ([[1, 2, 3], [2, 4, 6]], 3)] + [
+            ([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(c)] for _ in range(r)], c)
+            for r, c in [(2, 4), (3, 3), (4, 2), (3, 5)] for _ in range(3)]:
+        m = RatMatrix(len(rows), cols, tuple(F(x) for row in rows for x in row))
+        got = alg_kernel_basis(m.to_rows(), cols)
+        assert [tuple(v) for v in got] == m.kernel_basis()
+        assert len(got) == cols - m.rank()
+        for v in got:
+            assert m.matvec(tuple(rat(x) for x in v)) == (0,) * len(rows)

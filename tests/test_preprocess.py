@@ -3,16 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ltireach.forward import reach_within, verify_witness
+from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, linear_image, minkowski_sum
-from ltireach.linalg import RatMatrix, vec, zero_vec
-from ltireach.preprocess import (
-    LtiSystem,
-    NonSimpleError,
-    check_simple,
-    lift_witness,
-    to_simple_form,
-)
+from ltireach.linalg import RatMatrix, fitting_split, vec, zero_vec
+from ltireach.preprocess import LtiSystem, NonSimpleError, check_simple, to_simple_form
+from oracles import lifted_horizon, reduced_witness_lifts
 
 F = Fraction
 
@@ -75,9 +70,9 @@ def test_identity_reduction_quad():
     assert form.a_reduced == DIAG_A
     assert set(form.u_reduced.vertices) == set(QUAD_U.vertices)
     assert set(form.q_reduced.vertices) == {(F(1), F(1))}
-    assert form.back_map.m_power == 1
-    assert not form.back_map.fit_applied
-    assert not form.back_map.span_applied
+    assert form.power == 1
+    assert not form.fit_applied
+    assert not form.span_applied
 
 
 def test_rejects_non_simple():
@@ -96,7 +91,7 @@ def test_power_reduction_rot90():
     sys = LtiSystem(ROT90_HALF, ControlSet.single(SQUARE), vec(0, 0),
                     GenPolyhedron.point(vec(1, 1)))
     form = to_simple_form(sys)
-    assert form.back_map.m_power == 4
+    assert form.power == 4
     assert form.a_reduced == RatMatrix.identity(2).scale(F(1, 16))
     # oracle: the reduced controls equal the explicit 4-term input sum
     expected = SQUARE
@@ -111,13 +106,14 @@ def test_fitting_reduction_nilpotent_block():
                     GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
                                             vec(1, 2), vec(0, 2)]))
     form = to_simple_form(sys)
-    assert form.back_map.fit_applied
+    assert form.fit_applied
     assert form.dim == 1
     assert form.a_reduced.entries == (F(1, 2),)
     # oracle by hand: V1 = span{e2} and A^2(U) = {0} x [-1/4, 1/4]; the
-    # coordinates are relative to the recorded basis vector, so lift back
+    # coordinates are relative to the basis vector of the invertible part,
+    # so lift back
     assert not form.q_reduced.is_empty
-    basis = form.back_map.v1_basis[0]
+    (basis,) = fitting_split(a)[1]
     ys = sorted(v[0] * basis[1] for v in form.u_reduced.vertices)
     assert (ys[0], ys[-1]) == (F(-1, 4), F(1, 4))
     assert basis[0] == 0
@@ -130,7 +126,7 @@ def test_span_reduction():
     sys = LtiSystem(a, ControlSet.single(seg), vec(0, 0),
                     GenPolyhedron.polytope([vec(F(3, 2), 0), vec(3, 0)]))
     form = to_simple_form(sys)
-    assert form.back_map.span_applied
+    assert form.span_applied
     assert form.dim == 1
     assert form.a_reduced.entries == (F(1, 2),)
     # reachable set on the line is (-2, 2); target [3/2, 3] clipped stays
@@ -147,7 +143,8 @@ def test_empty_reduced_target():
 
 
 # ---------------------------------------------------------------------------
-# witness lifting
+# the converse horizon: a reduced witness at n means the original system
+# reaches its target at exactly M(n + d)
 # ---------------------------------------------------------------------------
 
 
@@ -156,8 +153,8 @@ def test_lift_identity_is_noop():
     form = to_simple_form(sys)
     w = reach_within(reduced_system(form), 4)
     assert w is not None
-    lifted = lift_witness(form, w)
-    assert lifted is w
+    assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon
+    assert reduced_witness_lifts(sys, form, w)
 
 
 def test_lift_power_reduction():
@@ -166,9 +163,8 @@ def test_lift_power_reduction():
     form = to_simple_form(sys)
     w = reach_within(reduced_system(form), 3)
     assert w is not None
-    lifted = lift_witness(form, w)
-    assert lifted.horizon == 4 * w.horizon
-    assert verify_witness(sys, lifted)
+    assert lifted_horizon(form, sys.dim, w.horizon) == 4 * w.horizon
+    assert reduced_witness_lifts(sys, form, w)
 
 
 def test_lift_fitting_reduction():
@@ -179,9 +175,8 @@ def test_lift_fitting_reduction():
     form = to_simple_form(sys)
     w = reach_within(reduced_system(form), 4)
     assert w is not None
-    lifted = lift_witness(form, w)
-    assert lifted.horizon == w.horizon + 2
-    assert verify_witness(sys, lifted)
+    assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon + 2
+    assert reduced_witness_lifts(sys, form, w)
 
 
 def random_simple_system(rng, d):
@@ -236,10 +231,11 @@ def test_reduced_target_membership_crosscheck():
     target = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)), vec(1, 2), vec(0, 2)])
     sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target)
     form = to_simple_form(sys)
-    basis = form.back_map.v1_basis[0]
+    assert form.fit_applied
+    (basis,) = fitting_split(a)[1]
     prefix = SQUARE
     power = RatMatrix.identity(2)
-    for _ in range(1, form.back_map.fit_steps):
+    for _ in range(1, sys.dim):  # the invertibility step absorbs d steps
         power = power @ a
         prefix = minkowski_sum(prefix, linear_image(power, SQUARE))
     shifted_target = minkowski_sum(target, negate(prefix))
@@ -264,8 +260,7 @@ def test_reduction_soundness_randomized():
             continue
         form = to_simple_form(sys)
         red = reduced_system(form)
-        m = form.back_map.m_power
-        dfit = form.back_map.fit_steps
+        m = form.power
         budget = 6
         w_orig = reach_within(sys, budget)
         red_budget = (budget + m - 1) // m
@@ -273,8 +268,26 @@ def test_reduction_soundness_randomized():
         if w_orig is not None:
             assert w_red is not None  # original reachable implies reduced reachable
         if w_red is not None:
-            lifted = lift_witness(form, w_red)
-            assert verify_witness(sys, lifted)
-            assert lifted.horizon <= m * (w_red.horizon + dfit)
+            assert reduced_witness_lifts(sys, form, w_red)
         checked += 1
     assert checked >= 25
+
+
+def test_lift_power_fit_and_span():
+    # the quarter-turn needs M = 4, the zero block is split off (d = 4 steps
+    # absorbed) and the last coordinate, which no control reaches, is cut
+    # by the span step.  Controls: the cross polytope of the first three
+    # coordinates.  The first two coordinates reach the L1 ball of radius
+    # 2(1 - 2^-k) after k steps, so (2 - 2^-17, 0) first at k = 18.
+    a = RatMatrix.block_diag([ROT90_HALF, RatMatrix.diag(0), RatMatrix.diag(F(1, 2))])
+    cross = GenPolyhedron.polytope([vec(*(s if i == j else 0 for j in range(4)))
+                                    for i in range(3) for s in (1, -1)])
+    sys = LtiSystem(a, ControlSet.single(cross), zero_vec(4),
+                    GenPolyhedron.point(vec(2 - F(1, 2 ** 17), 0, 0, 0)))
+    form = to_simple_form(sys)
+    assert (form.power, form.fit_applied, form.span_applied, form.dim) == (4, True, True, 2)
+    w = reach_within(reduced_system(form), 3)
+    assert w is not None and w.horizon == 1
+    assert lifted_horizon(form, sys.dim, w.horizon) == 20
+    assert reduced_witness_lifts(sys, form, w)
+    assert reach_within(sys, 20).horizon == 18

@@ -1,11 +1,15 @@
-"""The benchmark's span table must keep naming code that exists.
+"""Checks on the code base itself.
 
+The benchmark's span table must keep naming code that exists.
 perfbench/spans.py patches functions by (module, attribute) and RealAlg
 methods by name when a run is traced.  A renamed or deleted target would
-only fail inside `perfbench/run.py --trace 1`; this test reads the table
-and fails at once instead.  The file is loaded, never modified.
+only fail inside `perfbench/run.py --trace 1`; these tests read the table
+and fail at once instead.  The file is loaded, never modified.
+
+Every public function of the library must have a caller outside the tests.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +22,9 @@ from ltireach.exactnum import RealAlg
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
+
+# the gadget-library API the README promises, which only tests call here
+PROMISED_API = {"gadget_constant", "gadget_add", "gadget_mul", "conjoin"}
 
 
 def load_spans():
@@ -90,3 +97,39 @@ def test_traced_forward_search_records_lp_spans():
     assert got["reach_exactly"] == 4
     assert got["lp_solve"] > 4 and got["nested"] == got["lp_solve"]
     assert got["lp_cells"] > 0
+
+
+def read_names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """The names and attribute names the tree mentions, and with strings
+    its string constants too (perfbench patches functions by name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_no_public_function_is_called_only_by_tests():
+    """A public module-level function of src/ltireach needs a use in src
+    outside its own definition, or in perfbench.  A re-export in
+    __init__.py is not a use."""
+    defined = []
+    used = set()
+    for path in sorted((ROOT / "src" / "ltireach").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+                used |= read_names(node) - {node.name}
+            else:
+                used |= read_names(node)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= read_names(ast.parse(path.read_text()), strings=True)
+    test_only = [f"{module}.{name}" for module, name in defined
+                 if name not in used and name not in PROMISED_API]
+    assert test_only == []
