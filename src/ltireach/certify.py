@@ -29,6 +29,23 @@ is the one routine that evaluates the closed form.  verify_separator
 feeds it the maximizer and threshold it has just found, and the audit
 (recompute_sup_from_certificate) feeds it the ones a certificate stores.
 
+Most candidate directions fail, and the driver rejects nearly all of them
+before the maximizer tournament, by the prefix sums
+
+    S_k = sum_{i<k} max_{v in Ext(U)} <A^i v, tau>,
+
+the supremum over F_k = sum_{i<k} A^i U, the states reachable in exactly
+k steps.  Because 0 is in U, F_k is contained in F_{k+1} and so in the
+reachable set; every S_k is therefore an exact lower bound on the
+supremum, and tau cannot separate once S_k > min_Q tau
+(fails_prefix_check, for k up to PREFIX_CHECK_DEPTH).  The check rejects
+only directions that verify_separator rejects too, so the first accepted
+direction, and the verdict, do not change.  PrefixSums holds the S_k in
+a lazily extended list, stepping the vertex images A^i v one matrix-vector
+product at a time, and sup_from reads its first threshold terms from that
+same list, so a direction that passes computes no term twice.  The audit calls verify_separator without the check: an
+honest certificate never fails it, so there it would only add cost.
+
 Candidate directions come from geometry (the target's facets and the
 complement of its affine hull, then the left eigenvectors) and, as the
 completeness fallback, from a fair enumeration of all vectors with real
@@ -280,24 +297,63 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
-def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:
+class PrefixSums:
+    """The prefix sums S_k = sum_{i<k} max_{v in Ext(U)} <A^i v, tau>, the
+    supremum of <x, tau> over the states reachable in exactly k steps;
+    extended lazily, so the pre-check and sup_from share every term either
+    of them computes."""
+
+    def __init__(self, s: SpectralData, u: GenPolyhedron, tau):
+        self.s = s
+        self.u = u
+        self.tau = tuple(tau)
+        self.sums: list[Alg] = [Fraction(0)]
+        self._images = None  # A^i v over the vertices, i the last term's step
+
+    def at(self, k: int) -> Alg:
+        """S_k."""
+        while len(self.sums) <= k:
+            if self._images is None:
+                self._images = self.u.vertices
+            else:
+                self._images = [self.s.matrix.matvec(x) for x in self._images]
+            best = None
+            for x in self._images:
+                val = _tau_dot(self.tau, x)
+                if best is None or val > best:
+                    best = val
+            self.sums.append(self.sums[-1] + best)
+        return self.sums[k]
+
+
+# how many prefix sums the driver's pre-check compares with min_Q tau: most
+# failing directions fail at k = 1 or 2, and a direction that passes pays
+# for every term up to this depth whatever its threshold
+PREFIX_CHECK_DEPTH = 3
+
+
+def fails_prefix_check(sums: PrefixSums, low: Alg) -> bool:
+    """Whether S_k > low for some k <= PREFIX_CHECK_DEPTH, so that tau
+    cannot separate a target whose minimum of <., tau> is low: S_k is a
+    lower bound on the supremum, since 0 in U nests F_k in F_infinity."""
+    return any(sums.at(k) > low for k in range(1, PREFIX_CHECK_DEPTH + 1))
+
+
+def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int,
+             sums: PrefixSums | None = None) -> Alg:
     """The closed-form supremum of <x, tau> over the reachable closure,
     given an eventual maximizer and its threshold: the best vertex at each
-    step below the threshold, then the maximizer's geometric tail."""
+    step below the threshold, S_threshold, then the maximizer's geometric
+    tail.  `sums` are the prefix sums of tau when the caller has them."""
     if s.dim == 0:
         return Fraction(0)
-    total = Fraction(0)
-    power = RatMatrix.identity(s.dim)
+    if sums is None:
+        sums = PrefixSums(s, u, tau)
+    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u
+    x = maximizer
     for _ in range(threshold):
-        best = None
-        for v in u.vertices:
-            val = _tau_dot(tau, power.matvec(v))
-            if best is None or val > best:
-                best = val
-        total = total + best
-        power = power @ s.matrix
-    tail = power @ s.geometric_sum_matrix()
-    return total + _tau_dot(tau, tail.matvec(maximizer))
+        x = s.matrix.matvec(x)
+    return sums.at(threshold) + _tau_dot(tau, s.geometric_sum_matrix().matvec(x))
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
@@ -319,16 +375,18 @@ def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
     return best
 
 
-def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau) -> SeparatorCertificate | None:
+def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau,
+                     sums: PrefixSums | None = None) -> SeparatorCertificate | None:
     """Certificate iff sup over the reachable closure <= min over the
-    target (nonstrict: the reachable set itself is open)."""
+    target (nonstrict: the reachable set itself is open).  `sums` are the
+    prefix sums of tau when the caller has them."""
     tau = tuple(tau)
     if q.is_empty:
         zero_tau = tuple(Fraction(0) for _ in range(s.dim))
         maximizer = u.vertices[0] if u.vertices else ()
         return SeparatorCertificate(zero_tau, Fraction(0), maximizer, 0, Fraction(0), None)
     maximizer, n = eventual_maximizer(s, u, tau)
-    sup = sup_from(s, u, tau, maximizer, n)
+    sup = sup_from(s, u, tau, maximizer, n, sums)
     low = min_over_vertices(q, tau)
     assert low is not None
     if sup <= low:

@@ -3,9 +3,13 @@
 `decide` is the one decision loop.  Each round runs a single forward
 horizon and then a batch of CANDIDATE_BATCH separator candidates, so both
 semi-procedures advance fairly under one budget, in one thread, and the
-same input always gives the same verdict.  Every positive verdict is
-replay-verified and every negative verdict carries a certificate that an
-independent process can recheck against the instance file (audit).
+same input always gives the same verdict.  A candidate is verified as it
+is drawn, and one whose prefix sums already exceed the target's minimum
+(certify.fails_prefix_check) is rejected before the maximizer tournament;
+the audit verifies a certificate without that check.  Every positive
+verdict is replay-verified and every negative verdict carries a
+certificate that an independent process can recheck against the instance
+file (audit).
 
 Systems that fail a structural condition (union controls, origin not
 interior, spectral radius >= 1, no real-spectrum power, nonzero source),
@@ -22,9 +26,12 @@ from fractions import Fraction
 
 from .certify import (
     AlgVec,
+    PrefixSums,
     SeparatorCertificate,
     enumerate_algebraic_vectors,
     extremal_candidates,
+    fails_prefix_check,
+    min_over_vertices,
     recompute_sup_from_certificate,
     verify_separator,
 )
@@ -155,12 +162,17 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 return Verdict("reachable", instance_hash, tuple(warnings), witness=witness)
             horizon += 1
         if not candidates_done:
-            batch = list(itertools.islice(candidates, CANDIDATE_BATCH))
-            if not batch:
-                candidates_done = True
-            for tau in batch:
+            # each candidate is verified as it is drawn: after its last new
+            # direction a stream may take long to end (a 1-D reduced system
+            # has only +1 and -1), and a certificate must not wait for that
+            candidates_done = True
+            for tau in itertools.islice(candidates, CANDIDATE_BATCH):
+                candidates_done = False
                 tried += 1
-                cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau)
+                sums = PrefixSums(spectral, form.u_reduced, tau)
+                if fails_prefix_check(sums, min_over_vertices(form.q_reduced, tau)):
+                    continue
+                cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau, sums)
                 if cert is not None:
                     return Verdict("unreachable", instance_hash, tuple(warnings),
                                    certificate=cert, simple_form=form)

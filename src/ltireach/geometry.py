@@ -14,8 +14,8 @@ that scales its columns to integers (the forward LP gives each variable
 its column's denominator) pays no conversion.
 
 Facet enumeration is brute force over vertex subsets inside the affine
-hull, guarded by a dimension ceiling; instances here are small by
-construction.
+hull, guarded by a ceiling on the affine dimension of the polytope (not
+of the space it lies in); instances here are small by construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ FACET_DIMENSION_CEILING = 5
 
 
 class DimensionCeilingError(Exception):
-    """Facet enumeration requested above the supported ambient dimension."""
+    """Facet enumeration requested above the supported affine dimension."""
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +533,11 @@ def _affine_basis(vertices: tuple[Vec, ...]) -> tuple[Vec, list[Vec]]:
 
 
 def check_facet_dimension(dim: int, ceiling: int = FACET_DIMENSION_CEILING) -> None:
-    """Raise DimensionCeilingError if facet enumeration refuses this
-    ambient dimension."""
+    """Raise DimensionCeilingError if facet enumeration refuses a polytope
+    of this affine dimension."""
     if dim > ceiling:
         raise DimensionCeilingError(
-            f"ambient dimension {dim} exceeds the facet-enumeration ceiling {ceiling}")
+            f"dimension {dim} exceeds the facet-enumeration ceiling {ceiling}")
 
 
 def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> list[Vec]:
@@ -550,9 +550,11 @@ def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> l
     """
     if not p.is_polytope:
         raise ValueError("facet enumeration requires a polytope")
-    check_facet_dimension(p.dim, ceiling)
     v0, basis = _affine_basis(p.vertices)
     adim = len(basis)
+    # the subsets below have adim points: the cost grows with the affine
+    # dimension, not with the ambient one
+    check_facet_dimension(adim, ceiling)
     if adim == 0:
         return []
     bmat = RatMatrix.from_rows([list(b) for b in basis])  # adim x dim

@@ -13,7 +13,15 @@ from fractions import Fraction
 
 
 from ltireach import driver, instances
-from ltireach.certify import SeqKind, classify_sequence, sup_in_direction
+from ltireach.certify import (
+    PrefixSums,
+    SeqKind,
+    classify_sequence,
+    fails_prefix_check,
+    min_over_vertices,
+    sup_in_direction,
+    verify_separator,
+)
 from ltireach.exactnum import sign
 from ltireach.forward import reach_within, replay, verify_witness
 from ltireach.gadgets import markov_to_lti, skolem_to_lti, vector_reach_to_lti, VectorReachInstance
@@ -421,6 +429,43 @@ def test_criterion_7_mutual_exclusion_and_audits(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report("7 (mutual exclusion + out-of-process audits)", True)
+
+
+def test_prefix_check_rejects_only_failing_directions():
+    # verify_separator is the oracle: over the candidate streams of the seeded
+    # corpus, a rejected direction never separates, and no certificate fails
+    rng = random.Random(717)
+    systems = list(_corpus_systems(rng))
+    hexagon = GenPolyhedron.polytope([vec(-1, -1), vec(0, -1), vec(1, 0), vec(1, 1),
+                                      vec(0, 1), vec(-1, 0)])
+    quad_irr = RatMatrix.from_rows([[F(1, 2), F(-1, 8)], [-1, F(1, 2)]])
+    for target in (vec(3, -4), vec(F(3, 2), 2), vec(4, 4)):
+        systems.append(LtiSystem(quad_irr, ControlSet.single(hexagon), vec(0, 0),
+                                 GenPolyhedron.point(target)))
+    for _ in range(60):
+        d = rng.randint(1, 2)
+        a = random_positive_system(rng, d, allow_jordan=False)
+        u = random_control_polytope(rng, d)
+        q = GenPolyhedron.point(vec(*[F(rng.randint(-8, 8), 2) for _ in range(d)]))
+        systems.append(LtiSystem(a, ControlSet.single(u), zero_vec(d), q))
+    budgets = driver.Budgets(max_candidates=16, max_degree=1, max_height=2, extremal_budget=2)
+    rejected = certified = 0
+    for sys_ in systems:
+        report_ = check_simple(sys_)
+        if not (report_.simple and report_.source_is_zero):
+            continue
+        s, form = driver._prepare_certification(sys_, report_)
+        if form.dim == 0 or form.q_reduced.is_empty:
+            continue
+        for tau in driver._candidate_stream(s, form, budgets):
+            cert = verify_separator(s, form.u_reduced, form.q_reduced, tau)
+            low = min_over_vertices(form.q_reduced, tau)
+            if fails_prefix_check(PrefixSums(s, form.u_reduced, tau), low):
+                assert cert is None
+                rejected += 1
+            elif cert is not None:
+                certified += 1
+    assert rejected >= 400 and certified >= 50
 
 
 # ---------------------------------------------------------------------------

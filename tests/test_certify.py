@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 from ltireach.certify import (
+    PREFIX_CHECK_DEPTH,
+    PrefixSums,
     SeqKind,
     classify_sequence,
     enumerate_algebraic_vectors,
@@ -12,6 +14,7 @@ from ltireach.certify import (
     left_eigenvectors,
     min_over_vertices,
     recompute_sup_from_certificate,
+    sup_from,
     sup_in_direction,
     verify_separator,
 )
@@ -320,6 +323,32 @@ def test_sup_sandwich_partial_sums():
             bound = max(abs(sum(t * x for t, x in zip(tau, v))) for v in QUAD_U.vertices)
             tol = bound * rho ** (n + 1) / (1 - rho)
             assert sign(tol - gap) >= 0
+
+
+def test_prefix_sums_bound_the_supremum():
+    # S_k is the maximum over the k-step reachable set (an LP over the input
+    # sums for rational tau) and a lower bound on the supremum; sup_from
+    # reading its terms from the same list gives the supremum unchanged
+    rng = random.Random(73)
+    hexagon = GenPolyhedron.polytope([vec(-1, -1), vec(0, -1), vec(1, 0), vec(1, 1),
+                                      vec(0, 1), vec(-1, 0)])
+    checked = 0
+    for a in [DIAG_A, *_quadratic_irrational_matrices(rng)]:
+        s = spectral_decompose(a)
+        rational = [(F(rng.randint(-5, 5)), F(rng.randint(-5, 5))) for _ in range(3)]
+        for u in (QUAD_U, hexagon):
+            for tau in rational + left_eigenvectors(s):
+                maximizer, n = eventual_maximizer(s, u, tau)
+                sums = PrefixSums(s, u, tau)
+                sums.at(PREFIX_CHECK_DEPTH)  # extended past short thresholds, as the check does
+                sup = sup_from(s, u, tau, maximizer, n, sums)
+                assert sign(sup - sup_in_direction(s, u, tau)) == 0
+                for k in range(PREFIX_CHECK_DEPTH + 1):
+                    assert sign(sup - sums.at(k)) >= 0
+                    if k and all(isinstance(x, F) for x in tau):
+                        assert sums.at(k) == partial_sum_max(a, u, tau, k - 1)
+                checked += 1
+    assert checked >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,68 @@ def test_decide_above_the_facet_ceiling_falls_back_to_forward_search(tmp_path, c
     artifact["instance_sha256"] = instances.instance_sha256(sys_)
     assert driver.audit(sys_, artifact) is False
 
+
+def segment_instance_text(dim: int) -> str:
+    """A = I/2, controls on the segment +-e1 and the point 3 e1 as target:
+    unreachable (the first coordinate stays below 2), and the reduced
+    system is one-dimensional, so its only directions are +1 and -1."""
+    rows = [" ".join("1/2" if j == i else "0" for j in range(dim)) for i in range(dim)]
+    e1 = ["0"] * (dim - 1)
+    return "\n".join(["dim %d" % dim, "matrix", *rows, "control", "vertices",
+                      " ".join(["1", *e1]), " ".join(["-1", *e1]), "source", " ".join(["0"] * dim),
+                      "target", "vertices", " ".join(["3", *e1]), ""])
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_decide_one_dimensional_reduction_in_bounded_time(tmp_path, dim):
+    # the stream has no new direction after +1 and -1 but takes long to end,
+    # so a certificate must be verified as it is drawn; in 6-D the span step
+    # also intersects a point target, which has no facets in any dimension
+    path = tmp_path / "segment.lti"
+    path.write_text(segment_instance_text(dim))
+    out = tmp_path / "verdict.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")] +
+        env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ltireach.cli", "decide", "--input", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == cli.EXIT_UNREACHABLE, proc.stdout + proc.stderr
+    assert cli.main(["audit", str(path), str(out)]) == 0
+
+
+def test_audit_never_runs_the_prefix_check(tmp_path, monkeypatch):
+    from ltireach import certify
+
+    probed = []
+    probe = certify.fails_prefix_check
+
+    def counting(*args):
+        probed.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(driver, "fails_prefix_check", counting)
+    artifacts = []
+    for i, (text, budgets, _, _) in enumerate(GOLDEN_VERDICTS):
+        sys_ = instances.parse_instance(text)
+        body = instances.verdict_to_json(driver.decide(sys_, driver.Budgets(**budgets)))
+        ipath, apath = tmp_path / f"i{i}.lti", tmp_path / f"a{i}.json"
+        ipath.write_text(text)
+        apath.write_text(instances.dump_json(body))
+        artifacts.append((sys_, body, str(ipath), str(apath)))
+    assert probed  # the decide path ran the check
+
+    def refuse(*args):
+        raise AssertionError("prefix check on the audit path")
+
+    monkeypatch.setattr(certify, "fails_prefix_check", refuse)
+    monkeypatch.setattr(driver, "fails_prefix_check", refuse)
+    for sys_, body, ipath, apath in artifacts:
+        assert driver.audit(sys_, body) is True
+        assert cli.main(["audit", ipath, apath]) == 0
+
+
 def test_cli_audit_hash_mismatch(tmp_path):
     reachable = write_instance(tmp_path, "r.lti", "1 1")
     other = write_instance(tmp_path, "o.lti", "0 3")

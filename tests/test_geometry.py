@@ -344,9 +344,13 @@ def test_facets_support_property():
 
 
 def test_facet_ceiling():
-    p = GenPolyhedron.polytope([vec(*([0] * 6)), vec(*([1] * 6))])
+    cross = GenPolyhedron.polytope([vec(*(s if j == i else 0 for j in range(6)))
+                                    for i in range(6) for s in (1, -1)])
     with pytest.raises(DimensionCeilingError):
-        facet_normals(p)
+        facet_normals(cross)
+    # the ceiling is on the affine dimension: a segment in 6-D has two facets
+    segment = GenPolyhedron.polytope([vec(*([0] * 6)), vec(*([1] * 6))])
+    assert sorted(facet_normals(segment)) == [vec(*([-1] * 6)), vec(*([1] * 6))]
 
 
 def test_point_has_no_facets():
