@@ -10,8 +10,9 @@ where u is a vertex that eventually maximizes <A^n ., tau> and N a
 threshold past which it dominates every other vertex.  Both are computed
 exactly: the sequence <A^n (v-w), tau> expands over the eigenvalue basis
 as sum C(n,j) lam_i^n c_ij, its eventual sign is the sign of the
-dominant coefficient, and the threshold is certified by an explicit
-tail-domination inequality checked with exact algebraic comparisons.
+dominant coefficient, and the threshold is the least n from which an
+explicit tail-domination inequality, checked with exact algebraic
+comparisons, holds for good; classify_sequence finds it with one search.
 Those comparisons weigh sums of terms k |c| lam^n.  Each is first decided
 on rational interval enclosures of the terms, built from the intervals of
 c and lam without computing lam^n; only when the enclosures still overlap
@@ -72,6 +73,7 @@ from .linalg import (
     RatMatrix,
     SpectralData,
     Vec,
+    alg_dot,
     alg_kernel_basis,
     bilinear_rows,
     expand_inner_product,
@@ -197,9 +199,13 @@ class _PowerCache:
 def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqClass:
     """Eventual sign of <A^n (v-w), tau>, with a certified threshold.
 
-    The returned threshold N satisfies the tail-domination inequality
-    |c0| C(n,j0) lam0^n > sum of the other |c| C(n,j) lam^n for every
-    n >= N, so the sign is the dominant coefficient's sign from N on.
+    The returned threshold N is the least n from which the tail-domination
+    inequality |c0| C(n,j0) lam0^n > sum of the other |c| C(n,j) lam^n
+    holds for every larger n, so the sign is the dominant coefficient's
+    sign from N on.  From the onset, the first n past which every other
+    term's ratio to the dominant term falls, the inequality stays true once
+    true: one search above the onset finds the first n where it holds, and a
+    walk down lowers that n while the inequality still holds one below.
     `rows` are bilinear_rows(s, tau) when the caller has them already.
     """
     coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
@@ -208,40 +214,23 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
     i0, j0, c0 = max(nonzero, key=lambda t: (t[0], t[1]))
     kind = SeqKind.ULTIMATELY_POSITIVE if c0 > 0 else SeqKind.ULTIMATELY_NEGATIVE
-    others = [(i, j, c) for (i, j, c) in nonzero if (i, j) != (i0, j0)]
-
     lam0 = s.eigenvalues[i0]
     pow0 = _PowerCache(lam0)
     abs_c0 = abs(c0)
-    t_count = len(others)
-    crossovers = []
     term_caches = []
-    for (i, j, c) in others:
+    onset = j0
+    for (i, j, c) in nonzero:
+        if (i, j) == (i0, j0):
+            continue
         lam = s.eigenvalues[i]
-        powi = _PowerCache(lam)
-        absc = abs(c)
-        term_caches.append((lam, j, absc, powi))
-        start = max(j, j0)
+        term_caches.append((lam, j, abs(c), _PowerCache(lam)))
 
         def ratio_decreasing(n, lam=lam, j=j):
             lhs = lam * (n + 1 - j0)
             rhs = lam0 * (n + 1 - j)
             return lhs < rhs
 
-        onset = _first_true_at_least(start, ratio_decreasing)
-
-        def share_small(n, lam=lam, j=j, absc=absc, powi=powi):
-            def exact():
-                lhs = absc * (t_count * comb(n, j)) * powi.get(n)
-                rhs = abs_c0 * comb(n, j0) * pow0.get(n)
-                return lhs < rhs
-
-            return _sum_less([(t_count * comb(n, j), absc, lam)],
-                             [(comb(n, j0), abs_c0, lam0)], n, exact)
-
-        crossovers.append(_first_true_at_least(onset, share_small))
-    n_star = max(crossovers, default=j0)
-    n_star = max(n_star, j0)
+        onset = max(onset, _first_true_at_least(max(j, j0), ratio_decreasing))
 
     def domination_holds(n: int) -> bool:
         def exact():
@@ -254,7 +243,7 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
         return _sum_less([(comb(n, j), absc, lam) for (lam, j, absc, _) in term_caches],
                          [(comb(n, j0), abs_c0, lam0)], n, exact)
 
-    threshold = n_star
+    threshold = _first_true_at_least(onset, domination_holds)
     while threshold > 0 and domination_holds(threshold - 1):
         threshold -= 1
     return SeqClass(kind, threshold, (i0, j0))
@@ -319,7 +308,7 @@ class PrefixSums:
                 self._images = [self.s.matrix.matvec(x) for x in self._images]
             best = None
             for x in self._images:
-                val = _tau_dot(self.tau, x)
+                val = alg_dot(self.tau, x)
                 if best is None or val > best:
                     best = val
             self.sums.append(self.sums[-1] + best)
@@ -353,7 +342,7 @@ def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: 
     x = maximizer
     for _ in range(threshold):
         x = s.matrix.matvec(x)
-    return sums.at(threshold) + _tau_dot(tau, s.geometric_sum_matrix().matvec(x))
+    return sums.at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(x))
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
@@ -362,14 +351,10 @@ def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
     return sup_from(s, u, tau, maximizer, n)
 
 
-def _tau_dot(tau: AlgVec, v) -> Alg:
-    return sum((t * x for t, x in zip(tau, v)), Fraction(0))
-
-
 def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
     best = None
     for v in q.vertices:
-        val = _tau_dot(tau, v)
+        val = alg_dot(tau, v)
         if best is None or val < best:
             best = val
     return best

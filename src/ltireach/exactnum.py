@@ -649,17 +649,7 @@ class RealAlg:
             return False
         if not isinstance(other, RealAlg):
             return NotImplemented
-        if self.minpoly != other.minpoly:
-            return False
-        a, b = self, other
-        chain = sturm_chain(a.minpoly)
-        while True:
-            if a._hi < b._lo or b._hi < a._lo:
-                return False
-            if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
-                return True
-            a.refine()
-            b.refine()
+        return self.minpoly == other.minpoly and self.compare(other) == 0
 
     def __lt__(self, other):
         return self.compare(other) < 0

@@ -277,27 +277,22 @@ def reach_exactly(sys: LtiSystem, n: int, columns: StepColumns | None = None) ->
     elif columns.system is not sys:
         raise ValueError("step columns of another system")
     columns.grow(n)
-    if len(sys.controls.components) == 1:
-        assignment = [0] * n
-        cons, layout = _build_lp(assignment, n, columns)
-        res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
-        if not res.is_feasible:
-            return None
-        return _witness_from_solution(n, assignment, layout, res.point)
     return _search(sys, columns, [0] * n, 0)
 
 
 def _search(sys: LtiSystem, cols: StepColumns, assignment: list[int], depth: int) -> ReachWitness | None:
-    """Union controls: DFS over per-step component assignments with
-    hull-relaxation pruning at internal nodes."""
+    """DFS over per-step component assignments with hull-relaxation pruning
+    at internal nodes.  A lone component is its own pooled hull, so with
+    one component the LP at depth 0 is exact and decides the horizon."""
     n = len(assignment)
     cons, layout = _build_lp(assignment, depth, cols)
     res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
     if not res.is_feasible:
         return None
-    if depth == n:
+    ncomps = len(sys.controls.components)
+    if depth == n or ncomps == 1:
         return _witness_from_solution(n, assignment, layout, res.point)
-    for c in range(len(sys.controls.components)):
+    for c in range(ncomps):
         assignment[depth] = c
         found = _search(sys, cols, assignment, depth + 1)
         if found is not None:

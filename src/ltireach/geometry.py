@@ -171,10 +171,11 @@ def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
     return row, den
 
 
-def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool = True) -> LpResult:
+def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
     """Exact simplex over free or sign-restricted variables.
 
-    objective: coefficient sequence or None for pure feasibility.
+    objective: coefficient sequence to maximize, or None for pure
+    feasibility.
     nonneg: per-variable bools (default all False, i.e. free variables).
     Every returned point satisfies the constraints exactly; optimality is
     certified by nonpositive reduced costs at termination.  The tableau
@@ -184,8 +185,6 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool 
     if nonneg is None:
         nonneg = [False] * num_vars
     obj = [Fraction(c) for c in objective] if objective is not None else None
-    if obj is not None and not maximize:
-        obj = [-c for c in obj]
 
     # column layout: each free variable splits into (+, -); nonneg keeps one
     col_of: list[tuple[int, int | None]] = []
@@ -291,8 +290,6 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None, maximize: bool 
     value = None
     if obj is not None:
         value = sum(o * x for o, x in zip(obj, point))
-        if not maximize:
-            value = -value
     return LpResult("optimal", value, tuple(point))
 
 

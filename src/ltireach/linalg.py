@@ -686,7 +686,7 @@ def _poly_mul_alg(a: list[Alg], b: list[Alg]) -> list[Alg]:
     return out
 
 
-def _alg_dot(xs, ys) -> Alg:
+def alg_dot(xs, ys) -> Alg:
     return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
 
@@ -703,7 +703,7 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
     ncols = [s.nilpotent.col(k) for k in range(d)]
     out: list[list[list[Alg]]] = []
     for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
-        row = [_alg_dot(tau, col) for col in zip(*proj)]
+        row = [alg_dot(tau, col) for col in zip(*proj)]
         rows_i = [row]
         if mu > 1:
             lam_inv = 1 / lam
@@ -725,4 +725,4 @@ def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[Alg]]:
         rows = bilinear_rows(s, tau)
     if len(u) != s.dim:
         raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
-    return [[_alg_dot(r, u) for r in row_i] for row_i in rows]
+    return [[alg_dot(r, u) for r in row_i] for row_i in rows]

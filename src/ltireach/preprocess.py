@@ -82,6 +82,8 @@ class SimplicityReport:
     source_is_zero: bool
 
     def failing_conditions(self) -> list[str]:
+        """Every condition of the certificate search that the system fails,
+        in a fixed order; empty exactly when to_simple_form applies."""
         out = []
         if not self.is_polytope:
             out.append("controls are not a single bounded polytope")
@@ -91,6 +93,8 @@ class SimplicityReport:
             out.append("spectral radius is not below one")
         if self.real_power is None:
             out.append("no power of the matrix has exclusively real spectrum")
+        if not self.source_is_zero:
+            out.append("source state is not the origin")
         return out
 
 
@@ -144,7 +148,7 @@ def _polytope_in_basis(p: GenPolyhedron, basis: list[Vec]) -> GenPolyhedron:
     return canonical(GenPolyhedron(len(basis), verts))
 
 
-def _input_sum(a: RatMatrix, u: GenPolyhedron, steps: int) -> GenPolyhedron:
+def input_sum(a: RatMatrix, u: GenPolyhedron, steps: int) -> GenPolyhedron:
     """Minkowski sum of A^i(U) for i = 0..steps-1."""
     if steps <= 0:
         return GenPolyhedron.point(zero_vec(a.rows))
@@ -161,17 +165,16 @@ def to_simple_form(sys: LtiSystem, report: SimplicityReport | None = None) -> Si
     caller has it already."""
     if report is None:
         report = check_simple(sys)
-    if not report.simple:
-        raise NonSimpleError("; ".join(report.failing_conditions()))
-    if not report.source_is_zero:
-        raise NonSimpleError("source state must be the origin")
+    reasons = report.failing_conditions()
+    if reasons:
+        raise NonSimpleError("; ".join(reasons))
     u0 = sys.controls.components[0]
     m = report.real_power
     assert m is not None
 
     # power step
     power_a = sys.a.power(m)
-    power_u = _input_sum(sys.a, u0, m) if m > 1 else u0
+    power_u = input_sum(sys.a, u0, m) if m > 1 else u0
 
     # invertibility step: the first d steps are absorbed into the target
     d = power_a.rows
@@ -185,7 +188,7 @@ def to_simple_form(sys: LtiSystem, report: SimplicityReport | None = None) -> Si
         fit_a = _restrict_matrix(power_a, v1)
         image_u = linear_image(power_a.power(d), power_u)
         fit_u = _polytope_in_basis(image_u, v1) if v1 else GenPolyhedron(0, ((),))
-        prefix = _input_sum(power_a, power_u, d)
+        prefix = input_sum(power_a, power_u, d)
         shifted = minkowski_sum(sys.target, negate(prefix))
         fit_q = intersect_with_subspace(shifted, v1)
     else:

@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 
 from .exactnum import rat_to_str
-from .geometry import GenPolyhedron, _hull_2d, linear_image, minkowski_sum
-from .linalg import RatMatrix
-from .preprocess import LtiSystem
+from .geometry import GenPolyhedron, _hull_2d
+from .preprocess import LtiSystem, input_sum
 
 VIEW = 640.0
 MARGIN = 0.08
@@ -28,13 +27,7 @@ def partial_reach_polytope(sys: LtiSystem, n: int) -> GenPolyhedron:
     """Sum of the first n+1 forward input images (exact)."""
     if len(sys.controls.components) != 1 or not sys.controls.components[0].is_polytope:
         raise RenderError("rendering needs a single polytopic control set")
-    u = sys.controls.components[0]
-    acc = u
-    power = RatMatrix.identity(sys.dim)
-    for _ in range(n):
-        power = power @ sys.a
-        acc = minkowski_sum(acc, linear_image(power, u))
-    return acc
+    return input_sum(sys.a, sys.controls.components[0], n + 1)
 
 
 def _hull_order(p: GenPolyhedron):

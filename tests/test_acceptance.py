@@ -297,6 +297,7 @@ def test_criterion_6_classification_suite():
         systems.append((a, spectral_decompose(a)))
     failures = 0
     draws = 0
+    least_checked = 0
     while draws < 500:
         a, s = systems[rng.randrange(len(systems))]
         d = a.rows
@@ -316,14 +317,13 @@ def test_criterion_6_classification_suite():
         else:
             ok = all(x < 0 for x in values[c.threshold:])
         if ok and c.kind is not SeqKind.IDENTICALLY_ZERO:
-            # recheck the tail-domination inequality at N, N+1, N+7
             coeffs = expand_inner_product(s, diff, tau)
             i0, j0 = c.dominant
             from math import comb
 
-            for n in (c.threshold, c.threshold + 1, c.threshold + 7):
-                lam0 = s.eigenvalues[i0]
-                lhs = abs(coeffs[i0][j0]) * comb(n, j0) * lam0 ** n
+            def dominates(n):
+                """The tail-domination inequality at n, evaluated exactly."""
+                lhs = abs(coeffs[i0][j0]) * comb(n, j0) * s.eigenvalues[i0] ** n
                 rhs = F(0)
                 for i, row in enumerate(coeffs):
                     for j, cc in enumerate(row):
@@ -331,12 +331,21 @@ def test_criterion_6_classification_suite():
                             continue
                         if sign(cc) != 0:
                             rhs = rhs + abs(cc) * comb(n, j) * s.eigenvalues[i] ** n
-                if not sign(lhs - rhs) > 0:
+                return sign(lhs - rhs) > 0
+
+            # it holds at N, N+1, N+7, and N is the least such threshold:
+            # it fails at N-1
+            if not all(dominates(n) for n in (c.threshold, c.threshold + 1, c.threshold + 7)):
+                ok = False
+            if c.threshold > 0:
+                least_checked += 1
+                if dominates(c.threshold - 1):
                     ok = False
         if not ok:
             failures += 1
         draws += 1
     assert draws == 500 and failures == 0
+    assert least_checked > 100  # 227 of the 500 draws have N > 0
     report("6 (classification matches direct evaluation, 500 draws)", True)
 
 

@@ -232,9 +232,9 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
         layouts.append(layout)
         return cons, layout
 
-    def both(objective, constraints, num_vars, nonneg=None, maximize=True):
-        got = lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
-        want = fraction_lp_solve(objective, constraints, num_vars, nonneg=nonneg, maximize=maximize)
+    def both(objective, constraints, num_vars, nonneg=None):
+        got = lp_solve(objective, constraints, num_vars, nonneg=nonneg)
+        want = fraction_lp_solve(objective, constraints, num_vars, nonneg=nonneg)
         assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
         scales = layouts[-1].scales
         orig = fraction_lp_solve(objective, unscaled(constraints, scales), num_vars, nonneg=nonneg)
@@ -304,6 +304,25 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
     verdict = driver.decide(sys, driver.Budgets(max_steps=6))
     assert verdict.kind == "unknown" and len(made) == 2
     assert made[1].products == gens * 5 + 6
+
+
+def test_single_component_solves_one_lp_per_horizon(monkeypatch):
+    """A lone component is its own pooled hull, so the search stops at its
+    root: one LP per horizon, reachable or not."""
+    from ltireach import forward
+
+    solved = []
+
+    def counted(*args, **kwargs):
+        solved.append(1)
+        return lp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "lp_solve", counted)
+    sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
+    assert reach_exactly(sys, 1) is None and len(solved) == 1
+    w = reach_exactly(sys, 2)
+    assert w is not None and verify_witness(sys, w) and len(solved) == 2
+    assert [s.component for s in w.steps] == [0, 0]
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():
