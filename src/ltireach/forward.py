@@ -8,13 +8,22 @@ a sound convex-hull relaxation pruning infeasible prefixes; leaves are
 exact.  The first witness found is minimal-horizon and lexicographically
 first in component assignment, so outputs are deterministic.
 
+Each horizon solves one LP from scratch, its root, where every step
+ranges over the pooled hull.  A child that fixes one step's component
+has its parent's LP with the other components' variables of that step
+at 0, so its feasible tableau is the parent's restricted to the other
+columns (`geometry._Tableau.restricted`), often without a pivot.  Only
+the feasible leaf is solved from scratch once more, so the witness is
+the point the cold LP gives, whatever bases the restrictions reached.
+
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
 denominator, one power at a time, once per decision.  Each LP variable is
 a generator's coefficient divided by that denominator, so every row is
-an integer row.  Scaling a column by a positive constant changes no
-choice of Bland's rule, so the LP takes the pivots of the unscaled one
-and the witness, the variables times their denominators, is the same.
+an integer row, and the rows go to `geometry.feasible_tableau` as
+integers.  Scaling a column by a positive constant changes no choice of
+Bland's rule, so the LP takes the pivots of the unscaled one and the
+witness, the variables times their denominators, is the same.
 """
 
 from __future__ import annotations
@@ -23,12 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import (
-    GenPolyhedron,
-    LinearConstraint,
-    contains_point,
-    lp_solve,
-)
+from .geometry import GenPolyhedron, contains_point, feasible_tableau, tableau_columns
 from .linalg import Vec, vec_add, vec_scale, zero_vec
 from .preprocess import LtiSystem
 
@@ -142,6 +146,11 @@ class _Block:
         return _Block.of([_int_vec(g) for g in (*vertices, *rays, *lines)],
                          len(vertices), len(rays), len(lines))
 
+    @property
+    def nonneg(self) -> list[bool]:
+        """Vertex and ray coefficients are nonnegative, line coefficients free."""
+        return [True] * (self.nv + self.nr) + [False] * self.nl
+
     def groups(self):
         """(nums, dens) of the vertices, of the rays and of the lines."""
         a, b = self.nv, self.nv + self.nr
@@ -163,6 +172,18 @@ def _pool(blocks: list[_Block]) -> _Block:
                   sum(b.nr for b in blocks), sum(b.nl for b in blocks))
 
 
+def _foreign_columns(blocks: list[_Block]) -> list[list[int]]:
+    """For each component, the tableau columns of the pooled block that hold
+    another component's generators.  The pooled block lists every
+    component's vertices, then their rays, then their lines."""
+    owner = [c for c, b in enumerate(blocks) for _ in range(b.nv)]
+    owner += [c for c, b in enumerate(blocks) for _ in range(b.nr)]
+    owner += [c for c, b in enumerate(blocks) for _ in range(b.nl)]
+    col_of, _ = tableau_columns(_pool(blocks).nonneg)
+    return [[j for o, pm in zip(owner, col_of) if o != c for j in pm if j is not None]
+            for c in range(len(blocks))]
+
+
 class StepColumns:
     """The columns of every horizon LP of one system, grown one power of A
     at a time.
@@ -173,7 +194,10 @@ class StepColumns:
     A^k and pooled[k] the pooled hull's; step t of horizon n reads power
     n-1-t.  bases[n] is A^n source, and target holds the negated target
     generators.  One object serves every horizon of one decision, so each
-    A^k g is formed once; `products` counts the matvecs."""
+    A^k g is formed once; `products` counts the matvecs.  widths[c] counts
+    the tableau columns of component c's block, and foreign[c] lists the
+    columns of a pooled block that are not component c's, for the search's
+    restrictions."""
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
@@ -183,7 +207,10 @@ class StepColumns:
         self._a_rows = [[(j, x.numerator * (self._a_den // x.denominator))
                          for j, x in enumerate(a.row(i)) if x] for i in range(a.rows)]
         self.comps = [[_Block.of_generators(c.vertices, c.rays, c.lines)] for c in sys.controls.components]
-        self.pooled = [_pool([table[0] for table in self.comps])]
+        blocks = [table[0] for table in self.comps]
+        self.pooled = [_pool(blocks)]
+        self.widths = [tableau_columns(b.nonneg)[1] for b in blocks]
+        self.foreign = _foreign_columns(blocks)
         self.bases = [_int_vec(sys.source)]
         q = sys.target
         self.target = _Block.of_generators(*([tuple(-x for x in g) for g in gens]
@@ -213,13 +240,16 @@ class StepColumns:
 
 
 def _build_lp(assignment, pooled_from: int, cols: StepColumns):
-    """Constraints for: A^n source + sum_t A^(n-1-t) u_t in target, where
+    """The equations of: A^n source + sum_t A^(n-1-t) u_t in target, where
     steps before pooled_from use their assigned component and later steps
     use the pooled hull of all components.
 
     Each variable is its generator's coefficient over the generator's
     denominator, so every row is an integer row: a state row holds the
-    generators' numerators and a convexity row their denominators."""
+    generators' numerators and minus the entry of A^n source, and a
+    convexity row their denominators and 1.  Returns the rows, each in
+    lowest terms over its denominator as `feasible_tableau` reads them,
+    their denominators and the layout."""
     n = len(assignment)
     blocks = [cols.comps[assignment[t]][n - 1 - t] if t < pooled_from else cols.pooled[n - 1 - t]
               for t in range(n)]
@@ -232,17 +262,25 @@ def _build_lp(assignment, pooled_from: int, cols: StepColumns):
         slices.append((len(columns), b.nv, b.nr, b.nl))
         columns += b.nums
         scales += b.dens
-        nonneg += [True] * (b.nv + b.nr) + [False] * b.nl
+        nonneg += b.nonneg
     ncols = len(columns)
 
     base, base_den = cols.bases[n]
-    cons = [LinearConstraint(row, "==", Fraction(-b, base_den)) for row, b in zip(zip(*columns), base)]
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    for row, b in zip(zip(*columns), base):
+        g = gcd(b, base_den)
+        den = base_den // g
+        rows.append([*row, -b // g] if den == 1 else [x * den for x in row] + [-b // g])
+        dens.append(den)
     for start, nv, _, _ in slices:
-        row = [0] * ncols
+        row = [0] * (ncols + 1)
         row[start:start + nv] = scales[start:start + nv]
-        cons.append(LinearConstraint(tuple(row), "==", 1))
+        row[-1] = 1
+        rows.append(row)
+        dens.append(1)
 
-    return cons, _Layout(slices[:-1], ncols, nonneg, scales)
+    return rows, dens, _Layout(slices[:-1], ncols, nonneg, scales)
 
 
 def _witness_from_solution(n: int, assignment, layout: _Layout, point) -> ReachWitness:
@@ -277,24 +315,52 @@ def reach_exactly(sys: LtiSystem, n: int, columns: StepColumns | None = None) ->
     elif columns.system is not sys:
         raise ValueError("step columns of another system")
     columns.grow(n)
-    return _search(sys, columns, [0] * n, 0)
+    assignment = [0] * n
+    # a lone component is its own pooled hull: the root LP is exact
+    if len(sys.controls.components) == 1:
+        return _witness(columns, assignment)
+    root, _ = _cold_tableau(assignment, 0, columns)
+    return _search(columns, assignment, 0, root)
 
 
-def _search(sys: LtiSystem, cols: StepColumns, assignment: list[int], depth: int) -> ReachWitness | None:
-    """DFS over per-step component assignments with hull-relaxation pruning
-    at internal nodes.  A lone component is its own pooled hull, so with
-    one component the LP at depth 0 is exact and decides the horizon."""
+def _cold_tableau(assignment, pooled_from: int, cols: StepColumns):
+    """The feasible tableau of _build_lp(assignment, pooled_from, cols) from
+    the all-artificial basis, or None, and the LP's layout."""
+    rows, dens, layout = _build_lp(assignment, pooled_from, cols)
+    return feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg), layout
+
+
+def _witness(cols: StepColumns, assignment) -> ReachWitness | None:
+    """The witness of the LP with every step assigned, solved cold, or None
+    when it is infeasible."""
     n = len(assignment)
-    cons, layout = _build_lp(assignment, depth, cols)
-    res = lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
-    if not res.is_feasible:
+    tab, layout = _cold_tableau(assignment, n, cols)
+    if tab is None:
         return None
-    ncomps = len(sys.controls.components)
-    if depth == n or ncomps == 1:
-        return _witness_from_solution(n, assignment, layout, res.point)
-    for c in range(ncomps):
+    return _witness_from_solution(n, assignment, layout, tab.point(layout.nonneg))
+
+
+def _search(cols: StepColumns, assignment: list[int], depth: int, tab) -> ReachWitness | None:
+    """DFS over per-step component assignments with hull-relaxation pruning,
+    below the node whose LP is _build_lp(assignment, depth, cols): tab is
+    that LP's feasible tableau, or None when it is infeasible.
+
+    The child that gives step `depth` component c has its parent's LP with
+    the other components' variables of that step at 0, so its tableau is
+    tab restricted to the other columns.  A feasible leaf is solved once
+    more from the all-artificial basis, so the witness is the point that
+    Bland's rule reaches from there, whatever basis the restrictions
+    reached."""
+    if tab is None:
+        return None
+    n = len(assignment)
+    if depth == n:
+        return _witness(cols, assignment)
+    # step depth's pooled block follows the assigned blocks of earlier steps
+    offset = sum(cols.widths[c] for c in assignment[:depth])
+    for c, foreign in enumerate(cols.foreign):
         assignment[depth] = c
-        found = _search(sys, cols, assignment, depth + 1)
+        found = _search(cols, assignment, depth + 1, tab.restricted([offset + j for j in foreign]))
         if found is not None:
             return found
     assignment[depth] = 0

@@ -9,9 +9,15 @@ is a list of integer numerators over one positive integer denominator,
 and a pivot combines rows by integer products and one gcd (Edmonds 1967;
 Bareiss 1968).  It takes the pivots a Fraction tableau would take, so
 it returns the same point; Fractions appear only in that point and the
-objective value.  Constraints keep int coefficients as ints, so a caller
-that scales its columns to integers (the forward LP gives each variable
-its column's denominator) pays no conversion.
+objective value.
+
+One routine fixes columns at zero: `_Tableau.restricted` takes a
+feasible tableau to the same LP without the banned columns, by a
+phase 1 from its current basis that maximizes minus their sum.  Phase 1
+of `lp_solve` is that routine with the artificial columns banned, and
+`feasible_tableau` runs it on rows that are already integers, as the
+forward search builds them; the search restricts a parent's tableau to
+reach each child's.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a ceiling on the affine dimension of the polytope (not
@@ -83,13 +89,15 @@ class _Tableau:
     Row i stands for rows[i] / dens[i]: Python ints, one per column and
     then the right-hand side, over a positive int, with their common gcd
     divided out.  A basic column holds dens[i] in its own row and 0 in the
-    others.  While `maximize` runs, red / red_den is the reduced-cost row
-    in the same form; its last entry is minus the objective value."""
+    others.  ncols counts the columns.  While `maximize` runs, red / red_den
+    is the reduced-cost row in the same form; its last entry is minus the
+    objective value."""
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int):
         self.rows = rows
         self.dens = dens
         self.basis = basis
+        self.ncols = ncols
         self.red: list[int] | None = None
         self.red_den = 1
 
@@ -155,6 +163,63 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
+    def restricted(self, banned) -> _Tableau | None:
+        """This feasible tableau's LP with the banned columns held at 0: a
+        feasible tableau over the other columns, kept in their order, or
+        None when no feasible point has them all at 0.  self is unchanged.
+
+        From the current basis, which is feasible, it maximizes minus the
+        banned columns' sum, so it takes no pivot when no banned column is
+        basic.  A banned column still basic, at 0, is driven out on its
+        row's first nonzero entry in a kept column (the entry may be
+        negative; pivot normalizes its sign).  Rows left basic in a banned
+        column are redundant and are dropped, and so are the banned
+        columns."""
+        ban = set(banned)
+        tab = self
+        if any(b in ban for b in self.basis):
+            tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols)
+            cost = [0] * self.ncols
+            for j in ban:
+                cost[j] = -1
+            status = tab.maximize(cost)
+            assert status == "optimal", "the banned columns' sum is bounded below by 0"
+            if tab.red[-1] != 0:  # minus the optimum: a banned column stays positive
+                return None
+            tab.red = None
+            for r in range(len(tab.rows)):
+                if tab.basis[r] in ban:
+                    row = tab.rows[r]
+                    for j in range(self.ncols):
+                        if row[j] and j not in ban:
+                            tab.pivot(r, j)
+                            break
+        kept = [j for j in range(self.ncols) if j not in ban]
+        new_index = {j: i for i, j in enumerate(kept)}
+        kept.append(self.ncols)  # the right-hand side
+        rows, dens, basis = [], [], []
+        for row, den, b in zip(tab.rows, tab.dens, tab.basis):
+            if b not in ban:
+                row, den = _lowest_terms([row[j] for j in kept], den)
+                rows.append(row)
+                dens.append(den)
+                basis.append(new_index[b])
+        return _Tableau(rows, dens, basis, len(kept) - 1)
+
+    def point(self, nonneg) -> tuple[Fraction, ...]:
+        """The basic solution in the variables of `feasible_tableau`'s
+        layout, each free variable its positive part minus its negative
+        part."""
+        values = {b: Fraction(row[-1], den) for row, den, b in zip(self.rows, self.dens, self.basis)}
+        zero = Fraction(0)
+        point = []
+        for p, m in tableau_columns(nonneg)[0]:
+            x = values.get(p, zero)
+            if m is not None and m in values:
+                x = x - values[m]
+            point.append(x)
+        return tuple(point)
+
 
 def _eliminate(row: list[int], den: int, f: int, prow: list[int], s: int) -> tuple[list[int], int]:
     """row / den minus (f / den) times prow / s, where prow / s is 1 in the
@@ -171,66 +236,66 @@ def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
     return row, den
 
 
-def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
-    """Exact simplex over free or sign-restricted variables.
-
-    objective: coefficient sequence to maximize, or None for pure
-    feasibility.
-    nonneg: per-variable bools (default all False, i.e. free variables).
-    Every returned point satisfies the constraints exactly; optimality is
-    certified by nonpositive reduced costs at termination.  The tableau
-    holds integers only; Fractions are built for the returned point and
-    value.
-    """
-    if nonneg is None:
-        nonneg = [False] * num_vars
-    obj = [Fraction(c) for c in objective] if objective is not None else None
-
-    # column layout: each free variable splits into (+, -); nonneg keeps one
+def tableau_columns(nonneg) -> tuple[list[tuple[int, int | None]], int]:
+    """The tableau columns of each variable, as `feasible_tableau` lays
+    them out, and their number: a sign-restricted variable takes one, a
+    free one two adjacent ones, (+, -)."""
     col_of: list[tuple[int, int | None]] = []
     ncols = 0
-    for j in range(num_vars):
-        if nonneg[j]:
+    for keep_sign in nonneg:
+        if keep_sign:
             col_of.append((ncols, None))
             ncols += 1
         else:
             col_of.append((ncols, ncols + 1))
             ncols += 2
-    nstruct = ncols
+    return col_of, ncols
 
-    # each constraint as integer numerators over the lcm of its denominators
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    rels: list[str] = []
-    for con in constraints:
-        coeffs = con.coeffs[:num_vars]
-        den = lcm(con.rhs.denominator, *(c.denominator for c in coeffs))
-        row = [0] * nstruct
-        for (p, m), c in zip(col_of, coeffs):
-            if c:
-                k = c.numerator * (den // c.denominator)
-                row[p] = k
-                if m is not None:
-                    row[m] = -k
-        b = con.rhs.numerator * (den // con.rhs.denominator)
-        rel = con.rel
+
+def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], nonneg) -> _Tableau | None:
+    """Phase 1 of the simplex on integer rows: a feasible tableau of the LP,
+    or None when it is infeasible.
+
+    Row i stands for rows[i] / dens[i], in lowest terms: one int
+    coefficient per variable and then the right-hand side, over a
+    positive int; rels[i] is its relation, "<=", ">=" or "==".  The
+    tableau's columns are the variables' (`tableau_columns`), then one slack or
+    surplus per inequality, then one artificial per row that is not a
+    "<=", which start basic.  Phase 1 restricts that tableau to the other
+    columns, so the artificials, being last, change no choice of Bland's
+    rule.  `lp_solve` reads its constraints into such rows; the forward
+    search builds them directly."""
+    col_of, nstruct = tableau_columns(nonneg)
+    split = not all(nonneg)
+    body: list[list[int]] = []
+    flipped: list[str] = []
+    for row, rel in zip(rows, rels):
+        b = row[-1]
+        if split:
+            ext = [0] * nstruct
+            for (p, m), c in zip(col_of, row):
+                if c:
+                    ext[p] = c
+                    if m is not None:
+                        ext[m] = -c
+        else:
+            ext = row[:-1]
         if b < 0:
-            row = [-x for x in row]
+            ext = [-x for x in ext]
             b = -b
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        row.append(b)
-        rows.append(row)
-        dens.append(den)
-        rels.append(rel)
+        ext.append(b)
+        body.append(ext)
+        flipped.append(rel)
 
     # slacks / surplus, then artificials, as the last columns
-    nslack = sum(rel != "==" for rel in rels)
+    nslack = sum(rel != "==" for rel in flipped)
     first_art = nstruct + nslack
-    total = first_art + sum(rel != "<=" for rel in rels)
+    total = first_art + sum(rel != "<=" for rel in flipped)
     basis = []
     slack = nstruct
     art = first_art
-    for row, den, rel in zip(rows, dens, rels):
+    for row, den, rel in zip(body, dens, flipped):
         ext = [0] * (total - nstruct)
         if rel != "==":
             ext[slack - nstruct] = den if rel == "<=" else -den
@@ -243,36 +308,46 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
             art += 1
         row[nstruct:nstruct] = ext
 
-    tab = _Tableau(rows, dens, basis)
+    tab = _Tableau(body, list(dens), basis, total)
     if total > first_art:
-        phase1 = [0] * first_art + [-1] * (total - first_art)
-        status = tab.maximize(phase1)
-        assert status == "optimal", "phase 1 is bounded"
-        if tab.red[-1] != 0:  # minus the phase-1 optimum: an artificial stays positive
-            return LpResult("infeasible")
-        tab.red = None
-        # drive remaining artificials out of the basis; the pivot entry may
-        # be negative, and pivot normalizes its sign
-        for r in range(len(tab.rows)):
-            if tab.basis[r] >= first_art:
-                row = tab.rows[r]
-                for j in range(first_art):
-                    if row[j]:
-                        tab.pivot(r, j)
-                        break
-        # drop rows still basic in an artificial (redundant constraints) and
-        # the artificial columns, which phase 2 keeps at zero
-        kept = [(_lowest_terms(row[:first_art] + row[-1:], den), b)
-                for row, den, b in zip(tab.rows, tab.dens, tab.basis) if b < first_art]
-        tab.rows = [row for (row, _), _ in kept]
-        tab.dens = [den for (_, den), _ in kept]
-        tab.basis = [b for _, b in kept]
-        total = first_art
+        return tab.restricted(range(first_art, total))
+    return tab
+
+
+def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
+    """Exact simplex over free or sign-restricted variables.
+
+    objective: coefficient sequence to maximize, or None for pure
+    feasibility.
+    nonneg: per-variable bools (default all False, i.e. free variables).
+    Every returned point satisfies the constraints exactly; optimality is
+    certified by nonpositive reduced costs at termination.  Each
+    constraint is read as integer numerators over the lcm of its
+    denominators for `feasible_tableau`; Fractions are built for the
+    returned point and value only.
+    """
+    if nonneg is None:
+        nonneg = [False] * num_vars
+    obj = [Fraction(c) for c in objective] if objective is not None else None
+
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    for con in constraints:
+        coeffs = con.coeffs[:num_vars]
+        den = lcm(con.rhs.denominator, *(c.denominator for c in coeffs))
+        row = [c.numerator * (den // c.denominator) if c else 0 for c in coeffs]
+        row += [0] * (num_vars - len(row))
+        row.append(con.rhs.numerator * (den // con.rhs.denominator))
+        rows.append(row)
+        dens.append(den)
+    tab = feasible_tableau(rows, dens, [con.rel for con in constraints], nonneg)
+    if tab is None:
+        return LpResult("infeasible")
 
     if obj is not None:
         cost_den = lcm(*(o.denominator for o in obj))
-        cost = [0] * total
-        for (p, m), o in zip(col_of, obj):
+        cost = [0] * tab.ncols
+        for (p, m), o in zip(tableau_columns(nonneg)[0], obj):
             if o:
                 k = o.numerator * (cost_den // o.denominator)
                 cost[p] = k
@@ -281,16 +356,11 @@ def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
         if tab.maximize(cost, cost_den) == "unbounded":
             return LpResult("unbounded")
 
-    values = [Fraction(0)] * total
-    for row, den, b in zip(tab.rows, tab.dens, tab.basis):
-        values[b] = Fraction(row[-1], den)
-    point = []
-    for p, m in col_of:
-        point.append(values[p] - (values[m] if m is not None else Fraction(0)))
+    point = tab.point(nonneg)
     value = None
     if obj is not None:
         value = sum(o * x for o, x in zip(obj, point))
-    return LpResult("optimal", value, tuple(point))
+    return LpResult("optimal", value, point)
 
 
 # ---------------------------------------------------------------------------

@@ -693,7 +693,8 @@ def alg_dot(xs, ys) -> Alg:
 def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
     """Rows r[i][j] = tau^T P_i N^j lam_i^-j, j < mu_i, of the bilinear forms
     for one direction: r[i][0] = tau^T P_i and r[i][j] = r[i][j-1] N / lam_i.
-    P_i N^j vanishes once j >= mu_i, so those rows are not built.
+    P_i N^j vanishes once j >= mu_i, so those rows are not built, and once
+    a row is zero every later one is, so those are zero rows, not products.
 
     Computed once per tau, they turn every coefficient c[i][j] of a vector
     u into the row-vector product r[i][j] . u."""
@@ -707,10 +708,11 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
         rows_i = [row]
         if mu > 1:
             lam_inv = 1 / lam
-            for _ in range(1, mu):
+            while len(rows_i) < mu and any(row):
                 row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * lam_inv
                        for col in ncols]
                 rows_i.append(row)
+            rows_i += [[Fraction(0)] * d for _ in range(mu - len(rows_i))]
         out.append(rows_i)
     return out
 
@@ -720,9 +722,10 @@ def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[Alg]]:
     closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
 
     `rows` are bilinear_rows(s, tau); a caller expanding many vectors
-    against one direction passes them so they are built once."""
+    against one direction passes them so they are built once.  A zero row
+    gives a zero coefficient without a product."""
     if rows is None:
         rows = bilinear_rows(s, tau)
     if len(u) != s.dim:
         raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
-    return [[alg_dot(r, u) for r in row_i] for row_i in rows]
+    return [[alg_dot(r, u) if any(r) else Fraction(0) for r in row_i] for row_i in rows]

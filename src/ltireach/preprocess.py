@@ -78,7 +78,6 @@ class SimplicityReport:
     origin_in_rel_interior: bool
     schur: bool
     real_power: int | None
-    simple: bool
     source_is_zero: bool
 
     def failing_conditions(self) -> list[str]:
@@ -104,13 +103,11 @@ def check_simple(sys: LtiSystem) -> SimplicityReport:
     charp = charpoly(sys.a)
     schur = schur_stable(sys.a, charp)
     power = real_spectrum_power(sys.a, charp)
-    simple = is_poly and origin_ok and schur and power is not None
     return SimplicityReport(
         is_polytope=is_poly,
         origin_in_rel_interior=origin_ok,
         schur=schur,
         real_power=power,
-        simple=simple,
         source_is_zero=vec_is_zero(sys.source),
     )
 

@@ -6,6 +6,9 @@ spectral projectors and all powers of the nilpotent part, a maximum over a polyh
 solved as one LP over its generators, the simplex over a `Fraction`
 tableau that the integer tableau replaced, and the characteristic
 polynomial by the `Fraction` Berkowitz recursion that the integer one
+replaced, and `all_bilinear_rows` multiplies out the bilinear rows
+that the library stops at the first zero row.  `cold_reach_exactly` is the union search that solves every
+DFS node's LP from scratch, which restricting the parent's tableau
 replaced.  `reduced_witness_lifts` checks the converse of the
 normalization on the original system itself.  `rat` checks the
 representation rule that a rational value is always a `Fraction`, never
@@ -19,6 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from ltireach.exactnum import Alg, IntPoly
+from ltireach import forward
 from ltireach.forward import ReachWitness, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import RatMatrix, SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
@@ -83,6 +87,22 @@ def bilinear_coeff(s: SpectralData, i: int, j: int, u, tau) -> Alg:
     matrix power N^j themselves."""
     pn = alg_matmul(s.projectors[i], s.nilpotent.power(j).to_rows())
     return alg_dot(tau, [alg_dot(row, u) for row in pn]) * s.eigenvalues[i] ** -j
+
+
+def all_bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
+    """`linalg.bilinear_rows` as it was: every row r[i][j], j < mu_i, is
+    the product r[i][j-1] N / lam_i, zero rows included."""
+    ncols = [s.nilpotent.col(k) for k in range(s.dim)]
+    out = []
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
+        row = [alg_dot(tau, col) for col in zip(*proj)]
+        rows_i = [row]
+        for _ in range(1, mu):
+            row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * (1 / lam)
+                   for col in ncols]
+            rows_i.append(row)
+        out.append(rows_i)
+    return out
 
 
 def maximize_over(p: GenPolyhedron, direction: Vec) -> LpResult:
@@ -360,3 +380,51 @@ def fraction_charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
                     new[i] += first_col[k] * c[j]
         c = new
     return tuple(reversed(c))
+
+
+# ---------------------------------------------------------------------------
+# the cold-start union search
+# ---------------------------------------------------------------------------
+
+
+def forward_constraints(rows, dens):
+    """The forward LP's integer rows, each over its denominator, as
+    equality constraints."""
+    return [constraint([Fraction(x, den) for x in row[:-1]], "==", Fraction(row[-1], den))
+            for row, den in zip(rows, dens)]
+
+
+def solve_forward_lp(assignment, pooled_from: int, cols):
+    """_build_lp(assignment, pooled_from, cols) solved from scratch by the
+    Fraction simplex: its LpResult and layout."""
+    rows, dens, layout = forward._build_lp(assignment, pooled_from, cols)
+    res = fraction_lp_solve(None, forward_constraints(rows, dens), layout.ncols, nonneg=layout.nonneg)
+    return res, layout
+
+
+def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
+    """`forward.reach_exactly` as a DFS that solves every node's LP from
+    scratch: the node that assigns the steps before `depth` solves
+    _build_lp(assignment, depth), and the first feasible leaf's point is
+    the witness."""
+    if n == 0 or sys.target.is_empty:
+        return reach_exactly(sys, n)
+    cols = forward.StepColumns(sys)
+    cols.grow(n)
+    ncomps = len(sys.controls.components)
+
+    def search(assignment, depth):
+        res, layout = solve_forward_lp(assignment, depth, cols)
+        if not res.is_feasible:
+            return None
+        if depth == n or ncomps == 1:
+            return forward._witness_from_solution(n, assignment, layout, res.point)
+        for c in range(ncomps):
+            assignment[depth] = c
+            found = search(assignment, depth + 1)
+            if found is not None:
+                return found
+        assignment[depth] = 0
+        return None
+
+    return search([0] * n, 0)

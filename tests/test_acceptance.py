@@ -217,8 +217,7 @@ def test_criterion_4_reduction_soundness_suite():
         u = random_control_polytope(rng, d)
         q = GenPolyhedron.point(vec(*[F(rng.randint(-3, 3), 2) for _ in range(d)]))
         sys_ = LtiSystem(a, ControlSet.single(u), zero_vec(d), q)
-        rep = check_simple(sys_)
-        if not rep.simple:
+        if check_simple(sys_).failing_conditions():
             continue
         form = to_simple_form(sys_)
         red = LtiSystem(form.a_reduced, ControlSet.single(form.u_reduced),
@@ -461,7 +460,7 @@ def test_prefix_check_rejects_only_failing_directions():
     rejected = certified = 0
     for sys_ in systems:
         report_ = check_simple(sys_)
-        if not (report_.simple and report_.source_is_zero):
+        if report_.failing_conditions():
             continue
         s, form = driver._prepare_certification(sys_, report_)
         if form.dim == 0 or form.q_reduced.is_empty:
@@ -488,7 +487,7 @@ def test_criterion_8_non_simple_handling():
                      GenPolyhedron.point(vec(2, 2)))
     rep = check_simple(sys_)
     assert rep.real_power is None
-    assert rep.simple is False
+    assert rep.failing_conditions()
     v = driver.decide(sys_, driver.Budgets(max_steps=4, max_candidates=16))
     assert v.kind == "unknown"
     assert any("forward search only" in w for w in v.warnings)

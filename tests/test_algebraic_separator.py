@@ -37,7 +37,7 @@ def hex_system(target_point):
 
 def test_target_is_the_boundary_accumulation_point():
     assert TARGET == (F(3), F(4))
-    assert check_simple(hex_system(TARGET)).simple
+    assert check_simple(hex_system(TARGET)).failing_conditions() == []
     # forward search never reaches it (the reachable set is open)
     assert reach_within(hex_system(TARGET), 6) is None
 

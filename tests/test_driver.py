@@ -422,7 +422,7 @@ def test_decide_above_the_facet_ceiling_falls_back_to_forward_search(tmp_path, c
     path = tmp_path / "cross6.lti"
     path.write_text(cross_6d_instance_text())
     sys_ = instances.parse_instance(path.read_text())
-    assert check_simple(sys_).simple
+    assert check_simple(sys_).failing_conditions() == []
     assert cli.main(["decide", "--input", str(path)]) == cli.EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert "facet-enumeration ceiling" in err and "forward search only" in err

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,18 +16,18 @@ from ltireach.forward import (
     replay,
     verify_witness,
 )
+from ltireach import forward, geometry
 from ltireach.geometry import (
     ControlSet,
     GenPolyhedron,
-    constraint,
     contains_point,
+    feasible_tableau,
     linear_image,
-    lp_solve,
     minkowski_sum,
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
-from oracles import fraction_lp_solve
+from oracles import cold_reach_exactly, fraction_lp_solve, solve_forward_lp
 
 F = Fraction
 
@@ -212,69 +214,76 @@ def union_systems():
             for q in (vec(F(3, 4), F(4, 3)), vec(F(-1, 2), F(1, 3)), vec(5, 5))]
 
 
-def unscaled(cons, scales):
-    """The LP in the generator coefficients themselves: column j over its
-    scale."""
-    return [constraint([F(c, s) for c, s in zip(con.coeffs, scales)], con.rel, con.rhs) for con in cons]
+def unscaled(rows, dens, scales):
+    """The forward LP in the generator coefficients themselves: column j
+    over its scale."""
+    return [(tuple(F(x, den * sc) for x, sc in zip(row, scales)), "==", F(row[-1], den))
+            for row, den in zip(rows, dens)]
 
 
 def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
-    """Each LP the union search solves, at every DFS node and horizon, gives
-    the Fraction simplex's status, value and point, and its point times
-    the column scales is the Fraction simplex's point on the unscaled LP."""
-    from ltireach import forward
+    """At every DFS node of every horizon, the search's tableau (solved cold
+    at the root, restricted from the parent's below it) is feasible exactly
+    when the Fraction simplex finds the node's LP, _build_lp(assignment,
+    depth), feasible.  Each witness is the Fraction simplex's point on its
+    LP times the column scales, which is the Fraction simplex's point on
+    the unscaled LP."""
+    feasible = Counter()
+    witnesses = []
 
-    statuses = Counter()
-    layouts = []
+    def search(cols, assignment, depth, tab):
+        res, _ = solve_forward_lp(assignment, depth, cols)
+        assert (tab is not None) == res.is_feasible
+        feasible[res.is_feasible] += 1
+        return _search(cols, assignment, depth, tab)
 
-    def build(*args):
-        cons, layout = _build_lp(*args)
-        layouts.append(layout)
-        return cons, layout
-
-    def both(objective, constraints, num_vars, nonneg=None):
-        got = lp_solve(objective, constraints, num_vars, nonneg=nonneg)
-        want = fraction_lp_solve(objective, constraints, num_vars, nonneg=nonneg)
-        assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
-        scales = layouts[-1].scales
-        orig = fraction_lp_solve(objective, unscaled(constraints, scales), num_vars, nonneg=nonneg)
-        assert orig.status == got.status
-        if got.point is not None:
-            assert tuple(y * s for y, s in zip(got.point, scales)) == orig.point
-        statuses[got.status] += 1
+    def witness(cols, assignment):
+        got = _witness(cols, assignment)
+        n = len(assignment)
+        res, layout = solve_forward_lp(assignment, n, cols)
+        assert (got is not None) == res.is_feasible
+        if got is not None:
+            assert got == forward._witness_from_solution(n, assignment, layout, res.point)
+            rows, dens, _ = forward._build_lp(assignment, n, cols)
+            cons = [geometry.constraint(*row) for row in unscaled(rows, dens, layout.scales)]
+            orig = fraction_lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
+            assert tuple(y * sc for y, sc in zip(res.point, layout.scales)) == orig.point
+            witnesses.append(got)
         return got
 
-    _build_lp = forward._build_lp
-    monkeypatch.setattr(forward, "_build_lp", build)
-    monkeypatch.setattr(forward, "lp_solve", both)
-    for sys in (*union_systems(), rays_and_lines_system()):
+    _search, _witness = forward._search, forward._witness
+    monkeypatch.setattr(forward, "_search", search)
+    monkeypatch.setattr(forward, "_witness", witness)
+    for sys in (*union_systems(), rays_and_lines_system(), quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))):
         for n in range(1, 4):
             reach_exactly(sys, n)
-    assert statuses["optimal"] > 10 and statuses["infeasible"] > 10
+    assert feasible[True] > 10 and feasible[False] > 10 and len(witnesses) >= 5
 
 
 def test_build_lp_rows_match_naive_construction():
-    """Every coefficient is an int; dividing each column by its scale gives
-    back the rows built from A.power(k).matvec(g)."""
+    """Every row is integers in lowest terms over a positive denominator;
+    dividing each column by its scale gives back the rows built from
+    A.power(k).matvec(g), with a source whose powers have denominators."""
     from ltireach.forward import StepColumns, _build_lp
 
-    sys = rays_and_lines_system()
-    comps = sys.controls.components
-    gens = [(c.vertices, c.rays, c.lines) for c in comps]
-    pooled = (tuple(v for c in comps for v in c.vertices), tuple(r for c in comps for r in c.rays),
-              tuple(l for c in comps for l in c.lines))
-    cols = StepColumns(sys)
-    for n in range(1, 4):
-        cols.grow(n)
-        for assign in itertools.product(range(len(comps)), repeat=n):
-            for pooled_from in range(n + 1):
-                step_gens = [gens[assign[t]] if t < pooled_from else pooled for t in range(n)]
-                cons, layout = _build_lp(list(assign), pooled_from, cols)
-                assert all(type(c) is int for con in cons for c in con.coeffs)
-                assert all(s > 0 for s in layout.scales)
-                rows = [(c.coeffs, c.rel, c.rhs) for c in unscaled(cons, layout.scales)]
-                assert rows == naive_rows(sys, n, step_gens)
-                assert layout.ncols == len(cons[0].coeffs)
+    for sys in (rays_and_lines_system(),
+                dataclasses.replace(rays_and_lines_system(), source=vec(F(1, 2), F(-1, 3)))):
+        comps = sys.controls.components
+        gens = [(c.vertices, c.rays, c.lines) for c in comps]
+        pooled = (tuple(v for c in comps for v in c.vertices), tuple(r for c in comps for r in c.rays),
+                  tuple(l for c in comps for l in c.lines))
+        cols = StepColumns(sys)
+        for n in range(1, 4):
+            cols.grow(n)
+            for assign in itertools.product(range(len(comps)), repeat=n):
+                for pooled_from in range(n + 1):
+                    step_gens = [gens[assign[t]] if t < pooled_from else pooled for t in range(n)]
+                    rows, dens, layout = _build_lp(list(assign), pooled_from, cols)
+                    assert all(type(x) is int for row in rows for x in row)
+                    assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(rows, dens))
+                    assert all(sc > 0 for sc in layout.scales)
+                    assert unscaled(rows, dens, layout.scales) == naive_rows(sys, n, step_gens)
+                    assert all(len(row) == layout.ncols + 1 for row in rows)
 
 
 def test_each_power_is_formed_once_per_decision(monkeypatch):
@@ -306,23 +315,120 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
     assert made[1].products == gens * 5 + 6
 
 
-def test_single_component_solves_one_lp_per_horizon(monkeypatch):
-    """A lone component is its own pooled hull, so the search stops at its
-    root: one LP per horizon, reachable or not."""
-    from ltireach import forward
-
+def count_cold_solves(monkeypatch) -> list:
+    """Record each LP the forward search solves from the all-artificial
+    basis."""
     solved = []
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         solved.append(1)
-        return lp_solve(*args, **kwargs)
+        return feasible_tableau(*args)
 
-    monkeypatch.setattr(forward, "lp_solve", counted)
+    monkeypatch.setattr(forward, "feasible_tableau", counted)
+    return solved
+
+
+def test_single_component_solves_one_lp_per_horizon(monkeypatch):
+    """A lone component is its own pooled hull, so the search stops at its
+    root: one cold solve per horizon, reachable or not."""
+    solved = count_cold_solves(monkeypatch)
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
     assert reach_exactly(sys, 1) is None and len(solved) == 1
     w = reach_exactly(sys, 2)
     assert w is not None and verify_witness(sys, w) and len(solved) == 2
     assert [s.component for s in w.steps] == [0, 0]
+
+
+def test_union_solves_one_root_per_horizon_and_one_leaf_per_witness(monkeypatch):
+    """With several components, each horizon tried solves its root LP cold
+    and a witness solves its leaf LP cold once more; every other DFS node
+    restricts its parent's tableau."""
+    solved = count_cold_solves(monkeypatch)
+    nodes = []
+
+    def search(*args):
+        nodes.append(1)
+        return _search(*args)
+
+    _search = forward._search
+    monkeypatch.setattr(forward, "_search", search)
+    reachable, far = union_systems()[0], union_systems()[2]
+    w = reach_within(reachable, 5)
+    assert w is not None and w.horizon == 3 and verify_witness(reachable, w)
+    assert len(solved) == w.horizon + 1  # the roots of horizons 1 to 3, then the leaf
+    assert len(nodes) > len(solved)
+    solved.clear()
+    assert reach_within(far, 5) is None and len(solved) == 5
+
+
+def random_union_system(rng: random.Random) -> LtiSystem:
+    """2 or 3 components of one to three vertices, some with a ray or a line
+    and some sharing a vertex, a point or line target and a zero or
+    nonzero source, over small rationals."""
+    def point(d, size=2):
+        return tuple(F(rng.randint(-size, size), rng.choice([1, 1, 2, 3])) for _ in range(d))
+
+    d = rng.choice([2, 2, 3])
+    a = RatMatrix.from_rows([[F(rng.randint(-3, 3), rng.choice([2, 3, 4])) for _ in range(d)]
+                             for _ in range(d)])
+    shared = point(d)
+    comps = []
+    for _ in range(rng.choice([2, 2, 3])):
+        vertices = [point(d) for _ in range(rng.choice([1, 1, 2, 3]))]
+        if rng.random() < 0.3:
+            vertices[0] = shared
+        rays = tuple(r for r in [point(d) for _ in range(rng.choice([0, 0, 1]))] if any(r))
+        lines = tuple(l for l in [point(d) for _ in range(rng.choice([0, 0, 0, 1]))] if any(l))
+        comps.append(GenPolyhedron(d, tuple(dict.fromkeys(vertices)), rays, lines))
+    if rng.random() < 0.25:
+        target = GenPolyhedron(d, (point(d),), (), (point(d),))
+    else:
+        target = GenPolyhedron.point(point(d, 4))
+    source = point(d) if rng.random() < 0.5 else (F(0),) * d
+    return LtiSystem(a, ControlSet(tuple(comps)), source, target)
+
+
+def test_union_search_matches_cold_oracle(monkeypatch):
+    """On seeded random unions, reach_exactly returns the witness of the
+    search that solves every DFS node from scratch, for every n <= 4.  The
+    corpus includes restrictions that find a banned column basic at 0 and
+    restrictions that drop a redundant row."""
+    events = Counter()
+    cold = []
+
+    def feasible(*args):
+        cold.append(1)
+        try:
+            return feasible_tableau(*args)
+        finally:
+            cold.pop()
+
+    def restricted(self, banned):
+        out = _restricted(self, banned)
+        if not cold:  # a DFS child, not the phase 1 of a cold solve
+            ban = set(banned)
+            events["restrictions"] += 1
+            if any(b in ban and row[-1] == 0 for row, b in zip(self.rows, self.basis)):
+                events["banned basic at 0"] += 1
+            if out is not None and len(out.rows) < len(self.rows):
+                events["redundant row dropped"] += 1
+        return out
+
+    _restricted = geometry._Tableau.restricted
+    monkeypatch.setattr(forward, "feasible_tableau", feasible)
+    monkeypatch.setattr(geometry._Tableau, "restricted", restricted)
+    rng = random.Random(53)
+    reached = 0
+    for _ in range(60):
+        sys = random_union_system(rng)
+        for n in range(5):
+            got = reach_exactly(sys, n)
+            assert got == cold_reach_exactly(sys, n)
+            if got is not None:
+                assert verify_witness(sys, got)
+                reached += 1
+    assert reached > 30
+    assert events["banned basic at 0"] > 10 and events["redundant row dropped"] > 10
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():

@@ -13,6 +13,7 @@ from ltireach.geometry import (
     constraint,
     contains_point,
     facet_normals,
+    feasible_tableau,
     h_representation,
     intersect_with_subspace,
     linear_image,
@@ -227,6 +228,77 @@ def test_lp_column_scaling_keeps_pivots():
         if got.point is not None:
             assert tuple(y * s for y, s in zip(got.point, scales)) == want.point
     assert counts["tied_ratio"] > 100 and counts["negative_driveout"] > 10
+
+
+def integer_rows(cons, n):
+    """Each constraint as integer numerators over the lcm of its
+    denominators, the form feasible_tableau reads."""
+    rows, dens = [], []
+    for con in cons:
+        values = [F(c) for c in con.coeffs] + [F(con.rhs)]
+        den = math.lcm(*(v.denominator for v in values))
+        rows.append([int(v * den) for v in values])
+        dens.append(den)
+    return rows, dens, [con.rel for con in cons]
+
+
+def without(cons, banned):
+    """The constraints with the banned variables' coefficients removed."""
+    return [constraint([c for j, c in enumerate(con.coeffs) if j not in banned], con.rel, con.rhs)
+            for con in cons]
+
+
+def test_restricted_tableau_is_the_lp_without_the_banned_variables():
+    """Restricting a feasible tableau to the columns of the variables not
+    banned gives a feasible tableau exactly when the Fraction simplex finds
+    the LP without the banned variables feasible, twice in a row.  Its
+    point satisfies that LP, its rows are in lowest terms with unit basic
+    columns, the parent is left as it was, and with no banned column basic
+    it is the parent with those columns dropped."""
+    rng = random.Random(37)
+    counts = Counter()
+    for _, cons, n, nn, _ in random_lps(31, 400):
+        tab = feasible_tableau(*integer_rows(cons, n), nn)
+        if tab is None:
+            continue
+        for _ in range(2):
+            banned = {j for j in range(n) if rng.random() < 0.4}
+            kept_nn = [k for j, k in enumerate(nn) if j not in banned]
+            col_of, _ = geometry.tableau_columns(nn)
+            cols = {c for j in banned for c in col_of[j] if c is not None}
+            before = ([list(row) for row in tab.rows], list(tab.dens), list(tab.basis))
+            child = tab.restricted(sorted(cols))
+            assert ([list(row) for row in tab.rows], tab.dens, tab.basis) == before
+            cons = without(cons, banned)
+            want = fraction_lp_solve(None, cons, n - len(banned), nonneg=kept_nn)
+            assert (child is not None) == want.is_feasible
+            if not any(b in cols for b in tab.basis):
+                counts["no pivot"] += 1
+                dropped = [_lowest_terms_row([x for j, x in enumerate(row) if j not in cols], den)
+                           for row, den in zip(tab.rows, tab.dens)]
+                assert [(row, den) for row, den in zip(child.rows, child.dens)] == dropped
+            if child is None:
+                counts["infeasible"] += 1
+                break
+            counts["feasible"] += 1
+            counts["rows dropped"] += len(child.rows) < len(tab.rows)
+            for i, (row, den) in enumerate(zip(child.rows, child.dens)):
+                assert den > 0 and math.gcd(den, *row) == 1 and len(row) == child.ncols + 1
+                unit = [den * (k == i) for k in range(len(child.rows))]
+                assert [r[child.basis[i]] for r in child.rows] == unit
+            x = child.point(kept_nn)
+            assert all(xj >= 0 for xj, k in zip(x, kept_nn) if k)
+            for con in cons:
+                lhs = sum(c * xj for c, xj in zip(con.coeffs, x))
+                assert {"<=": lhs <= con.rhs, ">=": lhs >= con.rhs, "==": lhs == con.rhs}[con.rel]
+            tab, n, nn = child, n - len(banned), kept_nn
+    assert counts["infeasible"] > 20 and counts["feasible"] > 100
+    assert counts["no pivot"] > 50 and counts["rows dropped"] > 5
+
+
+def _lowest_terms_row(row, den):
+    g = math.gcd(den, *row)
+    return [x // g for x in row], den // g
 
 
 def test_linear_constraint_keeps_ints_and_fractions():

@@ -8,6 +8,7 @@ from ltireach.linalg import (
     RatMatrix,
     SpectralError,
     alg_kernel_basis,
+    bilinear_rows,
     charpoly,
     charpoly_primitive,
     expand_inner_product,
@@ -19,7 +20,8 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import alg_matmul, bilinear_coeff, fraction_charpoly, inner_product_at, int_poly, rat
+from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly, inner_product_at,
+                     int_poly, rat)
 
 F = Fraction
 
@@ -165,7 +167,7 @@ def test_check_simple_computes_charpoly_once(monkeypatch):
     u = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0), vec(0, 1), vec(0, -1)])
     sys_ = LtiSystem(QUAD, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(1, 1)))
     report = preprocess.check_simple(sys_)
-    assert report.simple and report.real_power == 1
+    assert report.failing_conditions() == [] and report.real_power == 1
     assert calls == [QUAD]
 
 
@@ -530,6 +532,54 @@ def test_expansion_matches_all_j_oracle_on_jordan_systems():
         check_expansion_against_all_j(s, u, tau)
     s = spectral_decompose(irrational_jordan_matrix())
     check_expansion_against_all_j(s, vec(1, -2, 0, 3), vec(0, 1, 1, -1))
+
+
+def test_bilinear_rows_stop_at_the_first_zero_row():
+    """bilinear_rows, and expand_inner_product over them, equal entry for
+    entry and type for type the construction that multiplies every row by
+    N and every row by u: on A = I/2 at d = 20, where every row after the
+    first is zero; on seeded conjugated Jordan chains, against each row of
+    the conjugating matrix's inverse (whose rows reach zero before mu_i)
+    and a dense direction; and on an irrational pair repeated three times
+    without a chain."""
+    def types(rows):
+        return [[type(x) for x in row] for row in rows]
+
+    def check(s, tau, u):
+        got, want = bilinear_rows(s, tau), all_bilinear_rows(s, tau)
+        assert got == want and [types(rows) for rows in got] == [types(rows) for rows in want]
+        coeffs = expand_inner_product(s, u, tau, got)
+        products = [[alg_dot(r, u) for r in rows] for rows in want]
+        assert coeffs == products and types(coeffs) == types(products)
+        # the rows that follow a zero row, which bilinear_rows does not multiply out
+        return sum(not any(rows[j - 1]) for rows in got for j in range(1, len(rows)))
+
+    half = spectral_decompose(RatMatrix.identity(20).scale(F(1, 2)))
+    assert check(half, vec(*[F(k - 7, k % 3 + 1) for k in range(20)]), vec(*range(20))) == 18
+    rng = random.Random(59)
+    early = 0
+    for _ in range(15):
+        d = rng.randint(2, 5)
+        lams = sorted(rng.choice((F(1, 5), F(1, 3), F(1, 2))) for _ in range(d))
+        rows = [[lams[i] if i == j else F(0) for j in range(d)] for i in range(d)]
+        for i in range(d - 1):
+            if lams[i] == lams[i + 1] and rng.random() < 0.7:
+                rows[i][i + 1] = F(1)
+        p = RatMatrix.identity(d)
+        for _ in range(3):
+            i, j = rng.sample(range(d), 2)
+            e = RatMatrix.identity(d).to_rows()
+            e[i][j] = F(rng.randint(-2, 2))
+            p = p @ mat(e)
+        s = spectral_decompose(p @ mat(rows) @ p.inverse())
+        u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+        for tau in [*p.inverse().to_rows(), [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]]:
+            early += check(s, vec(*tau), u)
+    assert early > 20
+    quad = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
+    triple = spectral_decompose(RatMatrix.block_diag([quad, quad, quad]))
+    assert triple.multiplicities == [3, 3]
+    assert check(triple, vec(1, -2, 0, 3, F(1, 2), 5), vec(2, 0, -1, 1, 1, F(1, 3))) == 2
 
 
 def test_spectral_decompose_d20_scaled_identity_is_fast():

@@ -35,7 +35,7 @@ def reduced_system(form):
 
 def test_quad_system_is_simple():
     rep = check_simple(quad_system())
-    assert rep.simple and rep.real_power == 1
+    assert rep.failing_conditions() == [] and rep.real_power == 1
     assert rep.source_is_zero
 
 
@@ -46,7 +46,7 @@ def test_skolem_shape_not_schur():
     sys = LtiSystem(a, ControlSet((zero, affine)), vec(0, 1, 0), GenPolyhedron.point(vec(0, 0, 1)))
     rep = check_simple(sys)
     assert rep.schur is False
-    assert rep.simple is False
+    assert set(rep.failing_conditions()) - {"source state is not the origin"}
     assert rep.is_polytope is False  # union of two components
 
 
@@ -56,7 +56,6 @@ def test_irrational_rotation_not_simple():
                     GenPolyhedron.point(vec(2, 2)))
     rep = check_simple(sys)
     assert rep.real_power is None
-    assert rep.simple is False
     assert "real spectrum" in "; ".join(rep.failing_conditions())
 
 
@@ -255,8 +254,7 @@ def test_reduction_soundness_randomized():
         a, u = random_simple_system(rng, d)
         q = GenPolyhedron.point(vec(*[F(rng.randint(-3, 3), 2) for _ in range(d)]))
         sys = LtiSystem(a, ControlSet.single(u), zero_vec(d), q)
-        rep = check_simple(sys)
-        if not rep.simple:
+        if check_simple(sys).failing_conditions():
             continue
         form = to_simple_form(sys)
         red = reduced_system(form)
