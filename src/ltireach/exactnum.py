@@ -10,20 +10,31 @@ operands directly, and an operation whose result is rational (sqrt2 *
 sqrt2, or any product with 0) returns a Fraction.  sign() and interval()
 serve callers that hold either type.
 
-Signs and comparisons are decided exactly: intervals are refined by
-bisection until the question resolves.  Refinement always terminates
-because an irreducible polynomial of degree >= 2 has no rational roots,
-so a rational bisection point, or a rational compared against, is never
-itself a root.  The sign of an integer polynomial at a rational p/q is
+Signs and comparisons are decided exactly: unless the coordinates below
+decide them, intervals are refined by bisection until the question
+resolves.  Refinement always terminates because an irreducible polynomial
+of degree >= 2 has no rational roots, so a rational bisection point, or a
+rational compared against, is never itself a root.  The sign of an integer polynomial at a rational p/q is
 read off the homogenized integer form sum c_i p^i q^(d-i), and Sturm
 chains are stored as primitive integer rows, so sign tests and root
 counts never build a Fraction.
 
-The sum or product of two irrational numbers is a root of the composed
-sum or product of their minimal polynomials, built from power sums with
-Newton's identities (Bostan, Flajolet, Salvy & Schost, 2006); the factor
-of it that owns the root becomes the result's minimal polynomial, and a
-linear factor makes the result a Fraction.
+A quadratic irrational is also held as coordinates in Q(sqrt d), the
+value a + b sqrt(d) with a, b rational and d the discriminant of its
+minimal polynomial (Cohen, GTM 138, section 4.2).  Two quadratic fields
+agree when the product of their discriminants is a square.  Sums,
+products, inverses and shifts or scalings by a rational stay on the
+coordinates when every operand is rational or in one quadratic field, and
+the sign of a + b sqrt(d) follows from the signs of a and b and the
+comparison of a^2 with b^2 d, so no interval is refined.  A value that
+such arithmetic builds stores only its coordinates; its minimal
+polynomial and interval are derived when something reads them.
+
+Any other sum or product of two irrational numbers is a root of the
+composed sum or product of their minimal polynomials, built from power
+sums with Newton's identities (Bostan, Flajolet, Salvy & Schost, 2006);
+the factor of it that owns the root becomes the result's minimal
+polynomial, and a linear factor makes the result a Fraction.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 
 # no real algebraic number, parsed or computed, has a higher degree
@@ -403,22 +414,32 @@ class RealAlg:
     of degree >= 2 and an isolating interval.  Rational values are Fractions,
     never RealAlg; an operation whose result is rational returns a Fraction.
 
-    Publicly immutable.  The interval is narrowed in place on demand;
-    narrowing never changes the represented number, so concurrent
+    A quadratic number also has coordinates (a, b, d): it is a + b sqrt(d)
+    with a, b rational, b nonzero and d the discriminant of its minimal
+    polynomial.  Arithmetic on a quadratic number and a rational, or on two
+    quadratic numbers of one field, sets the result's coordinates and
+    nothing else; its minimal polynomial and interval are derived when
+    something reads them.  A value from a minimal polynomial and an interval
+    derives its coordinates on first use.
+
+    Publicly immutable.  The interval is narrowed in place on demand, and
+    the coordinates, minimal polynomial and interval are filled in on first
+    use; none of this changes the represented number, so concurrent
     refinement is benign.
     """
 
-    __slots__ = ("minpoly", "_lo", "_hi")
+    __slots__ = ("_minpoly", "_lo", "_hi", "_quad")
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction, _trusted: bool = False):
-        self.minpoly = minpoly
+        self._minpoly = minpoly
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
+        self._quad = None
         if not _trusted:
             self._validate()
 
     def _validate(self) -> None:
-        p = self.minpoly
+        p = self._minpoly
         if p.degree < 2:
             raise ValueError("minimal polynomial must have degree >= 2; rationals are Fractions")
         if p.coeffs[-1] < 0 or p.content() != 1:
@@ -459,14 +480,56 @@ class RealAlg:
             return RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))
         return RealAlg(f, lo, hi)
 
+    @staticmethod
+    def _from_coords(a: Fraction, b: Fraction, d: int) -> Alg:
+        """a + b sqrt(d), for d the discriminant of a quadratic number's
+        minimal polynomial (a positive non-square); a Fraction when b = 0."""
+        if not b:
+            return RealAlg.from_rational(a)
+        x = object.__new__(RealAlg)
+        x._minpoly = x._lo = x._hi = None
+        x._quad = (a, b, d)
+        return x
+
+    def _coords(self) -> tuple[Fraction, Fraction, int] | None:
+        """(a, b, d) with self = a + b sqrt(d) for a quadratic number, else None."""
+        if self._quad is None and self._minpoly.degree == 2:
+            c0, c1, c2 = self._minpoly.coeffs
+            # the roots are (-c1 -+ sqrt(d)) / 2c2.  hi lies above the root
+            # the interval isolates, so the minimal polynomial is positive
+            # at hi exactly when that root is the larger one
+            hi = self._hi
+            up = _sign_at(self._minpoly.coeffs, hi.numerator, hi.denominator) > 0
+            self._quad = (Fraction(-c1, 2 * c2), Fraction(1 if up else -1, 2 * c2), c1 * c1 - 4 * c0 * c2)
+        return self._quad
+
     # -- basic queries ------------------------------------------------
 
     @property
+    def minpoly(self) -> IntPoly:
+        if self._minpoly is None:
+            a, b, d = self._quad
+            # (x - a)^2 = b^2 d, irreducible since sqrt(d) is irrational
+            self._minpoly = _from_frac([a * a - b * b * d, -2 * a, Fraction(1)]).primitive()
+        return self._minpoly
+
+    @property
     def degree(self) -> int:
-        return self.minpoly.degree
+        return 2 if self._quad is not None else self._minpoly.degree
 
     def interval(self) -> tuple[Fraction, Fraction]:
+        if self._lo is None:
+            self._set_quad_interval(0)
         return self._lo, self._hi
+
+    def _set_quad_interval(self, k: int) -> None:
+        """Set the interval from sqrt(d) in (s, s + 1) / 2^k, s = isqrt(d 4^k):
+        it has width |b| / 2^k and isolates self, since the conjugate
+        a - b sqrt(d) lies 2 |b| sqrt(d) > |b| away."""
+        a, b, d = self._quad
+        s = isqrt(d << (2 * k))
+        lo, hi = a + b * Fraction(s, 1 << k), a + b * Fraction(s + 1, 1 << k)
+        self._lo, self._hi = (lo, hi) if b > 0 else (hi, lo)
 
     def isolating_interval(self) -> tuple[Fraction, Fraction]:
         """The interval that root isolation of the minimal polynomial gives
@@ -476,13 +539,19 @@ class RealAlg:
                     if self.compare(hi) < 0)
 
     def refine(self, steps: int = 1) -> None:
-        """Halve the isolating interval `steps` times.
+        """Narrow the interval to at most 2^-steps of its width.
 
-        Bisects the integers lo*den and hi*den over a common denominator
+        A number with coordinates takes its interval from one integer
+        square root.  Otherwise the interval is halved `steps` times,
+        bisecting the integers lo*den and hi*den over a common denominator
         den that doubles each step, so no step builds a Fraction."""
         if steps <= 0:
             return
-        p = self.minpoly.coeffs
+        if self._quad is not None:
+            lo, hi = self.interval()
+            self.refine_below((hi - lo) / 2 ** steps)
+            return
+        p = self._minpoly.coeffs
         lo, hi = self._lo, self._hi
         den = lo.denominator * hi.denominator
         a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
@@ -498,16 +567,26 @@ class RealAlg:
         self._lo, self._hi = Fraction(a, den), Fraction(b, den)
 
     def refine_below(self, width: Fraction) -> None:
-        """Bisect until the interval is no wider than `width`."""
+        """Narrow the interval until it is no wider than `width`."""
+        lo, hi = self.interval()
+        if hi - lo <= width:
+            return
+        if self._quad is not None:
+            # the least k with |b| / 2^k <= width
+            ratio = abs(self._quad[1]) / width
+            self._set_quad_interval((-(-ratio.numerator // ratio.denominator) - 1).bit_length())
+            return
         steps = 0
-        w = self._hi - self._lo
+        w = hi - lo
         while w > width:
             w /= 2
             steps += 1
-        if steps:
-            self.refine(steps)
+        self.refine(steps)
 
     def sign(self) -> int:
+        q = self._coords()
+        if q is not None:
+            return _quad_sign(*q)
         while True:
             if self._lo > 0:
                 return 1
@@ -528,7 +607,10 @@ class RealAlg:
         """self + r for rational r; never rational."""
         if r == 0:
             return self
-        return RealAlg(self.minpoly.with_root_shifted(r), self._lo + r, self._hi + r, _trusted=True)
+        q = self._coords()
+        if q is not None:
+            return RealAlg._from_coords(q[0] + r, q[1], q[2])
+        return RealAlg(self._minpoly.with_root_shifted(r), self._lo + r, self._hi + r, _trusted=True)
 
     def _scale(self, r) -> Alg:
         """self * r for rational r; rational only when r is zero."""
@@ -536,22 +618,37 @@ class RealAlg:
             return RealAlg.from_rational(0)
         if r == 1:
             return self
+        q = self._coords()
+        if q is not None:
+            return RealAlg._from_coords(q[0] * r, q[1] * r, q[2])
         lo, hi = self._lo * r, self._hi * r
         if r < 0:
             lo, hi = hi, lo
-        return RealAlg(self.minpoly.with_root_scaled(r), lo, hi, _trusted=True)
+        return RealAlg(self._minpoly.with_root_scaled(r), lo, hi, _trusted=True)
 
     def inverse(self) -> "RealAlg":
+        q = self._coords()
+        if q is not None:
+            a, b, d = q
+            norm = a * a - b * b * d  # nonzero: sqrt(d) is irrational
+            return RealAlg._from_coords(a / norm, -b / norm, d)
         while self._lo <= 0 <= self._hi:
             self.refine()
         lo, hi = 1 / self._hi, 1 / self._lo
-        return RealAlg(self.minpoly.with_root_inverted(), lo, hi, _trusted=True)
+        return RealAlg(self._minpoly.with_root_inverted(), lo, hi, _trusted=True)
 
     def __neg__(self) -> "RealAlg":
-        return RealAlg(self.minpoly.with_root_negated(), -self._hi, -self._lo, _trusted=True)
+        q = self._coords()
+        if q is not None:
+            return RealAlg._from_coords(-q[0], -q[1], q[2])
+        return RealAlg(self._minpoly.with_root_negated(), -self._hi, -self._lo, _trusted=True)
 
     def __add__(self, other) -> Alg:
         if isinstance(other, RealAlg):
+            pair = _same_field(self, other)
+            if pair is not None:
+                (a, b, d), (c, e) = pair
+                return RealAlg._from_coords(a + c, b + e, d)
             return _resultant_combine(self, other, "add")
         if isinstance(other, (int, Fraction)):
             return self._shift(other)
@@ -571,6 +668,10 @@ class RealAlg:
 
     def __mul__(self, other) -> Alg:
         if isinstance(other, RealAlg):
+            pair = _same_field(self, other)
+            if pair is not None:
+                (a, b, d), (c, e) = pair
+                return RealAlg._from_coords(a * c + b * e * d, a * e + b * c, d)
             return _resultant_combine(self, other, "mul")
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
@@ -615,6 +716,9 @@ class RealAlg:
 
     def compare(self, other) -> int:
         if isinstance(other, (int, Fraction)):
+            q = self._coords()
+            if q is not None:
+                return _quad_sign(q[0] - other, q[1], q[2])
             # refine until the rational falls outside the interval; it is
             # never the root itself
             while True:
@@ -625,30 +729,39 @@ class RealAlg:
                 self.refine()
         if not isinstance(other, RealAlg):
             raise TypeError("cannot compare")
+        pair = _same_field(self, other)
+        if pair is not None:
+            (a, b, d), (c, e) = pair
+            return _quad_sign(a - c, b - e, d)
         a, b = self, other
         while True:
-            if a._hi < b._lo:
+            (alo, ahi), (blo, bhi) = a.interval(), b.interval()
+            if ahi < blo:
                 return -1
-            if b._hi < a._lo:
+            if bhi < alo:
                 return 1
             if a.minpoly == b.minpoly:
                 # overlapping intervals isolate the same root iff the hull
                 # contains exactly one root of the shared minimal polynomial
                 chain = sturm_chain(a.minpoly)
-                if _count_roots_closed(chain, min(a._lo, b._lo), max(a._hi, b._hi)) == 1:
+                if _count_roots_closed(chain, min(alo, blo), max(ahi, bhi)) == 1:
                     return 0
             a.refine()
             b.refine()
 
     def __eq__(self, other) -> bool:
-        """Exact equality; cheap because equal values share the canonical
-        minimal polynomial, so differing minpolys decide immediately.  A
-        rational is never equal: it is no root of an irreducible
-        polynomial of degree >= 2."""
+        """Exact equality: coordinate equality in one quadratic field, else
+        cheap because equal values share the canonical minimal polynomial,
+        so differing minpolys decide immediately.  A rational is never
+        equal: it is no root of an irreducible polynomial of degree >= 2."""
         if isinstance(other, (int, Fraction)):
             return False
         if not isinstance(other, RealAlg):
             return NotImplemented
+        pair = _same_field(self, other)
+        if pair is not None:
+            (a, b, _), (c, e) = pair
+            return a == c and b == e
         return self.minpoly == other.minpoly and self.compare(other) == 0
 
     def __lt__(self, other):
@@ -667,7 +780,35 @@ class RealAlg:
         return hash(self.minpoly.coeffs)
 
     def __repr__(self) -> str:
-        return f"RealAlg({self.minpoly!r} in [{rat_to_str(self._lo)}, {rat_to_str(self._hi)}])"
+        lo, hi = self.interval()
+        return f"RealAlg({self.minpoly!r} in [{rat_to_str(lo)}, {rat_to_str(hi)}])"
+
+
+def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b sqrt(d), d a positive non-square integer."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: the larger square wins, and a^2 = b^2 d never holds
+    return sa if a * a > b * b * d else sb
+
+
+def _same_field(x: RealAlg, y: RealAlg) -> tuple[tuple[Fraction, Fraction, int], tuple[Fraction, Fraction]] | None:
+    """((a, b, d), (c, e)) with x = a + b sqrt(d) and y = c + e sqrt(d),
+    when both are quadratic in one field; else None.  Q(sqrt d) = Q(sqrt f)
+    exactly when d f is a square s^2, and then sqrt(f) = (s / d) sqrt(d)."""
+    p, q = x._coords(), y._coords()
+    if p is None or q is None:
+        return None
+    d, f = p[2], q[2]
+    if d == f:
+        return p, q[:2]
+    s = isqrt(d * f)
+    if s * s != d * f:
+        return None
+    return p, (q[0], q[1] * Fraction(s, d))
 
 
 # a real algebraic number: a Fraction exactly when it is rational
@@ -750,9 +891,10 @@ def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:
     chains = {f: sturm_chain(f) for f in factors}
 
     def enclosure() -> tuple[Fraction, Fraction]:
+        (alo, ahi), (blo, bhi) = a.interval(), b.interval()
         if op == "add":
-            return a._lo + b._lo, a._hi + b._hi
-        prods = [a._lo * b._lo, a._lo * b._hi, a._hi * b._lo, a._hi * b._hi]
+            return alo + blo, ahi + bhi
+        prods = [alo * blo, alo * bhi, ahi * blo, ahi * bhi]
         return min(prods), max(prods)
 
     while True:

@@ -246,6 +246,13 @@ def alg_to_json(a: Alg) -> dict:
     return {"minpoly": minpoly, "lo": rat_to_str(lo), "hi": rat_to_str(hi)}
 
 
+# the largest degree x coefficient bit length of a parsed minimal polynomial.
+# Factoring and Sturm chains grow fast in both (a degree-40 chain with
+# 100-digit coefficients takes seconds); the test suite's and benchmark's
+# artifacts stay at 60 or below.
+MINPOLY_SIZE_CEILING = 4096
+
+
 def alg_from_json(data) -> Alg:
     """A Fraction for a degree-1 minimal polynomial, else a RealAlg."""
     coeffs = _field(data, "minpoly", list)
@@ -253,6 +260,10 @@ def alg_from_json(data) -> Alg:
         raise ParseError(None, "minimal polynomial coefficients must be integers")
     if len(coeffs) - 1 > exactnum.DEGREE_CEILING:
         raise ParseError(None, f"minimal polynomial degree exceeds {exactnum.DEGREE_CEILING}")
+    size = (len(coeffs) - 1) * max((abs(c).bit_length() for c in coeffs), default=0)
+    if size > MINPOLY_SIZE_CEILING:
+        raise ParseError(None, f"minimal polynomial degree x coefficient bits {size} "
+                               f"exceeds {MINPOLY_SIZE_CEILING}")
     lo = _rat_from_json(_field(data, "lo", str))
     hi = _rat_from_json(_field(data, "hi", str))
     try:

@@ -10,7 +10,9 @@ dominant direction, so every rational direction is beaten at some step.
 A certificate therefore must carry algebraic entries.
 """
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 from ltireach import driver, instances
@@ -78,6 +80,37 @@ def test_decide_finds_algebraic_certificate_and_audits():
     inside = driver.decide(hex_system(vec(F(5, 2), F(7, 2))),
                            driver.Budgets(max_steps=6, max_candidates=64))
     assert inside.kind == "reachable"
+
+
+def test_quadratic_spectrum_makes_no_composed_polynomials(monkeypatch):
+    """The spectrum, the left-eigenvector separator and every sum and
+    product the decision and its audit form lie in Q(sqrt2), so exact
+    arithmetic stays on coordinates: no composed sum or product, and no
+    polynomial rewritten for a shifted or scaled root."""
+    from ltireach import exactnum
+
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(exactnum, "_resultant_combine")
+    count(exactnum.IntPoly, "with_root_shifted")
+    count(exactnum.IntPoly, "with_root_scaled")
+    sys_ = hex_system(TARGET)
+    v = driver.decide(sys_, driver.Budgets(max_steps=4, max_candidates=48, max_degree=2,
+                                           max_height=2, extremal_budget=1))
+    assert v.kind == "unreachable"
+    assert any(isinstance(x, RealAlg) for x in v.certificate.tau)
+    payload = json.loads(instances.dump_json(instances.verdict_to_json(v)))
+    assert driver.audit(sys_, payload) is True
+    assert calls == Counter()
 
 
 def test_supremum_dominates_partial_sums_in_eigen_direction():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -605,6 +606,29 @@ def test_cli_audit_malformed_artifact_is_input_error(tmp_path, capsys, artifact)
     out.write_text(json.dumps(artifact))
     assert cli.main(["audit", inst, str(out)]) == 5
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_audit_oversized_minimal_polynomial_is_input_error(tmp_path):
+    # a degree-60 minimal polynomial with 800-digit coefficients: factoring
+    # and Sturm chains on it would run for minutes, so parsing refuses it
+    unreachable = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", unreachable, "--max-steps", "4", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    rng = random.Random(71)
+    coeffs = [rng.randrange(10 ** 799, 10 ** 800) * rng.choice((1, -1)) for _ in range(61)]
+    data["certificate"]["tau"][0] = {"minpoly": coeffs, "lo": "0", "hi": "1"}
+    out.write_text(json.dumps(data))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")] +
+        env.get("PYTHONPATH", "").split(os.pathsep))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "ltireach.cli", "audit", unreachable, str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,27 +3,33 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from ltireach.exactnum import (
+    Alg,
     DegreeCeilingError,
     IntPoly,
     RealAlg,
     _combination_poly,
     _count_roots_closed,
     _frac_divmod,
+    _from_frac,
+    _isolate_squarefree,
     _sign_at,
     count_roots_halfopen,
     factor_int_poly,
     interval,
     rat_from_str,
     rat_to_str,
+    root_bound,
     sign,
     sign_variations,
     sturm_chain,
     sturm_isolate_real_roots,
 )
+from ltireach.instances import alg_from_json, alg_to_json
 from oracles import int_poly, rat
 
 F = Fraction
@@ -271,15 +277,17 @@ def test_powers():
 
 
 def test_ring_axioms_on_quadratic_irrationals():
-    # distributivity/associativity drive the resultant + factoring path
+    # distributivity/associativity drive the coordinate arithmetic inside one
+    # field (sqrt8 = 2 sqrt2 has another discriminant) and the resultant +
+    # factoring path across fields; equal results hash alike
     rng = random.Random(17)
     pool = [sqrt_of(2), sqrt_of(3), -sqrt_of(2), sqrt_of(2) / 2,
-            sqrt_of(2) + 1, F(3, 7), sqrt_of(5) - 2]
+            sqrt_of(2) + 1, F(3, 7), sqrt_of(5) - 2, sqrt_of(8), 99 - 70 * sqrt_of(2)]
     for _ in range(12):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        assert sign((a + b) * c - (a * c + b * c)) == 0
-        assert sign((a * b) * c - a * (b * c)) == 0
-        assert sign((a + b) - (b + a)) == 0
+        for lhs, rhs in (((a + b) * c, a * c + b * c), ((a * b) * c, a * (b * c)), (a + b, b + a)):
+            assert sign(lhs - rhs) == 0
+            assert lhs == rhs and hash(lhs) == hash(rhs)
 
 
 def test_mixed_field_products_reduce():
@@ -700,7 +708,8 @@ def check_against_oracle(got, want: QuadOracle) -> None:
         assert type(got) is RealAlg
         expected = want.value()
         assert got.minpoly == expected.minpoly
-        assert got == expected
+        assert got == expected and hash(got) == hash(expected)
+        assert got.isolating_interval() == expected.isolating_interval()
 
 
 def test_quadratic_field_property():
@@ -743,3 +752,181 @@ def test_quadratic_field_property():
     assert all(kinds[k] > 0 for k in [("Fraction", "RealAlg"), ("RealAlg", "Fraction"),
                                        ("RealAlg", "RealAlg"), ("Fraction", "Fraction")])
     assert kinds["collapse"] > 0
+
+
+# ---------------------------------------------------------------------------
+# quadratic coordinates against the composed-polynomial path
+# ---------------------------------------------------------------------------
+
+
+def isolated_quadratic(p, r, n: int) -> Alg:
+    """p + r sqrt(n) from its minimal polynomial (x - p)^2 - r^2 n alone: the
+    larger Sturm-isolated root when r > 0.  The RealAlg is built from the
+    polynomial and an interval, and nothing here derives its coordinates."""
+    p, r = F(p), F(r)
+    if r == 0:
+        return p
+    (coeffs, _), = factor_int_poly(_from_frac([p * p - r * r * n, -2 * p, F(1)]).coeffs)
+    f = IntPoly(coeffs)
+    lo, hi = _isolate_squarefree(f)[1 if r > 0 else 0]
+    return RealAlg(f, lo, hi)
+
+
+def enclosure(x, width) -> tuple[Fraction, Fraction]:
+    if isinstance(x, RealAlg):
+        x.refine_below(width)
+    return interval(x)
+
+
+def root_in(poly: IntPoly, enclose) -> Alg:
+    """The root of poly inside every enclosure enclose(width) gives, found by
+    factoring and Sturm isolation; its irrational candidates are RealAlgs
+    narrowed only by bisection."""
+    roots = []
+    for coeffs, _ in factor_int_poly(poly.primitive().coeffs):
+        f = IntPoly(coeffs)
+        if f.degree == 1:
+            roots.append(F(-f.coeffs[0], f.coeffs[1]))
+        else:
+            roots += [RealAlg(f, lo, hi) for lo, hi in _isolate_squarefree(f)]
+    width = F(1, 2 ** 16)
+    while True:
+        lo, hi = enclose(width)
+        live = [x for x, (xlo, xhi) in ((x, enclosure(x, width)) for x in roots)
+                if xlo <= hi and lo <= xhi]
+        if len(live) == 1:
+            return live[0]
+        width /= 2 ** 16
+
+
+def composed_reference(a, b, op: str) -> Alg:
+    """a + b, a - b, a * b or a / b by composed polynomials: the root of
+    _combination_poly (a rational operand enters as the root of its linear
+    polynomial) that lies in the sum or product of the operands' enclosures."""
+    if op == "sub":
+        return composed_reference(a, composed_reference(b, F(-1), "mul"), "add")
+    if op == "div":
+        if isinstance(b, Fraction):
+            return composed_reference(a, 1 / b, "mul")
+        inverted = b.minpoly.with_root_inverted()
+
+        def enclose_inverse(width):
+            lo, hi = enclosure(b, width)
+            if lo <= 0 <= hi:
+                bound = root_bound(inverted)
+                return -bound, bound
+            return 1 / hi, 1 / lo
+
+        return composed_reference(a, root_in(inverted, enclose_inverse), "mul")
+
+    def as_root(x):
+        return x if isinstance(x, RealAlg) else SimpleNamespace(minpoly=IntPoly((-x.numerator, x.denominator)))
+
+    def enclose(width):
+        (alo, ahi), (blo, bhi) = enclosure(a, width), enclosure(b, width)
+        if op == "add":
+            return alo + blo, ahi + bhi
+        prods = [x * y for x in (alo, ahi) for y in (blo, bhi)]
+        return min(prods), max(prods)
+
+    return root_in(_combination_poly(as_root(a), as_root(b), op), enclose)
+
+
+def reference_sign(x) -> int:
+    """Sign of a reference value: an irrational one is bisected until its
+    interval excludes 0."""
+    if not isinstance(x, RealAlg):
+        return (x > 0) - (x < 0)
+    while True:
+        lo, hi = x.interval()
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        x.refine(1)
+
+
+def assert_same_value(got, want) -> None:
+    """got, from coordinate arithmetic, is the reference value want: the
+    same type, minimal polynomial, canonical interval, sign, order, equality,
+    hash and artifact bytes, and it reads back equal with an equal hash."""
+    want_sign = reference_sign(want)
+    assert type(got) is type(want)
+    if isinstance(want, Fraction):
+        assert got == want
+        return
+    assert got.minpoly == want.minpoly
+    assert got.isolating_interval() == want.isolating_interval()
+    assert sign(got) == want_sign
+    assert got.compare(want) == want.compare(got) == 0
+    assert got == want and want == got
+    assert hash(got) == hash(want)
+    assert alg_to_json(got) == alg_to_json(want)
+    back = alg_from_json(alg_to_json(got))
+    assert back == got and hash(back) == hash(got)
+
+
+# (p, r, n) stands for p + r sqrt(n); an int or Fraction for itself
+QUAD_SPECS = [
+    (0, 1, 2), (1, 1, 2), (0, 1, 8), (1, -2, 8), (F(-1, 3), F(5, 2), 8), (0, 3, 18),
+    (99, -70, 2), (3, -2, 2),  # near-ties: 99 - 70 sqrt2 = (3 - 2 sqrt2)^3, about 1/198
+    (0, 1, 3), (2, -1, 12), (F(1, 2), F(1, 4), 5),
+    3, -2, F(1, 198), F(17, 99), F(-7, 5),
+]
+
+
+def built_by_arithmetic(spec) -> Alg:
+    """The value of a spec as coordinate arithmetic gives it."""
+    if not isinstance(spec, tuple):
+        return spec
+    p, r, n = spec
+    return p + r * sqrt_of(n)
+
+
+def reference_of(spec) -> Alg:
+    return isolated_quadratic(*spec) if isinstance(spec, tuple) else F(spec)
+
+
+OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+       "mul": lambda x, y: x * y, "div": lambda x, y: x / y}
+
+
+def check_pair(x, y) -> None:
+    a, b = built_by_arithmetic(x), built_by_arithmetic(y)
+    for op, fn in OPS.items():
+        if op == "div" and b == 0:
+            continue
+        assert_same_value(fn(a, b), composed_reference(reference_of(x), reference_of(y), op))
+    s = reference_sign(composed_reference(reference_of(x), reference_of(y), "sub"))
+    assert (a < b, a == b, a > b) == (s < 0, s == 0, s > 0)
+    assert (b > a, b == a, b < a) == (s < 0, s == 0, s > 0)
+    assert sign(a - b) == s
+
+
+def test_coordinates_match_composed_polynomials_on_named_cases():
+    cases = [
+        ((0, 1, 2), (0, 1, 2)),  # sqrt2 sqrt2 = 2
+        ((1, 1, 2), (0, 1, 2)),  # (1 + sqrt2) - sqrt2 = 1
+        ((0, 1, 2), (0, 1, 8)),  # one field, two discriminants: sqrt8 = 2 sqrt2
+        ((1, -2, 8), (0, 3, 18)),
+        ((0, 1, 2), (0, 1, 3)),  # cross-field: sqrt2 + sqrt3 has degree 4
+        ((99, -70, 2), (3, -2, 2)),
+        ((99, -70, 2), F(1, 198)),
+        ((3, -2, 2), F(17, 99)),
+        (3, (F(-1, 3), F(5, 2), 8)),
+        ((F(-1, 3), F(5, 2), 8), -2),
+        (F(-7, 5), (2, -1, 12)),
+    ]
+    for x, y in cases:
+        check_pair(x, y)
+        check_pair(y, x)
+    s2 = sqrt_of(2)
+    assert type(s2 * s2) is Fraction and s2 * s2 == 2
+    assert type((1 + s2) - s2) is Fraction and (1 + s2) - s2 == 1
+    assert (sqrt_of(2) + sqrt_of(3)).degree == 4
+    assert (3 - 2 * s2) ** 3 == 99 - 70 * s2
+    assert 99 - 70 * s2 > F(1, 198) > 99 - 70 * s2 - F(1, 10 ** 6)
+
+
+def test_coordinates_match_composed_polynomials_on_seeded_pairs():
+    rng = random.Random(67)
+    for _ in range(30):
+        check_pair(rng.choice(QUAD_SPECS), rng.choice(QUAD_SPECS))
