@@ -266,6 +266,8 @@ def factor_int_poly(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return ()
+    if p.degree <= 2:
+        return _factor_low_degree(p.primitive())
     import sympy
 
     x = sympy.Symbol("x")
@@ -276,6 +278,26 @@ def factor_int_poly(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int
         fcoeffs = IntPoly(tuple(int(c) for c in reversed(fac.all_coeffs()))).primitive()
         if fcoeffs.degree >= 1:
             out.append((fcoeffs.coeffs, int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return tuple(out)
+
+
+def _factor_low_degree(p: IntPoly) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """factor_int_poly for a primitive p of degree 1 or 2, without sympy:
+    c0 + c1 x + c2 x^2 splits over Q exactly when d = c1^2 - 4 c0 c2 is a
+    square s^2, into the primitive parts of 2 c2 x + c1 -+ s (Gauss's
+    lemma), so the cost is one integer square root at any coefficient size."""
+    if p.degree == 1:
+        return ((p.coeffs, 1),)
+    c0, c1, c2 = p.coeffs
+    d = c1 * c1 - 4 * c0 * c2
+    s = isqrt(d) if d >= 0 else -1
+    if s * s != d:
+        return ((p.coeffs, 1),)
+    if s == 0:
+        return ((IntPoly((c1, 2 * c2)).primitive().coeffs, 2),)
+    out = [(IntPoly((c1 - s, 2 * c2)).primitive().coeffs, 1),
+           (IntPoly((c1 + s, 2 * c2)).primitive().coeffs, 1)]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return tuple(out)
 
@@ -420,12 +442,13 @@ class RealAlg:
     quadratic numbers of one field, sets the result's coordinates and
     nothing else; its minimal polynomial and interval are derived when
     something reads them.  A value from a minimal polynomial and an interval
-    derives its coordinates on first use.
+    derives its coordinates when it is built.
 
     Publicly immutable.  The interval is narrowed in place on demand, and
-    the coordinates, minimal polynomial and interval are filled in on first
-    use; none of this changes the represented number, so concurrent
-    refinement is benign.
+    the minimal polynomial and interval are filled in on first use; none
+    of this changes the represented number, so concurrent refinement is
+    benign.  Every quadratic number narrows its interval by one integer
+    square root, and every other number by bisection.
     """
 
     __slots__ = ("_minpoly", "_lo", "_hi", "_quad")
@@ -434,9 +457,9 @@ class RealAlg:
         self._minpoly = minpoly
         self._lo = Fraction(lo)
         self._hi = Fraction(hi)
-        self._quad = None
         if not _trusted:
             self._validate()
+        self._quad = _root_coords(minpoly.coeffs, self._hi) if minpoly.degree == 2 else None
 
     def _validate(self) -> None:
         p = self._minpoly
@@ -490,18 +513,6 @@ class RealAlg:
         x._minpoly = x._lo = x._hi = None
         x._quad = (a, b, d)
         return x
-
-    def _coords(self) -> tuple[Fraction, Fraction, int] | None:
-        """(a, b, d) with self = a + b sqrt(d) for a quadratic number, else None."""
-        if self._quad is None and self._minpoly.degree == 2:
-            c0, c1, c2 = self._minpoly.coeffs
-            # the roots are (-c1 -+ sqrt(d)) / 2c2.  hi lies above the root
-            # the interval isolates, so the minimal polynomial is positive
-            # at hi exactly when that root is the larger one
-            hi = self._hi
-            up = _sign_at(self._minpoly.coeffs, hi.numerator, hi.denominator) > 0
-            self._quad = (Fraction(-c1, 2 * c2), Fraction(1 if up else -1, 2 * c2), c1 * c1 - 4 * c0 * c2)
-        return self._quad
 
     # -- basic queries ------------------------------------------------
 
@@ -584,7 +595,7 @@ class RealAlg:
         self.refine(steps)
 
     def sign(self) -> int:
-        q = self._coords()
+        q = self._quad
         if q is not None:
             return _quad_sign(*q)
         while True:
@@ -607,7 +618,7 @@ class RealAlg:
         """self + r for rational r; never rational."""
         if r == 0:
             return self
-        q = self._coords()
+        q = self._quad
         if q is not None:
             return RealAlg._from_coords(q[0] + r, q[1], q[2])
         return RealAlg(self._minpoly.with_root_shifted(r), self._lo + r, self._hi + r, _trusted=True)
@@ -618,7 +629,7 @@ class RealAlg:
             return RealAlg.from_rational(0)
         if r == 1:
             return self
-        q = self._coords()
+        q = self._quad
         if q is not None:
             return RealAlg._from_coords(q[0] * r, q[1] * r, q[2])
         lo, hi = self._lo * r, self._hi * r
@@ -627,7 +638,7 @@ class RealAlg:
         return RealAlg(self._minpoly.with_root_scaled(r), lo, hi, _trusted=True)
 
     def inverse(self) -> "RealAlg":
-        q = self._coords()
+        q = self._quad
         if q is not None:
             a, b, d = q
             norm = a * a - b * b * d  # nonzero: sqrt(d) is irrational
@@ -638,7 +649,7 @@ class RealAlg:
         return RealAlg(self._minpoly.with_root_inverted(), lo, hi, _trusted=True)
 
     def __neg__(self) -> "RealAlg":
-        q = self._coords()
+        q = self._quad
         if q is not None:
             return RealAlg._from_coords(-q[0], -q[1], q[2])
         return RealAlg(self._minpoly.with_root_negated(), -self._hi, -self._lo, _trusted=True)
@@ -716,7 +727,7 @@ class RealAlg:
 
     def compare(self, other) -> int:
         if isinstance(other, (int, Fraction)):
-            q = self._coords()
+            q = self._quad
             if q is not None:
                 return _quad_sign(q[0] - other, q[1], q[2])
             # refine until the rational falls outside the interval; it is
@@ -784,6 +795,17 @@ class RealAlg:
         return f"RealAlg({self.minpoly!r} in [{rat_to_str(lo)}, {rat_to_str(hi)}])"
 
 
+def _root_coords(coeffs: tuple[int, ...], hi: Fraction) -> tuple[Fraction, Fraction, int]:
+    """(a, b, d) with a + b sqrt(d) the root of the irreducible quadratic
+    c0 + c1 x + c2 x^2 (c2 > 0) that an isolating interval ending at hi
+    holds.  The roots are (-c1 -+ sqrt(d)) / 2c2, and hi lies above the
+    isolated root, so the polynomial is positive at hi exactly when that
+    root is the larger one."""
+    c0, c1, c2 = coeffs
+    up = _sign_at(coeffs, hi.numerator, hi.denominator) > 0
+    return Fraction(-c1, 2 * c2), Fraction(1 if up else -1, 2 * c2), c1 * c1 - 4 * c0 * c2
+
+
 def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     """Sign of a + b sqrt(d), d a positive non-square integer."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
@@ -799,7 +821,7 @@ def _same_field(x: RealAlg, y: RealAlg) -> tuple[tuple[Fraction, Fraction, int],
     """((a, b, d), (c, e)) with x = a + b sqrt(d) and y = c + e sqrt(d),
     when both are quadratic in one field; else None.  Q(sqrt d) = Q(sqrt f)
     exactly when d f is a square s^2, and then sqrt(f) = (s / d) sqrt(d)."""
-    p, q = x._coords(), y._coords()
+    p, q = x._quad, y._quad
     if p is None or q is None:
         return None
     d, f = p[2], q[2]

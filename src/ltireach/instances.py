@@ -246,11 +246,20 @@ def alg_to_json(a: Alg) -> dict:
     return {"minpoly": minpoly, "lo": rat_to_str(lo), "hi": rat_to_str(hi)}
 
 
-# the largest degree x coefficient bit length of a parsed minimal polynomial.
-# Factoring and Sturm chains grow fast in both (a degree-40 chain with
-# 100-digit coefficients takes seconds); the test suite's and benchmark's
-# artifacts stay at 60 or below.
-MINPOLY_SIZE_CEILING = 4096
+# the largest degree x coefficient bit length of a parsed minimal polynomial
+# of degree >= 3.  Factoring and Sturm chains grow fast in both.  On one
+# Xeon core, the worst inputs at the ceiling parse in under a second (a
+# random degree-64 polynomial with 32-bit coefficients; the degree-32
+# Swinnerton-Dyer polynomial, size 1856, which splits into quadratics modulo
+# every prime), while degree 64 with 64-bit coefficients takes 2.5 s and the
+# degree-64 Swinnerton-Dyer polynomial (size 8384) runs for minutes.  The
+# test suite's degree >= 3 artifacts stay at 68.  Degree <= 2 is exempt: it
+# factors by one integer square root and has a three-row Sturm chain, so a
+# 4300-digit coefficient (the most JSON text holds) parses in milliseconds,
+# and decide writes bounds and sup values as large as the instance asks.
+# decide checks no ceiling on what it writes: a certificate with a
+# degree >= 3 entry above it does not audit.
+MINPOLY_SIZE_CEILING = 2048
 
 
 def alg_from_json(data) -> Alg:
@@ -261,7 +270,7 @@ def alg_from_json(data) -> Alg:
     if len(coeffs) - 1 > exactnum.DEGREE_CEILING:
         raise ParseError(None, f"minimal polynomial degree exceeds {exactnum.DEGREE_CEILING}")
     size = (len(coeffs) - 1) * max((abs(c).bit_length() for c in coeffs), default=0)
-    if size > MINPOLY_SIZE_CEILING:
+    if len(coeffs) > 3 and size > MINPOLY_SIZE_CEILING:
         raise ParseError(None, f"minimal polynomial degree x coefficient bits {size} "
                                f"exceeds {MINPOLY_SIZE_CEILING}")
     lo = _rat_from_json(_field(data, "lo", str))

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltireach import cli, driver, forward, instances, render
+from ltireach import cli, driver, exactnum, forward, instances, render
 from ltireach.certify import enumerate_algebraic_vectors, extremal_candidates
-from ltireach.exactnum import interval
+from ltireach.exactnum import IntPoly, RealAlg, interval
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem, check_simple
@@ -629,6 +629,77 @@ def test_cli_audit_oversized_minimal_polynomial_is_input_error(tmp_path):
     assert time.monotonic() - start < 30
     assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def minpoly_sizes(payload) -> list[tuple[int, int]]:
+    """(degree, largest coefficient bits) of every algebraic entry."""
+    if isinstance(payload, dict):
+        own = []
+        if "minpoly" in payload:
+            c = payload["minpoly"]
+            own = [(len(c) - 1, max(abs(x).bit_length() for x in c))]
+        return own + [s for v in payload.values() for s in minpoly_sizes(v)]
+    if isinstance(payload, list):
+        return [s for v in payload for s in minpoly_sizes(v)]
+    return []
+
+
+TINY = Fraction(1, 2 ** 5000)
+
+
+@pytest.mark.parametrize("text, degree", [
+    # a rational bound with a 5002-bit numerator
+    (QUAD_TEXT.format(target=f"0 {3 + TINY}"), 1),
+    # a sup value in Q(sqrt2) with 10003-bit minimal polynomial coefficients
+    ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
+     + f"source\n0 0\ntarget\nvertices\n{3 + TINY} -4\n", 2),
+], ids=["rational-bound", "quadratic-sup"])
+def test_cli_audits_certificates_with_large_entries(tmp_path, text, degree):
+    """Linear and quadratic entries parse at any size, so whatever decide
+    writes for a target with a 5000-bit coordinate audits."""
+    inst = tmp_path / "big.lti"
+    inst.write_text(text)
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(inst), "--max-steps", "4", "--max-candidates", "48",
+                     "--max-degree", "2", "--max-height", "2", "--extremal-budget", "1",
+                     "--out", str(out)]) == 1
+    sizes = minpoly_sizes(json.loads(out.read_text()))
+    assert max(n for n, _ in sizes) == degree
+    assert max(n * bits for n, bits in sizes) > 2 * instances.MINPOLY_SIZE_CEILING
+    assert cli.main(["audit", str(inst), str(out)]) == 0
+
+
+def swinnerton_dyer(primes) -> list[int]:
+    """Minimal polynomial of sqrt p1 + ... + sqrt pk: irreducible of degree
+    2^k, yet split into factors of degree <= 2 modulo every prime."""
+    total = sum(RealAlg.from_root(IntPoly((-p, 0, 1)), 1, p) for p in primes)
+    return list(total.minpoly.coeffs)
+
+
+def random_poly(seed: int, degree: int, bits: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(2 ** (bits - 1), 2 ** bits) * rng.choice((1, -1))
+            for _ in range(degree)] + [2 ** (bits - 1)]
+
+
+@pytest.mark.parametrize("coeffs", [
+    random_poly(5, 64, 32),
+    swinnerton_dyer([2, 3, 5, 7, 11]),
+], ids=["degree-64-32-bit", "swinnerton-dyer-32"])
+def test_worst_admitted_minimal_polynomials_parse_quickly(coeffs):
+    """The inputs that the size ceiling still admits and that cost parsing
+    the most (under a second on one Xeon core) stay in a fixed time bound."""
+    size = (len(coeffs) - 1) * max(abs(c).bit_length() for c in coeffs)
+    assert size <= instances.MINPOLY_SIZE_CEILING
+    exactnum.factor_int_poly.cache_clear()
+    exactnum._sturm_chain_cached.cache_clear()
+    start = time.monotonic()
+    for lo, hi in (("-100", "100"), ("0", "1/1000")):
+        try:
+            instances.alg_from_json({"minpoly": coeffs, "lo": lo, "hi": hi})
+        except instances.ParseError:
+            pass
+    assert time.monotonic() - start < 15
 
 
 @pytest.mark.parametrize("field, value", [

@@ -535,12 +535,25 @@ def test_integer_sturm_rows_match_fraction_chain():
 
 
 def test_refine_matches_fraction_bisection():
-    for x in seeded_irrationals(53, 10):
+    """Degree >= 3 refines by bisection.  A quadratic number takes the
+    isqrt interval of the least level no wider than asked, which still
+    isolates it and holds it."""
+    xs = seeded_irrationals(53, 10)
+    assert {x.degree for x in xs} == {2, 3, 4}
+    for x in xs:
         lo, hi = x.interval()
         p = x.minpoly.coeffs
+        chain = sturm_chain(x.minpoly)
         for steps in (1, 3, 17, 40):
             y = RealAlg(x.minpoly, lo, hi)
             y.refine(steps)
+            if x.degree == 2:
+                ylo, yhi = y.interval()
+                width = (hi - lo) / 2 ** steps
+                assert yhi - ylo <= width
+                assert x.compare(ylo) > 0 > x.compare(yhi)
+                assert _count_roots_closed(chain, ylo, yhi) == 1
+                continue
             a, b = lo, hi
             for _ in range(steps):
                 mid = (a + b) / 2
@@ -549,6 +562,8 @@ def test_refine_matches_fraction_bisection():
                 else:
                     b = mid
             assert y.interval() == (a, b)
+        if x.degree == 2:
+            continue
         z = RealAlg(x.minpoly, lo, hi)
         z.refine_below(F(1, 1000))
         a, b = lo, hi
