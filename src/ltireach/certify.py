@@ -41,11 +41,19 @@ reachable set; every S_k is therefore an exact lower bound on the
 supremum, and tau cannot separate once S_k > min_Q tau
 (fails_prefix_check, for k up to PREFIX_CHECK_DEPTH).  The check rejects
 only directions that verify_separator rejects too, so the first accepted
-direction, and the verdict, do not change.  PrefixSums holds the S_k in
-a lazily extended list, stepping the vertex images A^i v one matrix-vector
-product at a time, and sup_from reads its first threshold terms from that
-same list, so a direction that passes computes no term twice.  The audit calls verify_separator without the check: an
-honest certificate never fails it, so there it would only add cost.
+direction, and the verdict, do not change.  The vertex images A^i v do
+not depend on tau, so one VertexImages table per decision forms each of
+them once, in integers: A as integer rows over one denominator, and each
+step's images as integer vectors over one common denominator, grown
+lazily.  PrefixSums holds the S_k of one direction in a lazily extended
+list read from that table; a rational tau is cleared to integers, so each
+<tau, A^i v> is an integer dot product and only a step's maximum becomes a
+Fraction.  sup_from reads its first threshold terms from the same list
+and the maximizer's image A^N u from the same table, so a direction that
+passes computes no term twice.  The audit calls verify_separator without
+the check (an honest certificate never fails it, so there it would only
+add cost), and its verification and its rebuild of the supremum share
+one table.
 
 Candidate directions come from geometry (the target's facets and the
 complement of its affine hull, then the left eigenvectors) and, as the
@@ -59,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .exactnum import Alg, IntPoly, RealAlg, interval, sturm_isolate_real_roots
 from .geometry import (
@@ -70,6 +78,7 @@ from .geometry import (
     facet_normals,
 )
 from .linalg import (
+    IntRows,
     RatMatrix,
     SpectralData,
     Vec,
@@ -286,31 +295,73 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
+class VertexImages:
+    """The images A^i v of the control vertices, shared by every direction
+    of one decision and grown one step at a time.
+
+    A is held as integer rows over one denominator (linalg.IntRows), and
+    step i as integer vectors over one denominator: at(i) is (nums, den)
+    with nums[k] / den = A^i v_k, and den shares no factor with every
+    numerator of the step, so the integers stay as small as one common
+    denominator allows."""
+
+    def __init__(self, a: RatMatrix, vertices):
+        self.index = {v: k for k, v in enumerate(vertices)}
+        self._a = IntRows(a)
+        den = lcm(*(x.denominator for v in vertices for x in v))
+        self._steps = [([tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices], den)]
+
+    def at(self, i: int) -> tuple[list[tuple[int, ...]], int]:
+        """(nums, den) of step i: nums[k] / den = A^i v_k."""
+        while len(self._steps) <= i:
+            nums, den = self._steps[-1]
+            out = [self._a.times(num) for num in nums]
+            den *= self._a.den
+            g = gcd(den, *(x for num in out for x in num))
+            self._steps.append(([tuple(x // g for x in num) for num in out], den // g))
+        return self._steps[i]
+
+    def image(self, v: Vec, i: int) -> tuple[tuple[int, ...], int]:
+        """(num, den) with num / den = A^i v, for a control vertex v."""
+        k = self.index.get(tuple(v))
+        if k is None:
+            raise ValueError("not a control vertex")
+        nums, den = self.at(i)
+        return nums[k], den
+
+
 class PrefixSums:
     """The prefix sums S_k = sum_{i<k} max_{v in Ext(U)} <A^i v, tau>, the
     supremum of <x, tau> over the states reachable in exactly k steps;
     extended lazily, so the pre-check and sup_from share every term either
-    of them computes."""
+    of them computes.
 
-    def __init__(self, s: SpectralData, u: GenPolyhedron, tau):
-        self.s = s
-        self.u = u
+    The vertex images come from `images`, the decision's VertexImages when
+    the caller has it.  A rational tau is cleared to integers over one
+    denominator, so each <tau, A^i v> is an integer dot product and only
+    the step's maximum becomes a Fraction; an algebraic tau is dotted with
+    the integer numerators and its maximum divided once by the step's
+    denominator."""
+
+    def __init__(self, s: SpectralData, u: GenPolyhedron, tau, images: VertexImages | None = None):
+        self.images = images if images is not None else VertexImages(s.matrix, u.vertices)
         self.tau = tuple(tau)
         self.sums: list[Alg] = [Fraction(0)]
-        self._images = None  # A^i v over the vertices, i the last term's step
+        self._int_tau = None
+        if not any(isinstance(x, RealAlg) for x in self.tau):
+            den = lcm(*(x.denominator for x in self.tau))
+            self._int_tau = [x.numerator * (den // x.denominator) for x in self.tau], den
 
     def at(self, k: int) -> Alg:
         """S_k."""
         while len(self.sums) <= k:
-            if self._images is None:
-                self._images = self.u.vertices
+            nums, den = self.images.at(len(self.sums) - 1)
+            if self._int_tau is not None:
+                tau, tau_den = self._int_tau
+                best = Fraction(max(sum(t * x for t, x in zip(tau, num)) for num in nums),
+                                tau_den * den)
             else:
-                self._images = [self.s.matrix.matvec(x) for x in self._images]
-            best = None
-            for x in self._images:
-                val = alg_dot(self.tau, x)
-                if best is None or val > best:
-                    best = val
+                best = max(alg_dot(self.tau, num) for num in nums) / den
             self.sums.append(self.sums[-1] + best)
         return self.sums[k]
 
@@ -338,11 +389,9 @@ def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: 
         return Fraction(0)
     if sums is None:
         sums = PrefixSums(s, u, tau)
-    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u
-    x = maximizer
-    for _ in range(threshold):
-        x = s.matrix.matvec(x)
-    return sums.at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(x))
+    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den
+    num, den = sums.images.image(maximizer, threshold)
+    return sums.at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(num)) / den
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
@@ -379,10 +428,13 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau,
     return None
 
 
-def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate) -> Alg:
+def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate,
+                                   images: VertexImages | None = None) -> Alg:
     """Audit path: rebuild the supremum from (tau, maximizer, threshold)
-    alone, without rerunning the maximizer search."""
-    return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold)
+    alone, without rerunning the maximizer search.  `images` are the
+    vertex images when the caller has them; the prefix sums are formed
+    afresh."""
+    return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold, PrefixSums(s, u, cert.tau, images))
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,18 @@ def _verdict_exit(verdict: driver.Verdict) -> int:
             "unknown": EXIT_UNKNOWN}[verdict.kind]
 
 
+def _write_verdict(verdict: driver.Verdict, out: str | None) -> None:
+    """Write the verdict artifact, when asked for, before anything reports
+    the verdict: a failure to form or write it then exits 5 with no
+    verdict line printed."""
+    if out:
+        _write_or_print(instances.dump_json(instances.verdict_to_json(verdict)), out)
+
+
 def cmd_decide(args) -> int:
     sys_ = _load_instance(args.input)
     verdict = driver.decide(sys_, _budgets_from(args))
+    _write_verdict(verdict, args.out)
     for w in verdict.warnings:
         print(f"warning: {w}", file=_sys.stderr)
     print(f"verdict: {verdict.kind}")
@@ -103,8 +112,6 @@ def cmd_decide(args) -> int:
     elif verdict.kind == "unreachable":
         sup = float(verdict.certificate.sup_value)
         print(f"separator sup: {sup:.6g}")
-    if args.out:
-        _write_or_print(instances.dump_json(instances.verdict_to_json(verdict)), args.out)
     return _verdict_exit(verdict)
 
 
@@ -126,12 +133,12 @@ def cmd_forward(args) -> int:
 def cmd_certify(args) -> int:
     sys_ = _load_instance(args.input)
     verdict = driver.decide(sys_, dataclasses.replace(_budgets_from(args), max_steps=-1))
+    if verdict.kind == "unreachable":
+        _write_verdict(verdict, args.out)
     for w in verdict.warnings:
         print(f"warning: {w}", file=_sys.stderr)
     if verdict.kind == "unreachable":
         print("unreachable: separator certificate found")
-        if args.out:
-            _write_or_print(instances.dump_json(instances.verdict_to_json(verdict)), args.out)
         return EXIT_UNREACHABLE
     print("no certificate within budgets")
     return EXIT_UNKNOWN

@@ -6,7 +6,9 @@ semi-procedures advance fairly under one budget, in one thread, and the
 same input always gives the same verdict.  A candidate is verified as it
 is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
-the audit verifies a certificate without that check.  Every positive
+every candidate reads its prefix sums from one table of control-vertex
+images (certify.VertexImages), built once per decision.  The audit
+verifies a certificate without that check.  Every positive
 verdict is replay-verified and every negative verdict carries a
 certificate that an independent process can recheck against the instance
 file (audit).
@@ -28,6 +30,7 @@ from .certify import (
     AlgVec,
     PrefixSums,
     SeparatorCertificate,
+    VertexImages,
     enumerate_algebraic_vectors,
     extremal_candidates,
     fails_prefix_check,
@@ -147,6 +150,8 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                        certificate=cert, simple_form=form)
 
     candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
+    # the vertex images A^i v do not depend on tau: one table serves every candidate
+    images = VertexImages(spectral.matrix, form.u_reduced.vertices) if certifiable else None
     tried = 0
     candidates_done = not (certifiable and form.dim > 0)
     columns = StepColumns(sys)
@@ -167,7 +172,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             for tau in itertools.islice(candidates, CANDIDATE_BATCH):
                 candidates_done = False
                 tried += 1
-                sums = PrefixSums(spectral, form.u_reduced, tau)
+                sums = PrefixSums(spectral, form.u_reduced, tau, images)
                 if fails_prefix_check(sums, min_over_vertices(form.q_reduced, tau)):
                     continue
                 cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau, sums)
@@ -238,7 +243,11 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
             return False
         if len(cert.tau) != form.dim:
             return False
-        fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau)
+        # the verification and the rebuild below share one table of vertex
+        # images, not their prefix sums
+        images = VertexImages(spectral.matrix, form.u_reduced.vertices)
+        fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau,
+                                 PrefixSums(spectral, form.u_reduced, cert.tau, images))
         if fresh is None:
             return False
         if fresh.sup_value != cert.sup_value:
@@ -257,6 +266,6 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
             return False
         # independent audit path: the supremum rebuilt from the stored
         # maximizer and threshold alone must agree too
-        redone = recompute_sup_from_certificate(spectral, form.u_reduced, cert)
+        redone = recompute_sup_from_certificate(spectral, form.u_reduced, cert, images)
         return redone == cert.sup_value
     return False

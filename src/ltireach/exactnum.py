@@ -17,7 +17,10 @@ of degree >= 2 has no rational roots, so a rational bisection point, or a
 rational compared against, is never itself a root.  The sign of an integer polynomial at a rational p/q is
 read off the homogenized integer form sum c_i p^i q^(d-i), and Sturm
 chains are stored as primitive integer rows, so sign tests and root
-counts never build a Fraction.
+counts never build a Fraction.  Polynomial remainders, gcds and
+squarefree parts run in integers too: a pseudo-remainder is a positive
+multiple of the remainder over Q, and the gcd follows the primitive
+pseudo-remainder sequence (Cohen, GTM 138, section 3.3).
 
 A quadratic irrational is also held as coordinates in Q(sqrt d), the
 value a + b sqrt(d) with a, b rational and d the discriminant of its
@@ -145,12 +148,14 @@ class IntPoly:
         return IntPoly(tuple(c * sign // g for c in self.coeffs))
 
     def squarefree_part(self) -> "IntPoly":
+        """The product of the distinct irreducible factors, primitive with
+        positive lead: self over its gcd with the derivative, a division
+        that stays in the integers since the gcd is primitive (Gauss's
+        lemma)."""
         g = poly_gcd(self, self.derivative())
         if g.degree <= 0:
             return self.primitive()
-        q, r = _frac_divmod(_to_frac(self), _to_frac(g))
-        assert not r, "gcd must divide"
-        return _from_frac(q).primitive()
+        return IntPoly(_exact_quotient(self.coeffs, g.coeffs)).primitive()
 
     # Root transformations used by the rational-operand fast paths.  Each
     # preserves irreducibility (it is composition with an invertible
@@ -201,10 +206,6 @@ class IntPoly:
         return "IntPoly(" + " + ".join(terms) + ")"
 
 
-def _to_frac(p: IntPoly) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
 def _from_frac(coeffs: list[Fraction]) -> IntPoly:
     """Clear denominators of a Fraction-coefficient polynomial."""
     coeffs = list(coeffs)
@@ -218,40 +219,48 @@ def _from_frac(coeffs: list[Fraction]) -> IntPoly:
     return IntPoly(tuple(int(c * den) for c in coeffs))
 
 
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """A positive multiple of the remainder of a by b (b nonzero, both
+    without trailing zeros): each step multiplies the partial remainder by
+    |lc(b)| and cancels its leading term, so it stays in the integers."""
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
     r = list(a)
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
+    while len(r) >= len(b):
+        f = r[-1] * sign
         k = len(r) - len(b)
-        q[k] = f
+        r = [x * scale for x in r]
         for i, c in enumerate(b):
             r[k + i] -= f * c
         r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
+def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for an integer polynomial b that divides a with an integer
+    quotient (b primitive, by Gauss's lemma)."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        f, rem = divmod(r[k + len(b) - 1], b[-1])
+        assert rem == 0, "divisor must divide"
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    assert not any(r), "divisor must divide"
+    return tuple(q)
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd over the integers (Euclid with Fraction arithmetic)."""
-    a, b = _to_frac(p), _to_frac(q)
-    while any(c != 0 for c in b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    return _from_frac(a).primitive()
+    """Primitive gcd over the integers, positive lead, by the primitive
+    pseudo-remainder sequence (Cohen, GTM 138, section 3.3): every
+    remainder is divided by its content, so no Fraction is built."""
+    a, b = p.primitive().coeffs, q.primitive().coeffs
+    while b:
+        a, b = b, IntPoly(_pseudo_remainder(a, b)).primitive().coeffs
+    return IntPoly(a).primitive()
 
 
 @lru_cache(maxsize=4096)
@@ -331,10 +340,10 @@ def _sturm_chain_cached(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     if dp:
         chain.append(_positive_primitive(dp.coeffs))
     while len(chain) > 1:
-        _, r = _frac_divmod([Fraction(c) for c in chain[-2]], [Fraction(c) for c in chain[-1]])
+        r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_positive_primitive(_from_frac([-c for c in r]).coeffs))
+        chain.append(_positive_primitive([-c for c in r]))
     return tuple(row for row in chain if row)
 
 
@@ -385,15 +394,6 @@ def _count_roots_closed(chain: list[list[int]], lo: Fraction, hi: Fraction) -> i
     if _sign_at(chain[0], lo.numerator, lo.denominator) == 0:
         cnt += 1
     return cnt
-
-
-def count_real_roots(p: IntPoly) -> int:
-    """Distinct real roots of p over the whole line."""
-    sf = p.squarefree_part()
-    if sf.degree <= 0:
-        return 0
-    chain = sturm_chain(sf)
-    return count_roots_halfopen(chain, "-inf", "+inf")
 
 
 def root_bound(p: IntPoly) -> Fraction:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .geometry import GenPolyhedron, contains_point, feasible_tableau, tableau_columns
-from .linalg import Vec, vec_add, vec_scale, zero_vec
+from .linalg import IntRows, Vec, vec_add, vec_scale, zero_vec
 from .preprocess import LtiSystem
 
 
@@ -201,11 +201,7 @@ class StepColumns:
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
-        a = sys.a
-        self._a_den = lcm(*(x.denominator for x in a.entries))
-        # the nonzero entries (column, value) of each row of a_den * A
-        self._a_rows = [[(j, x.numerator * (self._a_den // x.denominator))
-                         for j, x in enumerate(a.row(i)) if x] for i in range(a.rows)]
+        self._a = IntRows(sys.a)
         self.comps = [[_Block.of_generators(c.vertices, c.rays, c.lines)] for c in sys.controls.components]
         blocks = [table[0] for table in self.comps]
         self.pooled = [_pool(blocks)]
@@ -220,8 +216,8 @@ class StepColumns:
     def _matvec(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         """A (num / den) in lowest terms."""
         self.products += 1
-        out = [sum(x * num[j] for j, x in row) for row in self._a_rows]
-        den *= self._a_den
+        out = self._a.times(num)
+        den *= self._a.den
         g = gcd(den, *out)
         if g != 1:
             return tuple(x // g for x in out), den // g

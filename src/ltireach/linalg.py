@@ -1,16 +1,28 @@
 """Exact linear algebra over Q and over real algebraic numbers.
 
-RatMatrix is the rational workhorse (Fraction entries).  Values that may
-be irrational (spectral projectors, bilinear-form rows, the matrices of
-the certificate search) are plain lists of rows whose entries are
-Fractions where rational and RealAlg where not, so a rational spectrum
-never leaves Fraction arithmetic.
+RatMatrix is the rational workhorse (Fraction entries).  IntRows holds a
+matrix as integer rows over one denominator, for callers that step
+integer vectors by it many times (the forward columns, the certificate
+search's vertex images).  Values that may be irrational (spectral
+projectors, bilinear-form rows, the matrices of the certificate search)
+are plain lists of rows whose entries are Fractions where rational and
+RealAlg where not, so a rational spectrum never leaves Fraction
+arithmetic.
+
+The spectral tests read the characteristic polynomial once per matrix:
+check_simple passes the one Berkowitz result to schur_stable and
+real_spectrum_power, and the real-spectrum test takes one squarefree part
+and one Sturm chain for both of its root counts.
 
 spectral_decompose splits a matrix with real, strictly positive
 eigenvalues into its commuting diagonalizable + nilpotent parts and
 computes the spectral projector onto each generalized eigenspace as a
 polynomial in the matrix, h(A) = sum_k h_k A^k over the rational powers
 A^k, so no eigenvector basis over an extension field is ever constructed.
+The squarefree part of the characteristic polynomial is the product of
+its distinct irreducible factors, which the eigenvalues need anyway; when
+it has full degree A is semisimple and is its own semisimple part, and
+only a repeated eigenvalue runs the Newton iteration for it.
 bilinear_rows then builds, for one direction tau, the rows
 tau^T P_i N^j lam_i^-j for j below the multiplicity of lam_i; P_i N^j
 vanishes from there on.
@@ -20,12 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from .exactnum import (
     Alg,
     IntPoly,
-    count_real_roots,
     count_roots_halfopen,
     factor_int_poly,
     sturm_chain,
@@ -253,6 +264,23 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
+class IntRows:
+    """A square rational matrix as integer rows over one denominator: row i
+    of den * A is rows[i], its nonzero entries as (column, value) pairs.
+    times() applies den * A to an integer vector, so a caller that holds
+    its vectors as integers over a denominator steps them by A without
+    building a Fraction."""
+
+    def __init__(self, a: RatMatrix):
+        self.den = lcm(*(x.denominator for x in a.entries))
+        self.rows = [[(j, x.numerator * (self.den // x.denominator)) for j, x in enumerate(a.row(i)) if x]
+                     for i in range(a.rows)]
+
+    def times(self, num) -> list[int]:
+        """den * A * num."""
+        return [sum(x * num[j] for j, x in row) for row in self.rows]
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial and spectral tests
 # ---------------------------------------------------------------------------
@@ -371,11 +399,13 @@ def _real_nonneg_spectrum(a: RatMatrix, charp: tuple[Fraction, ...] | None = Non
     p = IntPoly(tuple(coeffs))
     if p.degree <= 0:
         return True
+    # one squarefree part and one Sturm chain answer both questions: every
+    # root real, and none in (-inf, 0] (zero roots were stripped, so
+    # sf(0) != 0)
     sf = p.squarefree_part()
-    if count_real_roots(sf) != sf.degree:
-        return False
     chain = sturm_chain(sf)
-    # no roots in (-inf, 0]; zero roots were stripped so sf(0) != 0
+    if count_roots_halfopen(chain, "-inf", "+inf") != sf.degree:
+        return False
     return count_roots_halfopen(chain, "-inf", Fraction(0)) == 0
 
 
@@ -542,10 +572,14 @@ class SpectralData:
         return self._resolvent
 
 
-def _semisimple_part(a: RatMatrix, charp: IntPoly) -> RatMatrix:
-    """Rational semisimple part S of A (Newton iteration on the squarefree
-    part of its characteristic polynomial charp); A - S is nilpotent."""
-    p = charp.squarefree_part()
+def _semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
+    """Rational semisimple part S of A, for p the squarefree part of its
+    characteristic polynomial; A - S is nilpotent.  When p has full degree
+    it is the characteristic polynomial up to a constant, so A is
+    semisimple and S = A (Cayley-Hamilton: p(A) = 0); otherwise S comes
+    from the Newton iteration x <- x - p'(x)^-1 p(x) from x = A."""
+    if p.degree == a.rows:
+        return a
     pf = [Fraction(c) for c in p.coeffs]
     dpf = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
 
@@ -590,7 +624,9 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
             eig.append((r, mult))
     eig.sort(key=lambda e: e[0])
 
-    nilpotent = a - _semisimple_part(a, p)
+    # the squarefree part is the product of the distinct factors
+    squarefree = prod((IntPoly(f) for f, _ in factors), start=IntPoly((1,)))
+    nilpotent = a - _semisimple_part(a, squarefree)
 
     # the rational powers A^k, shared by every projector and built only as
     # far as the highest nonzero coefficient of a projector polynomial

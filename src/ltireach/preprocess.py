@@ -6,8 +6,8 @@ exactly.  to_simple_form applies three reductions in a fixed order:
 
   1. power step: replace A by A^M and U by the M-step input sum, making
      the spectrum real and nonnegative;
-  2. invertibility step: split off the nilpotent part, absorbing the
-     first d steps into the target;
+  2. invertibility step, when A is singular: split off the nilpotent
+     part, absorbing the first d steps into the target;
   3. span step: restrict to the least invariant subspace containing the
      controls, making the reachable set full dimensional.
 
@@ -170,14 +170,15 @@ def to_simple_form(sys: LtiSystem, report: SimplicityReport | None = None) -> Si
     assert m is not None
 
     # power step
-    power_a = sys.a.power(m)
+    power_a = sys.a.power(m) if m > 1 else sys.a
     power_u = input_sum(sys.a, u0, m) if m > 1 else u0
 
-    # invertibility step: the first d steps are absorbed into the target
+    # invertibility step: the first d steps are absorbed into the target;
+    # A^M is singular exactly when A is
     d = power_a.rows
-    _, v1 = fitting_split(power_a)
-    fit_applied = len(v1) < d
+    fit_applied = sys.a.det() == 0
     if fit_applied:
+        _, v1 = fitting_split(power_a)
         if not sys.target.is_empty:
             # the intersection below enumerates facets in dimension d; fail
             # before the d-step input sum, which costs the most here

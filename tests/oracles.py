@@ -7,7 +7,11 @@ solved as one LP over its generators, the simplex over a `Fraction`
 tableau that the integer tableau replaced, and the characteristic
 polynomial by the `Fraction` Berkowitz recursion that the integer one
 replaced, and `all_bilinear_rows` multiplies out the bilinear rows
-that the library stops at the first zero row.  `cold_reach_exactly` is the union search that solves every
+that the library stops at the first zero row.  `fraction_poly_gcd` and
+`fraction_squarefree_part` run Euclid over Q where the library follows
+an integer pseudo-remainder sequence, and `FractionPrefixSums` and
+`fraction_sup_from` step each direction's vertex images by Fraction
+products where the library reads one integer table per decision.  `cold_reach_exactly` is the union search that solves every
 DFS node's LP from scratch, which restricting the parent's tableau
 replaced.  `reduced_witness_lifts` checks the converse of the
 normalization on the original system itself.  `rat` checks the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from ltireach.exactnum import Alg, IntPoly
 from ltireach import forward
@@ -380,6 +384,100 @@ def fraction_charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
                     new[i] += first_col[k] * c[j]
         c = new
     return tuple(reversed(c))
+
+
+# ---------------------------------------------------------------------------
+# Fraction polynomial arithmetic
+# ---------------------------------------------------------------------------
+
+
+def frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b over Q, coefficients lowest degree
+    first, without trailing zeros."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    b = list(b)
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and any(c != 0 for c in r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(b):
+            break
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def frac_to_int_poly(coeffs: list[Fraction]) -> IntPoly:
+    """The polynomial cleared of denominators, primitive, positive lead."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    return IntPoly(tuple(int(c * den) for c in coeffs)).primitive()
+
+
+def fraction_poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """`exactnum.poly_gcd` as it was: Euclid over Q, then the primitive
+    part with positive lead."""
+    a, b = [Fraction(c) for c in p.coeffs], [Fraction(c) for c in q.coeffs]
+    while any(c != 0 for c in b):
+        _, r = frac_divmod(a, b)
+        a, b = b, r
+    return frac_to_int_poly(a)
+
+
+def fraction_squarefree_part(p: IntPoly) -> IntPoly:
+    """`IntPoly.squarefree_part` as it was: p over its Euclid gcd with p',
+    divided over Q."""
+    g = fraction_poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p.primitive()
+    q, r = frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
+    assert not r
+    return frac_to_int_poly(q)
+
+
+# ---------------------------------------------------------------------------
+# prefix sums stepped per direction
+# ---------------------------------------------------------------------------
+
+
+class FractionPrefixSums:
+    """`certify.PrefixSums` as it was: each direction steps its own vertex
+    images A^i v one Fraction matrix-vector product at a time and sums the
+    maxima of <tau, A^i v>."""
+
+    def __init__(self, s: SpectralData, u: GenPolyhedron, tau):
+        self.s = s
+        self.tau = tuple(tau)
+        self.images = list(u.vertices)
+        self.sums: list[Alg] = [Fraction(0)]
+
+    def at(self, k: int) -> Alg:
+        while len(self.sums) <= k:
+            if len(self.sums) > 1:
+                self.images = [self.s.matrix.matvec(x) for x in self.images]
+            self.sums.append(self.sums[-1] + max(alg_dot(self.tau, x) for x in self.images))
+        return self.sums[k]
+
+
+def fraction_sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:
+    """`certify.sup_from` as it was: S_threshold from FractionPrefixSums,
+    and the maximizer walked to its threshold by Fraction products."""
+    x = maximizer
+    for _ in range(threshold):
+        x = s.matrix.matvec(x)
+    return FractionPrefixSums(s, u, tau).at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(x))
 
 
 # ---------------------------------------------------------------------------

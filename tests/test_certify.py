@@ -2,11 +2,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 from ltireach.certify import (
     PREFIX_CHECK_DEPTH,
     PrefixSums,
     SeqKind,
+    VertexImages,
     classify_sequence,
     enumerate_algebraic_vectors,
     eventual_maximizer,
@@ -20,8 +22,8 @@ from ltireach.certify import (
 )
 from ltireach.exactnum import RealAlg, sign, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
-from ltireach.linalg import RatMatrix, spectral_decompose, vec
-from oracles import int_poly, rat
+from ltireach.linalg import IntRows, RatMatrix, spectral_decompose, vec
+from oracles import FractionPrefixSums, fraction_sup_from, int_poly, rat
 
 F = Fraction
 
@@ -349,6 +351,68 @@ def test_prefix_sums_bound_the_supremum():
                         assert sums.at(k) == partial_sum_max(a, u, tau, k - 1)
                 checked += 1
     assert checked >= 100
+
+
+def _triangular_matrices(rng: random.Random) -> list[RatMatrix]:
+    """Upper-triangular 2x2 and 3x3 matrices with eigenvalues in (0, 1),
+    close enough together that the eventual maximizer often wins late."""
+    out = []
+    for d in (2, 2, 3, 3, 3):
+        diag = rng.sample([F(9, 10), F(4, 5), F(7, 10), F(3, 5), F(1, 2)], d)
+        out.append(RatMatrix.from_rows([[diag[i] if i == j else F(rng.randint(-3, 3), rng.choice((2, 4, 5)))
+                                         if j > i else F(0) for j in range(d)] for i in range(d)]))
+    return out
+
+
+def _spread_polytope(rng: random.Random, d: int) -> GenPolyhedron:
+    """A centrally symmetric polytope with rational vertices of mixed size,
+    so vertex orderings along A^n change over many steps."""
+    pts = []
+    for _ in range(d + 1):
+        v = vec(*[F(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(d)])
+        pts += [v, tuple(-x for x in v)]
+    return GenPolyhedron.polytope(pts)
+
+
+def test_prefix_sums_match_per_direction_oracle():
+    # one table of vertex images serves every direction of a system: each
+    # S_k, past PREFIX_CHECK_DEPTH to the threshold and beyond, and each
+    # supremum equal the per-direction Fraction stepping they replaced, and
+    # every step of the table is a common denominator in lowest terms
+    rng = random.Random(41)
+    deep = deep_algebraic = reduced = checked = 0
+    # eigenvalues 7/10 +- sqrt(k)/10: close, so thresholds grow
+    close = [RatMatrix.from_rows([[F(7, 10), F(1, 10)], [F(k, 10), F(7, 10)]]) for k in (2, 3, 5)]
+    for a in [*_triangular_matrices(rng), *close, *_quadratic_irrational_matrices(rng)]:
+        s = spectral_decompose(a)
+        u = _spread_polytope(rng, a.rows)
+        images = VertexImages(a, u.vertices)
+        rational = [tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(a.rows)) for _ in range(4)]
+        # a left eigenvector alone gives one geometric sequence and
+        # threshold 0; shifted by a rational vector it mixes both eigenvalues
+        shifted = [tuple(x + y for x, y in zip(ev, r)) for ev in left_eigenvectors(s) for r in rational[:2]]
+        for tau in rational + left_eigenvectors(s) + shifted:
+            if not any(tau):
+                continue
+            maximizer, n = eventual_maximizer(s, u, tau)
+            sums = PrefixSums(s, u, tau, images)
+            oracle = FractionPrefixSums(s, u, tau)
+            for k in range(max(n, PREFIX_CHECK_DEPTH) + 3):
+                got, expected = sums.at(k), oracle.at(k)
+                assert type(got) is type(expected) and got == expected
+            assert sup_from(s, u, tau, maximizer, n, sums) == fraction_sup_from(s, u, tau, maximizer, n)
+            deep += n > PREFIX_CHECK_DEPTH
+            deep_algebraic += n > PREFIX_CHECK_DEPTH and any(isinstance(x, RealAlg) for x in tau)
+            checked += 1
+        a_den = IntRows(a).den
+        power = RatMatrix.identity(a.rows)
+        for i in range(12):
+            nums, den = images.at(i)
+            assert gcd(den, *(x for num in nums for x in num)) == 1
+            assert [tuple(F(x, den) for x in num) for num in nums] == [power.matvec(v) for v in u.vertices]
+            reduced += i > 0 and den < images.at(i - 1)[1] * a_den
+            power = power @ a
+    assert checked >= 150 and deep >= 25 and deep_algebraic >= 3 and reduced >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -793,6 +793,25 @@ def test_cli_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch, comm
     assert err == "error: RuntimeError: internal fault\n"
 
 
+@pytest.mark.parametrize("command", ["decide", "certify"])
+def test_cli_artifact_error_prints_no_verdict(tmp_path, capsys, monkeypatch, command):
+    # the artifact text is formed before the verdict is reported, so a
+    # failure to form it exits 5 with no verdict line on stdout
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+
+    def refuse(body):
+        raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+    monkeypatch.setattr(instances, "dump_json", refuse)
+    capsys.readouterr()
+    assert cli.main([command, "--input", inst, "--max-steps", "4", "--out", str(out)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Exceeds the limit (4300 digits) for integer string conversion\n"
+    assert not out.exists()
+
+
 def test_cli_out_of_process_audit(tmp_path):
     unreachable = write_instance(tmp_path, "u.lti", "0 3")
     out = tmp_path / "verdict.json"

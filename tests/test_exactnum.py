@@ -14,13 +14,13 @@ from ltireach.exactnum import (
     RealAlg,
     _combination_poly,
     _count_roots_closed,
-    _frac_divmod,
     _from_frac,
     _isolate_squarefree,
     _sign_at,
     count_roots_halfopen,
     factor_int_poly,
     interval,
+    poly_gcd,
     rat_from_str,
     rat_to_str,
     root_bound,
@@ -30,7 +30,7 @@ from ltireach.exactnum import (
     sturm_isolate_real_roots,
 )
 from ltireach.instances import alg_from_json, alg_to_json
-from oracles import int_poly, rat
+from oracles import frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, rat
 
 F = Fraction
 
@@ -86,6 +86,45 @@ def test_intpoly_basics():
 def test_squarefree_part():
     p = int_poly(-1, 1) * int_poly(-1, 1) * int_poly(-2, 1)  # (x-1)^2 (x-2)
     assert p.squarefree_part() == int_poly(-1, 1) * int_poly(-2, 1)
+
+
+def random_poly(rng: random.Random) -> IntPoly:
+    """A product of small factors, some repeated, under a random constant
+    of either sign: the zero polynomial, constants, negative leads and
+    repeated factors all occur."""
+    p = int_poly(rng.choice((-6, -3, -1, 1, 2, 4)))
+    for _ in range(rng.randint(0, 4)):
+        factor = IntPoly(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3))))
+        p = p * factor
+        if rng.random() < 0.4:
+            p = p * factor
+    return p
+
+
+def test_integer_gcd_and_squarefree_part_match_fraction_euclid():
+    # the primitive pseudo-remainder sequence gives the same primitive
+    # positive-lead results as Euclid over Q
+    rng = random.Random(29)
+    shapes = set()
+    for _ in range(1500):
+        p, q = random_poly(rng), random_poly(rng)
+        if rng.random() < 0.3:
+            q = q * p  # p divides q
+        assert poly_gcd(p, q) == fraction_poly_gcd(p, q)
+        assert poly_gcd(q, p) == fraction_poly_gcd(q, p)
+        if p:
+            assert p.squarefree_part() == fraction_squarefree_part(p)
+        shapes.add(("zero" if not p else "const" if p.degree == 0 else
+                    "negative" if p.coeffs[-1] < 0 else "positive",
+                    p.squarefree_part().degree < p.degree if p.degree > 0 else None))
+    assert {("zero", None), ("const", None), ("negative", True), ("negative", False),
+            ("positive", True), ("positive", False)} <= shapes
+    for p, q, g in [(int_poly(5), int_poly(3), int_poly(1)), (int_poly(-4), IntPoly(()), int_poly(1)),
+                    (IntPoly(()), IntPoly(()), IntPoly(())),
+                    (int_poly(2, -2), int_poly(-3, 0, 3), int_poly(-1, 1)),
+                    (int_poly(-1, 0, -1), int_poly(0, 1), int_poly(1))]:
+        assert poly_gcd(p, q) == g == fraction_poly_gcd(p, q)
+    assert int_poly(-2, 0, -2).squarefree_part() == int_poly(1, 0, 1)
 
 
 def brute_force_factor_has_quadratic_divisor(p: IntPoly) -> bool:
@@ -331,7 +370,7 @@ def frac_sturm_chain(p: IntPoly) -> list[list[Fraction]]:
     """The classical Sturm chain in Fraction arithmetic."""
     chain = [[F(c) for c in p.coeffs], [F(c) for c in p.derivative().coeffs]]
     while any(c != 0 for c in chain[-1]):
-        _, r = _frac_divmod(chain[-2], chain[-1])
+        _, r = frac_divmod(chain[-2], chain[-1])
         if not any(c != 0 for c in r):
             break
         chain.append([-c for c in r])

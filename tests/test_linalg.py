@@ -7,6 +7,7 @@ from ltireach.exactnum import sign, sturm_isolate_real_roots
 from ltireach.linalg import (
     RatMatrix,
     SpectralError,
+    _semisimple_part,
     alg_kernel_basis,
     bilinear_rows,
     charpoly,
@@ -395,6 +396,38 @@ def test_spectral_jordan_block():
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     assert s.nilpotent == mat([[0, 1], [0, 0]])
     check_spectral_invariants(s)
+
+
+def poly_at(p, m: RatMatrix) -> RatMatrix:
+    """p(M) for an integer polynomial p, by Horner."""
+    acc = RatMatrix.zeros(m.rows, m.rows)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + RatMatrix.identity(m.rows).scale(c)
+    return acc
+
+
+def test_semisimple_part():
+    # S = A itself when the characteristic polynomial is squarefree; with a
+    # repeated eigenvalue S is semisimple (its squarefree part kills it),
+    # A - S is nilpotent and S commutes with A
+    rng = random.Random(19)
+    same = jordan = 0
+    for _ in range(120):
+        d = rng.randint(1, 4)
+        a = random_positive_spectrum_matrix(rng, d)
+        sf = charpoly_primitive(a).squarefree_part()
+        s = _semisimple_part(a, sf)
+        if sf.degree == d:
+            assert s is a
+            same += 1
+            continue
+        assert poly_at(sf, s) == RatMatrix.zeros(d, d)
+        assert (a - s).power(d) == RatMatrix.zeros(d, d)
+        assert s @ a == a @ s
+        jordan += s != a
+    assert same >= 30 and jordan >= 10
+    block = mat([[F(1, 2), 1, 0], [0, F(1, 2), 1], [0, 0, F(1, 2)]])
+    assert _semisimple_part(block, int_poly(-1, 2)) == RatMatrix.identity(3).scale(F(1, 2))
 
 
 def test_spectral_rejects_bad_spectra():

@@ -118,6 +118,29 @@ def test_fitting_reduction_nilpotent_block():
     assert basis[0] == 0
 
 
+def test_invertibility_step_runs_exactly_on_singular_matrices(monkeypatch):
+    # the Fitting split runs, and the invertibility step applies, exactly
+    # when A (so A^M) is singular, with or without the power step
+    import ltireach.preprocess as preprocess
+
+    calls = []
+    split = preprocess.fitting_split
+
+    def counting(a):
+        calls.append(a)
+        return split(a)
+
+    monkeypatch.setattr(preprocess, "fitting_split", counting)
+    target = GenPolyhedron.point(vec(3, 3))
+    cases = [(RatMatrix.diag(0, F(1, 2)), 1, True), (RatMatrix.diag(F(1, 3), F(1, 2)), 1, False),
+             (RatMatrix.from_rows([[0, 1], [0, 0]]), 1, True),
+             (RatMatrix.diag(0, F(-1, 2)), 2, True), (RatMatrix.diag(F(1, 3), F(-1, 2)), 2, False)]
+    for a, power, singular in cases:
+        calls.clear()
+        form = to_simple_form(LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target))
+        assert (form.power, form.fit_applied, len(calls)) == (power, singular, int(singular))
+
+
 def test_span_reduction():
     # controls live on the x axis only and A preserves that axis
     seg = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0)])

@@ -6,7 +6,8 @@ methods by name when a run is traced.  A renamed or deleted target would
 only fail inside `perfbench/run.py --trace 1`; these tests read the table
 and fail at once instead.  The file is loaded, never modified.
 
-Every public function of the library must have a caller outside the tests.
+Every public function of the library must have a caller outside the tests,
+and every private module-level function or class a use inside the library.
 """
 
 import ast
@@ -134,3 +135,19 @@ def test_no_public_function_is_called_only_by_tests():
     test_only = [f"{module}.{name}" for module, name in defined
                  if name not in used and name not in PROMISED_API]
     assert test_only == []
+
+
+def test_no_private_helper_is_orphaned():
+    """A module-level function or class of src/ltireach whose name starts
+    with an underscore needs a use in src outside its own definition: one
+    that only tests use belongs in the tests."""
+    defined = []
+    used = set()
+    for path in sorted((ROOT / "src" / "ltireach").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+                used |= read_names(node) - {node.name}
+            else:
+                used |= read_names(node)
+    assert [f"{module}.{name}" for module, name in defined if name not in used] == []
