@@ -37,7 +37,9 @@ Any other sum or product of two irrational numbers is a root of the
 composed sum or product of their minimal polynomials, built from power
 sums with Newton's identities (Bostan, Flajolet, Salvy & Schost, 2006);
 the factor of it that owns the root becomes the result's minimal
-polynomial, and a linear factor makes the result a Fraction.
+polynomial, and a linear factor makes the result a Fraction.  The same
+power sums give linalg's real-spectrum test the polynomial of the ratios
+of two eigenvalues and the polynomial of their m-th powers.
 """
 
 from __future__ import annotations
@@ -872,23 +874,35 @@ def _scaled_power_sums(p: tuple[int, ...], count: int) -> list[int]:
     return sums
 
 
-def _combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
-    """Integer polynomial vanishing at a+b (op='add') or a*b (op='mul').
+def _monic_from_power_sums(sums: list[int]) -> list[int]:
+    """Coefficients, lowest first, of the monic polynomial of degree
+    len(sums) - 1 whose roots have power sums sums[1..]: Newton's identities
+    k r_(deg-k) = -sum_{i=1..k} r_(deg-k+i) s_i with r_deg = 1.  The roots
+    are algebraic integers whenever the sums come from a monic integer
+    polynomial, so every division is exact."""
+    deg = len(sums) - 1
+    r = [0] * deg + [1]
+    for k in range(1, deg + 1):
+        r[deg - k], rem = divmod(-sum(r[deg - k + i] * sums[i] for i in range(1, k + 1)), k)
+        assert rem == 0, "a monic polynomial over algebraic integers has integer coefficients"
+    return r
+
+
+def composed_poly(p: tuple[int, ...], q: tuple[int, ...], op: str) -> IntPoly:
+    """Integer polynomial whose roots are alpha + beta (op='add') or
+    alpha * beta (op='mul') over the roots alpha of p and beta of q, with
+    multiplicity.
 
     Built from power sums, with no resultant determinant.  With leads la, lb
-    of the two minimal polynomials, the numbers la*lb*gamma over all
-    gamma = alpha_i + beta_j (or alpha_i * beta_j) are algebraic integers.
-    Their power sums follow from those of the two root sets,
-    s_k(ab) = s_k(a) s_k(b) and s_k(a+b) = sum_i C(k,i) s_i(a) s_(k-i)(b);
-    Newton's identities turn them into the monic integer polynomial with
-    these roots, and x -> la*lb*x scales the roots back.  The result equals
-    Res_y(p(y), q(x - y)) (or Res_y(p(y), y^n q(x/y))) up to a constant.
+    of p and q, the numbers la*lb*gamma over all gamma = alpha_i + beta_j
+    (or alpha_i * beta_j) are algebraic integers.  Their power sums follow
+    from those of the two root sets, s_k(ab) = s_k(a) s_k(b) and
+    s_k(a+b) = sum_i C(k,i) s_i(a) s_(k-i)(b); Newton's identities turn them
+    into the monic integer polynomial with these roots, and x -> la*lb*x
+    scales the roots back.  The result equals Res_y(p(y), q(x - y)) (or
+    Res_y(p(y), y^n q(x/y))) up to a constant.
     """
-    p, q = a.minpoly.coeffs, b.minpoly.coeffs
-    m, n = len(p) - 1, len(q) - 1
-    deg = m * n
-    if deg > DEGREE_CEILING:
-        raise DegreeCeilingError(f"combination degree {deg} exceeds ceiling {DEGREE_CEILING}")
+    deg = (len(p) - 1) * (len(q) - 1)
     la, lb = p[-1], q[-1]
     sa, sb = _scaled_power_sums(p, deg), _scaled_power_sums(q, deg)
     if op == "add":
@@ -898,13 +912,28 @@ def _combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
         sums = [sum(comb(k, i) * sa[i] * sb[k - i] for i in range(k + 1)) for k in range(deg + 1)]
     else:
         sums = [x * y for x, y in zip(sa, sb)]
-    # Newton's identities: k r_(deg-k) = -sum_{i=1..k} r_(deg-k+i) s_i, r_deg = 1
-    r = [0] * deg + [1]
-    for k in range(1, deg + 1):
-        r[deg - k], rem = divmod(-sum(r[deg - k + i] * sums[i] for i in range(1, k + 1)), k)
-        assert rem == 0, "a monic polynomial over algebraic integers has integer coefficients"
     scale = la * lb
-    return IntPoly(tuple(c * scale ** j for j, c in enumerate(r)))
+    return IntPoly(tuple(c * scale ** j for j, c in enumerate(_monic_from_power_sums(sums))))
+
+
+def powered_roots_poly(p: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Coefficients, lowest first, of the monic integer polynomial whose
+    roots are the numbers (lead(p) * alpha)^m over the roots alpha of p,
+    with multiplicity (alpha^m when p is monic): the power sums s_m, s_2m,
+    ... of the numbers lead(p) * alpha are those of their m-th powers."""
+    n = len(p) - 1
+    sums = _scaled_power_sums(p, n * m)
+    return tuple(_monic_from_power_sums(sums[::m]))
+
+
+def _combination_poly(a: RealAlg, b: RealAlg, op: str) -> IntPoly:
+    """Integer polynomial vanishing at a+b (op='add') or a*b (op='mul'):
+    the composed sum or product of the two minimal polynomials."""
+    p, q = a.minpoly.coeffs, b.minpoly.coeffs
+    deg = (len(p) - 1) * (len(q) - 1)
+    if deg > DEGREE_CEILING:
+        raise DegreeCeilingError(f"combination degree {deg} exceeds ceiling {DEGREE_CEILING}")
+    return composed_poly(p, q, op)
 
 
 def _resultant_combine(a: RealAlg, b: RealAlg, op: str) -> RealAlg:

@@ -24,6 +24,10 @@ an integer row, and the rows go to `geometry.feasible_tableau` as
 integers.  Scaling a column by a positive constant changes no choice of
 Bland's rule, so the LP takes the pivots of the unscaled one and the
 witness, the variables times their denominators, is the same.
+
+The replay that `verify_witness` audits runs in integers as well: the
+state is an integer vector over one denominator, stepped by A's IntRows,
+and a point target's membership is an equality test.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .geometry import GenPolyhedron, contains_point, feasible_tableau, tableau_columns
-from .linalg import IntRows, Vec, vec_add, vec_scale, zero_vec
+from .linalg import IntRows, Vec
 from .preprocess import LtiSystem
 
 
@@ -59,27 +63,34 @@ class ReachWitness:
             raise ValueError("horizon must equal the number of control steps")
 
 
-def _step_vector(comp: GenPolyhedron, step: WitnessStep) -> Vec:
-    acc = zero_vec(comp.dim)
-    for c, g in zip(step.vertex_coeffs, comp.vertices):
-        acc = vec_add(acc, vec_scale(g, c))
-    for c, g in zip(step.ray_coeffs, comp.rays):
-        acc = vec_add(acc, vec_scale(g, c))
-    for c, g in zip(step.line_coeffs, comp.lines):
-        acc = vec_add(acc, vec_scale(g, c))
-    return acc
-
-
 def replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
-    """Exact trajectory endpoint under the witness controls."""
-    x = sys.source
+    """Exact trajectory endpoint under the witness controls.  The state is
+    an integer vector over one denominator, stepped by A's IntRows, and
+    each control term c g is added over the lcm of the two denominators."""
     comps = sys.controls.components
+    a = IntRows(sys.a)
+    blocks: dict[int, _Block] = {}
+    x, den = _int_vec(sys.source)
     for step in witness.steps:
         if not 0 <= step.component < len(comps):
             raise MalformedWitnessError(f"component index {step.component} out of range")
-        u = _step_vector(comps[step.component], step)
-        x = vec_add(sys.a.matvec(x), u)
-    return x
+        if step.component not in blocks:
+            comp = comps[step.component]
+            blocks[step.component] = _Block.of_generators(comp.vertices, comp.rays, comp.lines)
+        x, den = a.times(x), den * a.den
+        groups = (step.vertex_coeffs, step.ray_coeffs, step.line_coeffs)
+        for coeffs, (nums, dens) in zip(groups, blocks[step.component].groups()):
+            for c, num, gden in zip(coeffs, nums, dens):
+                if c:
+                    # x / den + (c.num num) / (c.den gden)
+                    term_den = c.denominator * gden
+                    common = lcm(den, term_den)
+                    fx, ft = common // den, c.numerator * (common // term_den)
+                    x, den = [xi * fx + ft * gi for xi, gi in zip(x, num)], common
+        g = gcd(den, *x)
+        if g != 1:
+            x, den = [xi // g for xi in x], den // g
+    return tuple(Fraction(xi, den) for xi in x)
 
 
 def verify_witness(sys: LtiSystem, witness: ReachWitness) -> bool:

@@ -4,12 +4,14 @@ Polyhedra are kept in generator form (vertices + rays + lines); the
 half-space form is derived on demand for subspace intersections.  One
 exact primitive, a two-phase simplex with Bland's anti-cycling rule,
 backs every predicate: point membership, vertex redundancy, relative
-interior tests, and optimization.  Its tableau is fraction-free: each row
-is a list of integer numerators over one positive integer denominator,
-and a pivot combines rows by integer products and one gcd (Edmonds 1967;
-Bareiss 1968).  It takes the pivots a Fraction tableau would take, so
-it returns the same point; Fractions appear only in that point and the
-objective value.
+interior tests, and optimization.  Two need less: membership in a
+one-point polytope is an equality test, and the relative-interior test
+is a feasibility LP with one row per coordinate.  The tableau is
+fraction-free: each row is a list of integer numerators over one
+positive integer denominator, and a pivot combines rows by integer
+products and one gcd (Edmonds 1967; Bareiss 1968).  It takes the pivots
+a Fraction tableau would take, so it returns the same point; Fractions
+appear only in that point and the objective value.
 
 One routine fixes columns at zero: `_Tableau.restricted` takes a
 feasible tableau to the same LP without the banned columns, by a
@@ -457,10 +459,12 @@ def contains_point(p: GenPolyhedron, x: Vec) -> bool:
 
 def membership_coefficients(p: GenPolyhedron, x: Vec):
     """Convex/conic/free coefficients expressing x in the generators, or
-    None when x is outside."""
+    None when x is outside.  For a single point it is an equality test."""
     if p.is_empty:
         return None
     nv, nr, nl = len(p.vertices), len(p.rays), len(p.lines)
+    if nv == 1 and not nr and not nl:
+        return ((Fraction(1),), (), ()) if tuple(x) == p.vertices[0] else None
     n = nv + nr + nl
     cons = []
     for i in range(p.dim):
@@ -723,24 +727,23 @@ def vertices_from_h_rep(ineqs, eqs, dim: int) -> list[Vec]:
 
 
 def relative_interior_contains_origin(p: GenPolyhedron) -> bool:
-    """True iff 0 is a strictly positive convex combination of the vertices."""
+    """True iff 0 is a strictly positive convex combination of the vertices.
+
+    Some lambda > 0 with sum lambda_i v_i = 0 exists exactly when one with
+    every lambda_i >= 1 does (scale it), so the test is the feasibility of
+    mu >= 0 with sum mu_i v_i = -sum v_i: one integer row per coordinate
+    for `feasible_tableau`."""
     if not p.is_polytope:
         raise ValueError("relative interior test requires a polytope")
-    m = len(p.vertices)
-    # variables: lambda_1..lambda_m, t; maximize t subject to
-    # sum lambda v = 0, sum lambda = 1, lambda_i >= t
-    cons = []
+    rows: list[list[int]] = []
+    dens: list[int] = []
     for i in range(p.dim):
-        cons.append(constraint([v[i] for v in p.vertices] + [0], "==", 0))
-    cons.append(constraint([1] * m + [0], "==", 1))
-    for i in range(m):
-        coeffs = [0] * (m + 1)
-        coeffs[i] = 1
-        coeffs[m] = -1
-        cons.append(constraint(coeffs, ">=", 0))
-    obj = [0] * m + [1]
-    res = lp_solve(obj, cons, m + 1)
-    return res.is_feasible and res.value is not None and res.value > 0
+        coeffs = [v[i] for v in p.vertices]
+        coeffs.append(-sum(coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
+        rows.append([c.numerator * (den // c.denominator) for c in coeffs])
+        dens.append(den)
+    return feasible_tableau(rows, dens, ["=="] * p.dim, [True] * len(p.vertices)) is not None
 
 
 def intersect_with_subspace(p: GenPolyhedron, basis: list[Vec],

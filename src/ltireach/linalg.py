@@ -9,10 +9,15 @@ are plain lists of rows whose entries are Fractions where rational and
 RealAlg where not, so a rational spectrum never leaves Fraction
 arithmetic.
 
-The spectral tests read the characteristic polynomial once per matrix:
-check_simple passes the one Berkowitz result to schur_stable and
-real_spectrum_power, and the real-spectrum test takes one squarefree part
-and one Sturm chain for both of its root counts.
+The spectral tests read one integer polynomial per matrix, the primitive
+characteristic polynomial without its zero roots (nonzero_eigen_poly),
+which check_simple forms once for both, and neither powers A.
+schur_stable checks the Hurwitz minors of its integer Cayley transform by
+Bareiss elimination.  real_spectrum_power settles a real spectrum with
+one squarefree part and one Sturm chain (M = 1, or 2 when a root is
+negative); otherwise the cyclotomic factors of the polynomial of root
+ratios give a multiple L of the least power, and tests on the polynomial
+of the m-th powers of the roots divide L down to it.
 
 spectral_decompose splits a matrix with real, strictly positive
 eigenvalues into its commuting diagonalizable + nilpotent parts and
@@ -32,13 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 from .exactnum import (
     Alg,
     IntPoly,
+    composed_poly,
     count_roots_halfopen,
     factor_int_poly,
+    powered_roots_poly,
     sturm_chain,
     sturm_isolate_real_roots,
 )
@@ -317,35 +324,40 @@ def charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(c[n - k], den ** (n - k)) for k in range(n + 1))
 
 
-def charpoly_primitive(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> IntPoly:
-    """det(xI - A) cleared of denominators, primitive, positive lead;
-    `charp` is charpoly(a) when the caller has it already."""
-    coeffs = charpoly(a) if charp is None else charp
+def charpoly_primitive(a: RatMatrix) -> IntPoly:
+    """det(xI - A) cleared of denominators, primitive, positive lead."""
+    coeffs = charpoly(a)
     den = lcm(*(x.denominator for x in coeffs))
     return IntPoly(tuple(x.numerator * (den // x.denominator) for x in coeffs)).primitive()
 
 
-def _cayley_transform(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
-    """(1-w)^n p((1+w)/(1-w)) for p given lowest-first; maps the open unit
-    disk to the open left half-plane."""
+def nonzero_eigen_poly(a: RatMatrix) -> IntPoly:
+    """charpoly_primitive(a) without its roots at zero: its roots are the
+    nonzero eigenvalues of A with their multiplicities.  Both spectral
+    tests read it, and an eigenvalue 0 passes both."""
+    coeffs = charpoly_primitive(a).coeffs
+    return IntPoly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
+
+
+def _cayley_transform(coeffs: tuple[int, ...]) -> list[int]:
+    """(1-w)^n p((1+w)/(1-w)) for p given lowest first, in integers; maps
+    the open unit disk to the open left half-plane.  Horner's rule in
+    (1+w)/(1-w): acc <- acc (1+w) + p_k (1-w)^(n-k) from k = n down."""
     n = len(coeffs) - 1
-    acc = [Fraction(0)] * (n + 1)
-    for k, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        # (1+w)^k (1-w)^(n-k)
-        term = [Fraction(0)] * (n + 1)
-        for i in range(k + 1):
-            for j in range(n - k + 1):
-                term[i + j] += comb(k, i) * comb(n - k, j) * (-1) ** j
-        for i in range(n + 1):
-            acc[i] += a * term[i]
+    acc = [coeffs[n]]
+    minus = [1]  # (1-w)^(n-k)
+    for k in range(n - 1, -1, -1):
+        minus = [x - y for x, y in zip(minus + [0], [0] + minus)]
+        acc = [x + y + coeffs[k] * z for x, y, z in zip(acc + [0], [0] + acc, minus)]
     return acc
 
 
-def _hurwitz_stable(b: list[Fraction]) -> bool:
+def _hurwitz_stable(b: list[int]) -> bool:
     """All roots in the open left half-plane, by positivity of the leading
-    principal minors of the Hurwitz matrix (with positive leading coeff)."""
+    principal minors of the Hurwitz matrix (with positive leading coeff).
+    Bareiss's fraction-free elimination without pivoting leaves the k-th
+    leading principal minor as its k-th pivot, so the test stops at the
+    first pivot that is not positive."""
     while b and b[-1] == 0:
         b = b[:-1]
     n = len(b) - 1
@@ -357,100 +369,169 @@ def _hurwitz_stable(b: list[Fraction]) -> bool:
         b = [-x for x in b]
     if any(x <= 0 for x in b):
         return False
-    def coeff(k: int) -> Fraction:
-        return b[k] if 0 <= k <= n else Fraction(0)
-    h = [[coeff(n - 2 * (j + 1) + (i + 1)) for j in range(n)] for i in range(n)]
-    # leading principal minors via LU without pivoting: a nonpositive pivot
-    # at any stage means some minor is <= 0, hence not Hurwitz
-    m = [row[:] for row in h]
+
+    def coeff(k: int) -> int:
+        return b[k] if 0 <= k <= n else 0
+    m = [[coeff(n - 2 * (j + 1) + (i + 1)) for j in range(n)] for i in range(n)]
+    prev = 1
     for k in range(n):
-        if m[k][k] <= 0:
+        piv = m[k][k]
+        if piv <= 0:
             return False
         for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / m[k][k]
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
+        prev = piv
     return True
 
 
-def schur_stable(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> bool:
-    """True iff every eigenvalue has modulus strictly below one; `charp` is
-    charpoly(a) when the caller has it already."""
-    coeffs = list(charpoly(a) if charp is None else charp)
-    # roots at zero have modulus zero; strip them
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
+def schur_stable(a: RatMatrix, p: IntPoly | None = None) -> bool:
+    """True iff every eigenvalue has modulus strictly below one; `p` is
+    nonzero_eigen_poly(a) when the caller has it already."""
+    coeffs = (nonzero_eigen_poly(a) if p is None else p).coeffs
     n = len(coeffs) - 1
     if n <= 0:
         return True
-    q = _cayley_transform(tuple(coeffs))
+    q = _cayley_transform(coeffs)
     if q[n] == 0:
         # -1 is an eigenvalue
         return False
     return _hurwitz_stable(q)
 
 
-def _real_nonneg_spectrum(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> bool:
-    p = charpoly_primitive(a, charp)
-    coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    p = IntPoly(tuple(coeffs))
-    if p.degree <= 0:
-        return True
-    # one squarefree part and one Sturm chain answer both questions: every
-    # root real, and none in (-inf, 0] (zero roots were stripped, so
-    # sf(0) != 0)
-    sf = p.squarefree_part()
-    chain = sturm_chain(sf)
-    if count_roots_halfopen(chain, "-inf", "+inf") != sf.degree:
-        return False
-    return count_roots_halfopen(chain, "-inf", Fraction(0)) == 0
+def _totients(limit: int) -> list[int]:
+    """phi(r) for r = 0..limit, by a sieve."""
+    phi = list(range(limit + 1))
+    for q in range(2, limit + 1):
+        if phi[q] == q:  # q is prime
+            for k in range(q, limit + 1, q):
+                phi[k] -= phi[k] // q
+    return phi
 
 
-def _euler_phi(r: int) -> int:
-    result = r
-    n = r
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+def _prime_factors(r: int) -> list[int]:
+    """The distinct primes dividing r, ascending."""
+    out = []
+    q = 2
+    while q * q <= r:
+        if r % q == 0:
+            out.append(q)
+            while r % q == 0:
+                r //= q
+        q += 1
+    if r > 1:
+        out.append(r)
+    return out
 
 
 def real_spectrum_power_bound(d: int) -> int:
     """lcm of all r with phi(r) <= d (phi(r) >= sqrt(r/2) bounds the scan)."""
-    m = 1
-    r = 1
-    while r <= 2 * d * d + 1:
-        if _euler_phi(r) <= d:
-            m = m * r // gcd(m, r)
-        r += 1
-    return m
+    phi = _totients(2 * d * d + 1)
+    return lcm(*(r for r in range(1, len(phi)) if phi[r] <= d))
 
 
-def real_spectrum_power(a: RatMatrix, charp: tuple[Fraction, ...] | None = None) -> int | None:
+def _cyclotomic(r: int) -> list[int]:
+    """Coefficients of Phi_r, lowest first: the product of (x^e - 1)^mu(r/e)
+    over the divisors e of r, multiplications first, so that every division
+    by a binomial is exact."""
+    primes = _prime_factors(r)
+    num = [1]
+    divisors = []
+    for mask in range(1 << len(primes)):
+        e = r
+        for i, q in enumerate(primes):
+            if mask >> i & 1:
+                e //= q
+        if bin(mask).count("1") % 2:
+            divisors.append(e)
+        else:
+            num = [x - y for x, y in zip([0] * e + num, num + [0] * e)]
+    for e in divisors:
+        # f = g (x^e - 1): g_k = f_(k+e) + g_(k+e), from the top
+        g = [0] * (len(num) - e)
+        for k in range(len(g) - 1, -1, -1):
+            g[k] = num[k + e] + (g[k + e] if k + e < len(g) else 0)
+        num = g
+    return num
+
+
+def _monic_divides(g: list[int], f: list[int]) -> bool:
+    """Whether the monic integer polynomial g divides f, by long division."""
+    r = list(f)
+    dg = len(g) - 1
+    terms = [(i, c) for i, c in enumerate(g[:-1]) if c]
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k]
+        if c:
+            for i, x in terms:
+                r[k - dg + i] -= c * x
+    return not any(r[:dg])
+
+
+def _cyclotomic_orders(f: IntPoly) -> list[int]:
+    """Every r >= 2 whose cyclotomic polynomial Phi_r divides f: Phi_r has
+    degree phi(r), so r ranges over phi(r) <= deg f."""
+    deg, coeffs = f.degree, list(f.coeffs)
+    phi = _totients(2 * deg * deg)
+    return [r for r in range(2, len(phi)) if phi[r] <= deg and _monic_divides(_cyclotomic(r), coeffs)]
+
+
+def _real_roots(sf: IntPoly) -> tuple[bool, bool]:
+    """For a squarefree sf without root 0: whether every root is real, and
+    whether every real root is positive, from one Sturm chain."""
+    chain = sturm_chain(sf)
+    return (count_roots_halfopen(chain, "-inf", "+inf") == sf.degree,
+            count_roots_halfopen(chain, "-inf", Fraction(0)) == 0)
+
+
+def real_spectrum_power(a: RatMatrix, p: IntPoly | None = None) -> int | None:
     """Least M >= 1 with A^M having exclusively real nonnegative spectrum,
-    or None when no M up to the degree-derived bound works; `charp` is
-    charpoly(a) when the caller has it already, and serves the test at
-    M = 1."""
+    or None when no M up to real_spectrum_power_bound(d) works; `p` is
+    nonzero_eigen_poly(a) when the caller has it already.
+
+    A^m passes exactly when lam^m > 0 for every nonzero eigenvalue lam,
+    that is when m is a multiple of the order k of lam/|lam| for every lam:
+    the powers that pass are the multiples of the least one, M*.  When
+    every root is real, M* is 1, or 2 if one is negative.  Otherwise
+    lam/conj(lam) = (lam/|lam|)^2, a root of unity of an order r with
+    k | 2r, is a root of R, the polynomial of the ratios of two roots, so
+    Phi_r divides R (Bradford & Davenport, ISSAC 1988, read cyclotomic
+    factors off a polynomial the same way).  So M* divides
+    L = 2 lcm{r >= 2 : Phi_r | R}: if A^L fails no power passes, and
+    otherwise dividing primes out of L while the test holds leaves M*.
+    The test on A^m reads the polynomial of the m-th powers of the roots,
+    raised one prime at a time, never a matrix power.
+    """
     if not a.is_square:
         raise ValueError("non-square matrix")
-    if _real_nonneg_spectrum(a, charp):
+    p = nonzero_eigen_poly(a) if p is None else p
+    if p.degree <= 0:
         return 1
-    bound = real_spectrum_power_bound(a.rows) if a.rows > 0 else 1
-    power = a
-    for m in range(2, bound + 1):
-        power = power @ a
-        if _real_nonneg_spectrum(power):
-            return m
-    return None
+    sf = p.squarefree_part()
+    all_real, positive = _real_roots(sf)
+    if all_real:
+        return 1 if positive else 2
+    ratios = composed_poly(sf.coeffs, sf.coeffs[::-1], "mul").coeffs
+    # each root over itself gives the factor (x - 1)^n, and no other ratio is 1
+    for _ in range(sf.degree):
+        ratios = _synthetic_divide_with_rem(list(ratios), 1)[1]
+    orders = _cyclotomic_orders(IntPoly(tuple(ratios)).primitive())
+
+    def passes(m: int) -> bool:
+        t = sf.coeffs
+        for q in _prime_factors(m):
+            while m % q == 0:
+                t = powered_roots_poly(t, q)
+                m //= q
+        return all(_real_roots(IntPoly(t).squarefree_part()))
+
+    m = 2 * lcm(*orders)
+    if not passes(m):
+        return None
+    for q in _prime_factors(m):
+        while m % q == 0 and passes(m // q):
+            m //= q
+    return m if m <= real_spectrum_power_bound(a.rows) else None
 
 
 def fitting_split(a: RatMatrix) -> tuple[list[Vec], list[Vec]]:
@@ -466,11 +547,16 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
     """Basis of span{A^i g : i >= 0, g in generators} in reduced row
     echelon form.  The echelon basis grows one vector at a time, and a
     generator's powers stop at the first one already in the span: every
-    later power then lies in it too."""
+    later power then lies in it too.  Once the basis has a.rows vectors it
+    is the identity and spans everything, so the scan stops there."""
     basis: dict[int, list[Fraction]] = {}  # pivot column -> row, 0 in the other pivot columns
     for g in generators:
+        if len(basis) == a.rows:
+            break
         cur = tuple(Fraction(x) for x in g)
-        for _ in range(a.rows):
+        for k in range(a.rows - len(basis)):
+            if k:
+                cur = a.matvec(cur)
             v = list(cur)
             for c, row in basis.items():
                 f = v[c]
@@ -486,7 +572,6 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
                 if f:
                     basis[c] = [x - f * y for x, y in zip(row, v)]
             basis[piv] = v
-            cur = a.matvec(cur)
     return [tuple(basis[c]) for c in sorted(basis)]
 
 

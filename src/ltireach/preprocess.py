@@ -2,7 +2,10 @@
 
 check_simple decides the three structural conditions (polytopic controls
 around the origin, contracting dynamics, eventually-real spectrum)
-exactly.  to_simple_form applies three reductions in a fixed order:
+exactly and in integers: the origin test is one feasibility LP with a row
+per coordinate, and both spectral tests read one primitive integer
+characteristic polynomial without its zero roots, formed once, with no
+matrix power.  to_simple_form applies three reductions in a fixed order:
 
   1. power step: replace A by A^M and U by the M-step input sum, making
      the spectrum real and nonnegative;
@@ -39,9 +42,9 @@ from .geometry import (
 from .linalg import (
     RatMatrix,
     Vec,
-    charpoly,
     fitting_split,
     krylov_invariant_span,
+    nonzero_eigen_poly,
     real_spectrum_power,
     schur_stable,
     vec_is_zero,
@@ -100,9 +103,9 @@ class SimplicityReport:
 def check_simple(sys: LtiSystem) -> SimplicityReport:
     is_poly = sys.controls.is_single_polytope
     origin_ok = bool(is_poly and relative_interior_contains_origin(sys.controls.components[0]))
-    charp = charpoly(sys.a)
-    schur = schur_stable(sys.a, charp)
-    power = real_spectrum_power(sys.a, charp)
+    p = nonzero_eigen_poly(sys.a)
+    schur = schur_stable(sys.a, p)
+    power = real_spectrum_power(sys.a, p)
     return SimplicityReport(
         is_polytope=is_poly,
         origin_in_rel_interior=origin_ok,

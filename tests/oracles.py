@@ -16,7 +16,13 @@ DFS node's LP from scratch, which restricting the parent's tableau
 replaced.  `reduced_witness_lifts` checks the converse of the
 normalization on the original system itself.  `rat` checks the
 representation rule that a rational value is always a `Fraction`, never
-a `RealAlg`.
+a `RealAlg`.  `scan_real_spectrum_power` tries every power of A up to the
+bound where the library reads the least one off the characteristic
+polynomial; `fraction_schur_stable` takes the Hurwitz minors by Fraction
+LU where the library runs Bareiss in integers; the max-t LP decides the
+relative interior where the library solves a feasibility LP; and
+`fraction_replay` steps Fraction vectors where the library keeps an
+integer state over one denominator.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
-from ltireach.exactnum import Alg, IntPoly
+from ltireach.exactnum import Alg, IntPoly, count_roots_halfopen, sturm_chain
 from ltireach import forward
 from ltireach.forward import ReachWitness, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
-from ltireach.linalg import RatMatrix, SpectralData, Vec, vec_add, vec_dot, vec_scale, zero_vec
+from ltireach.linalg import (RatMatrix, SpectralData, Vec, charpoly_primitive, real_spectrum_power_bound, vec_add,
+                             vec_dot, vec_scale, zero_vec)
 from ltireach.preprocess import LtiSystem, SimpleForm
 
 
@@ -526,3 +533,145 @@ def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
         return None
 
     return search([0] * n, 0)
+
+
+# ---------------------------------------------------------------------------
+# the spectral tests, the interior test and the replay as they were
+# ---------------------------------------------------------------------------
+
+
+def fraction_real_nonneg_spectrum(a: RatMatrix) -> bool:
+    """Every nonzero eigenvalue of A real and positive, from one squarefree
+    part and one Sturm chain of the characteristic polynomial of A itself."""
+    p = charpoly_primitive(a)
+    coeffs = list(p.coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    p = IntPoly(tuple(coeffs))
+    if p.degree <= 0:
+        return True
+    sf = p.squarefree_part()
+    chain = sturm_chain(sf)
+    if count_roots_halfopen(chain, "-inf", "+inf") != sf.degree:
+        return False
+    return count_roots_halfopen(chain, "-inf", Fraction(0)) == 0
+
+
+def scan_real_spectrum_power(a: RatMatrix, bound: int | None = None) -> int | None:
+    """`linalg.real_spectrum_power` as a scan: the least M in 1..bound with
+    fraction_real_nonneg_spectrum(A^M), over the Fraction powers of A;
+    `bound` defaults to real_spectrum_power_bound(d)."""
+    if bound is None:
+        bound = real_spectrum_power_bound(a.rows) if a.rows > 0 else 1
+    power = a
+    for m in range(1, bound + 1):
+        if m > 1:
+            power = power @ a
+        if fraction_real_nonneg_spectrum(power):
+            return m
+    return None
+
+
+def _fraction_cayley_transform(coeffs: tuple[Fraction, ...]) -> list[Fraction]:
+    """(1-w)^n p((1+w)/(1-w)) for p given lowest first, term by term."""
+    n = len(coeffs) - 1
+    acc = [Fraction(0)] * (n + 1)
+    for k, a in enumerate(coeffs):
+        if a == 0:
+            continue
+        term = [Fraction(0)] * (n + 1)
+        for i in range(k + 1):
+            for j in range(n - k + 1):
+                term[i + j] += comb(k, i) * comb(n - k, j) * (-1) ** j
+        for i in range(n + 1):
+            acc[i] += a * term[i]
+    return acc
+
+
+def _fraction_hurwitz_stable(b: list[Fraction]) -> bool:
+    """Leading principal minors of the Hurwitz matrix all positive, by
+    Fraction LU without pivoting: a nonpositive pivot means a minor <= 0."""
+    while b and b[-1] == 0:
+        b = b[:-1]
+    n = len(b) - 1
+    if n < 0:
+        return False
+    if n == 0:
+        return True
+    if b[-1] < 0:
+        b = [-x for x in b]
+    if any(x <= 0 for x in b):
+        return False
+
+    def coeff(k: int) -> Fraction:
+        return b[k] if 0 <= k <= n else Fraction(0)
+    m = [[coeff(n - 2 * (j + 1) + (i + 1)) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] / m[k][k]
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
+def fraction_schur_stable(a: RatMatrix) -> bool:
+    """`linalg.schur_stable` over Fractions: the Cayley transform of the
+    monic characteristic polynomial without its zero roots, then the
+    Hurwitz minors by Fraction LU."""
+    coeffs = list(fraction_charpoly(a))
+    while coeffs and coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    n = len(coeffs) - 1
+    if n <= 0:
+        return True
+    q = _fraction_cayley_transform(tuple(coeffs))
+    if q[n] == 0:
+        return False
+    return _fraction_hurwitz_stable(q)
+
+
+def max_t_interior_contains_origin(p: GenPolyhedron) -> bool:
+    """`geometry.relative_interior_contains_origin` as a max-t LP over free
+    variables: maximize t subject to sum lambda v = 0, sum lambda = 1 and
+    lambda_i >= t; the origin is inside when the optimum is positive."""
+    m = len(p.vertices)
+    cons = [constraint([v[i] for v in p.vertices] + [0], "==", 0) for i in range(p.dim)]
+    cons.append(constraint([1] * m + [0], "==", 1))
+    for i in range(m):
+        coeffs = [0] * (m + 1)
+        coeffs[i] = 1
+        coeffs[m] = -1
+        cons.append(constraint(coeffs, ">=", 0))
+    res = lp_solve([0] * m + [1], cons, m + 1)
+    return res.is_feasible and res.value is not None and res.value > 0
+
+
+def lp_contains_point(p: GenPolyhedron, x: Vec) -> bool:
+    """Membership as the Fraction simplex's feasibility of x = sum of
+    generators with convex, conic and free coefficients."""
+    if p.is_empty:
+        return False
+    gens = (*p.vertices, *p.rays, *p.lines)
+    nv = len(p.vertices)
+    cons = [constraint([g[i] for g in gens], "==", x[i]) for i in range(p.dim)]
+    cons.append(constraint([1] * nv + [0] * (len(gens) - nv), "==", 1))
+    nonneg = [True] * (nv + len(p.rays)) + [False] * len(p.lines)
+    return fraction_lp_solve(None, cons, len(gens), nonneg=nonneg).is_feasible
+
+
+def fraction_replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
+    """`forward.replay` over Fraction vectors: x <- A x + u with u the
+    witness combination of the step's generators."""
+    x = sys.source
+    for step in witness.steps:
+        comp = sys.controls.components[step.component]
+        u = zero_vec(comp.dim)
+        for coeffs, gens in ((step.vertex_coeffs, comp.vertices), (step.ray_coeffs, comp.rays),
+                             (step.line_coeffs, comp.lines)):
+            for c, g in zip(coeffs, gens):
+                u = vec_add(u, vec_scale(g, c))
+        x = vec_add(sys.a.matvec(x), u)
+    return x

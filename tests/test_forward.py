@@ -27,7 +27,7 @@ from ltireach.geometry import (
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
-from oracles import cold_reach_exactly, fraction_lp_solve, solve_forward_lp
+from oracles import cold_reach_exactly, fraction_lp_solve, fraction_replay, lp_contains_point, solve_forward_lp
 
 F = Fraction
 
@@ -110,6 +110,57 @@ def test_verify_rejects_perturbed_coefficients():
     other = [F(1) if i == 0 else F(0) for i in idx]
     wrong = ReachWitness(1, (WitnessStep(0, tuple(other), (), ()),))
     assert verify_witness(sys, wrong) is False
+
+
+def random_witness(rng, sys: LtiSystem, n: int) -> ReachWitness:
+    """n well-formed steps: convex vertex weights, nonnegative ray and free
+    line coefficients, over a random component each."""
+    steps = []
+    for _ in range(n):
+        c = rng.randrange(len(sys.controls.components))
+        comp = sys.controls.components[c]
+        weights = [F(rng.randint(0, 5)) for _ in comp.vertices]
+        if not any(weights):
+            weights[0] = F(1)
+        total = sum(weights)
+        steps.append(WitnessStep(c, tuple(w / total for w in weights),
+                                 tuple(F(rng.randint(0, 6), rng.randint(1, 4)) for _ in comp.rays),
+                                 tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in comp.lines)))
+    return ReachWitness(n, tuple(steps))
+
+
+def test_integer_replay_matches_fraction_replay():
+    """replay's integer state over one denominator ends where the Fraction
+    replay does, on seeded systems with several components, rays and
+    lines; verify_witness agrees with the Fraction simplex's membership of
+    that endpoint, for point and polytope targets."""
+    rng = random.Random(606)
+    hits = Counter()
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        a = RatMatrix.from_rows([[F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(d)] for _ in range(d)])
+
+        def gen():
+            return vec(*(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)))
+
+        comps = tuple(GenPolyhedron(d, tuple(gen() for _ in range(rng.randint(1, 3))),
+                                    tuple(gen() for _ in range(rng.randint(0, 1))),
+                                    tuple(gen() for _ in range(rng.randint(0, 1))))
+                      for _ in range(rng.randint(1, 3)))
+        source = gen()
+        probe = LtiSystem(a, ControlSet(comps), source, GenPolyhedron.point(source))
+        w = random_witness(rng, probe, rng.randint(0, 4))
+        end = fraction_replay(probe, w)
+        got = replay(probe, w)
+        assert got == end and all(type(x) is F for x in got)
+        targets = [GenPolyhedron.point(end), GenPolyhedron.point(gen()),
+                   GenPolyhedron.polytope([gen() for _ in range(rng.randint(2, 4))])]
+        for q in targets:
+            sys = LtiSystem(a, ControlSet(comps), source, q)
+            expected = lp_contains_point(q, end)
+            assert verify_witness(sys, w) is expected
+            hits[expected] += 1
+    assert hits[True] >= 150 and hits[False] >= 150
 
 
 def test_empty_witness_verifies_when_source_in_target():

@@ -25,7 +25,7 @@ from ltireach.geometry import (
     vertices_from_h_rep,
 )
 from ltireach.linalg import RatMatrix, vec
-from oracles import fraction_lp_solve, maximize_over
+from oracles import fraction_lp_solve, lp_contains_point, max_t_interior_contains_origin, maximize_over
 
 F = Fraction
 
@@ -453,6 +453,72 @@ def test_relative_interior_examples():
     seg2 = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0)])
     assert relative_interior_contains_origin(seg2) is True
     assert relative_interior_contains_origin(GenPolyhedron.point(vec(0, 0))) is True
+
+
+def seeded_polytope(rng, d: int) -> tuple[str, GenPolyhedron]:
+    """A seeded polytope in dimension d and its kind: full or lower
+    dimensional around the origin, with the origin on a facet, at a
+    vertex or outside, or a single point."""
+    def point(k):
+        return [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+
+    kind = rng.choice(["full", "centered", "lower", "facet", "vertex", "outside", "point"])
+    if kind == "point":
+        return kind, GenPolyhedron.point(vec(*(point(d) if rng.random() < 0.5 else [0] * d)))
+    if kind == "lower":
+        # an origin-symmetric or random set in k < d dimensions, mapped in
+        k = rng.randint(1, d - 1) if d > 1 else 1
+        basis = [point(d) for _ in range(k)]
+        low = [point(k) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            low += [[-x for x in v] for v in low]
+        pts = [[sum(c * b[i] for c, b in zip(v, basis)) for i in range(d)] for v in low]
+    else:
+        pts = [point(d) for _ in range(rng.randint(1, 2 * d + 2))]
+        if kind == "centered":
+            pts += [[-x for x in v] for v in pts]
+        elif kind in ("facet", "vertex", "outside"):
+            # every point in x_0 >= 0: the origin is on the face x_0 = 0, at
+            # one of its vertices, or (x_0 >= 1) outside
+            pts = [[abs(v[0]) + (1 if kind == "outside" else 0)] + v[1:] for v in pts]
+            if kind == "facet":
+                face = [[F(0)] + point(d - 1) for _ in range(2)]
+                pts += face + [[-x for x in v] for v in face]
+            elif kind == "vertex":
+                pts = [[x + 1 if i == 0 else x for i, x in enumerate(v)] for v in pts] + [[F(0)] * d]
+    return kind, GenPolyhedron.polytope([vec(*v) for v in pts])
+
+
+def test_relative_interior_matches_max_t_oracle_on_seeded_polytopes():
+    """The d-row feasibility test equals the max-t LP on seeded polytopes
+    of every kind, with both answers common."""
+    rng = random.Random(4242)
+    answers = Counter()
+    for _ in range(600):
+        kind, p = seeded_polytope(rng, rng.randint(1, 4))
+        got = relative_interior_contains_origin(p)
+        assert got is max_t_interior_contains_origin(p), (kind, p)
+        answers[kind, got] += 1
+    assert answers["centered", True] and answers["outside", False] and answers["vertex", False]
+    assert answers["lower", True] and answers["lower", False] and answers["facet", False]
+    assert answers["point", True] and answers["point", False] and answers["full", True] and answers["full", False]
+
+
+def test_point_membership_is_an_equality_test(monkeypatch):
+    """On a one-vertex polytope, membership needs no LP and agrees with the
+    Fraction simplex; the coefficients are the single convex weight 1."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("point membership solved an LP")
+
+    monkeypatch.setattr(geometry, "lp_solve", no_lp)
+    rng = random.Random(77)
+    for _ in range(200):
+        d = rng.randint(0, 4)
+        v = vec(*(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)))
+        x = v if rng.random() < 0.5 else vec(*(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)))
+        p = GenPolyhedron.point(v)
+        assert contains_point(p, x) is lp_contains_point(p, x) is (x == v)
+        assert membership_coefficients(p, x) == (((F(1),), (), ()) if x == v else None)
 
 
 def test_membership_with_lines():

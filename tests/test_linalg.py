@@ -1,6 +1,8 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
 from ltireach.exactnum import sign, sturm_isolate_real_roots
@@ -21,8 +23,9 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly, inner_product_at,
-                     int_poly, rat)
+from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly,
+                     fraction_real_nonneg_spectrum, fraction_schur_stable, inner_product_at, int_poly, rat,
+                     scan_real_spectrum_power)
 
 F = Fraction
 
@@ -151,8 +154,8 @@ def test_charpoly_matches_fraction_berkowitz_on_gadget_lifts():
 
 
 def test_check_simple_computes_charpoly_once(monkeypatch):
-    """schur_stable and the M = 1 test of real_spectrum_power share one
-    characteristic polynomial."""
+    """schur_stable and real_spectrum_power share one characteristic
+    polynomial: check_simple forms it once, through linalg.charpoly."""
     from ltireach import linalg, preprocess
     from ltireach.geometry import ControlSet, GenPolyhedron
     from ltireach.preprocess import LtiSystem
@@ -164,7 +167,6 @@ def test_check_simple_computes_charpoly_once(monkeypatch):
         return charpoly(a)
 
     monkeypatch.setattr(linalg, "charpoly", counted)
-    monkeypatch.setattr(preprocess, "charpoly", counted)
     u = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0), vec(0, 1), vec(0, -1)])
     sys_ = LtiSystem(QUAD, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(1, 1)))
     report = preprocess.check_simple(sys_)
@@ -214,7 +216,8 @@ def test_power_bound_d2():
 
 def test_real_spectrum_power_examples():
     assert real_spectrum_power(QUAD) == 1
-    # (1/2)*rot(pi/2): A^4 = (1/16) I, verified directly
+    # (1/2)*rot(pi/2): A^4 = (1/16) I, verified directly.  lam/conj(lam) = -1
+    # has order 2, but lam/|lam| = i has order 4: L = 2 lcm(2) = 4
     m = real_spectrum_power(ROT90_HALF)
     assert m == 4
     assert ROT90_HALF.power(4) == RatMatrix.identity(2).scale(F(1, 16))
@@ -223,9 +226,7 @@ def test_real_spectrum_power_examples():
         roots = sturm_isolate_real_roots(p)
         assert len(roots) < p.degree or any(sign(r) < 0 for r in roots)
     # re-run the accept test on A^M independently of the search loop
-    from ltireach.linalg import _real_nonneg_spectrum
-
-    assert _real_nonneg_spectrum(ROT90_HALF.power(m))
+    assert fraction_real_nonneg_spectrum(ROT90_HALF.power(m))
 
 
 def test_real_spectrum_power_absent_for_irrational_angle():
@@ -240,6 +241,119 @@ def test_real_spectrum_power_absent_for_irrational_angle():
 def test_real_spectrum_power_negative_eigenvalue():
     a = RatMatrix.diag(F(-1, 2), F(1, 3))
     assert real_spectrum_power(a) == 2
+
+
+def naive_totient(r: int) -> int:
+    return sum(1 for k in range(1, r + 1) if gcd(k, r) == 1)
+
+
+def test_power_bound_matches_naive_totients():
+    for d in range(1, 9):
+        rs = [r for r in range(1, 2 * d * d + 2) if naive_totient(r) <= d]
+        assert real_spectrum_power_bound(d) == lcm(*rs)
+
+
+def companion(c0, c1) -> list[list[Fraction]]:
+    """The 2x2 companion matrix of x^2 + c1 x + c0."""
+    return [[F(0), -F(c0)], [F(1), -F(c1)]]
+
+
+# 2x2 blocks by the argument of their eigenvalues: (c0, c1) of x^2 + c1 x + c0
+# as a function of a rational scale s; the modulus is s, s*sqrt(2) or s*sqrt(3)
+ANGLE_BLOCKS = {
+    "pi/2": lambda s: (s * s, 0),
+    "pi/3": lambda s: (s * s, -s),
+    "2pi/3": lambda s: (s * s, s),
+    "pi/4": lambda s: (2 * s * s, -2 * s),
+    "3pi/4": lambda s: (2 * s * s, 2 * s),
+    "pi/6": lambda s: (3 * s * s, -3 * s),
+    "5pi/6": lambda s: (3 * s * s, 3 * s),
+}
+# modulus exactly one: rotations by pi/2, pi/3, 2pi/3 and by arccos(3/5)
+UNIT_BLOCKS = ((1, 0), (1, -1), (1, 1), (1, F(-6, 5)))
+
+
+def seeded_block(rng):
+    """One block of a seeded matrix: a real eigenvalue (negative, zero, on
+    the unit circle or not), a Jordan block, a rotation by a rational
+    multiple of pi or by an irrational angle, scaled, or a unit rotation."""
+    kind = rng.choice(["real", "real", "jordan", "angle", "angle", "angle", "irrational", "unit"])
+    scale = F(rng.randint(1, 7), rng.randint(1, 6))
+    if kind == "real":
+        return [[rng.choice([F(0), F(1), F(-1), scale, -scale])]]
+    if kind == "jordan":
+        lam = rng.choice([F(0), F(-1), scale, -scale])
+        return [[lam, F(1)], [F(0), lam]]
+    if kind == "angle":
+        return companion(*ANGLE_BLOCKS[rng.choice(sorted(ANGLE_BLOCKS))](scale))
+    if kind == "irrational":
+        re, im = F(rng.randint(-4, 4), 5), F(rng.randint(1, 4), 5)
+        return companion(re * re + im * im, -2 * re)
+    return companion(*rng.choice(UNIT_BLOCKS))
+
+
+def seeded_matrix(rng, d: int) -> RatMatrix:
+    """A d x d matrix from seeded blocks (a block may repeat, and a complex
+    pair may get a Jordan partner), conjugated by integer shears; or, one
+    time in six, a matrix of small random entries."""
+    if rng.random() < 1 / 6:
+        return mat([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)])
+    blocks = []
+    size = 0
+    while size < d:
+        b = seeded_block(rng)
+        if size + len(b) > d:
+            continue
+        if len(b) == 2 and size + 4 <= d and rng.random() < 0.3:
+            # the block twice: repeated complex eigenvalues, as a Jordan pair or not
+            link = F(rng.randint(0, 1))
+            b = [b[0] + [link, F(0)], b[1] + [F(0), link], [F(0)] * 2 + b[0], [F(0)] * 2 + b[1]]
+        blocks.append(mat(b))
+        size += len(b)
+    core = RatMatrix.block_diag(blocks)
+    p = RatMatrix.identity(d)
+    for _ in range(3 if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        e = RatMatrix.identity(d).to_rows()
+        e[i][j] = F(rng.randint(-2, 2))
+        p = p @ mat(e)
+    return p @ core @ p.inverse()
+
+
+def test_spectral_tests_match_the_scan_and_fraction_oracles():
+    """On 1,000 seeded matrices with d <= 4, real_spectrum_power equals the
+    scan over Fraction matrix powers and schur_stable the Fraction
+    Cayley/Hurwitz test."""
+    rng = random.Random(1701)
+    seen = set()
+    stable = set()
+    for _ in range(1000):
+        a = seeded_matrix(rng, rng.randint(1, 4))
+        got = real_spectrum_power(a)
+        assert got == scan_real_spectrum_power(a), a
+        seen.add(got)
+        schur = schur_stable(a)
+        assert schur is fraction_schur_stable(a), a
+        stable.add(schur)
+    assert {1, 2, 3, 4, 6, 8, 12, None} <= seen
+    assert stable == {True, False}
+
+
+def test_real_spectrum_power_answers_none_above_the_bound(monkeypatch):
+    """M* is returned only up to real_spectrum_power_bound(d), as the scan
+    stops there: with the bound just below M*, both answer None."""
+    from ltireach import linalg
+
+    cases = [mat(companion(*ANGLE_BLOCKS[k](F(1, 2)))) for k in ("pi/2", "pi/3", "pi/4", "pi/6")]
+    cases.append(RatMatrix.block_diag([cases[2], cases[3]]))
+    for a in cases:
+        want = real_spectrum_power(a)
+        assert want == scan_real_spectrum_power(a) and want >= 3
+        for bound, expected in ((want - 1, None), (want, want)):
+            monkeypatch.setattr(linalg, "real_spectrum_power_bound", lambda d, b=bound: b)
+            assert real_spectrum_power(a) == expected == scan_real_spectrum_power(a, bound)
+        monkeypatch.undo()
+
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,48 @@ def test_irrational_rotation_not_simple():
     assert "real spectrum" in "; ".join(rep.failing_conditions())
 
 
+def cross_polytope(d: int) -> GenPolyhedron:
+    return GenPolyhedron.polytope([vec(*(s if j == i else 0 for j in range(d)))
+                                   for i in range(d) for s in (-1, 1)])
+
+
+def test_check_simple_is_quick_on_a_double_irrational_rotation():
+    """Two copies of (1/2) rot(arccos 3/5) and I/2: no power of A is real,
+    and the scan over every power up to the 6-D bound (2520) did not
+    return within a minute.  The answer comes from the characteristic
+    polynomial alone."""
+    import time
+
+    a = RatMatrix.block_diag([ROT_IRRATIONAL, ROT_IRRATIONAL, RatMatrix.identity(2).scale(F(1, 2))])
+    sys = LtiSystem(a, ControlSet.single(cross_polytope(6)), zero_vec(6), GenPolyhedron.point(zero_vec(6)))
+    t0 = time.perf_counter()
+    rep = check_simple(sys)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.real_power is None and rep.schur and rep.origin_in_rel_interior
+
+
+def test_check_simple_finds_the_eighth_power_in_ten_dimensions():
+    """A (1/2) rotation by pi/4 next to eight distinct positive eigenvalues,
+    conjugated by a shear: A^8 is the first power with a real nonnegative
+    spectrum."""
+    import time
+
+    rot = RatMatrix.from_rows([[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]])
+    core = RatMatrix.block_diag([rot, RatMatrix.diag(*(F(k, 11) for k in range(1, 9)))])
+    shear = RatMatrix.identity(10).to_rows()
+    shear[0][9] = shear[4][1] = F(1)
+    p = RatMatrix.from_rows(shear)
+    a = p @ core @ p.inverse()
+    sys = LtiSystem(a, ControlSet.single(cross_polytope(10)), zero_vec(10), GenPolyhedron.point(zero_vec(10)))
+    t0 = time.perf_counter()
+    rep = check_simple(sys)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep.real_power == 8 and rep.schur
+    # rot^4 = -I/4, so rot^8 = I/16 is the first power with a real spectrum
+    assert rot.power(4) == RatMatrix.identity(2).scale(F(-1, 4))
+    assert rot.power(8) == RatMatrix.identity(2).scale(F(1, 16))
+
+
 # ---------------------------------------------------------------------------
 # to_simple_form
 # ---------------------------------------------------------------------------

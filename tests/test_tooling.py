@@ -8,9 +8,13 @@ and fail at once instead.  The file is loaded, never modified.
 
 Every public function of the library must have a caller outside the tests,
 and every private module-level function or class a use inside the library.
+
+The verdicts of the first rounds of each benchmark workload are pinned by
+digest, with the workloads loaded from their text like the span table.
 """
 
 import ast
+import hashlib
 import importlib
 import json
 import os
@@ -68,7 +72,7 @@ from ltireach.preprocess import LtiSystem
 
 comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]))
 sys_ = LtiSystem(RatMatrix.diag(F(1, 2), F(1, 3)), ControlSet(comps), vec(0, 0),
-                 GenPolyhedron.point(vec(F(3, 4), F(4, 3))))
+                 GenPolyhedron.polytope([vec(F(3, 4), F(4, 3)), vec(F(3, 4), F(3, 2))]))
 assert reach_within(sys_, 3) is not None
 names = [s[0] for s in tracer.spans]
 parents = [s[3] for s in tracer.spans]
@@ -91,14 +95,58 @@ def test_traced_forward_search_records_lp_spans():
     horizon.  The forward LPs are solved and restricted inside those spans
     without calling geometry.lp_solve, so the only lp_solve spans left are
     membership tests (the horizon-0 check of the source), and each nests
-    under a reach_exactly span."""
+    under a reach_exactly span.  The target is a segment: membership of a
+    single point is an equality test and solves no LP."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", TRACED_FORWARD, str(SPANS_PATH)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["reach_exactly"] == 4
-    assert got["nested"] == got["lp_solve"]
+    assert got["nested"] == got["lp_solve"] == 1
+
+
+WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
+# sha256 over the verdict JSON texts, one line each, of rounds 0-1 of each
+# benchmark workload at seed 1; a change that only makes decisions faster
+# leaves them as they are
+VERDICT_DIGESTS = {
+    "forward_union": "3dd3ff80ca1ff77a291dfafe4ded156e42aabf591f630c34940de485f11af8c5",
+    "algebraic_2d": "5a16ff077254ff24b6591973a0b38d29fc2e2162f1c0be635e85de4b04420467",
+    "rational_batch": "ca81df3b553e9564874bd82afe2bef93631f0dfb2af8450e7bdf93eebb7c3bdd",
+}
+
+
+def load_workloads():
+    """Execute workloads.py from its text, so no bytecode is written next to
+    it.  Its dataclasses look their module up in sys.modules while the text
+    runs, so it is registered there for that time only."""
+    name = "perfbench_workloads"
+    module = types.ModuleType(name)
+    sys.modules[name] = module
+    try:
+        exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def test_verdict_bytes_are_pinned():
+    """The first two rounds of each workload decide to the pinned verdict
+    bytes."""
+    from ltireach import driver, instances
+
+    workloads = load_workloads()
+    got = {}
+    for name, wl in workloads.WORKLOADS.items():
+        digest = hashlib.sha256()
+        stream = workloads.rounds(wl, 1)
+        for _ in range(2):
+            for inst in next(stream):
+                body = instances.verdict_to_json(driver.decide(instances.parse_instance(inst.text), wl.budgets))
+                digest.update(instances.dump_json(body).encode() + b"\n")
+        got[name] = digest.hexdigest()
+    assert got == VERDICT_DIGESTS
 
 
 def read_names(tree: ast.AST, strings: bool = False) -> set[str]:
