@@ -24,8 +24,12 @@ a rational spectrum every comparison is plain Fraction arithmetic.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
 builds the rows r_ij = tau^T P_i N^j lam_i^-j (j below the multiplicity of
-lam_i) a single time, so every vertex pair's coefficients are the products
-r_ij . (v-w) with rational v-w.  sup_from
+lam_i) a single time and expands each vertex v once, as the products
+r_ij . v; a vertex pair's coefficients are the differences of two
+expansions, exactly, by linearity.  The tournament's scan reads only
+the sign of a pair's dominant coefficient, and only the winner's pairs
+with the other vertices run classify_sequence's threshold search: |V| - 1
+searches for |V| vertices.  sup_from
 is the one routine that evaluates the closed form.  verify_separator
 feeds it the maximizer and threshold it has just found, and the audit
 (recompute_sup_from_certificate) feeds it the ones a certificate stores.
@@ -205,7 +209,7 @@ class _PowerCache:
         return val
 
 
-def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqClass:
+def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None, coeffs=None) -> SeqClass:
     """Eventual sign of <A^n (v-w), tau>, with a certified threshold.
 
     The returned threshold N is the least n from which the tail-domination
@@ -215,9 +219,11 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     term's ratio to the dominant term falls, the inequality stays true once
     true: one search above the onset finds the first n where it holds, and a
     walk down lowers that n while the inequality still holds one below.
-    `rows` are bilinear_rows(s, tau) when the caller has them already.
+    `rows` are bilinear_rows(s, tau) when the caller has them already;
+    `coeffs` are the expansion of v - w itself, when the caller has it.
     """
-    coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
+    if coeffs is None:
+        coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
     nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c]
     if not nonzero:
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
@@ -258,36 +264,42 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None) -> SeqCla
     return SeqClass(kind, threshold, (i0, j0))
 
 
+def _eventually_above(cv: list[list[Alg]], cw: list[list[Alg]]) -> bool:
+    """Whether <A^n (v-w), tau> is ultimately positive, from the expansions
+    cv of v and cw of w: whether the dominant coefficient of v - w, the
+    nonzero one with the greatest (i, j) (eigenvalues ascend), is positive,
+    found without forming the rest."""
+    for rv, rw in zip(reversed(cv), reversed(cw)):
+        for a, b in zip(reversed(rv), reversed(rw)):
+            if a != b:
+                return a > b
+    return False
+
+
 def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int]:
     """A vertex maximizing <A^n ., tau> for all large n (lexicographically
     smallest among ties) and a threshold N from which it beats every
-    vertex at every step."""
+    vertex at every step.
+
+    Each vertex is expanded once; a pair's coefficients are the difference
+    of two expansions.  The scan reads only the sign of a pair's dominant
+    coefficient, and only the winner's pairs run the threshold search.
+    That sign compares the expansions lexicographically from the dominant
+    end, a total preorder, and a tie never replaces the leader, so the
+    scan ends on the first of the maximal vertices in sorted order."""
     rows = bilinear_rows(s, tau)
     verts = sorted(u.vertices)
-    cache: dict[tuple[int, int], SeqClass] = {}
-
-    def cls(ia: int, ib: int) -> SeqClass:
-        key = (ia, ib)
-        if key not in cache:
-            cache[key] = classify_sequence(s, verts[ia], verts[ib], tau, rows)
-        return cache[key]
-
+    coeffs = [expand_inner_product(s, v, tau, rows) for v in verts]
     best = 0
     for i in range(1, len(verts)):
-        if cls(best, i).kind is SeqKind.ULTIMATELY_NEGATIVE:
+        if _eventually_above(coeffs[i], coeffs[best]):
             best = i
-    # lexicographically first among vertices tied with the maximal one
-    for i in range(len(verts)):
-        if i == best:
-            break
-        if cls(i, best).kind is SeqKind.IDENTICALLY_ZERO:
-            best = i
-            break
     n = 0
     for i in range(len(verts)):
         if i == best:
             continue
-        c = cls(best, i)
+        diff = [[a - b for a, b in zip(rv, rw)] for rv, rw in zip(coeffs[best], coeffs[i])]
+        c = classify_sequence(s, verts[best], verts[i], tau, coeffs=diff)
         if c.kind is SeqKind.ULTIMATELY_NEGATIVE:
             raise AssertionError("maximizer scan failed; preorder not respected")
         if c.kind is SeqKind.ULTIMATELY_POSITIVE:

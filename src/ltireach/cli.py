@@ -259,10 +259,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built by the first call to main and reused by every later call in the
+# process: parsing leaves a parser as it was, and building the subparser
+# tree costs more than auditing a rational certificate
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:

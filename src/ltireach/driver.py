@@ -8,7 +8,9 @@ is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
 every candidate reads its prefix sums from one table of control-vertex
 images (certify.VertexImages), built once per decision.  The audit
-verifies a certificate without that check.  Every positive
+verifies a certificate without that check.  A separator whose certificate
+the audit's parser would refuse (instances.minpoly_within_ceiling) counts
+as not found.  Every positive
 verdict is replay-verified and every negative verdict carries a
 certificate that an independent process can recheck against the instance
 file (audit).
@@ -127,6 +129,15 @@ def _prepare_certification(sys: LtiSystem, report):
     return s, form
 
 
+def _within_ceiling(cert: SeparatorCertificate) -> bool:
+    """Whether every algebraic entry of cert passes the minimal-polynomial
+    size rule that the audit's parser applies, so its artifact audits."""
+    from .instances import minpoly_within_ceiling
+
+    return all(isinstance(x, Fraction) or minpoly_within_ceiling(x.minpoly.coeffs)
+               for x in (*cert.tau, cert.bound, cert.sup_value, cert.min_over_q))
+
+
 def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     from .instances import instance_sha256
 
@@ -176,7 +187,8 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 if fails_prefix_check(sums, min_over_vertices(form.q_reduced, tau)):
                     continue
                 cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau, sums)
-                if cert is not None:
+                # a separator whose artifact would not audit counts as not found
+                if cert is not None and _within_ceiling(cert):
                     return Verdict("unreachable", instance_hash, tuple(warnings),
                                    certificate=cert, simple_form=form)
     return Verdict("unknown", instance_hash, tuple(warnings), exhausted={

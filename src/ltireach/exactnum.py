@@ -489,11 +489,19 @@ class RealAlg:
 
         p need not be irreducible; the irreducible factor owning the root
         becomes the minimal polynomial, so equality stays structural.  A
-        root of a linear factor is returned as a Fraction.
+        root of a linear factor is returned as a Fraction.  A linear p has
+        the one root -c0/c1, accepted exactly when lo <= root <= hi, which
+        is what the closed Sturm count decides, so it is read without
+        factoring or a Sturm chain.
         """
         lo, hi = Fraction(lo), Fraction(hi)
         if p.is_zero:
             raise ValueError("zero polynomial")
+        if p.degree == 1:
+            root = Fraction(-p.coeffs[0], p.coeffs[1])
+            if not lo <= root <= hi:
+                raise ValueError("interval does not isolate exactly one root")
+            return RealAlg.from_rational(root)
         owners = []
         for fcoeffs, _ in factor_int_poly(p.coeffs):
             f = IntPoly(fcoeffs)

@@ -257,9 +257,21 @@ def alg_to_json(a: Alg) -> dict:
 # factors by one integer square root and has a three-row Sturm chain, so a
 # 4300-digit coefficient (the most JSON text holds) parses in milliseconds,
 # and decide writes bounds and sup values as large as the instance asks.
-# decide checks no ceiling on what it writes: a certificate with a
-# degree >= 3 entry above it does not audit.
+# decide applies the same rule (minpoly_within_ceiling) to every certificate
+# entry it would write, and treats a separator that breaks it as not found.
 MINPOLY_SIZE_CEILING = 2048
+
+
+def _minpoly_size(coeffs) -> int:
+    return (len(coeffs) - 1) * max((abs(c).bit_length() for c in coeffs), default=0)
+
+
+def minpoly_within_ceiling(coeffs) -> bool:
+    """The size rule on a minimal polynomial (integer coefficients, lowest
+    degree first) that alg_from_json applies and decide keeps to: degree at
+    most 2, or degree x largest coefficient bit length at most
+    MINPOLY_SIZE_CEILING."""
+    return len(coeffs) <= 3 or _minpoly_size(coeffs) <= MINPOLY_SIZE_CEILING
 
 
 def alg_from_json(data) -> Alg:
@@ -269,9 +281,8 @@ def alg_from_json(data) -> Alg:
         raise ParseError(None, "minimal polynomial coefficients must be integers")
     if len(coeffs) - 1 > exactnum.DEGREE_CEILING:
         raise ParseError(None, f"minimal polynomial degree exceeds {exactnum.DEGREE_CEILING}")
-    size = (len(coeffs) - 1) * max((abs(c).bit_length() for c in coeffs), default=0)
-    if len(coeffs) > 3 and size > MINPOLY_SIZE_CEILING:
-        raise ParseError(None, f"minimal polynomial degree x coefficient bits {size} "
+    if not minpoly_within_ceiling(coeffs):
+        raise ParseError(None, f"minimal polynomial degree x coefficient bits {_minpoly_size(coeffs)} "
                                f"exceeds {MINPOLY_SIZE_CEILING}")
     lo = _rat_from_json(_field(data, "lo", str))
     hi = _rat_from_json(_field(data, "hi", str))

@@ -256,15 +256,33 @@ class RatMatrix:
         return tuple(x)
 
     def inverse(self) -> "RatMatrix | None":
+        """A^-1, or None when A is singular.
+
+        Fraction-free (Bareiss) Gauss-Jordan on [M | I] for the integer
+        matrix M = den * A: every division is exact, and the left block
+        ends as p I for the last pivot p, so M^-1 = right / p and each
+        entry of A^-1 = den M^-1 becomes one Fraction at the end."""
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = RatMatrix(n, 2 * n, tuple(x for i in range(n)
-                                        for x in (*self.row(i), *RatMatrix.identity(n).row(i))))
-        m, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            return None
-        return RatMatrix.from_rows([r[n:] for r in m[:n]])
+        den = lcm(*(x.denominator for x in self.entries))
+        m = [[x.numerator * (den // x.denominator) for x in self.row(i)] + [int(i == j) for j in range(n)]
+             for i in range(n)]
+        prev = 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                return None
+            m[k], m[pivot] = m[pivot], m[k]
+            mk = m[k]
+            p = mk[k]
+            for i in range(n):
+                if i != k:
+                    mi = m[i]
+                    f = mi[k]
+                    m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
+            prev = p
+        return RatMatrix(n, n, tuple(Fraction(den * x, prev) for r in m for x in r[n:]))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))

@@ -22,7 +22,11 @@ polynomial; `fraction_schur_stable` takes the Hurwitz minors by Fraction
 LU where the library runs Bareiss in integers; the max-t LP decides the
 relative interior where the library solves a feasibility LP; and
 `fraction_replay` steps Fraction vectors where the library keeps an
-integer state over one denominator.
+integer state over one denominator.  `pairwise_eventual_maximizer` runs
+the full threshold search on every pair the tournament compares, where
+the library reads only signs until it has the winner, and
+`fraction_inverse` is Gauss-Jordan over Fractions where the library
+eliminates fraction-free in integers.
 """
 
 from __future__ import annotations
@@ -31,12 +35,13 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
+from ltireach.certify import SeqClass, SeqKind, classify_sequence
 from ltireach.exactnum import Alg, IntPoly, count_roots_halfopen, sturm_chain
 from ltireach import forward
 from ltireach.forward import ReachWitness, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
-from ltireach.linalg import (RatMatrix, SpectralData, Vec, charpoly_primitive, real_spectrum_power_bound, vec_add,
-                             vec_dot, vec_scale, zero_vec)
+from ltireach.linalg import (RatMatrix, SpectralData, Vec, bilinear_rows, charpoly_primitive,
+                             real_spectrum_power_bound, vec_add, vec_dot, vec_scale, zero_vec)
 from ltireach.preprocess import LtiSystem, SimpleForm
 
 
@@ -393,6 +398,18 @@ def fraction_charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
     return tuple(reversed(c))
 
 
+def fraction_inverse(a: RatMatrix) -> RatMatrix | None:
+    """`RatMatrix.inverse` as it was: Gauss-Jordan over Fractions on the
+    augmented matrix [A | I]; None when A is singular."""
+    n = a.rows
+    aug = RatMatrix(n, 2 * n, tuple(x for i in range(n)
+                                    for x in (*a.row(i), *RatMatrix.identity(n).row(i))))
+    m, pivots = aug.rref()
+    if pivots[:n] != list(range(n)):
+        return None
+    return RatMatrix.from_rows([r[n:] for r in m[:n]])
+
+
 # ---------------------------------------------------------------------------
 # Fraction polynomial arithmetic
 # ---------------------------------------------------------------------------
@@ -485,6 +502,44 @@ def fraction_sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, th
     for _ in range(threshold):
         x = s.matrix.matvec(x)
     return FractionPrefixSums(s, u, tau).at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(x))
+
+
+def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int]:
+    """`certify.eventual_maximizer` as it was: every pair the tournament
+    compares runs classify_sequence's threshold search on the expansion of
+    v - w, once per ordered pair; a scan for the maximal vertex, a pass that
+    moves to the lexicographically first vertex tied with it, and the
+    threshold as the largest against the winner."""
+    rows = bilinear_rows(s, tau)
+    verts = sorted(u.vertices)
+    cache: dict[tuple[int, int], SeqClass] = {}
+
+    def cls(ia: int, ib: int) -> SeqClass:
+        key = (ia, ib)
+        if key not in cache:
+            cache[key] = classify_sequence(s, verts[ia], verts[ib], tau, rows)
+        return cache[key]
+
+    best = 0
+    for i in range(1, len(verts)):
+        if cls(best, i).kind is SeqKind.ULTIMATELY_NEGATIVE:
+            best = i
+    for i in range(len(verts)):
+        if i == best:
+            break
+        if cls(i, best).kind is SeqKind.IDENTICALLY_ZERO:
+            best = i
+            break
+    n = 0
+    for i in range(len(verts)):
+        if i == best:
+            continue
+        c = cls(best, i)
+        if c.kind is SeqKind.ULTIMATELY_NEGATIVE:
+            raise AssertionError("maximizer scan failed; preorder not respected")
+        if c.kind is SeqKind.ULTIMATELY_POSITIVE:
+            n = max(n, c.threshold or 0)
+    return verts[best], n
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from ltireach.certify import (
 )
 from ltireach.exactnum import RealAlg, sign, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
-from ltireach.linalg import IntRows, RatMatrix, spectral_decompose, vec
-from oracles import FractionPrefixSums, fraction_sup_from, int_poly, rat
+from ltireach.linalg import IntRows, RatMatrix, expand_inner_product, spectral_decompose, vec
+from oracles import FractionPrefixSums, fraction_sup_from, int_poly, pairwise_eventual_maximizer, rat
 
 F = Fraction
 
@@ -413,6 +413,76 @@ def test_prefix_sums_match_per_direction_oracle():
             reduced += i > 0 and den < images.at(i - 1)[1] * a_den
             power = power @ a
     assert checked >= 150 and deep >= 25 and deep_algebraic >= 3 and reduced >= 50
+
+
+def _jordan_matrices(rng: random.Random) -> list[RatMatrix]:
+    """Upper-triangular 2x2 and 3x3 matrices whose diagonal repeats an
+    eigenvalue in (0, 1) with a nonzero entry above it: a Jordan block."""
+    out = []
+    for d in (2, 3, 3):
+        lam, other = rng.sample([F(9, 10), F(4, 5), F(3, 5), F(1, 2)], 2)
+        diag = [lam, lam, other][:d]
+        rows = [[diag[i] if i == j else F(rng.randint(-3, 3), rng.choice((2, 5))) if j > i else F(0)
+                 for j in range(d)] for i in range(d)]
+        rows[0][1] = F(rng.choice((-1, 1)), rng.choice((1, 2)))
+        out.append(RatMatrix.from_rows(rows))
+    return out
+
+
+def _tied_polytope(rng: random.Random, a: RatMatrix, tau) -> GenPolyhedron:
+    """Seeded points and their shifts by a rational d with <A^n d, tau> = 0
+    for every n, when tau leaves room for one: each shifted pair is an
+    identically-zero tie, the maximal face among them."""
+    dim = a.rows
+    krylov, t = [], list(tau)
+    for _ in range(dim):
+        krylov.append(t)
+        t = list(a.transpose().matvec(tuple(t)))
+    kernel = RatMatrix.from_rows(krylov).kernel_basis()
+    pts = [vec(*[F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(dim)]) for _ in range(dim + 2)]
+    if kernel:
+        d = kernel[0]
+        pts += [tuple(x + y for x, y in zip(p, d)) for p in pts]
+    return GenPolyhedron.polytope(pts)
+
+
+def test_tournament_matches_pairwise_oracle():
+    # expanding each vertex once, reading only signs until the winner is
+    # known and searching thresholds only against it give the maximizer and
+    # threshold of the tournament that searched a threshold for every pair
+    rng = random.Random(83)
+    ties = late = algebraic = checked = 0
+    rational = _triangular_matrices(rng) + _jordan_matrices(rng)
+    for a in rational:
+        s = spectral_decompose(a)
+        eig = [tuple(rat(x) for x in e) for e in left_eigenvectors(s)]
+        # left eigenvectors and their sums are orthogonal to a subspace that
+        # A keeps, which the tied polytopes shift along
+        directions = eig + [tuple(x + y for x, y in zip(e, f)) for e, f in itertools.combinations(eig, 2)]
+        directions += [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a.rows)) for _ in range(2)]
+        for tau in directions:
+            for u in (_tied_polytope(rng, a, tau), _spread_polytope(rng, a.rows)):
+                got = eventual_maximizer(s, u, tau)
+                assert got == pairwise_eventual_maximizer(s, u, tau)
+                maximizer, n = got
+                top = expand_inner_product(s, maximizer, tau)
+                ties += sum(v != maximizer and expand_inner_product(s, v, tau) == top for v in u.vertices)
+                late += n > 0
+                checked += 1
+    square = GenPolyhedron.polytope([vec(1, 1), vec(-1, 1), vec(1, -1), vec(-1, -1)])
+    hexagon = GenPolyhedron.polytope([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, -1), vec(-1, 1)])
+    for a in _quadratic_irrational_matrices(rng):
+        s = spectral_decompose(a)
+        for u in (square, hexagon):
+            v, w = rng.sample(u.vertices, 2)
+            # orthogonal to a vertex difference: a tie at n = 0; zero: all tie
+            directions = [(w[1] - v[1], v[0] - w[0]), (F(0), F(0)),
+                          (F(rng.randint(-4, 4)), F(rng.randint(-4, 4)))]
+            for tau in directions + left_eigenvectors(s):
+                assert eventual_maximizer(s, u, tau) == pairwise_eventual_maximizer(s, u, tau)
+                algebraic += any(isinstance(x, RealAlg) for x in tau)
+                checked += 1
+    assert checked >= 150 and ties >= 20 and late >= 20 and algebraic >= 20, (checked, ties, late, algebraic)
 
 
 # ---------------------------------------------------------------------------

@@ -669,6 +669,40 @@ def test_cli_audits_certificates_with_large_entries(tmp_path, text, degree):
     assert cli.main(["audit", str(inst), str(out)]) == 0
 
 
+# the companion matrix of 8x^3 - 6x + 1 (eigenvalues cos 40, cos 160 and
+# cos 280 degrees) with the octahedron as controls; the power step applies
+CUBIC_TEXT = ("dim 3\nmatrix\n0 0 -1/8\n1 0 3/4\n0 1 0\ncontrol\nvertices\n"
+              "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\nsource\n0 0 0\n"
+              "target\nvertices\n{target}\n")
+
+
+@pytest.mark.parametrize("target", [
+    "4 0 0",  # separated by a rational axis: every entry is rational
+    "-9/4 -3 -3",  # only a left eigenvector separates: tau, sup and min are cubic
+])
+def test_decide_writes_no_certificate_that_audit_refuses(tmp_path, monkeypatch, target):
+    """decide keeps to the minimal-polynomial size rule of the audit's
+    parser: with the ceiling lowered below a certificate's cubic entries,
+    the audit refuses that certificate, and decide passes over its
+    separator, so its verdict is unknown or a certificate that audits."""
+    inst = tmp_path / "cubic.lti"
+    inst.write_text(CUBIC_TEXT.format(target=target))
+    flags = ["--max-steps", "2", "--max-candidates", "16", "--max-degree", "1", "--max-height", "1",
+             "--extremal-budget", "1"]
+    full = tmp_path / "full.json"
+    assert cli.main(["decide", "--input", str(inst), *flags, "--out", str(full)]) == cli.EXIT_UNREACHABLE
+    cubic = [n * bits for n, bits in minpoly_sizes(json.loads(full.read_text())) if n >= 3]
+    assert bool(cubic) == (target != "4 0 0")
+    monkeypatch.setattr(instances, "MINPOLY_SIZE_CEILING", min(cubic, default=1) - 1)
+    if cubic:
+        assert cli.main(["audit", str(inst), str(full)]) == cli.EXIT_ERROR
+    out = tmp_path / "lowered.json"
+    code = cli.main(["decide", "--input", str(inst), *flags, "--out", str(out)])
+    assert code in (cli.EXIT_UNREACHABLE, cli.EXIT_UNKNOWN)
+    assert cli.main(["audit", str(inst), str(out)]) == cli.EXIT_REACHABLE
+    assert not any(n >= 3 for n, _ in minpoly_sizes(json.loads(out.read_text())))
+
+
 def swinnerton_dyer(primes) -> list[int]:
     """Minimal polynomial of sqrt p1 + ... + sqrt pk: irreducible of degree
     2^k, yet split into factors of degree <= 2 modulo every prime."""
@@ -810,6 +844,43 @@ def test_cli_artifact_error_prints_no_verdict(tmp_path, capsys, monkeypatch, com
     assert captured.out == ""
     assert captured.err == "error: Exceeds the limit (4300 digits) for integer string conversion\n"
     assert not out.exists()
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    """main builds its parser on the first call and reuses it: a usage
+    error after a successful call reads as it does first, and a function
+    patched after the first call still takes effect."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")] +
+        env.get("PYTHONPATH", "").split(os.pathsep))
+    fresh = subprocess.run([sys.executable, "-c", "import ltireach.cli as c; print(c._PARSER is None)"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert fresh.stdout == "True\n", fresh.stderr
+
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["nonsense"]) == cli.EXIT_ERROR
+    first_error = capsys.readouterr().err
+    assert cli.main(["decide", "--input", inst, "--max-steps", "4", "--out", str(out)]) == cli.EXIT_UNREACHABLE
+    assert cli.main(["audit", inst, str(out)]) == cli.EXIT_REACHABLE
+    capsys.readouterr()
+    assert cli.main(["nonsense"]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == first_error
+    assert cli.main(["decide", "--input", inst, "--max-steps", "-1"]) == cli.EXIT_ERROR
+    assert "non-negative" in capsys.readouterr().err
+    monkeypatch.setattr(driver, "audit", lambda sys_, artifact: False)
+    assert cli.main(["audit", inst, str(out)]) == cli.EXIT_AUDIT_FAILED
+    assert len(built) == 1
 
 
 def test_cli_out_of_process_audit(tmp_path):

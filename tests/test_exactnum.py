@@ -297,6 +297,59 @@ def test_rational_roundtrip():
         assert rat(RealAlg.from_root(linear, q, q)) == q
 
 
+def test_linear_from_root_accepts_what_the_sturm_count_accepts(monkeypatch):
+    """A linear p is read as its root -c0/c1 on lo <= root <= hi, with no
+    factoring and no Sturm chain; the general path, factoring p and counting
+    roots on [lo, hi] with a Sturm chain, accepts exactly the same cases."""
+    import ltireach.exactnum as exactnum
+
+    def sturm_path(p, lo, hi):
+        (f, _), = factor_int_poly(p.coeffs)
+        if _count_roots_closed(sturm_chain(IntPoly(f)), lo, hi) != 1:
+            return None
+        return F(-f[0], f[1])
+
+    rng = random.Random(97)
+    cases = []
+    for _ in range(600):
+        # non-primitive, either sign of leading coefficient, zero constants
+        k = rng.choice((1, 1, 2, 6))
+        c1 = rng.choice((-1, 1)) * rng.randint(1, 9) * k
+        c0 = rng.choice((0, rng.randint(-20, 20))) * k
+        p = IntPoly((c0, c1))
+        root = F(-c0, c1)
+        ends = [root, root + F(1, rng.randint(1, 9)), root - F(1, rng.randint(1, 9)),
+                F(rng.randint(-9, 9), rng.randint(1, 4))]
+        lo, hi = rng.choice(ends), rng.choice(ends)
+        cases.append((p, lo, hi))
+    cases += [(IntPoly((0, -3)), F(0), F(0)), (IntPoly((4, 6)), F(-2, 3), F(-2, 3)),
+              (IntPoly((4, 6)), F(0), F(-1)), (IntPoly((-5, 10)), F(1), F(2))]
+    expected = [sturm_path(p, lo, hi) for p, lo, hi in cases]
+
+    def banned(*args):
+        raise AssertionError("a linear polynomial needs no factoring or Sturm chain")
+
+    monkeypatch.setattr(exactnum, "factor_int_poly", banned)
+    monkeypatch.setattr(exactnum, "sturm_chain", banned)
+    outcomes = Counter()
+    for (p, lo, hi), want in zip(cases, expected):
+        if want is None:
+            with pytest.raises(ValueError):
+                RealAlg.from_root(p, lo, hi)
+        else:
+            assert rat(RealAlg.from_root(p, lo, hi)) == want
+        outcomes[want is not None, lo == hi, lo > hi] += 1
+    assert outcomes[True, True, False] and outcomes[True, False, False]
+    assert outcomes[False, False, True] and outcomes[False, False, False] and outcomes[False, True, False]
+    # a rational certificate entry (q x - p) parses without factoring
+    assert rat(alg_from_json(alg_to_json(F(-7, 3)))) == F(-7, 3)
+    assert rat(alg_from_json({"minpoly": [0, 5], "lo": "0", "hi": "0"})) == 0
+    monkeypatch.undo()
+    for p in (IntPoly(()), IntPoly((3,)), IntPoly((-2,))):
+        with pytest.raises(ValueError):
+            RealAlg.from_root(p, F(-1), F(1))
+
+
 def test_division_by_zero_signaled():
     with pytest.raises(ZeroDivisionError):
         sqrt_of(2) / F(0)

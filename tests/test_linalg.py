@@ -23,7 +23,7 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly,
+from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly, fraction_inverse,
                      fraction_real_nonneg_spectrum, fraction_schur_stable, inner_product_at, int_poly, rat,
                      scan_real_spectrum_power)
 
@@ -77,6 +77,39 @@ def test_matmul_inverse_roundtrip():
             assert a.det() != 0
         else:
             assert a.det() == 0
+
+
+def test_integer_inverse_matches_fraction_oracle():
+    """The fraction-free elimination in integers gives the inverse that
+    Gauss-Jordan over Fractions gives, and None on the same singular
+    matrices; (I - A)^-1 of a stable A with it."""
+    rng = random.Random(89)
+    cases = [RatMatrix.identity(d) for d in range(1, 6)] + [mat([[0]]), mat([[F(-3, 7)]])]
+    while len(cases) < 3000:
+        d = rng.randint(1, 5)
+        zero_share = rng.choice((0.1, 0.5))
+        rows = [[F(0) if rng.random() < zero_share else F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+                 for _ in range(d)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.2:
+            # one row a combination of the others: singular
+            i = rng.randrange(d)
+            others = [k for k in range(d) if k != i]
+            rows[i] = [F(0)] * d
+            for k in rng.sample(others, min(2, len(others))):
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+        cases.append(mat(rows))
+    singular = 0
+    for a in cases:
+        got = a.inverse()
+        assert got == fraction_inverse(a)
+        singular += got is None
+    assert 300 <= singular <= 2000
+    for d in (1, 2, 3, 4):
+        for _ in range(15):
+            a = random_positive_spectrum_matrix(rng, d)
+            expected = fraction_inverse(RatMatrix.identity(d) - a)
+            assert spectral_decompose(a).geometric_sum_matrix() == expected
 
 
 def test_kernel_and_column_space():
