@@ -13,6 +13,5 @@ from .exactnum import (  # noqa: F401
     IntPoly,
     RealAlg,
     interval,
-    sign,
     sturm_isolate_real_roots,
 )

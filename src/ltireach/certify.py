@@ -30,9 +30,14 @@ expansions, exactly, by linearity.  The tournament's scan reads only
 the sign of a pair's dominant coefficient, and only the winner's pairs
 with the other vertices run classify_sequence's threshold search: |V| - 1
 searches for |V| vertices.  sup_from
-is the one routine that evaluates the closed form.  verify_separator
-feeds it the maximizer and threshold it has just found, and the audit
+is the one routine that evaluates the closed form, for the direction
+of the PrefixSums it is given.  verify_separator feeds it the maximizer
+and threshold it has just found, and the audit
 (recompute_sup_from_certificate) feeds it the ones a certificate stores.
+Each takes the decision's table, or prefix sums read from it, as a
+required argument, and tau is read from the sums, so no caller can pass
+one direction beside the sums of another; only sup_in_direction, which
+checks one direction on its own, builds a table of its own.
 
 Most candidate directions fail, and the driver rejects nearly all of them
 before the maximizer tournament, by the prefix sums
@@ -90,7 +95,6 @@ from .linalg import (
     alg_kernel_basis,
     bilinear_rows,
     expand_inner_product,
-    vec_sub,
 )
 
 AlgVec = tuple[Alg, ...]
@@ -209,8 +213,9 @@ class _PowerCache:
         return val
 
 
-def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None, coeffs=None) -> SeqClass:
-    """Eventual sign of <A^n (v-w), tau>, with a certified threshold.
+def classify_sequence(s: SpectralData, coeffs: list[list[Alg]]) -> SeqClass:
+    """Eventual sign of <A^n (v-w), tau>, with a certified threshold, from
+    coeffs, the expansion of v - w against tau (expand_inner_product).
 
     The returned threshold N is the least n from which the tail-domination
     inequality |c0| C(n,j0) lam0^n > sum of the other |c| C(n,j) lam^n
@@ -219,11 +224,7 @@ def classify_sequence(s: SpectralData, v: Vec, w: Vec, tau, rows=None, coeffs=No
     term's ratio to the dominant term falls, the inequality stays true once
     true: one search above the onset finds the first n where it holds, and a
     walk down lowers that n while the inequality still holds one below.
-    `rows` are bilinear_rows(s, tau) when the caller has them already;
-    `coeffs` are the expansion of v - w itself, when the caller has it.
     """
-    if coeffs is None:
-        coeffs = expand_inner_product(s, vec_sub(v, w), tau, rows)
     nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c]
     if not nonzero:
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
@@ -289,7 +290,7 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     scan ends on the first of the maximal vertices in sorted order."""
     rows = bilinear_rows(s, tau)
     verts = sorted(u.vertices)
-    coeffs = [expand_inner_product(s, v, tau, rows) for v in verts]
+    coeffs = [expand_inner_product(rows, v) for v in verts]
     best = 0
     for i in range(1, len(verts)):
         if _eventually_above(coeffs[i], coeffs[best]):
@@ -299,7 +300,7 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
         if i == best:
             continue
         diff = [[a - b for a, b in zip(rv, rw)] for rv, rw in zip(coeffs[best], coeffs[i])]
-        c = classify_sequence(s, verts[best], verts[i], tau, coeffs=diff)
+        c = classify_sequence(s, diff)
         if c.kind is SeqKind.ULTIMATELY_NEGATIVE:
             raise AssertionError("maximizer scan failed; preorder not respected")
         if c.kind is SeqKind.ULTIMATELY_POSITIVE:
@@ -348,15 +349,14 @@ class PrefixSums:
     extended lazily, so the pre-check and sup_from share every term either
     of them computes.
 
-    The vertex images come from `images`, the decision's VertexImages when
-    the caller has it.  A rational tau is cleared to integers over one
-    denominator, so each <tau, A^i v> is an integer dot product and only
-    the step's maximum becomes a Fraction; an algebraic tau is dotted with
-    the integer numerators and its maximum divided once by the step's
-    denominator."""
+    The vertex images come from `images`, the decision's VertexImages.  A
+    rational tau is cleared to integers over one denominator, so each
+    <tau, A^i v> is an integer dot product and only the step's maximum
+    becomes a Fraction; an algebraic tau is dotted with the integer
+    numerators and its maximum divided once by the step's denominator."""
 
-    def __init__(self, s: SpectralData, u: GenPolyhedron, tau, images: VertexImages | None = None):
-        self.images = images if images is not None else VertexImages(s.matrix, u.vertices)
+    def __init__(self, images: VertexImages, tau):
+        self.images = images
         self.tau = tuple(tau)
         self.sums: list[Alg] = [Fraction(0)]
         self._int_tau = None
@@ -391,25 +391,24 @@ def fails_prefix_check(sums: PrefixSums, low: Alg) -> bool:
     return any(sums.at(k) > low for k in range(1, PREFIX_CHECK_DEPTH + 1))
 
 
-def sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int,
-             sums: PrefixSums | None = None) -> Alg:
-    """The closed-form supremum of <x, tau> over the reachable closure,
-    given an eventual maximizer and its threshold: the best vertex at each
-    step below the threshold, S_threshold, then the maximizer's geometric
-    tail.  `sums` are the prefix sums of tau when the caller has them."""
+def sup_from(s: SpectralData, sums: PrefixSums, maximizer: Vec, threshold: int) -> Alg:
+    """The closed-form supremum of <x, tau> over the reachable closure, for
+    the direction tau of `sums`, given an eventual maximizer and its
+    threshold: the best vertex at each step below the threshold,
+    S_threshold, then the maximizer's geometric tail."""
     if s.dim == 0:
         return Fraction(0)
-    if sums is None:
-        sums = PrefixSums(s, u, tau)
     # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den
     num, den = sums.images.image(maximizer, threshold)
-    return sums.at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(num)) / den
+    return sums.at(threshold) + alg_dot(sums.tau, s.geometric_sum_matrix().matvec(num)) / den
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:
-    """Exact supremum of <x, tau> over the closure of the reachable set."""
-    maximizer, n = eventual_maximizer(s, u, tau)
-    return sup_from(s, u, tau, maximizer, n)
+    """Exact supremum of <x, tau> over the closure of the reachable set,
+    with a vertex-image table of its own."""
+    sums = PrefixSums(VertexImages(s.matrix, u.vertices), tau)
+    maximizer, n = eventual_maximizer(s, u, sums.tau)
+    return sup_from(s, sums, maximizer, n)
 
 
 def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
@@ -421,18 +420,18 @@ def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
     return best
 
 
-def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau,
-                     sums: PrefixSums | None = None) -> SeparatorCertificate | None:
+def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron,
+                     sums: PrefixSums) -> SeparatorCertificate | None:
     """Certificate iff sup over the reachable closure <= min over the
-    target (nonstrict: the reachable set itself is open).  `sums` are the
-    prefix sums of tau when the caller has them."""
-    tau = tuple(tau)
+    target (nonstrict: the reachable set itself is open), for the direction
+    tau of `sums`."""
     if q.is_empty:
         zero_tau = tuple(Fraction(0) for _ in range(s.dim))
         maximizer = u.vertices[0] if u.vertices else ()
         return SeparatorCertificate(zero_tau, Fraction(0), maximizer, 0, Fraction(0), None)
+    tau = sums.tau
     maximizer, n = eventual_maximizer(s, u, tau)
-    sup = sup_from(s, u, tau, maximizer, n, sums)
+    sup = sup_from(s, sums, maximizer, n)
     low = min_over_vertices(q, tau)
     assert low is not None
     if sup <= low:
@@ -440,13 +439,12 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau,
     return None
 
 
-def recompute_sup_from_certificate(s: SpectralData, u: GenPolyhedron, cert: SeparatorCertificate,
-                                   images: VertexImages | None = None) -> Alg:
+def recompute_sup_from_certificate(s: SpectralData, cert: SeparatorCertificate,
+                                   images: VertexImages) -> Alg:
     """Audit path: rebuild the supremum from (tau, maximizer, threshold)
-    alone, without rerunning the maximizer search.  `images` are the
-    vertex images when the caller has them; the prefix sums are formed
-    afresh."""
-    return sup_from(s, u, cert.tau, cert.maximizer, cert.threshold, PrefixSums(s, u, cert.tau, images))
+    alone, without rerunning the maximizer search; the prefix sums are
+    formed afresh from `images`."""
+    return sup_from(s, PrefixSums(images, cert.tau), cert.maximizer, cert.threshold)
 
 
 # ---------------------------------------------------------------------------

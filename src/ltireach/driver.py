@@ -153,23 +153,23 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     certifiable = not reasons
     warnings = [] if certifiable else [
         "certificate search disabled (" + "; ".join(reasons) + "); forward search only"]
+    # the vertex images A^i v do not depend on tau: one table serves every candidate
+    images = VertexImages(spectral.matrix, form.u_reduced.vertices) if certifiable else None
     if certifiable and form.q_reduced.is_empty:
-        cert = verify_separator(spectral, form.u_reduced, form.q_reduced,
-                                tuple(Fraction(0) for _ in range(form.dim)))
+        zero = PrefixSums(images, tuple(Fraction(0) for _ in range(form.dim)))
+        cert = verify_separator(spectral, form.u_reduced, form.q_reduced, zero)
         assert cert is not None
         return Verdict("unreachable", instance_hash, tuple(warnings),
                        certificate=cert, simple_form=form)
 
     candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
-    # the vertex images A^i v do not depend on tau: one table serves every candidate
-    images = VertexImages(spectral.matrix, form.u_reduced.vertices) if certifiable else None
     tried = 0
     candidates_done = not (certifiable and form.dim > 0)
     columns = StepColumns(sys)
     horizon = 0
     while horizon <= budgets.max_steps or not candidates_done:
         if horizon <= budgets.max_steps:
-            witness = reach_exactly(sys, horizon, columns)
+            witness = reach_exactly(columns, horizon)
             if witness is not None:
                 if not verify_witness(sys, witness):
                     raise SoundnessError("forward search produced a non-replaying witness")
@@ -183,10 +183,10 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             for tau in itertools.islice(candidates, CANDIDATE_BATCH):
                 candidates_done = False
                 tried += 1
-                sums = PrefixSums(spectral, form.u_reduced, tau, images)
+                sums = PrefixSums(images, tau)
                 if fails_prefix_check(sums, min_over_vertices(form.q_reduced, tau)):
                     continue
-                cert = verify_separator(spectral, form.u_reduced, form.q_reduced, tau, sums)
+                cert = verify_separator(spectral, form.u_reduced, form.q_reduced, sums)
                 # a separator whose artifact would not audit counts as not found
                 if cert is not None and _within_ceiling(cert):
                     return Verdict("unreachable", instance_hash, tuple(warnings),
@@ -258,8 +258,7 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
         # the verification and the rebuild below share one table of vertex
         # images, not their prefix sums
         images = VertexImages(spectral.matrix, form.u_reduced.vertices)
-        fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, cert.tau,
-                                 PrefixSums(spectral, form.u_reduced, cert.tau, images))
+        fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, PrefixSums(images, cert.tau))
         if fresh is None:
             return False
         if fresh.sup_value != cert.sup_value:
@@ -278,6 +277,6 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
             return False
         # independent audit path: the supremum rebuilt from the stored
         # maximizer and threshold alone must agree too
-        redone = recompute_sup_from_certificate(spectral, form.u_reduced, cert, images)
+        redone = recompute_sup_from_certificate(spectral, cert, images)
         return redone == cert.sup_value
     return False

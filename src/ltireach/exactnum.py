@@ -7,8 +7,8 @@ irreducible primitive integer polynomial of degree >= 2 with positive
 leading coefficient; the interval is a rational interval containing
 exactly one of its real roots.  RealAlg arithmetic takes int and Fraction
 operands directly, and an operation whose result is rational (sqrt2 *
-sqrt2, or any product with 0) returns a Fraction.  sign() and interval()
-serve callers that hold either type.
+sqrt2, or any product with 0) returns a Fraction.  interval() serves
+callers that hold either type.
 
 Signs and comparisons are decided exactly: unless the coordinates below
 decide them, intervals are refined by bisection until the question
@@ -511,7 +511,11 @@ class RealAlg:
         f = owners[0]
         if f.degree == 1:
             return RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))
-        return RealAlg(f, lo, hi)
+        # factor_int_poly's factors are primitive with positive lead, and the
+        # count above isolated the root, so only the ceiling is left to check
+        if f.degree > DEGREE_CEILING:
+            raise DegreeCeilingError(f"degree {f.degree} exceeds ceiling {DEGREE_CEILING}")
+        return RealAlg(f, lo, hi, _trusted=True)
 
     @staticmethod
     def _from_coords(a: Fraction, b: Fraction, d: int) -> Alg:
@@ -845,13 +849,6 @@ def _same_field(x: RealAlg, y: RealAlg) -> tuple[tuple[Fraction, Fraction, int],
 
 # a real algebraic number: a Fraction exactly when it is rational
 Alg = Fraction | RealAlg
-
-
-def sign(x) -> int:
-    """Sign of a Fraction, int or RealAlg."""
-    if isinstance(x, RealAlg):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def interval(x) -> tuple[Fraction, Fraction]:

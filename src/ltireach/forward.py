@@ -18,10 +18,11 @@ the point the cold LP gives, whatever bases the restrictions reached.
 
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
-denominator, one power at a time, once per decision.  Each LP variable is
-a generator's coefficient divided by that denominator, so every row is
-an integer row, and the rows go to `geometry.feasible_tableau` as
-integers.  Scaling a column by a positive constant changes no choice of
+denominator, one power at a time, once per decision: reach_exactly takes
+the StepColumns of its system and reads the system from them.  Each LP
+variable is a generator's coefficient divided by that denominator, so
+every row is an integer row, and the rows go to
+`geometry.feasible_tableau` as integers.  Scaling a column by a positive constant changes no choice of
 Bland's rule, so the LP takes the pivots of the unscaled one and the
 witness, the variables times their denominators, is the same.
 
@@ -305,22 +306,19 @@ def _witness_from_solution(n: int, assignment, layout: _Layout, point) -> ReachW
     return ReachWitness(n, tuple(steps))
 
 
-def reach_exactly(sys: LtiSystem, n: int, columns: StepColumns | None = None) -> ReachWitness | None:
-    """A witness reaching the target in exactly n steps, or None.  A caller
-    that tries several horizons passes one StepColumns of sys to all of
-    them; without it the columns are built for this call alone."""
+def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
+    """A witness reaching the target of columns.system in exactly n steps,
+    or None.  A caller that tries several horizons passes one StepColumns
+    to all of them, so each power of A is formed once."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
+    sys = columns.system
     if sys.target.is_empty:
         return None
     if n == 0:
         if contains_point(sys.target, sys.source):
             return ReachWitness(0, ())
         return None
-    if columns is None:
-        columns = StepColumns(sys)
-    elif columns.system is not sys:
-        raise ValueError("step columns of another system")
     columns.grow(n)
     assignment = [0] * n
     # a lone component is its own pooled hull: the root LP is exact
@@ -380,7 +378,7 @@ def reach_within(sys: LtiSystem, budget: int) -> ReachWitness | None:
         raise ValueError("budget must be nonnegative")
     columns = StepColumns(sys)
     for n in range(budget + 1):
-        w = reach_exactly(sys, n, columns)
+        w = reach_exactly(columns, n)
         if w is not None:
             return w
     return None

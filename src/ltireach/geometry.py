@@ -316,20 +316,19 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
     return tab
 
 
-def lp_solve(objective, constraints, num_vars: int, nonneg=None) -> LpResult:
+def lp_solve(objective, constraints, num_vars: int, nonneg) -> LpResult:
     """Exact simplex over free or sign-restricted variables.
 
     objective: coefficient sequence to maximize, or None for pure
     feasibility.
-    nonneg: per-variable bools (default all False, i.e. free variables).
+    nonneg: per-variable bools, True for a variable restricted to >= 0 and
+    False for a free one.
     Every returned point satisfies the constraints exactly; optimality is
     certified by nonpositive reduced costs at termination.  Each
     constraint is read as integer numerators over the lcm of its
     denominators for `feasible_tableau`; Fractions are built for the
     returned point and value only.
     """
-    if nonneg is None:
-        nonneg = [False] * num_vars
     obj = [Fraction(c) for c in objective] if objective is not None else None
 
     rows: list[list[int]] = []
@@ -603,15 +602,15 @@ def _affine_basis(vertices: tuple[Vec, ...]) -> tuple[Vec, list[Vec]]:
     return v0, [tuple(red[i]) for i in range(len(pivots))]
 
 
-def check_facet_dimension(dim: int, ceiling: int = FACET_DIMENSION_CEILING) -> None:
+def check_facet_dimension(dim: int) -> None:
     """Raise DimensionCeilingError if facet enumeration refuses a polytope
     of this affine dimension."""
-    if dim > ceiling:
+    if dim > FACET_DIMENSION_CEILING:
         raise DimensionCeilingError(
-            f"dimension {dim} exceeds the facet-enumeration ceiling {ceiling}")
+            f"dimension {dim} exceeds the facet-enumeration ceiling {FACET_DIMENSION_CEILING}")
 
 
-def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> list[Vec]:
+def facet_normals(p: GenPolyhedron) -> list[Vec]:
     """Outward normals of the facets of conv(vertices), primitive rational,
     deduplicated up to positive scaling.
 
@@ -625,7 +624,7 @@ def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> l
     adim = len(basis)
     # the subsets below have adim points: the cost grows with the affine
     # dimension, not with the ambient one
-    check_facet_dimension(adim, ceiling)
+    check_facet_dimension(adim)
     if adim == 0:
         return []
     bmat = RatMatrix.from_rows([list(b) for b in basis])  # adim x dim
@@ -676,7 +675,7 @@ def facet_normals(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING) -> l
     return normals
 
 
-def h_representation(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING):
+def h_representation(p: GenPolyhedron):
     """(inequalities, equalities) with rows (normal, offset): n.x <= c and
     n.x == c; together they carve out the polytope exactly."""
     if not p.is_polytope:
@@ -692,7 +691,7 @@ def h_representation(p: GenPolyhedron, ceiling: int = FACET_DIMENSION_CEILING):
     for n in comp_rows:
         eqs.append((tuple(n), vec_dot(n, v0)))
     ineqs = []
-    for n in facet_normals(p, ceiling):
+    for n in facet_normals(p):
         c = max(vec_dot(n, v) for v in p.vertices)
         ineqs.append((n, c))
     return ineqs, eqs
@@ -746,15 +745,14 @@ def relative_interior_contains_origin(p: GenPolyhedron) -> bool:
     return feasible_tableau(rows, dens, ["=="] * p.dim, [True] * len(p.vertices)) is not None
 
 
-def intersect_with_subspace(p: GenPolyhedron, basis: list[Vec],
-                            ceiling: int = FACET_DIMENSION_CEILING) -> GenPolyhedron:
+def intersect_with_subspace(p: GenPolyhedron, basis: list[Vec]) -> GenPolyhedron:
     """Intersect a polytope with span(basis), returned in basis coordinates."""
     if not p.is_polytope and not p.is_empty:
         raise ValueError("subspace intersection requires a polytope")
     k = len(basis)
     if p.is_empty:
         return GenPolyhedron.empty(k)
-    ineqs, eqs = h_representation(p, ceiling)
+    ineqs, eqs = h_representation(p)
     sub_ineqs = []
     for n, c in ineqs:
         coeffs = tuple(vec_dot(n, b) for b in basis)

@@ -101,13 +101,36 @@ def parse_instance(text: str) -> LtiSystem:
     if dim < 0:
         raise ParseError(line_no, "dimension must be nonnegative")
 
+    def generators() -> GenPolyhedron:
+        """The vertices, rays and lines rows up to the next section."""
+        groups = {"vertices": [], "rays": [], "lines": []}
+        current = None
+        while pos < len(lines):
+            ln, nxt = peek()
+            if nxt in ("control", "source", "target", "matrix"):
+                break
+            take()
+            if nxt in groups:
+                current = nxt
+            elif current is None:
+                raise ParseError(ln, "expected vertices/rays/lines header")
+            else:
+                groups[current].append(_parse_row(ln, nxt, dim))
+        return GenPolyhedron(dim, tuple(groups["vertices"]), tuple(groups["rays"]), tuple(groups["lines"]))
+
     matrix = None
     components: list[GenPolyhedron] = []
     source = None
     target = None
+    seen = set()
 
     while pos < len(lines):
         line_no, word = take()
+        # a system has one matrix, source and target, and any number of controls
+        if word in seen:
+            raise ParseError(line_no, f"repeated section {word!r}")
+        if word != "control":
+            seen.add(word)
         if word == "matrix":
             rows = []
             for _ in range(dim):
@@ -117,42 +140,14 @@ def parse_instance(text: str) -> LtiSystem:
                 rows.append(_parse_row(ln, row, dim))
             matrix = RatMatrix.from_rows(rows)
         elif word == "control":
-            groups = {"vertices": [], "rays": [], "lines": []}
-            current = None
-            while pos < len(lines):
-                ln, nxt = peek()
-                if nxt in ("control", "source", "target", "matrix"):
-                    break
-                take()
-                if nxt in groups:
-                    current = nxt
-                elif current is None:
-                    raise ParseError(ln, "expected vertices/rays/lines header")
-                else:
-                    groups[current].append(_parse_row(ln, nxt, dim))
-            components.append(GenPolyhedron(
-                dim, tuple(groups["vertices"]), tuple(groups["rays"]), tuple(groups["lines"])))
+            components.append(generators())
         elif word == "source":
             ln, row = take()
             if row is None:
                 raise ParseError(ln, "source row missing")
             source = _parse_row(ln, row, dim)
         elif word == "target":
-            groups = {"vertices": [], "rays": [], "lines": []}
-            current = None
-            while pos < len(lines):
-                ln, nxt = peek()
-                if nxt in ("control", "source", "target", "matrix"):
-                    break
-                take()
-                if nxt in groups:
-                    current = nxt
-                elif current is None:
-                    raise ParseError(ln, "expected vertices header")
-                else:
-                    groups[current].append(_parse_row(ln, nxt, dim))
-            target = GenPolyhedron(
-                dim, tuple(groups["vertices"]), tuple(groups["rays"]), tuple(groups["lines"]))
+            target = generators()
         else:
             raise ParseError(line_no, f"unknown section {word!r}")
 

@@ -403,10 +403,10 @@ def _hurwitz_stable(b: list[int]) -> bool:
     return True
 
 
-def schur_stable(a: RatMatrix, p: IntPoly | None = None) -> bool:
-    """True iff every eigenvalue has modulus strictly below one; `p` is
-    nonzero_eigen_poly(a) when the caller has it already."""
-    coeffs = (nonzero_eigen_poly(a) if p is None else p).coeffs
+def schur_stable(p: IntPoly) -> bool:
+    """True iff every eigenvalue has modulus strictly below one, for p the
+    matrix's nonzero_eigen_poly."""
+    coeffs = p.coeffs
     n = len(coeffs) - 1
     if n <= 0:
         return True
@@ -502,10 +502,10 @@ def _real_roots(sf: IntPoly) -> tuple[bool, bool]:
             count_roots_halfopen(chain, "-inf", Fraction(0)) == 0)
 
 
-def real_spectrum_power(a: RatMatrix, p: IntPoly | None = None) -> int | None:
+def real_spectrum_power(p: IntPoly, d: int) -> int | None:
     """Least M >= 1 with A^M having exclusively real nonnegative spectrum,
-    or None when no M up to real_spectrum_power_bound(d) works; `p` is
-    nonzero_eigen_poly(a) when the caller has it already.
+    for p the nonzero_eigen_poly of a d x d matrix A, or None when no M up
+    to real_spectrum_power_bound(d) works.
 
     A^m passes exactly when lam^m > 0 for every nonzero eigenvalue lam,
     that is when m is a multiple of the order k of lam/|lam| for every lam:
@@ -520,9 +520,6 @@ def real_spectrum_power(a: RatMatrix, p: IntPoly | None = None) -> int | None:
     The test on A^m reads the polynomial of the m-th powers of the roots,
     raised one prime at a time, never a matrix power.
     """
-    if not a.is_square:
-        raise ValueError("non-square matrix")
-    p = nonzero_eigen_poly(a) if p is None else p
     if p.degree <= 0:
         return 1
     sf = p.squarefree_part()
@@ -549,7 +546,7 @@ def real_spectrum_power(a: RatMatrix, p: IntPoly | None = None) -> int | None:
     for q in _prime_factors(m):
         while m % q == 0 and passes(m // q):
             m //= q
-    return m if m <= real_spectrum_power_bound(a.rows) else None
+    return m if m <= real_spectrum_power_bound(d) else None
 
 
 def fitting_split(a: RatMatrix) -> tuple[list[Vec], list[Vec]]:
@@ -856,15 +853,12 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
     return out
 
 
-def expand_inner_product(s: SpectralData, u, tau, rows=None) -> list[list[Alg]]:
+def expand_inner_product(rows, u) -> list[list[Alg]]:
     """Coefficients c[i][j] = tau^T P_i N^j lam_i^-j u, j < mu_i, of the
-    closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j].
-
-    `rows` are bilinear_rows(s, tau); a caller expanding many vectors
-    against one direction passes them so they are built once.  A zero row
-    gives a zero coefficient without a product."""
-    if rows is None:
-        rows = bilinear_rows(s, tau)
-    if len(u) != s.dim:
-        raise ValueError(f"vector has {len(u)} entries, expected {s.dim}")
+    closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j], for rows
+    the bilinear_rows(s, tau) of one direction, built once for every vector
+    expanded against it.  A zero row gives a zero coefficient without a
+    product."""
+    if rows and len(u) != len(rows[0][0]):
+        raise ValueError(f"vector has {len(u)} entries, expected {len(rows[0][0])}")
     return [[alg_dot(r, u) if any(r) else Fraction(0) for r in row_i] for row_i in rows]

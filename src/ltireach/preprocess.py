@@ -5,7 +5,9 @@ around the origin, contracting dynamics, eventually-real spectrum)
 exactly and in integers: the origin test is one feasibility LP with a row
 per coordinate, and both spectral tests read one primitive integer
 characteristic polynomial without its zero roots, formed once, with no
-matrix power.  to_simple_form applies three reductions in a fixed order:
+matrix power.  to_simple_form takes that report, which its caller has
+formed to decide whether the reductions apply, and applies three
+reductions in a fixed order:
 
   1. power step: replace A by A^M and U by the M-step input sum, making
      the spectrum real and nonnegative;
@@ -104,8 +106,8 @@ def check_simple(sys: LtiSystem) -> SimplicityReport:
     is_poly = sys.controls.is_single_polytope
     origin_ok = bool(is_poly and relative_interior_contains_origin(sys.controls.components[0]))
     p = nonzero_eigen_poly(sys.a)
-    schur = schur_stable(sys.a, p)
-    power = real_spectrum_power(sys.a, p)
+    schur = schur_stable(p)
+    power = real_spectrum_power(p, sys.dim)
     return SimplicityReport(
         is_polytope=is_poly,
         origin_in_rel_interior=origin_ok,
@@ -160,11 +162,9 @@ def input_sum(a: RatMatrix, u: GenPolyhedron, steps: int) -> GenPolyhedron:
     return acc
 
 
-def to_simple_form(sys: LtiSystem, report: SimplicityReport | None = None) -> SimpleForm:
-    """Normalize a simple system; `report` is check_simple(sys) when the
-    caller has it already."""
-    if report is None:
-        report = check_simple(sys)
+def to_simple_form(sys: LtiSystem, report: SimplicityReport) -> SimpleForm:
+    """Normalize a simple system; `report` is check_simple(sys), which the
+    caller has formed to decide whether the normalization applies."""
     reasons = report.failing_conditions()
     if reasons:
         raise NonSimpleError("; ".join(reasons))

@@ -35,13 +35,14 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, lcm
 
-from ltireach.certify import SeqClass, SeqKind, classify_sequence
-from ltireach.exactnum import Alg, IntPoly, count_roots_halfopen, sturm_chain
+from ltireach.certify import PrefixSums, SeqClass, SeqKind, VertexImages, classify_sequence
+from ltireach.exactnum import Alg, IntPoly, RealAlg, count_roots_halfopen, sturm_chain
 from ltireach import forward
-from ltireach.forward import ReachWitness, reach_exactly, verify_witness
+from ltireach.forward import ReachWitness, StepColumns, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import (RatMatrix, SpectralData, Vec, bilinear_rows, charpoly_primitive,
-                             real_spectrum_power_bound, vec_add, vec_dot, vec_scale, zero_vec)
+                             expand_inner_product, real_spectrum_power_bound, vec_add, vec_dot, vec_scale,
+                             vec_sub, zero_vec)
 from ltireach.preprocess import LtiSystem, SimpleForm
 
 
@@ -50,6 +51,13 @@ def rat(x) -> Fraction:
     must never come back as a RealAlg (or an int)."""
     assert type(x) is Fraction, f"expected a Fraction, got {x!r}"
     return x
+
+
+def sign(x) -> int:
+    """Sign of a Fraction, int or RealAlg."""
+    if isinstance(x, RealAlg):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 def int_poly(*coeffs: int) -> IntPoly:
@@ -71,7 +79,7 @@ def reduced_witness_lifts(sys: LtiSystem, form: SimpleForm, witness: ReachWitnes
                         zero_vec(form.dim), form.q_reduced)
     if not verify_witness(reduced, witness):
         return False
-    lifted = reach_exactly(sys, lifted_horizon(form, sys.dim, witness.horizon))
+    lifted = reach_exactly(StepColumns(sys), lifted_horizon(form, sys.dim, witness.horizon))
     return lifted is not None and verify_witness(sys, lifted)
 
 
@@ -495,6 +503,17 @@ class FractionPrefixSums:
         return self.sums[k]
 
 
+def prefix_sums(s: SpectralData, u: GenPolyhedron, tau) -> PrefixSums:
+    """The prefix sums of tau over a vertex-image table of their own, as a
+    test that checks one direction at a time builds them."""
+    return PrefixSums(VertexImages(s.matrix, u.vertices), tau)
+
+
+def classify(s: SpectralData, v: Vec, w: Vec, tau) -> SeqClass:
+    """classify_sequence on the expansion of v - w against tau."""
+    return classify_sequence(s, expand_inner_product(bilinear_rows(s, tau), vec_sub(v, w)))
+
+
 def fraction_sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:
     """`certify.sup_from` as it was: S_threshold from FractionPrefixSums,
     and the maximizer walked to its threshold by Fraction products."""
@@ -517,7 +536,7 @@ def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple
     def cls(ia: int, ib: int) -> SeqClass:
         key = (ia, ib)
         if key not in cache:
-            cache[key] = classify_sequence(s, verts[ia], verts[ib], tau, rows)
+            cache[key] = classify_sequence(s, expand_inner_product(rows, vec_sub(verts[ia], verts[ib])))
         return cache[key]
 
     best = 0
@@ -568,8 +587,8 @@ def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
     _build_lp(assignment, depth), and the first feasible leaf's point is
     the witness."""
     if n == 0 or sys.target.is_empty:
-        return reach_exactly(sys, n)
-    cols = forward.StepColumns(sys)
+        return reach_exactly(StepColumns(sys), n)
+    cols = StepColumns(sys)
     cols.grow(n)
     ncomps = len(sys.controls.components)
 
@@ -700,7 +719,7 @@ def max_t_interior_contains_origin(p: GenPolyhedron) -> bool:
         coeffs[i] = 1
         coeffs[m] = -1
         cons.append(constraint(coeffs, ">=", 0))
-    res = lp_solve([0] * m + [1], cons, m + 1)
+    res = lp_solve([0] * m + [1], cons, m + 1, nonneg=[False] * (m + 1))
     return res.is_feasible and res.value is not None and res.value > 0
 
 

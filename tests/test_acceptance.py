@@ -14,27 +14,25 @@ from fractions import Fraction
 
 from ltireach import driver, instances
 from ltireach.certify import (
-    PrefixSums,
     SeqKind,
-    classify_sequence,
     fails_prefix_check,
     min_over_vertices,
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import sign
 from ltireach.forward import reach_within, replay, verify_witness
 from ltireach.gadgets import markov_to_lti, skolem_to_lti, vector_reach_to_lti, VectorReachInstance
 from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import (
     RatMatrix,
+    bilinear_rows,
     expand_inner_product,
     spectral_decompose,
     vec,
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, check_simple, to_simple_form
-from oracles import inner_product_at, rat, reduced_witness_lifts
+from oracles import classify, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
 
 F = Fraction
 
@@ -173,7 +171,7 @@ def test_criterion_3_bilinear_identity_suite():
         s = spectral_decompose(a)
         u = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
-        coeffs = expand_inner_product(s, u, tau)
+        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
         ns = {0, 1, 2, 3, 30, rng.randint(4, 29), rng.randint(4, 29)}
         for n in ns:
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
@@ -217,9 +215,10 @@ def test_criterion_4_reduction_soundness_suite():
         u = random_control_polytope(rng, d)
         q = GenPolyhedron.point(vec(*[F(rng.randint(-3, 3), 2) for _ in range(d)]))
         sys_ = LtiSystem(a, ControlSet.single(u), zero_vec(d), q)
-        if check_simple(sys_).failing_conditions():
+        simple = check_simple(sys_)
+        if simple.failing_conditions():
             continue
-        form = to_simple_form(sys_)
+        form = to_simple_form(sys_, simple)
         red = LtiSystem(form.a_reduced, ControlSet.single(form.u_reduced),
                         zero_vec(form.dim), form.q_reduced)
         m = form.power
@@ -304,7 +303,7 @@ def test_criterion_6_classification_suite():
         w = vec(*[F(rng.randint(-4, 4)) for _ in range(d)])
         tau_r = [F(rng.randint(-4, 4)) for _ in range(d)]
         tau = tuple(tau_r)
-        c = classify_sequence(s, v, w, tau)
+        c = classify(s, v, w, tau)
         diff = tuple(x - y for x, y in zip(v, w))
         n_hi = (c.threshold or 0) + 20
         values = [sum(t * x for t, x in zip(tau_r, a.power(n).matvec(diff)))
@@ -316,7 +315,7 @@ def test_criterion_6_classification_suite():
         else:
             ok = all(x < 0 for x in values[c.threshold:])
         if ok and c.kind is not SeqKind.IDENTICALLY_ZERO:
-            coeffs = expand_inner_product(s, diff, tau)
+            coeffs = expand_inner_product(bilinear_rows(s, tau), diff)
             i0, j0 = c.dominant
             from math import comb
 
@@ -466,9 +465,10 @@ def test_prefix_check_rejects_only_failing_directions():
         if form.dim == 0 or form.q_reduced.is_empty:
             continue
         for tau in driver._candidate_stream(s, form, budgets):
-            cert = verify_separator(s, form.u_reduced, form.q_reduced, tau)
+            sums = prefix_sums(s, form.u_reduced, tau)
+            cert = verify_separator(s, form.u_reduced, form.q_reduced, sums)
             low = min_over_vertices(form.q_reduced, tau)
-            if fails_prefix_check(PrefixSums(s, form.u_reduced, tau), low):
+            if fails_prefix_check(sums, low):
                 assert cert is None
                 rejected += 1
             elif cert is not None:

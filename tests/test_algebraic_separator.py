@@ -16,12 +16,13 @@ from collections import Counter
 from fractions import Fraction
 
 from ltireach import driver, instances
-from ltireach.certify import recompute_sup_from_certificate, sup_in_direction, verify_separator
-from ltireach.exactnum import IntPoly, RealAlg, sign
+from ltireach.certify import VertexImages, recompute_sup_from_certificate, sup_in_direction, verify_separator
+from ltireach.exactnum import IntPoly, RealAlg
 from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, spectral_decompose, vec
 from ltireach.preprocess import LtiSystem, check_simple
+from oracles import prefix_sums, sign
 
 F = Fraction
 
@@ -52,14 +53,14 @@ def test_rational_directions_never_separate():
     probes += [(rng.randint(1, 40), -rng.randint(1, 15)) for _ in range(12)]
     for tau in probes:
         cand = tuple(F(t) for t in tau)
-        assert verify_separator(S, HEX_U, q, cand) is None
+        assert verify_separator(S, HEX_U, q, prefix_sums(S, HEX_U, cand)) is None
 
 
 def test_eigenvector_direction_separates_exactly():
     # left eigenvector of the smaller eigenvalue, normalized (2 sqrt2, -1)
     sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
     tau = (2 * sqrt2, F(-1))
-    cert = verify_separator(S, HEX_U, GenPolyhedron.point(TARGET), tau)
+    cert = verify_separator(S, HEX_U, GenPolyhedron.point(TARGET), prefix_sums(S, HEX_U, tau))
     assert cert is not None
     # sup = <(3,4), tau> = 6 sqrt2 - 4, minimal polynomial x^2 + 8x - 56
     assert cert.sup_value.minpoly == IntPoly((-56, 8, 1))
@@ -149,9 +150,10 @@ def test_supremum_routes_agree_on_quad_and_hex():
     thresholds = set()
     for s, u, point, tau in cases:
         tau = tuple(t if isinstance(t, RealAlg) else F(t) for t in tau)
-        cert = verify_separator(s, u, GenPolyhedron.point(point), tau)
+        cert = verify_separator(s, u, GenPolyhedron.point(point), prefix_sums(s, u, tau))
         assert cert is not None
         thresholds.add(cert.threshold)
         assert sign(sup_in_direction(s, u, tau) - cert.sup_value) == 0
-        assert sign(recompute_sup_from_certificate(s, u, cert) - cert.sup_value) == 0
+        images = VertexImages(s.matrix, u.vertices)
+        assert sign(recompute_sup_from_certificate(s, cert, images) - cert.sup_value) == 0
     assert thresholds == {0, 1, 2}  # the loop below the threshold is exercised

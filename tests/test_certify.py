@@ -9,7 +9,6 @@ from ltireach.certify import (
     PrefixSums,
     SeqKind,
     VertexImages,
-    classify_sequence,
     enumerate_algebraic_vectors,
     eventual_maximizer,
     extremal_candidates,
@@ -20,10 +19,11 @@ from ltireach.certify import (
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import RealAlg, sign, sturm_isolate_real_roots
+from ltireach.exactnum import RealAlg, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
-from ltireach.linalg import IntRows, RatMatrix, expand_inner_product, spectral_decompose, vec
-from oracles import FractionPrefixSums, fraction_sup_from, int_poly, pairwise_eventual_maximizer, rat
+from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, spectral_decompose, vec
+from oracles import (FractionPrefixSums, classify, fraction_sup_from, int_poly, pairwise_eventual_maximizer,
+                     prefix_sums, rat, sign)
 
 F = Fraction
 
@@ -62,7 +62,7 @@ def partial_sum_max(a, u, tau, n):
 
 
 def test_classify_quad_positive():
-    c = classify_sequence(DIAG_S, vec(2, 1), vec(0, 1), (alg(1), alg(0)))
+    c = classify(DIAG_S, vec(2, 1), vec(0, 1), (alg(1), alg(0)))
     assert c.kind is SeqKind.ULTIMATELY_POSITIVE
     assert c.threshold == 0
     # oracle: direct evaluation for n = 0..20
@@ -72,13 +72,13 @@ def test_classify_quad_positive():
 
 
 def test_classify_identically_zero():
-    c = classify_sequence(DIAG_S, vec(2, 1), vec(2, 1), (alg(1), alg(1)))
+    c = classify(DIAG_S, vec(2, 1), vec(2, 1), (alg(1), alg(1)))
     assert c.kind is SeqKind.IDENTICALLY_ZERO
     assert c.threshold is None
 
 
 def test_classify_quad_negative():
-    c = classify_sequence(DIAG_S, vec(2, 1), vec(0, 1), (alg(-1), alg(1)))
+    c = classify(DIAG_S, vec(2, 1), vec(0, 1), (alg(-1), alg(1)))
     assert c.kind is SeqKind.ULTIMATELY_NEGATIVE
     for n in range(11):
         val = sum(t * x for t, x in zip((-1, 1), DIAG_A.power(n).matvec(vec(2, 0))))
@@ -89,7 +89,7 @@ def test_classify_threshold_tail_domination():
     # mixed signs force a positive threshold: s_n = -3*(1/3)^n + (2/3)^n
     s = DIAG_S
     # diff (a, b) gives coefficients a on lam 1/3 and b on lam 2/3 under tau=(1,1)
-    c = classify_sequence(s, vec(-3, 1), vec(0, 0), (alg(1), alg(1)))
+    c = classify(s, vec(-3, 1), vec(0, 0), (alg(1), alg(1)))
     assert c.kind is SeqKind.ULTIMATELY_POSITIVE
     n0 = c.threshold
     assert n0 is not None
@@ -108,7 +108,7 @@ def test_classify_threshold_tail_domination():
 def test_classify_with_jordan_block():
     a = RatMatrix.from_rows([[F(1, 2), 1], [0, F(1, 2)]])
     s = spectral_decompose(a)
-    c = classify_sequence(s, vec(0, 1), vec(0, 0), (alg(1), alg(0)))
+    c = classify(s, vec(0, 1), vec(0, 0), (alg(1), alg(0)))
     # <A^n (0,1), e1> = n (1/2)^(n-1): zero at n = 0, positive after
     assert c.kind is SeqKind.ULTIMATELY_POSITIVE
     assert c.threshold == 1
@@ -129,7 +129,7 @@ def test_classify_agrees_with_direct_eval_randomized():
         v = vec(*[F(rng.randint(-3, 3)) for _ in range(d)])
         w = vec(*[F(rng.randint(-3, 3)) for _ in range(d)])
         tau = tuple(alg(rng.randint(-3, 3)) for _ in range(d))
-        c = classify_sequence(s, v, w, tau)
+        c = classify(s, v, w, tau)
         diff = tuple(x - y for x, y in zip(v, w))
         taur = [rat(t) for t in tau]
         values = [sum(t * x for t, x in zip(taur, a.power(n).matvec(diff)))
@@ -203,10 +203,10 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
                 # other has narrowed
                 monkeypatch.setattr(certify, "_sum_less", lambda left, right, n, exact: exact())
                 s = spectral_decompose(a)
-                expected = classify_sequence(s, v, w, directions(s, d)[k])
+                expected = classify(s, v, w, directions(s, d)[k])
                 monkeypatch.setattr(certify, "_sum_less", counted)
                 s = spectral_decompose(a)
-                got = classify_sequence(s, v, w, directions(s, d)[k])
+                got = classify(s, v, w, directions(s, d)[k])
                 assert (got.kind, got.threshold, got.dominant) == \
                     (expected.kind, expected.threshold, expected.dominant)
                 cases += 1
@@ -341,9 +341,9 @@ def test_prefix_sums_bound_the_supremum():
         for u in (QUAD_U, hexagon):
             for tau in rational + left_eigenvectors(s):
                 maximizer, n = eventual_maximizer(s, u, tau)
-                sums = PrefixSums(s, u, tau)
+                sums = prefix_sums(s, u, tau)
                 sums.at(PREFIX_CHECK_DEPTH)  # extended past short thresholds, as the check does
-                sup = sup_from(s, u, tau, maximizer, n, sums)
+                sup = sup_from(s, sums, maximizer, n)
                 assert sign(sup - sup_in_direction(s, u, tau)) == 0
                 for k in range(PREFIX_CHECK_DEPTH + 1):
                     assert sign(sup - sums.at(k)) >= 0
@@ -395,12 +395,12 @@ def test_prefix_sums_match_per_direction_oracle():
             if not any(tau):
                 continue
             maximizer, n = eventual_maximizer(s, u, tau)
-            sums = PrefixSums(s, u, tau, images)
+            sums = PrefixSums(images, tau)
             oracle = FractionPrefixSums(s, u, tau)
             for k in range(max(n, PREFIX_CHECK_DEPTH) + 3):
                 got, expected = sums.at(k), oracle.at(k)
                 assert type(got) is type(expected) and got == expected
-            assert sup_from(s, u, tau, maximizer, n, sums) == fraction_sup_from(s, u, tau, maximizer, n)
+            assert sup_from(s, sums, maximizer, n) == fraction_sup_from(s, u, tau, maximizer, n)
             deep += n > PREFIX_CHECK_DEPTH
             deep_algebraic += n > PREFIX_CHECK_DEPTH and any(isinstance(x, RealAlg) for x in tau)
             checked += 1
@@ -465,8 +465,9 @@ def test_tournament_matches_pairwise_oracle():
                 got = eventual_maximizer(s, u, tau)
                 assert got == pairwise_eventual_maximizer(s, u, tau)
                 maximizer, n = got
-                top = expand_inner_product(s, maximizer, tau)
-                ties += sum(v != maximizer and expand_inner_product(s, v, tau) == top for v in u.vertices)
+                rows = bilinear_rows(s, tau)
+                top = expand_inner_product(rows, maximizer)
+                ties += sum(v != maximizer and expand_inner_product(rows, v) == top for v in u.vertices)
                 late += n > 0
                 checked += 1
     square = GenPolyhedron.polytope([vec(1, 1), vec(-1, 1), vec(1, -1), vec(-1, -1)])
@@ -492,7 +493,7 @@ def test_tournament_matches_pairwise_oracle():
 
 def test_separator_square_above():
     q = GenPolyhedron.polytope([vec(-1, 4), vec(1, 4), vec(1, 5), vec(-1, 5)])
-    cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
+    cert = verify_separator(DIAG_S, QUAD_U, q, prefix_sums(DIAG_S, QUAD_U, (alg(0), alg(1))))
     assert cert is not None
     assert rat(cert.sup_value) == 3
     assert rat(cert.min_over_q) == 4
@@ -500,7 +501,7 @@ def test_separator_square_above():
 
 def test_separator_boundary_point():
     q = GenPolyhedron.point(vec(0, 3))
-    cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
+    cert = verify_separator(DIAG_S, QUAD_U, q, prefix_sums(DIAG_S, QUAD_U, (alg(0), alg(1))))
     assert cert is not None
     assert rat(cert.sup_value) == 3
     assert rat(cert.min_over_q) == 3
@@ -511,13 +512,13 @@ def test_separator_boundary_point():
 
 def test_separator_absent_for_reachable_point():
     q = GenPolyhedron.point(vec(0, 0))
-    assert verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1))) is None
+    assert verify_separator(DIAG_S, QUAD_U, q, prefix_sums(DIAG_S, QUAD_U, (alg(0), alg(1)))) is None
 
 
 def test_certificate_audit_path():
     q = GenPolyhedron.point(vec(0, 3))
-    cert = verify_separator(DIAG_S, QUAD_U, q, (alg(0), alg(1)))
-    redone = recompute_sup_from_certificate(DIAG_S, QUAD_U, cert)
+    cert = verify_separator(DIAG_S, QUAD_U, q, prefix_sums(DIAG_S, QUAD_U, (alg(0), alg(1))))
+    redone = recompute_sup_from_certificate(DIAG_S, cert, VertexImages(DIAG_A, QUAD_U.vertices))
     assert sign(redone - cert.sup_value) == 0
 
 
@@ -533,9 +534,10 @@ def test_verify_separator_searches_the_maximizer_once(monkeypatch):
 
     monkeypatch.setattr(certify, "eventual_maximizer", counting)
     # one separating and one rejected direction: each costs a single search
-    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(10, 10)), (alg(1), alg(1))) is not None
+    sums = prefix_sums(DIAG_S, QUAD_U, (alg(1), alg(1)))
+    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(10, 10)), sums) is not None
     assert len(calls) == 1
-    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(1, 1)), (alg(1), alg(1))) is None
+    assert verify_separator(DIAG_S, QUAD_U, GenPolyhedron.point(vec(1, 1)), sums) is None
     assert len(calls) == 2
 
 

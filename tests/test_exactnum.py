@@ -24,13 +24,12 @@ from ltireach.exactnum import (
     rat_from_str,
     rat_to_str,
     root_bound,
-    sign,
     sign_variations,
     sturm_chain,
     sturm_isolate_real_roots,
 )
 from ltireach.instances import alg_from_json, alg_to_json
-from oracles import frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, rat
+from oracles import frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, prefix_sums, rat, sign
 
 F = Fraction
 
@@ -723,7 +722,7 @@ def test_float_and_bool():
 def test_seeded_rational_systems_stay_in_fractions():
     from ltireach.certify import verify_separator
     from ltireach.geometry import GenPolyhedron
-    from ltireach.linalg import RatMatrix, expand_inner_product, spectral_decompose
+    from ltireach.linalg import RatMatrix, bilinear_rows, expand_inner_product, spectral_decompose
 
     rng = random.Random(59)
     certified = 0
@@ -748,11 +747,11 @@ def test_seeded_rational_systems_stay_in_fractions():
         box = GenPolyhedron.polytope([tuple(F(c) for c in corner)
                                       for corner in itertools.product((-1, 1), repeat=d)])
         tau = tuple(F(rng.randint(-3, 3) or 1) for _ in range(d))
-        for row in expand_inner_product(s, box.vertices[0], tau):
+        for row in expand_inner_product(bilinear_rows(s, tau), box.vertices[0]):
             for c in row:
                 rat(c)
         far = GenPolyhedron.point(tuple(F(1000) * t for t in tau))
-        cert = verify_separator(s, box, far, tau)
+        cert = verify_separator(s, box, far, prefix_sums(s, box, tau))
         assert cert is not None
         certified += 1
         for x in cert.tau:

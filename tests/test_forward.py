@@ -10,6 +10,7 @@ import pytest
 from ltireach.forward import (
     MalformedWitnessError,
     ReachWitness,
+    StepColumns,
     WitnessStep,
     reach_exactly,
     reach_within,
@@ -41,14 +42,14 @@ def quad_system(target: GenPolyhedron) -> LtiSystem:
 
 def test_horizon_zero():
     sys = quad_system(GenPolyhedron.polytope([vec(-1, -1), vec(1, -1), vec(1, 1), vec(-1, 1)]))
-    w = reach_exactly(sys, 0)
+    w = reach_exactly(StepColumns(sys), 0)
     assert w is not None and w.horizon == 0
     assert verify_witness(sys, w)
 
 
 def test_quad_one_step_vertex():
     sys = quad_system(GenPolyhedron.point(vec(2, 1)))
-    w = reach_exactly(sys, 1)
+    w = reach_exactly(StepColumns(sys), 1)
     assert w is not None
     # oracle: hand replay, x1 = A*0 + u0 must equal (2,1)
     assert replay(sys, w) == (F(2), F(1))
@@ -67,7 +68,7 @@ def test_quad_interior_point_one_step():
 def test_quad_two_step_point():
     # x extent after one step is 2; (7/3, 1) needs two steps
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
-    assert reach_exactly(sys, 1) is None
+    assert reach_exactly(StepColumns(sys), 1) is None
     w = reach_within(sys, 5)
     assert w is not None and w.horizon == 2
     assert verify_witness(sys, w)
@@ -92,12 +93,12 @@ def test_monotonicity_with_zero_in_controls():
     first = reach_within(sys, 6)
     assert first is not None
     for n in range(first.horizon, first.horizon + 3):
-        assert reach_exactly(sys, n) is not None
+        assert reach_exactly(StepColumns(sys), n) is not None
 
 
 def test_verify_rejects_perturbed_coefficients():
     sys = quad_system(GenPolyhedron.point(vec(2, 1)))
-    w = reach_exactly(sys, 1)
+    w = reach_exactly(StepColumns(sys), 1)
     assert w is not None
     step = w.steps[0]
     bumped = list(step.vertex_coeffs)
@@ -228,7 +229,7 @@ def test_union_matches_bruteforce_enumeration():
         target = GenPolyhedron.point(vec(F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2)))
         sys = LtiSystem(a, ControlSet((comp0, comp1, comp2)), vec(0, 0), target)
         for n in range(0, 4):
-            got = reach_exactly(sys, n)
+            got = reach_exactly(StepColumns(sys), n)
             expected = any(reachable_under(sys, n, assign)
                            for assign in itertools.product(range(3), repeat=n))
             assert (got is not None) == expected
@@ -307,7 +308,7 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
     monkeypatch.setattr(forward, "_witness", witness)
     for sys in (*union_systems(), rays_and_lines_system(), quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))):
         for n in range(1, 4):
-            reach_exactly(sys, n)
+            reach_exactly(StepColumns(sys), n)
     assert feasible[True] > 10 and feasible[False] > 10 and len(witnesses) >= 5
 
 
@@ -359,8 +360,6 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
     assert [len(table) for table in cols.comps] == [6, 6, 6] and len(cols.pooled) == 6
     assert len(cols.bases) == 7
     assert cols.products == gens * 5 + 6
-    with pytest.raises(ValueError):
-        reach_exactly(union_systems()[0], 1, cols)
     verdict = driver.decide(sys, driver.Budgets(max_steps=6))
     assert verdict.kind == "unknown" and len(made) == 2
     assert made[1].products == gens * 5 + 6
@@ -384,8 +383,8 @@ def test_single_component_solves_one_lp_per_horizon(monkeypatch):
     root: one cold solve per horizon, reachable or not."""
     solved = count_cold_solves(monkeypatch)
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
-    assert reach_exactly(sys, 1) is None and len(solved) == 1
-    w = reach_exactly(sys, 2)
+    assert reach_exactly(StepColumns(sys), 1) is None and len(solved) == 1
+    w = reach_exactly(StepColumns(sys), 2)
     assert w is not None and verify_witness(sys, w) and len(solved) == 2
     assert [s.component for s in w.steps] == [0, 0]
 
@@ -473,7 +472,7 @@ def test_union_search_matches_cold_oracle(monkeypatch):
     for _ in range(60):
         sys = random_union_system(rng)
         for n in range(5):
-            got = reach_exactly(sys, n)
+            got = reach_exactly(StepColumns(sys), n)
             assert got == cold_reach_exactly(sys, n)
             if got is not None:
                 assert verify_witness(sys, got)
@@ -493,5 +492,5 @@ def test_sequential_lp_agrees_with_minkowski_membership():
             for i in range(n):
                 acc = minkowski_sum(acc, linear_image(DIAG_A.power(i), QUAD_U))
             direct = contains_point(acc, q)
-            assert (reach_exactly(sys, n) is not None) == direct
+            assert (reach_exactly(StepColumns(sys), n) is not None) == direct
 

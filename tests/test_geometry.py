@@ -40,17 +40,17 @@ SQUARE = GenPolyhedron.polytope([vec(-1, -1), vec(1, -1), vec(1, 1), vec(-1, 1)]
 
 
 def test_lp_simple_max():
-    res = lp_solve([1], [constraint([1], "<=", 3)], 1)
+    res = lp_solve([1], [constraint([1], "<=", 3)], 1, nonneg=[False])
     assert res.status == "optimal" and res.value == 3
 
 
 def test_lp_infeasible():
-    res = lp_solve(None, [constraint([1], ">=", 1), constraint([1], "<=", 0)], 1)
+    res = lp_solve(None, [constraint([1], ">=", 1), constraint([1], "<=", 0)], 1, nonneg=[False])
     assert res.status == "infeasible"
 
 
 def test_lp_unbounded():
-    res = lp_solve([1], [constraint([1], ">=", 0)], 1)
+    res = lp_solve([1], [constraint([1], ">=", 0)], 1, nonneg=[False])
     assert res.status == "unbounded"
 
 
@@ -105,14 +105,14 @@ def test_lp_row_scaling_invariance():
             constraint([0, -1], "<=", 0),
         ]
         obj = [F(rng.randint(-3, 3)), F(rng.randint(-3, 3))]
-        base = lp_solve(obj, cons, 2)
+        base = lp_solve(obj, cons, 2, nonneg=[False] * 2)
         scaled = [constraint([c * F(rng.randint(1, 5)) for c in con.coeffs], con.rel,
                              con.rhs * 1) for con in cons]
         # scale rows consistently (coeffs and rhs together)
         factor = [F(rng.randint(1, 5)) for _ in cons]
         scaled = [constraint([c * f for c in con.coeffs], con.rel, con.rhs * f)
                   for con, f in zip(cons, factor)]
-        again = lp_solve(obj, scaled, 2)
+        again = lp_solve(obj, scaled, 2, nonneg=[False] * 2)
         assert base.status == again.status
         if base.status == "optimal":
             assert base.value == again.value

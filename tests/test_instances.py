@@ -19,7 +19,7 @@ from ltireach.instances import (
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
-from oracles import int_poly, rat
+from oracles import int_poly, rat, sign
 
 F = Fraction
 
@@ -113,6 +113,27 @@ def _mangled_quad(draw):
     return "\n".join(lines)
 
 
+@pytest.mark.parametrize("text, line", [
+    (QUAD_TEXT.replace("control\nvertices\n", "control\n-2 -1\nvertices\n"), 7),
+    (QUAD_TEXT.replace("target\nvertices\n", "target\n1 1\nvertices\n"), 15),
+    (QUAD_TEXT + "matrix\n1 0\n0 1\n", 17),
+    (QUAD_TEXT + "source\n0 0\n", 17),
+    (QUAD_TEXT + "target\nvertices\n2 2\n", 17),
+], ids=["control-row", "target-row", "matrix-twice", "source-twice", "target-twice"])
+def test_misplaced_row_or_repeated_section_is_a_parse_error(tmp_path, text, line):
+    """A row before the first vertices/rays/lines header, in a control or
+    the target section, and a second matrix, source or target section are
+    refused with the line they are on, and the CLI exits 5."""
+    from ltireach import cli
+
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line_no == line
+    path = tmp_path / "bad.lti"
+    path.write_text(text)
+    assert cli.main(["decide", "--input", str(path)]) == 5
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200) | _mangled_quad())
 def test_parse_instance_parses_or_raises_parse_error(text):
@@ -124,7 +145,7 @@ def test_parse_instance_parses_or_raises_parse_error(text):
 
 
 def test_alg_json_roundtrip():
-    from ltireach.exactnum import sign, sturm_isolate_real_roots
+    from ltireach.exactnum import sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     again = alg_from_json(alg_to_json(r))
@@ -146,6 +167,23 @@ def test_rational_alg_json_golden():
         assert rat(alg_from_json(load_json(text))) == q
 
 
+def test_irrational_entry_counts_its_roots_once(monkeypatch):
+    """Reading an irrational entry isolates its root with one closed Sturm
+    count: the owning factor the count finds is not validated again."""
+    from ltireach import exactnum
+
+    calls = []
+    count = exactnum._count_roots_closed
+
+    def counted(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(exactnum, "_count_roots_closed", counted)
+    r = alg_from_json({"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"})
+    assert r.minpoly == int_poly(-2, 0, 1) and len(calls) == 1
+
+
 def test_witness_json_roundtrip():
     from ltireach.forward import reach_within, verify_witness
 
@@ -158,7 +196,7 @@ def test_witness_json_roundtrip():
 
 
 def test_alg_json_is_canonical():
-    from ltireach.exactnum import sign, sturm_isolate_real_roots
+    from ltireach.exactnum import sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
     before = dump_json(alg_to_json(r))

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from ltireach.exactnum import sign, sturm_isolate_real_roots
+from ltireach.exactnum import sturm_isolate_real_roots
 from ltireach.linalg import (
     RatMatrix,
     SpectralError,
@@ -17,6 +17,7 @@ from ltireach.linalg import (
     expand_inner_product,
     fitting_split,
     krylov_invariant_span,
+    nonzero_eigen_poly,
     real_spectrum_power,
     real_spectrum_power_bound,
     schur_stable,
@@ -25,7 +26,7 @@ from ltireach.linalg import (
 )
 from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly, fraction_inverse,
                      fraction_real_nonneg_spectrum, fraction_schur_stable, inner_product_at, int_poly, rat,
-                     scan_real_spectrum_power)
+                     scan_real_spectrum_power, sign)
 
 F = Fraction
 
@@ -213,13 +214,13 @@ def test_check_simple_computes_charpoly_once(monkeypatch):
 
 
 def test_schur_examples():
-    assert schur_stable(QUAD) is True
-    assert schur_stable(RatMatrix.diag(2)) is False
-    assert schur_stable(RatMatrix.identity(2)) is False
-    assert schur_stable(ROT90_HALF) is True
-    assert schur_stable(mat([[0, 1], [-1, 0]])) is False  # modulus exactly 1
-    assert schur_stable(RatMatrix.diag(F(-9, 10), F(1, 2))) is True
-    assert schur_stable(RatMatrix.diag(F(-1))) is False
+    assert schur_stable(nonzero_eigen_poly(QUAD)) is True
+    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(2))) is False
+    assert schur_stable(nonzero_eigen_poly(RatMatrix.identity(2))) is False
+    assert schur_stable(nonzero_eigen_poly(ROT90_HALF)) is True
+    assert schur_stable(nonzero_eigen_poly(mat([[0, 1], [-1, 0]]))) is False  # modulus exactly 1
+    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(F(-9, 10), F(1, 2)))) is True
+    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(F(-1)))) is False
 
 
 def test_schur_agrees_with_root_isolation_on_real_spectra():
@@ -232,7 +233,7 @@ def test_schur_agrees_with_root_isolation_on_real_spectra():
             rows[0][d - 1] = F(rng.randint(-2, 2))
         a = mat(rows)
         expected = all(abs(l) < 1 for l in lams)
-        assert schur_stable(a) is expected
+        assert schur_stable(nonzero_eigen_poly(a)) is expected
         # cross-check against isolated roots of the characteristic polynomial
         roots = sturm_isolate_real_roots(charpoly_primitive(a))
         assert all(abs(rat(r)) < 1 for r in roots) == expected
@@ -248,10 +249,10 @@ def test_power_bound_d2():
 
 
 def test_real_spectrum_power_examples():
-    assert real_spectrum_power(QUAD) == 1
+    assert real_spectrum_power(nonzero_eigen_poly(QUAD), QUAD.rows) == 1
     # (1/2)*rot(pi/2): A^4 = (1/16) I, verified directly.  lam/conj(lam) = -1
     # has order 2, but lam/|lam| = i has order 4: L = 2 lcm(2) = 4
-    m = real_spectrum_power(ROT90_HALF)
+    m = real_spectrum_power(nonzero_eigen_poly(ROT90_HALF), ROT90_HALF.rows)
     assert m == 4
     assert ROT90_HALF.power(4) == RatMatrix.identity(2).scale(F(1, 16))
     for k in range(1, 4):
@@ -264,7 +265,7 @@ def test_real_spectrum_power_examples():
 
 def test_real_spectrum_power_absent_for_irrational_angle():
     # oracle: direct check of all M up to the d=2 bound
-    assert real_spectrum_power(ROT_IRRATIONAL) is None
+    assert real_spectrum_power(nonzero_eigen_poly(ROT_IRRATIONAL), ROT_IRRATIONAL.rows) is None
     for m in range(1, 13):
         p = charpoly_primitive(ROT_IRRATIONAL.power(m)).squarefree_part()
         roots = sturm_isolate_real_roots(p)
@@ -273,7 +274,7 @@ def test_real_spectrum_power_absent_for_irrational_angle():
 
 def test_real_spectrum_power_negative_eigenvalue():
     a = RatMatrix.diag(F(-1, 2), F(1, 3))
-    assert real_spectrum_power(a) == 2
+    assert real_spectrum_power(nonzero_eigen_poly(a), a.rows) == 2
 
 
 def naive_totient(r: int) -> int:
@@ -362,10 +363,10 @@ def test_spectral_tests_match_the_scan_and_fraction_oracles():
     stable = set()
     for _ in range(1000):
         a = seeded_matrix(rng, rng.randint(1, 4))
-        got = real_spectrum_power(a)
+        got = real_spectrum_power(nonzero_eigen_poly(a), a.rows)
         assert got == scan_real_spectrum_power(a), a
         seen.add(got)
-        schur = schur_stable(a)
+        schur = schur_stable(nonzero_eigen_poly(a))
         assert schur is fraction_schur_stable(a), a
         stable.add(schur)
     assert {1, 2, 3, 4, 6, 8, 12, None} <= seen
@@ -380,11 +381,12 @@ def test_real_spectrum_power_answers_none_above_the_bound(monkeypatch):
     cases = [mat(companion(*ANGLE_BLOCKS[k](F(1, 2)))) for k in ("pi/2", "pi/3", "pi/4", "pi/6")]
     cases.append(RatMatrix.block_diag([cases[2], cases[3]]))
     for a in cases:
-        want = real_spectrum_power(a)
+        p = nonzero_eigen_poly(a)
+        want = real_spectrum_power(p, a.rows)
         assert want == scan_real_spectrum_power(a) and want >= 3
         for bound, expected in ((want - 1, None), (want, want)):
             monkeypatch.setattr(linalg, "real_spectrum_power_bound", lambda d, b=bound: b)
-            assert real_spectrum_power(a) == expected == scan_real_spectrum_power(a, bound)
+            assert real_spectrum_power(p, a.rows) == expected == scan_real_spectrum_power(a, bound)
         monkeypatch.undo()
 
 
@@ -627,7 +629,7 @@ def test_spectral_irrational_jordan():
 
 def test_expand_diag_example():
     s = spectral_decompose(QUAD)
-    coeffs = expand_inner_product(s, vec(2, 1), vec(1, 0))
+    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(2, 1))
     # one coefficient per simple eigenvalue; only lam = 1/3's is nonzero
     assert [len(row) for row in coeffs] == s.multiplicities == [1, 1]
     assert rat(coeffs[0][0]) == 2
@@ -641,14 +643,14 @@ def test_expand_diag_example():
 
 def test_expand_zero_vector():
     s = spectral_decompose(QUAD)
-    coeffs = expand_inner_product(s, vec(0, 0), vec(1, 1))
+    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 1)), vec(0, 0))
     assert all(rat(c) == 0 for row in coeffs for c in row)
 
 
 def test_expand_jordan_example():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
     s = spectral_decompose(a)
-    coeffs = expand_inner_product(s, vec(0, 1), vec(1, 0))
+    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(0, 1))
     assert rat(coeffs[0][1]) == 2
     for n in range(11):
         direct = a.power(n).matvec(vec(0, 1))[0]
@@ -664,7 +666,7 @@ def test_bilinear_reconstruction_randomized():
         s = spectral_decompose(a)
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-        coeffs = expand_inner_product(s, u, tau)
+        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
         for n in (0, 1, 2, 5, 11, 30):
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
             got = inner_product_at(s, coeffs, n)
@@ -691,7 +693,7 @@ def jordan_system(rng, d):
 def check_expansion_against_all_j(s, u, tau):
     """expand_inner_product gives mu_i coefficients per eigenvalue, equal to
     tau^T P_i N^j lam_i^-j u; the same product is 0 for mu_i <= j < d."""
-    coeffs = expand_inner_product(s, u, tau)
+    coeffs = expand_inner_product(bilinear_rows(s, tau), u)
     assert [len(row) for row in coeffs] == s.multiplicities
     for i, mu in enumerate(s.multiplicities):
         for j in range(s.dim):
@@ -728,7 +730,7 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
     def check(s, tau, u):
         got, want = bilinear_rows(s, tau), all_bilinear_rows(s, tau)
         assert got == want and [types(rows) for rows in got] == [types(rows) for rows in want]
-        coeffs = expand_inner_product(s, u, tau, got)
+        coeffs = expand_inner_product(got, u)
         products = [[alg_dot(r, u) for r in rows] for rows in want]
         assert coeffs == products and types(coeffs) == types(products)
         # the rows that follow a zero row, which bilinear_rows does not multiply out

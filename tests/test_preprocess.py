@@ -107,7 +107,8 @@ def test_check_simple_finds_the_eighth_power_in_ten_dimensions():
 
 
 def test_identity_reduction_quad():
-    form = to_simple_form(quad_system())
+    sys = quad_system()
+    form = to_simple_form(sys, check_simple(sys))
     assert form.a_reduced == DIAG_A
     assert set(form.u_reduced.vertices) == set(QUAD_U.vertices)
     assert set(form.q_reduced.vertices) == {(F(1), F(1))}
@@ -121,17 +122,17 @@ def test_rejects_non_simple():
     sys = LtiSystem(ROT_IRRATIONAL, ControlSet.single(seg), vec(0, 0),
                     GenPolyhedron.point(vec(2, 2)))
     with pytest.raises(NonSimpleError):
-        to_simple_form(sys)
+        to_simple_form(sys, check_simple(sys))
     shifted = LtiSystem(DIAG_A, ControlSet.single(QUAD_U), vec(1, 0),
                         GenPolyhedron.point(vec(1, 1)))
     with pytest.raises(NonSimpleError):
-        to_simple_form(shifted)
+        to_simple_form(shifted, check_simple(shifted))
 
 
 def test_power_reduction_rot90():
     sys = LtiSystem(ROT90_HALF, ControlSet.single(SQUARE), vec(0, 0),
                     GenPolyhedron.point(vec(1, 1)))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert form.power == 4
     assert form.a_reduced == RatMatrix.identity(2).scale(F(1, 16))
     # oracle: the reduced controls equal the explicit 4-term input sum
@@ -146,7 +147,7 @@ def test_fitting_reduction_nilpotent_block():
     sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0),
                     GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
                                             vec(1, 2), vec(0, 2)]))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert form.fit_applied
     assert form.dim == 1
     assert form.a_reduced.entries == (F(1, 2),)
@@ -179,7 +180,8 @@ def test_invertibility_step_runs_exactly_on_singular_matrices(monkeypatch):
              (RatMatrix.diag(0, F(-1, 2)), 2, True), (RatMatrix.diag(F(1, 3), F(-1, 2)), 2, False)]
     for a, power, singular in cases:
         calls.clear()
-        form = to_simple_form(LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target))
+        sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target)
+        form = to_simple_form(sys, check_simple(sys))
         assert (form.power, form.fit_applied, len(calls)) == (power, singular, int(singular))
 
 
@@ -189,7 +191,7 @@ def test_span_reduction():
     a = RatMatrix.diag(F(1, 2), F(1, 3))
     sys = LtiSystem(a, ControlSet.single(seg), vec(0, 0),
                     GenPolyhedron.polytope([vec(F(3, 2), 0), vec(3, 0)]))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert form.span_applied
     assert form.dim == 1
     assert form.a_reduced.entries == (F(1, 2),)
@@ -201,7 +203,7 @@ def test_empty_reduced_target():
     a = RatMatrix.diag(0)
     u = GenPolyhedron.polytope([vec(-1), vec(1)])
     sys = LtiSystem(a, ControlSet.single(u), vec(0), GenPolyhedron.point(vec(5)))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert form.dim == 0
     assert form.q_reduced.is_empty
 
@@ -214,7 +216,7 @@ def test_empty_reduced_target():
 
 def test_lift_identity_is_noop():
     sys = quad_system()
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 4)
     assert w is not None
     assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon
@@ -224,7 +226,7 @@ def test_lift_identity_is_noop():
 def test_lift_power_reduction():
     sys = LtiSystem(ROT90_HALF, ControlSet.single(SQUARE), vec(0, 0),
                     GenPolyhedron.point(vec(1, 1)))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 3)
     assert w is not None
     assert lifted_horizon(form, sys.dim, w.horizon) == 4 * w.horizon
@@ -236,7 +238,7 @@ def test_lift_fitting_reduction():
     sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0),
                     GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
                                             vec(1, 2), vec(0, 2)]))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 4)
     assert w is not None
     assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon + 2
@@ -277,7 +279,7 @@ def test_reduced_form_invariants():
                   GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, 2)])),
     ]
     for sys in cases:
-        form = to_simple_form(sys)
+        form = to_simple_form(sys, check_simple(sys))
         s = spectral_decompose(form.a_reduced)  # must succeed: positive real
         assert all(l > 0 for l in s.eigenvalues)
         if form.dim:
@@ -294,7 +296,7 @@ def test_reduced_target_membership_crosscheck():
     a = RatMatrix.diag(0, F(1, 2))
     target = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)), vec(1, 2), vec(0, 2)])
     sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target)
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert form.fit_applied
     (basis,) = fitting_split(a)[1]
     prefix = SQUARE
@@ -321,7 +323,7 @@ def test_reduction_soundness_randomized():
         sys = LtiSystem(a, ControlSet.single(u), zero_vec(d), q)
         if check_simple(sys).failing_conditions():
             continue
-        form = to_simple_form(sys)
+        form = to_simple_form(sys, check_simple(sys))
         red = reduced_system(form)
         m = form.power
         budget = 6
@@ -347,7 +349,7 @@ def test_lift_power_fit_and_span():
                                     for i in range(3) for s in (1, -1)])
     sys = LtiSystem(a, ControlSet.single(cross), zero_vec(4),
                     GenPolyhedron.point(vec(2 - F(1, 2 ** 17), 0, 0, 0)))
-    form = to_simple_form(sys)
+    form = to_simple_form(sys, check_simple(sys))
     assert (form.power, form.fit_applied, form.span_applied, form.dim) == (4, True, True, 2)
     w = reach_within(reduced_system(form), 3)
     assert w is not None and w.horizon == 1

@@ -8,6 +8,9 @@ and fail at once instead.  The file is loaded, never modified.
 
 Every public function of the library must have a caller outside the tests,
 and every private module-level function or class a use inside the library.
+Every defaulted parameter must serve the library's own callers: some call
+passes it and some call leaves it out, or the default is one more way to
+call the function that only tests take.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
 digest, with the workloads loaded from their text like the span table.
@@ -149,27 +152,58 @@ def test_verdict_bytes_are_pinned():
     assert got == VERDICT_DIGESTS
 
 
+SRC = ROOT / "src" / "ltireach"
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _bound_in(fn) -> set[str]:
+    """The names a function binds: its parameters, and every name assigned,
+    defined or deleted in its body."""
+    names = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node is not fn:
+            names.add(node.name)
+    return names
+
+
 def read_names(tree: ast.AST, strings: bool = False) -> set[str]:
-    """The names and attribute names the tree mentions, and with strings
-    its string constants too (perfbench patches functions by name)."""
+    """The module-level names the tree uses: a bare name where no enclosing
+    function binds it, an attribute only as `module.name` for a module of
+    the package, and every name a `from ... import` brings in; with
+    strings, its string constants too (perfbench patches functions by
+    name)."""
     out = set()
-    for node in ast.walk(tree):
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            bound = bound | _bound_in(node)
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            if node.id not in bound:
+                out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in MODULES:
+                out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
     return out
 
 
 def test_no_public_function_is_called_only_by_tests():
     """A public module-level function of src/ltireach needs a use in src
     outside its own definition, or in perfbench.  A re-export in
-    __init__.py is not a use."""
+    __init__.py is not a use, and neither is a local variable or a method
+    that shares the function's name."""
     defined = []
     used = set()
-    for path in sorted((ROOT / "src" / "ltireach").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
@@ -191,7 +225,7 @@ def test_no_private_helper_is_orphaned():
     that only tests use belongs in the tests."""
     defined = []
     used = set()
-    for path in sorted((ROOT / "src" / "ltireach").glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
                 defined.append((path.stem, node.name))
@@ -199,3 +233,83 @@ def test_no_private_helper_is_orphaned():
             else:
                 used |= read_names(node)
     assert [f"{module}.{name}" for module, name in defined if name not in used] == []
+
+
+# defaults kept for callers outside the package, (module, qualified name,
+# parameter)
+OUTSIDE_DEFAULTS = {
+    ("cli", "main", "argv"),  # the console script calls main(), which reads sys.argv
+    ("driver", "decide", "budgets"),  # library users decide under the default budgets
+    ("render", "render_partial_reach", "certificate"),  # library users draw a figure without a verdict
+    ("geometry", "GenPolyhedron.polytope", "dim"),  # the benchmark builds polytopes from vertices alone
+    ("gadgets", "ZeroTestLti.first_zero", "min_power"),  # the benchmark's horizon oracle takes the default
+    ("exactnum", "RealAlg.__init__", "_trusted"),  # a RealAlg built outside the package is validated
+}
+
+
+def defaulted_parameters():
+    """(module, qualified name, [(position or None, parameter)]) for
+    each function or method of src/ltireach with defaulted parameters.  The
+    position counts the arguments a call writes, so a method's self is
+    not counted; a keyword-only parameter has none.  A closure binding
+    such as lam=lam in a nested function is not an option."""
+    out = []
+
+    def visit(node, module, prefix, in_class, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, prefix + child.name + ".", True, nested)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                shift = 1 if in_class and not static else 0
+                first = len(positional) - len(args.defaults)
+                params = [(i - shift, arg.arg, default)
+                          for i, (arg, default) in enumerate(zip(positional[first:], args.defaults), first)]
+                params += [(None, arg.arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                           if default is not None]
+                params = [(i, name) for i, name, default in params
+                          if not (nested and isinstance(default, ast.Name) and default.id == name)]
+                if params:
+                    out.append((module, prefix + child.name, params))
+                visit(child, module, prefix + child.name + ".", False, True)
+            else:
+                visit(child, module, prefix, in_class, nested)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "", False, False)
+    return out
+
+
+def test_every_default_serves_a_library_caller():
+    """For each defaulted parameter of a function or method in src/ltireach,
+    some call in src passes it and some call in src leaves it out.  Calls
+    are matched by name, so a method and a function of one name share
+    their calls; a call that spreads *args or **kwargs counts as passing.
+    A table that every caller has goes in as a required argument, and a
+    value that no caller sets is a constant."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    flagged = []
+    for module, qualname, params in defaulted_parameters():
+        *owner, name = qualname.split(".")
+        if name == "__init__":
+            name = owner[-1]
+        for position, param in params:
+            passed = omitted = False
+            for call in calls.get(name, []):
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg in (None, param) for k in call.keywords)
+                        or (position is not None and len(call.args) > position)):
+                    passed = True
+                else:
+                    omitted = True
+            if not (passed and omitted) and (module, qualname, param) not in OUTSIDE_DEFAULTS:
+                flagged.append(f"{module}.{qualname}({param})")
+    assert flagged == []
