@@ -152,6 +152,35 @@ def test_verdict_bytes_are_pinned():
     assert got == VERDICT_DIGESTS
 
 
+# sha256 over the verdict JSON texts of forward_union rounds 0-4 (every
+# family, the unknown ones included) at seeds 1 and 7: the forward search
+# decides each horizon from a warm basis, and its verdicts must stay those
+# of the cold search
+FORWARD_UNION_DIGESTS = {
+    1: "2206adf7bf2996a30d034d1b23151fc924e7337a6207401b69ee6a5a00462f3b",
+    7: "367793a8645bf93d48b4fa08ad2eea4bfe3e94f22e4029ab0d229dff36914001",
+}
+
+
+def test_forward_union_verdict_bytes_are_pinned_at_two_seeds():
+    """Rounds 0-4 of forward_union at seeds 1 and 7 decide to the pinned
+    verdict bytes."""
+    from ltireach import driver, instances
+
+    workloads = load_workloads()
+    wl = workloads.WORKLOADS["forward_union"]
+    got = {}
+    for seed in FORWARD_UNION_DIGESTS:
+        digest = hashlib.sha256()
+        stream = workloads.rounds(wl, seed)
+        for _ in range(5):
+            for inst in next(stream):
+                body = instances.verdict_to_json(driver.decide(instances.parse_instance(inst.text), wl.budgets))
+                digest.update(instances.dump_json(body).encode() + b"\n")
+        got[seed] = digest.hexdigest()
+    assert got == FORWARD_UNION_DIGESTS
+
+
 SRC = ROOT / "src" / "ltireach"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
