@@ -44,6 +44,7 @@ of two eigenvalues and the polynomial of their m-th powers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -58,20 +59,36 @@ class DegreeCeilingError(Exception):
     """Raised when an algebraic operation would exceed the degree guard."""
 
 
+# a rational numeral: an optional sign and ASCII digits, then optionally
+# "/" and ASCII digits ([0-9] matches no other digits in a str pattern)
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' integer text (no decimals)."""
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        p, q = int(num), int(den)
-        if q == 0:
-            raise ValueError(f"zero denominator in rational {text!r}")
-        return Fraction(p, q)
-    return Fraction(int(text))
+    """Parse 'p/q' or 'p': an optional sign and ASCII digits, then
+    optionally '/' and ASCII digits.  Anything else (decimals, spaces,
+    underscores, other digits) raises ValueError, as does a zero
+    denominator."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in rational {text!r}")
+    return Fraction(int(num), q)
+
+
+def as_fraction(x) -> Fraction:
+    """x itself when it is a Fraction, else Fraction(x): a value already
+    exact is not formed again."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def rat_to_str(q: Fraction) -> str:
-    q = Fraction(q)
+    q = as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -457,8 +474,8 @@ class RealAlg:
 
     def __init__(self, minpoly: IntPoly, lo: Fraction, hi: Fraction, _trusted: bool = False):
         self._minpoly = minpoly
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        self._lo = as_fraction(lo)
+        self._hi = as_fraction(hi)
         if not _trusted:
             self._validate()
         self._quad = _root_coords(minpoly.coeffs, self._hi) if minpoly.degree == 2 else None
@@ -481,7 +498,7 @@ class RealAlg:
     @staticmethod
     def from_rational(q) -> Fraction:
         """The one place a rational result leaves exactnum: as a Fraction."""
-        return Fraction(q)
+        return as_fraction(q)
 
     @staticmethod
     def from_root(p: IntPoly, lo, hi) -> Alg:

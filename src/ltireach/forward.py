@@ -8,21 +8,32 @@ a sound convex-hull relaxation pruning infeasible prefixes; leaves are
 exact.  The first witness found is minimal-horizon and lexicographically
 first in component assignment, so outputs are deterministic.
 
-Each horizon solves one LP from scratch, its root, where every step
-ranges over the pooled hull.  A child that fixes one step's component
-has its parent's LP with the other components' variables of that step
-at 0, so its feasible tableau is the parent's restricted to the other
-columns (`geometry._Tableau.restricted`), often without a pivot.  Only
-the feasible leaf is solved from scratch once more, so the witness is
-the point the cold LP gives, whatever bases the restrictions reached.
+Each horizon's root LP, where every step ranges over the pooled hull,
+is decided from the previous horizon's basis.  StepColumns keeps the
+root's phase-1 tableau with its artificial columns, which hold the
+inverse of the basis (`geometry.PhaseOneTableau`): horizon n+1 has
+horizon n's columns after the block of power n, one more convexity row
+and a new right-hand side in the state rows, so the tableau grows in
+place and phase 1 runs again from the basis it has, with one extra
+artificial when a basic value turns negative.  Only the first horizon
+asked of a StepColumns, or one that does not follow the last, seeds it
+from scratch.  A child that fixes one step's component has its parent's
+LP with the other components' variables of that step at 0, so its
+feasible tableau is the parent's restricted to the other columns
+(`geometry._Tableau.restricted`), often without a pivot.  Feasibility
+does not depend on the basis, so the search visits the nodes a cold
+search would.  The LP that gives the witness, the feasible leaf or a
+lone component's root, is solved from scratch once more (a seed is
+already), so the witness is the point the cold LP gives, whatever bases
+the growth and the restrictions reached.
 
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
 denominator, one power at a time, once per decision: reach_exactly takes
 the StepColumns of its system and reads the system from them.  Each LP
 variable is a generator's coefficient divided by that denominator, so
-every row is an integer row, and the rows go to
-`geometry.feasible_tableau` as integers.  Scaling a column by a positive constant changes no choice of
+every row is an integer row, and the rows go to the tableau as
+integers.  Scaling a column by a positive constant changes no choice of
 Bland's rule, so the LP takes the pivots of the unscaled one and the
 witness, the variables times their denominators, is the same.
 
@@ -37,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import GenPolyhedron, contains_point, feasible_tableau, tableau_columns
+from .geometry import GenPolyhedron, PhaseOneTableau, contains_point, feasible_tableau, tableau_columns
 from .linalg import IntRows, Vec
 from .preprocess import LtiSystem
 
@@ -209,7 +220,9 @@ class StepColumns:
     A^k g is formed once; `products` counts the matvecs.  widths[c] counts
     the tableau columns of component c's block, and foreign[c] lists the
     columns of a pooled block that are not component c's, for the search's
-    restrictions."""
+    restrictions.  root is the phase-1 tableau of the pooled root LP of
+    horizon root_horizon, kept with its artificial columns so that the
+    next horizon grows from its basis (`root_at`)."""
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
@@ -224,6 +237,9 @@ class StepColumns:
         self.target = _Block.of_generators(*([tuple(-x for x in g) for g in gens]
                                              for gens in (q.vertices, q.rays, q.lines)))
         self.products = 0
+        self.root: PhaseOneTableau | None = None
+        self.root_horizon = 0
+        self.root_layout: _Layout | None = None
 
     def _matvec(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         """A (num / den) in lowest terms."""
@@ -245,6 +261,35 @@ class StepColumns:
                 table.append(_Block.of([self._matvec(num, den) for num, den in zip(b.nums, b.dens)],
                                        b.nv, b.nr, b.nl))
             self.pooled.append(_pool([table[-1] for table in self.comps]))
+
+    def root_at(self, n: int) -> PhaseOneTableau:
+        """The phase-1 tableau of horizon n's pooled root LP,
+        _build_lp([0] * n, 0, self), with its artificial columns, kept as
+        `root`.  When the previous call asked for horizon n - 1, its tableau
+        grows to horizon n in place (`_extend_root`) and `root_layout` is
+        None; any other horizon is seeded by a cold solve, whose layout
+        `root_layout` keeps.  Horizons 1 and up only: grow(n) comes
+        first."""
+        if self.root is not None and self.root_horizon == n - 1:
+            self._extend_root(n)
+            self.root_layout = None
+        else:
+            rows, dens, self.root_layout = _build_lp([0] * n, 0, self)
+            self.root = PhaseOneTableau(rows, dens, self.root_layout.nonneg)
+        self.root_horizon = n
+        return self.root
+
+    def _extend_root(self, n: int) -> None:
+        """Horizon n's root LP has horizon n-1's columns after the block of
+        power n-1, whose state entries are its numerators and whose
+        convexity row, added last, holds its vertices' denominators; every
+        convexity row's right-hand side stays 1, and the state rows' becomes
+        -A^n source."""
+        b = self.pooled[n - 1]
+        base, den = self.bases[n]
+        convexity = [*b.dens[:b.nv], *[0] * (b.nr + b.nl)]
+        rhs = [*(-x for x in base), *[den] * (n + 1)]
+        self.root.extend(b.nums, b.nonneg, convexity, rhs, den)
 
 
 def _build_lp(assignment, pooled_from: int, cols: StepColumns):
@@ -309,7 +354,8 @@ def _witness_from_solution(n: int, assignment, layout: _Layout, point) -> ReachW
 def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
     """A witness reaching the target of columns.system in exactly n steps,
     or None.  A caller that tries several horizons passes one StepColumns
-    to all of them, so each power of A is formed once."""
+    to all of them, in order, so each power of A is formed once and each
+    horizon's root LP is decided from the previous horizon's basis."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     sys = columns.system
@@ -321,25 +367,25 @@ def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
         return None
     columns.grow(n)
     assignment = [0] * n
+    root = columns.root_at(n)
     # a lone component is its own pooled hull: the root LP is exact
     if len(sys.controls.components) == 1:
-        return _witness(columns, assignment)
-    root, _ = _cold_tableau(assignment, 0, columns)
-    return _search(columns, assignment, 0, root)
-
-
-def _cold_tableau(assignment, pooled_from: int, cols: StepColumns):
-    """The feasible tableau of _build_lp(assignment, pooled_from, cols) from
-    the all-artificial basis, or None, and the LP's layout."""
-    rows, dens, layout = _build_lp(assignment, pooled_from, cols)
-    return feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg), layout
+        return _witness(columns, assignment) if root.feasible else None
+    return _search(columns, assignment, 0, root.without_artificials())
 
 
 def _witness(cols: StepColumns, assignment) -> ReachWitness | None:
     """The witness of the LP with every step assigned, solved cold, or None
-    when it is infeasible."""
+    when it is infeasible.  A lone component's LP is its horizon's root
+    LP, so when that root was solved cold its point is read off it: the
+    artificial columns it keeps are nonbasic or basic at 0."""
     n = len(assignment)
-    tab, layout = _cold_tableau(assignment, n, cols)
+    layout = cols.root_layout if len(cols.comps) == 1 else None
+    if layout is not None:
+        tab = cols.root.tab if cols.root.feasible else None
+    else:
+        rows, dens, layout = _build_lp(assignment, n, cols)
+        tab = feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg)
     if tab is None:
         return None
     return _witness_from_solution(n, assignment, layout, tab.point(layout.nonneg))

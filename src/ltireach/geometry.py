@@ -19,7 +19,10 @@ phase 1 from its current basis that maximizes minus their sum.  Phase 1
 of `lp_solve` is that routine with the artificial columns banned, and
 `feasible_tableau` runs it on rows that are already integers, as the
 forward search builds them; the search restricts a parent's tableau to
-reach each child's.
+reach each child's.  `PhaseOneTableau` runs the same phase 1 on equality
+rows but keeps the artificial columns, which then hold the inverse of
+the basis: `extend` adds columns, a row and a new right-hand side to
+the LP and decides it again from the basis it has.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a ceiling on the affine dimension of the polytope (not
@@ -32,7 +35,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
+from .exactnum import as_fraction
 from .linalg import RatMatrix, Vec, vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vec
 
 FACET_DIMENSION_CEILING = 5
@@ -165,30 +170,36 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
+    def phase_one(self, banned) -> bool:
+        """Maximize minus the banned columns' sum from the current basis,
+        which is feasible, in place: True when the optimum is 0, that is
+        when some feasible point has them all at 0."""
+        cost = [0] * self.ncols
+        for j in banned:
+            cost[j] = -1
+        status = self.maximize(cost)
+        assert status == "optimal", "the banned columns' sum is bounded below by 0"
+        feasible = self.red[-1] == 0  # minus the optimum
+        self.red = None
+        return feasible
+
     def restricted(self, banned) -> _Tableau | None:
         """This feasible tableau's LP with the banned columns held at 0: a
         feasible tableau over the other columns, kept in their order, or
         None when no feasible point has them all at 0.  self is unchanged.
 
-        From the current basis, which is feasible, it maximizes minus the
-        banned columns' sum, so it takes no pivot when no banned column is
-        basic.  A banned column still basic, at 0, is driven out on its
-        row's first nonzero entry in a kept column (the entry may be
-        negative; pivot normalizes its sign).  Rows left basic in a banned
-        column are redundant and are dropped, and so are the banned
-        columns."""
+        From the current basis it runs `phase_one` on the banned columns,
+        so it takes no pivot when no banned column is basic.  A banned
+        column still basic, at 0, is driven out on its row's first nonzero
+        entry in a kept column (the entry may be negative; pivot normalizes
+        its sign).  Rows left basic in a banned column are redundant and
+        are dropped, and so are the banned columns."""
         ban = set(banned)
         tab = self
         if any(b in ban for b in self.basis):
             tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols)
-            cost = [0] * self.ncols
-            for j in ban:
-                cost[j] = -1
-            status = tab.maximize(cost)
-            assert status == "optimal", "the banned columns' sum is bounded below by 0"
-            if tab.red[-1] != 0:  # minus the optimum: a banned column stays positive
+            if not tab.phase_one(ban):
                 return None
-            tab.red = None
             for r in range(len(tab.rows)):
                 if tab.basis[r] in ban:
                     row = tab.rows[r]
@@ -267,6 +278,15 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
     columns, so the artificials, being last, change no choice of Bland's
     rule.  `lp_solve` reads its constraints into such rows; the forward
     search builds them directly."""
+    tab, first_art = _laid_out(rows, dens, rels, nonneg)
+    if tab.ncols > first_art:
+        return tab.restricted(range(first_art, tab.ncols))
+    return tab
+
+
+def _laid_out(rows: list[list[int]], dens: list[int], rels: list[str], nonneg) -> tuple[_Tableau, int]:
+    """`feasible_tableau`'s tableau before phase 1, each row negated when its
+    right-hand side is negative, and its first artificial column."""
     col_of, nstruct = tableau_columns(nonneg)
     split = not all(nonneg)
     body: list[list[int]] = []
@@ -309,11 +329,108 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
             basis.append(art)
             art += 1
         row[nstruct:nstruct] = ext
+    return _Tableau(body, list(dens), basis, total), first_art
 
-    tab = _Tableau(body, list(dens), basis, total)
-    if total > first_art:
-        return tab.restricted(range(first_art, total))
-    return tab
+
+class PhaseOneTableau:
+    """Phase 1 of an equality LP that keeps its artificial columns, so that
+    the LP can grow and be decided again from the basis it reached.
+
+    The first solve is cold: the rows are laid out as `feasible_tableau`
+    lays them out and phase 1 takes its pivots, but the tableau keeps the
+    artificials, one per row in the order the rows came, after the
+    variables' columns (from `first_art` on).  They started as the
+    identity on the rows, each row negated when its right-hand side was
+    negative (signs[i] = -1), so for the current basis B they hold
+    B^-1 D, D the diagonal of the signs: the tableau column of any new
+    column c is that block times D c, which is what `extend` uses.
+    `feasible` tells whether the LP has a point with every artificial at
+    0, and `without_artificials` gives the feasible tableau that
+    `feasible_tableau` would."""
+
+    def __init__(self, rows: list[list[int]], dens: list[int], nonneg):
+        self.signs = [-1 if row[-1] < 0 else 1 for row in rows]
+        self.tab, self.first_art = _laid_out(rows, dens, ["=="] * len(rows), nonneg)
+        self.feasible = self.tab.phase_one(range(self.first_art, self.tab.ncols))
+
+    def without_artificials(self) -> _Tableau | None:
+        """The LP's feasible tableau over its variables' columns, or None."""
+        if not self.feasible:
+            return None
+        return self.tab.restricted(range(self.first_art, self.tab.ncols))
+
+    def extend(self, columns, nonneg, row: list[int], rhs: list[int], rhs_den: int) -> None:
+        """Put new variables before the others and one new equality row after
+        the others, set every row's right-hand side, and run phase 1 again
+        from the current basis.
+
+        columns[k] is new variable k's coefficients in the rows so far, as
+        the ints they equal (row i stands for rows[i] / dens[i] as the
+        first solve was given it; zero past its end), row[k] its
+        coefficient in the new row and nonneg[k] its sign restriction; the other variables have 0 in the
+        new row.  rhs / rhs_den is the new right-hand side of every row, the
+        new row's last.  The old basis plus the new row's artificial is a
+        basis of the grown LP, since no old basic column meets the new row.
+        Where a basic value comes out negative, one more artificial, with
+        -1 in each such row, enters on the most negative one, which makes
+        every basic value nonnegative (Chvatal, Linear Programming, 1983,
+        ch. 3); phase 1 then minimizes the sum of every artificial, and the
+        extra one leaves the tableau."""
+        tab = self.tab
+        col_of, width = tableau_columns(nonneg)
+        first, signs = self.first_art, self.signs
+        rows, dens = [], []
+        for old, den in zip(tab.rows, tab.dens):
+            # this row of B^-1, over den: the artificials' entries times D
+            inv = [a * s for a, s in zip(old[first:first + len(signs)], signs)]
+            ext = [0] * width
+            for (p, q), col in zip(col_of, columns):
+                x = sum(map(mul, inv, col))
+                ext[p] = x
+                if q is not None:
+                    ext[q] = -x
+            new = [*ext, *old]
+            if rhs_den != 1:
+                new = [x * rhs_den for x in new]
+                den *= rhs_den
+            new[-1] = 0  # the new artificial, where the old right-hand side was
+            new.append(sum(map(mul, inv, rhs)))
+            new, den = _lowest_terms(new, den)
+            rows.append(new)
+            dens.append(den)
+        sign = -1 if rhs[-1] < 0 else 1
+        ext = [0] * width
+        for (p, q), c in zip(col_of, row):
+            ext[p] = sign * c * rhs_den
+            if q is not None:
+                ext[q] = -sign * c * rhs_den
+        new, den = _lowest_terms([*ext, *[0] * tab.ncols, rhs_den, sign * rhs[-1]], rhs_den)
+        rows.append(new)
+        dens.append(den)
+        total = width + tab.ncols + 1
+        basis = [b + width for b in tab.basis] + [total - 1]
+        self.signs.append(sign)
+        self.first_art += width
+        self.tab = tab = _Tableau(rows, dens, basis, total)
+
+        arts = range(self.first_art, total)
+        below = [i for i, r in enumerate(rows) if r[-1] < 0]
+        if not below:
+            self.feasible = tab.phase_one(arts)
+            return
+        extra = total
+        for i, r in enumerate(rows):
+            r.insert(extra, -dens[i] if r[-1] < 0 else 0)
+        tab.ncols += 1
+        tab.pivot(min(below, key=lambda i: Fraction(rows[i][-1], dens[i])), extra)
+        self.feasible = tab.phase_one([*arts, extra])
+        if extra in tab.basis:
+            r = tab.basis.index(extra)
+            tab.pivot(r, next(j for j, x in enumerate(tab.rows[r][:-1]) if x and j != extra))
+        for i, r in enumerate(tab.rows):
+            del r[extra]
+            tab.rows[i], tab.dens[i] = _lowest_terms(r, tab.dens[i])
+        tab.ncols -= 1
 
 
 def lp_solve(objective, constraints, num_vars: int, nonneg) -> LpResult:
@@ -401,7 +518,7 @@ class GenPolyhedron:
 
     @staticmethod
     def polytope(vertices, dim=None) -> "GenPolyhedron":
-        vertices = [tuple(Fraction(x) for x in v) for v in vertices]
+        vertices = [tuple(map(as_fraction, v)) for v in vertices]
         if dim is None:
             if not vertices:
                 raise ValueError("dimension required for empty polytope")
@@ -410,7 +527,7 @@ class GenPolyhedron:
 
     @staticmethod
     def point(v) -> "GenPolyhedron":
-        v = tuple(Fraction(x) for x in v)
+        v = tuple(map(as_fraction, v))
         return GenPolyhedron(len(v), (v,))
 
     @staticmethod

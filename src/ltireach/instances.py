@@ -1,7 +1,9 @@
 """Instance files and artifact serialization.
 
 The instance format is line-oriented text with exact rational entries
-("p/q" or "p", never decimals), diff-friendly and language-neutral:
+("p/q" or "p": an optional sign and ASCII digits, then optionally "/" and
+ASCII digits, never decimals) after a first line that is exactly
+"dim N", diff-friendly and language-neutral:
 
     # comment
     dim 2
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 from . import exactnum
 from .certify import SeparatorCertificate
@@ -56,6 +59,12 @@ from .linalg import RatMatrix, Vec
 from .preprocess import LtiSystem, SimpleForm
 
 
+# the dimension on the first line: ASCII digits only
+_DIGITS = re.compile(r"[0-9]+")
+# what separates the entries of a line: ASCII spaces and tabs only
+_BLANKS = re.compile(r"[ \t]+")
+
+
 class ParseError(Exception):
     """Malformed instance text (with its line) or artifact JSON (line None)."""
 
@@ -65,7 +74,7 @@ class ParseError(Exception):
 
 
 def _parse_row(line_no: int, text: str, dim: int) -> Vec:
-    parts = text.split()
+    parts = _BLANKS.split(text)
     if len(parts) != dim:
         raise ParseError(line_no, f"expected {dim} entries, got {len(parts)}")
     try:
@@ -76,8 +85,11 @@ def _parse_row(line_no: int, text: str, dim: int) -> Vec:
 
 def parse_instance(text: str) -> LtiSystem:
     lines = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    # lines end at "\n" (a "\r" before it is dropped) and entries are
+    # separated by ASCII blanks, so other Unicode whitespace stays in a
+    # token, and the token is refused
+    for i, raw in enumerate(text.split("\n"), start=1):
+        stripped = raw.split("#", 1)[0].strip(" \t\r")
         if stripped:
             lines.append((i, stripped))
     pos = 0
@@ -92,14 +104,15 @@ def parse_instance(text: str) -> LtiSystem:
         return item
 
     line_no, first = take()
-    if first is None or not first.startswith("dim"):
+    parts = _BLANKS.split(first) if first is not None else []
+    if not parts or parts[0] != "dim":
         raise ParseError(line_no, "instance must start with 'dim N'")
     try:
-        dim = int(first.split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(line_no, "malformed dimension") from None
+        dim = int(parts[1]) if len(parts) == 2 and _DIGITS.fullmatch(parts[1]) else -1
+    except ValueError:  # past Python's limit on the digits of an int
+        dim = -1
     if dim < 0:
-        raise ParseError(line_no, "dimension must be nonnegative")
+        raise ParseError(line_no, "malformed dimension: expected 'dim N', N in ASCII digits")
 
     def generators() -> GenPolyhedron:
         """The vertices, rays and lines rows up to the next section."""

@@ -42,6 +42,7 @@ from math import gcd, lcm, prod
 from .exactnum import (
     Alg,
     IntPoly,
+    as_fraction,
     composed_poly,
     count_roots_halfopen,
     factor_int_poly,
@@ -99,7 +100,9 @@ class RatMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        entries = self.entries
+        if type(entries) is not tuple or any(type(e) is not Fraction for e in entries):
+            object.__setattr__(self, "entries", tuple(map(as_fraction, entries)))
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
@@ -108,7 +111,7 @@ class RatMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(nr, nc, tuple(Fraction(x) for r in rows for x in r))
+        return RatMatrix(nr, nc, tuple(x for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":

@@ -367,31 +367,45 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
 
 def count_cold_solves(monkeypatch) -> list:
     """Record each LP the forward search solves from the all-artificial
-    basis."""
+    basis: a root seeded cold, and a witness LP."""
     solved = []
 
     def counted(*args):
         solved.append(1)
         return feasible_tableau(*args)
 
+    class Seeded(geometry.PhaseOneTableau):
+        def __init__(self, *args):
+            solved.append(1)
+            super().__init__(*args)
+
     monkeypatch.setattr(forward, "feasible_tableau", counted)
+    monkeypatch.setattr(forward, "PhaseOneTableau", Seeded)
     return solved
 
 
 def test_single_component_solves_one_lp_per_horizon(monkeypatch):
     """A lone component is its own pooled hull, so the search stops at its
-    root: one cold solve per horizon, reachable or not."""
+    root.  A horizon asked of a fresh StepColumns is one cold solve,
+    reachable or not: the seed, whose point is the witness.  Horizons 1
+    and 2 asked of one StepColumns are the seed at horizon 1 and, since
+    horizon 2 grows from it and is feasible, its cold witness LP."""
     solved = count_cold_solves(monkeypatch)
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
     assert reach_exactly(StepColumns(sys), 1) is None and len(solved) == 1
     w = reach_exactly(StepColumns(sys), 2)
     assert w is not None and verify_witness(sys, w) and len(solved) == 2
     assert [s.component for s in w.steps] == [0, 0]
+    solved.clear()
+    cols = StepColumns(sys)
+    assert reach_exactly(cols, 1) is None and len(solved) == 1
+    assert reach_exactly(cols, 2) == w and len(solved) == 2
 
 
-def test_union_solves_one_root_per_horizon_and_one_leaf_per_witness(monkeypatch):
-    """With several components, each horizon tried solves its root LP cold
-    and a witness solves its leaf LP cold once more; every other DFS node
+def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
+    """With several components, the first horizon's root LP is solved cold,
+    each later horizon's root grows from the previous one's basis, and a
+    witness solves its leaf LP cold once more; every other DFS node
     restricts its parent's tableau."""
     solved = count_cold_solves(monkeypatch)
     nodes = []
@@ -405,10 +419,10 @@ def test_union_solves_one_root_per_horizon_and_one_leaf_per_witness(monkeypatch)
     reachable, far = union_systems()[0], union_systems()[2]
     w = reach_within(reachable, 5)
     assert w is not None and w.horizon == 3 and verify_witness(reachable, w)
-    assert len(solved) == w.horizon + 1  # the roots of horizons 1 to 3, then the leaf
-    assert len(nodes) > len(solved)
+    assert len(solved) == 2  # the root of horizon 1, then the leaf
+    assert len(nodes) > w.horizon + 1
     solved.clear()
-    assert reach_within(far, 5) is None and len(solved) == 5
+    assert reach_within(far, 5) is None and len(solved) == 1
 
 
 def random_union_system(rng: random.Random) -> LtiSystem:
@@ -479,6 +493,63 @@ def test_union_search_matches_cold_oracle(monkeypatch):
                 reached += 1
     assert reached > 30
     assert events["banned basic at 0"] > 10 and events["redundant row dropped"] > 10
+
+
+def random_forward_system(rng: random.Random) -> LtiSystem:
+    """A random union system cut to one, two or three components, its A
+    made singular one time in four (the last row repeats the first)."""
+    k = rng.choice([1, 2, 3])
+    sys = random_union_system(rng)
+    while len(sys.controls.components) < k:
+        sys = random_union_system(rng)
+    comps = sys.controls.components[:k]
+    a = sys.a
+    if rng.random() < 0.25:
+        rows = [list(a.entries[i * a.cols:(i + 1) * a.cols]) for i in range(a.rows)]
+        a = RatMatrix.from_rows(rows[:-1] + rows[:1])
+    return dataclasses.replace(sys, a=a, controls=ControlSet(comps))
+
+
+def test_warm_horizons_match_cold_oracle(monkeypatch):
+    """reach_exactly asked for n = 0, ..., 6 on one StepColumns, as decide
+    asks, grows each horizon's root from the previous one's basis, and
+    still returns what the search that solves every DFS node from scratch
+    returns at that horizon.  The corpus has zero and nonzero sources,
+    horizons at which a basic value turns negative under the new
+    right-hand side, singular A, rays, lines, point and line targets, and
+    one to three components."""
+    events = Counter()
+
+    def extend(self, columns, nonneg, row, rhs, rhs_den):
+        events["extensions"] += 1
+        m = len(self.signs)
+        if any(sum(a * s * b for a, s, b in zip(r[self.first_art:self.first_art + m], self.signs, rhs)) < 0
+               for r in self.tab.rows):
+            events["negative basic value"] += 1
+        return _extend(self, columns, nonneg, row, rhs, rhs_den)
+
+    _extend = geometry.PhaseOneTableau.extend
+    monkeypatch.setattr(geometry.PhaseOneTableau, "extend", extend)
+    rng = random.Random(71)
+    for _ in range(30):
+        sys = random_forward_system(rng)
+        comps = sys.controls.components
+        events[f"{len(comps)} components"] += 1
+        events["zero source" if not any(sys.source) else "nonzero source"] += 1
+        events["singular A" if sys.a.det() == 0 else "invertible A"] += 1
+        events["rays or lines"] += any(c.rays or c.lines for c in comps)
+        events["line target" if sys.target.lines else "point target"] += 1
+        cols = StepColumns(sys)
+        for n in range(7):
+            got = reach_exactly(cols, n)
+            assert got == cold_reach_exactly(sys, n)
+            if got is not None:
+                assert verify_witness(sys, got)
+                events["reached"] += 1
+    assert all(events[k] >= 5 for k in ("1 components", "2 components", "3 components", "zero source",
+                                       "nonzero source", "singular A", "rays or lines", "line target",
+                                       "negative basic value", "reached")), events
+    assert events["extensions"] == 30 * 5  # horizons 2 to 6 each grow from the one before
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():

@@ -134,6 +134,107 @@ def test_misplaced_row_or_repeated_section_is_a_parse_error(tmp_path, text, line
     assert cli.main(["decide", "--input", str(path)]) == 5
 
 
+DIM1_TEXT = "dim 1\nmatrix\n4/5\ncontrol\nvertices\n1\n-1\nsource\n0\ntarget\nvertices\n4\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (DIM1_TEXT.replace("dim 1", "dimension 1 extra"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim 1 extra"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim -1"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim +1"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim 1.0"), 1),
+    (DIM1_TEXT.replace("dim 1", "dim \u0661"), 1),
+    (DIM1_TEXT.replace("4/5", "1_0"), 3),
+    (DIM1_TEXT.replace("4/5", "\u0661"), 3),
+    (DIM1_TEXT.replace("4/5", "\uff14/5"), 3),
+    (DIM1_TEXT.replace("4/5", "0.8"), 3),
+    (DIM1_TEXT.replace("4/5", "4/-5"), 3),
+    (DIM1_TEXT.replace("4/5", "4/5/1"), 3),
+    (DIM1_TEXT.replace("4/5", "--4/5"), 3),
+    (DIM1_TEXT.replace("4/5", "4/+5"), 3),
+    (DIM1_TEXT.replace("4/5", "4e0"), 3),
+    (DIM1_TEXT.replace("target\nvertices\n4", "target\nvertices\n0x4"), 12),
+    (DIM1_TEXT.replace("dim 1", "dim\u00a01"), 1),
+    (DIM1_TEXT.replace("4/5", "4/5\u2028"), 3),
+    (DIM1_TEXT.replace("vertices\n1\n-1", "vertices\n1\x1c-1"), 6),
+], ids=["dimension-word", "dim-extra-token", "dim-no-number", "dim-negative", "dim-signed", "dim-decimal",
+        "dim-arabic-indic", "underscore", "arabic-indic-digit", "fullwidth-digit", "decimal",
+        "signed-denominator", "two-slashes", "two-signs", "plus-denominator", "exponent", "hex",
+        "no-break-space", "unicode-line-separator", "ascii-file-separator"])
+def test_text_outside_the_format_is_a_parse_error(tmp_path, text, line):
+    """The first line is exactly 'dim N', every entry an optional sign and
+    ASCII digits, optionally '/' and ASCII digits, entries are separated
+    by ASCII blanks and lines end at a newline: anything else is refused
+    with its line, and the CLI exits 5."""
+    from ltireach import cli
+
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert err.value.line_no == line
+    path = tmp_path / "bad.lti"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["decide", "--input", str(path)]) == 5
+
+
+def test_numerals_in_the_format_parse():
+    """Signs, leading zeros, a denominator of 1, tabs and CRLF line ends
+    are in the grammar."""
+    sys = parse_instance(DIM1_TEXT.replace("4/5", "+008/010").replace("vertices\n1\n-1", "vertices\n1/1\n-01"))
+    assert sys == parse_instance(DIM1_TEXT)
+    assert parse_instance(DIM1_TEXT.replace("dim 1", "dim 01")) == sys
+    assert parse_instance(DIM1_TEXT.replace("dim 1", "dim\t 1").replace("\n", " \r\n")) == sys
+
+
+def test_artifact_rationals_follow_the_instance_grammar():
+    """Rational strings in artifacts are read by the same grammar."""
+    step = {"component": 0, "vertex_coeffs": ["1"], "ray_coeffs": [], "line_coeffs": []}
+    assert witness_from_json({"horizon": 1, "steps": [step]}).steps[0].vertex_coeffs == (F(1),)
+    for bad in ("1_0", "\u0661", " 1", "1 ", "1.0", "1/-1", "+-1", ""):
+        with pytest.raises(ParseError):
+            witness_from_json({"horizon": 1, "steps": [{**step, "vertex_coeffs": [bad]}]})
+        with pytest.raises(ParseError):
+            alg_from_json({"minpoly": [-2, 0, 1], "lo": bad, "hi": "2"})
+
+
+def test_benchmark_instances_parse_to_their_systems():
+    """Every instance of rounds 0-1 of each benchmark workload at seed 1
+    parses back to the system it was written from."""
+    from test_tooling import load_workloads
+
+    workloads = load_workloads()
+    count = 0
+    for wl in workloads.WORKLOADS.values():
+        stream = workloads.rounds(wl, 1)
+        for _ in range(2):
+            for inst in next(stream):
+                assert parse_instance(inst.text) == inst.system
+                count += 1
+    assert count >= 50
+
+
+def test_constructors_keep_the_fractions_they_are_given():
+    """A Fraction handed to a constructor is kept, not formed again; ints,
+    strings and floats still convert."""
+    from ltireach.exactnum import IntPoly, RealAlg, rat_to_str
+
+    x, y, z, w = F(1, 3), F(-2, 5), F(7), F(0)
+    m = RatMatrix(2, 2, (x, y, z, w))
+    assert all(a is b for a, b in zip(m.entries, (x, y, z, w)))
+    m = RatMatrix.from_rows([[x, y], [z, w]])
+    assert all(a is b for a, b in zip(m.entries, (x, y, z, w)))
+    assert RatMatrix.from_rows([[1, "1/2"], [0.5, F(2)]]).entries == (F(1), F(1, 2), F(1, 2), F(2))
+    (v,) = GenPolyhedron.point((x, y)).vertices
+    assert v[0] is x and v[1] is y
+    verts = GenPolyhedron.polytope([(x, w), (z, y)]).vertices
+    assert {id(e) for v in verts for e in v} == {id(x), id(w), id(z), id(y)}
+    assert GenPolyhedron.point((1, "2/3")).vertices == ((F(1), F(2, 3)),)
+    lo, hi = F(1), F(3, 2)
+    r = RealAlg(IntPoly((-2, 0, 1)), lo, hi)
+    assert r._lo is lo and r._hi is hi
+    assert rat_to_str(x) == "1/3" and rat_to_str(3) == "3"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=200) | _mangled_quad())
 def test_parse_instance_parses_or_raises_parse_error(text):
