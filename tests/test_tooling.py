@@ -152,33 +152,38 @@ def test_verdict_bytes_are_pinned():
     assert got == VERDICT_DIGESTS
 
 
-# sha256 over the verdict JSON texts of forward_union rounds 0-4 (every
-# family, the unknown ones included) at seeds 1 and 7: the forward search
+# sha256 over the verdict JSON texts of rounds 0-4 (every family, the
+# unknown ones included) at seeds 1 and 7, by workload: the forward search
 # decides each horizon from a warm basis, and its verdicts must stay those
-# of the cold search
-FORWARD_UNION_DIGESTS = {
-    1: "2206adf7bf2996a30d034d1b23151fc924e7337a6207401b69ee6a5a00462f3b",
-    7: "367793a8645bf93d48b4fa08ad2eea4bfe3e94f22e4029ab0d229dff36914001",
+# of the cold search.  The algebraic_2d and rational_batch rounds hold
+# horizon-1 witnesses of lone control polytopes.
+ROUND_DIGESTS = {
+    ("forward_union", 1): "2206adf7bf2996a30d034d1b23151fc924e7337a6207401b69ee6a5a00462f3b",
+    ("forward_union", 7): "367793a8645bf93d48b4fa08ad2eea4bfe3e94f22e4029ab0d229dff36914001",
+    ("algebraic_2d", 1): "4baa529b03c32bbc664efecfee99816e687e205823c7f3046d8f4995a72febad",
+    ("algebraic_2d", 7): "53e9493978133d9cde41e975eef014707455147c40ebef753c2cc6a69ece648b",
+    ("rational_batch", 1): "a38f7f664ee5fc153bdccef1eae95d9b9a8ed52cd43c73f680358c47d31cd604",
+    ("rational_batch", 7): "643ec633939ddb57476627cfc2cfbea5421a52031400b40dfc66db5321dedf4e",
 }
 
 
-def test_forward_union_verdict_bytes_are_pinned_at_two_seeds():
-    """Rounds 0-4 of forward_union at seeds 1 and 7 decide to the pinned
+def test_round_verdict_bytes_are_pinned_at_two_seeds():
+    """Rounds 0-4 of each pinned workload and seed decide to the pinned
     verdict bytes."""
     from ltireach import driver, instances
 
     workloads = load_workloads()
-    wl = workloads.WORKLOADS["forward_union"]
     got = {}
-    for seed in FORWARD_UNION_DIGESTS:
+    for name, seed in ROUND_DIGESTS:
+        wl = workloads.WORKLOADS[name]
         digest = hashlib.sha256()
         stream = workloads.rounds(wl, seed)
         for _ in range(5):
             for inst in next(stream):
                 body = instances.verdict_to_json(driver.decide(instances.parse_instance(inst.text), wl.budgets))
                 digest.update(instances.dump_json(body).encode() + b"\n")
-        got[seed] = digest.hexdigest()
-    assert got == FORWARD_UNION_DIGESTS
+        got[name, seed] = digest.hexdigest()
+    assert got == ROUND_DIGESTS
 
 
 SRC = ROOT / "src" / "ltireach"
