@@ -38,13 +38,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_matrix_text(text: str) -> RatMatrix:
-    """Rows separated by ';', entries by whitespace, rationals as p/q."""
-    rows = [r.strip() for r in text.split(";") if r.strip()]
-    return RatMatrix.from_rows([[rat_from_str(x) for x in r.split()] for r in rows])
+    """Rows separated by ';', entries as parse_vector_text reads them."""
+    return RatMatrix.from_rows([parse_vector_text(r) for r in text.split(";") if r.strip(" \t")])
 
 
 def parse_vector_text(text: str):
-    return tuple(rat_from_str(x) for x in text.split())
+    """Rationals separated by ASCII blanks only, as in an instance file."""
+    return tuple(rat_from_str(x) for x in instances.BLANKS.split(text) if x)
 
 
 def _budgets_from(args) -> driver.Budgets:
@@ -58,8 +58,8 @@ def _budgets_from(args) -> driver.Budgets:
 
 
 def _count(text: str) -> int:
-    """argparse type for budgets and step counts: a non-negative int."""
-    if not text.strip().isdecimal():
+    """argparse type for budgets and step counts: ASCII digits only."""
+    if not instances.DIGITS.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

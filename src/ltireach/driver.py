@@ -9,11 +9,12 @@ is drawn, and one whose prefix sums already exceed the target's minimum
 every candidate reads its prefix sums from one table of control-vertex
 images (certify.VertexImages), built once per decision.  The audit
 verifies a certificate without that check.  A separator whose certificate
-the audit's parser would refuse (instances.minpoly_within_ceiling) counts
-as not found.  Every positive
-verdict is replay-verified and every negative verdict carries a
-certificate that an independent process can recheck against the instance
-file (audit).
+the audit's parser would refuse (instances.minpoly_within_ceiling), or
+that holds an integer too long for Python to write as text, counts as not
+found; a reduced system that holds one disables the certificate search.
+Every positive verdict is replay-verified and every negative verdict
+carries a certificate that an independent process can recheck against
+the instance file (audit).
 
 Systems that fail a structural condition (union controls, origin not
 interior, spectral radius >= 1, no real-spectrum power, nonzero source),
@@ -25,6 +26,7 @@ the reason.
 from __future__ import annotations
 
 import itertools
+import sys as _sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,13 +131,31 @@ def _prepare_certification(sys: LtiSystem, report):
     return s, form
 
 
+def _printable(rats) -> bool:
+    """Whether no numerator or denominator of rats, ints or Fractions, has
+    more digits than Python converts to or from text
+    (sys.get_int_max_str_digits, 0 for no limit)."""
+    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
+    ints = (abs(k) for x in rats for k in (x.numerator, x.denominator))
+    return limit == 0 or max(ints, default=0) < 10 ** limit
+
+
 def _within_ceiling(cert: SeparatorCertificate) -> bool:
-    """Whether every algebraic entry of cert passes the minimal-polynomial
-    size rule that the audit's parser applies, so its artifact audits."""
+    """Whether the artifact of cert audits: every algebraic entry passes
+    the minimal-polynomial size rule that the audit's parser applies, and
+    every integer certificate_to_json writes for its entries is printable
+    (the reduced system's are checked once, before the search)."""
     from .instances import minpoly_within_ceiling
 
-    return all(isinstance(x, Fraction) or minpoly_within_ceiling(x.minpoly.coeffs)
-               for x in (*cert.tau, cert.bound, cert.sup_value, cert.min_over_q))
+    rats = list(cert.maximizer)
+    for x in (*cert.tau, cert.bound, cert.sup_value, cert.min_over_q):
+        if isinstance(x, Fraction):
+            rats.append(x)
+        elif not minpoly_within_ceiling(x.minpoly.coeffs):
+            return False
+        else:
+            rats += (*x.minpoly.coeffs, *x.isolating_interval())
+    return _printable(rats)
 
 
 def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
@@ -150,6 +170,10 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             spectral, form = _prepare_certification(sys, report)
         except DimensionCeilingError as exc:
             reasons.append(f"normalization needs facet enumeration: {exc}")
+        else:
+            vertices = form.u_reduced.vertices + form.q_reduced.vertices
+            if not _printable([*form.a_reduced.entries, *(x for v in vertices for x in v)]):
+                reasons.append("the reduced system has integers too long to write as text")
     certifiable = not reasons
     warnings = [] if certifiable else [
         "certificate search disabled (" + "; ".join(reasons) + "); forward search only"]

@@ -422,7 +422,8 @@ def root_bound(p: IntPoly) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
-def _isolate_squarefree(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
+@lru_cache(maxsize=4096)
+def _isolate_squarefree(p: IntPoly) -> tuple[tuple[Fraction, Fraction], ...]:
     """Isolating intervals (open, endpoints not roots) for a squarefree p
     with no rational roots, sorted ascending."""
     chain = sturm_chain(p)
@@ -441,8 +442,7 @@ def _isolate_squarefree(p: IntPoly) -> list[tuple[Fraction, Fraction]]:
         left = count_roots_halfopen(chain, lo, mid)
         stack.append((mid, hi, cnt - left))
         stack.append((lo, mid, left))
-    out.sort()
-    return out
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,21 @@ first in component assignment, so outputs are deterministic.
 Each horizon's root LP, where every step ranges over the pooled hull,
 is decided from the previous horizon's basis.  StepColumns keeps the
 root's phase-1 tableau with its artificial columns, which hold the
-inverse of the basis (`geometry.PhaseOneTableau`): horizon n+1 has
-horizon n's columns after the block of power n, one more convexity row
-and a new right-hand side in the state rows, so the tableau grows in
-place and phase 1 runs again from the basis it has, with one extra
-artificial when a basic value turns negative.  Only the first horizon
-asked of a StepColumns, or one that does not follow the last, seeds it
-from scratch.  A child that fixes one step's component has its parent's
-LP with the other components' variables of that step at 0, so its
-feasible tableau is the parent's restricted to the other columns
-(`geometry._Tableau.restricted`), often without a pivot.  Feasibility
+inverse of the basis (`geometry.PhaseOneTableau`).  Horizon 0's root is
+the LP "source in target", solved cold; horizon n+1 has horizon n's
+columns after the block of power n, one more convexity row and a new
+right-hand side in the state rows, so the tableau grows in place and
+phase 1 runs again from the basis it has, with one extra artificial
+when a basic value turns negative.  A child that fixes one step's
+component has its parent's LP with the other components' variables of
+that step at 0, so its feasible tableau is the parent's restricted to
+the other columns (`geometry._Tableau.restricted`), often without a
+pivot.  A lone control polytope is a union of one: each node has one
+child, which bans nothing and keeps its parent's tableau.  Feasibility
 does not depend on the basis, so the search visits the nodes a cold
-search would.  The LP that gives the witness, the feasible leaf or a
-lone component's root, is solved from scratch once more (a seed is
-already), so the witness is the point the cold LP gives, whatever bases
-the growth and the restrictions reached.
+search would.  Every witness, at horizon 0 too, is the point of its
+feasible leaf's LP solved from scratch once more, whatever bases the
+growth and the restrictions reached.
 
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
@@ -183,8 +183,6 @@ class _Block:
 
 def _pool(blocks: list[_Block]) -> _Block:
     """The pooled hull's block: all vertices, then all rays, then all lines."""
-    if len(blocks) == 1:
-        return blocks[0]
     nums: list[tuple[int, ...]] = []
     dens: list[int] = []
     for group in zip(*(b.groups() for b in blocks)):
@@ -221,8 +219,8 @@ class StepColumns:
     the tableau columns of component c's block, and foreign[c] lists the
     columns of a pooled block that are not component c's, for the search's
     restrictions.  root is the phase-1 tableau of the pooled root LP of
-    horizon root_horizon, kept with its artificial columns so that the
-    next horizon grows from its basis (`root_at`)."""
+    horizon root_horizon, seeded at horizon 0 and kept with its artificial
+    columns so that each later horizon grows from its basis (`root_at`)."""
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
@@ -239,7 +237,6 @@ class StepColumns:
         self.products = 0
         self.root: PhaseOneTableau | None = None
         self.root_horizon = 0
-        self.root_layout: _Layout | None = None
 
     def _matvec(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         """A (num / den) in lowest terms."""
@@ -265,31 +262,22 @@ class StepColumns:
     def root_at(self, n: int) -> PhaseOneTableau:
         """The phase-1 tableau of horizon n's pooled root LP,
         _build_lp([0] * n, 0, self), with its artificial columns, kept as
-        `root`.  When the previous call asked for horizon n - 1, its tableau
-        grows to horizon n in place (`_extend_root`) and `root_layout` is
-        None; any other horizon is seeded by a cold solve, whose layout
-        `root_layout` keeps.  Horizons 1 and up only: grow(n) comes
-        first."""
-        if self.root is not None and self.root_horizon == n - 1:
-            self._extend_root(n)
-            self.root_layout = None
-        else:
-            rows, dens, self.root_layout = _build_lp([0] * n, 0, self)
-            self.root = PhaseOneTableau(rows, dens, self.root_layout.nonneg)
+        `root`.  Horizon 0's LP, source in target, seeds it cold, and it
+        grows in place one horizon at a time; it is seeded again only when n
+        is below the last horizon asked.  Horizon k's root LP has horizon
+        k-1's columns after the block of power k-1, whose state entries are
+        its numerators and whose convexity row, added last, holds its
+        vertices' denominators; every convexity row's right-hand side stays
+        1, and the state rows' becomes -A^k source.  grow(n) comes first."""
+        if self.root is None or n < self.root_horizon:
+            rows, dens, layout = _build_lp([], 0, self)
+            self.root, self.root_horizon = PhaseOneTableau(rows, dens, layout.nonneg), 0
+        for k in range(self.root_horizon + 1, n + 1):
+            b, (base, den) = self.pooled[k - 1], self.bases[k]
+            convexity = [*b.dens[:b.nv], *[0] * (b.nr + b.nl)]
+            self.root.extend(b.nums, b.nonneg, convexity, [*(-x for x in base), *[den] * (k + 1)], den)
         self.root_horizon = n
         return self.root
-
-    def _extend_root(self, n: int) -> None:
-        """Horizon n's root LP has horizon n-1's columns after the block of
-        power n-1, whose state entries are its numerators and whose
-        convexity row, added last, holds its vertices' denominators; every
-        convexity row's right-hand side stays 1, and the state rows' becomes
-        -A^n source."""
-        b = self.pooled[n - 1]
-        base, den = self.bases[n]
-        convexity = [*b.dens[:b.nv], *[0] * (b.nr + b.nl)]
-        rhs = [*(-x for x in base), *[den] * (n + 1)]
-        self.root.extend(b.nums, b.nonneg, convexity, rhs, den)
 
 
 def _build_lp(assignment, pooled_from: int, cols: StepColumns):
@@ -355,39 +343,22 @@ def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
     """A witness reaching the target of columns.system in exactly n steps,
     or None.  A caller that tries several horizons passes one StepColumns
     to all of them, in order, so each power of A is formed once and each
-    horizon's root LP is decided from the previous horizon's basis."""
+    horizon's root LP is decided from the previous horizon's basis; a
+    horizon below the last one asked starts again from horizon 0."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
-    sys = columns.system
-    if sys.target.is_empty:
-        return None
-    if n == 0:
-        if contains_point(sys.target, sys.source):
-            return ReachWitness(0, ())
+    if columns.system.target.is_empty:
         return None
     columns.grow(n)
-    assignment = [0] * n
-    root = columns.root_at(n)
-    # a lone component is its own pooled hull: the root LP is exact
-    if len(sys.controls.components) == 1:
-        return _witness(columns, assignment) if root.feasible else None
-    return _search(columns, assignment, 0, root.without_artificials())
+    return _search(columns, [0] * n, 0, columns.root_at(n).without_artificials())
 
 
-def _witness(cols: StepColumns, assignment) -> ReachWitness | None:
-    """The witness of the LP with every step assigned, solved cold, or None
-    when it is infeasible.  A lone component's LP is its horizon's root
-    LP, so when that root was solved cold its point is read off it: the
-    artificial columns it keeps are nonbasic or basic at 0."""
+def _witness(cols: StepColumns, assignment) -> ReachWitness:
+    """The witness of the feasible LP with every step assigned, solved
+    cold."""
     n = len(assignment)
-    layout = cols.root_layout if len(cols.comps) == 1 else None
-    if layout is not None:
-        tab = cols.root.tab if cols.root.feasible else None
-    else:
-        rows, dens, layout = _build_lp(assignment, n, cols)
-        tab = feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg)
-    if tab is None:
-        return None
+    rows, dens, layout = _build_lp(assignment, n, cols)
+    tab = feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg)
     return _witness_from_solution(n, assignment, layout, tab.point(layout.nonneg))
 
 

@@ -186,7 +186,8 @@ class _Tableau:
     def restricted(self, banned) -> _Tableau | None:
         """This feasible tableau's LP with the banned columns held at 0: a
         feasible tableau over the other columns, kept in their order, or
-        None when no feasible point has them all at 0.  self is unchanged.
+        None when no feasible point has them all at 0 (self when nothing is
+        banned).  self is unchanged.
 
         From the current basis it runs `phase_one` on the banned columns,
         so it takes no pivot when no banned column is basic.  A banned
@@ -195,6 +196,8 @@ class _Tableau:
         its sign).  Rows left basic in a banned column are redundant and
         are dropped, and so are the banned columns."""
         ban = set(banned)
+        if not ban:
+            return self
         tab = self
         if any(b in ban for b in self.basis):
             tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols)

@@ -59,10 +59,10 @@ from .linalg import RatMatrix, Vec
 from .preprocess import LtiSystem, SimpleForm
 
 
-# the dimension on the first line: ASCII digits only
-_DIGITS = re.compile(r"[0-9]+")
-# what separates the entries of a line: ASCII spaces and tabs only
-_BLANKS = re.compile(r"[ \t]+")
+# the dimension on the first line, and a command-line count: ASCII digits only
+DIGITS = re.compile(r"[0-9]+")
+# what separates entries, in a file or on the command line: ASCII blanks only
+BLANKS = re.compile(r"[ \t]+")
 
 
 class ParseError(Exception):
@@ -74,7 +74,7 @@ class ParseError(Exception):
 
 
 def _parse_row(line_no: int, text: str, dim: int) -> Vec:
-    parts = _BLANKS.split(text)
+    parts = BLANKS.split(text)
     if len(parts) != dim:
         raise ParseError(line_no, f"expected {dim} entries, got {len(parts)}")
     try:
@@ -104,11 +104,11 @@ def parse_instance(text: str) -> LtiSystem:
         return item
 
     line_no, first = take()
-    parts = _BLANKS.split(first) if first is not None else []
+    parts = BLANKS.split(first) if first is not None else []
     if not parts or parts[0] != "dim":
         raise ParseError(line_no, "instance must start with 'dim N'")
     try:
-        dim = int(parts[1]) if len(parts) == 2 and _DIGITS.fullmatch(parts[1]) else -1
+        dim = int(parts[1]) if len(parts) == 2 and DIGITS.fullmatch(parts[1]) else -1
     except ValueError:  # past Python's limit on the digits of an int
         dim = -1
     if dim < 0:

@@ -585,9 +585,12 @@ def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
     """`forward.reach_exactly` as a DFS that solves every node's LP from
     scratch: the node that assigns the steps before `depth` solves
     _build_lp(assignment, depth), and the first feasible leaf's point is
-    the witness."""
-    if n == 0 or sys.target.is_empty:
-        return reach_exactly(StepColumns(sys), n)
+    the witness.  Horizon 0 is the membership of the source in the target,
+    decided by the Fraction simplex."""
+    if sys.target.is_empty:
+        return None
+    if n == 0:
+        return ReachWitness(0, ()) if lp_contains_point(sys.target, sys.source) else None
     cols = StepColumns(sys)
     cols.grow(n)
     ncomps = len(sys.controls.components)

@@ -574,6 +574,34 @@ def test_cli_negative_count_is_usage_error(tmp_path, capsys, command, flag):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["\u0663", " 7 ", "7 ", "\u00a07", "+7", "7\u200b", "\uff17"])
+def test_cli_count_takes_only_ascii_digits(tmp_path, capsys, count):
+    """A count is ASCII digits and nothing else, as an instance file's
+    dimension: other decimal digits and surrounding blanks are refused."""
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+    assert cli.main(["decide", "--input", inst, "--max-steps", count]) == cli.EXIT_ERROR
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["vecreach", "--matrices", "1 1; 0 1", "--x", "0 1", "--y", "2\u00a01"],
+    ["vecreach", "--matrices", "1\u20031; 0 1", "--x", "0 1", "--y", "2 1"],
+    ["vecreach", "--matrices", "1 1; 0 1", "--x", "0\n1", "--y", "2 1"],
+    ["skolem", "--matrix", "0 1;\u00a0-1 0"],
+    ["powering", "--matrices", "1 1; 0 1", "--target", "1 2;\u30000 1"],
+])
+def test_cli_gadget_entries_split_only_at_ascii_blanks(tmp_path, capsys, argv):
+    """Command-line entries are separated by ASCII spaces and tabs, as in
+    an instance file, which refuses a row with any other whitespace."""
+    out = tmp_path / "g.lti"
+    assert cli.main(["gadget", *argv, "--out", str(out)]) == cli.EXIT_ERROR
+    assert not out.exists() and "Traceback" not in capsys.readouterr().err
+    blank = [a.replace("\u00a0", " ").replace("\u2003", "\t").replace("\n", " ").replace("\u3000", " ")
+             for a in argv]
+    assert cli.main(["gadget", *blank, "--out", str(out)]) == cli.EXIT_REACHABLE
+    instances.parse_instance(out.read_text())
+
+
 @pytest.mark.parametrize("tau", ["missing", 7, [7], "x"])
 def test_cli_audit_malformed_certificate_is_input_error(tmp_path, capsys, tau):
     unreachable = write_instance(tmp_path, "u.lti", "0 3")
@@ -667,6 +695,45 @@ def test_cli_audits_certificates_with_large_entries(tmp_path, text, degree):
     assert max(n for n, _ in sizes) == degree
     assert max(n * bits for n, bits in sizes) > 2 * instances.MINPOLY_SIZE_CEILING
     assert cli.main(["audit", str(inst), str(out)]) == 0
+
+
+def test_cli_decide_passes_over_certificates_too_long_to_write(tmp_path, monkeypatch, capsys):
+    """Python converts no integer of more than sys.get_int_max_str_digits()
+    digits to or from text.  With a target coordinate 2^-8000 off 3, one
+    separator's minimum over the target is quadratic with 4818-digit
+    minimal polynomial coefficients; decide counts it as not found, and
+    the certificate it writes instead audits."""
+    refused = []
+
+    def within_ceiling(cert):
+        ok = _within_ceiling(cert)
+        refused.append(not ok)
+        return ok
+
+    _within_ceiling = driver._within_ceiling
+    monkeypatch.setattr(driver, "_within_ceiling", within_ceiling)
+    inst = tmp_path / "long.lti"
+    inst.write_text("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + DIAMOND_CONTROL
+                    + f"source\n0 0\ntarget\nvertices\n{3 + Fraction(1, 2 ** 8000)} -4\n")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(inst), "--out", str(out)]) == cli.EXIT_UNREACHABLE
+    assert capsys.readouterr().out == "verdict: unreachable\nseparator sup: 4\n"
+    assert refused[0] and not refused[-1]
+    assert cli.main(["audit", str(inst), str(out)]) == cli.EXIT_REACHABLE
+
+
+def test_cli_decide_searches_forward_only_when_the_reduced_system_is_too_long_to_write(tmp_path, capsys):
+    """A = diag(-1/2 + 2^-8000, 1/3) has a negative eigenvalue, so the
+    reduced system holds A^2, whose first entry has more digits than
+    Python writes as text.  No certificate of it could be written, so
+    decide searches forward only, with a warning, and its verdict audits."""
+    inst = tmp_path / "long.lti"
+    inst.write_text(f"dim 2\nmatrix\n{Fraction(-1, 2) + Fraction(1, 2 ** 8000)} 0\n0 1/3\n" + DIAMOND_CONTROL
+                    + "source\n0 0\ntarget\nvertices\n5 0\n")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(inst), "--max-steps", "3", "--out", str(out)]) == cli.EXIT_UNKNOWN
+    assert "integers too long to write as text" in capsys.readouterr().err
+    assert cli.main(["audit", str(inst), str(out)]) == cli.EXIT_REACHABLE
 
 
 # the companion matrix of 8x^3 - 6x + 1 (eigenvalues cos 40, cos 160 and

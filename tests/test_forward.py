@@ -385,26 +385,29 @@ def count_cold_solves(monkeypatch) -> list:
 
 
 def test_single_component_solves_one_lp_per_horizon(monkeypatch):
-    """A lone component is its own pooled hull, so the search stops at its
-    root.  A horizon asked of a fresh StepColumns is one cold solve,
-    reachable or not: the seed, whose point is the witness.  Horizons 1
-    and 2 asked of one StepColumns are the seed at horizon 1 and, since
-    horizon 2 grows from it and is feasible, its cold witness LP."""
+    """A lone component is a union of one: each DFS node has one child,
+    which keeps its parent's tableau.  A StepColumns solves one root cold,
+    the seed at horizon 0, whichever horizon is asked first, and every
+    later horizon grows from it; a witness solves its leaf LP cold once
+    more, at horizon 0 too."""
     solved = count_cold_solves(monkeypatch)
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
     assert reach_exactly(StepColumns(sys), 1) is None and len(solved) == 1
     w = reach_exactly(StepColumns(sys), 2)
-    assert w is not None and verify_witness(sys, w) and len(solved) == 2
+    assert w is not None and verify_witness(sys, w) and len(solved) == 3
     assert [s.component for s in w.steps] == [0, 0]
     solved.clear()
     cols = StepColumns(sys)
-    assert reach_exactly(cols, 1) is None and len(solved) == 1
+    assert reach_exactly(cols, 0) is None and reach_exactly(cols, 1) is None and len(solved) == 1
     assert reach_exactly(cols, 2) == w and len(solved) == 2
+    solved.clear()
+    home = quad_system(GenPolyhedron.point(vec(0, 0)))
+    assert reach_exactly(StepColumns(home), 0) == ReachWitness(0, ()) and len(solved) == 2
 
 
 def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
-    """With several components, the first horizon's root LP is solved cold,
-    each later horizon's root grows from the previous one's basis, and a
+    """With several components, horizon 0's root LP is solved cold, each
+    later horizon's root grows from the previous one's basis, and a
     witness solves its leaf LP cold once more; every other DFS node
     restricts its parent's tableau."""
     solved = count_cold_solves(monkeypatch)
@@ -419,7 +422,7 @@ def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
     reachable, far = union_systems()[0], union_systems()[2]
     w = reach_within(reachable, 5)
     assert w is not None and w.horizon == 3 and verify_witness(reachable, w)
-    assert len(solved) == 2  # the root of horizon 1, then the leaf
+    assert len(solved) == 2  # the root of horizon 0, then the leaf
     assert len(nodes) > w.horizon + 1
     solved.clear()
     assert reach_within(far, 5) is None and len(solved) == 1
@@ -549,7 +552,40 @@ def test_warm_horizons_match_cold_oracle(monkeypatch):
     assert all(events[k] >= 5 for k in ("1 components", "2 components", "3 components", "zero source",
                                        "nonzero source", "singular A", "rays or lines", "line target",
                                        "negative basic value", "reached")), events
-    assert events["extensions"] == 30 * 5  # horizons 2 to 6 each grow from the one before
+    assert events["extensions"] == 30 * 6  # horizons 1 to 6 each grow from the one before
+
+
+def test_horizons_out_of_order_match_cold_oracle(monkeypatch):
+    """One StepColumns asked for horizons 3, 1, 4, 0, 2 seeds its root at
+    horizon 0 on the first call and again on each call below the last
+    horizon asked (1 and 0), grows it one horizon at a time otherwise, and
+    returns at every horizon what the search that solves every DFS node
+    from scratch returns."""
+    events = Counter()
+
+    class Seeded(geometry.PhaseOneTableau):
+        def __init__(self, *args):
+            events["seeds"] += 1
+            super().__init__(*args)
+
+        def extend(self, *args):
+            events["extensions"] += 1
+            return super().extend(*args)
+
+    monkeypatch.setattr(forward, "PhaseOneTableau", Seeded)
+    rng = random.Random(89)
+    for _ in range(20):
+        sys = random_forward_system(rng)
+        cols = StepColumns(sys)
+        for n in (3, 1, 4, 0, 2):
+            got = reach_exactly(cols, n)
+            assert got == cold_reach_exactly(sys, n)
+            if got is not None:
+                assert verify_witness(sys, got)
+                events["reached"] += 1
+    assert events["seeds"] == 20 * 3
+    assert events["extensions"] == 20 * (3 + 1 + 3 + 0 + 2)
+    assert events["reached"] >= 10, events
 
 
 def test_sequential_lp_agrees_with_minkowski_membership():

@@ -68,7 +68,7 @@ exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), module.__dict__)
 tracer = module.Tracer()
 module.install(tracer)
 
-from ltireach.forward import reach_within
+from ltireach.forward import reach_within, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
@@ -76,7 +76,8 @@ from ltireach.preprocess import LtiSystem
 comps = (GenPolyhedron.polytope([vec(0, 0), vec(1, 0)]), GenPolyhedron.polytope([vec(0, 1), vec(0, 2)]))
 sys_ = LtiSystem(RatMatrix.diag(F(1, 2), F(1, 3)), ControlSet(comps), vec(0, 0),
                  GenPolyhedron.polytope([vec(F(3, 4), F(4, 3)), vec(F(3, 4), F(3, 2))]))
-assert reach_within(sys_, 3) is not None
+w = reach_within(sys_, 3)
+assert w is not None and verify_witness(sys_, w)
 names = [s[0] for s in tracer.spans]
 parents = [s[3] for s in tracer.spans]
 
@@ -95,18 +96,19 @@ print(json.dumps({"lp_solve": len(lp), "nested": sum(under_reach(parents[i]) for
 
 def test_traced_forward_search_records_lp_spans():
     """A traced reach_within records one forward.reach_exactly span per
-    horizon.  The forward LPs are solved and restricted inside those spans
-    without calling geometry.lp_solve, so the only lp_solve spans left are
-    membership tests (the horizon-0 check of the source), and each nests
-    under a reach_exactly span.  The target is a segment: membership of a
-    single point is an equality test and solves no LP."""
+    horizon.  The forward LPs, horizon 0's among them, are solved and
+    restricted inside those spans without calling geometry.lp_solve, so no
+    lp_solve span nests under a reach_exactly span.  The one lp_solve span
+    is the replay's membership test in verify_witness, outside them: the
+    target is a segment, and membership of a single point would be an
+    equality test that solves no LP."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run([sys.executable, "-c", TRACED_FORWARD, str(SPANS_PATH)], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["reach_exactly"] == 4
-    assert got["nested"] == got["lp_solve"] == 1
+    assert got["lp_solve"] == 1 and got["nested"] == 0
 
 
 WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
