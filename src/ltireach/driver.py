@@ -136,8 +136,9 @@ def _printable(rats) -> bool:
     more digits than Python converts to or from text
     (sys.get_int_max_str_digits, 0 for no limit)."""
     limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
-    ints = (abs(k) for x in rats for k in (x.numerator, x.denominator))
-    return limit == 0 or max(ints, default=0) < 10 ** limit
+    top = max((abs(k) for x in rats for k in (x.numerator, x.denominator)), default=0)
+    # 2^(3 limit) < 10^limit, so only a longer integer needs the power of ten
+    return limit == 0 or top.bit_length() <= 3 * limit or top < 10 ** limit
 
 
 def _within_ceiling(cert: SeparatorCertificate) -> bool:
