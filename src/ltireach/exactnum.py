@@ -48,7 +48,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 
 # no real algebraic number, parsed or computed, has a higher degree
@@ -232,10 +232,8 @@ def _from_frac(coeffs: list[Fraction]) -> IntPoly:
         coeffs.pop()
     if not coeffs:
         return IntPoly(())
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return IntPoly(tuple(int(c * den) for c in coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return IntPoly(tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
 
 def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -8,34 +8,33 @@ a sound convex-hull relaxation pruning infeasible prefixes; leaves are
 exact.  The first witness found is minimal-horizon and lexicographically
 first in component assignment, so outputs are deterministic.
 
-Each horizon's root LP, where every step ranges over the pooled hull,
-is decided from the previous horizon's basis.  StepColumns keeps the
-root's phase-1 tableau with its artificial columns, which hold the
-inverse of the basis (`geometry.PhaseOneTableau`).  Horizon 0's root is
-the LP "source in target", solved cold; horizon n+1 has horizon n's
-columns after the block of power n, one more convexity row and a new
-right-hand side in the state rows, so the tableau grows in place and
-phase 1 runs again from the basis it has, with one extra artificial
-when a basic value turns negative.  A child that fixes one step's
+Every LP of the search comes from one tableau, grown with
+`geometry.PhaseOneTableau.extend`; its artificial columns hold the
+inverse of the basis, so each growth is decided from the basis the
+tableau has, with one extra artificial when a basic value turns negative
+(Chvatal, Linear Programming, 1983, ch. 3).  StepColumns seeds it from
+the LP with no variables, whose state rows read 0 = -source, adds the
+target's block, and then one block per horizon: horizon n+1's root LP,
+where every step ranges over the pooled hull, is horizon n's with the
+block of power n before its columns, one more convexity row and a new
+right-hand side in the state rows.  A child that fixes one step's
 component has its parent's LP with the other components' variables of
 that step at 0, so its feasible tableau is the parent's restricted to
 the other columns (`geometry._Tableau.restricted`), often without a
 pivot.  A lone control polytope is a union of one: each node has one
 child, which bans nothing and keeps its parent's tableau.  Feasibility
-does not depend on the basis, so the search visits the nodes a cold
-search would.  Every witness, at horizon 0 too, is the point of its
-feasible leaf's LP solved from scratch once more, whatever bases the
-growth and the restrictions reached.
+does not depend on the basis, so the search visits the nodes a search
+that solves each node from scratch would; the witness is the point of
+the feasible leaf's tableau, whichever basis the growth and the
+restrictions reached.
 
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
 denominator, one power at a time, once per decision: reach_exactly takes
 the StepColumns of its system and reads the system from them.  Each LP
 variable is a generator's coefficient divided by that denominator, so
-every row is an integer row, and the rows go to the tableau as
-integers.  Scaling a column by a positive constant changes no choice of
-Bland's rule, so the LP takes the pivots of the unscaled one and the
-witness, the variables times their denominators, is the same.
+every column is an integer column, and the witness is each variable
+times its denominator.
 
 The replay that `verify_witness` audits runs in integers as well: the
 state is an integer vector over one denominator, stepped by A's IntRows,
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import GenPolyhedron, PhaseOneTableau, contains_point, feasible_tableau, tableau_columns
+from .geometry import PhaseOneTableau, contains_point, tableau_columns
 from .linalg import IntRows, Vec
 from .preprocess import LtiSystem
 
@@ -129,18 +128,6 @@ def verify_witness(sys: LtiSystem, witness: ReachWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Layout:
-    """Column layout of the horizon LP: per-step generator blocks followed
-    by the target block.  Variable j is the coefficient of its generator
-    divided by scales[j]."""
-
-    step_slices: list[tuple[int, int, int, int]]  # (start, nv, nr, nl)
-    ncols: int
-    nonneg: list[bool]
-    scales: list[int]
-
-
 def _int_vec(v: Vec) -> tuple[tuple[int, ...], int]:
     """v as integer numerators over their least common denominator, which
     leaves them in lowest terms."""
@@ -219,8 +206,9 @@ class StepColumns:
     the tableau columns of component c's block, and foreign[c] lists the
     columns of a pooled block that are not component c's, for the search's
     restrictions.  root is the phase-1 tableau of the pooled root LP of
-    horizon root_horizon, seeded at horizon 0 and kept with its artificial
-    columns so that each later horizon grows from its basis (`root_at`)."""
+    horizon root_horizon, grown from the LP with no variables and kept
+    with its artificial columns so that each later horizon grows from its
+    basis (`root_at`)."""
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
@@ -260,91 +248,37 @@ class StepColumns:
             self.pooled.append(_pool([table[-1] for table in self.comps]))
 
     def root_at(self, n: int) -> PhaseOneTableau:
-        """The phase-1 tableau of horizon n's pooled root LP,
-        _build_lp([0] * n, 0, self), with its artificial columns, kept as
-        `root`.  Horizon 0's LP, source in target, seeds it cold, and it
-        grows in place one horizon at a time; it is seeded again only when n
-        is below the last horizon asked.  Horizon k's root LP has horizon
-        k-1's columns after the block of power k-1, whose state entries are
-        its numerators and whose convexity row, added last, holds its
-        vertices' denominators; every convexity row's right-hand side stays
-        1, and the state rows' becomes -A^k source.  grow(n) comes first."""
+        """The phase-1 tableau of horizon n's pooled root LP, with its
+        artificial columns, kept as `root`.  It is seeded from the LP with
+        no variables, whose state rows read 0 = -source, and grows in place
+        by `PhaseOneTableau.extend`, one block at a time, each put before
+        the others: the target's block, then for each horizon k the block
+        of power k-1.  A block's state entries are its numerators and its
+        convexity row, added last, holds its vertices' denominators; every
+        convexity row's right-hand side is 1, and the state rows' becomes
+        -A^k source.  So horizon n's columns are steps 0 to n-1 (powers n-1
+        down to 0) and then the target.  The root is seeded again only when
+        n is below the last horizon asked.  grow(n) comes first."""
+        start = self.root_horizon + 1
         if self.root is None or n < self.root_horizon:
-            rows, dens, layout = _build_lp([], 0, self)
-            self.root, self.root_horizon = PhaseOneTableau(rows, dens, layout.nonneg), 0
-        for k in range(self.root_horizon + 1, n + 1):
-            b, (base, den) = self.pooled[k - 1], self.bases[k]
+            src = self.system.source
+            self.root = PhaseOneTableau([[-x.numerator] for x in src], [x.denominator for x in src], [])
+            start = 0
+        for k in range(start, n + 1):
+            b = self.pooled[k - 1] if k else self.target
+            base, den = self.bases[k]
             convexity = [*b.dens[:b.nv], *[0] * (b.nr + b.nl)]
             self.root.extend(b.nums, b.nonneg, convexity, [*(-x for x in base), *[den] * (k + 1)], den)
         self.root_horizon = n
         return self.root
 
 
-def _build_lp(assignment, pooled_from: int, cols: StepColumns):
-    """The equations of: A^n source + sum_t A^(n-1-t) u_t in target, where
-    steps before pooled_from use their assigned component and later steps
-    use the pooled hull of all components.
-
-    Each variable is its generator's coefficient over the generator's
-    denominator, so every row is an integer row: a state row holds the
-    generators' numerators and minus the entry of A^n source, and a
-    convexity row their denominators and 1.  Returns the rows, each in
-    lowest terms over its denominator as `feasible_tableau` reads them,
-    their denominators and the layout."""
-    n = len(assignment)
-    blocks = [cols.comps[assignment[t]][n - 1 - t] if t < pooled_from else cols.pooled[n - 1 - t]
-              for t in range(n)]
-    blocks.append(cols.target)
-    columns: list[tuple[int, ...]] = []
-    scales: list[int] = []
-    nonneg: list[bool] = []
-    slices = []
-    for b in blocks:
-        slices.append((len(columns), b.nv, b.nr, b.nl))
-        columns += b.nums
-        scales += b.dens
-        nonneg += b.nonneg
-    ncols = len(columns)
-
-    base, base_den = cols.bases[n]
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    for row, b in zip(zip(*columns), base):
-        g = gcd(b, base_den)
-        den = base_den // g
-        rows.append([*row, -b // g] if den == 1 else [x * den for x in row] + [-b // g])
-        dens.append(den)
-    for start, nv, _, _ in slices:
-        row = [0] * (ncols + 1)
-        row[start:start + nv] = scales[start:start + nv]
-        row[-1] = 1
-        rows.append(row)
-        dens.append(1)
-
-    return rows, dens, _Layout(slices[:-1], ncols, nonneg, scales)
-
-
-def _witness_from_solution(n: int, assignment, layout: _Layout, point) -> ReachWitness:
-    """The witness at the LP's point, each variable times its scale."""
-    coeffs = [y * s for y, s in zip(point, layout.scales)]
-    steps = []
-    for t in range(n):
-        start, nv, nr, nl = layout.step_slices[t]
-        steps.append(WitnessStep(
-            assignment[t],
-            tuple(coeffs[start:start + nv]),
-            tuple(coeffs[start + nv:start + nv + nr]),
-            tuple(coeffs[start + nv + nr:start + nv + nr + nl]),
-        ))
-    return ReachWitness(n, tuple(steps))
-
-
 def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
     """A witness reaching the target of columns.system in exactly n steps,
     or None.  A caller that tries several horizons passes one StepColumns
     to all of them, in order, so each power of A is formed once and each
-    horizon's root LP is decided from the previous horizon's basis; a
-    horizon below the last one asked starts again from horizon 0."""
+    horizon's root LP grows from the previous horizon's; a horizon below
+    the last one asked grows the root again from the empty LP."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     if columns.system.target.is_empty:
@@ -353,31 +287,37 @@ def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
     return _search(columns, [0] * n, 0, columns.root_at(n).without_artificials())
 
 
-def _witness(cols: StepColumns, assignment) -> ReachWitness:
-    """The witness of the feasible LP with every step assigned, solved
-    cold."""
+def _witness(cols: StepColumns, assignment, tab) -> ReachWitness:
+    """The witness at the basic point of tab, the feasible tableau of the
+    leaf that assigns every step: each variable times its generator's
+    denominator."""
     n = len(assignment)
-    rows, dens, layout = _build_lp(assignment, n, cols)
-    tab = feasible_tableau(rows, dens, ["=="] * len(rows), layout.nonneg)
-    return _witness_from_solution(n, assignment, layout, tab.point(layout.nonneg))
+    blocks = [cols.comps[c][n - 1 - t] for t, c in enumerate(assignment)]
+    point = iter(tab.point([x for b in (*blocks, cols.target) for x in b.nonneg]))
+    steps = []
+    for c, b in zip(assignment, blocks):
+        coeffs = [den * y for den, y in zip(b.dens, point)]
+        i, j = b.nv, b.nv + b.nr
+        steps.append(WitnessStep(c, tuple(coeffs[:i]), tuple(coeffs[i:j]), tuple(coeffs[j:])))
+    return ReachWitness(n, tuple(steps))
 
 
 def _search(cols: StepColumns, assignment: list[int], depth: int, tab) -> ReachWitness | None:
     """DFS over per-step component assignments with hull-relaxation pruning,
-    below the node whose LP is _build_lp(assignment, depth, cols): tab is
-    that LP's feasible tableau, or None when it is infeasible.
+    below the node that assigns the steps before `depth` and pools the
+    others: tab is that node's feasible tableau, or None when its LP is
+    infeasible.
 
     The child that gives step `depth` component c has its parent's LP with
     the other components' variables of that step at 0, so its tableau is
-    tab restricted to the other columns.  A feasible leaf is solved once
-    more from the all-artificial basis, so the witness is the point that
-    Bland's rule reaches from there, whatever basis the restrictions
-    reached."""
+    tab restricted to the other columns.  A leaf's columns are then each
+    step's assigned block and the target's, and its witness is the point
+    of the feasible tableau it holds."""
     if tab is None:
         return None
     n = len(assignment)
     if depth == n:
-        return _witness(cols, assignment)
+        return _witness(cols, assignment, tab)
     # step depth's pooled block follows the assigned blocks of earlier steps
     offset = sum(cols.widths[c] for c in assignment[:depth])
     for c, foreign in enumerate(cols.foreign):

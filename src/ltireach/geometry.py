@@ -17,12 +17,13 @@ One routine fixes columns at zero: `_Tableau.restricted` takes a
 feasible tableau to the same LP without the banned columns, by a
 phase 1 from its current basis that maximizes minus their sum.  Phase 1
 of `lp_solve` is that routine with the artificial columns banned, and
-`feasible_tableau` runs it on rows that are already integers, as the
-forward search builds them; the search restricts a parent's tableau to
-reach each child's.  `PhaseOneTableau` runs the same phase 1 on equality
-rows but keeps the artificial columns, which then hold the inverse of
-the basis: `extend` adds columns, a row and a new right-hand side to
-the LP and decides it again from the basis it has.
+`feasible_tableau` runs it on rows that are already integers.
+`PhaseOneTableau` runs the same phase 1 on equality rows but keeps the
+artificial columns, which then hold the inverse of the basis: `extend`
+adds columns, a row and a new right-hand side to the LP and decides it
+again from the basis it has.  The forward search builds every LP that
+way, from an LP with no variables, and restricts a parent's tableau to
+reach each child's.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a ceiling on the affine dimension of the polytope (not
@@ -279,8 +280,7 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
     surplus per inequality, then one artificial per row that is not a
     "<=", which start basic.  Phase 1 restricts that tableau to the other
     columns, so the artificials, being last, change no choice of Bland's
-    rule.  `lp_solve` reads its constraints into such rows; the forward
-    search builds them directly."""
+    rule.  `lp_solve` reads its constraints into such rows."""
     tab, first_art = _laid_out(rows, dens, rels, nonneg)
     if tab.ncols > first_art:
         return tab.restricted(range(first_art, tab.ncols))
@@ -340,7 +340,8 @@ class PhaseOneTableau:
     the LP can grow and be decided again from the basis it reached.
 
     The first solve is cold: the rows are laid out as `feasible_tableau`
-    lays them out and phase 1 takes its pivots, but the tableau keeps the
+    lays them out and phase 1 takes its pivots (none when there are no
+    variables, as the forward search starts it), but the tableau keeps the
     artificials, one per row in the order the rows came, after the
     variables' columns (from `first_art` on).  They started as the
     identity on the rows, each row negated when its right-hand side was
@@ -491,16 +492,12 @@ def lp_solve(objective, constraints, num_vars: int, nonneg) -> LpResult:
 
 def _primitive_direction(v: Vec) -> Vec:
     """Scale to a primitive integer vector, keeping orientation."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in v)
-    return tuple(Fraction(x, g) for x in ints)
+    return tuple(Fraction(x // g) for x in ints)
 
 
 @dataclass(frozen=True)
@@ -654,19 +651,12 @@ def canonical(p: GenPolyhedron) -> GenPolyhedron:
         lm = RatMatrix.from_rows([list(l) for l in lines]).transpose()
         rays = [r for r in rays if lm.solve(r) is None]
     if len(rays) > 1:
-        kept_rays = []
-        for i, r in enumerate(rays):
-            others = rays[:i] + rays[i + 1:]
-            cons = []
-            n = len(others) + len(lines)
-            for k in range(p.dim):
-                coeffs = [o[k] for o in others] + [l[k] for l in lines]
-                cons.append(constraint(coeffs, "==", r[k]))
-            nonneg = [True] * len(others) + [False] * len(lines)
-            res = lp_solve(None, cons, n, nonneg=nonneg)
-            if not res.is_feasible:
-                kept_rays.append(r)
-        rays = kept_rays
+        # a ray is redundant in cone(others) + span(lines), the polyhedron
+        # with the origin as its one vertex
+        origin = zero_vec(p.dim)
+        rays = [r for i, r in enumerate(rays)
+                if not contains_point(GenPolyhedron(p.dim, (origin,), tuple(rays[:i] + rays[i + 1:]),
+                                                    tuple(lines)), r)]
     if len(vertices) > 1:
         if p.dim == 2 and not rays and not lines:
             vertices = _hull_2d(vertices)

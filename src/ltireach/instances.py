@@ -180,30 +180,25 @@ def _emit_rows(out: list[str], rows) -> None:
         out.append(" ".join(rat_to_str(x) for x in r))
 
 
+def _emit_block(out: list[str], header: str, p: GenPolyhedron) -> None:
+    """A control or target block: its vertices, then its rays and its
+    lines when it has any."""
+    out += [header, "vertices"]
+    _emit_rows(out, p.vertices)
+    for name, gens in (("rays", p.rays), ("lines", p.lines)):
+        if gens:
+            out.append(name)
+            _emit_rows(out, gens)
+
+
 def emit_instance(sys: LtiSystem) -> str:
     out = [f"dim {sys.dim}", "matrix"]
     _emit_rows(out, (sys.a.row(i) for i in range(sys.dim)))
     for comp in sys.controls.components:
-        out.append("control")
-        out.append("vertices")
-        _emit_rows(out, comp.vertices)
-        if comp.rays:
-            out.append("rays")
-            _emit_rows(out, comp.rays)
-        if comp.lines:
-            out.append("lines")
-            _emit_rows(out, comp.lines)
+        _emit_block(out, "control", comp)
     out.append("source")
     _emit_rows(out, [sys.source])
-    out.append("target")
-    out.append("vertices")
-    _emit_rows(out, sys.target.vertices)
-    if sys.target.rays:
-        out.append("rays")
-        _emit_rows(out, sys.target.rays)
-    if sys.target.lines:
-        out.append("lines")
-        _emit_rows(out, sys.target.lines)
+    _emit_block(out, "target", sys.target)
     return "\n".join(out) + "\n"
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .exactnum import (
     Alg,
@@ -210,10 +210,8 @@ class RatMatrix:
         n = self.rows
         if n == 0:
             return Fraction(1)
-        den = 1
-        for e in self.entries:
-            den = den * e.denominator // gcd(den, e.denominator)
-        m = [[int(self.get(i, j) * den) for j in range(n)] for i in range(n)]
+        den = lcm(*(e.denominator for e in self.entries))
+        m = [[e.numerator * (den // e.denominator) for e in self.row(i)] for i in range(n)]
         sign = 1
         prev = 1
         for k in range(n - 1):

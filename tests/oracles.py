@@ -11,10 +11,14 @@ that the library stops at the first zero row.  `fraction_poly_gcd` and
 `fraction_squarefree_part` run Euclid over Q where the library follows
 an integer pseudo-remainder sequence, and `FractionPrefixSums` and
 `fraction_sup_from` step each direction's vertex images by Fraction
-products where the library reads one integer table per decision.  `cold_reach_exactly` is the union search that solves every
-DFS node's LP from scratch, which restricting the parent's tableau
-replaced.  `reduced_witness_lifts` checks the converse of the
-normalization on the original system itself.  `rat` checks the
+products where the library reads one integer table per decision.
+`cold_reach_exactly` is the union search that builds every DFS node's
+LP in one piece (`build_lp`) and solves it from scratch, where the
+library grows one root from the empty LP and restricts the parent's
+tableau; its witnesses are the cold LP's points, so a library witness
+is compared with it by horizon and components and judged by replay.
+`reduced_witness_lifts` checks the converse of the normalization on the
+original system itself.  `rat` checks the
 representation rule that a rational value is always a `Fraction`, never
 a `RealAlg`.  `scan_real_spectrum_power` tries every power of A up to the
 bound where the library reads the least one off the characteristic
@@ -32,13 +36,13 @@ eliminates fraction-free in integers.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from ltireach.certify import PrefixSums, SeqClass, SeqKind, VertexImages, classify_sequence
 from ltireach.exactnum import Alg, IntPoly, RealAlg, count_roots_halfopen, sturm_chain
-from ltireach import forward
-from ltireach.forward import ReachWitness, StepColumns, reach_exactly, verify_witness
+from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import (RatMatrix, SpectralData, Vec, bilinear_rows, charpoly_primitive,
                              expand_inner_product, real_spectrum_power_bound, vec_add, vec_dot, vec_scale,
@@ -566,6 +570,78 @@ def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Layout:
+    """Column layout of the horizon LP: per-step generator blocks followed
+    by the target block.  Variable j is the coefficient of its generator
+    divided by scales[j]."""
+
+    step_slices: list[tuple[int, int, int, int]]  # (start, nv, nr, nl)
+    ncols: int
+    nonneg: list[bool]
+    scales: list[int]
+
+
+def build_lp(assignment, pooled_from: int, cols: StepColumns):
+    """The equations of: A^n source + sum_t A^(n-1-t) u_t in target, where
+    steps before pooled_from use their assigned component and later steps
+    use the pooled hull of all components, built in one piece from the
+    blocks of cols.
+
+    Each variable is its generator's coefficient over the generator's
+    denominator, so every row is an integer row: a state row holds the
+    generators' numerators and minus the entry of A^n source, and a
+    convexity row their denominators and 1.  Returns the rows, each in
+    lowest terms over its denominator, their denominators and the
+    layout."""
+    n = len(assignment)
+    blocks = [cols.comps[assignment[t]][n - 1 - t] if t < pooled_from else cols.pooled[n - 1 - t]
+              for t in range(n)]
+    blocks.append(cols.target)
+    columns: list[tuple[int, ...]] = []
+    scales: list[int] = []
+    nonneg: list[bool] = []
+    slices = []
+    for b in blocks:
+        slices.append((len(columns), b.nv, b.nr, b.nl))
+        columns += b.nums
+        scales += b.dens
+        nonneg += b.nonneg
+    ncols = len(columns)
+
+    base, base_den = cols.bases[n]
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    for row, b in zip(zip(*columns), base):
+        g = gcd(b, base_den)
+        den = base_den // g
+        rows.append([*row, -b // g] if den == 1 else [x * den for x in row] + [-b // g])
+        dens.append(den)
+    for start, nv, _, _ in slices:
+        row = [0] * (ncols + 1)
+        row[start:start + nv] = scales[start:start + nv]
+        row[-1] = 1
+        rows.append(row)
+        dens.append(1)
+
+    return rows, dens, Layout(slices[:-1], ncols, nonneg, scales)
+
+
+def witness_from_solution(n: int, assignment, layout: Layout, point) -> ReachWitness:
+    """The witness at the LP's point, each variable times its scale."""
+    coeffs = [y * s for y, s in zip(point, layout.scales)]
+    steps = []
+    for t in range(n):
+        start, nv, nr, nl = layout.step_slices[t]
+        steps.append(WitnessStep(
+            assignment[t],
+            tuple(coeffs[start:start + nv]),
+            tuple(coeffs[start + nv:start + nv + nr]),
+            tuple(coeffs[start + nv + nr:start + nv + nr + nl]),
+        ))
+    return ReachWitness(n, tuple(steps))
+
+
 def forward_constraints(rows, dens):
     """The forward LP's integer rows, each over its denominator, as
     equality constraints."""
@@ -574,9 +650,9 @@ def forward_constraints(rows, dens):
 
 
 def solve_forward_lp(assignment, pooled_from: int, cols):
-    """_build_lp(assignment, pooled_from, cols) solved from scratch by the
+    """build_lp(assignment, pooled_from, cols) solved from scratch by the
     Fraction simplex: its LpResult and layout."""
-    rows, dens, layout = forward._build_lp(assignment, pooled_from, cols)
+    rows, dens, layout = build_lp(assignment, pooled_from, cols)
     res = fraction_lp_solve(None, forward_constraints(rows, dens), layout.ncols, nonneg=layout.nonneg)
     return res, layout
 
@@ -584,8 +660,10 @@ def solve_forward_lp(assignment, pooled_from: int, cols):
 def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
     """`forward.reach_exactly` as a DFS that solves every node's LP from
     scratch: the node that assigns the steps before `depth` solves
-    _build_lp(assignment, depth), and the first feasible leaf's point is
-    the witness.  Horizon 0 is the membership of the source in the target,
+    build_lp(assignment, depth), and the first feasible leaf's point is
+    the witness.  It visits the nodes the library visits, so its witness
+    has the library's horizon and components, though not always its
+    coefficients.  Horizon 0 is the membership of the source in the target,
     decided by the Fraction simplex."""
     if sys.target.is_empty:
         return None
@@ -600,7 +678,7 @@ def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
         if not res.is_feasible:
             return None
         if depth == n or ncomps == 1:
-            return forward._witness_from_solution(n, assignment, layout, res.point)
+            return witness_from_solution(n, assignment, layout, res.point)
         for c in range(ncomps):
             assignment[depth] = c
             found = search(assignment, depth + 1)

@@ -22,13 +22,13 @@ from ltireach.geometry import (
     ControlSet,
     GenPolyhedron,
     contains_point,
-    feasible_tableau,
     linear_image,
     minkowski_sum,
 )
 from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem
-from oracles import cold_reach_exactly, fraction_lp_solve, fraction_replay, lp_contains_point, solve_forward_lp
+from oracles import (build_lp, cold_reach_exactly, fraction_replay, lp_contains_point, solve_forward_lp,
+                     witness_from_solution)
 
 F = Fraction
 
@@ -274,12 +274,13 @@ def unscaled(rows, dens, scales):
 
 
 def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
-    """At every DFS node of every horizon, the search's tableau (solved cold
-    at the root, restricted from the parent's below it) is feasible exactly
-    when the Fraction simplex finds the node's LP, _build_lp(assignment,
-    depth), feasible.  Each witness is the Fraction simplex's point on its
-    LP times the column scales, which is the Fraction simplex's point on
-    the unscaled LP."""
+    """At every DFS node of every horizon, the search's tableau (grown at
+    the root, restricted from the parent's below it) is feasible exactly
+    when the Fraction simplex finds the node's LP, build_lp(assignment,
+    depth), feasible.  At each feasible leaf the tableau's point satisfies
+    that LP exactly, with every sign-restricted variable nonnegative, and
+    the witness is that point times the column scales; it replays, and
+    the LP in the generator coefficients themselves holds at it."""
     feasible = Counter()
     witnesses = []
 
@@ -289,18 +290,19 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
         feasible[res.is_feasible] += 1
         return _search(cols, assignment, depth, tab)
 
-    def witness(cols, assignment):
-        got = _witness(cols, assignment)
+    def witness(cols, assignment, tab):
+        got = _witness(cols, assignment, tab)
         n = len(assignment)
-        res, layout = solve_forward_lp(assignment, n, cols)
-        assert (got is not None) == res.is_feasible
-        if got is not None:
-            assert got == forward._witness_from_solution(n, assignment, layout, res.point)
-            rows, dens, _ = forward._build_lp(assignment, n, cols)
-            cons = [geometry.constraint(*row) for row in unscaled(rows, dens, layout.scales)]
-            orig = fraction_lp_solve(None, cons, layout.ncols, nonneg=layout.nonneg)
-            assert tuple(y * sc for y, sc in zip(res.point, layout.scales)) == orig.point
-            witnesses.append(got)
+        rows, dens, layout = build_lp(assignment, n, cols)
+        point = tab.point(layout.nonneg)
+        assert all(y >= 0 for y, nn in zip(point, layout.nonneg) if nn)
+        assert all(sum(map(F.__mul__, point, row[:-1])) == row[-1] for row in rows)
+        assert got == witness_from_solution(n, assignment, layout, point)
+        coeffs = [y * sc for y, sc in zip(point, layout.scales)]
+        for lhs, _, rhs in unscaled(rows, dens, layout.scales):
+            assert sum(map(F.__mul__, lhs, coeffs)) == rhs
+        assert verify_witness(cols.system, got)
+        witnesses.append(got)
         return got
 
     _search, _witness = forward._search, forward._witness
@@ -315,9 +317,9 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
 def test_build_lp_rows_match_naive_construction():
     """Every row is integers in lowest terms over a positive denominator;
     dividing each column by its scale gives back the rows built from
-    A.power(k).matvec(g), with a source whose powers have denominators."""
-    from ltireach.forward import StepColumns, _build_lp
-
+    A.power(k).matvec(g), with a source whose powers have denominators.
+    build_lp is the reference copy in the oracles, which the search no
+    longer uses."""
     for sys in (rays_and_lines_system(),
                 dataclasses.replace(rays_and_lines_system(), source=vec(F(1, 2), F(-1, 3)))):
         comps = sys.controls.components
@@ -330,7 +332,7 @@ def test_build_lp_rows_match_naive_construction():
             for assign in itertools.product(range(len(comps)), repeat=n):
                 for pooled_from in range(n + 1):
                     step_gens = [gens[assign[t]] if t < pooled_from else pooled for t in range(n)]
-                    rows, dens, layout = _build_lp(list(assign), pooled_from, cols)
+                    rows, dens, layout = build_lp(list(assign), pooled_from, cols)
                     assert all(type(x) is int for row in rows for x in row)
                     assert all(den > 0 and math.gcd(den, *row) == 1 for row, den in zip(rows, dens))
                     assert all(sc > 0 for sc in layout.scales)
@@ -365,52 +367,57 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
     assert made[1].products == gens * 5 + 6
 
 
-def count_cold_solves(monkeypatch) -> list:
-    """Record each LP the forward search solves from the all-artificial
-    basis: a root seeded cold, and a witness LP."""
-    solved = []
+def count_lp_builds(monkeypatch) -> Counter:
+    """Count the root tableaus seeded, by `PhaseOneTableau.__init__`, and
+    the LPs solved from scratch by `feasible_tableau`, wherever they are
+    called from.  The forward search has no other way to build an LP."""
+    events = Counter()
+    assert not hasattr(forward, "feasible_tableau")
 
-    def counted(*args):
-        solved.append(1)
-        return feasible_tableau(*args)
+    def feasible(*args):
+        events["cold"] += 1
+        return _feasible(*args)
 
-    class Seeded(geometry.PhaseOneTableau):
-        def __init__(self, *args):
-            solved.append(1)
-            super().__init__(*args)
+    def seeded(self, *args):
+        events["seeds"] += 1
+        _init(self, *args)
 
-    monkeypatch.setattr(forward, "feasible_tableau", counted)
-    monkeypatch.setattr(forward, "PhaseOneTableau", Seeded)
-    return solved
+    _feasible, _init = geometry.feasible_tableau, geometry.PhaseOneTableau.__init__
+    monkeypatch.setattr(geometry, "feasible_tableau", feasible)
+    monkeypatch.setattr(geometry.PhaseOneTableau, "__init__", seeded)
+    return events
 
 
 def test_single_component_solves_one_lp_per_horizon(monkeypatch):
     """A lone component is a union of one: each DFS node has one child,
-    which keeps its parent's tableau.  A StepColumns solves one root cold,
-    the seed at horizon 0, whichever horizon is asked first, and every
-    later horizon grows from it; a witness solves its leaf LP cold once
-    more, at horizon 0 too."""
-    solved = count_cold_solves(monkeypatch)
+    which keeps its parent's tableau.  A StepColumns seeds one root, from
+    the empty LP, whichever horizon is asked first, and grows every later
+    horizon from it; a witness is read off its leaf's tableau, at horizon
+    0 too, so no LP is solved from scratch."""
+    events = count_lp_builds(monkeypatch)
     sys = quad_system(GenPolyhedron.point(vec(F(7, 3), 1)))
-    assert reach_exactly(StepColumns(sys), 1) is None and len(solved) == 1
+    assert reach_exactly(StepColumns(sys), 1) is None and events["seeds"] == 1
     w = reach_exactly(StepColumns(sys), 2)
-    assert w is not None and verify_witness(sys, w) and len(solved) == 3
+    assert w is not None and verify_witness(sys, w) and events["seeds"] == 2
     assert [s.component for s in w.steps] == [0, 0]
-    solved.clear()
+    events.clear()
     cols = StepColumns(sys)
-    assert reach_exactly(cols, 0) is None and reach_exactly(cols, 1) is None and len(solved) == 1
-    assert reach_exactly(cols, 2) == w and len(solved) == 2
-    solved.clear()
+    assert reach_exactly(cols, 0) is None and reach_exactly(cols, 1) is None and events["seeds"] == 1
+    assert reach_exactly(cols, 2) == w and events["seeds"] == 1
     home = quad_system(GenPolyhedron.point(vec(0, 0)))
-    assert reach_exactly(StepColumns(home), 0) == ReachWitness(0, ()) and len(solved) == 2
+    assert reach_exactly(StepColumns(home), 0) == ReachWitness(0, ()) and events["seeds"] == 2
+    events.clear()
+    w = reach_within(sys, 3)
+    assert w is not None and w.horizon == 2 and events == {"seeds": 1}
 
 
 def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
-    """With several components, horizon 0's root LP is solved cold, each
-    later horizon's root grows from the previous one's basis, and a
-    witness solves its leaf LP cold once more; every other DFS node
-    restricts its parent's tableau."""
-    solved = count_cold_solves(monkeypatch)
+    """With several components, reach_within seeds one root for the whole
+    search, grows each later horizon's root from the previous one's and
+    restricts a parent's tableau at every other DFS node; the witness is
+    the point of the one leaf it reaches, so no LP is solved from
+    scratch."""
+    events = count_lp_builds(monkeypatch)
     nodes = []
 
     def search(*args):
@@ -421,11 +428,11 @@ def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
     monkeypatch.setattr(forward, "_search", search)
     reachable, far = union_systems()[0], union_systems()[2]
     w = reach_within(reachable, 5)
-    assert w is not None and w.horizon == 3 and verify_witness(reachable, w)
-    assert len(solved) == 2  # the root of horizon 0, then the leaf
+    assert w is not None and w.horizon == 3 and events == {"seeds": 1}
     assert len(nodes) > w.horizon + 1
-    solved.clear()
-    assert reach_within(far, 5) is None and len(solved) == 1
+    assert verify_witness(reachable, w)
+    events.clear()
+    assert reach_within(far, 5) is None and events == {"seeds": 1}
 
 
 def random_union_system(rng: random.Random) -> LtiSystem:
@@ -455,24 +462,35 @@ def random_union_system(rng: random.Random) -> LtiSystem:
     return LtiSystem(a, ControlSet(tuple(comps)), source, target)
 
 
-def test_union_search_matches_cold_oracle(monkeypatch):
-    """On seeded random unions, reach_exactly returns the witness of the
-    search that solves every DFS node from scratch, for every n <= 4.  The
-    corpus includes restrictions that find a banned column basic at 0 and
-    restrictions that drop a redundant row."""
-    events = Counter()
-    cold = []
+def matches_cold_search(sys: LtiSystem, got: ReachWitness | None, n: int) -> bool:
+    """Check got, reach_exactly's answer at horizon n, against the search
+    that solves every DFS node from scratch: None exactly when its answer
+    is, and otherwise a witness of horizon n with its components that
+    replays.  The coefficients may differ, since the cold LP may stop at
+    another point.  True when got is a witness."""
+    cold = cold_reach_exactly(sys, n)
+    assert (got is None) == (cold is None)
+    if got is None:
+        return False
+    assert got.horizon == cold.horizon == n
+    assert [s.component for s in got.steps] == [s.component for s in cold.steps]
+    assert verify_witness(sys, got)
+    return True
 
-    def feasible(*args):
-        cold.append(1)
-        try:
-            return feasible_tableau(*args)
-        finally:
-            cold.pop()
+
+def test_union_search_matches_cold_oracle(monkeypatch):
+    """On seeded random unions, reach_exactly finds a witness exactly when
+    the search that solves every DFS node from scratch does, for every
+    n <= 4, with the same horizon and components, and the witness
+    replays.  The search's own restrictions (not those of the membership
+    LPs that verify_witness solves) include ones that find a banned
+    column basic at 0 and ones that drop a redundant row."""
+    events = Counter()
+    searching = []
 
     def restricted(self, banned):
         out = _restricted(self, banned)
-        if not cold:  # a DFS child, not the phase 1 of a cold solve
+        if searching:
             ban = set(banned)
             events["restrictions"] += 1
             if any(b in ban and row[-1] == 0 for row, b in zip(self.rows, self.basis)):
@@ -482,20 +500,19 @@ def test_union_search_matches_cold_oracle(monkeypatch):
         return out
 
     _restricted = geometry._Tableau.restricted
-    monkeypatch.setattr(forward, "feasible_tableau", feasible)
     monkeypatch.setattr(geometry._Tableau, "restricted", restricted)
     rng = random.Random(53)
     reached = 0
     for _ in range(60):
         sys = random_union_system(rng)
         for n in range(5):
+            searching.append(n)
             got = reach_exactly(StepColumns(sys), n)
-            assert got == cold_reach_exactly(sys, n)
-            if got is not None:
-                assert verify_witness(sys, got)
+            searching.pop()
+            if matches_cold_search(sys, got, n):
                 reached += 1
     assert reached > 30
-    assert events["banned basic at 0"] > 10 and events["redundant row dropped"] > 10
+    assert events["banned basic at 0"] >= 5 and events["redundant row dropped"] >= 2, events
 
 
 def random_forward_system(rng: random.Random) -> LtiSystem:
@@ -516,8 +533,8 @@ def random_forward_system(rng: random.Random) -> LtiSystem:
 def test_warm_horizons_match_cold_oracle(monkeypatch):
     """reach_exactly asked for n = 0, ..., 6 on one StepColumns, as decide
     asks, grows each horizon's root from the previous one's basis, and
-    still returns what the search that solves every DFS node from scratch
-    returns at that horizon.  The corpus has zero and nonzero sources,
+    still finds a witness exactly when the search that solves every DFS
+    node from scratch does, with its horizon and components.  The corpus has zero and nonzero sources,
     horizons at which a basic value turns negative under the new
     right-hand side, singular A, rays, lines, point and line targets, and
     one to three components."""
@@ -544,23 +561,22 @@ def test_warm_horizons_match_cold_oracle(monkeypatch):
         events["line target" if sys.target.lines else "point target"] += 1
         cols = StepColumns(sys)
         for n in range(7):
-            got = reach_exactly(cols, n)
-            assert got == cold_reach_exactly(sys, n)
-            if got is not None:
-                assert verify_witness(sys, got)
+            if matches_cold_search(sys, reach_exactly(cols, n), n):
                 events["reached"] += 1
     assert all(events[k] >= 5 for k in ("1 components", "2 components", "3 components", "zero source",
                                        "nonzero source", "singular A", "rays or lines", "line target",
                                        "negative basic value", "reached")), events
-    assert events["extensions"] == 30 * 6  # horizons 1 to 6 each grow from the one before
+    # the target's block at the seed, then horizons 1 to 6 each grow from the one before
+    assert events["extensions"] == 30 * 7
 
 
 def test_horizons_out_of_order_match_cold_oracle(monkeypatch):
-    """One StepColumns asked for horizons 3, 1, 4, 0, 2 seeds its root at
-    horizon 0 on the first call and again on each call below the last
-    horizon asked (1 and 0), grows it one horizon at a time otherwise, and
-    returns at every horizon what the search that solves every DFS node
-    from scratch returns."""
+    """One StepColumns asked for horizons 3, 1, 4, 0, 2 seeds its root from
+    the empty LP on the first call and again on each call below the last
+    horizon asked (1 and 0), each seed followed by the target's block, and
+    grows it one horizon at a time otherwise; at every horizon it finds a
+    witness exactly when the search that solves every DFS node from
+    scratch does, with its horizon and components."""
     events = Counter()
 
     class Seeded(geometry.PhaseOneTableau):
@@ -578,13 +594,10 @@ def test_horizons_out_of_order_match_cold_oracle(monkeypatch):
         sys = random_forward_system(rng)
         cols = StepColumns(sys)
         for n in (3, 1, 4, 0, 2):
-            got = reach_exactly(cols, n)
-            assert got == cold_reach_exactly(sys, n)
-            if got is not None:
-                assert verify_witness(sys, got)
+            if matches_cold_search(sys, reach_exactly(cols, n), n):
                 events["reached"] += 1
     assert events["seeds"] == 20 * 3
-    assert events["extensions"] == 20 * (3 + 1 + 3 + 0 + 2)
+    assert events["extensions"] == 20 * (3 + 1 + 3 + 0 + 2 + 3)  # the last 3: one target block per seed
     assert events["reached"] >= 10, events
 
 

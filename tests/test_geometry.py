@@ -296,6 +296,59 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables():
     assert counts["no pivot"] > 50 and counts["rows dropped"] > 5
 
 
+def test_phase_one_tableau_grown_from_no_variables_matches_cold_solves():
+    """A PhaseOneTableau seeded with no variables, whose rows read 0 = b,
+    and extended block by block (each block's columns put before the
+    others, its one new row after the others, a new right-hand side on
+    every row) is feasible after each block exactly when feasible_tableau
+    finds the whole LP so far feasible, and its point satisfies that LP
+    exactly.  Half the right-hand sides come from a point of the LP, so
+    both answers are common, and many turn a basic value negative, where
+    the extra artificial enters."""
+    rng = random.Random(61)
+    counts = Counter()
+    for _ in range(120):
+        b = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 3))]
+        grown = geometry.PhaseOneTableau([[x.numerator] for x in b], [x.denominator for x in b], [])
+        assert grown.feasible == (not any(b))
+        matrix = [[] for _ in b]  # the LP's integer rows, variables only
+        nonneg = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 3)
+            columns = [[rng.randint(-3, 3) for _ in matrix] for _ in range(k)]
+            nn = [rng.random() < 0.8 for _ in range(k)]
+            row = [rng.randint(0, 3) for _ in range(k)]
+            matrix = [[c[i] for c in columns] + old for i, old in enumerate(matrix)]
+            matrix.append(row + [0] * len(nonneg))
+            nonneg = nn + nonneg
+            if rng.random() < 0.5:
+                x = [rng.randint(0 if keep else -2, 2) for keep in nonneg]
+                rhs, rhs_den = [sum(map(int.__mul__, r, x)) for r in matrix], 1
+            else:
+                rhs, rhs_den = [rng.randint(-4, 4) for _ in matrix], rng.choice([1, 2, 3])
+            m = len(grown.signs)
+            inv = [r[grown.first_art:grown.first_art + m] for r in grown.tab.rows]
+            if any(sum(a * s * v for a, s, v in zip(r, grown.signs, rhs)) < 0 for r in inv):
+                counts["negative basic value"] += 1
+            grown.extend(columns, nn, row, rhs, rhs_den)
+            rows, dens = [], []
+            for r, v in zip(matrix, rhs):
+                row, den = _lowest_terms_row([c * rhs_den for c in r] + [v], rhs_den)
+                rows.append(row)
+                dens.append(den)
+            cold = feasible_tableau(rows, dens, ["=="] * len(rows), nonneg)
+            assert grown.feasible == (cold is not None)
+            tab = grown.without_artificials()
+            assert (tab is None) == (cold is None)
+            counts["feasible" if tab else "infeasible"] += 1
+            if tab is not None:
+                point = tab.point(nonneg)
+                assert all(y >= 0 for y, keep in zip(point, nonneg) if keep)
+                assert all(sum(map(F.__mul__, point, r)) == F(v, rhs_den) for r, v in zip(matrix, rhs))
+    assert counts["feasible"] > 100 and counts["infeasible"] > 80
+    assert counts["negative basic value"] > 100, counts
+
+
 def _lowest_terms_row(row, den):
     g = math.gcd(den, *row)
     return [x // g for x in row], den // g

@@ -118,7 +118,7 @@ WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 VERDICT_DIGESTS = {
     "forward_union": "3dd3ff80ca1ff77a291dfafe4ded156e42aabf591f630c34940de485f11af8c5",
     "algebraic_2d": "5a16ff077254ff24b6591973a0b38d29fc2e2162f1c0be635e85de4b04420467",
-    "rational_batch": "ca81df3b553e9564874bd82afe2bef93631f0dfb2af8450e7bdf93eebb7c3bdd",
+    "rational_batch": "50ed5ee742248a0488232b202166e3a59633c7ce9a988fadd51baa58645f491b",
 }
 
 
@@ -156,16 +156,18 @@ def test_verdict_bytes_are_pinned():
 
 # sha256 over the verdict JSON texts of rounds 0-4 (every family, the
 # unknown ones included) at seeds 1 and 7, by workload: the forward search
-# decides each horizon from a warm basis, and its verdicts must stay those
-# of the cold search.  The algebraic_2d and rational_batch rounds hold
-# horizon-1 witnesses of lone control polytopes.
+# grows each horizon's root from the previous one's and reads each witness
+# off its leaf, so a change to the pivots may move a witness's
+# coefficients, never a verdict, a horizon or a component.  The
+# algebraic_2d and rational_batch rounds hold witnesses of lone control
+# polytopes.
 ROUND_DIGESTS = {
     ("forward_union", 1): "2206adf7bf2996a30d034d1b23151fc924e7337a6207401b69ee6a5a00462f3b",
     ("forward_union", 7): "367793a8645bf93d48b4fa08ad2eea4bfe3e94f22e4029ab0d229dff36914001",
-    ("algebraic_2d", 1): "4baa529b03c32bbc664efecfee99816e687e205823c7f3046d8f4995a72febad",
-    ("algebraic_2d", 7): "53e9493978133d9cde41e975eef014707455147c40ebef753c2cc6a69ece648b",
-    ("rational_batch", 1): "a38f7f664ee5fc153bdccef1eae95d9b9a8ed52cd43c73f680358c47d31cd604",
-    ("rational_batch", 7): "643ec633939ddb57476627cfc2cfbea5421a52031400b40dfc66db5321dedf4e",
+    ("algebraic_2d", 1): "37c6c4a8ea5bac9a28aef770dbe426b24372023547d7078d715f1d6f91bc3b54",
+    ("algebraic_2d", 7): "b417f15987c53fe8e1765e1a8a013111f2bec6c88f448f74693a161542b860bb",
+    ("rational_batch", 1): "36c274f12f7a4e401b862bcd689df25ecf8bcf6db26ce37eef142bd2b8f04a95",
+    ("rational_batch", 7): "e8ca2a9a87534264d4e281a3c49a1eeff99b1ad26b8f0a17018bb877d504e2cf",
 }
 
 
