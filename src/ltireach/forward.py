@@ -13,7 +13,7 @@ Every LP of the search comes from one tableau, grown with
 inverse of the basis, so each growth is decided from the basis the
 tableau has, with one extra artificial when a basic value turns negative
 (Chvatal, Linear Programming, 1983, ch. 3).  StepColumns seeds it from
-the LP with no variables, whose state rows read 0 = -source, adds the
+the LP with no variables, whose state rows read 0 = 0, adds the
 target's block, and then one block per horizon: horizon n+1's root LP,
 where every step ranges over the pooled hull, is horizon n's with the
 block of power n before its columns, one more convexity row and a new
@@ -250,7 +250,7 @@ class StepColumns:
     def root_at(self, n: int) -> PhaseOneTableau:
         """The phase-1 tableau of horizon n's pooled root LP, with its
         artificial columns, kept as `root`.  It is seeded from the LP with
-        no variables, whose state rows read 0 = -source, and grows in place
+        no variables, whose state rows read 0 = 0, and grows in place
         by `PhaseOneTableau.extend`, one block at a time, each put before
         the others: the target's block, then for each horizon k the block
         of power k-1.  A block's state entries are its numerators and its
@@ -261,8 +261,7 @@ class StepColumns:
         n is below the last horizon asked.  grow(n) comes first."""
         start = self.root_horizon + 1
         if self.root is None or n < self.root_horizon:
-            src = self.system.source
-            self.root = PhaseOneTableau([[-x.numerator] for x in src], [x.denominator for x in src], [])
+            self.root = PhaseOneTableau(self.system.dim)
             start = 0
         for k in range(start, n + 1):
             b = self.pooled[k - 1] if k else self.target

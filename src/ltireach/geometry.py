@@ -281,15 +281,6 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
     "<=", which start basic.  Phase 1 restricts that tableau to the other
     columns, so the artificials, being last, change no choice of Bland's
     rule.  `lp_solve` reads its constraints into such rows."""
-    tab, first_art = _laid_out(rows, dens, rels, nonneg)
-    if tab.ncols > first_art:
-        return tab.restricted(range(first_art, tab.ncols))
-    return tab
-
-
-def _laid_out(rows: list[list[int]], dens: list[int], rels: list[str], nonneg) -> tuple[_Tableau, int]:
-    """`feasible_tableau`'s tableau before phase 1, each row negated when its
-    right-hand side is negative, and its first artificial column."""
     col_of, nstruct = tableau_columns(nonneg)
     split = not all(nonneg)
     body: list[list[int]] = []
@@ -332,30 +323,33 @@ def _laid_out(rows: list[list[int]], dens: list[int], rels: list[str], nonneg) -
             basis.append(art)
             art += 1
         row[nstruct:nstruct] = ext
-    return _Tableau(body, list(dens), basis, total), first_art
+    tab = _Tableau(body, list(dens), basis, total)
+    if total > first_art:
+        return tab.restricted(range(first_art, total))
+    return tab
 
 
 class PhaseOneTableau:
     """Phase 1 of an equality LP that keeps its artificial columns, so that
     the LP can grow and be decided again from the basis it reached.
 
-    The first solve is cold: the rows are laid out as `feasible_tableau`
-    lays them out and phase 1 takes its pivots (none when there are no
-    variables, as the forward search starts it), but the tableau keeps the
-    artificials, one per row in the order the rows came, after the
-    variables' columns (from `first_art` on).  They started as the
-    identity on the rows, each row negated when its right-hand side was
-    negative (signs[i] = -1), so for the current basis B they hold
-    B^-1 D, D the diagonal of the signs: the tableau column of any new
-    column c is that block times D c, which is what `extend` uses.
-    `feasible` tells whether the LP has a point with every artificial at
-    0, and `without_artificials` gives the feasible tableau that
+    It starts as the LP with no variables and d rows 0 = 0, its tableau
+    the d artificials basic on the identity.  The artificials stay one per
+    row in the order the rows came, after the variables' columns (from
+    `first_art` on); a row added with a negative right-hand side is
+    negated (signs[i] = -1), so for the current basis B they hold B^-1 D,
+    D the diagonal of the signs: the tableau column of any new column c
+    is that block times D c, which is what `extend` uses.  `feasible`
+    tells whether the LP has a point with every artificial at 0, and
+    `without_artificials` gives the feasible tableau that
     `feasible_tableau` would."""
 
-    def __init__(self, rows: list[list[int]], dens: list[int], nonneg):
-        self.signs = [-1 if row[-1] < 0 else 1 for row in rows]
-        self.tab, self.first_art = _laid_out(rows, dens, ["=="] * len(rows), nonneg)
-        self.feasible = self.tab.phase_one(range(self.first_art, self.tab.ncols))
+    def __init__(self, d: int):
+        self.signs = [1] * d
+        identity = [[int(i == j) for j in range(d + 1)] for i in range(d)]  # right-hand sides 0
+        self.tab = _Tableau(identity, [1] * d, list(range(d)), d)
+        self.first_art = 0
+        self.feasible = True
 
     def without_artificials(self) -> _Tableau | None:
         """The LP's feasible tableau over its variables' columns, or None."""
@@ -368,10 +362,9 @@ class PhaseOneTableau:
         the others, set every row's right-hand side, and run phase 1 again
         from the current basis.
 
-        columns[k] is new variable k's coefficients in the rows so far, as
-        the ints they equal (row i stands for rows[i] / dens[i] as the
-        first solve was given it; zero past its end), row[k] its
-        coefficient in the new row and nonneg[k] its sign restriction; the other variables have 0 in the
+        columns[k] is new variable k's integer coefficients in the rows so
+        far (zero past its end), row[k] its coefficient in the new row and
+        nonneg[k] its sign restriction; the other variables have 0 in the
         new row.  rhs / rhs_den is the new right-hand side of every row, the
         new row's last.  The old basis plus the new row's artificial is a
         basis of the grown LP, since no old basic column meets the new row.

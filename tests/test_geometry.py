@@ -297,7 +297,7 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables():
 
 
 def test_phase_one_tableau_grown_from_no_variables_matches_cold_solves():
-    """A PhaseOneTableau seeded with no variables, whose rows read 0 = b,
+    """A PhaseOneTableau seeded with no variables, whose d rows read 0 = 0,
     and extended block by block (each block's columns put before the
     others, its one new row after the others, a new right-hand side on
     every row) is feasible after each block exactly when feasible_tableau
@@ -308,10 +308,9 @@ def test_phase_one_tableau_grown_from_no_variables_matches_cold_solves():
     rng = random.Random(61)
     counts = Counter()
     for _ in range(120):
-        b = [F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 3))]
-        grown = geometry.PhaseOneTableau([[x.numerator] for x in b], [x.denominator for x in b], [])
-        assert grown.feasible == (not any(b))
-        matrix = [[] for _ in b]  # the LP's integer rows, variables only
+        grown = geometry.PhaseOneTableau(rng.randint(1, 3))
+        assert grown.feasible
+        matrix = [[] for _ in grown.signs]  # the LP's integer rows, variables only
         nonneg = []
         for _ in range(rng.randint(1, 4)):
             k = rng.randint(1, 3)
