@@ -17,10 +17,10 @@ carries a certificate that an independent process can recheck against
 the instance file (audit).
 
 Systems that fail a structural condition (union controls, origin not
-interior, spectral radius >= 1, no real-spectrum power, nonzero source),
-or whose normalization needs facet enumeration above its dimension
-ceiling, degrade to forward-only search with an explicit warning naming
-the reason.
+interior, spectral radius >= 1, no real-spectrum power, nonzero source,
+a target with rays or lines), or whose normalization needs facet
+enumeration above its dimension ceiling, degrade to forward-only search
+with an explicit warning naming the reason.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .certify import (
 )
 from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
 from .geometry import DimensionCeilingError
-from .linalg import SpectralData, spectral_decompose
+from .linalg import SpectralData, charpoly_primitive, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
 
@@ -125,10 +125,14 @@ def _candidate_stream(s: SpectralData, form: SimpleForm, budgets: Budgets):
 
 
 def _prepare_certification(sys: LtiSystem, report):
-    """(SpectralData, SimpleForm) when the certificate search applies."""
+    """(SpectralData, SimpleForm) when the certificate search applies.  The
+    report's characteristic polynomial is A's, so it serves when no
+    normalization step changed the matrix; otherwise the reduced matrix's
+    is formed here, once."""
     form = to_simple_form(sys, report)
-    s = spectral_decompose(form.a_reduced)
-    return s, form
+    a = form.a_reduced
+    p = report.charpoly if a is sys.a else charpoly_primitive(a)
+    return spectral_decompose(a, p), form
 
 
 def _printable(rats) -> bool:

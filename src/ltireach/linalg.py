@@ -3,41 +3,44 @@
 RatMatrix is the rational workhorse (Fraction entries).  IntRows holds a
 matrix as integer rows over one denominator, for callers that step
 integer vectors by it many times (the forward columns, the certificate
-search's vertex images).  Values that may be irrational (spectral
-projectors, bilinear-form rows, the matrices of the certificate search)
-are plain lists of rows whose entries are Fractions where rational and
-RealAlg where not, so a rational spectrum never leaves Fraction
-arithmetic.
+search's vertex images, the Krylov span).  Values that may be irrational
+(spectral projectors, bilinear-form rows, the matrices of the certificate
+search) are plain lists of rows whose entries are Fractions where
+rational and RealAlg where not.
 
-The spectral tests read one integer polynomial per matrix, the primitive
-characteristic polynomial without its zero roots (nonzero_eigen_poly),
-which check_simple forms once for both, and neither powers A.
-schur_stable checks the Hurwitz minors of its integer Cayley transform by
-Bareiss elimination.  real_spectrum_power settles a real spectrum with
-one squarefree part and one Sturm chain (M = 1, or 2 when a root is
-negative); otherwise the cyclotomic factors of the polynomial of root
-ratios give a multiple L of the least power, and tests on the polynomial
-of the m-th powers of the roots divide L down to it.
+The characteristic polynomial is formed once per matrix, in integers
+(charpoly_primitive), and every spectral step takes it as an argument.
+The spectral tests read it without its zero roots (nonzero_eigen_poly),
+and neither powers A.  schur_stable checks the Hurwitz minors of its
+integer Cayley transform by Bareiss elimination.  real_spectrum_power
+settles a real spectrum with one squarefree part and one Sturm chain
+(M = 1, or 2 when a root is negative); otherwise the cyclotomic factors
+of the polynomial of root ratios give a multiple L of the least power,
+and tests on the polynomial of the m-th powers of the roots divide L
+down to it.
 
 spectral_decompose splits a matrix with real, strictly positive
 eigenvalues into its commuting diagonalizable + nilpotent parts and
 computes the spectral projector onto each generalized eigenspace as a
-polynomial in the matrix, h(A) = sum_k h_k A^k over the rational powers
-A^k, so no eigenvector basis over an extension field is ever constructed.
-The squarefree part of the characteristic polynomial is the product of
-its distinct irreducible factors, which the eigenvalues need anyway; when
-it has full degree A is semisimple and is its own semisimple part, and
-only a repeated eigenvalue runs the Newton iteration for it.
-bilinear_rows then builds, for one direction tau, the rows
-tau^T P_i N^j lam_i^-j for j below the multiplicity of lam_i; P_i N^j
-vanishes from there on.
+polynomial in the matrix, by Hermite interpolation without a division,
+evaluated on the integer powers of B = D·A, so no eigenvector basis over
+an extension field is ever constructed.  A rational spectrum is
+decomposed in integers: each projector and the nilpotent part are
+integer matrices over one integer scale until SpectralData is filled.
+For an irrational spectrum the squarefree part of the characteristic
+polynomial, the product of its distinct irreducible factors, gives the
+semisimple part: when it has full degree A is semisimple and is its own
+semisimple part, and only a repeated eigenvalue runs the Newton
+iteration for it.  bilinear_rows then builds, for one direction tau,
+the rows tau^T P_i N^j lam_i^-j for j below the multiplicity of lam_i;
+P_i N^j vanishes from there on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .exactnum import (
     Alg,
@@ -312,13 +315,13 @@ class IntRows:
 # ---------------------------------------------------------------------------
 
 
-def charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
-    """Monic coefficients of det(xI - A), lowest degree first.
+def charpoly_primitive(a: RatMatrix) -> IntPoly:
+    """det(xI - A) cleared of denominators, primitive, positive lead.
 
     Samuelson-Berkowitz recursion, which is division-free, run in integers
     on B = D·A for D the least common denominator of A's entries; then
-    p_A(x) = D^-n p_B(Dx), so the coefficient of x^k is that of p_B over
-    D^(n-k).
+    D^n p_A(x) = p_B(Dx), so the coefficient of x^k is that of p_B times
+    D^k, and no Fraction is built.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of non-square matrix")
@@ -340,21 +343,15 @@ def charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
                 cur = [sum(x * y for x, y in zip(bi, cur)) for bi in block]
         c = [sum(first[i - j] * c[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
              for i in range(r + 2)]
-    return tuple(Fraction(c[n - k], den ** (n - k)) for k in range(n + 1))
+    return IntPoly(tuple(c[n - k] * den ** k for k in range(n + 1))).primitive()
 
 
-def charpoly_primitive(a: RatMatrix) -> IntPoly:
-    """det(xI - A) cleared of denominators, primitive, positive lead."""
-    coeffs = charpoly(a)
-    den = lcm(*(x.denominator for x in coeffs))
-    return IntPoly(tuple(x.numerator * (den // x.denominator) for x in coeffs)).primitive()
-
-
-def nonzero_eigen_poly(a: RatMatrix) -> IntPoly:
-    """charpoly_primitive(a) without its roots at zero: its roots are the
-    nonzero eigenvalues of A with their multiplicities.  Both spectral
-    tests read it, and an eigenvalue 0 passes both."""
-    coeffs = charpoly_primitive(a).coeffs
+def nonzero_eigen_poly(p: IntPoly) -> IntPoly:
+    """The characteristic polynomial p (charpoly_primitive) without its
+    roots at zero: its roots are the nonzero eigenvalues with their
+    multiplicities.  Both spectral tests read it, and an eigenvalue 0
+    passes both."""
+    coeffs = p.coeffs
     return IntPoly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
 
 
@@ -564,31 +561,45 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
     echelon form.  The echelon basis grows one vector at a time, and a
     generator's powers stop at the first one already in the span: every
     later power then lies in it too.  Once the basis has a.rows vectors it
-    is the identity and spans everything, so the scan stops there."""
-    basis: dict[int, list[Fraction]] = {}  # pivot column -> row, 0 in the other pivot columns
+    is the identity and spans everything, so the scan stops there.
+
+    Fraction-free: a scaling leaves a span alone, so each generator is
+    cleared to integers and stepped by the integer matrix D·A, and each
+    echelon row is kept as an integer multiple of its reduced row, divided
+    by the gcd of its entries; the reduced rows, each over its pivot,
+    become Fractions at the end."""
+    ints = IntRows(a)
+    basis: dict[int, list[int]] = {}  # pivot column -> row, 0 in the other pivot columns
     for g in generators:
         if len(basis) == a.rows:
             break
-        cur = tuple(Fraction(x) for x in g)
+        den = lcm(*(x.denominator for x in g))
+        cur = [x.numerator * (den // x.denominator) for x in g]
         for k in range(a.rows - len(basis)):
             if k:
-                cur = a.matvec(cur)
-            v = list(cur)
+                cur = ints.times(cur)
+            v = cur
             for c, row in basis.items():
                 f = v[c]
                 if f:
-                    v = [x - f * y for x, y in zip(v, row)]
+                    p = row[c]
+                    v = [p * x - f * y for x, y in zip(v, row)]
             piv = next((j for j, x in enumerate(v) if x), None)
             if piv is None:
                 break
-            inv = 1 / v[piv]
-            v = [x * inv for x in v]
+            v = _primitive_row(v)
             for c, row in basis.items():
                 f = row[piv]
                 if f:
-                    basis[c] = [x - f * y for x, y in zip(row, v)]
+                    basis[c] = _primitive_row([v[piv] * x - f * y for x, y in zip(row, v)])
             basis[piv] = v
-    return [tuple(basis[c]) for c in sorted(basis)]
+    return [tuple(Fraction(x, basis[c][c]) for x in basis[c]) for c in sorted(basis)]
+
+
+def _primitive_row(v: list[int]) -> list[int]:
+    """v over the gcd of its entries, for v not zero."""
+    g = gcd(*v)
+    return [x // g for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -703,15 +714,26 @@ def _semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
     raise SpectralError("semisimple splitting did not converge")
 
 
-def spectral_decompose(a: RatMatrix) -> SpectralData:
-    """Requires every eigenvalue real and strictly positive; fails loudly
-    otherwise."""
+def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
+    """The spectral data of A, for p its characteristic polynomial
+    (charpoly_primitive(a)), which the caller has formed.  Requires every
+    eigenvalue real and strictly positive; fails loudly otherwise.
+
+    The projectors are evaluated in y = D x on the integer powers of
+    B = D·A, whose characteristic polynomial p_B is monic in integers.  A
+    rational eigenvalue of A is beta / D for an integer root beta of p_B,
+    so its projector polynomial is an integer one over one integer scale
+    and its projector an integer matrix until one Fraction per entry; when
+    the whole spectrum is rational the nilpotent part N = A - sum lam_i P_i
+    is formed the same way.  An irrational eigenvalue's projector comes
+    from the same interpolation over Q(lam), on the same integer powers."""
     if not a.is_square:
         raise ValueError("non-square matrix")
     d = a.rows
+    if p.degree != d:
+        raise ValueError("the polynomial is not the matrix's characteristic polynomial")
     if d == 0:
         return SpectralData(a, [], [], [], a)
-    p = charpoly_primitive(a)
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[Alg, int]] = []
     for fcoeffs, mult in factors:
@@ -725,73 +747,88 @@ def spectral_decompose(a: RatMatrix) -> SpectralData:
             eig.append((r, mult))
     eig.sort(key=lambda e: e[0])
 
-    # the squarefree part is the product of the distinct factors
-    squarefree = prod((IntPoly(f) for f, _ in factors), start=IntPoly((1,)))
-    nilpotent = a - _semisimple_part(a, squarefree)
+    den = lcm(*(x.denominator for x in a.entries))
+    b = [x.numerator * (den // x.denominator) for x in a.entries]
+    lead = p.coeffs[-1]
+    pb = [c * den ** (d - k) // lead for k, c in enumerate(p.coeffs)]  # p_B(y) = D^d p(y/D) / lead
+    betas = [lam.numerator * (den // lam.denominator) if isinstance(lam, Fraction) else lam * den
+             for lam, _ in eig]
+    polys = [_projector_poly(pb, beta, mu) for beta, (_, mu) in zip(betas, eig)]
+    powers = _int_powers(b, d, max(len(h) for h, _ in polys))
 
-    # the rational powers A^k, shared by every projector and built only as
-    # far as the highest nonzero coefficient of a projector polynomial
-    powers = [RatMatrix.identity(d)]
     projectors = []
-    for lam, mu in eig:
-        h = _projector_for(p, lam, mu)
-        while len(powers) < len(h):
-            powers.append(powers[-1] @ a)
-        projectors.append(_poly_at_powers(h, powers))
-
+    scaled = []  # (beta, s P, s) of each rational eigenvalue, s P an integer matrix
+    for beta, (h, scale) in zip(betas, polys):
+        if isinstance(beta, int):
+            num = [sum(c * m[e] for c, m in zip(h, powers)) for e in range(d * d)]
+            scaled.append((beta, num, scale))
+            entries = [Fraction(x, scale) for x in num]
+        else:
+            inv = Fraction(1) / scale
+            h = [c * inv for c in h]
+            entries = [sum((c * m[e] for c, m in zip(h, powers) if m[e]), Fraction(0)) for e in range(d * d)]
+        projectors.append([entries[r * d:(r + 1) * d] for r in range(d)])
+    if len(scaled) == len(eig):
+        # D N = B - sum_i beta_i P_i, over the common scale of the projectors
+        common = lcm(*(scale for _, _, scale in scaled))
+        dn = [common * x for x in b]
+        for beta, num, scale in scaled:
+            f = beta * (common // scale)
+            dn = [x - f * y for x, y in zip(dn, num)]
+        nilpotent = RatMatrix(d, d, tuple(Fraction(x, common * den) for x in dn))
+    else:
+        # the squarefree part is the product of the distinct factors
+        squarefree = prod((IntPoly(f) for f, _ in factors), start=IntPoly((1,)))
+        nilpotent = a - _semisimple_part(a, squarefree)
     return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
 
 
-def _projector_for(charp: IntPoly, lam: Alg, mu: int) -> list[Alg]:
-    """Coefficients, lowest first and without trailing zeros, of the
-    polynomial h with h(A) the spectral projector onto the generalized
-    eigenspace of lam: h == 1 mod (x-lam)^mu and h == 0 modulo the rest of
-    the characteristic polynomial."""
-    # deflate charpoly by (x - lam)^mu via synthetic division over Q(lam)
-    coeffs: list[Alg] = [Fraction(c) for c in charp.coeffs]
+def _projector_poly(pb: list[int], beta: Alg | int, mu: int) -> tuple[list, Alg | int]:
+    """(s h, s): the coefficients of s h, lowest first and without trailing
+    zeros, and the scale s, for h the polynomial with h(B) the spectral
+    projector onto the generalized eigenspace of the eigenvalue beta, of
+    multiplicity mu, of a matrix B with monic characteristic polynomial
+    pb: h == 1 mod (y - beta)^mu and h == 0 modulo the rest of pb.
+
+    Hermite interpolation without a division, so an integer beta keeps
+    every coefficient and the scale an integer.  With q = pb / (y - beta)^mu
+    and q(beta + t) = sum_k c_k t^k, h = q w for w the inverse of that
+    series modulo t^mu, and v_k = c_0^(k+1) w_k satisfies v_0 = 1 and
+    v_k = -sum_{l=1..k} c_l c_0^(l-1) v_(k-l); s = c_0^mu."""
+    q = pb
     for _ in range(mu):
-        coeffs = _synthetic_divide(coeffs, lam)
-    cofactor = coeffs  # charp / (x-lam)^mu, degree d - mu (up to constant)
-    # Taylor coefficients of the cofactor around lam: repeated division
-    taylor: list[Alg] = []
-    work = list(cofactor)
+        q = _synthetic_divide(q, beta)
+    # Taylor coefficients of q around beta: repeated division
+    taylor = []
+    work = q
     for _ in range(mu):
-        rem_val, work_next = _synthetic_divide_with_rem(work, lam)
-        taylor.append(rem_val)
-        work = work_next
-    # invert the truncated series: w with (sum taylor_s t^s) * w == 1 + O(t^mu)
-    inv: list[Alg] = [1 / taylor[0]]
-    for s in range(1, mu):
-        acc = Fraction(0)
-        for t in range(1, s + 1):
-            acc = acc + taylor[t] * inv[s - t]
-        inv.append(-(acc * inv[0]))
-    # expand sum_s inv_s (x - lam)^s into standard-basis coefficients
-    series: list[Alg] = [Fraction(0)] * mu
-    basis: list[Alg] = [Fraction(1)]
-    for s in range(mu):
-        for k, b in enumerate(basis):
-            series[k] = series[k] + inv[s] * b
-        nb: list[Alg] = [Fraction(0)] * (len(basis) + 1)
-        for k, b in enumerate(basis):
-            nb[k + 1] = nb[k + 1] + b
-            nb[k] = nb[k] - lam * b
-        basis = nb
-    # h == 1 modulo (x-lam)^mu and vanishes to full order at the other
-    # eigenvalues, so h(A) is the spectral projector
-    h = _poly_mul_alg(cofactor, series)
+        rem, work = _synthetic_divide_with_rem(work, beta)
+        taylor.append(rem)
+    c0 = taylor[0]
+    v = [1]
+    for k in range(1, mu):
+        v.append(-sum(taylor[l] * c0 ** (l - 1) * v[k - l] for l in range(1, k + 1)))
+    # s w = sum_k c0^(mu-1-k) v_k (y - beta)^k, by Horner's rule in (y - beta)
+    series = [v[mu - 1]]
+    for k in range(mu - 2, -1, -1):
+        series = [x - beta * y for x, y in zip([0] + series, series + [0])]
+        series[0] = series[0] + c0 ** (mu - 1 - k) * v[k]
+    h = _poly_mul_alg(q, series)
     while h and not h[-1]:
         h.pop()
-    return h
+    return h, c0 ** mu
 
 
-def _poly_at_powers(h: list[Alg], powers: list[RatMatrix]) -> list[list[Alg]]:
-    """Rows of h(A) = sum_k h_k A^k from the rational powers A^k."""
-    d = powers[0].rows
-    terms = [(c, m.entries) for c, m in zip(h, powers)]
-    return [[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
-             for k in range(r * d, (r + 1) * d)]
-            for r in range(d)]
+def _int_powers(b: list[int], d: int, count: int) -> list[list[int]]:
+    """B^0, ..., B^(count-1) for the d x d integer matrix B, each as its
+    entries row by row, as b is."""
+    cols = [b[c::d] for c in range(d)]
+    powers = [[int(i == j) for i in range(d) for j in range(d)], b][:count]
+    while len(powers) < count:
+        last = powers[-1]
+        powers.append([sum(x * y for x, y in zip(last[r * d:(r + 1) * d], col))
+                       for r in range(d) for col in cols])
+    return powers
 
 
 def _synthetic_divide(coeffs: list[Alg], lam: Alg) -> list[Alg]:
@@ -802,9 +839,9 @@ def _synthetic_divide(coeffs: list[Alg], lam: Alg) -> list[Alg]:
 def _synthetic_divide_with_rem(coeffs: list[Alg], lam: Alg) -> tuple[Alg, list[Alg]]:
     """Return (p(lam), p(x)/(x-lam) quotient)."""
     if not coeffs:
-        return Fraction(0), []
+        return 0, []
     carry = coeffs[-1]
-    out: list[Alg] = [Fraction(0)] * (len(coeffs) - 1)
+    out: list[Alg] = [0] * (len(coeffs) - 1)
     for k in range(len(coeffs) - 2, -1, -1):
         out[k] = carry
         carry = coeffs[k] + carry * lam
@@ -812,7 +849,7 @@ def _synthetic_divide_with_rem(coeffs: list[Alg], lam: Alg) -> tuple[Alg, list[A
 
 
 def _poly_mul_alg(a: list[Alg], b: list[Alg]) -> list[Alg]:
-    out: list[Alg] = [Fraction(0)] * (len(a) + len(b) - 1)
+    out: list[Alg] = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue

@@ -1,13 +1,16 @@
 """Normalization of reachability instances.
 
-check_simple decides the three structural conditions (polytopic controls
-around the origin, contracting dynamics, eventually-real spectrum)
-exactly and in integers: the origin test is one feasibility LP with a row
-per coordinate, and both spectral tests read one primitive integer
-characteristic polynomial without its zero roots, formed once, with no
-matrix power.  to_simple_form takes that report, which its caller has
-formed to decide whether the reductions apply, and applies three
-reductions in a fixed order:
+check_simple decides the structural conditions (polytopic controls
+around the origin, contracting dynamics, eventually-real spectrum, source
+at the origin, bounded target) exactly and in integers: the origin test
+is one feasibility LP with a row per coordinate, and both spectral tests
+read one primitive integer characteristic polynomial without its zero
+roots, formed once, with no matrix power.  The report keeps that
+polynomial: to_simple_form reads singularity off its constant
+coefficient, and the driver hands it to the spectral decomposition when
+the reduced matrix is A itself.  to_simple_form takes that report, which
+its caller has formed to decide whether the reductions apply, and applies
+three reductions in a fixed order:
 
   1. power step: replace A by A^M and U by the M-step input sum, making
      the spectrum real and nonnegative;
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exactnum import IntPoly
 from .geometry import (
     ControlSet,
     GenPolyhedron,
@@ -44,6 +48,7 @@ from .geometry import (
 from .linalg import (
     RatMatrix,
     Vec,
+    charpoly_primitive,
     fitting_split,
     krylov_invariant_span,
     nonzero_eigen_poly,
@@ -79,11 +84,13 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class SimplicityReport:
+    charpoly: IntPoly  # charpoly_primitive of A, formed once per decision
     is_polytope: bool
     origin_in_rel_interior: bool
     schur: bool
     real_power: int | None
     source_is_zero: bool
+    target_bounded: bool
 
     def failing_conditions(self) -> list[str]:
         """Every condition of the certificate search that the system fails,
@@ -99,21 +106,26 @@ class SimplicityReport:
             out.append("no power of the matrix has exclusively real spectrum")
         if not self.source_is_zero:
             out.append("source state is not the origin")
+        if not self.target_bounded:
+            out.append("target is unbounded (it has rays or lines)")
         return out
 
 
 def check_simple(sys: LtiSystem) -> SimplicityReport:
     is_poly = sys.controls.is_single_polytope
     origin_ok = bool(is_poly and relative_interior_contains_origin(sys.controls.components[0]))
-    p = nonzero_eigen_poly(sys.a)
+    charpoly = charpoly_primitive(sys.a)
+    p = nonzero_eigen_poly(charpoly)
     schur = schur_stable(p)
     power = real_spectrum_power(p, sys.dim)
     return SimplicityReport(
+        charpoly=charpoly,
         is_polytope=is_poly,
         origin_in_rel_interior=origin_ok,
         schur=schur,
         real_power=power,
         source_is_zero=vec_is_zero(sys.source),
+        target_bounded=sys.target.is_empty or sys.target.is_polytope,
     )
 
 
@@ -177,9 +189,9 @@ def to_simple_form(sys: LtiSystem, report: SimplicityReport) -> SimpleForm:
     power_u = input_sum(sys.a, u0, m) if m > 1 else u0
 
     # invertibility step: the first d steps are absorbed into the target;
-    # A^M is singular exactly when A is
+    # A^M is singular exactly when A is, that is when det A = +-p(0) is 0
     d = power_a.rows
-    fit_applied = sys.a.det() == 0
+    fit_applied = report.charpoly.coeffs[0] == 0
     if fit_applied:
         _, v1 = fitting_split(power_a)
         if not sys.target.is_empty:

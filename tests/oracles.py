@@ -30,7 +30,12 @@ integer state over one denominator.  `pairwise_eventual_maximizer` runs
 the full threshold search on every pair the tournament compares, where
 the library reads only signs until it has the winner, and
 `fraction_inverse` is Gauss-Jordan over Fractions where the library
-eliminates fraction-free in integers.
+eliminates fraction-free in integers.  `fraction_spectral_decompose` is
+the spectral decomposition over Fraction and RealAlg, Hermite
+interpolation summed over the Fraction powers of A and the semisimple
+part by Newton's iteration, where the library interpolates without a
+division on the integer powers of D·A; `decompose` calls the library's
+with the characteristic polynomial it takes.
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from ltireach.certify import PrefixSums, SeqClass, SeqKind, VertexImages, classify_sequence
-from ltireach.exactnum import Alg, IntPoly, RealAlg, count_roots_halfopen, sturm_chain
+from ltireach.exactnum import (Alg, IntPoly, RealAlg, count_roots_halfopen, factor_int_poly, sturm_chain,
+                               sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
-from ltireach.linalg import (RatMatrix, SpectralData, Vec, bilinear_rows, charpoly_primitive,
-                             expand_inner_product, real_spectrum_power_bound, vec_add, vec_dot, vec_scale,
-                             vec_sub, zero_vec)
+from ltireach.linalg import (RatMatrix, SpectralData, SpectralError, Vec, bilinear_rows, charpoly_primitive,
+                             expand_inner_product, real_spectrum_power_bound, spectral_decompose, vec_add,
+                             vec_dot, vec_scale, vec_sub, zero_vec)
 from ltireach.preprocess import LtiSystem, SimpleForm
 
 
@@ -481,6 +487,128 @@ def fraction_squarefree_part(p: IntPoly) -> IntPoly:
     q, r = frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
     assert not r
     return frac_to_int_poly(q)
+
+
+# ---------------------------------------------------------------------------
+# the spectral decomposition over Fraction and RealAlg
+# ---------------------------------------------------------------------------
+
+
+def decompose(a: RatMatrix) -> SpectralData:
+    """`linalg.spectral_decompose` of A, given the characteristic
+    polynomial that it takes."""
+    return spectral_decompose(a, charpoly_primitive(a))
+
+
+def fraction_spectral_decompose(a: RatMatrix) -> SpectralData:
+    """`linalg.spectral_decompose` as it was: the characteristic polynomial
+    by the Fraction recursion, each projector h(A) from Hermite
+    interpolation over Q(lam) summed over the Fraction powers A^k, and the
+    nilpotent part A - S with S the semisimple part by Newton's iteration
+    on the squarefree part of the characteristic polynomial."""
+    d = a.rows
+    if d == 0:
+        return SpectralData(a, [], [], [], a)
+    p = frac_to_int_poly(list(fraction_charpoly(a)))
+    factors = factor_int_poly(p.coeffs)
+    eig: list[tuple[Alg, int]] = []
+    for fcoeffs, mult in factors:
+        f = IntPoly(fcoeffs)
+        roots = sturm_isolate_real_roots(f)
+        if len(roots) != f.degree:
+            raise SpectralError("non-real eigenvalue detected")
+        for r in roots:
+            if r <= 0:
+                raise SpectralError("non-positive eigenvalue detected")
+            eig.append((r, mult))
+    eig.sort(key=lambda e: e[0])
+    squarefree = IntPoly((1,))
+    for f, _ in factors:
+        squarefree = squarefree * IntPoly(f)
+    nilpotent = a - newton_semisimple_part(a, squarefree)
+    powers = [RatMatrix.identity(d)]
+    projectors = []
+    for lam, mu in eig:
+        h = _fraction_projector_poly(p, lam, mu)
+        while len(powers) < len(h):
+            powers.append(powers[-1] @ a)
+        terms = [(c, m.entries) for c, m in zip(h, powers)]
+        projectors.append([[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
+                            for k in range(r * d, (r + 1) * d)] for r in range(d)])
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
+
+
+def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
+    """The semisimple part of A by Newton's iteration x <- x - p'(x)^-1 p(x)
+    from x = A, for p the squarefree part of its characteristic polynomial,
+    over Fraction matrices, also when p has full degree."""
+    pf = [Fraction(c) for c in p.coeffs]
+    dpf = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
+
+    def eval_at(coeffs, m: RatMatrix) -> RatMatrix:
+        acc = RatMatrix.zeros(m.rows, m.rows)
+        for c in reversed(coeffs):
+            acc = acc @ m + RatMatrix.identity(m.rows).scale(c)
+        return acc
+
+    x = a
+    for _ in range(a.rows + 2):
+        px = eval_at(pf, x)
+        if all(e == 0 for e in px.entries):
+            return x
+        x = x - fraction_inverse(eval_at(dpf, x)) @ px
+    raise SpectralError("semisimple splitting did not converge")
+
+
+def _fraction_synthetic_divide(coeffs: list[Alg], lam: Alg) -> tuple[Alg, list[Alg]]:
+    """(p(lam), p(x) / (x - lam)); (0, []) for the zero polynomial []."""
+    if not coeffs:
+        return Fraction(0), []
+    carry = coeffs[-1]
+    out: list[Alg] = [Fraction(0)] * (len(coeffs) - 1)
+    for k in range(len(coeffs) - 2, -1, -1):
+        out[k] = carry
+        carry = coeffs[k] + carry * lam
+    return carry, out
+
+
+def _fraction_projector_poly(charp: IntPoly, lam: Alg, mu: int) -> list[Alg]:
+    """The polynomial h, lowest first, with h == 1 mod (x - lam)^mu and
+    h == 0 modulo the rest of charp: the cofactor charp / (x - lam)^mu times
+    the inverse of its Taylor series at lam modulo (x - lam)^mu."""
+    cofactor: list[Alg] = [Fraction(c) for c in charp.coeffs]
+    for _ in range(mu):
+        cofactor = _fraction_synthetic_divide(cofactor, lam)[1]
+    taylor: list[Alg] = []
+    work = list(cofactor)
+    for _ in range(mu):
+        rem, work = _fraction_synthetic_divide(work, lam)
+        taylor.append(rem)
+    inv: list[Alg] = [1 / taylor[0]]
+    for k in range(1, mu):
+        acc = Fraction(0)
+        for t in range(1, k + 1):
+            acc = acc + taylor[t] * inv[k - t]
+        inv.append(-(acc * inv[0]))
+    # sum_k inv_k (x - lam)^k in the standard basis
+    series: list[Alg] = [Fraction(0)] * mu
+    basis: list[Alg] = [Fraction(1)]
+    for k in range(mu):
+        for i, b in enumerate(basis):
+            series[i] = series[i] + inv[k] * b
+        nb: list[Alg] = [Fraction(0)] * (len(basis) + 1)
+        for i, b in enumerate(basis):
+            nb[i + 1] = nb[i + 1] + b
+            nb[i] = nb[i] - lam * b
+        basis = nb
+    h: list[Alg] = [Fraction(0)] * (len(cofactor) + mu - 1)
+    for i, x in enumerate(cofactor):
+        for j, y in enumerate(series):
+            if x and y:
+                h[i + j] = h[i + j] + x * y
+    while h and not h[-1]:
+        h.pop()
+    return h
 
 
 # ---------------------------------------------------------------------------

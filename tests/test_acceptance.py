@@ -27,18 +27,17 @@ from ltireach.linalg import (
     RatMatrix,
     bilinear_rows,
     expand_inner_product,
-    spectral_decompose,
     vec,
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, check_simple, to_simple_form
-from oracles import classify, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
+from oracles import classify, decompose, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
 
 F = Fraction
 
 DIAG_A = RatMatrix.from_rows([[F(1, 3), 0], [0, F(2, 3)]])
 QUAD_U = GenPolyhedron.polytope([vec(-2, -1), vec(0, -1), vec(0, 1), vec(2, 1)])
-DIAG_S = spectral_decompose(DIAG_A)
+DIAG_S = decompose(DIAG_A)
 ROT90_HALF = RatMatrix.from_rows([[0, F(-1, 2)], [F(1, 2), 0]])
 ROT_IRRATIONAL = RatMatrix.from_rows([[F(3, 10), F(-2, 5)], [F(2, 5), F(3, 10)]])
 
@@ -168,7 +167,7 @@ def test_criterion_3_bilinear_identity_suite():
     for _ in range(200):
         d = rng.randint(1, 4)
         a = random_positive_system(rng, d)
-        s = spectral_decompose(a)
+        s = decompose(a)
         u = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
         coeffs = expand_inner_product(bilinear_rows(s, tau), u)
@@ -292,7 +291,7 @@ def test_criterion_6_classification_suite():
     for _ in range(40):
         d = rng.randint(1, 3)
         a = random_positive_system(rng, d)
-        systems.append((a, spectral_decompose(a)))
+        systems.append((a, decompose(a)))
     failures = 0
     draws = 0
     least_checked = 0

