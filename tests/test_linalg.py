@@ -20,7 +20,6 @@ from ltireach.linalg import (
     real_spectrum_power,
     real_spectrum_power_bound,
     schur_stable,
-    spectral_decompose,
     vec,
 )
 from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, decompose, frac_to_int_poly,
