@@ -23,7 +23,8 @@ Rational c and lam are Fractions and enter the enclosures as points, so on
 a rational spectrum every comparison is plain Fraction arithmetic.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
-builds the rows r_ij = tau^T P_i N^j lam_i^-j (j below the multiplicity of
+builds the rows r_ij = tau^T P_i (A - lam_i I)^j lam_i^-j (j below the
+multiplicity of lam_i, each row the one before times (A - lam_i I) /
 lam_i) a single time and expands each vertex v once, as the products
 r_ij . v; a vertex pair's coefficients are the differences of two
 expansions, exactly, by linearity.  The tournament's scan reads only
@@ -110,7 +111,6 @@ class SeqKind(Enum):
 class SeqClass:
     kind: SeqKind
     threshold: int | None = None
-    dominant: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def classify_sequence(s: SpectralData, coeffs: list[list[Alg]]) -> SeqClass:
     threshold = _first_true_at_least(onset, domination_holds)
     while threshold > 0 and domination_holds(threshold - 1):
         threshold -= 1
-    return SeqClass(kind, threshold, (i0, j0))
+    return SeqClass(kind, threshold)
 
 
 def _eventually_above(cv: list[list[Alg]], cw: list[list[Alg]]) -> bool:

@@ -202,13 +202,12 @@ class StepColumns:
     A^k and pooled[k] the pooled hull's; step t of horizon n reads power
     n-1-t.  bases[n] is A^n source, and target holds the negated target
     generators.  One object serves every horizon of one decision, so each
-    A^k g is formed once; `products` counts the matvecs.  widths[c] counts
-    the tableau columns of component c's block, and foreign[c] lists the
-    columns of a pooled block that are not component c's, for the search's
-    restrictions.  root is the phase-1 tableau of the pooled root LP of
-    horizon root_horizon, grown from the LP with no variables and kept
-    with its artificial columns so that each later horizon grows from its
-    basis (`root_at`)."""
+    A^k g is formed once.  widths[c] counts the tableau columns of
+    component c's block, and foreign[c] lists the columns of a pooled block
+    that are not component c's, for the search's restrictions.  root is the
+    phase-1 tableau of the pooled root LP of horizon root_horizon, grown
+    from the LP with no variables and kept with its artificial columns so
+    that each later horizon grows from its basis (`root_at`)."""
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
@@ -222,13 +221,11 @@ class StepColumns:
         q = sys.target
         self.target = _Block.of_generators(*([tuple(-x for x in g) for g in gens]
                                              for gens in (q.vertices, q.rays, q.lines)))
-        self.products = 0
         self.root: PhaseOneTableau | None = None
         self.root_horizon = 0
 
     def _matvec(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         """A (num / den) in lowest terms."""
-        self.products += 1
         out = self._a.times(num)
         den *= self._a.den
         g = gcd(den, *out)

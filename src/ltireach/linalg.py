@@ -19,28 +19,25 @@ of the polynomial of root ratios give a multiple L of the least power,
 and tests on the polynomial of the m-th powers of the roots divide L
 down to it.
 
-spectral_decompose splits a matrix with real, strictly positive
-eigenvalues into its commuting diagonalizable + nilpotent parts and
-computes the spectral projector onto each generalized eigenspace as a
+spectral_decompose computes, for a matrix with real, strictly positive
+eigenvalues, the spectral projector onto each generalized eigenspace as a
 polynomial in the matrix, by Hermite interpolation without a division,
 evaluated on the integer powers of B = D·A, so no eigenvector basis over
-an extension field is ever constructed.  A rational spectrum is
-decomposed in integers: each projector and the nilpotent part are
-integer matrices over one integer scale until SpectralData is filled.
-For an irrational spectrum the squarefree part of the characteristic
-polynomial, the product of its distinct irreducible factors, gives the
-semisimple part: when it has full degree A is semisimple and is its own
-semisimple part, and only a repeated eigenvalue runs the Newton
-iteration for it.  bilinear_rows then builds, for one direction tau,
-the rows tau^T P_i N^j lam_i^-j for j below the multiplicity of lam_i;
-P_i N^j vanishes from there on.
+an extension field is ever constructed.  A rational eigenvalue's
+projector is an integer matrix over one integer scale until
+SpectralData is filled; an irrational one's is rows of real algebraic
+numbers.  No nilpotent part is stored: A - lam_i I is nilpotent on the
+range of P_i, so bilinear_rows builds, for one direction tau, the rows
+tau^T P_i (A - lam_i I)^j lam_i^-j for j below the multiplicity of lam_i,
+each from the one before and the columns of A; P_i (A - lam_i I)^j
+vanishes from there on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .exactnum import (
     Alg,
@@ -656,18 +653,20 @@ def alg_kernel_basis(matrix_rows: list[list[Alg]], ncols: int | None = None) -> 
 
 @dataclass
 class SpectralData:
-    """Eigenvalues ascending with their multiplicities mu_i, the spectral
-    projectors P_i (d rows each) and the rational nilpotent part
-    N, so that A = sum_i lam_i P_i + N and
+    """Eigenvalues ascending with their multiplicities mu_i and the spectral
+    projectors P_i (d rows each), so that
 
-        <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i N^j lam_i^-j u).
+        <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i (A - lam_i I)^j lam_i^-j u).
+
+    P_i commutes with A, and A - lam_i I is nilpotent on the range of P_i
+    (the primary decomposition), so A^n P_i = (lam_i I + (A - lam_i I))^n P_i
+    expands binomially and stops at j = mu_i.
     """
 
     matrix: RatMatrix
     eigenvalues: list[Alg]
     multiplicities: list[int]
     projectors: list[list[list[Alg]]]
-    nilpotent: RatMatrix
     _resolvent: RatMatrix | None = field(default=None, repr=False)
 
     @property
@@ -684,36 +683,6 @@ class SpectralData:
         return self._resolvent
 
 
-def _semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
-    """Rational semisimple part S of A, for p the squarefree part of its
-    characteristic polynomial; A - S is nilpotent.  When p has full degree
-    it is the characteristic polynomial up to a constant, so A is
-    semisimple and S = A (Cayley-Hamilton: p(A) = 0); otherwise S comes
-    from the Newton iteration x <- x - p'(x)^-1 p(x) from x = A."""
-    if p.degree == a.rows:
-        return a
-    pf = [Fraction(c) for c in p.coeffs]
-    dpf = [Fraction(i * c) for i, c in enumerate(p.coeffs)][1:]
-
-    def eval_at(coeffs, m: RatMatrix) -> RatMatrix:
-        acc = RatMatrix.zeros(m.rows, m.rows)
-        ident = RatMatrix.identity(m.rows)
-        for c in reversed(coeffs):
-            acc = acc @ m + ident.scale(c)
-        return acc
-
-    x = a
-    for _ in range(a.rows + 2):
-        px = eval_at(pf, x)
-        if all(e == 0 for e in px.entries):
-            return x
-        dpx_inv = eval_at(dpf, x).inverse()
-        if dpx_inv is None:
-            raise SpectralError("derivative evaluation singular during splitting")
-        x = x - dpx_inv @ px
-    raise SpectralError("semisimple splitting did not converge")
-
-
 def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     """The spectral data of A, for p its characteristic polynomial
     (charpoly_primitive(a)), which the caller has formed.  Requires every
@@ -723,17 +692,18 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     B = D·A, whose characteristic polynomial p_B is monic in integers.  A
     rational eigenvalue of A is beta / D for an integer root beta of p_B,
     so its projector polynomial is an integer one over one integer scale
-    and its projector an integer matrix until one Fraction per entry; when
-    the whole spectrum is rational the nilpotent part N = A - sum lam_i P_i
-    is formed the same way.  An irrational eigenvalue's projector comes
-    from the same interpolation over Q(lam), on the same integer powers."""
+    and its projector an integer matrix until one Fraction per entry.  An
+    irrational eigenvalue's projector comes from the same interpolation
+    over Q(lam), on the same integer powers.  Every spectrum takes this one
+    path, and no nilpotent part is formed: bilinear_rows steps each Jordan
+    chain by A - lam_i I."""
     if not a.is_square:
         raise ValueError("non-square matrix")
     d = a.rows
     if p.degree != d:
         raise ValueError("the polynomial is not the matrix's characteristic polynomial")
     if d == 0:
-        return SpectralData(a, [], [], [], a)
+        return SpectralData(a, [], [], [])
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[Alg, int]] = []
     for fcoeffs, mult in factors:
@@ -757,30 +727,15 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     powers = _int_powers(b, d, max(len(h) for h, _ in polys))
 
     projectors = []
-    scaled = []  # (beta, s P, s) of each rational eigenvalue, s P an integer matrix
     for beta, (h, scale) in zip(betas, polys):
         if isinstance(beta, int):
-            num = [sum(c * m[e] for c, m in zip(h, powers)) for e in range(d * d)]
-            scaled.append((beta, num, scale))
-            entries = [Fraction(x, scale) for x in num]
+            entries = [Fraction(sum(c * m[e] for c, m in zip(h, powers)), scale) for e in range(d * d)]
         else:
             inv = Fraction(1) / scale
             h = [c * inv for c in h]
             entries = [sum((c * m[e] for c, m in zip(h, powers) if m[e]), Fraction(0)) for e in range(d * d)]
         projectors.append([entries[r * d:(r + 1) * d] for r in range(d)])
-    if len(scaled) == len(eig):
-        # D N = B - sum_i beta_i P_i, over the common scale of the projectors
-        common = lcm(*(scale for _, _, scale in scaled))
-        dn = [common * x for x in b]
-        for beta, num, scale in scaled:
-            f = beta * (common // scale)
-            dn = [x - f * y for x, y in zip(dn, num)]
-        nilpotent = RatMatrix(d, d, tuple(Fraction(x, common * den) for x in dn))
-    else:
-        # the squarefree part is the product of the distinct factors
-        squarefree = prod((IntPoly(f) for f, _ in factors), start=IntPoly((1,)))
-        nilpotent = a - _semisimple_part(a, squarefree)
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors)
 
 
 def _projector_poly(pb: list[int], beta: Alg | int, mu: int) -> tuple[list, Alg | int]:
@@ -865,17 +820,19 @@ def alg_dot(xs, ys) -> Alg:
 
 
 def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
-    """Rows r[i][j] = tau^T P_i N^j lam_i^-j, j < mu_i, of the bilinear forms
-    for one direction: r[i][0] = tau^T P_i and r[i][j] = r[i][j-1] N / lam_i.
-    P_i N^j vanishes once j >= mu_i, so those rows are not built, and once
-    a row is zero every later one is, so those are zero rows, not products.
+    """Rows r[i][j] = tau^T P_i (A - lam_i I)^j lam_i^-j, j < mu_i, of the
+    bilinear forms for one direction: r[i][0] = tau^T P_i and r[i][j] =
+    r[i][j-1] (A - lam_i I) / lam_i = r[i][j-1] A / lam_i - r[i][j-1], read
+    from the columns of A.  P_i (A - lam_i I)^j vanishes once j >= mu_i, so
+    those rows are not built, and once a row is zero every later one is, so
+    those are zero rows, not products.
 
     Computed once per tau, they turn every coefficient c[i][j] of a vector
     u into the row-vector product r[i][j] . u."""
     d = s.dim
     if len(tau) != d:
         raise ValueError(f"direction has {len(tau)} entries, expected {d}")
-    ncols = [s.nilpotent.col(k) for k in range(d)]
+    acols = [s.matrix.col(k) for k in range(d)]
     out: list[list[list[Alg]]] = []
     for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
         row = [alg_dot(tau, col) for col in zip(*proj)]
@@ -883,8 +840,8 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
         if mu > 1:
             lam_inv = 1 / lam
             while len(rows_i) < mu and any(row):
-                row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * lam_inv
-                       for col in ncols]
+                row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * lam_inv - row[k]
+                       for k, col in enumerate(acols)]
                 rows_i.append(row)
             rows_i += [[Fraction(0)] * d for _ in range(mu - len(rows_i))]
         out.append(rows_i)
@@ -892,11 +849,11 @@ def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
 
 
 def expand_inner_product(rows, u) -> list[list[Alg]]:
-    """Coefficients c[i][j] = tau^T P_i N^j lam_i^-j u, j < mu_i, of the
-    closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j], for rows
-    the bilinear_rows(s, tau) of one direction, built once for every vector
-    expanded against it.  A zero row gives a zero coefficient without a
-    product."""
+    """Coefficients c[i][j] = tau^T P_i (A - lam_i I)^j lam_i^-j u, j < mu_i,
+    of the closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j], for
+    rows the bilinear_rows(s, tau) of one direction, built once for every
+    vector expanded against it.  A zero row gives a zero coefficient without
+    a product."""
     if rows and len(u) != len(rows[0][0]):
         raise ValueError(f"vector has {len(u)} entries, expected {len(rows[0][0])}")
     return [[alg_dot(r, u) if any(r) else Fraction(0) for r in row_i] for row_i in rows]

@@ -34,8 +34,11 @@ eliminates fraction-free in integers.  `fraction_spectral_decompose` is
 the spectral decomposition over Fraction and RealAlg, Hermite
 interpolation summed over the Fraction powers of A and the semisimple
 part by Newton's iteration, where the library interpolates without a
-division on the integer powers of D·A; `decompose` calls the library's
-with the characteristic polynomial it takes.
+division on the integer powers of D·A and keeps no nilpotent part: it
+returns Newton's nilpotent part N beside its decomposition, so the Jordan
+chains the library steps by A - lam_i I can be checked against N.
+`decompose` calls the library's with the characteristic polynomial it
+takes.
 """
 
 from __future__ import annotations
@@ -116,17 +119,19 @@ def alg_matmul(a, b) -> list[list[Alg]]:
     return [[alg_dot(row, col) for col in zip(*b)] for row in a]
 
 
-def bilinear_coeff(s: SpectralData, i: int, j: int, u, tau) -> Alg:
+def bilinear_coeff(s: SpectralData, nilpotent: RatMatrix, i: int, j: int, u, tau) -> Alg:
     """tau^T P_i N^j lam_i^-j u for any j >= 0, from the projector and the
-    matrix power N^j themselves."""
-    pn = alg_matmul(s.projectors[i], s.nilpotent.power(j).to_rows())
+    matrix power N^j themselves, for N the nilpotent part of A
+    (fraction_spectral_decompose)."""
+    pn = alg_matmul(s.projectors[i], nilpotent.power(j).to_rows())
     return alg_dot(tau, [alg_dot(row, u) for row in pn]) * s.eigenvalues[i] ** -j
 
 
-def all_bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
+def all_bilinear_rows(s: SpectralData, nilpotent: RatMatrix, tau) -> list[list[list[Alg]]]:
     """`linalg.bilinear_rows` as it was: every row r[i][j], j < mu_i, is
-    the product r[i][j-1] N / lam_i, zero rows included."""
-    ncols = [s.nilpotent.col(k) for k in range(s.dim)]
+    the product r[i][j-1] N / lam_i, zero rows included, for N the
+    nilpotent part of A (fraction_spectral_decompose)."""
+    ncols = [nilpotent.col(k) for k in range(s.dim)]
     out = []
     for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
         row = [alg_dot(tau, col) for col in zip(*proj)]
@@ -500,15 +505,17 @@ def decompose(a: RatMatrix) -> SpectralData:
     return spectral_decompose(a, charpoly_primitive(a))
 
 
-def fraction_spectral_decompose(a: RatMatrix) -> SpectralData:
-    """`linalg.spectral_decompose` as it was: the characteristic polynomial
-    by the Fraction recursion, each projector h(A) from Hermite
-    interpolation over Q(lam) summed over the Fraction powers A^k, and the
-    nilpotent part A - S with S the semisimple part by Newton's iteration
-    on the squarefree part of the characteristic polynomial."""
+def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
+    """`linalg.spectral_decompose` as it was, and the nilpotent part it
+    kept: the characteristic polynomial by the Fraction recursion, each
+    projector h(A) from Hermite interpolation over Q(lam) summed over the
+    Fraction powers A^k, and the nilpotent part N = A - S with S the
+    semisimple part by Newton's iteration on the squarefree part of the
+    characteristic polynomial.  P_i N = P_i (A - lam_i I), so N steps the
+    Jordan chains that the library steps by A itself."""
     d = a.rows
     if d == 0:
-        return SpectralData(a, [], [], [], a)
+        return SpectralData(a, [], [], []), a
     p = frac_to_int_poly(list(fraction_charpoly(a)))
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[Alg, int]] = []
@@ -535,7 +542,7 @@ def fraction_spectral_decompose(a: RatMatrix) -> SpectralData:
         terms = [(c, m.entries) for c, m in zip(h, powers)]
         projectors.append([[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
                             for k in range(r * d, (r + 1) * d)] for r in range(d)])
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, nilpotent)
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors), nilpotent
 
 
 def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
@@ -644,6 +651,13 @@ def prefix_sums(s: SpectralData, u: GenPolyhedron, tau) -> PrefixSums:
 def classify(s: SpectralData, v: Vec, w: Vec, tau) -> SeqClass:
     """classify_sequence on the expansion of v - w against tau."""
     return classify_sequence(s, expand_inner_product(bilinear_rows(s, tau), vec_sub(v, w)))
+
+
+def dominant_index(coeffs: list[list[Alg]]) -> tuple[int, int] | None:
+    """The (i, j) of the dominant coefficient of an expansion: the largest
+    index pair with a nonzero coefficient (eigenvalues ascend), or None when
+    every coefficient is zero."""
+    return max(((i, j) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c), default=None)
 
 
 def fraction_sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:

@@ -31,7 +31,7 @@ from ltireach.linalg import (
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, check_simple, to_simple_form
-from oracles import classify, decompose, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
+from oracles import classify, decompose, dominant_index, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
 
 F = Fraction
 
@@ -315,7 +315,7 @@ def test_criterion_6_classification_suite():
             ok = all(x < 0 for x in values[c.threshold:])
         if ok and c.kind is not SeqKind.IDENTICALLY_ZERO:
             coeffs = expand_inner_product(bilinear_rows(s, tau), diff)
-            i0, j0 = c.dominant
+            i0, j0 = dominant_index(coeffs)
             from math import comb
 
             def dominates(n):

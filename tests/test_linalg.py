@@ -9,7 +9,6 @@ from ltireach.exactnum import sturm_isolate_real_roots
 from ltireach.linalg import (
     RatMatrix,
     SpectralError,
-    _semisimple_part,
     alg_kernel_basis,
     bilinear_rows,
     charpoly_primitive,
@@ -499,15 +498,22 @@ def check_spectral_invariants(s):
         for j, pj in enumerate(s.projectors):
             assert rows_equal(alg_matmul(pi, pj), pi if i == j else zeros)
     assert rows_equal(total, RatMatrix.identity(d).to_rows())
-    # semisimple + nilpotent recombination
-    smat = zeros
-    for lam, proj in zip(s.eigenvalues, s.projectors):
-        smat = rows_add(smat, [[lam * x for x in r] for r in proj])
-    assert rows_equal(rows_add(smat, s.nilpotent.to_rows()), s.matrix.to_rows())
-    assert s.nilpotent.power(d) == RatMatrix.zeros(d, d)
-    # S and N commute
-    n = s.nilpotent.to_rows()
-    assert rows_equal(alg_matmul(smat, n), alg_matmul(n, smat))
+    # each projector commutes with A, and A - lam_i I is nilpotent of index
+    # at most mu_i on its range
+    a = s.matrix.to_rows()
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
+        assert rows_equal(alg_matmul(a, proj), alg_matmul(proj, a))
+        shifted = [[x - lam if k == r else x for k, x in enumerate(row)] for r, row in enumerate(a)]
+        chain = proj
+        for _ in range(mu):
+            chain = alg_matmul(shifted, chain)
+        assert rows_equal(chain, zeros)
+
+
+def second_rows(s, tau):
+    """Row j = 1 of each eigenvalue's Jordan chain for tau, None where
+    mu_i = 1."""
+    return [rows[1] if len(rows) > 1 else None for rows in bilinear_rows(s, tau)]
 
 
 def test_spectral_diag_thirds():
@@ -515,7 +521,7 @@ def test_spectral_diag_thirds():
     assert [rat(l) for l in s.eigenvalues] == [F(1, 3), F(2, 3)]
     assert rat_rows(s.projectors[0]) == RatMatrix.diag(1, 0).to_rows()
     assert rat_rows(s.projectors[1]) == RatMatrix.diag(0, 1).to_rows()
-    assert s.nilpotent == RatMatrix.zeros(2, 2)
+    assert s.multiplicities == [1, 1]
     check_spectral_invariants(s)
 
 
@@ -523,7 +529,9 @@ def test_spectral_scaled_identity():
     s = decompose(RatMatrix.identity(2).scale(F(1, 2)))
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
-    assert s.nilpotent == RatMatrix.zeros(2, 2)
+    # no chain: the second row is zero for every direction
+    assert [second_rows(s, tau) for tau in (vec(1, 0), vec(0, 1), vec(3, -2))] == [[[0, 0]]] * 3
+    check_spectral_invariants(s)
 
 
 def test_spectral_jordan_block():
@@ -531,40 +539,10 @@ def test_spectral_jordan_block():
     s = decompose(a)
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
-    assert s.nilpotent == mat([[0, 1], [0, 0]])
+    # e1^T (A - I/2) / (1/2) = (0, 2), and e2^T starts no chain
+    assert rat_rows(bilinear_rows(s, vec(1, 0))[0]) == [[1, 0], [0, 2]]
+    assert rat_rows(bilinear_rows(s, vec(0, 1))[0]) == [[0, 1], [0, 0]]
     check_spectral_invariants(s)
-
-
-def poly_at(p, m: RatMatrix) -> RatMatrix:
-    """p(M) for an integer polynomial p, by Horner."""
-    acc = RatMatrix.zeros(m.rows, m.rows)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + RatMatrix.identity(m.rows).scale(c)
-    return acc
-
-
-def test_semisimple_part():
-    # S = A itself when the characteristic polynomial is squarefree; with a
-    # repeated eigenvalue S is semisimple (its squarefree part kills it),
-    # A - S is nilpotent and S commutes with A
-    rng = random.Random(19)
-    same = jordan = 0
-    for _ in range(120):
-        d = rng.randint(1, 4)
-        a = random_positive_spectrum_matrix(rng, d)
-        sf = charpoly_primitive(a).squarefree_part()
-        s = _semisimple_part(a, sf)
-        if sf.degree == d:
-            assert s is a
-            same += 1
-            continue
-        assert poly_at(sf, s) == RatMatrix.zeros(d, d)
-        assert (a - s).power(d) == RatMatrix.zeros(d, d)
-        assert s @ a == a @ s
-        jordan += s != a
-    assert same >= 30 and jordan >= 10
-    block = mat([[F(1, 2), 1, 0], [0, F(1, 2), 1], [0, 0, F(1, 2)]])
-    assert _semisimple_part(block, int_poly(-1, 2)) == RatMatrix.identity(3).scale(F(1, 2))
 
 
 def test_spectral_rejects_bad_spectra():
@@ -606,23 +584,35 @@ def test_spectral_irrational_jordan():
     s = decompose(irrational_jordan_matrix())
     assert len(s.eigenvalues) == 2
     assert s.multiplicities == [2, 2]
-    assert not (s.nilpotent == RatMatrix.zeros(d, d))
+    # tau^T P_i (A - lam_i I) is nonzero for some unit tau at each eigenvalue
+    seconds = [second_rows(s, tuple(F(int(k == i)) for k in range(d))) for i in range(d)]
+    assert all(any(any(rows[i]) for rows in seconds) for i in range(2))
     check_spectral_invariants(s)
 
 
-def assert_same_decomposition(got, want):
-    """Equal eigenvalues, multiplicities, projectors and nilpotent part,
-    each entry of the same type (a rational value is a Fraction)."""
-    def types(values):
-        return [type(x) for x in values]
+def types(values):
+    return [type(x) for x in values]
 
+
+def assert_same_decomposition(got, want):
+    """Equal eigenvalues, multiplicities and projectors, each entry of the
+    same type (a rational value is a Fraction)."""
     assert got.matrix == want.matrix
     assert got.eigenvalues == want.eigenvalues and types(got.eigenvalues) == types(want.eigenvalues)
     assert got.multiplicities == want.multiplicities
     assert got.projectors == want.projectors
     assert [types(x for r in p for x in r) for p in got.projectors] == \
         [types(x for r in p for x in r) for p in want.projectors]
-    assert got.nilpotent == want.nilpotent
+
+
+def assert_same_chains(got, want, nilpotent, taus):
+    """bilinear_rows(got, tau), stepped by A - lam_i I, equals entry for
+    entry and type for type the rows tau^T P_i N^j lam_i^-j that the oracle
+    steps by its nilpotent part N, for each tau."""
+    for tau in taus:
+        rows, oracle = bilinear_rows(got, tau), all_bilinear_rows(want, nilpotent, tau)
+        assert rows == oracle
+        assert [[types(r) for r in rs] for rs in rows] == [[types(r) for r in rs] for rs in oracle]
 
 
 def test_spectral_decompose_matches_the_fraction_oracle():
@@ -631,7 +621,18 @@ def test_spectral_decompose_matches_the_fraction_oracle():
     the Fraction/RealAlg decomposition: on seeded conjugates of triangular
     matrices with d <= 6 and distinct, repeated and defective rational
     eigenvalues, on fixed Jordan blocks and the d = 20 scaled identity,
-    and on quadratic, irrational Jordan and mixed spectra."""
+    and on quadratic, irrational Jordan and mixed spectra.  On each, the
+    Jordan chains that bilinear_rows steps by A - lam_i I equal those
+    stepped by the oracle's Newton nilpotent part, for a rational
+    direction, its negation and a direction in Q(sqrt 2)."""
+    sqrt2 = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
+    tau_rng = random.Random(2719)  # its own stream, so the matrices stay those of rng
+
+    def directions(d):
+        tau = tuple(F(tau_rng.randint(-4, 4), tau_rng.randint(1, 3)) for _ in range(d))
+        return [tau, tuple(-x for x in tau),
+                tuple(F(tau_rng.randint(-3, 3), 2) + tau_rng.randint(-2, 2) * sqrt2 for _ in range(d))]
+
     rng = random.Random(2718)
     kinds = {"distinct": 0, "repeated": 0, "defective": 0}
     for _ in range(150):
@@ -650,8 +651,10 @@ def test_spectral_decompose_matches_the_fraction_oracle():
             p = p @ mat(e)
         a = p @ mat(rows) @ p.inverse()
         s = decompose(a)
-        assert_same_decomposition(s, fraction_spectral_decompose(a))
-        if any(x != 0 for x in s.nilpotent.entries):
+        want, nilpotent = fraction_spectral_decompose(a)
+        assert_same_decomposition(s, want)
+        assert_same_chains(s, want, nilpotent, directions(d))
+        if any(x != 0 for x in nilpotent.entries):
             kinds["defective"] += 1
         elif len(s.eigenvalues) < d:
             kinds["repeated"] += 1
@@ -665,7 +668,10 @@ def test_spectral_decompose_matches_the_fraction_oracle():
              RatMatrix.identity(20).scale(F(1, 2)), quad, irrational_jordan_matrix(),
              RatMatrix.block_diag([quad, quad, quad]), RatMatrix.block_diag([quad, jordan2])]
     for a in fixed:
-        assert_same_decomposition(decompose(a), fraction_spectral_decompose(a))
+        s = decompose(a)
+        want, nilpotent = fraction_spectral_decompose(a)
+        assert_same_decomposition(s, want)
+        assert_same_chains(s, want, nilpotent, directions(a.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +742,17 @@ def jordan_system(rng, d):
     return p @ mat(rows) @ p.inverse()
 
 
-def check_expansion_against_all_j(s, u, tau):
+def check_expansion_against_all_j(a, u, tau):
     """expand_inner_product gives mu_i coefficients per eigenvalue, equal to
-    tau^T P_i N^j lam_i^-j u; the same product is 0 for mu_i <= j < d."""
+    tau^T P_i N^j lam_i^-j u for N the oracle's nilpotent part of A; the
+    same product is 0 for mu_i <= j < d."""
+    s = decompose(a)
+    nilpotent = fraction_spectral_decompose(a)[1]
     coeffs = expand_inner_product(bilinear_rows(s, tau), u)
     assert [len(row) for row in coeffs] == s.multiplicities
     for i, mu in enumerate(s.multiplicities):
         for j in range(s.dim):
-            want = bilinear_coeff(s, i, j, u, tau)
+            want = bilinear_coeff(s, nilpotent, i, j, u, tau)
             if j < mu:
                 assert coeffs[i][j] == want
             else:
@@ -754,36 +763,38 @@ def test_expansion_matches_all_j_oracle_on_jordan_systems():
     rng = random.Random(47)
     for _ in range(12):
         d = rng.randint(2, 4)
-        s = decompose(jordan_system(rng, d))
+        a = jordan_system(rng, d)
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-        check_expansion_against_all_j(s, u, tau)
-    s = decompose(irrational_jordan_matrix())
-    check_expansion_against_all_j(s, vec(1, -2, 0, 3), vec(0, 1, 1, -1))
+        check_expansion_against_all_j(a, u, tau)
+    check_expansion_against_all_j(irrational_jordan_matrix(), vec(1, -2, 0, 3), vec(0, 1, 1, -1))
 
 
 def test_bilinear_rows_stop_at_the_first_zero_row():
     """bilinear_rows, and expand_inner_product over them, equal entry for
     entry and type for type the construction that multiplies every row by
-    N and every row by u: on A = I/2 at d = 20, where every row after the
-    first is zero; on seeded conjugated Jordan chains, against each row of
-    the conjugating matrix's inverse (whose rows reach zero before mu_i)
-    and a dense direction; and on an irrational pair repeated three times
-    without a chain."""
-    def types(rows):
-        return [[type(x) for x in row] for row in rows]
+    the oracle's nilpotent part N and every row by u: on A = I/2 at
+    d = 20, where every row after the first is zero; on seeded conjugated
+    Jordan chains, against each row of the conjugating matrix's inverse
+    (whose rows reach zero before mu_i) and a dense direction; and on an
+    irrational pair repeated three times without a chain."""
+    def check(a, taus, u):
+        s = decompose(a)
+        nilpotent = fraction_spectral_decompose(a)[1]
+        early = 0
+        for tau in taus:
+            got, want = bilinear_rows(s, tau), all_bilinear_rows(s, nilpotent, tau)
+            assert got == want and [[types(r) for r in rows] for rows in got] == \
+                [[types(r) for r in rows] for rows in want]
+            coeffs = expand_inner_product(got, u)
+            products = [[alg_dot(r, u) for r in rows] for rows in want]
+            assert coeffs == products and [types(c) for c in coeffs] == [types(c) for c in products]
+            # the rows that follow a zero row, which bilinear_rows does not multiply out
+            early += sum(not any(rows[j - 1]) for rows in got for j in range(1, len(rows)))
+        return early
 
-    def check(s, tau, u):
-        got, want = bilinear_rows(s, tau), all_bilinear_rows(s, tau)
-        assert got == want and [types(rows) for rows in got] == [types(rows) for rows in want]
-        coeffs = expand_inner_product(got, u)
-        products = [[alg_dot(r, u) for r in rows] for rows in want]
-        assert coeffs == products and types(coeffs) == types(products)
-        # the rows that follow a zero row, which bilinear_rows does not multiply out
-        return sum(not any(rows[j - 1]) for rows in got for j in range(1, len(rows)))
-
-    half = decompose(RatMatrix.identity(20).scale(F(1, 2)))
-    assert check(half, vec(*[F(k - 7, k % 3 + 1) for k in range(20)]), vec(*range(20))) == 18
+    half = RatMatrix.identity(20).scale(F(1, 2))
+    assert check(half, [vec(*[F(k - 7, k % 3 + 1) for k in range(20)])], vec(*range(20))) == 18
     rng = random.Random(59)
     early = 0
     for _ in range(15):
@@ -799,15 +810,14 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
             e = RatMatrix.identity(d).to_rows()
             e[i][j] = F(rng.randint(-2, 2))
             p = p @ mat(e)
-        s = decompose(p @ mat(rows) @ p.inverse())
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-        for tau in [*p.inverse().to_rows(), [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]]:
-            early += check(s, vec(*tau), u)
+        taus = [*p.inverse().to_rows(), [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]]
+        early += check(p @ mat(rows) @ p.inverse(), [vec(*tau) for tau in taus], u)
     assert early > 20
     quad = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
-    triple = decompose(RatMatrix.block_diag([quad, quad, quad]))
-    assert triple.multiplicities == [3, 3]
-    assert check(triple, vec(1, -2, 0, 3, F(1, 2), 5), vec(2, 0, -1, 1, 1, F(1, 3))) == 2
+    triple = RatMatrix.block_diag([quad, quad, quad])
+    assert decompose(triple).multiplicities == [3, 3]
+    assert check(triple, [vec(1, -2, 0, 3, F(1, 2), 5)], vec(2, 0, -1, 1, 1, F(1, 3))) == 2
 
 
 def test_spectral_decompose_d20_scaled_identity_is_fast():

@@ -10,7 +10,9 @@ Every public function of the library must have a caller outside the tests,
 and every private module-level function or class a use inside the library.
 Every defaulted parameter must serve the library's own callers: some call
 passes it and some call leaves it out, or the default is one more way to
-call the function that only tests take.
+call the function that only tests take.  Every dataclass field must be
+read by the library or the benchmark: state that only tests read is
+computed on every run for nothing.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
 digest, with the workloads loaded from their text like the span table.
@@ -351,3 +353,35 @@ def test_every_default_serves_a_library_caller():
             if not (passed and omitted) and (module, qualname, param) not in OUTSIDE_DEFAULTS:
                 flagged.append(f"{module}.{qualname}({param})")
     assert flagged == []
+
+
+# dataclass fields kept without a reader in src or perfbench, (module,
+# class, field)
+UNREAD_FIELDS = {
+    # the LP oracle tests compare optimal values, and optimization LPs
+    # (ROADMAP items 4 and 11) will read it
+    ("geometry", "LpResult", "value"),
+}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    f = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(f, ast.Name) and f.id == "dataclass") or \
+        (isinstance(f, ast.Attribute) and f.attr == "dataclass")
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a @dataclass in src/ltireach is read as an attribute
+    (`x.field`) somewhere in src or perfbench.  Reads are matched by name,
+    so a read of another object's attribute of the same name counts."""
+    fields = []
+    read = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (path.parent == SRC and isinstance(node, ast.ClassDef)
+                  and any(map(_is_dataclass_decorator, node.decorator_list))):
+                fields += [(path.stem, node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    assert [f for f in fields if f[2] not in read and f not in UNREAD_FIELDS] == []
