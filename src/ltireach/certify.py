@@ -8,11 +8,14 @@ closed form
 
 where u is a vertex that eventually maximizes <A^n ., tau> and N a
 threshold past which it dominates every other vertex.  Both are computed
-exactly: the sequence <A^n (v-w), tau> expands over the eigenvalue basis
-as sum C(n,j) lam_i^n c_ij, its eventual sign is the sign of the
-dominant coefficient, and the threshold is the least n from which an
-explicit tail-domination inequality, checked with exact algebraic
-comparisons, holds for good; classify_sequence finds it with one search.
+exactly: the sequence <A^n (v-w), tau> expands over the nonzero
+eigenvalues as sum C(n,j) lam_i^n c_ij from n = transient on (the
+multiplicity of the eigenvalue 0, past which A^n vanishes on its
+generalized eigenspace), its eventual sign is the sign of the dominant
+coefficient, and the threshold is the least n from which an explicit
+tail-domination inequality, checked with exact algebraic comparisons,
+holds for good; classify_sequence finds it with one search, and
+eventual_maximizer raises it to the transient when it is below.
 Those comparisons weigh sums of terms k |c| lam^n.  Each is first decided
 on rational interval enclosures of the terms, built from the intervals of
 c and lam without computing lam^n; only when the enclosures still overlap
@@ -64,6 +67,14 @@ passes computes no term twice.  The audit calls verify_separator without
 the check (an honest certificate never fails it, so there it would only
 add cost), and its verification and its rebuild of the supremum share
 one table.
+
+The supremum is S_N plus the tail <A^N (I-A)^{-1} u, tau>, a sum of
+nonnegative terms.  When the tail is positive the supremum is not
+attained, since every later tail is positive too, and sup <= min_Q tau
+separates; when it is 0 the supremum is S_N, attained in N steps, and
+only sup < min_Q tau does.  On an invertible A restricted to the span of
+its controls' orbits the tail is always positive: 0 is in the relative
+interior of U and tau is nonzero on that span.
 
 Candidate directions come from geometry (the target's facets and the
 complement of its affine hull, then the left eigenvectors) and, as the
@@ -280,7 +291,8 @@ def _eventually_above(cv: list[list[Alg]], cw: list[list[Alg]]) -> bool:
 def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int]:
     """A vertex maximizing <A^n ., tau> for all large n (lexicographically
     smallest among ties) and a threshold N from which it beats every
-    vertex at every step.
+    vertex at every step, at least s.transient, where the expansion starts
+    to hold.
 
     Each vertex is expanded once; a pair's coefficients are the difference
     of two expansions.  The scan reads only the sign of a pair's dominant
@@ -295,7 +307,7 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     for i in range(1, len(verts)):
         if _eventually_above(coeffs[i], coeffs[best]):
             best = i
-    n = 0
+    n = s.transient
     for i in range(len(verts)):
         if i == best:
             continue
@@ -423,8 +435,9 @@ def min_over_vertices(q: GenPolyhedron, tau) -> Alg | None:
 def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron,
                      sums: PrefixSums) -> SeparatorCertificate | None:
     """Certificate iff sup over the reachable closure <= min over the
-    target (nonstrict: the reachable set itself is open), for the direction
-    tau of `sums`."""
+    target, for the direction tau of `sums`: nonstrict when the tail past
+    S_N is positive, so that no reachable state attains the supremum, and
+    strict when it is 0 and S_N attains it."""
     if q.is_empty:
         zero_tau = tuple(Fraction(0) for _ in range(s.dim))
         maximizer = u.vertices[0] if u.vertices else ()
@@ -434,7 +447,7 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron,
     sup = sup_from(s, sums, maximizer, n)
     low = min_over_vertices(q, tau)
     assert low is not None
-    if sup <= low:
+    if sup < low or (sup == low and sup != sums.at(n)):
         return SeparatorCertificate(tau, sup, maximizer, n, sup, low)
     return None
 

@@ -667,15 +667,6 @@ def minkowski_sum(p: GenPolyhedron, q: GenPolyhedron) -> GenPolyhedron:
     return canonical(GenPolyhedron(p.dim, vertices, p.rays + q.rays, p.lines + q.lines))
 
 
-def negate(p: GenPolyhedron) -> GenPolyhedron:
-    return GenPolyhedron(
-        p.dim,
-        tuple(vec_scale(v, Fraction(-1)) for v in p.vertices),
-        tuple(vec_scale(r, Fraction(-1)) for r in p.rays),
-        p.lines,
-    )
-
-
 def linear_image(a: RatMatrix, p: GenPolyhedron) -> GenPolyhedron:
     if a.cols != p.dim:
         raise ValueError("matrix columns must match polyhedron dimension")

@@ -332,7 +332,6 @@ def reduced_system_to_json(form: SimpleForm) -> dict:
         "control_vertices": [_vec_json(v) for v in form.u_reduced.vertices],
         "target_vertices": [_vec_json(v) for v in form.q_reduced.vertices],
         "power": form.power,
-        "fit_applied": form.fit_applied,
         "span_applied": form.span_applied,
     }
 

@@ -19,18 +19,22 @@ of the polynomial of root ratios give a multiple L of the least power,
 and tests on the polynomial of the m-th powers of the roots divide L
 down to it.
 
-spectral_decompose computes, for a matrix with real, strictly positive
-eigenvalues, the spectral projector onto each generalized eigenspace as a
-polynomial in the matrix, by Hermite interpolation without a division,
-evaluated on the integer powers of B = D·A, so no eigenvector basis over
-an extension field is ever constructed.  A rational eigenvalue's
+spectral_decompose computes, for a matrix with real, nonnegative
+eigenvalues, the spectral projector onto the generalized eigenspace of
+each nonzero eigenvalue as a polynomial in the matrix, by Hermite
+interpolation without a division, evaluated on the integer powers of
+B = D·A, so no eigenvector basis over an extension field is ever
+constructed.  A rational eigenvalue's
 projector is an integer matrix over one integer scale until
 SpectralData is filled; an irrational one's is rows of real algebraic
 numbers.  No nilpotent part is stored: A - lam_i I is nilpotent on the
 range of P_i, so bilinear_rows builds, for one direction tau, the rows
 tau^T P_i (A - lam_i I)^j lam_i^-j for j below the multiplicity of lam_i,
 each from the one before and the columns of A; P_i (A - lam_i I)^j
-vanishes from there on.
+vanishes from there on.  A zero eigenvalue of multiplicity k gets no
+projector: A^n vanishes on its generalized eigenspace once n >= k, so the
+expansion over the nonzero eigenvalues holds from n = k on, and k is kept
+as the transient that every threshold must reach.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ Vec = tuple[Fraction, ...]
 
 class SpectralError(Exception):
     """Raised when a decomposition precondition fails (non-real or
-    non-positive eigenvalue detected)."""
+    negative eigenvalue detected)."""
 
 
 def vec(*entries) -> Vec:
@@ -163,10 +167,6 @@ class RatMatrix:
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, s) -> "RatMatrix":
-        s = Fraction(s)
-        return RatMatrix(self.rows, self.cols, tuple(a * s for a in self.entries))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -239,10 +239,6 @@ class RatMatrix:
 
     def kernel_basis(self) -> list[Vec]:
         return [tuple(v) for v in alg_kernel_basis(self.to_rows(), self.cols)]
-
-    def column_space_basis(self) -> list[Vec]:
-        _, pivots = self.rref()
-        return [self.col(c) for c in pivots]
 
     def solve(self, b: Vec) -> Vec | None:
         """One solution of Ax = b, or None if inconsistent."""
@@ -544,15 +540,6 @@ def real_spectrum_power(p: IntPoly, d: int) -> int | None:
     return m if m <= real_spectrum_power_bound(d) else None
 
 
-def fitting_split(a: RatMatrix) -> tuple[list[Vec], list[Vec]]:
-    """Bases of ker(A^d) and im(A^d); A is nilpotent on the first,
-    invertible on the second, and both are A-invariant."""
-    if not a.is_square:
-        raise ValueError("non-square matrix")
-    ad = a.power(a.rows)
-    return ad.kernel_basis(), ad.column_space_basis()
-
-
 def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
     """Basis of span{A^i g : i >= 0, g in generators} in reduced row
     echelon form.  The echelon basis grows one vector at a time, and a
@@ -653,20 +640,24 @@ def alg_kernel_basis(matrix_rows: list[list[Alg]], ncols: int | None = None) -> 
 
 @dataclass
 class SpectralData:
-    """Eigenvalues ascending with their multiplicities mu_i and the spectral
-    projectors P_i (d rows each), so that
+    """The nonzero eigenvalues ascending with their multiplicities mu_i and
+    the spectral projectors P_i (d rows each), so that for n >= transient
 
         <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i (A - lam_i I)^j lam_i^-j u).
 
     P_i commutes with A, and A - lam_i I is nilpotent on the range of P_i
     (the primary decomposition), so A^n P_i = (lam_i I + (A - lam_i I))^n P_i
-    expands binomially and stops at j = mu_i.
+    expands binomially and stops at j = mu_i.  transient is the
+    multiplicity k of the eigenvalue 0 (0 when A is invertible): the P_i sum
+    to I less the projector onto the generalized 0-eigenspace, on which A^n
+    vanishes once n >= k.
     """
 
     matrix: RatMatrix
     eigenvalues: list[Alg]
     multiplicities: list[int]
     projectors: list[list[list[Alg]]]
+    transient: int
     _resolvent: RatMatrix | None = field(default=None, repr=False)
 
     @property
@@ -686,7 +677,9 @@ class SpectralData:
 def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     """The spectral data of A, for p its characteristic polynomial
     (charpoly_primitive(a)), which the caller has formed.  Requires every
-    eigenvalue real and strictly positive; fails loudly otherwise.
+    eigenvalue real and nonnegative; fails loudly otherwise.  A root 0 of
+    multiplicity k gives no eigenvalue and no projector, only the transient
+    k.
 
     The projectors are evaluated in y = D x on the integer powers of
     B = D·A, whose characteristic polynomial p_B is monic in integers.  A
@@ -702,18 +695,19 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     d = a.rows
     if p.degree != d:
         raise ValueError("the polynomial is not the matrix's characteristic polynomial")
-    if d == 0:
-        return SpectralData(a, [], [], [])
-    factors = factor_int_poly(p.coeffs)
+    nonzero = nonzero_eigen_poly(p)
+    transient = d - nonzero.degree
+    if transient == d:
+        return SpectralData(a, [], [], [], transient)
     eig: list[tuple[Alg, int]] = []
-    for fcoeffs, mult in factors:
+    for fcoeffs, mult in factor_int_poly(nonzero.coeffs):
         f = IntPoly(fcoeffs)
         roots = sturm_isolate_real_roots(f)
         if len(roots) != f.degree:
             raise SpectralError("non-real eigenvalue detected")
         for r in roots:
-            if r <= 0:
-                raise SpectralError("non-positive eigenvalue detected")
+            if r < 0:
+                raise SpectralError("negative eigenvalue detected")
             eig.append((r, mult))
     eig.sort(key=lambda e: e[0])
 
@@ -735,7 +729,7 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
             h = [c * inv for c in h]
             entries = [sum((c * m[e] for c, m in zip(h, powers) if m[e]), Fraction(0)) for e in range(d * d)]
         projectors.append([entries[r * d:(r + 1) * d] for r in range(d)])
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors)
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, transient)
 
 
 def _projector_poly(pb: list[int], beta: Alg | int, mu: int) -> tuple[list, Alg | int]:

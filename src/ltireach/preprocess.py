@@ -6,18 +6,19 @@ at the origin, bounded target) exactly and in integers: the origin test
 is one feasibility LP with a row per coordinate, and both spectral tests
 read one primitive integer characteristic polynomial without its zero
 roots, formed once, with no matrix power.  The report keeps that
-polynomial: to_simple_form reads singularity off its constant
-coefficient, and the driver hands it to the spectral decomposition when
+polynomial, and the driver hands it to the spectral decomposition when
 the reduced matrix is A itself.  to_simple_form takes that report, which
 its caller has formed to decide whether the reductions apply, and applies
-three reductions in a fixed order:
+two reductions in a fixed order:
 
   1. power step: replace A by A^M and U by the M-step input sum, making
      the spectrum real and nonnegative;
-  2. invertibility step, when A is singular: split off the nilpotent
-     part, absorbing the first d steps into the target;
-  3. span step: restrict to the least invariant subspace containing the
+  2. span step: restrict to the least invariant subspace containing the
      controls, making the reachable set full dimensional.
+
+A singular A needs no step of its own: the spectral decomposition gives
+the eigenvalue 0 no projector, only a transient below which no threshold
+of the certificate search falls.
 
 The decision procedure relies on one direction only: if the original
 system reaches the target, so does the reduced one, so a separator of
@@ -25,8 +26,7 @@ the reduced system proves the original unreachable.  A positive verdict
 never comes from the reduced system (forward search runs on the original
 one), so no reduced witness is ever lifted back.  The tests check the
 converse horizon: a reduced witness at horizon n means the original
-system reaches the target at exactly M(n + d), where d is the dimension
-when the invertibility step applies and 0 otherwise.
+system reaches the target at exactly M n.
 """
 
 from __future__ import annotations
@@ -38,18 +38,15 @@ from .geometry import (
     ControlSet,
     GenPolyhedron,
     canonical,
-    check_facet_dimension,
     intersect_with_subspace,
     linear_image,
     minkowski_sum,
-    negate,
     relative_interior_contains_origin,
 )
 from .linalg import (
     RatMatrix,
     Vec,
     charpoly_primitive,
-    fitting_split,
     krylov_invariant_span,
     nonzero_eigen_poly,
     real_spectrum_power,
@@ -135,7 +132,6 @@ class SimpleForm:
     u_reduced: GenPolyhedron
     q_reduced: GenPolyhedron
     power: int  # M of the power step
-    fit_applied: bool
     span_applied: bool
 
     @property
@@ -188,40 +184,19 @@ def to_simple_form(sys: LtiSystem, report: SimplicityReport) -> SimpleForm:
     power_a = sys.a.power(m) if m > 1 else sys.a
     power_u = input_sum(sys.a, u0, m) if m > 1 else u0
 
-    # invertibility step: the first d steps are absorbed into the target;
-    # A^M is singular exactly when A is, that is when det A = +-p(0) is 0
-    d = power_a.rows
-    fit_applied = report.charpoly.coeffs[0] == 0
-    if fit_applied:
-        _, v1 = fitting_split(power_a)
-        if not sys.target.is_empty:
-            # the intersection below enumerates facets in dimension d; fail
-            # before the d-step input sum, which costs the most here
-            check_facet_dimension(d)
-        fit_a = _restrict_matrix(power_a, v1)
-        image_u = linear_image(power_a.power(d), power_u)
-        fit_u = _polytope_in_basis(image_u, v1) if v1 else GenPolyhedron(0, ((),))
-        prefix = input_sum(power_a, power_u, d)
-        shifted = minkowski_sum(sys.target, negate(prefix))
-        fit_q = intersect_with_subspace(shifted, v1)
-    else:
-        fit_a = power_a
-        fit_u = power_u
-        fit_q = sys.target
-
     # span step
-    span = krylov_invariant_span(fit_a, list(fit_u.vertices)) if fit_a.rows > 0 else []
-    span_applied = len(span) < fit_a.rows
+    span = krylov_invariant_span(power_a, list(power_u.vertices))
+    span_applied = len(span) < power_a.rows
     if span_applied and span:
-        a_red = _restrict_matrix(fit_a, span)
-        u_red = _polytope_in_basis(fit_u, span)
-        q_red = intersect_with_subspace(fit_q, span)
+        a_red = _restrict_matrix(power_a, span)
+        u_red = _polytope_in_basis(power_u, span)
+        q_red = intersect_with_subspace(sys.target, span)
     elif span_applied:
         a_red = RatMatrix.zeros(0, 0)
         u_red = GenPolyhedron(0, ((),))
-        q_red = intersect_with_subspace(fit_q, [])
+        q_red = intersect_with_subspace(sys.target, [])
     else:
-        a_red = fit_a
-        u_red = fit_u
-        q_red = fit_q
-    return SimpleForm(a_red, u_red, q_red, m, fit_applied, span_applied)
+        a_red = power_a
+        u_red = power_u
+        q_red = sys.target
+    return SimpleForm(a_red, u_red, q_red, m, span_applied)

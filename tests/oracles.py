@@ -18,7 +18,7 @@ library grows one root from the empty LP and restricts the parent's
 tableau; its witnesses are the cold LP's points, so a library witness
 is compared with it by horizon and components and judged by replay.
 `reduced_witness_lifts` checks the converse of the normalization on the
-original system itself.  `rat` checks the
+original system itself, and `negate` forms -P for the tests that need it.  `rat` checks the
 representation rule that a rational value is always a `Fraction`, never
 a `RealAlg`.  `scan_real_spectrum_power` tries every power of A up to the
 bound where the library reads the least one off the characteristic
@@ -36,7 +36,9 @@ interpolation summed over the Fraction powers of A and the semisimple
 part by Newton's iteration, where the library interpolates without a
 division on the integer powers of D·A and keeps no nilpotent part: it
 returns Newton's nilpotent part N beside its decomposition, so the Jordan
-chains the library steps by A - lam_i I can be checked against N.
+chains the library steps by A - lam_i I can be checked against N; it
+reads the transient off the factor x of the characteristic polynomial,
+where the library strips the zero roots before it factors.
 `decompose` calls the library's with the characteristic polynomial it
 takes.
 """
@@ -78,11 +80,10 @@ def int_poly(*coeffs: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def lifted_horizon(form: SimpleForm, dim: int, n: int) -> int:
-    """M(n + d): the horizon at which the original system, of dimension
-    dim, reaches its target when the reduced one reaches its own at n.  M
-    is the power and d is dim when the invertibility step applied, else 0."""
-    return form.power * (n + (dim if form.fit_applied else 0))
+def lifted_horizon(form: SimpleForm, n: int) -> int:
+    """M n: the horizon at which the original system reaches its target
+    when the reduced one reaches its own at n, for M the power."""
+    return form.power * n
 
 
 def reduced_witness_lifts(sys: LtiSystem, form: SimpleForm, witness: ReachWitness) -> bool:
@@ -92,7 +93,7 @@ def reduced_witness_lifts(sys: LtiSystem, form: SimpleForm, witness: ReachWitnes
                         zero_vec(form.dim), form.q_reduced)
     if not verify_witness(reduced, witness):
         return False
-    lifted = reach_exactly(StepColumns(sys), lifted_horizon(form, sys.dim, witness.horizon))
+    lifted = reach_exactly(StepColumns(sys), lifted_horizon(form, witness.horizon))
     return lifted is not None and verify_witness(sys, lifted)
 
 
@@ -142,6 +143,12 @@ def all_bilinear_rows(s: SpectralData, nilpotent: RatMatrix, tau) -> list[list[l
             rows_i.append(row)
         out.append(rows_i)
     return out
+
+
+def negate(p: GenPolyhedron) -> GenPolyhedron:
+    """-P, generator by generator."""
+    return GenPolyhedron(p.dim, tuple(vec_scale(v, Fraction(-1)) for v in p.vertices),
+                         tuple(vec_scale(r, Fraction(-1)) for r in p.rays), p.lines)
 
 
 def maximize_over(p: GenPolyhedron, direction: Vec) -> LpResult:
@@ -512,21 +519,27 @@ def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
     Fraction powers A^k, and the nilpotent part N = A - S with S the
     semisimple part by Newton's iteration on the squarefree part of the
     characteristic polynomial.  P_i N = P_i (A - lam_i I), so N steps the
-    Jordan chains that the library steps by A itself."""
+    Jordan chains that the library steps by A itself.  The factor x of the
+    characteristic polynomial, to the power k, gives the transient k and no
+    projector."""
     d = a.rows
     if d == 0:
-        return SpectralData(a, [], [], []), a
+        return SpectralData(a, [], [], [], 0), a
     p = frac_to_int_poly(list(fraction_charpoly(a)))
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[Alg, int]] = []
+    transient = 0
     for fcoeffs, mult in factors:
+        if fcoeffs == (0, 1):  # the root 0: no projector, only the transient
+            transient = mult
+            continue
         f = IntPoly(fcoeffs)
         roots = sturm_isolate_real_roots(f)
         if len(roots) != f.degree:
             raise SpectralError("non-real eigenvalue detected")
         for r in roots:
-            if r <= 0:
-                raise SpectralError("non-positive eigenvalue detected")
+            if r < 0:
+                raise SpectralError("negative eigenvalue detected")
             eig.append((r, mult))
     eig.sort(key=lambda e: e[0])
     squarefree = IntPoly((1,))
@@ -542,7 +555,7 @@ def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
         terms = [(c, m.entries) for c, m in zip(h, powers)]
         projectors.append([[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
                             for k in range(r * d, (r + 1) * d)] for r in range(d)])
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors), nilpotent
+    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, transient), nilpotent
 
 
 def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
@@ -555,7 +568,7 @@ def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
     def eval_at(coeffs, m: RatMatrix) -> RatMatrix:
         acc = RatMatrix.zeros(m.rows, m.rows)
         for c in reversed(coeffs):
-            acc = acc @ m + RatMatrix.identity(m.rows).scale(c)
+            acc = acc @ m + RatMatrix.diag(*[c] * m.rows)
         return acc
 
     x = a
@@ -674,7 +687,8 @@ def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple
     compares runs classify_sequence's threshold search on the expansion of
     v - w, once per ordered pair; a scan for the maximal vertex, a pass that
     moves to the lexicographically first vertex tied with it, and the
-    threshold as the largest against the winner."""
+    threshold as the largest against the winner, and at least the
+    transient."""
     rows = bilinear_rows(s, tau)
     verts = sorted(u.vertices)
     cache: dict[tuple[int, int], SeqClass] = {}
@@ -695,7 +709,7 @@ def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple
         if cls(i, best).kind is SeqKind.IDENTICALLY_ZERO:
             best = i
             break
-    n = 0
+    n = s.transient
     for i in range(len(verts)):
         if i == best:
             continue

@@ -193,7 +193,7 @@ def test_criterion_4_reduction_soundness_suite():
         vec(0, 0), GenPolyhedron.point(vec(1, 1)))
     rep = check_simple(m_sys)
     assert rep.real_power == 4
-    assert ROT90_HALF.power(4) == RatMatrix.identity(2).scale(F(1, 16))
+    assert ROT90_HALF.power(4) == RatMatrix.diag(*[F(1, 16)] * 2)
 
     rng = random.Random(4242)
     lifted_total = 0
@@ -208,7 +208,7 @@ def test_criterion_4_reduction_soundness_suite():
         elif kind < 0.3:
             rows = [[F(0) if i == j == 0 else (F(rng.randint(1, 8), 10) if i == j else F(0))
                      for j in range(d)] for i in range(d)]
-            a = RatMatrix.from_rows(rows)  # singular: exercises the split
+            a = RatMatrix.from_rows(rows)  # singular: a zero eigenvalue
         else:
             a = random_positive_system(rng, d)
         u = random_control_polytope(rng, d)
@@ -231,7 +231,7 @@ def test_criterion_4_reduction_soundness_suite():
             assert w_red is not None  # reachability invariant under reduction
         if w_red is not None:
             lifted_total += 1
-            # the original system reaches its target at exactly M(n + d)
+            # the original system reaches its target at exactly M n
             assert reduced_witness_lifts(sys_, form, w_red)
         checked += 1
     assert checked == 100

@@ -17,12 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltireach import cli, driver, exactnum, forward, instances, render
-from ltireach.certify import enumerate_algebraic_vectors, extremal_candidates
+from ltireach.certify import enumerate_algebraic_vectors, extremal_candidates, sup_in_direction, verify_separator
 from ltireach.exactnum import IntPoly, RealAlg, interval
 from ltireach.geometry import ControlSet, GenPolyhedron
-from ltireach.linalg import RatMatrix, vec
-from ltireach.preprocess import LtiSystem, check_simple
-from oracles import rat
+from ltireach.linalg import RatMatrix, vec, vec_add, zero_vec
+from ltireach.preprocess import LtiSystem, check_simple, to_simple_form
+from oracles import decompose, prefix_sums, rat
 
 F = Fraction
 
@@ -85,9 +85,11 @@ def test_decide_raises_on_non_replaying_witness(monkeypatch):
 
 
 def test_decide_empty_reduced_target():
-    a = RatMatrix.diag(0)
-    u = GenPolyhedron.polytope([vec(-1), vec(1)])
-    sys_ = LtiSystem(a, ControlSet.single(u), vec(0), GenPolyhedron.point(vec(5)))
+    # the controls and their orbits stay on the x axis, and the target lies
+    # off it, so the span step leaves no target
+    a = RatMatrix.diag(F(1, 2), 0)
+    u = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0)])
+    sys_ = LtiSystem(a, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(0, 5)))
     v = driver.decide(sys_, small_budgets())
     assert v.kind == "unreachable"
     assert v.certificate.min_over_q is None
@@ -95,7 +97,7 @@ def test_decide_empty_reduced_target():
     payload = instances.verdict_to_json(v)
     assert driver.audit(sys_, payload) is True
     # but not against a system whose reduced target is nonempty
-    near = LtiSystem(a, ControlSet.single(u), vec(0), GenPolyhedron.point(vec(F(1, 2))))
+    near = LtiSystem(a, ControlSet.single(u), vec(0, 0), GenPolyhedron.point(vec(F(1, 2), 0)))
     payload["instance_sha256"] = instances.instance_sha256(near)
     if "certificate" in payload:
         assert driver.audit(near, payload) is False
@@ -123,7 +125,9 @@ def test_decide_single_worker_deterministic():
 # Instance texts from the benchmark's seed-1 streams, with the budgets of
 # their workloads, and the sha256 of each verdict JSON.  The digests were
 # recorded before rationals stopped being degree-1 RealAlg values; a change
-# of number representation must leave every artifact byte unchanged.
+# of number representation must leave every artifact byte unchanged.  The
+# unreachable ones were re-pinned when the reduced system lost its
+# fit_applied key, the only bytes that moved.
 ALGEBRAIC_BUDGETS = dict(max_steps=4, max_candidates=48, max_degree=2, max_height=2,
                          extremal_budget=1)
 RATIONAL_BUDGETS = dict(max_steps=4, max_candidates=16, max_degree=1, max_height=2,
@@ -134,7 +138,7 @@ GOLDEN_VERDICTS = [
     # algebraic_2d: hex controls, target on the boundary (degree-2 certificate)
     ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
      + "source\n0 0\ntarget\nvertices\n3 -4\n", ALGEBRAIC_BUDGETS, "unreachable",
-     "1d1af213bb93e397f603645a859a9ebe526be97edde24b4970e3150ff5e0f54c"),
+     "2c576134aebc0d85a695c74b5032f839b14344d75858ae33b8d8de53c26d0f7a"),
     # algebraic_2d: hex controls, interior target
     ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
      + "source\n0 0\ntarget\nvertices\n-1/2 -1/4\n", ALGEBRAIC_BUDGETS, "reachable",
@@ -142,11 +146,11 @@ GOLDEN_VERDICTS = [
     # rational_batch: a point outside the reachable closure
     ("dim 2\nmatrix\n-7/10 18/5\n-3/10 7/5\ncontrol\nvertices\n-2 0\n0 -1\n2 0\n0 1\n"
      "source\n0 0\ntarget\nvertices\n51/2 73/8\n", RATIONAL_BUDGETS, "unreachable",
-     "2ca2ea857b5b154867f3d1126a4b7e2656ac4ed8d7d0104e47f68a78d1b35de7"),
+     "53d350af0d9dc793a28160943643eb1f094b41cd639a14d30f515f2229d0377a"),
     # rational_batch: a diagonal system and a grid point it cannot reach
     ("dim 2\nmatrix\n1/5 0\n0 3/10\n" + DIAMOND_CONTROL
      + "source\n0 0\ntarget\nvertices\n4 -3\n", RATIONAL_BUDGETS, "unreachable",
-     "78e54efd42e9c21857cdbe313f5efec2a27d953bb838a31da930294338801788"),
+     "579cabca1549a7bc6322dbec4436a35b3faab2ec26093a6d87894dcebcf8e128"),
     # rational_batch: a point reached in one step
     ("dim 2\nmatrix\n-17/5 21/10\n-7 43/10\n" + DIAMOND_CONTROL
      + "source\n0 0\ntarget\nvertices\n-1/2 1/2\n", RATIONAL_BUDGETS, "reachable",
@@ -312,12 +316,12 @@ def test_decide_and_audit_check_simplicity_once(monkeypatch):
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("a, power, fit", [
-    (DIAG_A, 1, False),
-    (RatMatrix.diag(F(-1, 3), F(2, 3)), 2, False),  # a negative eigenvalue: M = 2
-    (RatMatrix.diag(0, F(2, 3)), 1, True),  # singular: the invertibility step
+@pytest.mark.parametrize("a, power", [
+    (DIAG_A, 1),
+    (RatMatrix.diag(F(-1, 3), F(2, 3)), 2),  # a negative eigenvalue: M = 2
+    (RatMatrix.diag(0, F(2, 3)), 1),  # singular: no step changes the matrix
 ], ids=["invertible", "negative_eigenvalue", "singular"])
-def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, power, fit):
+def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, power):
     """check_simple forms A's characteristic polynomial and the spectral
     decomposition reads it when the reduced matrix is A; a normalization
     step that changes the matrix costs exactly one more, in decide and in
@@ -336,9 +340,9 @@ def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, pow
     sys_ = LtiSystem(a, ControlSet.single(QUAD_U), vec(0, 0), GenPolyhedron.point(vec(0, 4)))
     v = driver.decide(sys_, small_budgets())
     assert v.kind == "unreachable"
-    assert (v.simple_form.power, v.simple_form.fit_applied) == (power, fit)
+    assert v.simple_form.power == power
     changed = v.simple_form.a_reduced != a
-    assert changed == (power > 1 or fit)
+    assert changed == (power > 1)
     assert calls[0] is a and len(calls) == 1 + changed
     calls.clear()
     assert driver.audit(sys_, instances.verdict_to_json(v)) is True
@@ -387,7 +391,7 @@ def test_render_certificate_line(tmp_path):
 
 
 def test_render_rejects_non_2d():
-    a = RatMatrix.identity(3).scale(F(1, 2))
+    a = RatMatrix.diag(*[F(1, 2)] * 3)
     u = GenPolyhedron.polytope([vec(*v) for v in
                                 [(-1, -1, -1), (1, -1, -1), (0, 1, -1), (0, 0, 1)]])
     sys_ = LtiSystem(a, ControlSet.single(u), vec(0, 0, 0), GenPolyhedron.point(vec(0, 0, 0)))
@@ -489,19 +493,56 @@ def test_cli_decide_writes_auditable_verdict(tmp_path):
 
 
 
-def cross_6d_instance_text() -> str:
+def fresh_cli(*args, timeout: float) -> subprocess.CompletedProcess:
+    """Run the command line in a fresh process, failing past timeout s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")] +
+        env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run([sys.executable, "-m", "ltireach.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def cross_instance_text(dim: int) -> str:
     """A = diag(0, 1/2, ..., 1/2), the cross polytope as controls and the
-    point (5, ..., 5) as target: simple, so certifiable, but normalizing
-    it needs facets of a 6-D polytope, above the enumeration ceiling."""
-    rows = [" ".join("0" if j != i else ("0" if i == 0 else "1/2") for j in range(6)) for i in range(6)]
-    verts = [" ".join(str(s) if j == i else "0" for j in range(6)) for i in range(6) for s in (1, -1)]
-    return "\n".join(["dim 6", "matrix", *rows, "control", "vertices", *verts,
-                      "source", "0 0 0 0 0 0", "target", "vertices", "5 5 5 5 5 5", ""])
+    point (5, ..., 5) as target: singular, and unreachable, since every
+    coordinate stays below 2."""
+    rows = [" ".join("0" if j != i else ("0" if i == 0 else "1/2") for j in range(dim)) for i in range(dim)]
+    verts = [" ".join(str(s) if j == i else "0" for j in range(dim)) for i in range(dim) for s in (1, -1)]
+    return "\n".join([f"dim {dim}", "matrix", *rows, "control", "vertices", *verts,
+                      "source", " ".join(["0"] * dim), "target", "vertices", " ".join(["5"] * dim), ""])
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_decide_singular_cross_polytope_systems_in_bounded_time(tmp_path, dim):
+    """The zero eigenvalue needs no normalization step, so certificate
+    search applies in any dimension, and decide and audit each finish
+    within 15 s in a fresh process."""
+    path = tmp_path / "cross.lti"
+    path.write_text(cross_instance_text(dim))
+    out = tmp_path / "verdict.json"
+    proc = fresh_cli("decide", "--input", path, "--out", out, timeout=15)
+    assert proc.returncode == cli.EXIT_UNREACHABLE, proc.stdout + proc.stderr
+    assert "forward search only" not in proc.stderr
+    proc = fresh_cli("audit", path, out, timeout=15)
+    assert proc.returncode == cli.EXIT_REACHABLE, proc.stdout + proc.stderr
+
+
+def facet_ceiling_instance_text() -> str:
+    """A = I/2 in 7-D, controls +-e1 and as target the simplex 3 e1 + conv(0,
+    e2, ..., e7) of affine dimension 6: simple, so certifiable, but the span
+    step intersects the target with the line of e1, which needs the facets
+    of a 6-D polytope, above the enumeration ceiling."""
+    rows = [" ".join("1/2" if j == i else "0" for j in range(7)) for i in range(7)]
+    e1 = " ".join(["1"] + ["0"] * 6)
+    targets = [" ".join(["3"] + ["1" if j == i else "0" for j in range(6)]) for i in range(-1, 6)]
+    return "\n".join(["dim 7", "matrix", *rows, "control", "vertices", e1, "-" + e1,
+                      "source", " ".join(["0"] * 7), "target", "vertices", *targets, ""])
 
 
 def test_decide_above_the_facet_ceiling_falls_back_to_forward_search(tmp_path, capsys):
-    path = tmp_path / "cross6.lti"
-    path.write_text(cross_6d_instance_text())
+    path = tmp_path / "ceiling.lti"
+    path.write_text(facet_ceiling_instance_text())
     sys_ = instances.parse_instance(path.read_text())
     assert check_simple(sys_).failing_conditions() == []
     assert cli.main(["decide", "--input", str(path)]) == cli.EXIT_UNKNOWN
@@ -514,6 +555,99 @@ def test_decide_above_the_facet_ceiling_falls_back_to_forward_search(tmp_path, c
     artifact = instances.verdict_to_json(driver.decide(quad, small_budgets()))
     artifact["instance_sha256"] = instances.instance_sha256(sys_)
     assert driver.audit(sys_, artifact) is False
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_audit_fails_a_reduced_system_that_carries_fit_applied(tmp_path, flag):
+    """A reduced system with the fit_applied key of the older artifact
+    format differs from the one the audit forms, so the audit fails it
+    (exit 3) and never reads it as a verdict (0, 1 or 2)."""
+    path = tmp_path / "singular.lti"
+    path.write_text("dim 2\nmatrix\n0 0\n0 2/3\ncontrol\nvertices\n-2 -1\n0 -1\n0 1\n2 1\n"
+                    "source\n0 0\ntarget\nvertices\n0 4\n")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(path), "--out", str(out)]) == cli.EXIT_UNREACHABLE
+    artifact = json.loads(out.read_text())
+    artifact["certificate"]["reduced_system"]["fit_applied"] = flag
+    out.write_text(instances.dump_json(artifact))
+    assert cli.main(["audit", str(path), str(out)]) == cli.EXIT_AUDIT_FAILED
+
+
+# ---------------------------------------------------------------------------
+# soundness on singular systems
+# ---------------------------------------------------------------------------
+
+NILPOTENT_TEXT = ("dim 2\nmatrix\n0 -1\n0 0\ncontrol\nvertices\n1 0\n-1 0\n0 1\n0 -1\n"
+                  "source\n0 0\ntarget\nvertices\n3/2 1/2\n")
+
+
+def test_a_supremum_attained_at_the_threshold_does_not_separate():
+    """A = [[0, -1], [0, 0]] with controls +-e1 and +-e2 reaches (3/2, 1/2)
+    at horizon 2.  A^2 = 0, so every reachable set is F_2, and tau = (1, 1)
+    has sup = S_2 = 2 = min over the target with a tail of 0: the supremum
+    is attained, so tau does not separate, and no candidate does."""
+    sys_ = instances.parse_instance(NILPOTENT_TEXT)
+    v = driver.decide(sys_, small_budgets())
+    assert v.kind == "reachable" and v.witness.horizon == 2
+    form = to_simple_form(sys_, check_simple(sys_))
+    s = decompose(form.a_reduced)
+    assert s.transient == 2
+    sums = prefix_sums(s, form.u_reduced, (F(1), F(1)))
+    assert verify_separator(s, form.u_reduced, form.q_reduced, sums) is None
+    assert sums.at(2) == sup_in_direction(s, form.u_reduced, (F(1), F(1))) == 2
+    # with the forward search stopped at horizon 0, certificate search alone
+    # certifies nothing
+    assert driver.decide(sys_, small_budgets(max_steps=0)).kind == "unknown"
+
+
+def singular_system(rng, d):
+    """An upper-triangular A whose diagonal holds 0 at least once and
+    otherwise 0 or +-k/5, with entries in {-1, 0, 1}/2 above it, conjugated
+    by a permutation; the cross polytope as controls; and as target a point
+    reached in 1 to 3 steps, that point scaled by 5/4, or a grid point."""
+    diag = [F(rng.choice((-1, 1)) * rng.randint(1, 4), 5) if rng.random() < 0.6 else F(0) for _ in range(d)]
+    diag[rng.randrange(d)] = F(0)
+    rows = [[diag[i] if i == j else (F(rng.randint(-1, 1), 2) if j > i else F(0)) for j in range(d)]
+            for i in range(d)]
+    perm = rng.sample(range(d), d)
+    a = RatMatrix.from_rows([[rows[perm[i]][perm[j]] for j in range(d)] for i in range(d)])
+    cross = [tuple(F(sg) if j == i else F(0) for j in range(d)) for i in range(d) for sg in (1, -1)]
+    kind = rng.randrange(3)
+    if kind < 2:
+        x, power = zero_vec(d), RatMatrix.identity(d)
+        for _ in range(rng.randint(1, 3)):
+            x = vec_add(x, power.matvec(rng.choice(cross)))
+            power = power @ a
+        x = x if kind == 0 else tuple(c * F(5, 4) for c in x)
+    else:
+        x = tuple(F(rng.randint(-6, 6), 2) for _ in range(d))
+    return LtiSystem(a, ControlSet.single(GenPolyhedron.polytope(cross)), zero_vec(d), GenPolyhedron.point(x))
+
+
+def test_singular_systems_are_never_certified_when_reached(tmp_path):
+    """On seeded 2-4-D singular systems: no instance that reach_within(sys,
+    12) reaches is certified, by decide or by certificate search alone
+    (forward search stopped at horizon 0); every artifact audits, the first
+    few also in a fresh process."""
+    rng = random.Random(2027)
+    counts = {"reachable": 0, "unreachable": 0, "unknown": 0}
+    fresh = 0
+    for k in range(80):
+        sys_ = singular_system(rng, rng.randint(2, 4))
+        assert sys_.a.det() == 0 and check_simple(sys_).failing_conditions() == []
+        reached = forward.reach_within(sys_, 12)
+        for v in (driver.decide(sys_, small_budgets()), driver.decide(sys_, small_budgets(max_steps=0))):
+            assert not (reached is not None and v.kind == "unreachable"), instances.emit_instance(sys_)
+            payload = instances.verdict_to_json(v)
+            assert driver.audit(sys_, payload) is True
+            if v.kind == "unreachable" and fresh < 3:
+                fresh += 1
+                path, out = tmp_path / f"s{k}.lti", tmp_path / f"s{k}.json"
+                path.write_text(instances.emit_instance(sys_))
+                out.write_text(instances.dump_json(payload))
+                assert fresh_cli("audit", path, out, timeout=60).returncode == cli.EXIT_REACHABLE
+        counts[v.kind] += 1
+    assert counts["unreachable"] >= 20 and fresh == 3, counts
 
 
 def segment_instance_text(dim: int) -> str:
@@ -535,13 +669,7 @@ def test_decide_one_dimensional_reduction_in_bounded_time(tmp_path, dim):
     path = tmp_path / "segment.lti"
     path.write_text(segment_instance_text(dim))
     out = tmp_path / "verdict.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")] +
-        env.get("PYTHONPATH", "").split(os.pathsep))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ltireach.cli", "decide", "--input", str(path), "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=30)
+    proc = fresh_cli("decide", "--input", path, "--out", out, timeout=30)
     assert proc.returncode == cli.EXIT_UNREACHABLE, proc.stdout + proc.stderr
     assert cli.main(["audit", str(path), str(out)]) == 0
 

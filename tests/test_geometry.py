@@ -20,12 +20,11 @@ from ltireach.geometry import (
     lp_solve,
     membership_coefficients,
     minkowski_sum,
-    negate,
     relative_interior_contains_origin,
     vertices_from_h_rep,
 )
 from ltireach.linalg import RatMatrix, vec
-from oracles import fraction_lp_solve, lp_contains_point, max_t_interior_contains_origin, maximize_over
+from oracles import fraction_lp_solve, lp_contains_point, max_t_interior_contains_origin, maximize_over, negate
 
 F = Fraction
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 import time
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,7 +14,6 @@ from ltireach.linalg import (
     bilinear_rows,
     charpoly_primitive,
     expand_inner_product,
-    fitting_split,
     krylov_invariant_span,
     nonzero_eigen_poly,
     real_spectrum_power,
@@ -125,7 +125,7 @@ def test_kernel_and_column_space():
     kb = a.kernel_basis()
     assert len(kb) == 1
     assert a.matvec(kb[0]) == (0, 0, 0)
-    assert len(a.column_space_basis()) == 2
+    assert a.rank() == 2
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_charpoly_matches_bareiss_det_randomized():
         coeffs = monic(a)
         x = F(rng.randint(-7, 7), rng.randint(1, 5))
         lhs = sum(c * x ** i for i, c in enumerate(coeffs))
-        rhs = (RatMatrix.identity(d).scale(x) - a).det()
+        rhs = (RatMatrix.diag(*[x] * d) - a).det()
         assert lhs == rhs
 
 
@@ -241,7 +241,7 @@ def test_real_spectrum_power_examples():
     # has order 2, but lam/|lam| = i has order 4: L = 2 lcm(2) = 4
     m = real_spectrum_power(eigen_poly(ROT90_HALF), ROT90_HALF.rows)
     assert m == 4
-    assert ROT90_HALF.power(4) == RatMatrix.identity(2).scale(F(1, 16))
+    assert ROT90_HALF.power(4) == RatMatrix.diag(*[F(1, 16)] * 2)
     for k in range(1, 4):
         p = charpoly_primitive(ROT90_HALF.power(k))
         roots = sturm_isolate_real_roots(p)
@@ -379,37 +379,8 @@ def test_real_spectrum_power_answers_none_above_the_bound(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fitting split and krylov span
+# krylov span
 # ---------------------------------------------------------------------------
-
-
-def test_fitting_split_examples():
-    v0, v1 = fitting_split(RatMatrix.diag(0, F(1, 2)))
-    assert v0 == [(F(1), F(0))]
-    assert len(v1) == 1 and v1[0][0] == 0 and v1[0][1] != 0
-
-    v0, v1 = fitting_split(QUAD)
-    assert v0 == [] and len(v1) == 2
-
-    v0, v1 = fitting_split(mat([[0, 1], [0, 0]]))
-    assert len(v0) == 2 and v1 == []
-
-
-def test_fitting_invariance():
-    rng = random.Random(4)
-    for _ in range(20):
-        d = rng.randint(1, 4)
-        a = mat([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)] for _ in range(d)])
-        v0, v1 = fitting_split(a)
-        assert len(v0) + len(v1) == d
-        ad = a.power(d)
-        for b in v0:
-            assert ad.matvec(b) == tuple(F(0) for _ in range(d))
-        if v1:
-            m = RatMatrix.from_rows(v1).transpose()
-            # A maps V1 into V1: each A b is a combination of the basis
-            for b in v1:
-                assert m.solve(a.matvec(b)) is not None
 
 
 def test_krylov_span_examples():
@@ -497,7 +468,10 @@ def check_spectral_invariants(s):
         total = rows_add(total, pi)
         for j, pj in enumerate(s.projectors):
             assert rows_equal(alg_matmul(pi, pj), pi if i == j else zeros)
-    assert rows_equal(total, RatMatrix.identity(d).to_rows())
+    # the projectors sum to I on the range of A^k, k the transient (I itself
+    # when A is invertible): A^k vanishes on the generalized 0-eigenspace
+    a_k = s.matrix.power(s.transient).to_rows()
+    assert rows_equal(alg_matmul(total, a_k), a_k)
     # each projector commutes with A, and A - lam_i I is nilpotent of index
     # at most mu_i on its range
     a = s.matrix.to_rows()
@@ -526,7 +500,7 @@ def test_spectral_diag_thirds():
 
 
 def test_spectral_scaled_identity():
-    s = decompose(RatMatrix.identity(2).scale(F(1, 2)))
+    s = decompose(RatMatrix.diag(*[F(1, 2)] * 2))
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
     assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
     # no chain: the second row is zero for every direction
@@ -550,8 +524,10 @@ def test_spectral_rejects_bad_spectra():
         decompose(mat([[0, 1], [-1, 0]]))  # complex eigenvalues
     with pytest.raises(SpectralError):
         decompose(RatMatrix.diag(F(-1, 2), F(1, 3)))  # negative
-    with pytest.raises(SpectralError):
-        decompose(RatMatrix.diag(0, F(1, 3)))  # zero
+    # a zero eigenvalue gets no projector, only the transient
+    s = decompose(RatMatrix.diag(0, F(1, 3)))
+    assert [rat(l) for l in s.eigenvalues] == [F(1, 3)] and s.transient == 1
+    assert rat_rows(s.projectors[0]) == RatMatrix.diag(0, 1).to_rows()
 
 
 def test_spectral_irrational_eigenvalues():
@@ -600,6 +576,7 @@ def assert_same_decomposition(got, want):
     assert got.matrix == want.matrix
     assert got.eigenvalues == want.eigenvalues and types(got.eigenvalues) == types(want.eigenvalues)
     assert got.multiplicities == want.multiplicities
+    assert got.transient == want.transient
     assert got.projectors == want.projectors
     assert [types(x for r in p for x in r) for p in got.projectors] == \
         [types(x for r in p for x in r) for p in want.projectors]
@@ -665,13 +642,80 @@ def test_spectral_decompose_matches_the_fraction_oracle():
     jordan3 = mat([[F(1, 3), 1, 0], [0, F(1, 3), 1], [0, 0, F(1, 3)]])
     quad = mat([[F(1, 2), F(1, 8)], [1, F(1, 2)]])
     fixed = [jordan2, RatMatrix.block_diag([jordan2, jordan3, RatMatrix.diag(F(1, 2), F(1, 7))]),
-             RatMatrix.identity(20).scale(F(1, 2)), quad, irrational_jordan_matrix(),
+             RatMatrix.diag(*[F(1, 2)] * 20), quad, irrational_jordan_matrix(),
              RatMatrix.block_diag([quad, quad, quad]), RatMatrix.block_diag([quad, jordan2])]
     for a in fixed:
         s = decompose(a)
         want, nilpotent = fraction_spectral_decompose(a)
         assert_same_decomposition(s, want)
         assert_same_chains(s, want, nilpotent, directions(a.rows))
+
+
+def singular_matrix(rng, d):
+    """A conjugate of an upper-triangular matrix whose diagonal holds 0 at
+    least once and otherwise 0 or k/5, with a random strictly upper part,
+    by a random unimodular integer matrix."""
+    diag = [F(rng.choice((0, 0, 1, 2, 3, 4)), 5) for _ in range(d)]
+    diag[rng.randrange(d)] = F(0)
+    rows = [[diag[i] if i == j else (F(rng.randint(-1, 1), rng.choice((1, 2))) if j > i else F(0))
+             for j in range(d)] for i in range(d)]
+    p = RatMatrix.identity(d)
+    for _ in range(3 if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        e = RatMatrix.identity(d).to_rows()
+        e[i][j] = F(rng.randint(-2, 2))
+        p = p @ mat(e)
+    return p @ mat(rows) @ p.inverse()
+
+
+# a size-2 nilpotent Jordan block coupled to the stable eigenvalue 1/2
+NILPOTENT_COUPLED = mat([[0, 1, 1], [0, 0, 1], [0, 0, F(1, 2)]])
+
+
+def test_spectral_decompose_of_singular_matrices_matches_the_fraction_oracle():
+    """A zero eigenvalue of multiplicity k gives no projector and the
+    transient k, in the library and in the Fraction oracle alike: on seeded
+    singular triangular conjugates with d <= 4, on the coupled nilpotent
+    block and on nilpotent matrices, whose decomposition is empty."""
+    rng = random.Random(3141)
+    transients = Counter()
+    cases = [singular_matrix(rng, rng.randint(1, 4)) for _ in range(40)]
+    cases += [NILPOTENT_COUPLED, mat([[0, 1], [0, 0]]), RatMatrix.zeros(3, 3)]
+    for a in cases:
+        s = decompose(a)
+        want, nilpotent = fraction_spectral_decompose(a)
+        assert_same_decomposition(s, want)
+        assert_same_chains(s, want, nilpotent, [tuple(F(rng.randint(-3, 3)) for _ in range(a.rows))])
+        assert s.transient == a.rows - nonzero_eigen_poly(charpoly_primitive(a)).degree >= 1
+        check_spectral_invariants(s)
+        transients[s.transient] += 1
+    assert transients[1] >= 10 and transients[2] >= 5
+    s = decompose(NILPOTENT_COUPLED)
+    assert ([rat(l) for l in s.eigenvalues], s.multiplicities, s.transient) == ([F(1, 2)], [1], 2)
+    nilpotent = decompose(mat([[0, 1], [0, 0]]))
+    assert (nilpotent.eigenvalues, nilpotent.projectors, nilpotent.transient) == ([], [], 2)
+
+
+def test_expansion_holds_from_the_transient_on():
+    """<A^n u, tau> equals the expansion over the nonzero eigenvalues at
+    every n >= transient, and on the coupled nilpotent block it differs at
+    n = 1 < transient = 2, so a threshold below the transient is unsound:
+    e2 lies in the generalized 0-eigenspace, so its expansion is 0, yet
+    A e2 = e1."""
+    rng = random.Random(2729)
+    for a in [singular_matrix(rng, rng.randint(2, 4)) for _ in range(20)] + [NILPOTENT_COUPLED]:
+        s = decompose(a)
+        d = a.rows
+        u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+        tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
+        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
+        for n in range(s.transient, s.transient + 8):
+            assert inner_product_at(s, coeffs, n) == sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
+    s = decompose(NILPOTENT_COUPLED)
+    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0, 0)), vec(0, 1, 0))
+    direct = [NILPOTENT_COUPLED.power(n).matvec(vec(0, 1, 0))[0] for n in range(6)]
+    assert direct == [0, 1, 0, 0, 0, 0]
+    assert [inner_product_at(s, coeffs, n) for n in range(6)] == [0] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +837,7 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
             early += sum(not any(rows[j - 1]) for rows in got for j in range(1, len(rows)))
         return early
 
-    half = RatMatrix.identity(20).scale(F(1, 2))
+    half = RatMatrix.diag(*[F(1, 2)] * 20)
     assert check(half, [vec(*[F(k - 7, k % 3 + 1) for k in range(20)])], vec(*range(20))) == 18
     rng = random.Random(59)
     early = 0
@@ -821,7 +865,7 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
 
 
 def test_spectral_decompose_d20_scaled_identity_is_fast():
-    a = RatMatrix.identity(20).scale(F(1, 2))
+    a = RatMatrix.diag(*[F(1, 2)] * 20)
     start = time.perf_counter()
     s = decompose(a)
     assert time.perf_counter() - start < 5

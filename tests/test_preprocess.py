@@ -5,7 +5,7 @@ import pytest
 
 from ltireach.forward import reach_within
 from ltireach.geometry import ControlSet, GenPolyhedron, contains_point, linear_image, minkowski_sum
-from ltireach.linalg import RatMatrix, fitting_split, vec, zero_vec
+from ltireach.linalg import RatMatrix, krylov_invariant_span, vec, zero_vec
 from ltireach.preprocess import LtiSystem, NonSimpleError, check_simple, to_simple_form
 from oracles import decompose, lifted_horizon, reduced_witness_lifts
 
@@ -71,7 +71,7 @@ def test_check_simple_is_quick_on_a_double_irrational_rotation():
     polynomial alone."""
     import time
 
-    a = RatMatrix.block_diag([ROT_IRRATIONAL, ROT_IRRATIONAL, RatMatrix.identity(2).scale(F(1, 2))])
+    a = RatMatrix.block_diag([ROT_IRRATIONAL, ROT_IRRATIONAL, RatMatrix.diag(*[F(1, 2)] * 2)])
     sys = LtiSystem(a, ControlSet.single(cross_polytope(6)), zero_vec(6), GenPolyhedron.point(zero_vec(6)))
     t0 = time.perf_counter()
     rep = check_simple(sys)
@@ -97,8 +97,8 @@ def test_check_simple_finds_the_eighth_power_in_ten_dimensions():
     assert time.perf_counter() - t0 < 5.0
     assert rep.real_power == 8 and rep.schur
     # rot^4 = -I/4, so rot^8 = I/16 is the first power with a real spectrum
-    assert rot.power(4) == RatMatrix.identity(2).scale(F(-1, 4))
-    assert rot.power(8) == RatMatrix.identity(2).scale(F(1, 16))
+    assert rot.power(4) == RatMatrix.diag(*[F(-1, 4)] * 2)
+    assert rot.power(8) == RatMatrix.diag(*[F(1, 16)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,6 @@ def test_identity_reduction_quad():
     assert set(form.u_reduced.vertices) == set(QUAD_U.vertices)
     assert set(form.q_reduced.vertices) == {(F(1), F(1))}
     assert form.power == 1
-    assert not form.fit_applied
     assert not form.span_applied
 
 
@@ -134,7 +133,7 @@ def test_power_reduction_rot90():
                     GenPolyhedron.point(vec(1, 1)))
     form = to_simple_form(sys, check_simple(sys))
     assert form.power == 4
-    assert form.a_reduced == RatMatrix.identity(2).scale(F(1, 16))
+    assert form.a_reduced == RatMatrix.diag(*[F(1, 16)] * 2)
     # oracle: the reduced controls equal the explicit 4-term input sum
     expected = SQUARE
     for i in range(1, 4):
@@ -142,47 +141,27 @@ def test_power_reduction_rot90():
     assert set(form.u_reduced.vertices) == set(expected.vertices)
 
 
-def test_fitting_reduction_nilpotent_block():
-    a = RatMatrix.diag(0, F(1, 2))
-    sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0),
-                    GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
-                                            vec(1, 2), vec(0, 2)]))
-    form = to_simple_form(sys, check_simple(sys))
-    assert form.fit_applied
-    assert form.dim == 1
-    assert form.a_reduced.entries == (F(1, 2),)
-    # oracle by hand: V1 = span{e2} and A^2(U) = {0} x [-1/4, 1/4]; the
-    # coordinates are relative to the basis vector of the invertible part,
-    # so lift back
-    assert not form.q_reduced.is_empty
-    (basis,) = fitting_split(a)[1]
-    ys = sorted(v[0] * basis[1] for v in form.u_reduced.vertices)
-    assert (ys[0], ys[-1]) == (F(-1, 4), F(1, 4))
-    assert basis[0] == 0
-
-
-def test_invertibility_step_runs_exactly_on_singular_matrices(monkeypatch):
-    # the Fitting split runs, and the invertibility step applies, exactly
-    # when A (so A^M) is singular, with or without the power step
-    import ltireach.preprocess as preprocess
-
-    calls = []
-    split = preprocess.fitting_split
-
-    def counting(a):
-        calls.append(a)
-        return split(a)
-
-    monkeypatch.setattr(preprocess, "fitting_split", counting)
+def test_singular_matrices_take_no_step_of_their_own():
+    """A singular A goes through the power step like any other: the reduced
+    matrix is A^M, and its zero eigenvalues become the transient of the
+    spectral data.  A reduced witness at n lifts to horizon M n."""
     target = GenPolyhedron.point(vec(3, 3))
-    cases = [(RatMatrix.diag(0, F(1, 2)), 1, True), (RatMatrix.diag(F(1, 3), F(1, 2)), 1, False),
-             (RatMatrix.from_rows([[0, 1], [0, 0]]), 1, True),
-             (RatMatrix.diag(0, F(-1, 2)), 2, True), (RatMatrix.diag(F(1, 3), F(-1, 2)), 2, False)]
-    for a, power, singular in cases:
-        calls.clear()
+    cases = [(RatMatrix.diag(0, F(1, 2)), 1, 1), (RatMatrix.diag(F(1, 3), F(1, 2)), 1, 0),
+             (RatMatrix.from_rows([[0, 1], [0, 0]]), 1, 2),
+             (RatMatrix.diag(0, F(-1, 2)), 2, 1), (RatMatrix.diag(F(1, 3), F(-1, 2)), 2, 0)]
+    for a, power, transient in cases:
         sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target)
         form = to_simple_form(sys, check_simple(sys))
-        assert (form.power, form.fit_applied, len(calls)) == (power, singular, int(singular))
+        assert (form.power, form.span_applied) == (power, False)
+        assert form.a_reduced == a.power(power) and form.q_reduced == target
+        assert decompose(form.a_reduced).transient == transient
+    box = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)), vec(1, 2), vec(0, 2)])
+    sys = LtiSystem(RatMatrix.diag(0, F(1, 2)), ControlSet.single(SQUARE), vec(0, 0), box)
+    form = to_simple_form(sys, check_simple(sys))
+    w = reach_within(reduced_system(form), 4)
+    assert w is not None and w.horizon == 2
+    assert lifted_horizon(form, w.horizon) == w.horizon
+    assert reduced_witness_lifts(sys, form, w)
 
 
 def test_span_reduction():
@@ -200,17 +179,19 @@ def test_span_reduction():
 
 
 def test_empty_reduced_target():
-    a = RatMatrix.diag(0)
-    u = GenPolyhedron.polytope([vec(-1), vec(1)])
-    sys = LtiSystem(a, ControlSet.single(u), vec(0), GenPolyhedron.point(vec(5)))
+    # the controls and their orbits stay on the x axis, and the target lies
+    # off it, so the span step leaves no target
+    seg = GenPolyhedron.polytope([vec(-1, 0), vec(1, 0)])
+    sys = LtiSystem(RatMatrix.diag(F(1, 2), 0), ControlSet.single(seg), vec(0, 0),
+                    GenPolyhedron.point(vec(0, 5)))
     form = to_simple_form(sys, check_simple(sys))
-    assert form.dim == 0
+    assert form.span_applied and form.dim == 1
     assert form.q_reduced.is_empty
 
 
 # ---------------------------------------------------------------------------
 # the converse horizon: a reduced witness at n means the original system
-# reaches its target at exactly M(n + d)
+# reaches its target at exactly M n
 # ---------------------------------------------------------------------------
 
 
@@ -219,7 +200,7 @@ def test_lift_identity_is_noop():
     form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 4)
     assert w is not None
-    assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon
+    assert lifted_horizon(form, w.horizon) == w.horizon
     assert reduced_witness_lifts(sys, form, w)
 
 
@@ -229,19 +210,7 @@ def test_lift_power_reduction():
     form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 3)
     assert w is not None
-    assert lifted_horizon(form, sys.dim, w.horizon) == 4 * w.horizon
-    assert reduced_witness_lifts(sys, form, w)
-
-
-def test_lift_fitting_reduction():
-    a = RatMatrix.diag(0, F(1, 2))
-    sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0),
-                    GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
-                                            vec(1, 2), vec(0, 2)]))
-    form = to_simple_form(sys, check_simple(sys))
-    w = reach_within(reduced_system(form), 4)
-    assert w is not None
-    assert lifted_horizon(form, sys.dim, w.horizon) == w.horizon + 2
+    assert lifted_horizon(form, w.horizon) == 4 * w.horizon
     assert reduced_witness_lifts(sys, form, w)
 
 
@@ -269,8 +238,6 @@ def random_simple_system(rng, d):
 
 
 def test_reduced_form_invariants():
-    from ltireach.linalg import krylov_invariant_span
-
     cases = [
         quad_system(),
         LtiSystem(ROT90_HALF, ControlSet.single(SQUARE), vec(0, 0),
@@ -280,37 +247,30 @@ def test_reduced_form_invariants():
     ]
     for sys in cases:
         form = to_simple_form(sys, check_simple(sys))
-        s = decompose(form.a_reduced)  # must succeed: positive real
+        s = decompose(form.a_reduced)  # must succeed: nonnegative real
         assert all(l > 0 for l in s.eigenvalues)
+        assert (s.transient > 0) == (form.a_reduced.det() == 0)
         if form.dim:
-            assert form.a_reduced.det() != 0
             span = krylov_invariant_span(form.a_reduced, list(form.u_reduced.vertices))
             assert len(span) == form.dim  # reachable set is full dimensional
 
 
 def test_reduced_target_membership_crosscheck():
-    # q in Q_reduced iff the lifted point lands in Q shifted by the
-    # absorbed-step sum: lifted + s in Q for some s in the d-step sum
-    from ltireach.geometry import contains_point, linear_image, minkowski_sum, negate
-
-    a = RatMatrix.diag(0, F(1, 2))
-    target = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)), vec(1, 2), vec(0, 2)])
-    sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), target)
+    # q in Q_reduced iff the point it names in the span of the controls'
+    # orbits lies in Q: the controls stay in the plane x3 = 0, which the
+    # target box crosses
+    a = RatMatrix.diag(F(1, 2), 0, F(1, 3))
+    square = GenPolyhedron.polytope([vec(x, y, 0) for x in (-1, 1) for y in (-1, 1)])
+    target = GenPolyhedron.polytope([vec(x, y, z) for x in (0, 2) for y in (F(1, 2), 3) for z in (-1, 1)])
+    sys = LtiSystem(a, ControlSet.single(square), zero_vec(3), target)
     form = to_simple_form(sys, check_simple(sys))
-    assert form.fit_applied
-    (basis,) = fitting_split(a)[1]
-    prefix = SQUARE
-    power = RatMatrix.identity(2)
-    for _ in range(1, sys.dim):  # the invertibility step absorbs d steps
-        power = power @ a
-        prefix = minkowski_sum(prefix, linear_image(power, SQUARE))
-    shifted_target = minkowski_sum(target, negate(prefix))
+    assert form.span_applied and form.dim == 2
+    basis = krylov_invariant_span(a, list(square.vertices))
     rng = random.Random(99)
     for _ in range(25):
-        qc = F(rng.randint(-8, 8), 2)
-        inside = contains_point(form.q_reduced, (qc,))
-        lifted = vec(qc * basis[0], qc * basis[1])
-        assert inside == contains_point(shifted_target, lifted)
+        q = (F(rng.randint(-8, 8), 2), F(rng.randint(-8, 8), 2))
+        lifted = tuple(q[0] * x + q[1] * y for x, y in zip(*basis))
+        assert contains_point(form.q_reduced, q) == contains_point(target, lifted)
 
 
 def test_reduction_soundness_randomized():
@@ -338,10 +298,10 @@ def test_reduction_soundness_randomized():
     assert checked >= 25
 
 
-def test_lift_power_fit_and_span():
-    # the quarter-turn needs M = 4, the zero block is split off (d = 4 steps
-    # absorbed) and the last coordinate, which no control reaches, is cut
-    # by the span step.  Controls: the cross polytope of the first three
+def test_lift_power_and_span_over_a_zero_block():
+    # the quarter-turn needs M = 4, the zero block stays in the reduced
+    # system as a zero eigenvalue, and the last coordinate, which no
+    # control reaches, is cut by the span step.  Controls: the cross polytope of the first three
     # coordinates.  The first two coordinates reach the L1 ball of radius
     # 2(1 - 2^-k) after k steps, so (2 - 2^-17, 0) first at k = 18.
     a = RatMatrix.block_diag([ROT90_HALF, RatMatrix.diag(0), RatMatrix.diag(F(1, 2))])
@@ -350,9 +310,10 @@ def test_lift_power_fit_and_span():
     sys = LtiSystem(a, ControlSet.single(cross), zero_vec(4),
                     GenPolyhedron.point(vec(2 - F(1, 2 ** 17), 0, 0, 0)))
     form = to_simple_form(sys, check_simple(sys))
-    assert (form.power, form.fit_applied, form.span_applied, form.dim) == (4, True, True, 2)
-    w = reach_within(reduced_system(form), 3)
-    assert w is not None and w.horizon == 1
-    assert lifted_horizon(form, sys.dim, w.horizon) == 20
+    assert (form.power, form.span_applied, form.dim) == (4, True, 3)
+    assert decompose(form.a_reduced).transient == 1
+    w = reach_within(reduced_system(form), 5)
+    assert w is not None and w.horizon == 5
+    assert lifted_horizon(form, w.horizon) == 20
     assert reduced_witness_lifts(sys, form, w)
     assert reach_within(sys, 20).horizon == 18

@@ -12,7 +12,9 @@ Every defaulted parameter must serve the library's own callers: some call
 passes it and some call leaves it out, or the default is one more way to
 call the function that only tests take.  Every dataclass field must be
 read by the library or the benchmark: state that only tests read is
-computed on every run for nothing.
+computed on every run for nothing.  Every public method must be read by
+the library or the benchmark too, bar the gadget reduction API that the
+gadgets module documents.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
 digest, with the workloads loaded from their text like the span table.
@@ -119,8 +121,8 @@ WORKLOADS_PATH = ROOT / "perfbench" / "workloads.py"
 # leaves them as they are
 VERDICT_DIGESTS = {
     "forward_union": "3dd3ff80ca1ff77a291dfafe4ded156e42aabf591f630c34940de485f11af8c5",
-    "algebraic_2d": "5a16ff077254ff24b6591973a0b38d29fc2e2162f1c0be635e85de4b04420467",
-    "rational_batch": "50ed5ee742248a0488232b202166e3a59633c7ce9a988fadd51baa58645f491b",
+    "algebraic_2d": "76cff6655a7c7ae6da3a76fe1d562cbceec4ea0055d37fde69ff4948f8b56c8b",
+    "rational_batch": "7d48ee045d77ed22d0907d5adb4985a1362e5f19e58c17ceb9b21f66f82ab04e",
 }
 
 
@@ -166,10 +168,10 @@ def test_verdict_bytes_are_pinned():
 ROUND_DIGESTS = {
     ("forward_union", 1): "2206adf7bf2996a30d034d1b23151fc924e7337a6207401b69ee6a5a00462f3b",
     ("forward_union", 7): "367793a8645bf93d48b4fa08ad2eea4bfe3e94f22e4029ab0d229dff36914001",
-    ("algebraic_2d", 1): "37c6c4a8ea5bac9a28aef770dbe426b24372023547d7078d715f1d6f91bc3b54",
-    ("algebraic_2d", 7): "b417f15987c53fe8e1765e1a8a013111f2bec6c88f448f74693a161542b860bb",
-    ("rational_batch", 1): "36c274f12f7a4e401b862bcd689df25ecf8bcf6db26ce37eef142bd2b8f04a95",
-    ("rational_batch", 7): "e8ca2a9a87534264d4e281a3c49a1eeff99b1ad26b8f0a17018bb877d504e2cf",
+    ("algebraic_2d", 1): "e9d67625584bb3576e1e4f1fcae48a98adeeaf3591ad78f7d60975dc11053681",
+    ("algebraic_2d", 7): "a35cef17dbafa24ab0bb9d924def4ec024f81ceeb70d7c7d50064b81f8d1f860",
+    ("rational_batch", 1): "58047e784f0be3ef926d008d34d34a92f94ae9f58c83485e67b13798ada13964",
+    ("rational_batch", 7): "e9990a0238eef78b17a96e7750dcdc966a2c465a2e6d37b6a3048c7dd60c8005",
 }
 
 
@@ -385,3 +387,48 @@ def test_every_dataclass_field_is_read():
                 fields += [(path.stem, node.name, item.target.id) for item in node.body
                            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
     assert [f for f in fields if f[2] not in read and f not in UNREAD_FIELDS] == []
+
+
+# public methods kept without a reader in src or perfbench, (module,
+# class, method): the reduction API that the gadgets module documents, which
+# only the tests exercise
+UNREAD_METHODS = {
+    ("gadgets", "PoweringFragment", "relation_holds"),  # checks a gadget's defining relation
+    ("gadgets", "PoweringFragment", "identity_holds"),  # checks the powering identity it encodes
+    ("gadgets", "VectorReachLti", "schedule_witness"),  # turns a vector-reachability schedule into a witness
+}
+
+
+def test_every_public_method_is_read():
+    """Each public method (or property) of a class in src/ltireach is read
+    as an attribute (`x.method`) somewhere in src outside its own body, or
+    in perfbench, which may also name it in a string.  Reads are matched by
+    name, so a read of another object's attribute of the same name counts;
+    a method that only tests call is computed for no user of the library."""
+    methods = []
+    read = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr != own:
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        if not item.name.startswith("_"):
+                            methods.append((path.stem, node.name, item.name))
+                        visit(item, item.name)
+                    else:
+                        visit(item, None)
+            elif node in tree.body and not isinstance(node, ast.ClassDef):
+                visit(node, None)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, None)
+        read.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    assert [m for m in methods if m[2] not in read and m not in UNREAD_METHODS] == []
