@@ -141,10 +141,32 @@ def test_power_reduction_rot90():
     assert set(form.u_reduced.vertices) == set(expected.vertices)
 
 
-def test_singular_matrices_take_no_step_of_their_own():
+NILPOTENT_BLOCK_BOX = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)),
+                                               vec(1, 2), vec(0, 2)])
+
+
+def test_fitting_reduction_nilpotent_block():
+    # a zero eigenvalue takes no reduction step: the system keeps its matrix,
+    # controls and target, and the zero block shows as a transient of 1
+    a = RatMatrix.diag(0, F(1, 2))
+    sys = LtiSystem(a, ControlSet.single(SQUARE), vec(0, 0), NILPOTENT_BLOCK_BOX)
+    form = to_simple_form(sys, check_simple(sys))
+    assert (form.power, form.span_applied, form.dim) == (1, False, 2)
+    assert form.a_reduced == a and form.q_reduced == NILPOTENT_BLOCK_BOX
+    assert set(form.u_reduced.vertices) == set(SQUARE.vertices)
+    assert decompose(form.a_reduced).transient == 1
+    # oracle by hand: A^2(U) = {0} x [-1/4, 1/4], the zero block is gone
+    # after one step
+    image = linear_image(a.power(2), SQUARE)
+    assert {v[0] for v in image.vertices} == {0}
+    ys = sorted(v[1] for v in image.vertices)
+    assert (ys[0], ys[-1]) == (F(-1, 4), F(1, 4))
+
+
+def test_invertibility_step_runs_exactly_on_singular_matrices():
     """A singular A goes through the power step like any other: the reduced
     matrix is A^M, and its zero eigenvalues become the transient of the
-    spectral data.  A reduced witness at n lifts to horizon M n."""
+    spectral data, which is nonzero exactly when A is singular."""
     target = GenPolyhedron.point(vec(3, 3))
     cases = [(RatMatrix.diag(0, F(1, 2)), 1, 1), (RatMatrix.diag(F(1, 3), F(1, 2)), 1, 0),
              (RatMatrix.from_rows([[0, 1], [0, 0]]), 1, 2),
@@ -155,8 +177,14 @@ def test_singular_matrices_take_no_step_of_their_own():
         assert (form.power, form.span_applied) == (power, False)
         assert form.a_reduced == a.power(power) and form.q_reduced == target
         assert decompose(form.a_reduced).transient == transient
-    box = GenPolyhedron.polytope([vec(0, F(3, 2)), vec(1, F(3, 2)), vec(1, 2), vec(0, 2)])
-    sys = LtiSystem(RatMatrix.diag(0, F(1, 2)), ControlSet.single(SQUARE), vec(0, 0), box)
+        assert (transient > 0) == (a.det() == 0)
+
+
+def test_lift_fitting_reduction():
+    # with no step for the zero block, a reduced witness at n lifts to the
+    # original system at horizon M n = n
+    sys = LtiSystem(RatMatrix.diag(0, F(1, 2)), ControlSet.single(SQUARE), vec(0, 0),
+                    NILPOTENT_BLOCK_BOX)
     form = to_simple_form(sys, check_simple(sys))
     w = reach_within(reduced_system(form), 4)
     assert w is not None and w.horizon == 2
