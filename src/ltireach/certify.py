@@ -133,7 +133,6 @@ class SeparatorCertificate:
     """
 
     tau: AlgVec
-    bound: Alg
     maximizer: Vec
     threshold: int
     sup_value: Alg
@@ -441,14 +440,14 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron,
     if q.is_empty:
         zero_tau = tuple(Fraction(0) for _ in range(s.dim))
         maximizer = u.vertices[0] if u.vertices else ()
-        return SeparatorCertificate(zero_tau, Fraction(0), maximizer, 0, Fraction(0), None)
+        return SeparatorCertificate(zero_tau, maximizer, 0, Fraction(0), None)
     tau = sums.tau
     maximizer, n = eventual_maximizer(s, u, tau)
     sup = sup_from(s, sums, maximizer, n)
     low = min_over_vertices(q, tau)
     assert low is not None
     if sup < low or (sup == low and sup != sums.at(n)):
-        return SeparatorCertificate(tau, sup, maximizer, n, sup, low)
+        return SeparatorCertificate(tau, maximizer, n, sup, low)
     return None
 
 

@@ -123,10 +123,8 @@ def cmd_forward(args) -> int:
     if witness is None:
         print(f"no witness within {args.max_steps} steps")
         return EXIT_UNKNOWN
+    _write_verdict(driver.Verdict("reachable", instances.instance_sha256(sys_), witness=witness), args.out)
     print(f"reachable at horizon {witness.horizon}")
-    if args.out:
-        payload = instances.witness_to_json(witness, instances.instance_sha256(sys_))
-        _write_or_print(instances.dump_json(payload), args.out)
     return EXIT_REACHABLE
 
 
@@ -187,13 +185,7 @@ def cmd_render(args) -> int:
     certificate = None
     if args.verdict:
         with open(args.verdict) as fh:
-            data = instances.load_json(fh.read())
-        if data.get("verdict") == "unreachable":
-            cert = instances.certificate_from_json(data["certificate"])
-            certificate = {
-                "tau": tuple(float(x) for x in cert.tau),
-                "bound": float(cert.bound),
-            }
+            certificate = instances.verdict_from_json(instances.load_json(fh.read())).certificate
     render.render_partial_reach(sys_, args.steps, args.out, certificate)
     print(f"wrote {args.out}")
     return EXIT_REACHABLE
@@ -213,7 +205,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("forward", help="bounded forward search only")
     p.add_argument("--input", required=True)
     p.add_argument("--max-steps", type=_count, default=32)
-    p.add_argument("--out", help="write the witness as JSON")
+    p.add_argument("--out", help="write the reachable verdict (with its witness) as JSON")
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("certify", help="separator-certificate search only")

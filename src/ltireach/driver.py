@@ -153,7 +153,7 @@ def _within_ceiling(cert: SeparatorCertificate) -> bool:
     from .instances import minpoly_within_ceiling
 
     rats = list(cert.maximizer)
-    for x in (*cert.tau, cert.bound, cert.sup_value, cert.min_over_q):
+    for x in (*cert.tau, cert.sup_value, cert.min_over_q):
         if isinstance(x, Fraction):
             rats.append(x)
         elif not minpoly_within_ceiling(x.minpoly.coeffs):
@@ -234,78 +234,61 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
 
 
 def audit(sys: LtiSystem, artifact: dict) -> bool:
-    """Recompute everything the artifact claims, from scratch."""
-    from .instances import (
-        ParseError,
-        certificate_from_json,
-        instance_sha256,
-        reduced_system_to_json,
-        witness_from_json,
-    )
+    """Recompute everything the artifact claims, from scratch.  Its reader
+    refuses any key not checked here; an unknown verdict claims nothing."""
+    from .instances import instance_sha256, reduced_system_to_json, verdict_from_json
 
-    if not isinstance(artifact, dict):
-        raise ParseError(None, "artifact must be a JSON object")
+    claim = verdict_from_json(artifact)
     expected = instance_sha256(sys)
-    stored = artifact.get("instance_sha256")
-    if stored != expected:
-        raise AuditHashError(f"artifact hash {stored} != instance hash {expected}")
-
-    kind = artifact.get("verdict") or artifact.get("kind")
-    if kind == "unknown":
+    if claim.instance_sha256 != expected:
+        raise AuditHashError(f"artifact hash {claim.instance_sha256} != instance hash {expected}")
+    if claim.verdict == "unknown":
         return True
-    if kind in ("reachable", "witness"):
-        data = artifact.get("witness", artifact)
-        witness = witness_from_json(data)
+    if claim.verdict == "reachable":
         try:
-            return verify_witness(sys, witness)
+            return verify_witness(sys, claim.witness)
         except Exception:
             return False
-    if kind in ("unreachable", "certificate"):
-        data = artifact.get("certificate", artifact)
-        cert = certificate_from_json(data)
-        report = check_simple(sys)
-        if report.failing_conditions():
-            return False
-        try:
-            spectral, form = _prepare_certification(sys, report)
-        except DimensionCeilingError:
-            return False
-        # every stored field is checked, so none carries an unverified
-        # claim (render draws the hyperplane at the stored bound)
-        if data.get("reduced_system") != reduced_system_to_json(form):
-            return False
-        if cert.bound != cert.sup_value:
-            return False
-        if cert.maximizer not in form.u_reduced.vertices:
-            return False
-        if cert.min_over_q is None:
-            return form.q_reduced.is_empty
-        if form.q_reduced.is_empty:
-            return False
-        if len(cert.tau) != form.dim:
-            return False
-        # the verification and the rebuild below share one table of vertex
-        # images, not their prefix sums
-        images = VertexImages(spectral.matrix, form.u_reduced.vertices)
-        fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, PrefixSums(images, cert.tau))
-        if fresh is None:
-            return False
-        if fresh.sup_value != cert.sup_value:
-            return False
-        if fresh.min_over_q != cert.min_over_q:
-            return False
-        # an honest decider stores the maximizer its own verification picks
-        # (the lexicographically smallest among ties); another vertex that ties
-        # with it would rebuild the same sup and pass unnoticed
-        if cert.maximizer != fresh.maximizer:
-            return False
-        # the rebuild below costs time linear in the threshold; an honest
-        # decider stores the threshold its own verification derives, so a
-        # larger (or negative) one is rejected before any work is spent
-        if not 0 <= cert.threshold <= fresh.threshold:
-            return False
-        # independent audit path: the supremum rebuilt from the stored
-        # maximizer and threshold alone must agree too
-        redone = recompute_sup_from_certificate(spectral, cert, images)
-        return redone == cert.sup_value
-    return False
+    cert = claim.certificate
+    report = check_simple(sys)
+    if report.failing_conditions():
+        return False
+    try:
+        spectral, form = _prepare_certification(sys, report)
+    except DimensionCeilingError:
+        return False
+    # compared whole, so no key of the reduced system goes unchecked
+    if claim.reduced_system != reduced_system_to_json(form):
+        return False
+    if cert.maximizer not in form.u_reduced.vertices:
+        return False
+    if cert.min_over_q is None:
+        return form.q_reduced.is_empty
+    if form.q_reduced.is_empty:
+        return False
+    if len(cert.tau) != form.dim:
+        return False
+    # the verification and the rebuild below share one table of vertex
+    # images, not their prefix sums
+    images = VertexImages(spectral.matrix, form.u_reduced.vertices)
+    fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, PrefixSums(images, cert.tau))
+    if fresh is None:
+        return False
+    if fresh.sup_value != cert.sup_value:
+        return False
+    if fresh.min_over_q != cert.min_over_q:
+        return False
+    # an honest decider stores the maximizer its own verification picks
+    # (the lexicographically smallest among ties); another vertex that ties
+    # with it would rebuild the same sup and pass unnoticed
+    if cert.maximizer != fresh.maximizer:
+        return False
+    # the rebuild below costs time linear in the threshold; an honest
+    # decider stores the threshold its own verification derives, so a
+    # larger (or negative) one is rejected before any work is spent
+    if not 0 <= cert.threshold <= fresh.threshold:
+        return False
+    # independent audit path: the supremum rebuilt from the stored
+    # maximizer and threshold alone must agree too
+    redone = recompute_sup_from_certificate(spectral, cert, images)
+    return redone == cert.sup_value

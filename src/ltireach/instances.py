@@ -26,15 +26,19 @@ ASCII digits, never decimals) after a first line that is exactly
 parse(emit(sys)) is the identity, and emit(parse(text)) is byte-stable
 after canonicalization.
 
-Witnesses and separator certificates serialize as JSON; real algebraic
-numbers carry their minimal polynomial and isolating interval so an
-auditor can recompute everything from scratch.  The interval written is
-the canonical one that root isolation of the minimal polynomial gives,
-so equal numbers serialize to equal bytes however they were computed.
-A rational p/q (a Fraction in memory) is written in the same form, as the
-root of q x - p with lo = hi = p/q, and reads back as a Fraction.
-Loading an artifact checks every key and type it reads and raises
-ParseError on anything malformed.
+A verdict is one JSON object, written by verdict_to_json and read by
+verdict_from_json: `verdict` and `instance_sha256`, then a reachable
+verdict's witness {horizon, steps}, an unreachable one's certificate
+{tau, maximizer, threshold, sup_value, min_over_q, reduced_system}, or an
+unknown one's warnings and budgets_exhausted, the only keys that the audit
+does not check.  The reader refuses a missing key, a key of the wrong
+type and any other key.  Real algebraic numbers carry their minimal
+polynomial and isolating interval so an auditor can recompute everything
+from scratch.  The interval written is the canonical one that root
+isolation of the minimal polynomial gives, so equal numbers serialize to
+equal bytes however they were computed.  A rational p/q (a Fraction in
+memory) is written in the same form, as the root of q x - p with
+lo = hi = p/q, and reads back as a Fraction.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from dataclasses import dataclass
 
 from . import exactnum
 from .certify import SeparatorCertificate
@@ -215,16 +220,15 @@ def _vec_json(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def _field(data, key: str, kind):
-    """data[key], which must exist and be an instance of `kind`."""
-    if not isinstance(data, dict):
-        raise ParseError(None, f"expected a JSON object holding {key!r}")
-    if key not in data:
-        raise ParseError(None, f"missing key {key!r}")
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(None, f"key {key!r} has the wrong type")
-    return value
+def _fields(data, **kinds) -> tuple:
+    """The values of a JSON object that holds exactly the keys of `kinds`,
+    each an instance of its kind; a boolean passes only as an object."""
+    if not isinstance(data, dict) or set(data) != set(kinds):
+        raise ParseError(None, "expected a JSON object holding exactly " + ", ".join(kinds))
+    for key, kind in kinds.items():
+        if not isinstance(data[key], kind) or (isinstance(data[key], bool) and kind is not object):
+            raise ParseError(None, f"key {key!r} has the wrong type")
+    return tuple(data[key] for key in kinds)
 
 
 def _rat_from_json(text):
@@ -236,8 +240,8 @@ def _rat_from_json(text):
         raise ParseError(None, str(exc)) from None
 
 
-def _vec_field(data, key: str) -> Vec:
-    return tuple(_rat_from_json(x) for x in _field(data, key, list))
+def _vec_from_json(entries: list) -> Vec:
+    return tuple(_rat_from_json(x) for x in entries)
 
 
 def alg_to_json(a: Alg) -> dict:
@@ -279,7 +283,7 @@ def minpoly_within_ceiling(coeffs) -> bool:
 
 def alg_from_json(data) -> Alg:
     """A Fraction for a degree-1 minimal polynomial, else a RealAlg."""
-    coeffs = _field(data, "minpoly", list)
+    coeffs, lo, hi = _fields(data, minpoly=list, lo=str, hi=str)
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
         raise ParseError(None, "minimal polynomial coefficients must be integers")
     if len(coeffs) - 1 > exactnum.DEGREE_CEILING:
@@ -287,18 +291,14 @@ def alg_from_json(data) -> Alg:
     if not minpoly_within_ceiling(coeffs):
         raise ParseError(None, f"minimal polynomial degree x coefficient bits {_minpoly_size(coeffs)} "
                                f"exceeds {MINPOLY_SIZE_CEILING}")
-    lo = _rat_from_json(_field(data, "lo", str))
-    hi = _rat_from_json(_field(data, "hi", str))
     try:
-        return RealAlg.from_root(IntPoly(tuple(coeffs)), lo, hi)
+        return RealAlg.from_root(IntPoly(tuple(coeffs)), _rat_from_json(lo), _rat_from_json(hi))
     except (ValueError, DegreeCeilingError) as exc:
         raise ParseError(None, f"not an algebraic number: {exc}") from None
 
 
-def witness_to_json(w: ReachWitness, instance_hash: str) -> dict:
+def witness_to_json(w: ReachWitness) -> dict:
     return {
-        "kind": "witness",
-        "instance_sha256": instance_hash,
         "horizon": w.horizon,
         "steps": [
             {
@@ -313,16 +313,13 @@ def witness_to_json(w: ReachWitness, instance_hash: str) -> dict:
 
 
 def witness_from_json(data) -> ReachWitness:
-    steps = tuple(
-        WitnessStep(
-            _field(step, "component", int),
-            _vec_field(step, "vertex_coeffs"),
-            _vec_field(step, "ray_coeffs"),
-            _vec_field(step, "line_coeffs"),
-        )
-        for step in _field(data, "steps", list)
-    )
-    return ReachWitness(_field(data, "horizon", int), steps)
+    horizon, steps = _fields(data, horizon=int, steps=list)
+    out = []
+    for step in steps:
+        component, *coeffs = _fields(step, component=int, vertex_coeffs=list, ray_coeffs=list,
+                                     line_coeffs=list)
+        out.append(WitnessStep(component, *map(_vec_from_json, coeffs)))
+    return ReachWitness(horizon, tuple(out))
 
 
 def reduced_system_to_json(form: SimpleForm) -> dict:
@@ -336,12 +333,9 @@ def reduced_system_to_json(form: SimpleForm) -> dict:
     }
 
 
-def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_hash: str) -> dict:
+def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm) -> dict:
     return {
-        "kind": "certificate",
-        "instance_sha256": instance_hash,
         "tau": [alg_to_json(x) for x in cert.tau],
-        "bound": alg_to_json(cert.bound),
         "maximizer": _vec_json(cert.maximizer),
         "threshold": cert.threshold,
         "sup_value": alg_to_json(cert.sup_value),
@@ -351,34 +345,63 @@ def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm, instance_h
 
 
 def certificate_from_json(data) -> SeparatorCertificate:
-    min_over_q = _field(data, "min_over_q", (dict, type(None)))
+    """The reduced system, which the audit compares whole, stays JSON."""
+    tau, maximizer, threshold, sup_value, min_over_q, _ = _fields(
+        data, tau=list, maximizer=list, threshold=int, sup_value=dict, min_over_q=(dict, type(None)),
+        reduced_system=object)
     return SeparatorCertificate(
-        tau=tuple(alg_from_json(x) for x in _field(data, "tau", list)),
-        bound=alg_from_json(_field(data, "bound", dict)),
-        maximizer=_vec_field(data, "maximizer"),
-        threshold=_field(data, "threshold", int),
-        sup_value=alg_from_json(_field(data, "sup_value", dict)),
+        tau=tuple(alg_from_json(x) for x in tau),
+        maximizer=_vec_from_json(maximizer),
+        threshold=threshold,
+        sup_value=alg_from_json(sup_value),
         min_over_q=None if min_over_q is None else alg_from_json(min_over_q),
     )
 
 
 def verdict_to_json(verdict) -> dict:
+    """The one artifact writer, of the shape in the module docstring."""
     from .driver import Verdict
 
     assert isinstance(verdict, Verdict)
-    body = {
-        "verdict": verdict.kind,
-        "instance_sha256": verdict.instance_hash,
-        "warnings": list(verdict.warnings),
-    }
+    body = {"verdict": verdict.kind, "instance_sha256": verdict.instance_hash}
     if verdict.kind == "reachable":
-        body["witness"] = witness_to_json(verdict.witness, verdict.instance_hash)
+        body["witness"] = witness_to_json(verdict.witness)
     elif verdict.kind == "unreachable":
-        body["certificate"] = certificate_to_json(
-            verdict.certificate, verdict.simple_form, verdict.instance_hash)
+        body["certificate"] = certificate_to_json(verdict.certificate, verdict.simple_form)
     else:
+        body["warnings"] = list(verdict.warnings)
         body["budgets_exhausted"] = verdict.exhausted
     return body
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """A verdict artifact as read: the claims that the audit rechecks."""
+    verdict: str
+    instance_sha256: str
+    witness: ReachWitness | None = None
+    certificate: SeparatorCertificate | None = None
+    reduced_system: object = None  # as written, for a comparison as a whole
+
+
+def verdict_from_json(data) -> Artifact:
+    """The one artifact reader, of the shape verdict_to_json writes."""
+    kind = data.get("verdict") if isinstance(data, dict) else None
+    head = dict(verdict=str, instance_sha256=str)
+    if kind == "reachable":
+        _, instance_hash, witness = _fields(data, **head, witness=dict)
+        return Artifact(kind, instance_hash, witness=witness_from_json(witness))
+    if kind == "unreachable":
+        _, instance_hash, cert = _fields(data, **head, certificate=dict)
+        return Artifact(kind, instance_hash, certificate=certificate_from_json(cert),
+                        reduced_system=cert["reduced_system"])
+    if kind != "unknown":
+        raise ParseError(None, "an artifact's verdict is reachable, unreachable or unknown")
+    # an unknown verdict is not audited: its explanation is typed, not read
+    _, instance_hash, warnings, _ = _fields(data, **head, warnings=list, budgets_exhausted=dict)
+    if not all(isinstance(w, str) for w in warnings):
+        raise ParseError(None, "warnings must be strings")
+    return Artifact(kind, instance_hash)
 
 
 def dump_json(data: dict) -> str:

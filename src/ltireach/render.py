@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .certify import SeparatorCertificate
 from .exactnum import rat_to_str
 from .geometry import GenPolyhedron, _hull_2d
 from .preprocess import LtiSystem, input_sum
@@ -37,10 +38,13 @@ def _hull_order(p: GenPolyhedron):
 
 
 def render_partial_reach(sys: LtiSystem, n: int, out_path: str,
-                         certificate: dict | None = None) -> None:
-    """certificate, when given, is {"tau": (float, float), "bound": float}."""
+                         certificate: SeparatorCertificate | None = None) -> None:
+    """certificate, when given, has its hyperplane <x, tau> = sup_value drawn."""
     if sys.dim != 2:
         raise RenderError("rendering is two-dimensional only")
+    if certificate is not None and len(certificate.tau) != 2:
+        raise RenderError("the certificate's direction is in the span step's coordinates "
+                          f"({len(certificate.tau)} of them, not 2): it has no line in the plane")
     reach = partial_reach_polytope(sys, n)
     u = sys.controls.components[0]
     q = sys.target
@@ -98,19 +102,14 @@ def render_partial_reach(sys: LtiSystem, n: int, out_path: str,
         for v in polys["target"]:
             x, y = to_svg(v)
             parts.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="4" fill="#b03030"/>')
-    if certificate is not None:
-        tx, ty = certificate["tau"]
-        b = certificate["bound"]
-        lo_x = minx
-        hi_x = minx + span
-        lo_y = miny
-        hi_y = miny + span
+    # the zero direction certifies an empty target: it has no line
+    if certificate is not None and any(certificate.tau):
+        tx, ty = map(float, certificate.tau)
+        b = float(certificate.sup_value)
         if abs(ty) > 1e-12:
-            p1 = (lo_x, (b - tx * lo_x) / ty)
-            p2 = (hi_x, (b - tx * hi_x) / ty)
+            p1, p2 = ((x, (b - tx * x) / ty) for x in (minx, minx + span))
         else:
-            p1 = (b / tx, lo_y)
-            p2 = (b / tx, hi_y)
+            p1, p2 = ((b / tx, y) for y in (miny, miny + span))
         (x1, y1), (x2, y2) = to_svg(p1), to_svg(p2)
         parts.append(f'<line x1="{x1:.4f}" y1="{y1:.4f}" x2="{x2:.4f}" y2="{y2:.4f}" '
                      'stroke="#555555" stroke-width="1.5" stroke-dasharray="10 4"/>')

@@ -127,7 +127,10 @@ def test_decide_single_worker_deterministic():
 # recorded before rationals stopped being degree-1 RealAlg values; a change
 # of number representation must leave every artifact byte unchanged.  The
 # unreachable ones were re-pinned when the reduced system lost its
-# fit_applied key, the only bytes that moved.
+# fit_applied key, the only bytes that moved, and the decided ones again
+# when the artifact lost its repeated and unchecked keys (the certificate's
+# bound, the nested kind and instance_sha256, and warnings on a decided
+# verdict); the unknown one kept its bytes.
 ALGEBRAIC_BUDGETS = dict(max_steps=4, max_candidates=48, max_degree=2, max_height=2,
                          extremal_budget=1)
 RATIONAL_BUDGETS = dict(max_steps=4, max_candidates=16, max_degree=1, max_height=2,
@@ -138,23 +141,23 @@ GOLDEN_VERDICTS = [
     # algebraic_2d: hex controls, target on the boundary (degree-2 certificate)
     ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
      + "source\n0 0\ntarget\nvertices\n3 -4\n", ALGEBRAIC_BUDGETS, "unreachable",
-     "2c576134aebc0d85a695c74b5032f839b14344d75858ae33b8d8de53c26d0f7a"),
+     "232fddae8649aceee817abeeee91bd2475186d06597e0e01efc1c13cb63d39d8"),
     # algebraic_2d: hex controls, interior target
     ("dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL
      + "source\n0 0\ntarget\nvertices\n-1/2 -1/4\n", ALGEBRAIC_BUDGETS, "reachable",
-     "d3789219fa3ef6428cdd71af17d344b5067a8f1d0897d34469fe1d7774705fd0"),
+     "9b9a7e0f8450d44af2be288b26675ff0de367f3e3b65ae2c632319cd09f57b10"),
     # rational_batch: a point outside the reachable closure
     ("dim 2\nmatrix\n-7/10 18/5\n-3/10 7/5\ncontrol\nvertices\n-2 0\n0 -1\n2 0\n0 1\n"
      "source\n0 0\ntarget\nvertices\n51/2 73/8\n", RATIONAL_BUDGETS, "unreachable",
-     "53d350af0d9dc793a28160943643eb1f094b41cd639a14d30f515f2229d0377a"),
+     "5e112ce2b1e1e3eba3b6734c0dfdc77cd75dd5133e4da284a9c6b8623bb9c762"),
     # rational_batch: a diagonal system and a grid point it cannot reach
     ("dim 2\nmatrix\n1/5 0\n0 3/10\n" + DIAMOND_CONTROL
      + "source\n0 0\ntarget\nvertices\n4 -3\n", RATIONAL_BUDGETS, "unreachable",
-     "579cabca1549a7bc6322dbec4436a35b3faab2ec26093a6d87894dcebcf8e128"),
+     "8621a0538434529343e37e37948c9ad76eee43c40fadb3ff2f07ec9daaa258bb"),
     # rational_batch: a point reached in one step
     ("dim 2\nmatrix\n-17/5 21/10\n-7 43/10\n" + DIAMOND_CONTROL
      + "source\n0 0\ntarget\nvertices\n-1/2 1/2\n", RATIONAL_BUDGETS, "reachable",
-     "00f6dbda377a0049521a58a6eaa87a91361b0aa9280639582d818a0641ff5d6f"),
+     "5bb4c15318fe7fe84f374d0343f3a8fa6f34572c3bafceea451e55d6d4d5cf87"),
     # rational_batch: a one-dimensional system the budgets leave undecided
     ("dim 1\nmatrix\n4/5\ncontrol\nvertices\n1\n-1\nsource\n0\ntarget\nvertices\n4\n",
      RATIONAL_BUDGETS, "unknown",
@@ -351,7 +354,8 @@ def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, pow
 
 def test_audit_unknown_is_vacuous():
     sys_ = quad_system(GenPolyhedron.point(vec(1, 1)))
-    payload = {"verdict": "unknown", "instance_sha256": instances.instance_sha256(sys_)}
+    payload = {"verdict": "unknown", "instance_sha256": instances.instance_sha256(sys_),
+               "warnings": [], "budgets_exhausted": {}}
     assert driver.audit(sys_, payload) is True
 
 
@@ -386,7 +390,7 @@ def test_render_zero_steps_is_controls(tmp_path):
 def test_render_certificate_line(tmp_path):
     sys_ = quad_system(GenPolyhedron.point(vec(0, 3)))
     out = tmp_path / "cert.svg"
-    render.render_partial_reach(sys_, 6, str(out), {"tau": (0.0, 1.0), "bound": 3.0})
+    render.render_partial_reach(sys_, 6, str(out), driver.decide(sys_, small_budgets()).certificate)
     assert "<line" in out.read_text()
 
 
@@ -758,6 +762,60 @@ def test_cli_render(tmp_path):
     assert "<line" in out2.read_text()
 
 
+def _svg_line(text: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The endpoints of the certificate line, in the instance's coordinates."""
+    view = json.loads(text.split("<desc>")[1].split("</desc>")[0])["viewport"]
+    attrs = text.split("<line ")[1].split("/>")[0]
+    x1, y1, x2, y2 = (float(attrs.split(f'{k}="')[1].split('"')[0]) for k in ("x1", "y1", "x2", "y2"))
+
+    def back(x, y):
+        return x / view["scale"] + view["minx"], view["maxy_pad"] - y / view["scale"]
+
+    return back(x1, y1), back(x2, y2)
+
+
+@pytest.mark.parametrize("target", ["0 3", "-1 3"])
+def test_cli_render_draws_the_certificate_line_at_sup_value(tmp_path, target):
+    """A 2-D certificate with no span step draws <x, tau> = sup_value."""
+    inst = write_instance(tmp_path, "u.lti", target)
+    vjson, svg = tmp_path / "v.json", tmp_path / "fig.svg"
+    assert cli.main(["decide", "--input", inst, "--out", str(vjson)]) == cli.EXIT_UNREACHABLE
+    cert = instances.verdict_from_json(json.loads(vjson.read_text())).certificate
+    assert len(cert.tau) == 2
+    assert cli.main(["render", "--input", inst, "--steps", "3", "--out", str(svg),
+                     "--verdict", str(vjson)]) == cli.EXIT_REACHABLE
+    tau = [float(x) for x in cert.tau]
+    for p in _svg_line(svg.read_text()):
+        assert abs(tau[0] * p[0] + tau[1] * p[1] - float(cert.sup_value)) < 1e-6
+
+
+def test_cli_render_refuses_a_span_reduced_certificate(tmp_path, capsys):
+    """A = I/2, controls +-e1, target (3, 0): the span step leaves one
+    coordinate, so tau has one entry and no line of the plane."""
+    path = tmp_path / "segment.lti"
+    path.write_text(segment_instance_text(2))
+    vjson = tmp_path / "v.json"
+    assert cli.main(["decide", "--input", str(path), "--out", str(vjson)]) == cli.EXIT_UNREACHABLE
+    assert len(json.loads(vjson.read_text())["certificate"]["tau"]) == 1
+    capsys.readouterr()
+    assert cli.main(["render", "--input", str(path), "--steps", "3", "--out", str(tmp_path / "fig.svg"),
+                     "--verdict", str(vjson)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "span step's coordinates" in err and "unpack" not in err
+
+
+def test_cli_render_draws_no_line_for_an_empty_target(tmp_path):
+    """A target with a ray and no vertex is empty: its certificate has the
+    zero direction, which has no line."""
+    path = tmp_path / "empty.lti"
+    path.write_text(QUAD_TEXT.format(target="").replace("vertices\n\n", "rays\n1 0\n"))
+    vjson, svg = tmp_path / "v.json", tmp_path / "fig.svg"
+    assert cli.main(["decide", "--input", str(path), "--out", str(vjson)]) == cli.EXIT_UNREACHABLE
+    assert cli.main(["render", "--input", str(path), "--steps", "3", "--out", str(svg),
+                     "--verdict", str(vjson)]) == cli.EXIT_REACHABLE
+    assert "<line" not in svg.read_text()
+
+
 def test_cli_bad_input_is_error(tmp_path):
     bad = tmp_path / "bad.lti"
     bad.write_text("dim 2\nmatrix\n1/0 0\n0 1\n")
@@ -855,13 +913,8 @@ def test_cli_audit_oversized_minimal_polynomial_is_input_error(tmp_path):
     coeffs = [rng.randrange(10 ** 799, 10 ** 800) * rng.choice((1, -1)) for _ in range(61)]
     data["certificate"]["tau"][0] = {"minpoly": coeffs, "lo": "0", "hi": "1"}
     out.write_text(json.dumps(data))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")] +
-        env.get("PYTHONPATH", "").split(os.pathsep))
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "ltireach.cli", "audit", unreachable, str(out)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_cli("audit", unreachable, out, timeout=60)
     assert time.monotonic() - start < 30
     assert proc.returncode == cli.EXIT_ERROR, proc.stdout + proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
@@ -1012,8 +1065,8 @@ def test_worst_admitted_minimal_polynomials_parse_quickly(coeffs):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("bound", {"minpoly": [-5, 1], "lo": "5", "hi": "5"}),
-    ("bound", {"minpoly": [1, 1], "lo": "-1", "hi": "-1"}),
+    ("sup_value", {"minpoly": [-2, 1], "lo": "2", "hi": "2"}),  # a sup below the true 3
+    ("min_over_q", {"minpoly": [-4, 1], "lo": "4", "hi": "4"}),  # a minimum above the true 3
     ("maximizer", ["100", "1"]),
     ("maximizer", ["2", "1"]),  # a vertex tied with the stored one in direction (0, 1)
     ("reduced_system", "abc"),
@@ -1045,6 +1098,13 @@ def _leaf_paths(node, path=()):
     return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
 
 
+def _object_paths(node, path=()):
+    """The paths of every JSON object in node, node itself included."""
+    own = [path] if isinstance(node, dict) else []
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    return own + [p for key, child in items for p in _object_paths(child, path + (key,))]
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
@@ -1054,12 +1114,23 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cli_audit_of_a_mutated_verdict_never_reads_as_a_verdict(data):
+    """A leaf replaced, a key deleted or a key inserted anywhere: the audit
+    never exits 1 or 2, and a deleted or inserted key never passes, since
+    the reader requires every key and the audit compares the reduced
+    system whole."""
     verdict = json.loads(_quad_unreachable_verdict())
-    path = data.draw(st.sampled_from(_leaf_paths(verdict)))
+    edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    paths = _leaf_paths(verdict) if edit == "replace" else [p + (None,) for p in _object_paths(verdict)]
+    path = data.draw(st.sampled_from(paths))
     node = verdict
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = data.draw(_JSON_VALUES)
+    if edit == "replace":
+        node[path[-1]] = data.draw(_JSON_VALUES)
+    elif edit == "delete":
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    else:
+        node[data.draw(st.text(max_size=4).filter(lambda k: k not in node))] = data.draw(_JSON_VALUES)
     with tempfile.TemporaryDirectory() as tmp:
         inst = os.path.join(tmp, "u.lti")
         art = os.path.join(tmp, "v.json")
@@ -1072,7 +1143,111 @@ def test_cli_audit_of_a_mutated_verdict_never_reads_as_a_verdict(data):
             code = cli.main(["audit", inst, art])
     assert code in (cli.EXIT_REACHABLE, cli.EXIT_AUDIT_FAILED, cli.EXIT_HASH_MISMATCH,
                     cli.EXIT_ERROR), (path, code)
+    if edit != "replace":
+        assert code in (cli.EXIT_AUDIT_FAILED, cli.EXIT_ERROR), (edit, path, code)
     assert "Traceback" not in err.getvalue()
+
+
+def _shape_edit(verdict: dict, edit: str) -> dict:
+    """The quad verdict edited into a shape no command writes."""
+    cert = verdict["certificate"]
+    if edit == "nested_hash":
+        cert["instance_sha256"] = "deadbeef"
+    elif edit == "nested_kind":
+        cert["kind"] = "witness"
+    elif edit == "warnings":
+        verdict["warnings"] = ["anything at all"]
+    elif edit == "extra_key":
+        verdict["note"] = "unchecked"
+    elif edit == "certificate_at_top_level":
+        verdict.update(verdict.pop("certificate"))
+    else:  # the bare certificate object that certify --out once wrote
+        verdict = {"kind": "certificate", "instance_sha256": verdict["instance_sha256"], **cert}
+    return verdict
+
+
+@pytest.mark.parametrize("edit", ["nested_hash", "nested_kind", "warnings", "extra_key",
+                                  "certificate_at_top_level", "bare_certificate"])
+def test_cli_audit_refuses_a_shape_no_command_writes(tmp_path, capsys, edit):
+    inst = write_instance(tmp_path, "u.lti", "0 3")
+    out = tmp_path / "verdict.json"
+    out.write_text(json.dumps(_shape_edit(json.loads(_quad_unreachable_verdict()), edit)))
+    assert cli.main(["audit", inst, str(out)]) in (cli.EXIT_AUDIT_FAILED, cli.EXIT_ERROR)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+class _ReadLog(dict):
+    """A JSON object that logs the path of every key read from it."""
+
+    def __init__(self, data, path, log):
+        super().__init__(data)
+        self.path, self.log = path, log
+
+    def __getitem__(self, key):
+        self.log.add(self.path + (key,))
+        return super().__getitem__(key)
+
+
+def _logged(node, log, path=()):
+    if isinstance(node, dict):
+        return _ReadLog({k: _logged(v, log, path + (k,)) for k, v in node.items()}, path, log)
+    if isinstance(node, list):
+        return [_logged(v, log, path + (i,)) for i, v in enumerate(node)]
+    return node
+
+
+# values the reader takes whole: the audit compares the reduced system with
+# its own, and an unknown verdict's budgets explain it without a claim
+WHOLE = ("reduced_system", "budgets_exhausted")
+
+
+def _key_paths(node, path=()):
+    """The path of every key in node, none below a value read whole."""
+    if isinstance(node, list):
+        return {p for i, child in enumerate(node) for p in _key_paths(child, path + (i,))}
+    out = set()
+    for key, child in node.items() if isinstance(node, dict) else ():
+        out.add(path + (key,))
+        if key not in WHOLE:
+            out |= _key_paths(child, path + (key,))
+    return out
+
+
+@pytest.mark.parametrize("target, budgets, kind", [
+    ((1, 1), {}, "reachable"),
+    ((0, 3), {}, "unreachable"),
+    ((F(7, 3), 1), dict(max_steps=1, max_candidates=8), "unknown"),
+])
+def test_the_reader_reads_exactly_the_keys_the_writer_writes(target, budgets, kind):
+    v = driver.decide(quad_system(GenPolyhedron.point(vec(*target))), small_budgets(**budgets))
+    assert v.kind == kind
+    body = json.loads(instances.dump_json(instances.verdict_to_json(v)))
+    log = set()
+    instances.verdict_from_json(_logged(body, log))
+    assert log == _key_paths(body)
+
+
+def test_cli_forward_and_decide_write_the_same_reachable_verdict(tmp_path):
+    inst = write_instance(tmp_path, "r.lti", "1 1")
+    fwd, dec = tmp_path / "forward.json", tmp_path / "decide.json"
+    assert cli.main(["forward", "--input", inst, "--out", str(fwd)]) == cli.EXIT_REACHABLE
+    assert cli.main(["decide", "--input", inst, "--out", str(dec)]) == cli.EXIT_REACHABLE
+    assert fwd.read_bytes() == dec.read_bytes()
+    for out in (fwd, dec):
+        assert cli.main(["audit", inst, str(out)]) == cli.EXIT_REACHABLE
+
+
+def test_cli_decide_writes_warnings_only_to_stderr_on_a_decided_verdict(tmp_path, capsys):
+    """Union controls disable the certificate search; the reachable verdict
+    of such a system carries no warnings key, and stderr names the reason."""
+    inst = tmp_path / "union.lti"
+    inst.write_text("dim 2\nmatrix\n1/2 0\n0 1/2\ncontrol\nvertices\n1 0\n0 1\n"
+                    "control\nvertices\n-1 0\n0 -1\nsource\n0 0\ntarget\nvertices\n1 0\n")
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(inst), "--out", str(out)]) == cli.EXIT_REACHABLE
+    assert "forward search only" in capsys.readouterr().err
+    assert sorted(json.loads(out.read_text())) == ["instance_sha256", "verdict", "witness"]
+    assert cli.main(["audit", str(inst), str(out)]) == cli.EXIT_REACHABLE
 
 
 def test_cli_audit_unexpected_error_is_not_a_verdict(tmp_path, monkeypatch):
@@ -1162,11 +1337,5 @@ def test_cli_out_of_process_audit(tmp_path):
     unreachable = write_instance(tmp_path, "u.lti", "0 3")
     out = tmp_path / "verdict.json"
     cli.main(["decide", "--input", unreachable, "--max-steps", "4", "--out", str(out)])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")] +
-        env.get("PYTHONPATH", "").split(os.pathsep))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ltireach.cli", "audit", unreachable, str(out)],
-        capture_output=True, text=True, env=env)
+    proc = fresh_cli("audit", unreachable, out, timeout=60)
     assert proc.returncode == 0, proc.stderr

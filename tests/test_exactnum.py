@@ -757,7 +757,6 @@ def test_seeded_rational_systems_stay_in_fractions():
         certified += 1
         for x in cert.tau:
             rat(x)
-        rat(cert.bound)
         rat(cert.sup_value)
         rat(cert.min_over_q)
     assert certified == 12

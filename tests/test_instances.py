@@ -290,7 +290,7 @@ def test_witness_json_roundtrip():
 
     sys = parse_instance(QUAD_TEXT)
     w = reach_within(sys, 4)
-    data = witness_to_json(w, instance_sha256(sys))
+    data = witness_to_json(w)
     again = witness_from_json(data)
     assert again == w
     assert verify_witness(sys, again)
@@ -315,19 +315,20 @@ def test_artifact_loaders_raise_parse_error():
     good = {"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"}
     for bad in (7, {"minpoly": [-2, 0, 1], "lo": "1"}, {"minpoly": "x", "lo": "1", "hi": "2"},
                 {"minpoly": [-2, 0, 1], "lo": 1, "hi": "2"}, {"minpoly": [-2, 0, 1], "lo": "3", "hi": "4"},
-                {"minpoly": [0], "lo": "0", "hi": "0"}, {"minpoly": [1, True], "lo": "0", "hi": "1"}):
+                {"minpoly": [0], "lo": "0", "hi": "0"}, {"minpoly": [1, True], "lo": "0", "hi": "1"},
+                {**good, "kind": "alg"}):
         with pytest.raises(ParseError):
             alg_from_json(bad)
     assert alg_from_json(good).degree == 2
-    for bad in ({}, {"horizon": 1, "steps": [{"component": 0}]},
+    for bad in ({}, {"horizon": 1, "steps": [{"component": 0}]}, {"horizon": 0, "steps": [], "kind": "witness"},
                 {"horizon": 1, "steps": [{"component": 0, "vertex_coeffs": ["1/0"],
                                           "ray_coeffs": [], "line_coeffs": []}]}):
         with pytest.raises(ParseError):
             witness_from_json(bad)
-    cert = {"tau": [good], "bound": good, "maximizer": ["1"], "threshold": 0,
-            "sup_value": good, "min_over_q": None}
+    cert = {"tau": [good], "maximizer": ["1"], "threshold": 0,
+            "sup_value": good, "min_over_q": None, "reduced_system": {}}
     assert certificate_from_json(cert).threshold == 0
     for key, value in (("tau", 7), ("threshold", "0"), ("threshold", 1.5), ("min_over_q", []),
-                       ("maximizer", "1")):
+                       ("maximizer", "1"), ("bound", good)):
         with pytest.raises(ParseError):
             certificate_from_json({**cert, key: value})
