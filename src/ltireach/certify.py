@@ -35,13 +35,16 @@ the sign of a pair's dominant coefficient, and only the winner's pairs
 with the other vertices run classify_sequence's threshold search: |V| - 1
 searches for |V| vertices.  sup_from
 is the one routine that evaluates the closed form, for the direction
-of the PrefixSums it is given.  verify_separator feeds it the maximizer
-and threshold it has just found, and the audit
-(recompute_sup_from_certificate) feeds it the ones a certificate stores.
-Each takes the decision's table, or prefix sums read from it, as a
-required argument, and tau is read from the sums, so no caller can pass
-one direction beside the sums of another; only sup_in_direction, which
-checks one direction on its own, builds a table of its own.
+of the PrefixSums it is given; verify_separator feeds it the maximizer
+and threshold it has just found.  The audit runs verify_separator on the
+stored direction and compares the certificate it returns whole with the
+stored one, so a stored maximizer or threshold is checked by equality,
+never fed to sup_from.  Each routine takes the decision's table, or
+prefix sums read from it, as a required argument, and tau is read from
+the sums, so no caller can pass one direction beside the sums of
+another; only sup_in_direction, which checks one direction on its own,
+builds a table of its own.  It and recompute_sup_from_certificate have
+no caller in the library: the benchmark's span table still names them.
 
 Most candidate directions fail, and the driver rejects nearly all of them
 before the maximizer tournament, by the prefix sums
@@ -64,9 +67,8 @@ list read from that table; a rational tau is cleared to integers, so each
 Fraction.  sup_from reads its first threshold terms from the same list
 and the maximizer's image A^N u from the same table, so a direction that
 passes computes no term twice.  The audit calls verify_separator without
-the check (an honest certificate never fails it, so there it would only
-add cost), and its verification and its rebuild of the supremum share
-one table.
+the check: an honest certificate never fails it, so there it would only
+add cost.
 
 The supremum is S_N plus the tail <A^N (I-A)^{-1} u, tau>, a sum of
 nonnegative terms.  When the tail is positive the supremum is not
@@ -129,7 +131,9 @@ class SeparatorCertificate:
     """Everything an auditor needs to recheck sup <= min from scratch.
 
     min_over_q is None when the target is empty (minimum over the empty
-    set, +infinity); the certificate is then vacuously valid.
+    set, +infinity); the certificate is then vacuously valid, and the one
+    verify_separator returns holds the zero direction, the first control
+    vertex, threshold 0 and supremum 0.
     """
 
     tau: AlgVec
@@ -453,9 +457,9 @@ def verify_separator(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron,
 
 def recompute_sup_from_certificate(s: SpectralData, cert: SeparatorCertificate,
                                    images: VertexImages) -> Alg:
-    """Audit path: rebuild the supremum from (tau, maximizer, threshold)
-    alone, without rerunning the maximizer search; the prefix sums are
-    formed afresh from `images`."""
+    """The supremum rebuilt from (tau, maximizer, threshold) alone,
+    without rerunning the maximizer search; the prefix sums are formed
+    afresh from `images`."""
     return sup_from(s, PrefixSums(images, cert.tau), cert.maximizer, cert.threshold)
 
 

@@ -64,12 +64,16 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# the flags' defaults are driver.Budgets' own
+DEFAULT_BUDGETS = driver.Budgets()
+
+
 def _add_budget_flags(p):
-    p.add_argument("--max-steps", type=_count, default=32)
-    p.add_argument("--max-candidates", type=_count, default=4096)
-    p.add_argument("--max-degree", type=_count, default=4)
-    p.add_argument("--max-height", type=_count, default=8)
-    p.add_argument("--extremal-budget", type=_count, default=6,
+    p.add_argument("--max-steps", type=_count, default=DEFAULT_BUDGETS.max_steps)
+    p.add_argument("--max-candidates", type=_count, default=DEFAULT_BUDGETS.max_candidates)
+    p.add_argument("--max-degree", type=_count, default=DEFAULT_BUDGETS.max_degree)
+    p.add_argument("--max-height", type=_count, default=DEFAULT_BUDGETS.max_height)
+    p.add_argument("--extremal-budget", type=_count, default=DEFAULT_BUDGETS.extremal_budget,
                    help="0: target directions only; > 0: also left eigenvectors")
 
 
@@ -148,10 +152,7 @@ def cmd_audit(args) -> int:
         artifact = instances.load_json(fh.read())
     try:
         ok = driver.audit(sys_, artifact)
-    except driver.AuditHashError as exc:
-        print(f"hash mismatch: {exc}", file=_sys.stderr)
-        return EXIT_HASH_MISMATCH
-    except instances.ParseError:
+    except (driver.AuditHashError, instances.ParseError):
         raise
     except Exception as exc:
         # an artifact the auditor cannot recheck must never read as a verdict
@@ -185,7 +186,7 @@ def cmd_render(args) -> int:
     certificate = None
     if args.verdict:
         with open(args.verdict) as fh:
-            certificate = instances.verdict_from_json(instances.load_json(fh.read())).certificate
+            certificate = driver.read_artifact(sys_, instances.load_json(fh.read())).certificate
     render.render_partial_reach(sys_, args.steps, args.out, certificate)
     print(f"wrote {args.out}")
     return EXIT_REACHABLE
@@ -204,7 +205,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("forward", help="bounded forward search only")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-steps", type=_count, default=32)
+    p.add_argument("--max-steps", type=_count, default=DEFAULT_BUDGETS.max_steps)
     p.add_argument("--out", help="write the reachable verdict (with its witness) as JSON")
     p.set_defaults(func=cmd_forward)
 
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
         return args.func(args)
+    except driver.AuditHashError as exc:
+        print(f"hash mismatch: {exc}", file=_sys.stderr)
+        return EXIT_HASH_MISMATCH
     except (OSError, ValueError, instances.ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR

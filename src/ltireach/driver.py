@@ -8,19 +8,21 @@ is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
 every candidate reads its prefix sums from one table of control-vertex
 images (certify.VertexImages), built once per decision.  The audit
-verifies a certificate without that check.  A separator whose certificate
+derives the certificate for the stored direction without that check and
+compares it whole with the stored one.  A separator whose certificate
 the audit's parser would refuse (instances.minpoly_within_ceiling), or
 that holds an integer too long for Python to write as text, counts as not
-found; a reduced system that holds one disables the certificate search.
-Every positive verdict is replay-verified and every negative verdict
+found.  Every positive verdict is replay-verified and every negative verdict
 carries a certificate that an independent process can recheck against
 the instance file (audit).
 
 Systems that fail a structural condition (union controls, origin not
 interior, spectral radius >= 1, no real-spectrum power, nonzero source,
-a target with rays or lines), or whose normalization needs facet
-enumeration above its dimension ceiling, degrade to forward-only search
-with an explicit warning naming the reason.
+a target with rays or lines), whose normalization needs facet
+enumeration above its dimension ceiling, or whose reduced system holds
+such an integer, degrade to forward-only search with an
+explicit warning naming the reason; the audit fails a certificate for
+such a system.  One function (_certification_inputs) tells both.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .certify import (
     extremal_candidates,
     fails_prefix_check,
     min_over_vertices,
-    recompute_sup_from_certificate,
     verify_separator,
 )
 from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
@@ -124,15 +125,31 @@ def _candidate_stream(s: SpectralData, form: SimpleForm, budgets: Budgets):
             yield tau
 
 
-def _prepare_certification(sys: LtiSystem, report):
-    """(SpectralData, SimpleForm) when the certificate search applies.  The
-    report's characteristic polynomial is A's, so it serves when no
-    normalization step changed the matrix; otherwise the reduced matrix's
-    is formed here, once."""
-    form = to_simple_form(sys, report)
-    a = form.a_reduced
-    p = report.charpoly if a is sys.a else charpoly_primitive(a)
-    return spectral_decompose(a, p), form
+def _certification_inputs(sys: LtiSystem):
+    """Whether a certificate may be searched for or checked on sys, for
+    decide and audit alike: (reasons, None) when it may not, each reason a
+    phrase of decide's warning, else ([], (spectral data, reduced form,
+    vertex-image table)).  The first failing step gives the reasons:
+    check_simple's conditions, then the normalization and spectral
+    decomposition (past the facet-enumeration ceiling), then the digit
+    rule on the reduced system.  The report's characteristic polynomial
+    is A's, so it serves when no normalization step changed the matrix;
+    otherwise the reduced matrix's is formed here, once."""
+    report = check_simple(sys)
+    reasons = report.failing_conditions()
+    if reasons:
+        return reasons, None
+    try:
+        form = to_simple_form(sys, report)
+        a = form.a_reduced
+        spectral = spectral_decompose(a, report.charpoly if a is sys.a else charpoly_primitive(a))
+    except DimensionCeilingError as exc:
+        return [f"normalization needs facet enumeration: {exc}"], None
+    vertices = form.u_reduced.vertices + form.q_reduced.vertices
+    if not _printable([*a.entries, *(x for v in vertices for x in v)]):
+        return ["the reduced system has integers too long to write as text"], None
+    # the vertex images A^i v do not depend on tau: one table serves every candidate
+    return [], (spectral, form, VertexImages(spectral.matrix, form.u_reduced.vertices))
 
 
 def _printable(rats) -> bool:
@@ -167,33 +184,21 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     from .instances import instance_sha256
 
     instance_hash = instance_sha256(sys)
-    report = check_simple(sys)
-    reasons = report.failing_conditions()
-    spectral = form = None
-    if not reasons:
-        try:
-            spectral, form = _prepare_certification(sys, report)
-        except DimensionCeilingError as exc:
-            reasons.append(f"normalization needs facet enumeration: {exc}")
-        else:
-            vertices = form.u_reduced.vertices + form.q_reduced.vertices
-            if not _printable([*form.a_reduced.entries, *(x for v in vertices for x in v)]):
-                reasons.append("the reduced system has integers too long to write as text")
-    certifiable = not reasons
-    warnings = [] if certifiable else [
-        "certificate search disabled (" + "; ".join(reasons) + "); forward search only"]
-    # the vertex images A^i v do not depend on tau: one table serves every candidate
-    images = VertexImages(spectral.matrix, form.u_reduced.vertices) if certifiable else None
-    if certifiable and form.q_reduced.is_empty:
-        zero = PrefixSums(images, tuple(Fraction(0) for _ in range(form.dim)))
-        cert = verify_separator(spectral, form.u_reduced, form.q_reduced, zero)
-        assert cert is not None
-        return Verdict("unreachable", instance_hash, tuple(warnings),
-                       certificate=cert, simple_form=form)
-
-    candidates = _candidate_stream(spectral, form, budgets) if certifiable and form.dim > 0 else iter(())
+    reasons, prepared = _certification_inputs(sys)
+    warnings = () if not reasons else (
+        "certificate search disabled (" + "; ".join(reasons) + "); forward search only",)
+    candidates = iter(())
+    if prepared is not None:
+        spectral, form, images = prepared
+        if form.q_reduced.is_empty:
+            zero = PrefixSums(images, tuple(Fraction(0) for _ in range(form.dim)))
+            cert = verify_separator(spectral, form.u_reduced, form.q_reduced, zero)
+            assert cert is not None
+            return Verdict("unreachable", instance_hash, warnings, certificate=cert, simple_form=form)
+        if form.dim > 0:
+            candidates = _candidate_stream(spectral, form, budgets)
     tried = 0
-    candidates_done = not (certifiable and form.dim > 0)
+    candidates_done = False
     columns = StepColumns(sys)
     horizon = 0
     while horizon <= budgets.max_steps or not candidates_done:
@@ -202,7 +207,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             if witness is not None:
                 if not verify_witness(sys, witness):
                     raise SoundnessError("forward search produced a non-replaying witness")
-                return Verdict("reachable", instance_hash, tuple(warnings), witness=witness)
+                return Verdict("reachable", instance_hash, warnings, witness=witness)
             horizon += 1
         if not candidates_done:
             # each candidate is verified as it is drawn: after its last new
@@ -218,9 +223,9 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 cert = verify_separator(spectral, form.u_reduced, form.q_reduced, sums)
                 # a separator whose artifact would not audit counts as not found
                 if cert is not None and _within_ceiling(cert):
-                    return Verdict("unreachable", instance_hash, tuple(warnings),
+                    return Verdict("unreachable", instance_hash, warnings,
                                    certificate=cert, simple_form=form)
-    return Verdict("unknown", instance_hash, tuple(warnings), exhausted={
+    return Verdict("unknown", instance_hash, warnings, exhausted={
         "max_steps": budgets.max_steps,
         "candidates_tried": tried,
         "max_candidates": budgets.max_candidates,
@@ -233,15 +238,28 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def audit(sys: LtiSystem, artifact: dict) -> bool:
-    """Recompute everything the artifact claims, from scratch.  Its reader
-    refuses any key not checked here; an unknown verdict claims nothing."""
-    from .instances import instance_sha256, reduced_system_to_json, verdict_from_json
+def read_artifact(sys: LtiSystem, artifact: dict):
+    """The artifact's claim (instances.verdict_from_json), once its
+    instance hash is that of sys; AuditHashError otherwise."""
+    from .instances import instance_sha256, verdict_from_json
 
     claim = verdict_from_json(artifact)
     expected = instance_sha256(sys)
     if claim.instance_sha256 != expected:
         raise AuditHashError(f"artifact hash {claim.instance_sha256} != instance hash {expected}")
+    return claim
+
+
+def audit(sys: LtiSystem, artifact: dict) -> bool:
+    """Recompute everything the artifact claims, from scratch.  Its reader
+    refuses any key not checked here; an unknown verdict claims nothing.
+    A certificate stands when it is the one decide would write for its
+    direction: the audit derives the reduced system and the certificate
+    for the stored tau afresh and compares each whole, so any field that
+    differs, the threshold included, fails it."""
+    from .instances import reduced_system_to_json
+
+    claim = read_artifact(sys, artifact)
     if claim.verdict == "unknown":
         return True
     if claim.verdict == "reachable":
@@ -249,46 +267,15 @@ def audit(sys: LtiSystem, artifact: dict) -> bool:
             return verify_witness(sys, claim.witness)
         except Exception:
             return False
-    cert = claim.certificate
-    report = check_simple(sys)
-    if report.failing_conditions():
+    reasons, prepared = _certification_inputs(sys)
+    if reasons:
         return False
-    try:
-        spectral, form = _prepare_certification(sys, report)
-    except DimensionCeilingError:
-        return False
-    # compared whole, so no key of the reduced system goes unchecked
+    spectral, form, images = prepared
     if claim.reduced_system != reduced_system_to_json(form):
         return False
-    if cert.maximizer not in form.u_reduced.vertices:
-        return False
-    if cert.min_over_q is None:
-        return form.q_reduced.is_empty
-    if form.q_reduced.is_empty:
-        return False
+    cert = claim.certificate
+    # the direction is untrusted input: a short one would zip silently
     if len(cert.tau) != form.dim:
         return False
-    # the verification and the rebuild below share one table of vertex
-    # images, not their prefix sums
-    images = VertexImages(spectral.matrix, form.u_reduced.vertices)
-    fresh = verify_separator(spectral, form.u_reduced, form.q_reduced, PrefixSums(images, cert.tau))
-    if fresh is None:
-        return False
-    if fresh.sup_value != cert.sup_value:
-        return False
-    if fresh.min_over_q != cert.min_over_q:
-        return False
-    # an honest decider stores the maximizer its own verification picks
-    # (the lexicographically smallest among ties); another vertex that ties
-    # with it would rebuild the same sup and pass unnoticed
-    if cert.maximizer != fresh.maximizer:
-        return False
-    # the rebuild below costs time linear in the threshold; an honest
-    # decider stores the threshold its own verification derives, so a
-    # larger (or negative) one is rejected before any work is spent
-    if not 0 <= cert.threshold <= fresh.threshold:
-        return False
-    # independent audit path: the supremum rebuilt from the stored
-    # maximizer and threshold alone must agree too
-    redone = recompute_sup_from_certificate(spectral, cert, images)
-    return redone == cert.sup_value
+    sums = PrefixSums(images, cert.tau)
+    return verify_separator(spectral, form.u_reduced, form.q_reduced, sums) == cert

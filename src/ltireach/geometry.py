@@ -610,74 +610,43 @@ def _hull_2d(points: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def _extreme_vertices_lp(vertices: list[Vec], rays, lines) -> list[Vec]:
+def _extreme_vertices_lp(vertices: list[Vec]) -> list[Vec]:
     kept = []
     for i, v in enumerate(vertices):
         others = vertices[:i] + vertices[i + 1:]
-        if not others:
-            kept.append(v)
-            continue
-        q = GenPolyhedron(len(v), tuple(others), tuple(rays), tuple(lines))
-        if not contains_point(q, v):
+        if not others or not contains_point(GenPolyhedron(len(v), tuple(others)), v):
             kept.append(v)
     return kept
 
 
+def _require_polytopes(what: str, *ps: GenPolyhedron) -> None:
+    if any(p.rays or p.lines for p in ps):
+        raise ValueError(f"{what} requires polytopes")
+
+
 def canonical(p: GenPolyhedron) -> GenPolyhedron:
-    """Deduplicate generators and drop redundant ones."""
+    """The polytope p with repeated and redundant vertices dropped."""
+    _require_polytopes("canonical form", p)
     vertices = list(dict.fromkeys(p.vertices))
-    lines = []
-    if p.lines:
-        m = RatMatrix.from_rows([list(l) for l in p.lines])
-        red, pivots = m.rref()
-        lines = [_primitive_direction(tuple(red[i])) for i in range(len(pivots))]
-    rays = []
-    seen = set()
-    for r in p.rays:
-        d = _primitive_direction(r)
-        if vec_is_zero(d) or d in seen:
-            continue
-        seen.add(d)
-        rays.append(d)
-    if lines:
-        # rays inside the lineality space are redundant
-        lm = RatMatrix.from_rows([list(l) for l in lines]).transpose()
-        rays = [r for r in rays if lm.solve(r) is None]
-    if len(rays) > 1:
-        # a ray is redundant in cone(others) + span(lines), the polyhedron
-        # with the origin as its one vertex
-        origin = zero_vec(p.dim)
-        rays = [r for i, r in enumerate(rays)
-                if not contains_point(GenPolyhedron(p.dim, (origin,), tuple(rays[:i] + rays[i + 1:]),
-                                                    tuple(lines)), r)]
     if len(vertices) > 1:
-        if p.dim == 2 and not rays and not lines:
-            vertices = _hull_2d(vertices)
-        else:
-            vertices = _extreme_vertices_lp(vertices, rays, lines)
-    return GenPolyhedron(p.dim, tuple(vertices), tuple(rays), tuple(lines))
+        vertices = _hull_2d(vertices) if p.dim == 2 else _extreme_vertices_lp(vertices)
+    return GenPolyhedron(p.dim, tuple(vertices))
 
 
 def minkowski_sum(p: GenPolyhedron, q: GenPolyhedron) -> GenPolyhedron:
     if p.dim != q.dim:
         raise ValueError("ambient dimension mismatch")
+    _require_polytopes("Minkowski sum", p, q)
     if p.is_empty or q.is_empty:
         return GenPolyhedron.empty(p.dim)
-    vertices = tuple(vec_add(a, b) for a in p.vertices for b in q.vertices)
-    return canonical(GenPolyhedron(p.dim, vertices, p.rays + q.rays, p.lines + q.lines))
+    return canonical(GenPolyhedron(p.dim, tuple(vec_add(a, b) for a in p.vertices for b in q.vertices)))
 
 
 def linear_image(a: RatMatrix, p: GenPolyhedron) -> GenPolyhedron:
     if a.cols != p.dim:
         raise ValueError("matrix columns must match polyhedron dimension")
-    if p.is_empty:
-        return GenPolyhedron.empty(a.rows)
-    return canonical(GenPolyhedron(
-        a.rows,
-        tuple(a.matvec(v) for v in p.vertices),
-        tuple(a.matvec(r) for r in p.rays),
-        tuple(a.matvec(l) for l in p.lines),
-    ))
+    _require_polytopes("linear image", p)
+    return canonical(GenPolyhedron(a.rows, tuple(a.matvec(v) for v in p.vertices)))
 
 
 # ---------------------------------------------------------------------------

@@ -457,10 +457,10 @@ def test_prefix_check_rejects_only_failing_directions():
     budgets = driver.Budgets(max_candidates=16, max_degree=1, max_height=2, extremal_budget=2)
     rejected = certified = 0
     for sys_ in systems:
-        report_ = check_simple(sys_)
-        if report_.failing_conditions():
+        reasons, prepared = driver._certification_inputs(sys_)
+        if reasons:
             continue
-        s, form = driver._prepare_certification(sys_, report_)
+        s, form, _ = prepared
         if form.dim == 0 or form.q_reduced.is_empty:
             continue
         for tau in driver._candidate_stream(s, form, budgets):

@@ -188,7 +188,7 @@ def test_candidate_stream_order_dedup_and_cap():
     a = RatMatrix.from_rows([[F(1, 4), 0], [F(-1, 4), F(1, 2)]])
     sys_ = LtiSystem(a, ControlSet.single(QUAD_U), vec(0, 0),
                      GenPolyhedron.polytope([vec(4, 4), vec(5, 5)]))
-    s, form = driver._prepare_certification(sys_, check_simple(sys_))
+    _, (s, form, _) = driver._certification_inputs(sys_)
     budgets = small_budgets(max_candidates=20, max_degree=1, max_height=2, extremal_budget=1)
 
     def rays(stream):
@@ -287,12 +287,22 @@ def test_audit_detects_wrong_instance():
         driver.audit(other, payload)
 
 
-@pytest.mark.parametrize("shift", ["negative", "above_fresh", "huge"])
+# r0.hex.outside of the algebraic_2d benchmark workload at seed 1: its
+# certificate has threshold 1, and its maximizer gives the same supremum at
+# threshold 0, so only a comparison of the threshold itself rejects 0
+HEX_OUTSIDE_TEXT = "dim 2\nmatrix\n1/2 -1/8\n-1 1/2\n" + HEX_CONTROL + "source\n0 0\ntarget\nvertices\n6 -8\n"
+
+
+@pytest.mark.parametrize("shift", ["negative", "below_fresh", "above_fresh", "huge"])
 def test_audit_rejects_out_of_range_threshold(shift):
-    sys_ = quad_system(GenPolyhedron.point(vec(0, 3)))
-    v = driver.decide(sys_, small_budgets())
+    """Any threshold but the one the audit derives fails it."""
+    sys_ = instances.parse_instance(HEX_OUTSIDE_TEXT)
+    v = driver.decide(sys_, driver.Budgets(**ALGEBRAIC_BUDGETS))
+    assert v.certificate.threshold >= 1
     payload = instances.verdict_to_json(v)
-    payload["certificate"]["threshold"] = {"negative": -5, "above_fresh": v.certificate.threshold + 1,
+    assert driver.audit(sys_, payload) is True
+    payload["certificate"]["threshold"] = {"negative": -5, "below_fresh": v.certificate.threshold - 1,
+                                           "above_fresh": v.certificate.threshold + 1,
                                            "huge": 10 ** 9}[shift]
     start = time.perf_counter()
     assert driver.audit(sys_, payload) is False
@@ -717,6 +727,29 @@ def test_cli_audit_hash_mismatch(tmp_path):
     assert cli.main(["audit", other, str(out)]) == 4
 
 
+def test_cli_render_refuses_a_verdict_of_another_instance(tmp_path, capsys):
+    """render --verdict checks the instance hash as the audit does."""
+    decided = write_instance(tmp_path, "u.lti", "0 3")
+    other = write_instance(tmp_path, "o.lti", "9 9")
+    vjson, svg = tmp_path / "v.json", tmp_path / "fig.svg"
+    assert cli.main(["decide", "--input", decided, "--out", str(vjson)]) == cli.EXIT_UNREACHABLE
+    capsys.readouterr()
+    assert cli.main(["audit", other, str(vjson)]) == cli.EXIT_HASH_MISMATCH
+    audit_err = capsys.readouterr().err
+    assert cli.main(["render", "--input", other, "--steps", "3", "--out", str(svg),
+                     "--verdict", str(vjson)]) == cli.EXIT_HASH_MISMATCH
+    assert capsys.readouterr().err == audit_err
+    assert audit_err.startswith("hash mismatch: ")
+    assert not svg.exists()
+
+
+def test_cli_budget_defaults_are_the_driver_defaults():
+    parser = cli.build_parser()
+    for command in ("decide", "certify"):
+        assert cli._budgets_from(parser.parse_args([command, "--input", "x.lti"])) == driver.Budgets()
+    assert parser.parse_args(["forward", "--input", "x.lti"]).max_steps == driver.Budgets().max_steps
+
+
 def test_cli_forward_and_unknown(tmp_path):
     far = write_instance(tmp_path, "far.lti", "9 9")
     assert cli.main(["forward", "--input", far, "--max-steps", "3"]) == 2
@@ -1080,6 +1113,32 @@ def test_cli_audit_rejects_tampered_certificate_field(tmp_path, field, value):
     data["certificate"][field] = value
     out.write_text(json.dumps(data))
     assert cli.main(["audit", unreachable, str(out)]) == cli.EXIT_AUDIT_FAILED
+
+
+@pytest.mark.parametrize("fields", [
+    {"tau": [{"minpoly": [-5, 1], "lo": "5", "hi": "5"}]},
+    {"threshold": 10 ** 9},
+    {"sup_value": {"minpoly": [-42, 1], "lo": "42", "hi": "42"}},
+    {"tau": [{"minpoly": [-5, 1], "lo": "5", "hi": "5"}], "threshold": 10 ** 9,
+     "sup_value": {"minpoly": [-42, 1], "lo": "42", "hi": "42"}},
+], ids=["tau", "threshold", "sup_value", "all"])
+def test_cli_audit_checks_every_field_of_an_empty_target_certificate(tmp_path, fields):
+    """A = I/2, controls +-e1, target (0, 3): the span step leaves no target,
+    and decide writes the zero direction with threshold 0 and supremum 0.
+    An empty reduced target is no reason to leave the other fields
+    unchecked."""
+    path = tmp_path / "empty.lti"
+    path.write_text(segment_instance_text(2).replace("vertices\n3 0\n", "vertices\n0 3\n"))
+    out = tmp_path / "verdict.json"
+    assert cli.main(["decide", "--input", str(path), "--out", str(out)]) == cli.EXIT_UNREACHABLE
+    data = json.loads(out.read_text())
+    assert data["certificate"]["min_over_q"] is None
+    assert cli.main(["audit", str(path), str(out)]) == cli.EXIT_REACHABLE
+    for field, value in fields.items():
+        assert data["certificate"][field] != value
+        data["certificate"][field] = value
+    out.write_text(json.dumps(data))
+    assert cli.main(["audit", str(path), str(out)]) == cli.EXIT_AUDIT_FAILED
 
 
 @functools.cache

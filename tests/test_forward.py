@@ -25,7 +25,7 @@ from ltireach.geometry import (
     linear_image,
     minkowski_sum,
 )
-from ltireach.linalg import RatMatrix, vec
+from ltireach.linalg import RatMatrix, vec, vec_add
 from ltireach.preprocess import LtiSystem
 from oracles import (build_lp, cold_reach_exactly, fraction_replay, lp_contains_point, solve_forward_lp,
                      witness_from_solution)
@@ -186,12 +186,17 @@ def test_union_controls_skolem_like():
 def reachable_under(sys, n, assign) -> bool:
     """Brute-force oracle for one fixed component assignment: is the target
     point in A^n source + sum_t A^(n-1-t) U_{assign[t]}?  Built from matrix
-    powers and Minkowski sums, independent of the forward LP."""
-    acc = GenPolyhedron.point(sys.a.power(n).matvec(sys.source))
+    powers and generator-wise Minkowski sums (every sum of vertices, every
+    image of a ray or a line, nothing pruned), independent of the forward
+    LP and of geometry's polytope-only operations."""
+    verts, rays, lines = [sys.a.power(n).matvec(sys.source)], [], []
     for t, c in enumerate(assign):
-        acc = minkowski_sum(acc, linear_image(sys.a.power(n - 1 - t), sys.controls.components[c]))
+        power, comp = sys.a.power(n - 1 - t), sys.controls.components[c]
+        verts = list(dict.fromkeys(vec_add(v, power.matvec(w)) for v in verts for w in comp.vertices))
+        rays += [power.matvec(r) for r in comp.rays]
+        lines += [power.matvec(l) for l in comp.lines]
     (q,) = sys.target.vertices
-    return contains_point(acc, q)
+    return contains_point(GenPolyhedron(sys.dim, tuple(verts), tuple(rays), tuple(lines)), q)
 
 
 def bruteforce_min_horizon(sys, budget):

@@ -10,6 +10,7 @@ from ltireach import geometry
 from ltireach.geometry import (
     DimensionCeilingError,
     GenPolyhedron,
+    canonical,
     constraint,
     contains_point,
     facet_normals,
@@ -430,6 +431,18 @@ def test_linear_image_composition_randomized():
         assert set(lhs.vertices) == set(rhs.vertices)
 
 
+def test_generator_operations_refuse_rays_and_lines():
+    # canonical, minkowski_sum and linear_image take polytopes only, as
+    # h_representation does; an unbounded input is refused, not truncated
+    ray = GenPolyhedron(2, (vec(0, 0),), (vec(1, 0),))
+    line = GenPolyhedron(2, (vec(0, 0),), (), (vec(0, 1),))
+    for p in (ray, line):
+        for op in (canonical, lambda p: minkowski_sum(QUAD_U, p), lambda p: minkowski_sum(p, QUAD_U),
+                   lambda p: linear_image(DIAG_A, p), h_representation):
+            with pytest.raises(ValueError, match="polytope"):
+                op(p)
+
+
 def test_lp_vertex_redundancy_agrees_with_2d_hull():
     rng = random.Random(41)
     from ltireach.geometry import _extreme_vertices_lp, _hull_2d
@@ -438,7 +451,7 @@ def test_lp_vertex_redundancy_agrees_with_2d_hull():
         pts = [vec(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(7)]
         pts = list(dict.fromkeys(pts))
         hull = set(_hull_2d(pts))
-        lp_kept = set(_extreme_vertices_lp(pts, (), ()))
+        lp_kept = set(_extreme_vertices_lp(pts))
         assert hull == lp_kept
 
 
