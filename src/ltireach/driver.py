@@ -1,9 +1,14 @@
 """The decision driver: interleaved forward search and certificate search.
 
 `decide` is the one decision loop.  Each round runs a single forward
-horizon and then a batch of CANDIDATE_BATCH separator candidates, so both
-semi-procedures advance fairly under one budget, in one thread, and the
-same input always gives the same verdict.  A candidate is verified as it
+horizon and then a batch of separator candidates, so both semi-procedures
+advance under one budget, in one thread, and the same input always gives
+the same verdict.  The batch slow-starts (Levin's doubling schedule): 1
+candidate after horizon 0, then 2, 4, 8, and CANDIDATE_BATCH after every
+later horizon.  Before horizon h at most as many candidates are drawn as
+under a fixed batch of CANDIDATE_BATCH, so no reachable target waits
+longer for its witness, and each candidate is drawn at most
+log2(CANDIDATE_BATCH) = 4 horizons later.  A candidate is verified as it
 is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
 every candidate reads its prefix sums from one table of control-vertex
@@ -58,7 +63,9 @@ class AuditHashError(Exception):
     """Artifact was produced for a different instance file."""
 
 
-# separator candidates verified between two forward horizons
+# the most separator candidates drawn between two forward horizons; the
+# batch after horizon h is min(2^h, CANDIDATE_BATCH), so with 16 the k-th
+# candidate is drawn at most 4 horizons after the fixed batch would draw it
 CANDIDATE_BATCH = 16
 
 
@@ -181,6 +188,16 @@ def _within_ceiling(cert: SeparatorCertificate) -> bool:
 
 
 def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
+    """Decide whether sys reaches its target within budgets.
+
+    Forward horizons 0, 1, 2, ... alternate with batches of 1, 2, 4, 8,
+    then CANDIDATE_BATCH separator candidates.  Before horizon h at most
+    the 16h candidates of a fixed batch of 16 are drawn, so a reachable
+    target never waits longer for its witness; a candidate is drawn at
+    most 4 horizons later than under that fixed batch.  The schedule
+    moves no verdict byte: the witness is at the least reachable horizon,
+    the certificate is the first candidate in stream order that verifies,
+    and an unknown verdict has drawn every candidate."""
     from .instances import instance_sha256
 
     instance_hash = instance_sha256(sys)
@@ -201,6 +218,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
     candidates_done = False
     columns = StepColumns(sys)
     horizon = 0
+    batch = 1
     while horizon <= budgets.max_steps or not candidates_done:
         if horizon <= budgets.max_steps:
             witness = reach_exactly(columns, horizon)
@@ -214,7 +232,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             # direction a stream may take long to end (a 1-D reduced system
             # has only +1 and -1), and a certificate must not wait for that
             candidates_done = True
-            for tau in itertools.islice(candidates, CANDIDATE_BATCH):
+            for tau in itertools.islice(candidates, batch):
                 candidates_done = False
                 tried += 1
                 sums = PrefixSums(images, tau)
@@ -225,6 +243,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 if cert is not None and _within_ceiling(cert):
                     return Verdict("unreachable", instance_hash, warnings,
                                    certificate=cert, simple_form=form)
+            batch = min(2 * batch, CANDIDATE_BATCH)
     return Verdict("unknown", instance_hash, warnings, exhausted={
         "max_steps": budgets.max_steps,
         "candidates_tried": tried,

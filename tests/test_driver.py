@@ -212,6 +212,85 @@ def test_candidate_stream_order_dedup_and_cap():
     assert rays(driver._candidate_stream(s, form, capped)) == got[:7]
 
 
+# A = [[1/2, 1/8], [1, 1/2]] (eigenvalues 1/2 +- 1/sqrt(8)) under the
+# benchmark's hex controls: the point (5/2, 7/2) is reached at horizon 6
+DEEP_HEX = LtiSystem(
+    RatMatrix.from_rows([[F(1, 2), F(1, 8)], [1, F(1, 2)]]),
+    ControlSet.single(GenPolyhedron.polytope([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1),
+                                              vec(1, -1), vec(-1, 1)])),
+    vec(0, 0), GenPolyhedron.point(vec(F(5, 2), F(7, 2))))
+
+
+@pytest.mark.parametrize("sys_, budgets, horizon, drawn, verified", [
+    (quad_system(GenPolyhedron.point(vec(1, 1))), small_budgets(), 1, 1, 0),
+    # 1 + 2 + 4 + 8 + 16 + 16 candidates before horizon 6
+    (DEEP_HEX, driver.Budgets(), 6, 47, 15),
+], ids=["one-step", "deep-hex"])
+def test_candidate_batches_slow_start(monkeypatch, sys_, budgets, horizon, drawn, verified):
+    """The batches between forward horizons hold 1, 2, 4, 8, then
+    CANDIDATE_BATCH candidates: every candidate drawn builds one PrefixSums,
+    and one that passes the prefix check is verified."""
+    calls = {"drawn": 0, "verified": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(driver, "PrefixSums", counting("drawn", driver.PrefixSums))
+    monkeypatch.setattr(driver, "verify_separator", counting("verified", driver.verify_separator))
+    v = driver.decide(sys_, budgets)
+    assert v.kind == "reachable" and v.warnings == ()
+    assert v.witness.horizon == horizon
+    assert calls == {"drawn": drawn, "verified": verified}
+
+
+def shear_system(rng):
+    """A 2-D system with eigenvalues k/10 conjugated by two integer shears,
+    a cross polytope as controls and as target a point reached in 1 to 4
+    steps, a far integer point or a point of the quarter grid."""
+    lams = [F(rng.randint(1, 9), 10) for _ in range(2)]
+    p = (RatMatrix.from_rows([[1, rng.randint(-2, 2)], [0, 1]])
+         @ RatMatrix.from_rows([[1, 0], [rng.randint(-2, 2), 1]]))
+    a = p @ RatMatrix.diag(*lams) @ p.inverse()
+    r1, r2 = rng.randint(1, 2), rng.randint(1, 2)
+    cross = [vec(r1, 0), vec(-r1, 0), vec(0, r2), vec(0, -r2)]
+    kind = rng.randrange(3)
+    if kind == 0:
+        x, power = zero_vec(2), RatMatrix.identity(2)
+        for _ in range(rng.randint(1, 4)):
+            x = vec_add(x, power.matvec(rng.choice(cross)))
+            power = power @ a
+    elif kind == 1:
+        x = tuple(F(rng.randint(-12, 12)) for _ in range(2))
+    else:
+        x = tuple(F(rng.randint(-9, 9), 4) for _ in range(2))
+    return LtiSystem(a, ControlSet.single(GenPolyhedron.polytope(cross)), zero_vec(2), GenPolyhedron.point(x))
+
+
+def test_candidate_batch_size_moves_no_verdict_byte(monkeypatch):
+    """Whether the batches between forward horizons stay at 1 candidate or
+    double without a cap, each verdict JSON of a seeded corpus is the same: the
+    witness is at the least horizon, the certificate is the first candidate
+    in stream order that verifies, and an unknown verdict has drawn them
+    all."""
+    rng = random.Random(31)
+    corpus = [shear_system(rng) for _ in range(18)]
+    budgets = driver.Budgets(max_steps=2, max_candidates=24, max_degree=1, max_height=2,
+                             extremal_budget=2)
+
+    def verdicts():
+        return [instances.dump_json(instances.verdict_to_json(driver.decide(s, budgets)))
+                for s in corpus]
+
+    default = verdicts()
+    assert {json.loads(text)["verdict"] for text in default} == {"reachable", "unreachable", "unknown"}
+    for batch in (1, 10 ** 6):
+        monkeypatch.setattr(driver, "CANDIDATE_BATCH", batch)
+        assert verdicts() == default
+
+
 CROSS_TEXT = """\
 dim 2
 matrix
