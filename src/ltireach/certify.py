@@ -16,14 +16,16 @@ coefficient, and the threshold is the least n from which an explicit
 tail-domination inequality, checked with exact algebraic comparisons,
 holds for good; classify_sequence finds it with one search, and
 eventual_maximizer raises it to the transient when it is below.
-Those comparisons weigh sums of terms k |c| lam^n.  Each is first decided
-on rational interval enclosures of the terms, built from the intervals of
-c and lam without computing lam^n; only when the enclosures still overlap
-after refining c and lam to two fixed widths (and always at n = 0, where no
-product of irrationals arises) is it decided by exact algebraic arithmetic.
-Either way the predicate has its exact value, so thresholds do not change.
-Rational c and lam are Fractions and enter the enclosures as points, so on
-a rational spectrum every comparison is plain Fraction arithmetic.
+Those comparisons weigh sums of terms k |c| lam^n.  When every c and lam
+is rational or quadratic in one field, each is decided at once by exact
+arithmetic, which there is Fraction arithmetic or integer arithmetic on
+coordinates in Q(sqrt d).  Any other comparison, with a term of degree 3 or
+more or terms from two fields, is first decided on rational interval
+enclosures of the terms, built from the intervals of c and lam without
+computing lam^n; only when the enclosures still overlap after refining c
+and lam to two fixed widths (and always at n = 0, where no product of
+irrationals arises) is it decided by exact algebraic arithmetic.  Either
+way the predicate has its exact value, so thresholds do not change.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
 builds the rows r_ij = tau^T P_i (A - lam_i I)^j lam_i^-j (j below the
@@ -92,7 +94,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .exactnum import Alg, IntPoly, RealAlg, interval, sturm_isolate_real_roots
+from .exactnum import Alg, IntPoly, RealAlg, in_one_quadratic_field, interval, sturm_isolate_real_roots
 from .geometry import (
     DimensionCeilingError,
     GenPolyhedron,
@@ -191,11 +193,13 @@ def _sum_bounds(terms, n: int) -> tuple[Fraction, Fraction]:
 def _sum_less(left, right, n: int, exact) -> bool:
     """Whether sum k c lam^n over `left` is below the same sum over `right`.
 
-    Decided on rational enclosures when they separate (or touch the wrong
-    way round), first as the intervals stand, then with every irrational c
-    and lam refined to each width of _WIDTHS (a rational is its own
-    interval); `exact()` decides the rest, and decides n = 0 at once."""
-    if n > 0:
+    `exact()` decides at once when n = 0 or every c and lam is rational or
+    quadratic in one field, where exact arithmetic needs no composed
+    polynomial.  Otherwise the enclosures decide when they separate (or
+    touch the wrong way round), first as the intervals stand, then with every
+    irrational c and lam refined to each width of _WIDTHS (a rational is its
+    own interval); `exact()` decides the rest."""
+    if n > 0 and not in_one_quadratic_field(x for _, c, lam in left + right for x in (c, lam)):
         for width in (None, *_WIDTHS):
             if width is not None:
                 for _, c, lam in left + right:

@@ -22,16 +22,19 @@ squarefree parts run in integers too: a pseudo-remainder is a positive
 multiple of the remainder over Q, and the gcd follows the primitive
 pseudo-remainder sequence (Cohen, GTM 138, section 3.3).
 
-A quadratic irrational is also held as coordinates in Q(sqrt d), the
-value a + b sqrt(d) with a, b rational and d the discriminant of its
-minimal polynomial (Cohen, GTM 138, section 4.2).  Two quadratic fields
-agree when the product of their discriminants is a square.  Sums,
-products, inverses and shifts or scalings by a rational stay on the
-coordinates when every operand is rational or in one quadratic field, and
-the sign of a + b sqrt(d) follows from the signs of a and b and the
-comparison of a^2 with b^2 d, so no interval is refined.  A value that
-such arithmetic builds stores only its coordinates; its minimal
-polynomial and interval are derived when something reads them.
+A quadratic irrational is also held as integer coordinates in Q(sqrt d),
+the value (p + q sqrt(d)) / den with den > 0, gcd(p, q, den) = 1 and d the
+discriminant of its minimal polynomial (Cohen, GTM 138, section 4.2).  Two
+quadratic fields agree when the product of their discriminants is a
+square.  Sums, products, inverses, negation and shifts or scalings by a
+rational stay on the coordinates when every operand is rational or in one
+quadratic field, as integer products reduced by one gcd, and the sign of
+p + q sqrt(d) follows from the signs of p and q and the comparison of p^2
+with q^2 d, so no interval is refined and no Fraction is built.  A value
+that such arithmetic builds stores only its coordinates; its minimal
+polynomial and interval are derived from them when something reads them.
+in_one_quadratic_field tells a caller when a set of values stays on
+coordinates, without reading them.
 
 Any other sum or product of two irrational numbers is a root of the
 composed sum or product of their minimal polynomials, built from power
@@ -453,11 +456,12 @@ class RealAlg:
     of degree >= 2 and an isolating interval.  Rational values are Fractions,
     never RealAlg; an operation whose result is rational returns a Fraction.
 
-    A quadratic number also has coordinates (a, b, d): it is a + b sqrt(d)
-    with a, b rational, b nonzero and d the discriminant of its minimal
-    polynomial.  Arithmetic on a quadratic number and a rational, or on two
-    quadratic numbers of one field, sets the result's coordinates and
-    nothing else; its minimal polynomial and interval are derived when
+    A quadratic number also has integer coordinates (p, q, den, d): it is
+    (p + q sqrt(d)) / den with q nonzero, den > 0, gcd(p, q, den) = 1 and d
+    the discriminant of its minimal polynomial.  Arithmetic on a quadratic
+    number and a rational, or on two quadratic numbers of one field, sets
+    the result's coordinates and nothing else; its minimal polynomial,
+    (den x - p)^2 - q^2 d made primitive, and its interval are derived when
     something reads them.  A value from a minimal polynomial and an interval
     derives its coordinates when it is built.
 
@@ -533,14 +537,21 @@ class RealAlg:
         return RealAlg(f, lo, hi, _trusted=True)
 
     @staticmethod
-    def _from_coords(a: Fraction, b: Fraction, d: int) -> Alg:
-        """a + b sqrt(d), for d the discriminant of a quadratic number's
-        minimal polynomial (a positive non-square); a Fraction when b = 0."""
-        if not b:
-            return RealAlg.from_rational(a)
+    def _from_coords(p: int, q: int, den: int, d: int) -> Alg:
+        """(p + q sqrt(d)) / den for integers with den nonzero, and d the
+        discriminant of a quadratic number's minimal polynomial (a positive
+        non-square); a Fraction when q = 0.  One gcd reduces the coordinates
+        to den > 0 and gcd(p, q, den) = 1."""
+        if not q:
+            return RealAlg.from_rational(Fraction(p, den))
+        g = gcd(p, q, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            p, q, den = p // g, q // g, den // g
         x = object.__new__(RealAlg)
         x._minpoly = x._lo = x._hi = None
-        x._quad = (a, b, d)
+        x._quad = (p, q, den, d)
         return x
 
     # -- basic queries ------------------------------------------------
@@ -548,9 +559,9 @@ class RealAlg:
     @property
     def minpoly(self) -> IntPoly:
         if self._minpoly is None:
-            a, b, d = self._quad
-            # (x - a)^2 = b^2 d, irreducible since sqrt(d) is irrational
-            self._minpoly = _from_frac([a * a - b * b * d, -2 * a, Fraction(1)]).primitive()
+            p, q, den, d = self._quad
+            # (den x - p)^2 = q^2 d, irreducible since sqrt(d) is irrational
+            self._minpoly = IntPoly((p * p - q * q * d, -2 * p * den, den * den)).primitive()
         return self._minpoly
 
     @property
@@ -564,12 +575,13 @@ class RealAlg:
 
     def _set_quad_interval(self, k: int) -> None:
         """Set the interval from sqrt(d) in (s, s + 1) / 2^k, s = isqrt(d 4^k):
-        it has width |b| / 2^k and isolates self, since the conjugate
-        a - b sqrt(d) lies 2 |b| sqrt(d) > |b| away."""
-        a, b, d = self._quad
+        it has width |q| / (den 2^k) and isolates self, since the conjugate
+        (p - q sqrt(d)) / den lies 2 |q| sqrt(d) / den > |q| / den away."""
+        p, q, den, d = self._quad
         s = isqrt(d << (2 * k))
-        lo, hi = a + b * Fraction(s, 1 << k), a + b * Fraction(s + 1, 1 << k)
-        self._lo, self._hi = (lo, hi) if b > 0 else (hi, lo)
+        base, scale = p << k, den << k
+        lo, hi = Fraction(base + q * s, scale), Fraction(base + q * (s + 1), scale)
+        self._lo, self._hi = (lo, hi) if q > 0 else (hi, lo)
 
     def isolating_interval(self) -> tuple[Fraction, Fraction]:
         """The interval that root isolation of the minimal polynomial gives
@@ -612,9 +624,12 @@ class RealAlg:
         if hi - lo <= width:
             return
         if self._quad is not None:
-            # the least k with |b| / 2^k <= width
-            ratio = abs(self._quad[1]) / width
-            self._set_quad_interval((-(-ratio.numerator // ratio.denominator) - 1).bit_length())
+            # the least k with |q| / (den 2^k) <= width, from the ceiling of
+            # |q| / (den width)
+            _, q, den, _ = self._quad
+            width = as_fraction(width)
+            ceiling = -(-abs(q) * width.denominator // (den * width.numerator))
+            self._set_quad_interval((ceiling - 1).bit_length())
             return
         steps = 0
         w = hi - lo
@@ -624,9 +639,9 @@ class RealAlg:
         self.refine(steps)
 
     def sign(self) -> int:
-        q = self._quad
-        if q is not None:
-            return _quad_sign(*q)
+        coords = self._quad
+        if coords is not None:
+            return _quad_sign(coords[0], coords[1], coords[3])
         while True:
             if self._lo > 0:
                 return 1
@@ -647,9 +662,11 @@ class RealAlg:
         """self + r for rational r; never rational."""
         if r == 0:
             return self
-        q = self._quad
-        if q is not None:
-            return RealAlg._from_coords(q[0] + r, q[1], q[2])
+        coords = self._quad
+        if coords is not None:
+            p, q, den, d = coords
+            n, m = r.numerator, r.denominator
+            return RealAlg._from_coords(p * m + n * den, q * m, den * m, d)
         return RealAlg(self._minpoly.with_root_shifted(r), self._lo + r, self._hi + r, _trusted=True)
 
     def _scale(self, r) -> Alg:
@@ -658,37 +675,39 @@ class RealAlg:
             return RealAlg.from_rational(0)
         if r == 1:
             return self
-        q = self._quad
-        if q is not None:
-            return RealAlg._from_coords(q[0] * r, q[1] * r, q[2])
+        coords = self._quad
+        if coords is not None:
+            p, q, den, d = coords
+            n, m = r.numerator, r.denominator
+            return RealAlg._from_coords(p * n, q * n, den * m, d)
         lo, hi = self._lo * r, self._hi * r
         if r < 0:
             lo, hi = hi, lo
         return RealAlg(self._minpoly.with_root_scaled(r), lo, hi, _trusted=True)
 
     def inverse(self) -> "RealAlg":
-        q = self._quad
-        if q is not None:
-            a, b, d = q
-            norm = a * a - b * b * d  # nonzero: sqrt(d) is irrational
-            return RealAlg._from_coords(a / norm, -b / norm, d)
+        coords = self._quad
+        if coords is not None:
+            p, q, den, d = coords
+            norm = p * p - q * q * d  # nonzero: sqrt(d) is irrational
+            return RealAlg._from_coords(den * p, -den * q, norm, d)
         while self._lo <= 0 <= self._hi:
             self.refine()
         lo, hi = 1 / self._hi, 1 / self._lo
         return RealAlg(self._minpoly.with_root_inverted(), lo, hi, _trusted=True)
 
     def __neg__(self) -> "RealAlg":
-        q = self._quad
-        if q is not None:
-            return RealAlg._from_coords(-q[0], -q[1], q[2])
+        coords = self._quad
+        if coords is not None:
+            return RealAlg._from_coords(-coords[0], -coords[1], coords[2], coords[3])
         return RealAlg(self._minpoly.with_root_negated(), -self._hi, -self._lo, _trusted=True)
 
     def __add__(self, other) -> Alg:
         if isinstance(other, RealAlg):
             pair = _same_field(self, other)
             if pair is not None:
-                (a, b, d), (c, e) = pair
-                return RealAlg._from_coords(a + c, b + e, d)
+                (p, q, den, d), (p2, q2, den2) = pair
+                return RealAlg._from_coords(p * den2 + p2 * den, q * den2 + q2 * den, den * den2, d)
             return _resultant_combine(self, other, "add")
         if isinstance(other, (int, Fraction)):
             return self._shift(other)
@@ -710,8 +729,8 @@ class RealAlg:
         if isinstance(other, RealAlg):
             pair = _same_field(self, other)
             if pair is not None:
-                (a, b, d), (c, e) = pair
-                return RealAlg._from_coords(a * c + b * e * d, a * e + b * c, d)
+                (p, q, den, d), (p2, q2, den2) = pair
+                return RealAlg._from_coords(p * p2 + q * q2 * d, p * q2 + q * p2, den * den2, d)
             return _resultant_combine(self, other, "mul")
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
@@ -756,9 +775,11 @@ class RealAlg:
 
     def compare(self, other) -> int:
         if isinstance(other, (int, Fraction)):
-            q = self._quad
-            if q is not None:
-                return _quad_sign(q[0] - other, q[1], q[2])
+            coords = self._quad
+            if coords is not None:
+                p, q, den, d = coords
+                n, m = other.numerator, other.denominator
+                return _quad_sign(p * m - n * den, q * m, d)
             # refine until the rational falls outside the interval; it is
             # never the root itself
             while True:
@@ -771,8 +792,8 @@ class RealAlg:
             raise TypeError("cannot compare")
         pair = _same_field(self, other)
         if pair is not None:
-            (a, b, d), (c, e) = pair
-            return _quad_sign(a - c, b - e, d)
+            (p, q, den, d), (p2, q2, den2) = pair
+            return _quad_sign(p * den2 - p2 * den, q * den2 - q2 * den, d)
         a, b = self, other
         while True:
             (alo, ahi), (blo, bhi) = a.interval(), b.interval()
@@ -800,8 +821,8 @@ class RealAlg:
             return NotImplemented
         pair = _same_field(self, other)
         if pair is not None:
-            (a, b, _), (c, e) = pair
-            return a == c and b == e
+            (p, q, den, _), (p2, q2, den2) = pair
+            return p * den2 == p2 * den and q * den2 == q2 * den
         return self.minpoly == other.minpoly and self.compare(other) == 0
 
     def __lt__(self, other):
@@ -824,19 +845,19 @@ class RealAlg:
         return f"RealAlg({self.minpoly!r} in [{rat_to_str(lo)}, {rat_to_str(hi)}])"
 
 
-def _root_coords(coeffs: tuple[int, ...], hi: Fraction) -> tuple[Fraction, Fraction, int]:
-    """(a, b, d) with a + b sqrt(d) the root of the irreducible quadratic
-    c0 + c1 x + c2 x^2 (c2 > 0) that an isolating interval ending at hi
-    holds.  The roots are (-c1 -+ sqrt(d)) / 2c2, and hi lies above the
+def _root_coords(coeffs: tuple[int, ...], hi: Fraction) -> tuple[int, int, int, int]:
+    """(p, q, den, d) with (p + q sqrt(d)) / den the root of the irreducible
+    quadratic c0 + c1 x + c2 x^2 (c2 > 0) that an isolating interval ending
+    at hi holds.  The roots are (-c1 -+ sqrt(d)) / 2c2, and hi lies above the
     isolated root, so the polynomial is positive at hi exactly when that
-    root is the larger one."""
+    root is the larger one.  q = +-1, so the coordinates are reduced."""
     c0, c1, c2 = coeffs
     up = _sign_at(coeffs, hi.numerator, hi.denominator) > 0
-    return Fraction(-c1, 2 * c2), Fraction(1 if up else -1, 2 * c2), c1 * c1 - 4 * c0 * c2
+    return -c1, 1 if up else -1, 2 * c2, c1 * c1 - 4 * c0 * c2
 
 
-def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Sign of a + b sqrt(d), d a positive non-square integer."""
+def _quad_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b sqrt(d), for integers a, b and d a positive non-square."""
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sa == sb or sb == 0:
         return sa
@@ -846,20 +867,41 @@ def _quad_sign(a: Fraction, b: Fraction, d: int) -> int:
     return sa if a * a > b * b * d else sb
 
 
-def _same_field(x: RealAlg, y: RealAlg) -> tuple[tuple[Fraction, Fraction, int], tuple[Fraction, Fraction]] | None:
-    """((a, b, d), (c, e)) with x = a + b sqrt(d) and y = c + e sqrt(d),
-    when both are quadratic in one field; else None.  Q(sqrt d) = Q(sqrt f)
-    exactly when d f is a square s^2, and then sqrt(f) = (s / d) sqrt(d)."""
-    p, q = x._quad, y._quad
-    if p is None or q is None:
+def _same_field(x: RealAlg, y: RealAlg) -> tuple[tuple[int, int, int, int], tuple[int, int, int]] | None:
+    """((p, q, den, d), (p2, q2, den2)) with x = (p + q sqrt(d)) / den and
+    y = (p2 + q2 sqrt(d)) / den2, when both are quadratic in one field; else
+    None.  Q(sqrt d) = Q(sqrt f) exactly when d f is a square s^2, and then
+    sqrt(f) = (s / d) sqrt(d), so y's coordinates over f become
+    (p2 d, q2 s, den2 d) over d, not reduced."""
+    a, b = x._quad, y._quad
+    if a is None or b is None:
         return None
-    d, f = p[2], q[2]
+    d, f = a[3], b[3]
     if d == f:
-        return p, q[:2]
+        return a, b[:3]
     s = isqrt(d * f)
     if s * s != d * f:
         return None
-    return p, (q[0], q[1] * Fraction(s, d))
+    return a, (b[0] * d, b[1] * s, b[2] * d)
+
+
+def in_one_quadratic_field(values) -> bool:
+    """Whether every value is rational or a quadratic number, all the
+    quadratic ones in one field: then every sum, product, inverse and
+    comparison among them runs on integer coordinates."""
+    d = None
+    for x in values:
+        if isinstance(x, RealAlg):
+            if x._quad is None:
+                return False
+            f = x._quad[3]
+            if d is None:
+                d = f
+            elif f != d:
+                s = isqrt(d * f)
+                if s * s != d * f:
+                    return False
+    return True
 
 
 # a real algebraic number: a Fraction exactly when it is rational

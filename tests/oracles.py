@@ -40,7 +40,10 @@ chains the library steps by A - lam_i I can be checked against N; it
 reads the transient off the factor x of the characteristic polynomial,
 where the library strips the zero roots before it factors.
 `decompose` calls the library's with the characteristic polynomial it
-takes.
+takes.  `FractionQuad` is a quadratic irrational as Fraction coordinates
+(a, b, d), with the formulas exactnum used before it held integer
+coordinates, including which discriminant d a result carries and the
+intervals that d gives.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 from ltireach.certify import PrefixSums, SeqClass, SeqKind, VertexImages, classify_sequence
-from ltireach.exactnum import (Alg, IntPoly, RealAlg, count_roots_halfopen, factor_int_poly, sturm_chain,
-                               sturm_isolate_real_roots)
+from ltireach.exactnum import (Alg, IntPoly, RealAlg, _isolate_squarefree, count_roots_halfopen, factor_int_poly,
+                               sturm_chain, sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import (RatMatrix, SpectralData, SpectralError, Vec, bilinear_rows, charpoly_primitive,
@@ -499,6 +502,121 @@ def fraction_squarefree_part(p: IntPoly) -> IntPoly:
     q, r = frac_divmod([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
     assert not r
     return frac_to_int_poly(q)
+
+
+# ---------------------------------------------------------------------------
+# quadratic irrationals as Fraction coordinates
+# ---------------------------------------------------------------------------
+
+
+def _fraction_quad_sign(a: Fraction, b: Fraction, d: int) -> int:
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > b * b * d else sb
+
+
+@dataclass(frozen=True)
+class FractionQuad:
+    """a + b sqrt(d) with a, b Fractions and d a positive non-square: the
+    arithmetic `RealAlg` ran on Fraction coordinates.  b = 0 is the
+    rational a.  A result carries the discriminant of its left operand, or
+    of the one irrational operand, as the library's results do; over
+    another discriminant f of the same field, sqrt(f) = (isqrt(d f) / d)
+    sqrt(d)."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    @staticmethod
+    def of_root(coeffs: tuple[int, ...], hi: Fraction) -> FractionQuad:
+        """The root of the irreducible c0 + c1 x + c2 x^2 (c2 > 0) that an
+        isolating interval ending at hi holds: (-c1 -+ sqrt(d)) / 2c2 with d
+        its discriminant, the larger root when the polynomial is positive
+        at hi."""
+        c0, c1, c2 = coeffs
+        up = c0 + c1 * hi + c2 * hi * hi > 0
+        return FractionQuad(Fraction(-c1, 2 * c2), Fraction(1 if up else -1, 2 * c2), c1 * c1 - 4 * c0 * c2)
+
+    def coords(self, other) -> tuple[Fraction, Fraction]:
+        """other, a rational or a FractionQuad of this field, as (c, e)
+        with other = c + e sqrt(self.d)."""
+        if not isinstance(other, FractionQuad):
+            return Fraction(other), Fraction(0)
+        if other.d == self.d:
+            return other.a, other.b
+        s = isqrt(self.d * other.d)
+        assert s * s == self.d * other.d, "one quadratic field"
+        return other.a, other.b * Fraction(s, self.d)
+
+    def __add__(self, other) -> FractionQuad:
+        c, e = self.coords(other)
+        return FractionQuad(self.a + c, self.b + e, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> FractionQuad:
+        return FractionQuad(-self.a, -self.b, self.d)
+
+    def __sub__(self, other) -> FractionQuad:
+        return self + (-other)
+
+    def __rsub__(self, other) -> FractionQuad:
+        return -self + other
+
+    def __mul__(self, other) -> FractionQuad:
+        c, e = self.coords(other)
+        return FractionQuad(self.a * c + self.b * e * self.d, self.a * e + self.b * c, self.d)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> FractionQuad:
+        norm = self.a * self.a - self.b * self.b * self.d
+        return FractionQuad(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other) -> FractionQuad:
+        if isinstance(other, FractionQuad):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other) -> FractionQuad:
+        return self.inverse() * other
+
+    def compare(self, other) -> int:
+        c, e = self.coords(other)
+        return _fraction_quad_sign(self.a - c, self.b - e, self.d)
+
+    def value(self) -> Fraction | None:
+        """The rational value, or None for an irrational one."""
+        return self.a if self.b == 0 else None
+
+    def minpoly(self) -> IntPoly:
+        """(x - a)^2 - b^2 d cleared of denominators, primitive."""
+        return frac_to_int_poly([self.a * self.a - self.b * self.b * self.d, -2 * self.a, Fraction(1)])
+
+    def interval(self, k: int = 0) -> tuple[Fraction, Fraction]:
+        """a + b (s, s + 1) / 2^k ordered, s = isqrt(d 4^k): width |b| / 2^k."""
+        s = isqrt(self.d << (2 * k))
+        lo, hi = self.a + self.b * Fraction(s, 1 << k), self.a + self.b * Fraction(s + 1, 1 << k)
+        return (lo, hi) if self.b > 0 else (hi, lo)
+
+    def refined_below(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        """The interval of the least k whose width |b| / 2^k is at most
+        `width`, when the interval at 0 is wider."""
+        k = 0
+        while abs(self.b) / 2 ** k > width:
+            k += 1
+        return self.interval(k)
+
+    def isolating_interval(self) -> tuple[Fraction, Fraction]:
+        """The interval of the minimal polynomial's root isolation that
+        holds this value."""
+        (interval,) = [(lo, hi) for lo, hi in _isolate_squarefree(self.minpoly())
+                       if self.compare(lo) > 0 and self.compare(hi) < 0]
+        return interval
 
 
 # ---------------------------------------------------------------------------

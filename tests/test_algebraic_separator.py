@@ -114,6 +114,37 @@ def test_quadratic_spectrum_makes_no_composed_polynomials(monkeypatch):
     assert calls == Counter()
 
 
+# the companion matrix of 8x^3 - 6x + 1 (three cubic eigenvalues) with the
+# octahedron as controls and the target (4, 0, 0)
+CUBIC = LtiSystem(RatMatrix.from_rows([[0, 0, F(-1, 8)], [1, 0, F(3, 4)], [0, 1, 0]]),
+                  ControlSet.single(GenPolyhedron.polytope([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0),
+                                                            vec(0, -1, 0), vec(0, 0, 1), vec(0, 0, -1)])),
+                  vec(0, 0, 0), GenPolyhedron.point(vec(4, 0, 0)))
+
+
+def test_one_field_thresholds_build_no_enclosure(monkeypatch):
+    """Every threshold predicate whose terms are rational or lie in Q(sqrt2)
+    is decided by exact arithmetic at once: deciding the boundary target
+    under the benchmark's algebraic_2d budgets builds no rational enclosure.
+    The cubic instance's predicates still try enclosures first."""
+    from ltireach import certify
+
+    calls = Counter()
+    original = certify._sum_bounds
+
+    def counted(terms, n):
+        calls["sum_bounds"] += 1
+        return original(terms, n)
+
+    monkeypatch.setattr(certify, "_sum_bounds", counted)
+    v = driver.decide(hex_system(TARGET), driver.Budgets(max_steps=4, max_candidates=48, max_degree=2,
+                                                         max_height=2, extremal_budget=1))
+    assert v.kind == "unreachable"
+    assert calls["sum_bounds"] == 0
+    assert driver.decide(CUBIC, driver.Budgets(max_steps=6)).kind == "unreachable"
+    assert calls["sum_bounds"] > 0
+
+
 def test_supremum_dominates_partial_sums_in_eigen_direction():
     sqrt2 = RealAlg.from_root(IntPoly((-2, 0, 1)), F(1), F(3, 2))
     tau = (2 * sqrt2, F(-1))

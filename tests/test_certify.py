@@ -163,11 +163,25 @@ def _quadratic_irrational_matrices(rng: random.Random) -> list[RatMatrix]:
     return out
 
 
+def _enclosed_spectrum_matrices() -> list[RatMatrix]:
+    """Matrices whose threshold predicates still try enclosures first: the
+    square of the companion matrix of 8x^3 - 6x + 1 (three cubic
+    eigenvalues in (0, 1)), and the block diagonal of [[1/2, 1/8], [1, 1/2]]
+    and [[1/2, 1/17], [1, 1/2]] (eigenvalues 1/2 +- 1/sqrt(8) in Q(sqrt 2)
+    and 1/2 +- 1/sqrt(17) in Q(sqrt 17))."""
+    companion = RatMatrix.from_rows([[0, 0, F(-1, 8)], [1, 0, F(3, 4)], [0, 1, 0]])
+    two_fields = RatMatrix.from_rows([[F(1, 2), F(1, 8), 0, 0], [1, F(1, 2), 0, 0],
+                                      [0, 0, F(1, 2), F(1, 17)], [0, 0, 1, F(1, 2)]])
+    return [companion @ companion, two_fields]
+
+
 def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
-    """Every threshold predicate decided with enclosures first has its exact
-    value, and the thresholds equal those of exact predicates alone, on
-    quadratic-irrational spectra with rational and eigenvector directions;
-    the runs include exact ties at n = 0 and n = 1."""
+    """Every threshold predicate has its exact value, and the thresholds
+    equal those of exact predicates alone.  On quadratic-irrational spectra,
+    with rational and eigenvector directions, exact arithmetic decides every
+    predicate at once; the runs include exact ties at n = 0 and n = 1.  On a
+    cubic spectrum and on one over two quadratic fields the enclosures still
+    decide predicates at n = 1 and above."""
     import ltireach.certify as certify
 
     original = certify._sum_less
@@ -185,6 +199,18 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
         assert out == exact()
         return out
 
+    def agree(a, v, w, directions):
+        for k in range(len(directions(decompose(a)))):
+            # each side decomposes A afresh, so neither sees intervals the
+            # other has narrowed
+            monkeypatch.setattr(certify, "_sum_less", lambda left, right, n, exact: exact())
+            s = decompose(a)
+            expected = classify(s, v, w, directions(s)[k])
+            monkeypatch.setattr(certify, "_sum_less", counted)
+            s = decompose(a)
+            got = classify(s, v, w, directions(s)[k])
+            assert (got.kind, got.threshold) == (expected.kind, expected.threshold)
+
     def directions(s, d):
         # tau orthogonal to A d makes the n = 1 term vanish: a tie there
         ad = s.matrix.matvec(d)
@@ -199,20 +225,19 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
         for _ in range(3):
             v, w = rng.sample(square, 2)
             d = tuple(x - y for x, y in zip(v, w))
-            for k in range(len(directions(decompose(a), d))):
-                # each side decomposes A afresh, so neither sees intervals the
-                # other has narrowed
-                monkeypatch.setattr(certify, "_sum_less", lambda left, right, n, exact: exact())
-                s = decompose(a)
-                expected = classify(s, v, w, directions(s, d)[k])
-                monkeypatch.setattr(certify, "_sum_less", counted)
-                s = decompose(a)
-                got = classify(s, v, w, directions(s, d)[k])
-                assert (got.kind, got.threshold) == (expected.kind, expected.threshold)
-                cases += 1
+            agree(a, v, w, lambda s: directions(s, d))
+            cases += len(directions(decompose(a), d))
     assert cases >= 100
-    assert decided["bounds", 1] and decided["bounds", 2]
+    assert not decided["bounds", 1] and not decided["bounds", 2], decided
     assert decided["exact", 0] and decided["exact", 1], decided
+
+    decided.clear()
+    for a in _enclosed_spectrum_matrices():
+        for _ in range(3):
+            v, w = (vec(*[rng.randint(-1, 1) for _ in range(a.rows)]) for _ in range(2))
+            taus = [tuple(alg(rng.randint(-2, 2)) for _ in range(a.rows)) for _ in range(3)]
+            agree(a, v, w, lambda s: taus + left_eigenvectors(s)[:2])
+    assert decided["bounds", 1] and decided["bounds", 2], decided
 
 
 def test_sum_less_matches_exact_comparison():

@@ -29,8 +29,8 @@ from ltireach.exactnum import (
     sturm_isolate_real_roots,
 )
 from ltireach.instances import alg_from_json, alg_to_json
-from oracles import (decompose, frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly, prefix_sums,
-                     rat, sign)
+from oracles import (FractionQuad, decompose, frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly,
+                     prefix_sums, rat, sign)
 
 F = Fraction
 
@@ -858,6 +858,89 @@ def test_quadratic_field_property():
     assert all(kinds[k] > 0 for k in [("Fraction", "RealAlg"), ("RealAlg", "Fraction"),
                                        ("RealAlg", "RealAlg"), ("Fraction", "Fraction")])
     assert kinds["collapse"] > 0
+
+
+def test_integer_coordinates_match_fraction_reference():
+    """Values of Q(sqrt2) over the discriminants 8 (x^2 - 2) and 32 (x^2 - 8),
+    built by arithmetic or from a minimal polynomial and an interval, and
+    rationals: every operation gives the value, the discriminant, and so the
+    intervals, that the Fraction coordinates of FractionQuad give."""
+    rng = random.Random(71)
+    bases = [(RealAlg(int_poly(-2, 0, 1), F(1), F(2)), FractionQuad.of_root((-2, 0, 1), F(2))),
+             (RealAlg(int_poly(-8, 0, 1), F(2), F(3)), FractionQuad.of_root((-8, 0, 1), F(3)))]
+    kinds = Counter()
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def draw():
+        """(library value, reference) for a random irrational in Q(sqrt2)."""
+        base, ref = rng.choice(bases)
+        a, b = rational(), rational() or F(1)
+        got, ref = base * b + a, ref * b + a
+        if rng.random() < 0.3:
+            # from its minimal polynomial and isolating interval: the
+            # discriminant is the minimal polynomial's
+            lo, hi = ref.isolating_interval()
+            got, ref = RealAlg(ref.minpoly(), lo, hi), FractionQuad.of_root(ref.minpoly().coeffs, hi)
+        return got, ref
+
+    def check(got, ref, operands):
+        if ref.value() is not None:
+            assert type(got) is Fraction and got == ref.value()
+            kinds["rational result"] += 1
+            return
+        assert isinstance(got, RealAlg)
+        assert got.minpoly == ref.minpoly()
+        assert got.sign() == ref.compare(0)
+        if all(got is not x for x in operands):  # a new value, not narrowed yet
+            assert got.interval() == ref.interval()
+            width = F(1, rng.choice((3, 100, 2 ** 20, 10 ** 9)))
+            got.refine_below(width)
+            assert got.interval() == ref.refined_below(width)
+        assert got.isolating_interval() == ref.isolating_interval()
+        twin = RealAlg(ref.minpoly(), *ref.isolating_interval())
+        assert got == twin and twin == got and hash(got) == hash(twin)
+
+    for _ in range(150):
+        x, rx = draw()
+        roll = rng.random()
+        if roll < 0.25:
+            y = ry = rational()
+        elif roll < 0.4:
+            # -x plus a rational: sums collapse to rationals
+            r = rational()
+            y, ry = r - x, r - rx
+        elif roll < 0.5:
+            # the value of x over the other discriminant
+            other = bases[1] if rx.d == 8 else bases[0]
+            c, e = other[1].coords(rx)
+            y, ry = other[0] * (e / other[1].b) + c, other[1] * (e / other[1].b) + c
+            assert ry.compare(rx) == 0
+            kinds["equal across discriminants"] += ry.d != rx.d
+        else:
+            y, ry = draw()
+        if isinstance(y, RealAlg):
+            kinds["same discriminant" if ry.d == rx.d else "two discriminants"] += 1
+        results = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (y + x, ry + rx), (y - x, ry - rx),
+                   (y * x, ry * rx), (y / x, ry / rx), (-x, -rx), (x.inverse(), rx.inverse())]
+        if y:
+            results.append((x / y, rx / ry))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        for got, ref in results:
+            check(got, ref, (x, y))
+        assert x.compare(y) == rx.compare(ry)
+        assert (x < y, x == y, x > y) == (rx.compare(ry) < 0, rx.compare(ry) == 0, rx.compare(ry) > 0)
+        if isinstance(y, RealAlg):
+            assert y.compare(x) == -rx.compare(ry)
+            assert (y == x) == (x == y)
+            if x == y:
+                assert hash(x) == hash(y)
+        check(x, rx, (x,))
+    assert all(kinds[k] for k in ("rational result", "equal across discriminants", "same discriminant",
+                                  "two discriminants")), kinds
 
 
 # ---------------------------------------------------------------------------

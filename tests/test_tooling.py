@@ -15,7 +15,9 @@ call the function that only tests take.  Every dataclass field must be
 read by the library or the benchmark: state that only tests read is
 computed on every run for nothing.  Every public method must be read by
 the library or the benchmark too, bar the gadget reduction API that the
-gadgets module documents.
+gadgets module documents.  No module but exactnum reads a slot of
+RealAlg, so the representation of an algebraic number can change in one
+module.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
 digest, with the workloads loaded from their text like the span table.
@@ -451,3 +453,22 @@ def test_every_public_method_is_read():
         visit(tree, None)
         read.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
     assert [m for m in methods if m[2] not in read and m not in UNREAD_METHODS] == []
+
+
+def test_no_module_but_exactnum_reads_a_realalg_slot():
+    """RealAlg's slots (its minimal polynomial, interval and quadratic
+    coordinates) are read and written only in exactnum: every other module
+    goes through its methods, so the representation can change in one
+    place.  An attribute of a slot's name, or a string naming one (for
+    getattr), counts as a read."""
+    slots = set(RealAlg.__slots__)
+    assert slots == {"_minpoly", "_lo", "_hi", "_quad"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "exactnum":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in slots or \
+                    isinstance(node, ast.Constant) and node.value in slots:
+                readers.add((path.stem, node.attr if isinstance(node, ast.Attribute) else node.value))
+    assert readers == set()
