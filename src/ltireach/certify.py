@@ -16,29 +16,36 @@ coefficient, and the threshold is the least n from which an explicit
 tail-domination inequality, checked with exact algebraic comparisons,
 holds for good; classify_sequence finds it with one search, and
 eventual_maximizer raises it to the transient when it is below.
-Those comparisons weigh sums of terms k |c| lam^n.  When every c and lam
-is rational or quadratic in one field, each is decided at once by exact
-arithmetic, which there is Fraction arithmetic or integer arithmetic on
-coordinates in Q(sqrt d).  Any other comparison, with a term of degree 3 or
-more or terms from two fields, is first decided on rational interval
-enclosures of the terms, built from the intervals of c and lam without
-computing lam^n; only when the enclosures still overlap after refining c
-and lam to two fixed widths (and always at n = 0, where no product of
-irrationals arises) is it decided by exact algebraic arithmetic.  Either
-way the predicate has its exact value, so thresholds do not change.
+Those comparisons weigh sums of terms k |c| lam^n.  Multiplied by D^n,
+for D the least common denominator of A, and by the coefficients' common
+denominator, they weigh k |N| beta^n instead, for the numerators N and
+beta = D lam (SpectralData.betas), so on a rational spectrum with a
+rational direction every term is an int and each comparison is decided
+at once by integer arithmetic; the same holds for quadratic terms in one
+field, on integer coordinates in Q(sqrt d).  Any other comparison, with a
+term of degree 3 or more or terms from two fields, is first decided on
+rational interval enclosures of the terms, built from the intervals of N
+and beta without computing beta^n; only when the enclosures still overlap
+after refining N and beta to two fixed widths (and always at n = 0, where
+no product of irrationals arises) is it decided by exact algebraic
+arithmetic.  Either way the predicate has its exact value, so thresholds
+do not change.
 
 Each direction pays for its algebraic parts once: eventual_maximizer
 builds the rows r_ij = tau^T P_i (A - lam_i I)^j lam_i^-j (j below the
-multiplicity of lam_i, each row the one before times (A - lam_i I) /
-lam_i) a single time and expands each vertex v once, as the products
-r_ij . v; a vertex pair's coefficients are the differences of two
-expansions, exactly, by linearity.  The tournament's scan reads only
-the sign of a pair's dominant coefficient, and only the winner's pairs
-with the other vertices run classify_sequence's threshold search: |V| - 1
-searches for |V| vertices.  sup_from
-is the one routine that evaluates the closed form, for the direction
-of the PrefixSums it is given; verify_separator feeds it the maximizer
-and threshold it has just found.  The audit runs verify_separator on the
+multiplicity of lam_i, each row the one before times (B - beta_i I) /
+beta_i) a single time, as numerators over one denominator, and expands
+each vertex, cleared to integers over one denominator, once, as the
+products r_ij . v.  The tournament's scan reads only the sign of a pair's
+dominant coefficient, and only the winner's pairs with the other
+vertices run classify_sequence's threshold search, each on r_ij . (v - w)
+over the nonzero coordinates of the integer difference: |V| - 1 searches
+for |V| vertices.  sup_from is the one routine that evaluates the closed
+form, for the direction of the PrefixSums it is given, with (I - A)^{-1}
+as integer rows over one denominator (SpectralData.resolvent), so on a
+rational direction the supremum is the one Fraction formed past the
+prefix sums; verify_separator feeds it the maximizer and threshold it has
+just found.  The audit runs verify_separator on the
 stored direction and compares the certificate it returns whole with the
 stored one, so a stored maximizer or threshold is checked by equality,
 never fed to sup_from.  Each routine takes the decision's table, or
@@ -110,6 +117,7 @@ from .linalg import (
     alg_dot,
     alg_kernel_basis,
     bilinear_rows,
+    cleared,
     expand_inner_product,
 )
 
@@ -162,7 +170,7 @@ def _first_true_at_least(start: int, pred) -> int:
     return lo
 
 
-# widths that c and lam are refined to, in turn, before a threshold predicate
+# widths that c and beta are refined to, in turn, before a threshold predicate
 # whose enclosures overlap falls back to exact arithmetic
 _WIDTHS = (Fraction(1, 2 ** 24), Fraction(1, 2 ** 64))
 
@@ -178,11 +186,11 @@ def _power_bounds(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fractio
 
 
 def _sum_bounds(terms, n: int) -> tuple[Fraction, Fraction]:
-    """A rational interval containing sum k * c * lam^n over the terms
-    (k, c, lam), k >= 0."""
+    """A rational interval containing sum k * c * beta^n over the terms
+    (k, c, beta), k >= 0."""
     lo = hi = Fraction(0)
-    for k, c, lam in terms:
-        plo, phi = _power_bounds(*interval(lam), n)
+    for k, c, beta in terms:
+        plo, phi = _power_bounds(*interval(beta), n)
         clo, chi = interval(c)
         prods = (clo * plo, clo * phi, chi * plo, chi * phi)
         lo += k * min(prods)
@@ -191,19 +199,19 @@ def _sum_bounds(terms, n: int) -> tuple[Fraction, Fraction]:
 
 
 def _sum_less(left, right, n: int, exact) -> bool:
-    """Whether sum k c lam^n over `left` is below the same sum over `right`.
+    """Whether sum k c beta^n over `left` is below the same sum over `right`.
 
-    `exact()` decides at once when n = 0 or every c and lam is rational or
-    quadratic in one field, where exact arithmetic needs no composed
-    polynomial.  Otherwise the enclosures decide when they separate (or
-    touch the wrong way round), first as the intervals stand, then with every
-    irrational c and lam refined to each width of _WIDTHS (a rational is its
-    own interval); `exact()` decides the rest."""
-    if n > 0 and not in_one_quadratic_field(x for _, c, lam in left + right for x in (c, lam)):
+    `exact()` decides at once when n = 0 or every c and beta is an integer,
+    a rational or quadratic in one field, where exact arithmetic needs no
+    composed polynomial.  Otherwise the enclosures decide when they separate
+    (or touch the wrong way round), first as the intervals stand, then with
+    every irrational c and beta refined to each width of _WIDTHS (a rational
+    is its own interval); `exact()` decides the rest."""
+    if n > 0 and not in_one_quadratic_field(x for _, c, beta in left + right for x in (c, beta)):
         for width in (None, *_WIDTHS):
             if width is not None:
-                for _, c, lam in left + right:
-                    for x in (c, lam):
+                for _, c, beta in left + right:
+                    for x in (c, beta):
                         if isinstance(x, RealAlg):
                             x.refine_below(width)
             llo, lhi = _sum_bounds(left, n)
@@ -218,7 +226,7 @@ def _sum_less(left, right, n: int, exact) -> bool:
 class _PowerCache:
     def __init__(self, base: Alg):
         self.base = base
-        self.cache: dict[int, Alg] = {0: Fraction(1), 1: base}
+        self.cache: dict[int, Alg] = {0: 1, 1: base}
 
     def get(self, n: int) -> Alg:
         if n in self.cache:
@@ -233,49 +241,51 @@ class _PowerCache:
 
 def classify_sequence(s: SpectralData, coeffs: list[list[Alg]]) -> SeqClass:
     """Eventual sign of <A^n (v-w), tau>, with a certified threshold, from
-    coeffs, the expansion of v - w against tau (expand_inner_product).
+    coeffs, the expansion of v - w against tau (expand_inner_product):
+    numerators over a positive denominator, which no comparison reads.
 
     The returned threshold N is the least n from which the tail-domination
     inequality |c0| C(n,j0) lam0^n > sum of the other |c| C(n,j) lam^n
     holds for every larger n, so the sign is the dominant coefficient's
-    sign from N on.  From the onset, the first n past which every other
-    term's ratio to the dominant term falls, the inequality stays true once
-    true: one search above the onset finds the first n where it holds, and a
-    walk down lowers that n while the inequality still holds one below.
+    sign from N on.  Multiplied by D^n and the denominator, it compares the
+    numerators with the betas, |N0| C(n,j0) beta0^n > sum |N| C(n,j)
+    beta^n, in integers on a rational spectrum.  From the onset, the first
+    n past which every other term's ratio to the dominant term falls, the
+    inequality stays true once true: one search above the onset finds the
+    first n where it holds, and a walk down lowers that n while the
+    inequality still holds one below.
     """
     nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c]
     if not nonzero:
         return SeqClass(SeqKind.IDENTICALLY_ZERO)
     i0, j0, c0 = max(nonzero, key=lambda t: (t[0], t[1]))
     kind = SeqKind.ULTIMATELY_POSITIVE if c0 > 0 else SeqKind.ULTIMATELY_NEGATIVE
-    lam0 = s.eigenvalues[i0]
-    pow0 = _PowerCache(lam0)
+    beta0 = s.betas[i0]
+    pow0 = _PowerCache(beta0)
     abs_c0 = abs(c0)
     term_caches = []
     onset = j0
     for (i, j, c) in nonzero:
         if (i, j) == (i0, j0):
             continue
-        lam = s.eigenvalues[i]
-        term_caches.append((lam, j, abs(c), _PowerCache(lam)))
+        beta = s.betas[i]
+        term_caches.append((beta, j, abs(c), _PowerCache(beta)))
 
-        def ratio_decreasing(n, lam=lam, j=j):
-            lhs = lam * (n + 1 - j0)
-            rhs = lam0 * (n + 1 - j)
-            return lhs < rhs
+        def ratio_decreasing(n, beta=beta, j=j):
+            return beta * (n + 1 - j0) < beta0 * (n + 1 - j)
 
         onset = max(onset, _first_true_at_least(max(j, j0), ratio_decreasing))
 
     def domination_holds(n: int) -> bool:
         def exact():
             lhs = abs_c0 * comb(n, j0) * pow0.get(n)
-            rhs = Fraction(0)
+            rhs = 0
             for (_, j, absc, powi) in term_caches:
                 rhs = rhs + absc * comb(n, j) * powi.get(n)
             return lhs > rhs
 
-        return _sum_less([(comb(n, j), absc, lam) for (lam, j, absc, _) in term_caches],
-                         [(comb(n, j0), abs_c0, lam0)], n, exact)
+        return _sum_less([(comb(n, j), absc, beta) for (beta, j, absc, _) in term_caches],
+                         [(comb(n, j0), abs_c0, beta0)], n, exact)
 
     threshold = _first_true_at_least(onset, domination_holds)
     while threshold > 0 and domination_holds(threshold - 1):
@@ -285,9 +295,9 @@ def classify_sequence(s: SpectralData, coeffs: list[list[Alg]]) -> SeqClass:
 
 def _eventually_above(cv: list[list[Alg]], cw: list[list[Alg]]) -> bool:
     """Whether <A^n (v-w), tau> is ultimately positive, from the expansions
-    cv of v and cw of w: whether the dominant coefficient of v - w, the
-    nonzero one with the greatest (i, j) (eigenvalues ascend), is positive,
-    found without forming the rest."""
+    cv of v and cw of w over one denominator: whether the dominant
+    coefficient of v - w, the nonzero one with the greatest (i, j)
+    (eigenvalues ascend), is positive, found without forming the rest."""
     for rv, rw in zip(reversed(cv), reversed(cw)):
         for a, b in zip(reversed(rv), reversed(rw)):
             if a != b:
@@ -301,25 +311,30 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     vertex at every step, at least s.transient, where the expansion starts
     to hold.
 
-    Each vertex is expanded once; a pair's coefficients are the difference
-    of two expansions.  The scan reads only the sign of a pair's dominant
-    coefficient, and only the winner's pairs run the threshold search.
-    That sign compares the expansions lexicographically from the dominant
-    end, a total preorder, and a tie never replaces the leader, so the
-    scan ends on the first of the maximal vertices in sorted order."""
-    rows = bilinear_rows(s, tau)
-    verts = sorted(u.vertices)
-    coeffs = [expand_inner_product(rows, v) for v in verts]
+    The vertices are cleared to integers over one denominator, and each is
+    expanded once against the rows of tau; the scan reads only the sign of
+    a pair's dominant coefficient, and only the winner's pairs run the
+    threshold search, each on the expansion of the integer difference of
+    the two vertices.  That sign compares the expansions lexicographically
+    from the dominant end, a total preorder, and a tie never replaces the
+    leader, so the scan ends on the first of the maximal vertices in sorted
+    order."""
+    rows, _ = bilinear_rows(s, tau)
+    den = lcm(*(x.denominator for v in u.vertices for x in v))
+    # over one positive denominator the numerators sort as the vertices do
+    verts, nums = zip(*sorted(((v, [x.numerator * (den // x.denominator) for x in v]) for v in u.vertices),
+                              key=lambda pair: pair[1]))
+    coeffs = [expand_inner_product(rows, v) for v in nums]
     best = 0
     for i in range(1, len(verts)):
         if _eventually_above(coeffs[i], coeffs[best]):
             best = i
     n = s.transient
-    for i in range(len(verts)):
+    top = nums[best]
+    for i, v in enumerate(nums):
         if i == best:
             continue
-        diff = [[a - b for a, b in zip(rv, rw)] for rv, rw in zip(coeffs[best], coeffs[i])]
-        c = classify_sequence(s, diff)
+        c = classify_sequence(s, expand_inner_product(rows, [a - b for a, b in zip(top, v)]))
         if c.kind is SeqKind.ULTIMATELY_NEGATIVE:
             raise AssertionError("maximizer scan failed; preorder not respected")
         if c.kind is SeqKind.ULTIMATELY_POSITIVE:
@@ -378,23 +393,26 @@ class PrefixSums:
         self.images = images
         self.tau = tuple(tau)
         self.sums: list[Alg] = [Fraction(0)]
-        self._int_tau = None
-        if not any(isinstance(x, RealAlg) for x in self.tau):
-            den = lcm(*(x.denominator for x in self.tau))
-            self._int_tau = [x.numerator * (den // x.denominator) for x in self.tau], den
+        self._tau_nums, self._tau_den = cleared(self.tau)
+
+    def _dot(self, num):
+        return sum(t * x for t, x in zip(self._tau_nums, num))
+
+    def _over(self, x, den: int) -> Alg:
+        """x / (den times tau's denominator), for x a dot product."""
+        den *= self._tau_den
+        return Fraction(x, den) if isinstance(x, int) else x / den
 
     def at(self, k: int) -> Alg:
         """S_k."""
         while len(self.sums) <= k:
             nums, den = self.images.at(len(self.sums) - 1)
-            if self._int_tau is not None:
-                tau, tau_den = self._int_tau
-                best = Fraction(max(sum(t * x for t, x in zip(tau, num)) for num in nums),
-                                tau_den * den)
-            else:
-                best = max(alg_dot(self.tau, num) for num in nums) / den
-            self.sums.append(self.sums[-1] + best)
+            self.sums.append(self.sums[-1] + self._over(max(self._dot(num) for num in nums), den))
         return self.sums[k]
+
+    def value(self, num, den: int) -> Alg:
+        """<tau, num / den> for an integer vector num."""
+        return self._over(self._dot(num), den)
 
 
 # how many prefix sums the driver's pre-check compares with min_Q tau: most
@@ -417,9 +435,11 @@ def sup_from(s: SpectralData, sums: PrefixSums, maximizer: Vec, threshold: int) 
     S_threshold, then the maximizer's geometric tail."""
     if s.dim == 0:
         return Fraction(0)
-    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den
+    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den and the
+    # resolvent integer rows over its own denominator
     num, den = sums.images.image(maximizer, threshold)
-    return sums.at(threshold) + alg_dot(sums.tau, s.geometric_sum_matrix().matvec(num)) / den
+    resolvent = s.resolvent()
+    return sums.at(threshold) + sums.value(resolvent.times(num), resolvent.den * den)
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:

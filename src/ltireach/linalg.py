@@ -3,8 +3,10 @@
 RatMatrix is the rational workhorse (Fraction entries).  IntRows holds a
 matrix as integer rows over one denominator, for callers that step
 integer vectors by it many times (the forward columns, the certificate
-search's vertex images, the Krylov span).  Values that may be irrational
-(spectral projectors, bilinear-form rows, the matrices of the certificate
+search's vertex images, the Krylov span, the Jordan chains of the
+bilinear rows) and for (I - A)^{-1}; _int_inverse forms an inverse that
+way, by fraction-free elimination.  Values that may be irrational (the
+projectors of irrational eigenvalues, the matrices of the certificate
 search) are plain lists of rows whose entries are Fractions where
 rational and RealAlg where not.
 
@@ -24,14 +26,17 @@ eigenvalues, the spectral projector onto the generalized eigenspace of
 each nonzero eigenvalue as a polynomial in the matrix, by Hermite
 interpolation without a division, evaluated on the integer powers of
 B = D·A, so no eigenvector basis over an extension field is ever
-constructed.  A rational eigenvalue's
-projector is an integer matrix over one integer scale until
-SpectralData is filled; an irrational one's is rows of real algebraic
-numbers.  No nilpotent part is stored: A - lam_i I is nilpotent on the
-range of P_i, so bilinear_rows builds, for one direction tau, the rows
-tau^T P_i (A - lam_i I)^j lam_i^-j for j below the multiplicity of lam_i,
-each from the one before and the columns of A; P_i (A - lam_i I)^j
-vanishes from there on.  A zero eigenvalue of multiplicity k gets no
+constructed.  A rational eigenvalue's projector is kept as an integer
+matrix over one integer scale, and an irrational one's as rows of real
+algebraic numbers over 1; beside each eigenvalue lam_i is beta_i = D
+lam_i, an int when lam_i is rational.  No nilpotent part is stored:
+A - lam_i I is nilpotent on the range of P_i, so bilinear_rows builds, for
+one direction tau, the rows tau^T P_i (A - lam_i I)^j lam_i^-j for j below
+the multiplicity of lam_i, each from the one before by (B - beta_i I) /
+beta_i; P_i (A - lam_i I)^j vanishes from there on.  The rows come as
+numerators over one positive denominator, ints when the spectrum and tau
+are rational, so a certificate over a rational spectrum is found and
+checked in integers.  A zero eigenvalue of multiplicity k gets no
 projector: A^n vanishes on its generalized eigenspace once n >= k, so the
 expansion over the nonzero eigenvalues holds from n = k on, and k is kept
 as the transient that every threshold must reach.
@@ -46,6 +51,7 @@ from math import gcd, lcm
 from .exactnum import (
     Alg,
     IntPoly,
+    RealAlg,
     as_fraction,
     composed_poly,
     count_roots_halfopen,
@@ -253,54 +259,98 @@ class RatMatrix:
         return tuple(x)
 
     def inverse(self) -> "RatMatrix | None":
-        """A^-1, or None when A is singular.
-
-        Fraction-free (Bareiss) Gauss-Jordan on [M | I] for the integer
-        matrix M = den * A: every division is exact, and the left block
-        ends as p I for the last pivot p, so M^-1 = right / p and each
-        entry of A^-1 = den M^-1 becomes one Fraction at the end."""
+        """A^-1, or None when A is singular: _int_inverse of the integer
+        matrix D·A, for D the least common denominator, each entry becoming
+        one Fraction at the end."""
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
         den = lcm(*(x.denominator for x in self.entries))
-        m = [[x.numerator * (den // x.denominator) for x in self.row(i)] + [int(i == j) for j in range(n)]
-             for i in range(n)]
-        prev = 1
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k]), None)
-            if pivot is None:
-                return None
-            m[k], m[pivot] = m[pivot], m[k]
-            mk = m[k]
-            p = mk[k]
-            for i in range(n):
-                if i != k:
-                    mi = m[i]
-                    f = mi[k]
-                    m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
-            prev = p
-        return RatMatrix(n, n, tuple(Fraction(den * x, prev) for r in m for x in r[n:]))
+        inv = _int_inverse([[x.numerator * (den // x.denominator) for x in self.row(i)] for i in range(self.rows)],
+                           den)
+        if inv is None:
+            return None
+        rows, d = inv
+        return RatMatrix(self.rows, self.cols, tuple(Fraction(x, d) for r in rows for x in r))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix[{body}]"
 
 
+def _int_inverse(m: list[list[int]], den: int) -> tuple[list[list[int]], int] | None:
+    """(rows, d) with (m / den)^-1 = rows / d, d > 0 and no factor common to
+    d and every entry, for a square integer matrix m and den > 0; None when
+    m is singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [m | I]: every division is
+    exact, and the left block ends as p I for the last pivot p, so
+    (m / den)^-1 = den·right / p."""
+    n = len(m)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return None
+        m[k], m[pivot] = m[pivot], m[k]
+        mk = m[k]
+        p = mk[k]
+        for i in range(n):
+            if i != k:
+                mi = m[i]
+                f = mi[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
+        prev = p
+    rows = [[den * x for x in r[n:]] for r in m]
+    g = gcd(prev, *(x for r in rows for x in r))
+    if prev < 0:
+        g = -g
+    return [[x // g for x in r] for r in rows], prev // g
+
+
 class IntRows:
-    """A square rational matrix as integer rows over one denominator: row i
-    of den * A is rows[i], its nonzero entries as (column, value) pairs.
-    times() applies den * A to an integer vector, so a caller that holds
-    its vectors as integers over a denominator steps them by A without
-    building a Fraction."""
+    """A square rational matrix as integer rows over one positive
+    denominator: row i of den * A is rows[i], its nonzero entries as
+    (column, value) pairs.  times() applies den * A to an integer vector, so
+    a caller that holds its vectors as integers over a denominator steps
+    them by A without building a Fraction; row_times() multiplies a row
+    vector by den * A."""
 
     def __init__(self, a: RatMatrix):
         self.den = lcm(*(x.denominator for x in a.entries))
         self.rows = [[(j, x.numerator * (self.den // x.denominator)) for j, x in enumerate(a.row(i)) if x]
                      for i in range(a.rows)]
 
+    @staticmethod
+    def _from_ints(rows: list[list[int]], den: int) -> "IntRows":
+        """The matrix rows / den, for integer rows and den > 0."""
+        out = object.__new__(IntRows)
+        out.den = den
+        out.rows = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+        return out
+
     def times(self, num) -> list[int]:
         """den * A * num."""
         return [sum(x * num[j] for j, x in row) for row in self.rows]
+
+    def row_times(self, row) -> list:
+        """row * den * A, for a row of integers or real algebraic numbers."""
+        out = [0] * len(self.rows)
+        for r, pairs in zip(row, self.rows):
+            if r:
+                for j, x in pairs:
+                    out[j] = out[j] + r * x
+        return out
+
+
+def cleared(xs) -> tuple[list, int]:
+    """(nums, den) with xs[k] = nums[k] / den: integers over the least
+    common denominator when every entry is rational, otherwise the entries
+    themselves over 1."""
+    if any(isinstance(x, RealAlg) for x in xs):
+        return list(xs), 1
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +691,7 @@ def alg_kernel_basis(matrix_rows: list[list[Alg]], ncols: int | None = None) -> 
 @dataclass
 class SpectralData:
     """The nonzero eigenvalues ascending with their multiplicities mu_i and
-    the spectral projectors P_i (d rows each), so that for n >= transient
+    the spectral projectors P_i, so that for n >= transient
 
         <A^n u, tau> = sum_{i, j < mu_i} C(n,j) lam_i^n (tau^T P_i (A - lam_i I)^j lam_i^-j u).
 
@@ -651,26 +701,51 @@ class SpectralData:
     multiplicity k of the eigenvalue 0 (0 when A is invertible): the P_i sum
     to I less the projector onto the generalized 0-eigenspace, on which A^n
     vanishes once n >= k.
+
+    Everything the certificate search reads is held over integers.  For D
+    the least common denominator of A's entries, betas[i] = D lam_i is an
+    eigenvalue of the integer matrix B = D·A (int_matrix()): an int when
+    lam_i is rational, and D^n cancels from every comparison of terms
+    C(n,j) lam_i^n c, so they compare C(n,j) beta_i^n c instead.  Each
+    projector is (rows, scale) with P_i = rows / scale: integer rows over a
+    positive integer scale for a rational eigenvalue, rows of real algebraic
+    numbers over 1 for an irrational one.  resolvent() is (I - A)^{-1} as
+    integer rows over one denominator.
     """
 
     matrix: RatMatrix
     eigenvalues: list[Alg]
+    betas: list[Alg | int]
     multiplicities: list[int]
-    projectors: list[list[list[Alg]]]
+    projectors: list[tuple[list[list], int]]
     transient: int
-    _resolvent: RatMatrix | None = field(default=None, repr=False)
+    _int_matrix: IntRows | None = field(default=None, repr=False)
+    _resolvent: IntRows | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
 
-    def geometric_sum_matrix(self) -> RatMatrix:
-        """(I - A)^{-1}; requires spectral radius < 1 so 1 is no eigenvalue."""
+    def int_matrix(self) -> IntRows:
+        """A as integer rows over D: the rows of B = D·A."""
+        if self._int_matrix is None:
+            self._int_matrix = IntRows(self.matrix)
+        return self._int_matrix
+
+    def resolvent(self) -> IntRows:
+        """(I - A)^{-1} as integer rows over one denominator; requires
+        spectral radius < 1 so 1 is no eigenvalue."""
         if self._resolvent is None:
-            inv = (RatMatrix.identity(self.dim) - self.matrix).inverse()
+            # I - A = (D I - B) / D
+            b = self.int_matrix()
+            m = [[b.den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
+            for i, row in enumerate(b.rows):
+                for j, x in row:
+                    m[i][j] -= x
+            inv = _int_inverse(m, b.den)
             if inv is None:
                 raise SpectralError("I - A singular; spectral radius not below one")
-            self._resolvent = inv
+            self._resolvent = IntRows._from_ints(*inv)
         return self._resolvent
 
 
@@ -684,12 +759,14 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     The projectors are evaluated in y = D x on the integer powers of
     B = D·A, whose characteristic polynomial p_B is monic in integers.  A
     rational eigenvalue of A is beta / D for an integer root beta of p_B,
-    so its projector polynomial is an integer one over one integer scale
-    and its projector an integer matrix until one Fraction per entry.  An
-    irrational eigenvalue's projector comes from the same interpolation
-    over Q(lam), on the same integer powers.  Every spectrum takes this one
-    path, and no nilpotent part is formed: bilinear_rows steps each Jordan
-    chain by A - lam_i I."""
+    so its projector polynomial is an integer one over one integer scale,
+    and its projector is kept as that integer matrix over that scale,
+    divided by their common factor.  An irrational eigenvalue's projector
+    comes from the same interpolation over Q(lam), on the same integer
+    powers, as rows of real algebraic numbers over 1.  The betas D·lam_i
+    are kept beside the eigenvalues.  Every spectrum takes this one path,
+    and no nilpotent part is formed: bilinear_rows steps each Jordan chain
+    by B - beta_i I."""
     if not a.is_square:
         raise ValueError("non-square matrix")
     d = a.rows
@@ -698,7 +775,7 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     nonzero = nonzero_eigen_poly(p)
     transient = d - nonzero.degree
     if transient == d:
-        return SpectralData(a, [], [], [], transient)
+        return SpectralData(a, [], [], [], [], transient)
     eig: list[tuple[Alg, int]] = []
     for fcoeffs, mult in factor_int_poly(nonzero.coeffs):
         f = IntPoly(fcoeffs)
@@ -723,13 +800,18 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     projectors = []
     for beta, (h, scale) in zip(betas, polys):
         if isinstance(beta, int):
-            entries = [Fraction(sum(c * m[e] for c, m in zip(h, powers)), scale) for e in range(d * d)]
+            entries = [sum(c * m[e] for c, m in zip(h, powers)) for e in range(d * d)]
+            g = gcd(scale, *entries)
+            if scale < 0:
+                g = -g
+            entries, scale = [x // g for x in entries], scale // g
         else:
             inv = Fraction(1) / scale
             h = [c * inv for c in h]
-            entries = [sum((c * m[e] for c, m in zip(h, powers) if m[e]), Fraction(0)) for e in range(d * d)]
-        projectors.append([entries[r * d:(r + 1) * d] for r in range(d)])
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, transient)
+            entries, scale = [sum((c * m[e] for c, m in zip(h, powers) if m[e]), Fraction(0))
+                              for e in range(d * d)], 1
+        projectors.append(([entries[r * d:(r + 1) * d] for r in range(d)], scale))
+    return SpectralData(a, [lam for lam, _ in eig], betas, [mu for _, mu in eig], projectors, transient)
 
 
 def _projector_poly(pb: list[int], beta: Alg | int, mu: int) -> tuple[list, Alg | int]:
@@ -813,41 +895,55 @@ def alg_dot(xs, ys) -> Alg:
     return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
 
-def bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
-    """Rows r[i][j] = tau^T P_i (A - lam_i I)^j lam_i^-j, j < mu_i, of the
-    bilinear forms for one direction: r[i][0] = tau^T P_i and r[i][j] =
-    r[i][j-1] (A - lam_i I) / lam_i = r[i][j-1] A / lam_i - r[i][j-1], read
-    from the columns of A.  P_i (A - lam_i I)^j vanishes once j >= mu_i, so
-    those rows are not built, and once a row is zero every later one is, so
-    those are zero rows, not products.
+def bilinear_rows(s: SpectralData, tau) -> tuple[list[list[list]], int]:
+    """(rows, den): numerator rows over one positive integer den, with
+    rows[i][j] / den = tau^T P_i (A - lam_i I)^j lam_i^-j for j < mu_i, the
+    rows of the bilinear forms for one direction.
 
-    Computed once per tau, they turn every coefficient c[i][j] of a vector
-    u into the row-vector product r[i][j] . u."""
+    Row j of eigenvalue i is row j-1 times (A - lam_i I) / lam_i =
+    (B - beta_i I) / beta_i, read from the integer rows of B: an integer
+    beta_i goes into that row's denominator, an irrational one divides the
+    row.  A rational tau is cleared to integers and a rational eigenvalue's
+    projector is integer rows over a scale, so on a rational spectrum with
+    a rational direction every numerator is an int; otherwise they are
+    real algebraic numbers.  P_i (A - lam_i I)^j vanishes once j >= mu_i,
+    so those rows are not built, and once a row is zero every later one
+    is, so those are zero rows, not products.
+
+    Computed once per tau, they turn every coefficient of a vector u into
+    the row-vector product rows[i][j] . u (expand_inner_product), over den
+    times u's denominator."""
     d = s.dim
     if len(tau) != d:
         raise ValueError(f"direction has {len(tau)} entries, expected {d}")
-    acols = [s.matrix.col(k) for k in range(d)]
-    out: list[list[list[Alg]]] = []
-    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
-        row = [alg_dot(tau, col) for col in zip(*proj)]
-        rows_i = [row]
-        if mu > 1:
-            lam_inv = 1 / lam
-            while len(rows_i) < mu and any(row):
-                row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * lam_inv - row[k]
-                       for k, col in enumerate(acols)]
-                rows_i.append(row)
-            rows_i += [[Fraction(0)] * d for _ in range(mu - len(rows_i))]
-        out.append(rows_i)
-    return out
+    t, tau_den = cleared(tau)
+    chains = []
+    for beta, mu, (proj, scale) in zip(s.betas, s.multiplicities, s.projectors):
+        row = [sum(x * y for x, y in zip(t, col)) for col in zip(*proj)]
+        den = tau_den * scale
+        chain = [(row, den)]
+        inv = 1 / beta if mu > 1 and not isinstance(beta, int) else None
+        while len(chain) < mu and any(row):
+            step = s.int_matrix().row_times(row)
+            if inv is None:
+                row = [x - beta * y for x, y in zip(step, row)]
+                den *= beta
+            else:
+                row = [x * inv - y for x, y in zip(step, row)]
+            chain.append((row, den))
+        chains.append(chain + [([0] * d, den)] * (mu - len(chain)))
+    common = lcm(*(den for chain in chains for _, den in chain))
+    return [[[x * (common // den) for x in row] for row, den in chain] for chain in chains], common
 
 
-def expand_inner_product(rows, u) -> list[list[Alg]]:
-    """Coefficients c[i][j] = tau^T P_i (A - lam_i I)^j lam_i^-j u, j < mu_i,
-    of the closed form <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j], for
-    rows the bilinear_rows(s, tau) of one direction, built once for every
-    vector expanded against it.  A zero row gives a zero coefficient without
-    a product."""
+def expand_inner_product(rows, u) -> list[list]:
+    """Numerators c[i][j] = rows[i][j] . u, j < mu_i, of the closed form
+    <A^n u, tau> = sum_{i,j} C(n,j) lam_i^n c[i][j] / den, for (rows, den)
+    the bilinear_rows(s, tau) of one direction, built once for every vector
+    expanded against it.  The products run over u's nonzero coordinates
+    only, so an integer u, or the difference of two integer vectors, costs
+    one product per coordinate that is not zero."""
     if rows and len(u) != len(rows[0][0]):
         raise ValueError(f"vector has {len(u)} entries, expected {len(rows[0][0])}")
-    return [[alg_dot(r, u) if any(r) else Fraction(0) for r in row_i] for row_i in rows]
+    nonzero = [(k, x) for k, x in enumerate(u) if x]
+    return [[sum(r[k] * x for k, x in nonzero) for r in row_i] for row_i in rows]

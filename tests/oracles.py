@@ -11,7 +11,16 @@ that the library stops at the first zero row.  `fraction_poly_gcd` and
 `fraction_squarefree_part` run Euclid over Q where the library follows
 an integer pseudo-remainder sequence, and `FractionPrefixSums` and
 `fraction_sup_from` step each direction's vertex images by Fraction
-products where the library reads one integer table per decision.
+products where the library reads one integer table per decision, and
+invert I - A over Fractions where the library holds it as integer rows.
+The certificate layer's Fraction closed form is kept whole:
+`fraction_bilinear_rows` steps the rows as values by A / lam_i,
+`fraction_classify_sequence` searches thresholds on the eigenvalues
+lam_i and the coefficient values where the library compares numerators
+and betas D lam_i, and `pairwise_eventual_maximizer`, `fraction_sup_from`
+and `fraction_certificate` build on them.  `projector_values`,
+`bilinear_row_values` and `expansion_values` read the library's
+numerators over their denominators as values.
 `cold_reach_exactly` is the union search that builds every DFS node's
 LP in one piece (`build_lp`) and solves it from scratch, where the
 library grows one root from the empty LP and restricts the parent's
@@ -53,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
-from ltireach.certify import PrefixSums, SeqClass, SeqKind, VertexImages, classify_sequence
+from ltireach.certify import PrefixSums, SeparatorCertificate, SeqClass, SeqKind, VertexImages, classify_sequence
 from ltireach.exactnum import (Alg, IntPoly, RealAlg, _isolate_squarefree, count_roots_halfopen, factor_int_poly,
                                sturm_chain, sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
@@ -127,7 +136,7 @@ def bilinear_coeff(s: SpectralData, nilpotent: RatMatrix, i: int, j: int, u, tau
     """tau^T P_i N^j lam_i^-j u for any j >= 0, from the projector and the
     matrix power N^j themselves, for N the nilpotent part of A
     (fraction_spectral_decompose)."""
-    pn = alg_matmul(s.projectors[i], nilpotent.power(j).to_rows())
+    pn = alg_matmul(projector_values(s)[i], nilpotent.power(j).to_rows())
     return alg_dot(tau, [alg_dot(row, u) for row in pn]) * s.eigenvalues[i] ** -j
 
 
@@ -137,7 +146,7 @@ def all_bilinear_rows(s: SpectralData, nilpotent: RatMatrix, tau) -> list[list[l
     nilpotent part of A (fraction_spectral_decompose)."""
     ncols = [nilpotent.col(k) for k in range(s.dim)]
     out = []
-    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, projector_values(s)):
         row = [alg_dot(tau, col) for col in zip(*proj)]
         rows_i = [row]
         for _ in range(1, mu):
@@ -146,6 +155,90 @@ def all_bilinear_rows(s: SpectralData, nilpotent: RatMatrix, tau) -> list[list[l
             rows_i.append(row)
         out.append(rows_i)
     return out
+
+
+def over(x, den: int) -> Alg:
+    """x / den as a value: a Fraction for an integer numerator."""
+    return Fraction(x, den) if isinstance(x, int) else x / den
+
+
+def projector_values(s: SpectralData) -> list[list[list[Alg]]]:
+    """Each projector P_i as rows of values, from the rows over one scale
+    that SpectralData holds."""
+    return [[[over(x, scale) for x in row] for row in rows] for rows, scale in s.projectors]
+
+
+def bilinear_row_values(s: SpectralData, tau) -> list[list[list[Alg]]]:
+    """The rows tau^T P_i (A - lam_i I)^j lam_i^-j as values: each numerator
+    of `linalg.bilinear_rows` over its denominator."""
+    rows, den = bilinear_rows(s, tau)
+    return [[[over(x, den) for x in row] for row in chain] for chain in rows]
+
+
+def expansion_values(s: SpectralData, tau, u) -> list[list[Alg]]:
+    """The coefficients of <A^n u, tau> as values: each numerator of
+    `linalg.expand_inner_product` over the rows' denominator."""
+    rows, den = bilinear_rows(s, tau)
+    return [[over(c, den) for c in row] for row in expand_inner_product(rows, u)]
+
+
+def fraction_bilinear_rows(s: SpectralData, tau) -> list[list[list[Alg]]]:
+    """`linalg.bilinear_rows` as it was, on values: r[i][0] = tau^T P_i and
+    r[i][j] = r[i][j-1] A / lam_i - r[i][j-1] from A's Fraction columns,
+    zero rows once a row is zero."""
+    acols = [s.matrix.col(k) for k in range(s.dim)]
+    out = []
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, projector_values(s)):
+        row = [alg_dot(tau, col) for col in zip(*proj)]
+        rows_i = [row]
+        while len(rows_i) < mu and any(row):
+            row = [sum((row[t] * x for t, x in enumerate(col) if x), Fraction(0)) * (1 / lam) - row[k]
+                   for k, col in enumerate(acols)]
+            rows_i.append(row)
+        out.append(rows_i + [[Fraction(0)] * s.dim for _ in range(mu - len(rows_i))])
+    return out
+
+
+def fraction_classify_sequence(s: SpectralData, coeffs: list[list[Alg]]) -> SeqClass:
+    """`certify.classify_sequence` as it was, on the coefficient values and
+    the eigenvalues lam_i themselves: the least N from which
+    |c0| C(n,j0) lam0^n > sum |c| C(n,j) lam^n holds for good, every
+    comparison exact, searched from the onset where every ratio to the
+    dominant term falls."""
+    nonzero = [(i, j, c) for i, row in enumerate(coeffs) for j, c in enumerate(row) if c]
+    if not nonzero:
+        return SeqClass(SeqKind.IDENTICALLY_ZERO)
+    i0, j0, c0 = max(nonzero, key=lambda t: (t[0], t[1]))
+    lam0 = s.eigenvalues[i0]
+    others = [(i, j, abs(c)) for i, j, c in nonzero if (i, j) != (i0, j0)]
+    powers: dict[tuple[int, int], Alg] = {}
+
+    def power(i, n):
+        if (i, n) not in powers:
+            powers[i, n] = s.eigenvalues[i] ** n
+        return powers[i, n]
+
+    def first_true(start, pred):
+        n = start
+        while not pred(n):
+            n += 1
+        return n
+
+    onset = j0
+    for i, j, _ in others:
+        lam = s.eigenvalues[i]
+        onset = max(onset, first_true(max(j, j0), lambda n: lam * (n + 1 - j0) < lam0 * (n + 1 - j)))
+
+    def dominates(n):
+        rhs = Fraction(0)
+        for i, j, absc in others:
+            rhs = rhs + absc * comb(n, j) * power(i, n)
+        return abs(c0) * comb(n, j0) * power(i0, n) > rhs
+
+    threshold = first_true(onset, dominates)
+    while threshold > 0 and dominates(threshold - 1):
+        threshold -= 1
+    return SeqClass(SeqKind.ULTIMATELY_POSITIVE if c0 > 0 else SeqKind.ULTIMATELY_NEGATIVE, threshold)
 
 
 def negate(p: GenPolyhedron) -> GenPolyhedron:
@@ -642,7 +735,7 @@ def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
     projector."""
     d = a.rows
     if d == 0:
-        return SpectralData(a, [], [], [], 0), a
+        return SpectralData(a, [], [], [], [], 0), a
     p = frac_to_int_poly(list(fraction_charpoly(a)))
     factors = factor_int_poly(p.coeffs)
     eig: list[tuple[Alg, int]] = []
@@ -673,7 +766,9 @@ def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
         terms = [(c, m.entries) for c, m in zip(h, powers)]
         projectors.append([[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
                             for k in range(r * d, (r + 1) * d)] for r in range(d)])
-    return SpectralData(a, [lam for lam, _ in eig], [mu for _, mu in eig], projectors, transient), nilpotent
+    den = lcm(*(x.denominator for x in a.entries))
+    return SpectralData(a, [lam for lam, _ in eig], [lam * den for lam, _ in eig], [mu for _, mu in eig],
+                        [(rows, 1) for rows in projectors], transient), nilpotent
 
 
 def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
@@ -781,7 +876,7 @@ def prefix_sums(s: SpectralData, u: GenPolyhedron, tau) -> PrefixSums:
 
 def classify(s: SpectralData, v: Vec, w: Vec, tau) -> SeqClass:
     """classify_sequence on the expansion of v - w against tau."""
-    return classify_sequence(s, expand_inner_product(bilinear_rows(s, tau), vec_sub(v, w)))
+    return classify_sequence(s, expand_inner_product(bilinear_rows(s, tau)[0], vec_sub(v, w)))
 
 
 def dominant_index(coeffs: list[list[Alg]]) -> tuple[int, int] | None:
@@ -793,28 +888,31 @@ def dominant_index(coeffs: list[list[Alg]]) -> tuple[int, int] | None:
 
 def fraction_sup_from(s: SpectralData, u: GenPolyhedron, tau, maximizer: Vec, threshold: int) -> Alg:
     """`certify.sup_from` as it was: S_threshold from FractionPrefixSums,
-    and the maximizer walked to its threshold by Fraction products."""
+    the maximizer walked to its threshold by Fraction products and (I - A)^-1
+    by Fraction Gauss-Jordan."""
     x = maximizer
     for _ in range(threshold):
         x = s.matrix.matvec(x)
-    return FractionPrefixSums(s, u, tau).at(threshold) + alg_dot(tau, s.geometric_sum_matrix().matvec(x))
+    resolvent = fraction_inverse(RatMatrix.identity(s.dim) - s.matrix)
+    return FractionPrefixSums(s, u, tau).at(threshold) + alg_dot(tau, resolvent.matvec(x))
 
 
 def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int]:
-    """`certify.eventual_maximizer` as it was: every pair the tournament
-    compares runs classify_sequence's threshold search on the expansion of
-    v - w, once per ordered pair; a scan for the maximal vertex, a pass that
-    moves to the lexicographically first vertex tied with it, and the
-    threshold as the largest against the winner, and at least the
-    transient."""
-    rows = bilinear_rows(s, tau)
+    """`certify.eventual_maximizer` as it was, in values: every pair the
+    tournament compares runs fraction_classify_sequence on the expansion of
+    v - w by fraction_bilinear_rows, once per ordered pair; a scan for the
+    maximal vertex, a pass that moves to the lexicographically first vertex
+    tied with it, and the threshold as the largest against the winner, and
+    at least the transient."""
+    rows = fraction_bilinear_rows(s, tau)
     verts = sorted(u.vertices)
     cache: dict[tuple[int, int], SeqClass] = {}
 
     def cls(ia: int, ib: int) -> SeqClass:
         key = (ia, ib)
         if key not in cache:
-            cache[key] = classify_sequence(s, expand_inner_product(rows, vec_sub(verts[ia], verts[ib])))
+            diff = vec_sub(verts[ia], verts[ib])
+            cache[key] = fraction_classify_sequence(s, [[alg_dot(r, diff) for r in row_i] for row_i in rows])
         return cache[key]
 
     best = 0
@@ -837,6 +935,18 @@ def pairwise_eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple
         if c.kind is SeqKind.ULTIMATELY_POSITIVE:
             n = max(n, c.threshold or 0)
     return verts[best], n
+
+
+def fraction_certificate(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau, maximizer: Vec,
+                         threshold: int) -> SeparatorCertificate | None:
+    """`certify.verify_separator` as it was, for a nonempty target and the
+    maximizer and threshold of pairwise_eventual_maximizer: the supremum of
+    fraction_sup_from and the same acceptance rule."""
+    sup = fraction_sup_from(s, u, tau, maximizer, threshold)
+    low = min(alg_dot(tau, v) for v in q.vertices)
+    if sup < low or (sup == low and sup != FractionPrefixSums(s, u, tau).at(threshold)):
+        return SeparatorCertificate(tuple(tau), maximizer, threshold, sup, low)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from ltireach.gadgets import markov_to_lti, skolem_to_lti, vector_reach_to_lti, 
 from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import (
     RatMatrix,
-    bilinear_rows,
-    expand_inner_product,
     vec,
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, check_simple, to_simple_form
-from oracles import classify, decompose, dominant_index, inner_product_at, prefix_sums, rat, reduced_witness_lifts, sign
+from oracles import (classify, decompose, dominant_index, expansion_values, inner_product_at, prefix_sums, rat,
+                     reduced_witness_lifts, sign)
 
 F = Fraction
 
@@ -170,7 +169,7 @@ def test_criterion_3_bilinear_identity_suite():
         s = decompose(a)
         u = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)])
-        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
+        coeffs = expansion_values(s, tau, u)
         ns = {0, 1, 2, 3, 30, rng.randint(4, 29), rng.randint(4, 29)}
         for n in ns:
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
@@ -314,7 +313,7 @@ def test_criterion_6_classification_suite():
         else:
             ok = all(x < 0 for x in values[c.threshold:])
         if ok and c.kind is not SeqKind.IDENTICALLY_ZERO:
-            coeffs = expand_inner_product(bilinear_rows(s, tau), diff)
+            coeffs = expansion_values(s, tau, diff)
             i0, j0 = dominant_index(coeffs)
             from math import comb
 

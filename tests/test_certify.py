@@ -19,11 +19,12 @@ from ltireach.certify import (
     sup_in_direction,
     verify_separator,
 )
-from ltireach.exactnum import RealAlg, sturm_isolate_real_roots
-from ltireach.geometry import GenPolyhedron, constraint, lp_solve
+from ltireach.exactnum import RealAlg, interval, sturm_isolate_real_roots
+from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, vec
-from oracles import (FractionPrefixSums, classify, decompose, dominant_index, fraction_sup_from, int_poly,
-                     pairwise_eventual_maximizer, prefix_sums, rat, sign)
+from ltireach.preprocess import LtiSystem
+from oracles import (FractionPrefixSums, classify, decompose, dominant_index, fraction_sup_from,
+                     fraction_certificate, int_poly, pairwise_eventual_maximizer, prefix_sums, rat, sign)
 
 F = Fraction
 
@@ -113,7 +114,7 @@ def test_classify_with_jordan_block():
     # <A^n (0,1), e1> = n (1/2)^(n-1): zero at n = 0, positive after
     assert c.kind is SeqKind.ULTIMATELY_POSITIVE
     assert c.threshold == 1
-    assert dominant_index(expand_inner_product(bilinear_rows(s, tau), vec(0, 1))) == (0, 1)
+    assert dominant_index(expand_inner_product(bilinear_rows(s, tau)[0], vec(0, 1))) == (0, 1)
 
 
 def test_classify_agrees_with_direct_eval_randomized():
@@ -240,11 +241,25 @@ def test_classify_bounds_agree_with_exact_predicates(monkeypatch):
     assert decided["bounds", 1] and decided["bounds", 2], decided
 
 
-def test_sum_less_matches_exact_comparison():
-    """The enclosure-first comparison of sums k c lam^n against the exact
+def test_sum_less_matches_exact_comparison(monkeypatch):
+    """The enclosure-first comparison of sums k c beta^n against the exact
     comparison, on fresh wide isolating intervals (some straddling 0), on
-    rationals, whose enclosures are points that touch, and on exact ties."""
+    rationals, whose enclosures are points that touch, and on exact ties.
+    The two fixed straddling cases carry a zero-weight term from Q(sqrt 17)
+    beside their Q(sqrt 2) values, so their terms lie in two fields and
+    _sum_less builds their enclosures: _power_bounds sees a straddling
+    interval on each."""
+    import ltireach.certify as certify
     from ltireach.certify import _sum_less
+
+    straddling = Counter()
+    power_bounds = certify._power_bounds
+
+    def counted(lo, hi, n):
+        straddling[lo < 0 < hi] += 1
+        return power_bounds(lo, hi, n)
+
+    monkeypatch.setattr(certify, "_power_bounds", counted)
 
     def fresh(key):
         """A new object for value `key`, so no interval is narrowed yet."""
@@ -269,11 +284,21 @@ def test_sum_less_matches_exact_comparison():
             acc = acc + k * fresh(c) * fresh(lam) ** n
         return acc
 
-    straddle, one, eighth, quarter = values[9], values[8], values[1], values[2]
+    straddle, one, eighth, quarter, root17 = values[9], values[8], values[1], values[2], values[13]
     # a straddling interval's even power has lower bound 0, and a product of
-    # two straddling intervals has its minimum at a cross term
-    cases = [([(1, one, straddle)], [(1, one, quarter)], 2),
-             ([(1, straddle, straddle)], [(1, eighth, quarter)], 3)]
+    # two straddling intervals has its minimum at a cross term; the term of
+    # weight 0 puts a second field beside Q(sqrt 2), so exact() does not
+    # decide at once
+    fixed = [([(1, one, straddle), (0, one, root17)], [(1, one, quarter)], 2),
+             ([(1, straddle, straddle), (0, one, root17)], [(1, eighth, quarter)], 3)]
+    for left, right, n in fixed:
+        straddling.clear()
+        got = _sum_less([(k, fresh(c), fresh(lam)) for k, c, lam in left],
+                        [(k, fresh(c), fresh(lam)) for k, c, lam in right], n,
+                        lambda: total(left, n) < total(right, n))
+        assert got == (total(left, n) < total(right, n))
+        assert straddling[True], straddling
+    cases = list(fixed)
     rng = random.Random(67)
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -490,7 +515,7 @@ def test_tournament_matches_pairwise_oracle():
                 got = eventual_maximizer(s, u, tau)
                 assert got == pairwise_eventual_maximizer(s, u, tau)
                 maximizer, n = got
-                rows = bilinear_rows(s, tau)
+                rows, _ = bilinear_rows(s, tau)
                 top = expand_inner_product(rows, maximizer)
                 ties += sum(v != maximizer and expand_inner_product(rows, v) == top for v in u.vertices)
                 late += n > 0
@@ -509,6 +534,149 @@ def test_tournament_matches_pairwise_oracle():
                 algebraic += any(isinstance(x, RealAlg) for x in tau)
                 checked += 1
     assert checked >= 150 and ties >= 20 and late >= 20 and algebraic >= 20, (checked, ties, late, algebraic)
+
+
+def _cross_polytope(d: int) -> GenPolyhedron:
+    return GenPolyhedron.polytope([tuple(F(sg * (i == k)) for k in range(d)) for i in range(d) for sg in (1, -1)])
+
+
+def _normalized_cases():
+    """(spectral data, controls, target, vertex images) of two systems that
+    the driver normalizes at M = 2: a rational spectrum with a negative
+    eigenvalue, and the companion matrix of 8x^3 - 6x + 1 (one negative
+    root) with the octahedron and the target (-9/4, -3, -3)."""
+    from ltireach import driver
+
+    p = RatMatrix.from_rows([[1, 1], [0, 1]])
+    rational = LtiSystem(p @ RatMatrix.diag(F(-1, 2), F(1, 3)) @ p.inverse(), ControlSet.single(_cross_polytope(2)),
+                         vec(0, 0), GenPolyhedron.point(vec(5, 5)))
+    cubic = LtiSystem(RatMatrix.from_rows([[0, 0, F(-1, 8)], [1, 0, F(3, 4)], [0, 1, 0]]),
+                      ControlSet.single(_cross_polytope(3)), vec(0, 0, 0),
+                      GenPolyhedron.point((F(-9, 4), F(-3), F(-3))))
+    out = []
+    for sys_ in (rational, cubic):
+        reasons, inputs = driver._certification_inputs(sys_)
+        assert not reasons
+        s, form, images = inputs
+        assert form.power == 2
+        out.append((s, form.u_reduced, form.q_reduced, images))
+    return out
+
+
+def test_integer_path_matches_fraction_reference():
+    """The maximizer, threshold, supremum and certificate that the integer
+    tables give equal those of the Fraction closed form (oracles: the rows
+    and expansions in values, the threshold search on the eigenvalues
+    themselves, the resolvent by Fraction Gauss-Jordan), on rational spectra
+    with distinct eigenvalues, a Jordan block, singular matrices, two
+    systems normalized at M = 2 (one of them cubic), and the Q(sqrt 2) and
+    Q(sqrt 17) matrices; each with seeded rational directions, the left
+    eigenvectors and their negations, against a target far along the
+    direction and the origin."""
+    rng = random.Random(97)
+    cases = []
+    for a in _triangular_matrices(rng):
+        cases.append((decompose(a), _spread_polytope(rng, a.rows), "distinct"))
+    singular = [RatMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, F(1, 2)]]),
+                RatMatrix.from_rows([[F(1, 2), F(1, 2)], [F(1, 4), F(1, 4)]])]
+    quadratic = [RatMatrix.from_rows([[F(1, 2), F(1, 8)], [1, F(1, 2)]]),
+                 RatMatrix.from_rows([[F(1, 2), F(1, 17)], [1, F(1, 2)]])]
+    hexagon = GenPolyhedron.polytope([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1), vec(1, -1), vec(-1, 1)])
+    for kind, mats in (("jordan", [RatMatrix.from_rows([[F(1, 2), 1], [0, F(1, 2)]])]), ("singular", singular),
+                       ("quadratic", quadratic)):
+        for a in mats:
+            u = hexagon if a.rows == 2 else _spread_polytope(rng, a.rows)
+            cases.append((decompose(a), u, kind))
+    normalized = _normalized_cases()
+    for (s, u, q, _), kind in zip(normalized, ("normalized", "cubic")):
+        cases.append((s, u, kind))
+    seen = Counter()
+    for s, u, kind in cases:
+        d = s.dim
+        eig = left_eigenvectors(s)
+        directions = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)) for _ in range(2)]
+        directions += eig[:2] + [tuple(-x for x in e) for e in eig[:2]]
+        if kind == "cubic":
+            directions.append(tuple(F(x) for x in (-1, -1, 0)))
+        for tau in directions:
+            if not any(tau):
+                continue
+            images = VertexImages(s.matrix, u.vertices)
+            maximizer, n = eventual_maximizer(s, u, tau)
+            assert (maximizer, n) == pairwise_eventual_maximizer(s, u, tau)
+            assert sup_from(s, PrefixSums(images, tau), maximizer, n) == fraction_sup_from(s, u, tau, maximizer, n)
+            far = GenPolyhedron.point(tuple(100 * interval(x)[0] for x in tau))
+            for q in (far, GenPolyhedron.point(tuple(F(0) for _ in range(d)))):
+                cert = verify_separator(s, u, q, PrefixSums(images, tau))
+                assert cert == fraction_certificate(s, u, q, tau, maximizer, n)
+                seen[kind, cert is not None] += 1
+            seen["threshold", n > s.transient] += 1
+            seen["algebraic", any(isinstance(x, RealAlg) for x in tau)] += 1
+    for s, u, q, images in normalized:
+        for tau in left_eigenvectors(s):
+            cert = verify_separator(s, u, q, PrefixSums(images, tau))
+            assert cert == fraction_certificate(s, u, q, tau, *pairwise_eventual_maximizer(s, u, tau))
+            seen["normalized target", cert is not None] += 1
+    kinds = ("distinct", "jordan", "singular", "quadratic", "normalized", "cubic")
+    assert all(seen[kind, True] and seen[kind, False] for kind in kinds), seen
+    assert seen["threshold", True] >= 10 and seen["algebraic", True] >= 10 and seen["normalized target", True], seen
+
+
+def test_rational_separator_is_verified_in_integers(monkeypatch):
+    """On a rational spectrum with a rational direction, every row
+    numerator, vertex expansion and threshold term that verify_separator
+    forms is an int, and so is every beta and projector entry it reads; the
+    only Fraction it returns for the reachable side is the supremum.  Seen
+    on seeded rational systems with distinct eigenvalues, a Jordan block
+    and a singular matrix, each certified against a far target."""
+    import ltireach.certify as certify
+
+    types = Counter()
+
+    def record(kind, values):
+        for x in values:
+            types[kind, type(x).__name__] += 1
+
+    rows_of, expand, sum_less = certify.bilinear_rows, certify.expand_inner_product, certify._sum_less
+
+    def rows(s, tau):
+        out = rows_of(s, tau)
+        record("row", [out[1]] + [x for chain in out[0] for row in chain for x in row])
+        return out
+
+    def expansion(rows, u):
+        out = expand(rows, u)
+        record("vertex", u)
+        record("expansion", [c for row in out for c in row])
+        return out
+
+    def terms(left, right, n, exact):
+        record("term", [x for term in left + right for x in term])
+        return sum_less(left, right, n, exact)
+
+    monkeypatch.setattr(certify, "bilinear_rows", rows)
+    monkeypatch.setattr(certify, "expand_inner_product", expansion)
+    monkeypatch.setattr(certify, "_sum_less", terms)
+    rng = random.Random(101)
+    systems = _triangular_matrices(rng) + [RatMatrix.from_rows([[F(1, 2), 1], [0, F(1, 2)]]),
+                                           RatMatrix.from_rows([[0, 1, 1], [0, 0, 1], [0, 0, F(1, 2)]])]
+    certified = 0
+    for a in systems:
+        s = decompose(a)
+        record("beta", s.betas)
+        record("projector", [x for rows_i, scale in s.projectors for row in rows_i for x in row] +
+               [scale for _, scale in s.projectors])
+        u = _spread_polytope(rng, a.rows)
+        for _ in range(3):
+            tau = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(a.rows))
+            cert = verify_separator(s, u, GenPolyhedron.point(tuple(1000 * t for t in tau)), prefix_sums(s, u, tau))
+            if cert is not None:
+                certified += 1
+                assert type(cert.sup_value) is Fraction
+    assert certified >= 10
+    assert {kind for kind, _ in types} == {"row", "vertex", "expansion", "term", "beta", "projector"}, types
+    assert all(name == "int" for _, name in types), types
+    assert types["term", "int"] >= 100, types
 
 
 # ---------------------------------------------------------------------------

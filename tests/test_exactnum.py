@@ -29,8 +29,8 @@ from ltireach.exactnum import (
     sturm_isolate_real_roots,
 )
 from ltireach.instances import alg_from_json, alg_to_json
-from oracles import (FractionQuad, decompose, frac_divmod, fraction_poly_gcd, fraction_squarefree_part, int_poly,
-                     prefix_sums, rat, sign)
+from oracles import (FractionQuad, decompose, expansion_values, frac_divmod, fraction_poly_gcd,
+                     fraction_squarefree_part, int_poly, prefix_sums, projector_values, rat, sign)
 
 F = Fraction
 
@@ -723,7 +723,7 @@ def test_float_and_bool():
 def test_seeded_rational_systems_stay_in_fractions():
     from ltireach.certify import verify_separator
     from ltireach.geometry import GenPolyhedron
-    from ltireach.linalg import RatMatrix, bilinear_rows, expand_inner_product
+    from ltireach.linalg import RatMatrix
 
     rng = random.Random(59)
     certified = 0
@@ -741,14 +741,14 @@ def test_seeded_rational_systems_stay_in_fractions():
         s = decompose(a)
         for lam in s.eigenvalues:
             rat(lam)
-        for proj in s.projectors:
+        for proj in projector_values(s):
             for row in proj:
                 for x in row:
                     rat(x)
         box = GenPolyhedron.polytope([tuple(F(c) for c in corner)
                                       for corner in itertools.product((-1, 1), repeat=d)])
         tau = tuple(F(rng.randint(-3, 3) or 1) for _ in range(d))
-        for row in expand_inner_product(bilinear_rows(s, tau), box.vertices[0]):
+        for row in expansion_values(s, tau, box.vertices[0]):
             for c in row:
                 rat(c)
         far = GenPolyhedron.point(tuple(F(1000) * t for t in tau))

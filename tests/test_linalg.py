@@ -11,9 +11,7 @@ from ltireach.linalg import (
     RatMatrix,
     SpectralError,
     alg_kernel_basis,
-    bilinear_rows,
     charpoly_primitive,
-    expand_inner_product,
     krylov_invariant_span,
     nonzero_eigen_poly,
     real_spectrum_power,
@@ -21,9 +19,10 @@ from ltireach.linalg import (
     schur_stable,
     vec,
 )
-from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, decompose, frac_to_int_poly,
-                     fraction_charpoly, fraction_inverse, fraction_real_nonneg_spectrum, fraction_schur_stable,
-                     fraction_spectral_decompose, inner_product_at, int_poly, rat, scan_real_spectrum_power, sign)
+from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, bilinear_row_values, decompose,
+                     expansion_values, frac_to_int_poly, fraction_charpoly, fraction_inverse,
+                     fraction_real_nonneg_spectrum, fraction_schur_stable, fraction_spectral_decompose,
+                     inner_product_at, int_poly, projector_values, rat, scan_real_spectrum_power, sign)
 
 F = Fraction
 
@@ -117,7 +116,10 @@ def test_integer_inverse_matches_fraction_oracle():
         for _ in range(15):
             a = random_positive_spectrum_matrix(rng, d)
             expected = fraction_inverse(RatMatrix.identity(d) - a)
-            assert decompose(a).geometric_sum_matrix() == expected
+            resolvent = decompose(a).resolvent()
+            assert resolvent.den > 0 and gcd(resolvent.den, *(x for row in resolvent.rows for _, x in row)) == 1
+            dense = [dict(row) for row in resolvent.rows]
+            assert [[F(row.get(j, 0), resolvent.den) for j in range(d)] for row in dense] == expected.to_rows()
 
 
 def test_kernel_and_column_space():
@@ -464,9 +466,10 @@ def check_spectral_invariants(s):
     d = s.dim
     zeros = RatMatrix.zeros(d, d).to_rows()
     total = zeros
-    for i, pi in enumerate(s.projectors):
+    projectors = projector_values(s)
+    for i, pi in enumerate(projectors):
         total = rows_add(total, pi)
-        for j, pj in enumerate(s.projectors):
+        for j, pj in enumerate(projectors):
             assert rows_equal(alg_matmul(pi, pj), pi if i == j else zeros)
     # the projectors sum to I on the range of A^k, k the transient (I itself
     # when A is invertible): A^k vanishes on the generalized 0-eigenspace
@@ -475,7 +478,7 @@ def check_spectral_invariants(s):
     # each projector commutes with A, and A - lam_i I is nilpotent of index
     # at most mu_i on its range
     a = s.matrix.to_rows()
-    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, s.projectors):
+    for lam, mu, proj in zip(s.eigenvalues, s.multiplicities, projectors):
         assert rows_equal(alg_matmul(a, proj), alg_matmul(proj, a))
         shifted = [[x - lam if k == r else x for k, x in enumerate(row)] for r, row in enumerate(a)]
         chain = proj
@@ -487,14 +490,14 @@ def check_spectral_invariants(s):
 def second_rows(s, tau):
     """Row j = 1 of each eigenvalue's Jordan chain for tau, None where
     mu_i = 1."""
-    return [rows[1] if len(rows) > 1 else None for rows in bilinear_rows(s, tau)]
+    return [rows[1] if len(rows) > 1 else None for rows in bilinear_row_values(s, tau)]
 
 
 def test_spectral_diag_thirds():
     s = decompose(QUAD)
     assert [rat(l) for l in s.eigenvalues] == [F(1, 3), F(2, 3)]
-    assert rat_rows(s.projectors[0]) == RatMatrix.diag(1, 0).to_rows()
-    assert rat_rows(s.projectors[1]) == RatMatrix.diag(0, 1).to_rows()
+    assert rat_rows(projector_values(s)[0]) == RatMatrix.diag(1, 0).to_rows()
+    assert rat_rows(projector_values(s)[1]) == RatMatrix.diag(0, 1).to_rows()
     assert s.multiplicities == [1, 1]
     check_spectral_invariants(s)
 
@@ -502,7 +505,7 @@ def test_spectral_diag_thirds():
 def test_spectral_scaled_identity():
     s = decompose(RatMatrix.diag(*[F(1, 2)] * 2))
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
-    assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
+    assert rat_rows(projector_values(s)[0]) == RatMatrix.identity(2).to_rows()
     # no chain: the second row is zero for every direction
     assert [second_rows(s, tau) for tau in (vec(1, 0), vec(0, 1), vec(3, -2))] == [[[0, 0]]] * 3
     check_spectral_invariants(s)
@@ -512,10 +515,10 @@ def test_spectral_jordan_block():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
     s = decompose(a)
     assert [rat(l) for l in s.eigenvalues] == [F(1, 2)]
-    assert rat_rows(s.projectors[0]) == RatMatrix.identity(2).to_rows()
+    assert rat_rows(projector_values(s)[0]) == RatMatrix.identity(2).to_rows()
     # e1^T (A - I/2) / (1/2) = (0, 2), and e2^T starts no chain
-    assert rat_rows(bilinear_rows(s, vec(1, 0))[0]) == [[1, 0], [0, 2]]
-    assert rat_rows(bilinear_rows(s, vec(0, 1))[0]) == [[0, 1], [0, 0]]
+    assert rat_rows(bilinear_row_values(s, vec(1, 0))[0]) == [[1, 0], [0, 2]]
+    assert rat_rows(bilinear_row_values(s, vec(0, 1))[0]) == [[0, 1], [0, 0]]
     check_spectral_invariants(s)
 
 
@@ -527,7 +530,7 @@ def test_spectral_rejects_bad_spectra():
     # a zero eigenvalue gets no projector, only the transient
     s = decompose(RatMatrix.diag(0, F(1, 3)))
     assert [rat(l) for l in s.eigenvalues] == [F(1, 3)] and s.transient == 1
-    assert rat_rows(s.projectors[0]) == RatMatrix.diag(0, 1).to_rows()
+    assert rat_rows(projector_values(s)[0]) == RatMatrix.diag(0, 1).to_rows()
 
 
 def test_spectral_irrational_eigenvalues():
@@ -571,15 +574,25 @@ def types(values):
 
 
 def assert_same_decomposition(got, want):
-    """Equal eigenvalues, multiplicities and projectors, each entry of the
-    same type (a rational value is a Fraction)."""
+    """Equal eigenvalues, betas, multiplicities and projector values, each
+    value of the same type (a rational value is a Fraction); a rational
+    eigenvalue's beta and projector rows are ints over a positive scale in
+    lowest terms."""
     assert got.matrix == want.matrix
     assert got.eigenvalues == want.eigenvalues and types(got.eigenvalues) == types(want.eigenvalues)
+    assert got.betas == want.betas
+    assert [type(b) is int for b in got.betas] == [type(lam) is F for lam in got.eigenvalues]
     assert got.multiplicities == want.multiplicities
     assert got.transient == want.transient
-    assert got.projectors == want.projectors
-    assert [types(x for r in p for x in r) for p in got.projectors] == \
-        [types(x for r in p for x in r) for p in want.projectors]
+    got_p, want_p = projector_values(got), projector_values(want)
+    assert got_p == want_p
+    assert [types(x for r in p for x in r) for p in got_p] == [types(x for r in p for x in r) for p in want_p]
+    for beta, (rows, scale) in zip(got.betas, got.projectors):
+        entries = [x for r in rows for x in r]
+        if type(beta) is int:
+            assert all(type(x) is int for x in entries) and scale > 0 and gcd(scale, *entries) == 1
+        else:
+            assert scale == 1
 
 
 def assert_same_chains(got, want, nilpotent, taus):
@@ -587,7 +600,7 @@ def assert_same_chains(got, want, nilpotent, taus):
     entry and type for type the rows tau^T P_i N^j lam_i^-j that the oracle
     steps by its nilpotent part N, for each tau."""
     for tau in taus:
-        rows, oracle = bilinear_rows(got, tau), all_bilinear_rows(want, nilpotent, tau)
+        rows, oracle = bilinear_row_values(got, tau), all_bilinear_rows(want, nilpotent, tau)
         assert rows == oracle
         assert [[types(r) for r in rs] for rs in rows] == [[types(r) for r in rs] for rs in oracle]
 
@@ -708,11 +721,11 @@ def test_expansion_holds_from_the_transient_on():
         d = a.rows
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
+        coeffs = expansion_values(s, tau, u)
         for n in range(s.transient, s.transient + 8):
             assert inner_product_at(s, coeffs, n) == sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
     s = decompose(NILPOTENT_COUPLED)
-    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0, 0)), vec(0, 1, 0))
+    coeffs = expansion_values(s, vec(1, 0, 0), vec(0, 1, 0))
     direct = [NILPOTENT_COUPLED.power(n).matvec(vec(0, 1, 0))[0] for n in range(6)]
     assert direct == [0, 1, 0, 0, 0, 0]
     assert [inner_product_at(s, coeffs, n) for n in range(6)] == [0] * 6
@@ -725,7 +738,7 @@ def test_expansion_holds_from_the_transient_on():
 
 def test_expand_diag_example():
     s = decompose(QUAD)
-    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(2, 1))
+    coeffs = expansion_values(s, vec(1, 0), vec(2, 1))
     # one coefficient per simple eigenvalue; only lam = 1/3's is nonzero
     assert [len(row) for row in coeffs] == s.multiplicities == [1, 1]
     assert rat(coeffs[0][0]) == 2
@@ -739,14 +752,14 @@ def test_expand_diag_example():
 
 def test_expand_zero_vector():
     s = decompose(QUAD)
-    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 1)), vec(0, 0))
+    coeffs = expansion_values(s, vec(1, 1), vec(0, 0))
     assert all(rat(c) == 0 for row in coeffs for c in row)
 
 
 def test_expand_jordan_example():
     a = mat([[F(1, 2), 1], [0, F(1, 2)]])
     s = decompose(a)
-    coeffs = expand_inner_product(bilinear_rows(s, vec(1, 0)), vec(0, 1))
+    coeffs = expansion_values(s, vec(1, 0), vec(0, 1))
     assert rat(coeffs[0][1]) == 2
     for n in range(11):
         direct = a.power(n).matvec(vec(0, 1))[0]
@@ -762,7 +775,7 @@ def test_bilinear_reconstruction_randomized():
         s = decompose(a)
         u = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
         tau = vec(*[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)])
-        coeffs = expand_inner_product(bilinear_rows(s, tau), u)
+        coeffs = expansion_values(s, tau, u)
         for n in (0, 1, 2, 5, 11, 30):
             direct = sum(x * y for x, y in zip(a.power(n).matvec(u), tau))
             got = inner_product_at(s, coeffs, n)
@@ -792,7 +805,7 @@ def check_expansion_against_all_j(a, u, tau):
     same product is 0 for mu_i <= j < d."""
     s = decompose(a)
     nilpotent = fraction_spectral_decompose(a)[1]
-    coeffs = expand_inner_product(bilinear_rows(s, tau), u)
+    coeffs = expansion_values(s, tau, u)
     assert [len(row) for row in coeffs] == s.multiplicities
     for i, mu in enumerate(s.multiplicities):
         for j in range(s.dim):
@@ -827,10 +840,10 @@ def test_bilinear_rows_stop_at_the_first_zero_row():
         nilpotent = fraction_spectral_decompose(a)[1]
         early = 0
         for tau in taus:
-            got, want = bilinear_rows(s, tau), all_bilinear_rows(s, nilpotent, tau)
+            got, want = bilinear_row_values(s, tau), all_bilinear_rows(s, nilpotent, tau)
             assert got == want and [[types(r) for r in rows] for rows in got] == \
                 [[types(r) for r in rows] for rows in want]
-            coeffs = expand_inner_product(got, u)
+            coeffs = expansion_values(s, tau, u)
             products = [[alg_dot(r, u) for r in rows] for rows in want]
             assert coeffs == products and [types(c) for c in coeffs] == [types(c) for c in products]
             # the rows that follow a zero row, which bilinear_rows does not multiply out
@@ -870,7 +883,7 @@ def test_spectral_decompose_d20_scaled_identity_is_fast():
     s = decompose(a)
     assert time.perf_counter() - start < 5
     assert s.multiplicities == [20]
-    assert rat_rows(s.projectors[0]) == RatMatrix.identity(20).to_rows()
+    assert rat_rows(projector_values(s)[0]) == RatMatrix.identity(20).to_rows()
 
 
 def test_alg_kernel_basis():
