@@ -71,11 +71,16 @@ not depend on tau, so one VertexImages table per decision forms each of
 them once, in integers: A as integer rows over one denominator, and each
 step's images as integer vectors over one common denominator, grown
 lazily.  PrefixSums holds the S_k of one direction in a lazily extended
-list read from that table; a rational tau is cleared to integers, so each
-<tau, A^i v> is an integer dot product and only a step's maximum becomes a
-Fraction.  sup_from reads its first threshold terms from the same list
-and the maximizer's image A^N u from the same table, so a direction that
-passes computes no term twice.  The audit calls verify_separator without
+list read from that table; a rational tau is cleared to integers over its
+denominator t, so each <tau, A^i v> is an integer dot product and t S_k
+is kept as an integer over the steps' common denominator.  The target's
+vertices are cleared to integers over one denominator once per decision
+(cleared_vertices), so t min_Q tau is one integer dot product per vertex
+over that denominator, t cancels, and the check cross-multiplies
+integers: no Fraction is formed for a direction it rejects.  sup_from
+reads S_N from the same list and the maximizer's image A^N u from the
+same table, so a direction that passes computes no term twice.  The
+audit calls verify_separator without
 the check: an honest certificate never fails it, so there it would only
 add cost.
 
@@ -320,10 +325,8 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     leader, so the scan ends on the first of the maximal vertices in sorted
     order."""
     rows, _ = bilinear_rows(s, tau)
-    den = lcm(*(x.denominator for v in u.vertices for x in v))
     # over one positive denominator the numerators sort as the vertices do
-    verts, nums = zip(*sorted(((v, [x.numerator * (den // x.denominator) for x in v]) for v in u.vertices),
-                              key=lambda pair: pair[1]))
+    verts, nums = zip(*sorted(zip(u.vertices, cleared_vertices(u.vertices)[0]), key=lambda pair: pair[1]))
     coeffs = [expand_inner_product(rows, v) for v in nums]
     best = 0
     for i in range(1, len(verts)):
@@ -342,6 +345,13 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
+def cleared_vertices(vertices) -> tuple[list[tuple[int, ...]], int]:
+    """(nums, den) with nums[k] / den = vertices[k]: the rational vertices
+    as integer vectors over their least common denominator."""
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices], den
+
+
 class VertexImages:
     """The images A^i v of the control vertices, shared by every direction
     of one decision and grown one step at a time.
@@ -355,8 +365,7 @@ class VertexImages:
     def __init__(self, a: RatMatrix, vertices):
         self.index = {v: k for k, v in enumerate(vertices)}
         self._a = IntRows(a)
-        den = lcm(*(x.denominator for v in vertices for x in v))
-        self._steps = [([tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices], den)]
+        self._steps = [cleared_vertices(vertices)]
 
     def at(self, i: int) -> tuple[list[tuple[int, ...]], int]:
         """(nums, den) of step i: nums[k] / den = A^i v_k."""
@@ -383,36 +392,48 @@ class PrefixSums:
     extended lazily, so the pre-check and sup_from share every term either
     of them computes.
 
-    The vertex images come from `images`, the decision's VertexImages.  A
-    rational tau is cleared to integers over one denominator, so each
-    <tau, A^i v> is an integer dot product and only the step's maximum
-    becomes a Fraction; an algebraic tau is dotted with the integer
-    numerators and its maximum divided once by the step's denominator."""
+    The vertex images come from `images`, the decision's VertexImages.  tau
+    is cleared to integers over one denominator t when it is rational
+    (linalg.cleared), and each S_k is kept as t S_k = num_k / den_k, with
+    den_k the lcm of the step denominators so far: each <tau, A^i v> is
+    then an integer dot product, a step adds its maximum by integer
+    products, and no Fraction is formed until at(k) asks for S_k itself.
+    An algebraic tau is dotted as it is, over t = 1, so num_k is a real
+    algebraic number and den_k still an integer."""
 
     def __init__(self, images: VertexImages, tau):
         self.images = images
         self.tau = tuple(tau)
-        self.sums: list[Alg] = [Fraction(0)]
         self._tau_nums, self._tau_den = cleared(self.tau)
+        self._scaled: list[tuple[Alg, int]] = [(0, 1)]
 
-    def _dot(self, num):
+    def dot(self, num):
+        """t <tau, num> for an integer vector num: an int when tau is
+        rational."""
         return sum(t * x for t, x in zip(self._tau_nums, num))
 
     def _over(self, x, den: int) -> Alg:
-        """x / (den times tau's denominator), for x a dot product."""
+        """x / (den t), for x a dot product."""
         den *= self._tau_den
         return Fraction(x, den) if isinstance(x, int) else x / den
 
+    def scaled(self, k: int) -> tuple[Alg, int]:
+        """(num_k, den_k) with num_k / den_k = t S_k, den_k > 0."""
+        while len(self._scaled) <= k:
+            nums, den = self.images.at(len(self._scaled) - 1)
+            total, prev = self._scaled[-1]
+            common = lcm(prev, den)
+            top = max(self.dot(num) for num in nums)
+            self._scaled.append((total * (common // prev) + top * (common // den), common))
+        return self._scaled[k]
+
     def at(self, k: int) -> Alg:
         """S_k."""
-        while len(self.sums) <= k:
-            nums, den = self.images.at(len(self.sums) - 1)
-            self.sums.append(self.sums[-1] + self._over(max(self._dot(num) for num in nums), den))
-        return self.sums[k]
+        return self._over(*self.scaled(k))
 
     def value(self, num, den: int) -> Alg:
         """<tau, num / den> for an integer vector num."""
-        return self._over(self._dot(num), den)
+        return self._over(self.dot(num), den)
 
 
 # how many prefix sums the driver's pre-check compares with min_Q tau: most
@@ -421,11 +442,21 @@ class PrefixSums:
 PREFIX_CHECK_DEPTH = 3
 
 
-def fails_prefix_check(sums: PrefixSums, low: Alg) -> bool:
-    """Whether S_k > low for some k <= PREFIX_CHECK_DEPTH, so that tau
-    cannot separate a target whose minimum of <., tau> is low: S_k is a
-    lower bound on the supremum, since 0 in U nests F_k in F_infinity."""
-    return any(sums.at(k) > low for k in range(1, PREFIX_CHECK_DEPTH + 1))
+def fails_prefix_check(sums: PrefixSums, target: tuple[list[tuple[int, ...]], int]) -> bool:
+    """Whether S_k > min_Q tau for some k <= PREFIX_CHECK_DEPTH, so that tau
+    cannot separate the target: S_k is a lower bound on the supremum, since
+    0 in U nests F_k in F_infinity.  target is the decision's table of the
+    target vertices, cleared_vertices(Q), nums over den.  With t tau's
+    denominator, t min_Q tau is the least dot product over den, and t S_k
+    is num_k / den_k (PrefixSums.scaled): t cancels, and the test is
+    num_k den > low den_k, in integers when tau is rational."""
+    nums, den = target
+    low = min(sums.dot(num) for num in nums)
+    for k in range(1, PREFIX_CHECK_DEPTH + 1):
+        num_k, den_k = sums.scaled(k)
+        if num_k * den > low * den_k:
+            return True
+    return False
 
 
 def sup_from(s: SpectralData, sums: PrefixSums, maximizer: Vec, threshold: int) -> Alg:

@@ -12,7 +12,9 @@ log2(CANDIDATE_BATCH) = 4 horizons later.  A candidate is verified as it
 is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
 every candidate reads its prefix sums from one table of control-vertex
-images (certify.VertexImages), built once per decision.  The audit
+images (certify.VertexImages) and the target's minimum from one table of
+target vertices in integers (certify.cleared_vertices), each built once
+per decision.  The audit
 derives the certificate for the stored direction without that check and
 compares it whole with the stored one.  A separator whose certificate
 the audit's parser would refuse (instances.minpoly_within_ceiling), or
@@ -42,15 +44,15 @@ from .certify import (
     PrefixSums,
     SeparatorCertificate,
     VertexImages,
+    cleared_vertices,
     enumerate_algebraic_vectors,
     extremal_candidates,
     fails_prefix_check,
-    min_over_vertices,
     verify_separator,
 )
 from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
 from .geometry import DimensionCeilingError
-from .linalg import SpectralData, charpoly_primitive, spectral_decompose
+from .linalg import SpectralData, charpoly_primitive, eigen_factors, nonzero_eigen_poly, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
 
@@ -140,8 +142,9 @@ def _certification_inputs(sys: LtiSystem):
     check_simple's conditions, then the normalization and spectral
     decomposition (past the facet-enumeration ceiling), then the digit
     rule on the reduced system.  The report's characteristic polynomial
-    is A's, so it serves when no normalization step changed the matrix;
-    otherwise the reduced matrix's is formed here, once."""
+    and eigenvalues are A's, so they serve when no normalization step
+    changed the matrix; otherwise the reduced matrix's are formed here,
+    once, with the same helpers."""
     report = check_simple(sys)
     reasons = report.failing_conditions()
     if reasons:
@@ -149,7 +152,12 @@ def _certification_inputs(sys: LtiSystem):
     try:
         form = to_simple_form(sys, report)
         a = form.a_reduced
-        spectral = spectral_decompose(a, report.charpoly if a is sys.a else charpoly_primitive(a))
+        if a is sys.a:
+            p, eigen = report.charpoly, report.eigenvalues
+        else:
+            p = charpoly_primitive(a)
+            eigen = eigen_factors(nonzero_eigen_poly(p))
+        spectral = spectral_decompose(a, p, eigen)
     except DimensionCeilingError as exc:
         return [f"normalization needs facet enumeration: {exc}"], None
     vertices = form.u_reduced.vertices + form.q_reduced.vertices
@@ -214,6 +222,8 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
             return Verdict("unreachable", instance_hash, warnings, certificate=cert, simple_form=form)
         if form.dim > 0:
             candidates = _candidate_stream(spectral, form, budgets)
+            # the pre-check's min_Q tau reads the target vertices in integers
+            target = cleared_vertices(form.q_reduced.vertices)
     tried = 0
     candidates_done = False
     columns = StepColumns(sys)
@@ -236,7 +246,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
                 candidates_done = False
                 tried += 1
                 sums = PrefixSums(images, tau)
-                if fails_prefix_check(sums, min_over_vertices(form.q_reduced, tau)):
+                if fails_prefix_check(sums, target):
                     continue
                 cert = verify_separator(spectral, form.u_reduced, form.q_reduced, sums)
                 # a separator whose artifact would not audit counts as not found

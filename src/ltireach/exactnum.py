@@ -1028,13 +1028,15 @@ def sturm_isolate_real_roots(p: IntPoly) -> list[Alg]:
     the rational ones as Fractions."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    roots: list[Alg] = []
-    for fcoeffs, _ in factor_int_poly(p.coeffs):
-        f = IntPoly(fcoeffs)
-        if f.degree == 1:
-            roots.append(RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1])))
-        else:
-            for lo, hi in _isolate_squarefree(f):
-                roots.append(RealAlg(f, lo, hi, _trusted=True))
+    roots = [r for fcoeffs, _ in factor_int_poly(p.coeffs) for r in irreducible_real_roots(IntPoly(fcoeffs))]
     roots.sort()
     return roots
+
+
+def irreducible_real_roots(f: IntPoly) -> list[Alg]:
+    """The real roots of an irreducible f (a factor from factor_int_poly),
+    ascending: the one root of a linear f as a Fraction, otherwise each
+    root from one isolation, so f is not factored again."""
+    if f.degree == 1:
+        return [RealAlg.from_rational(Fraction(-f.coeffs[0], f.coeffs[1]))]
+    return [RealAlg(f, lo, hi, _trusted=True) for lo, hi in _isolate_squarefree(f)]

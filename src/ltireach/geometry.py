@@ -6,7 +6,8 @@ exact primitive, a two-phase simplex with Bland's anti-cycling rule,
 backs every predicate: point membership, vertex redundancy, relative
 interior tests, and optimization.  Two need less: membership in a
 one-point polytope is an equality test, and the relative-interior test
-is a feasibility LP with one row per coordinate.  The tableau is
+is a feasibility LP with one row per coordinate, or none at all when the
+vertices sum to 0.  The tableau is
 fraction-free: each row is a list of integer numerators over one
 positive integer denominator, and a pivot combines rows by integer
 products and one gcd (Edmonds 1967; Bareiss 1968).  It takes the pivots
@@ -15,7 +16,8 @@ appear only in that point and the objective value.
 
 One routine fixes columns at zero: `_Tableau.restricted` takes a
 feasible tableau to the same LP without the banned columns, by a
-phase 1 from its current basis that maximizes minus their sum.  Phase 1
+phase 1 from its current basis that maximizes minus their sum, unless
+one row of the tableau already proves the restriction infeasible.  Phase 1
 of `lp_solve` is that routine with the artificial columns banned, and
 `feasible_tableau` runs it on rows that are already integers.
 `PhaseOneTableau` runs the same phase 1 on equality rows but keeps the
@@ -191,7 +193,11 @@ class _Tableau:
         banned).  self is unchanged.
 
         From the current basis it runs `phase_one` on the banned columns,
-        so it takes no pivot when no banned column is basic.  A banned
+        so it takes no pivot when no banned column is basic.  A row that
+        proves the LP infeasible returns None before any copy: its basic
+        column is banned, its right-hand side positive, and no kept column
+        has a positive entry, so with the banned columns at 0 its left side
+        is at most 0 for every nonnegative point.  A banned
         column still basic, at 0, is driven out on its row's first nonzero
         entry in a kept column (the entry may be negative; pivot normalizes
         its sign).  Rows left basic in a banned column are redundant and
@@ -201,6 +207,9 @@ class _Tableau:
             return self
         tab = self
         if any(b in ban for b in self.basis):
+            for row, b in zip(self.rows, self.basis):
+                if b in ban and row[-1] > 0 and all(row[j] <= 0 or j in ban for j in range(self.ncols)):
+                    return None
             tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols)
             if not tab.phase_one(ban):
                 return None
@@ -794,14 +803,19 @@ def relative_interior_contains_origin(p: GenPolyhedron) -> bool:
     Some lambda > 0 with sum lambda_i v_i = 0 exists exactly when one with
     every lambda_i >= 1 does (scale it), so the test is the feasibility of
     mu >= 0 with sum mu_i v_i = -sum v_i: one integer row per coordinate
-    for `feasible_tableau`."""
+    for `feasible_tableau`.  When the vertices sum to 0, as those of a
+    centrally symmetric polytope do, every right-hand side is 0 and mu = 0
+    solves it, so no tableau is built."""
     if not p.is_polytope:
         raise ValueError("relative interior test requires a polytope")
+    columns = [[v[i] for v in p.vertices] for i in range(p.dim)]
+    sums = [sum(coeffs) for coeffs in columns]
+    if not any(sums):
+        return True
     rows: list[list[int]] = []
     dens: list[int] = []
-    for i in range(p.dim):
-        coeffs = [v[i] for v in p.vertices]
-        coeffs.append(-sum(coeffs))
+    for coeffs, total in zip(columns, sums):
+        coeffs.append(-total)
         den = lcm(*(c.denominator for c in coeffs))
         rows.append([c.numerator * (den // c.denominator) for c in coeffs])
         dens.append(den)

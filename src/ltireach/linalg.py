@@ -13,13 +13,18 @@ rational and RealAlg where not.
 The characteristic polynomial is formed once per matrix, in integers
 (charpoly_primitive), and every spectral step takes it as an argument.
 The spectral tests read it without its zero roots (nonzero_eigen_poly),
-and neither powers A.  schur_stable checks the Hurwitz minors of its
-integer Cayley transform by Bareiss elimination.  real_spectrum_power
-settles a real spectrum with one squarefree part and one Sturm chain
-(M = 1, or 2 when a root is negative); otherwise the cyclotomic factors
-of the polynomial of root ratios give a multiple L of the least power,
-and tests on the polynomial of the m-th powers of the roots divide L
-down to it.
+and neither powers A.  eigen_factors factors that polynomial once and
+isolates each factor's real roots once; the spectral decomposition takes
+its result as an argument, and factored_spectral_tests reads both
+spectral conditions off it, a factor with only real roots by comparing
+its roots with -1, 0 and 1.  A factor with non-real roots, or a whole
+polynomial that is not factored, goes to the polynomial tests.
+schur_stable checks the Hurwitz minors of the integer Cayley transform
+by Bareiss elimination.  real_spectrum_power settles a real spectrum with
+one squarefree part and one Sturm chain (M = 1, or 2 when a root is
+negative); otherwise the cyclotomic factors of the polynomial of root
+ratios give a multiple L of the least power, and tests on the polynomial
+of the m-th powers of the roots divide L down to it.
 
 spectral_decompose computes, for a matrix with real, nonnegative
 eigenvalues, the spectral projector onto the generalized eigenspace of
@@ -56,12 +61,15 @@ from .exactnum import (
     composed_poly,
     count_roots_halfopen,
     factor_int_poly,
+    irreducible_real_roots,
     powered_roots_poly,
     sturm_chain,
-    sturm_isolate_real_roots,
 )
 
 Vec = tuple[Fraction, ...]
+# an irreducible factor of a nonzero_eigen_poly, its multiplicity and its
+# real roots ascending (eigen_factors)
+EigenFactor = tuple[IntPoly, int, tuple[Alg, ...]]
 
 
 class SpectralError(Exception):
@@ -398,6 +406,18 @@ def nonzero_eigen_poly(p: IntPoly) -> IntPoly:
     return IntPoly(coeffs[next(i for i, c in enumerate(coeffs) if c):])
 
 
+def eigen_factors(p: IntPoly) -> tuple[EigenFactor, ...]:
+    """The nonzero eigenvalues, for p a nonzero_eigen_poly: each irreducible
+    factor f of p with its multiplicity and its real roots ascending, from
+    one factorization of p and one isolation per factor.  The roots of f
+    are all real exactly when there are deg f of them."""
+    out = []
+    for coeffs, mult in factor_int_poly(p.coeffs):
+        f = IntPoly(coeffs)
+        out.append((f, mult, tuple(irreducible_real_roots(f))))
+    return tuple(out)
+
+
 def _cayley_transform(coeffs: tuple[int, ...]) -> list[int]:
     """(1-w)^n p((1+w)/(1-w)) for p given lowest first, in integers; maps
     the open unit disk to the open left half-plane.  Horner's rule in
@@ -590,6 +610,28 @@ def real_spectrum_power(p: IntPoly, d: int) -> int | None:
     return m if m <= real_spectrum_power_bound(d) else None
 
 
+def factored_spectral_tests(eigen: tuple[EigenFactor, ...], d: int) -> tuple[bool, int | None]:
+    """(schur_stable, real_spectrum_power) of a d x d matrix, read factor by
+    factor off its eigen_factors.  A factor whose roots are all real gives
+    both at once: it is stable when every root has |lam| < 1, and its least
+    power is 1, or 2 when a root is negative.  Only a factor with non-real
+    roots runs the polynomial tests, on itself alone.  The powers that pass
+    are the multiples of each factor's least power, so M is their lcm,
+    None past real_spectrum_power_bound(d)."""
+    schur, powers = True, []
+    for f, _, roots in eigen:
+        if len(roots) == f.degree:
+            schur = schur and -1 < roots[0] and roots[-1] < 1
+            powers.append(2 if roots[0] < 0 else 1)
+        else:
+            schur = schur and schur_stable(f)
+            powers.append(real_spectrum_power(f, d))
+    if None in powers:
+        return schur, None
+    m = lcm(*powers)
+    return schur, m if m <= real_spectrum_power_bound(d) else None
+
+
 def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
     """Basis of span{A^i g : i >= 0, g in generators} in reduced row
     echelon form.  The echelon basis grows one vector at a time, and a
@@ -749,12 +791,13 @@ class SpectralData:
         return self._resolvent
 
 
-def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
+def spectral_decompose(a: RatMatrix, p: IntPoly, eigen: tuple[EigenFactor, ...]) -> SpectralData:
     """The spectral data of A, for p its characteristic polynomial
-    (charpoly_primitive(a)), which the caller has formed.  Requires every
-    eigenvalue real and nonnegative; fails loudly otherwise.  A root 0 of
-    multiplicity k gives no eigenvalue and no projector, only the transient
-    k.
+    (charpoly_primitive(a)) and eigen the eigen_factors of p without its
+    zero roots, both formed by the caller, so nothing is factored or
+    isolated here.  Requires every eigenvalue real and nonnegative; fails
+    loudly otherwise.  A root 0 of multiplicity k gives no eigenvalue and
+    no projector, only the transient k.
 
     The projectors are evaluated in y = D x on the integer powers of
     B = D·A, whose characteristic polynomial p_B is monic in integers.  A
@@ -772,20 +815,18 @@ def spectral_decompose(a: RatMatrix, p: IntPoly) -> SpectralData:
     d = a.rows
     if p.degree != d:
         raise ValueError("the polynomial is not the matrix's characteristic polynomial")
-    nonzero = nonzero_eigen_poly(p)
-    transient = d - nonzero.degree
+    transient = d - nonzero_eigen_poly(p).degree
+    if sum(f.degree * mult for f, mult, _ in eigen) != d - transient:
+        raise ValueError("the eigenvalues are not those of the polynomial")
     if transient == d:
         return SpectralData(a, [], [], [], [], transient)
     eig: list[tuple[Alg, int]] = []
-    for fcoeffs, mult in factor_int_poly(nonzero.coeffs):
-        f = IntPoly(fcoeffs)
-        roots = sturm_isolate_real_roots(f)
+    for f, mult, roots in eigen:
         if len(roots) != f.degree:
             raise SpectralError("non-real eigenvalue detected")
-        for r in roots:
-            if r < 0:
-                raise SpectralError("negative eigenvalue detected")
-            eig.append((r, mult))
+        if roots[0] < 0:
+            raise SpectralError("negative eigenvalue detected")
+        eig += [(r, mult) for r in roots]
     eig.sort(key=lambda e: e[0])
 
     den = lcm(*(x.denominator for x in a.entries))

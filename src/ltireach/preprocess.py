@@ -3,11 +3,18 @@
 check_simple decides the structural conditions (polytopic controls
 around the origin, contracting dynamics, eventually-real spectrum, source
 at the origin, bounded target) exactly and in integers: the origin test
-is one feasibility LP with a row per coordinate, and both spectral tests
-read one primitive integer characteristic polynomial without its zero
-roots, formed once, with no matrix power.  The report keeps that
-polynomial, and the driver hands it to the spectral decomposition when
-the reduced matrix is A itself.  to_simple_form takes that report, which
+is one feasibility LP with a row per coordinate, or none when the control
+vertices sum to 0, and the spectral tests start from one primitive integer
+characteristic polynomial without its zero roots, formed once, with no
+matrix power.  When every other condition holds, that polynomial is
+factored once and each factor's real roots isolated once
+(linalg.eigen_factors): a factor with only real roots gives both spectral
+answers by comparisons of its roots, and only a factor with non-real roots
+runs the polynomial tests, on itself alone.  A system that fails another
+condition is never decomposed, so it gets both tests on the whole
+polynomial and nothing is factored.  The report keeps the polynomial and
+the eigenvalues, and the driver hands both to the spectral decomposition
+when the reduced matrix is A itself.  to_simple_form takes that report, which
 its caller has formed to decide whether the reductions apply, and applies
 two reductions in a fixed order:
 
@@ -44,9 +51,12 @@ from .geometry import (
     relative_interior_contains_origin,
 )
 from .linalg import (
+    EigenFactor,
     RatMatrix,
     Vec,
     charpoly_primitive,
+    eigen_factors,
+    factored_spectral_tests,
     krylov_invariant_span,
     nonzero_eigen_poly,
     real_spectrum_power,
@@ -81,7 +91,13 @@ class LtiSystem:
 
 @dataclass(frozen=True)
 class SimplicityReport:
+    """check_simple's answer for each condition of the certificate search,
+    and what it formed on the way that a later step reads: A's
+    characteristic polynomial, and the nonzero eigenvalues (eigen_factors)
+    when every condition but the spectral ones holds, None otherwise."""
+
     charpoly: IntPoly  # charpoly_primitive of A, formed once per decision
+    eigenvalues: tuple[EigenFactor, ...] | None
     is_polytope: bool
     origin_in_rel_interior: bool
     schur: bool
@@ -109,20 +125,33 @@ class SimplicityReport:
 
 
 def check_simple(sys: LtiSystem) -> SimplicityReport:
+    """Every condition of the certificate search, decided exactly.  When the
+    others hold, the spectral ones are read factor by factor off the
+    eigenvalues, isolated once (factored_spectral_tests), and the report
+    keeps them for the spectral decomposition; a system that fails one of
+    the others is never decomposed, so it gets the tests on the whole
+    polynomial, which factor nothing."""
     is_poly = sys.controls.is_single_polytope
     origin_ok = bool(is_poly and relative_interior_contains_origin(sys.controls.components[0]))
+    source_zero = vec_is_zero(sys.source)
+    bounded = sys.target.is_empty or sys.target.is_polytope
     charpoly = charpoly_primitive(sys.a)
     p = nonzero_eigen_poly(charpoly)
-    schur = schur_stable(p)
-    power = real_spectrum_power(p, sys.dim)
+    if origin_ok and source_zero and bounded:
+        eigen = eigen_factors(p)
+        schur, power = factored_spectral_tests(eigen, sys.dim)
+    else:
+        eigen = None
+        schur, power = schur_stable(p), real_spectrum_power(p, sys.dim)
     return SimplicityReport(
         charpoly=charpoly,
+        eigenvalues=eigen,
         is_polytope=is_poly,
         origin_in_rel_interior=origin_ok,
         schur=schur,
         real_power=power,
-        source_is_zero=vec_is_zero(sys.source),
-        target_bounded=sys.target.is_empty or sys.target.is_polytope,
+        source_is_zero=source_zero,
+        target_bounded=bounded,
     )
 
 

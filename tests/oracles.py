@@ -12,7 +12,10 @@ that the library stops at the first zero row.  `fraction_poly_gcd` and
 an integer pseudo-remainder sequence, and `FractionPrefixSums` and
 `fraction_sup_from` step each direction's vertex images by Fraction
 products where the library reads one integer table per decision, and
-invert I - A over Fractions where the library holds it as integer rows.
+invert I - A over Fractions where the library holds it as integer rows;
+`fraction_fails_prefix_check` compares those Fraction sums with the
+Fraction minimum over the target's vertices, where the library's
+pre-check cross-multiplies integers over their denominators.
 The certificate layer's Fraction closed form is kept whole:
 `fraction_bilinear_rows` steps the rows as values by A / lam_i,
 `fraction_classify_sequence` searches thresholds on the eigenvalues
@@ -33,7 +36,10 @@ a `RealAlg`.  `scan_real_spectrum_power` tries every power of A up to the
 bound where the library reads the least one off the characteristic
 polynomial; `fraction_schur_stable` takes the Hurwitz minors by Fraction
 LU where the library runs Bareiss in integers; the max-t LP decides the
-relative interior where the library solves a feasibility LP; and
+relative interior where the library solves a feasibility LP, or none when
+the vertices sum to 0; `whole_polynomial_report` runs both spectral tests
+on the whole polynomial of the nonzero eigenvalues where the library reads
+them factor by factor off the eigenvalues it isolates; and
 `fraction_replay` steps Fraction vectors where the library keeps an
 integer state over one denominator.  `pairwise_eventual_maximizer` runs
 the full threshold search on every pair the tournament compares, where
@@ -48,9 +54,9 @@ returns Newton's nilpotent part N beside its decomposition, so the Jordan
 chains the library steps by A - lam_i I can be checked against N; it
 reads the transient off the factor x of the characteristic polynomial,
 where the library strips the zero roots before it factors.
-`decompose` calls the library's with the characteristic polynomial it
-takes.  `FractionQuad` is a quadratic irrational as Fraction coordinates
-(a, b, d), with the formulas exactnum used before it held integer
+`decompose` calls the library's with the characteristic polynomial and
+the eigenvalues it takes.  `FractionQuad` is a quadratic irrational as
+Fraction coordinates (a, b, d), with the formulas exactnum used before it held integer
 coordinates, including which discriminant d a result carries and the
 intervals that d gives.
 """
@@ -62,15 +68,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 
-from ltireach.certify import PrefixSums, SeparatorCertificate, SeqClass, SeqKind, VertexImages, classify_sequence
+from ltireach.certify import (PREFIX_CHECK_DEPTH, PrefixSums, SeparatorCertificate, SeqClass, SeqKind, VertexImages,
+                              classify_sequence)
 from ltireach.exactnum import (Alg, IntPoly, RealAlg, _isolate_squarefree, count_roots_halfopen, factor_int_poly,
                                sturm_chain, sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
 from ltireach.linalg import (RatMatrix, SpectralData, SpectralError, Vec, bilinear_rows, charpoly_primitive,
-                             expand_inner_product, real_spectrum_power_bound, spectral_decompose, vec_add,
-                             vec_dot, vec_scale, vec_sub, zero_vec)
-from ltireach.preprocess import LtiSystem, SimpleForm
+                             eigen_factors, expand_inner_product, nonzero_eigen_poly, real_spectrum_power,
+                             real_spectrum_power_bound, schur_stable, spectral_decompose, vec_add, vec_dot,
+                             vec_scale, vec_sub, zero_vec)
+from ltireach.preprocess import LtiSystem, SimpleForm, SimplicityReport
 
 
 def rat(x) -> Fraction:
@@ -719,8 +727,9 @@ class FractionQuad:
 
 def decompose(a: RatMatrix) -> SpectralData:
     """`linalg.spectral_decompose` of A, given the characteristic
-    polynomial that it takes."""
-    return spectral_decompose(a, charpoly_primitive(a))
+    polynomial and the eigenvalues that it takes."""
+    p = charpoly_primitive(a)
+    return spectral_decompose(a, p, eigen_factors(nonzero_eigen_poly(p)))
 
 
 def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
@@ -866,6 +875,15 @@ class FractionPrefixSums:
                 self.images = [self.s.matrix.matvec(x) for x in self.images]
             self.sums.append(self.sums[-1] + max(alg_dot(self.tau, x) for x in self.images))
         return self.sums[k]
+
+
+def fraction_fails_prefix_check(s: SpectralData, u: GenPolyhedron, q: GenPolyhedron, tau) -> bool:
+    """`certify.fails_prefix_check` as it was: some FractionPrefixSums S_k,
+    k <= PREFIX_CHECK_DEPTH, above the least <tau, v> over the target's
+    vertices."""
+    sums = FractionPrefixSums(s, u, tau)
+    low = min(alg_dot(tau, v) for v in q.vertices)
+    return any(sums.at(k) > low for k in range(1, PREFIX_CHECK_DEPTH + 1))
 
 
 def prefix_sums(s: SpectralData, u: GenPolyhedron, tau) -> PrefixSums:
@@ -1170,6 +1188,26 @@ def fraction_schur_stable(a: RatMatrix) -> bool:
     if q[n] == 0:
         return False
     return _fraction_hurwitz_stable(q)
+
+
+def whole_polynomial_report(sys: LtiSystem) -> SimplicityReport:
+    """`preprocess.check_simple` as it was: both spectral tests on the whole
+    polynomial of the nonzero eigenvalues, for every system, with no
+    factorization and no eigenvalues kept; the relative interior by the
+    max-t LP."""
+    is_poly = sys.controls.is_single_polytope
+    charpoly = charpoly_primitive(sys.a)
+    p = nonzero_eigen_poly(charpoly)
+    return SimplicityReport(
+        charpoly=charpoly,
+        eigenvalues=None,
+        is_polytope=is_poly,
+        origin_in_rel_interior=bool(is_poly and max_t_interior_contains_origin(sys.controls.components[0])),
+        schur=schur_stable(p),
+        real_power=real_spectrum_power(p, sys.dim),
+        source_is_zero=all(x == 0 for x in sys.source),
+        target_bounded=sys.target.is_empty or sys.target.is_polytope,
+    )
 
 
 def max_t_interior_contains_origin(p: GenPolyhedron) -> bool:

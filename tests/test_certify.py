@@ -9,9 +9,11 @@ from ltireach.certify import (
     PrefixSums,
     SeqKind,
     VertexImages,
+    cleared_vertices,
     enumerate_algebraic_vectors,
     eventual_maximizer,
     extremal_candidates,
+    fails_prefix_check,
     left_eigenvectors,
     min_over_vertices,
     recompute_sup_from_certificate,
@@ -23,8 +25,8 @@ from ltireach.exactnum import RealAlg, interval, sturm_isolate_real_roots
 from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
 from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, vec
 from ltireach.preprocess import LtiSystem
-from oracles import (FractionPrefixSums, classify, decompose, dominant_index, fraction_sup_from,
-                     fraction_certificate, int_poly, pairwise_eventual_maximizer, prefix_sums, rat, sign)
+from oracles import (FractionPrefixSums, classify, decompose, dominant_index, fraction_fails_prefix_check,
+                     fraction_sup_from, fraction_certificate, int_poly, pairwise_eventual_maximizer, prefix_sums, rat, sign)
 
 F = Fraction
 
@@ -494,6 +496,50 @@ def _tied_polytope(rng: random.Random, a: RatMatrix, tau) -> GenPolyhedron:
         d = kernel[0]
         pts += [tuple(x + y for x, y in zip(p, d)) for p in pts]
     return GenPolyhedron.polytope(pts)
+
+
+def test_integer_prefix_check_matches_the_fraction_check():
+    """The pre-check cross-multiplies integers (algebraic numbers when tau
+    is) over their denominators, and rejects exactly the directions whose
+    Fraction prefix sums exceed the Fraction minimum over the target: on
+    seeded rational and quadratic directions against seeded targets, and
+    against a target point whose <., tau> is S_k itself, the boundary of
+    the strict inequality, or just below it.  A rational direction r scaled
+    by 1 + sqrt 2 keeps the boundary exact, since its prefix sums and the
+    target's value scale alike."""
+    rng = random.Random(59)
+    sqrt2 = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
+    counts = Counter()
+    for a in [*_triangular_matrices(rng), *_quadratic_irrational_matrices(rng)]:
+        s = decompose(a)
+        u = _spread_polytope(rng, a.rows)
+        images = VertexImages(a, u.vertices)
+        rational = [tuple(F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(a.rows)) for _ in range(4)]
+        scaled = [(tuple(x * (1 + sqrt2) for x in r), r) for r in rational[:2]]
+        for tau, r in [(r, r) for r in rational] + scaled + [(ev, None) for ev in left_eigenvectors(s)]:
+            if not any(tau):
+                continue
+            targets = [GenPolyhedron.polytope([vec(*[F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(a.rows)])
+                                               for _ in range(rng.randint(1, 3))]) for _ in range(3)]
+            if r is not None:
+                norm = sum(x * x for x in r)
+                oracle = FractionPrefixSums(s, u, r)
+                for k in range(1, PREFIX_CHECK_DEPTH + 1):
+                    for below in (0, F(1, 7)):
+                        # <q, r> = S_k(r) - below, so <q, tau> = S_k(tau) - below (1 + sqrt 2)
+                        targets.append(GenPolyhedron.point(vec(*[(oracle.at(k) - below) * x / norm for x in r])))
+            sums = PrefixSums(images, tau)
+            for q in targets:
+                got = fails_prefix_check(sums, cleared_vertices(q.vertices))
+                assert got is fraction_fails_prefix_check(s, u, q, tau)
+                algebraic = any(isinstance(x, RealAlg) for x in tau)
+                counts["algebraic" if algebraic else "rational", got] += 1
+                low = min_over_vertices(q, tau)
+                if any(sums.at(k) == low for k in range(1, PREFIX_CHECK_DEPTH + 1)):
+                    counts["boundary", algebraic, got] += 1
+    assert min(counts[kind, got] for kind in ("rational", "algebraic") for got in (True, False)) >= 20, counts
+    # at k = PREFIX_CHECK_DEPTH, S_k equal to the minimum does not reject
+    assert counts["boundary", False, False] >= 20 and counts["boundary", True, False] >= 20, counts
 
 
 def test_tournament_matches_pairwise_oracle():

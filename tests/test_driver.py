@@ -414,31 +414,69 @@ def test_decide_and_audit_check_simplicity_once(monkeypatch):
     (RatMatrix.diag(0, F(2, 3)), 1),  # singular: no step changes the matrix
 ], ids=["invertible", "negative_eigenvalue", "singular"])
 def test_decide_and_audit_form_one_characteristic_polynomial(monkeypatch, a, power):
-    """check_simple forms A's characteristic polynomial and the spectral
-    decomposition reads it when the reduced matrix is A; a normalization
-    step that changes the matrix costs exactly one more, in decide and in
-    the audit alike."""
+    """check_simple forms A's characteristic polynomial and isolates its
+    eigenvalues, and the spectral decomposition reads both when the reduced
+    matrix is A; a normalization step that changes the matrix costs exactly
+    one more of each, in decide and in the audit alike."""
     from ltireach import linalg, preprocess
 
-    calls = []
-    original = linalg.charpoly_primitive
+    calls, isolations = [], []
+    original, isolate = linalg.charpoly_primitive, linalg.eigen_factors
 
     def counting(m):
         calls.append(m)
         return original(m)
 
+    def counting_isolations(p):
+        isolations.append(p)
+        return isolate(p)
+
     for module in (linalg, preprocess, driver):
         monkeypatch.setattr(module, "charpoly_primitive", counting)
+        monkeypatch.setattr(module, "eigen_factors", counting_isolations)
     sys_ = LtiSystem(a, ControlSet.single(QUAD_U), vec(0, 0), GenPolyhedron.point(vec(0, 4)))
     v = driver.decide(sys_, small_budgets())
     assert v.kind == "unreachable"
     assert v.simple_form.power == power
     changed = v.simple_form.a_reduced != a
     assert changed == (power > 1)
-    assert calls[0] is a and len(calls) == 1 + changed
+    assert calls[0] is a and len(calls) == len(isolations) == 1 + changed
     calls.clear()
+    isolations.clear()
     assert driver.audit(sys_, instances.verdict_to_json(v)) is True
-    assert calls[0] is a and len(calls) == 1 + changed
+    assert calls[0] is a and len(calls) == len(isolations) == 1 + changed
+
+
+def test_union_control_gadget_is_decided_without_factoring(monkeypatch):
+    """A system that fails a condition other than the spectral ones, here a
+    vector-reachability gadget with union controls, is never decomposed, so
+    check_simple runs the spectral tests on the whole polynomial and
+    factors nothing (perfbench's traced forward_union run requires the
+    same); its warning names what the whole-polynomial tests report.  A
+    simple system does factor, so the counter sees the calls it should."""
+    from ltireach.gadgets import VectorReachInstance, vector_reach_to_lti
+    from oracles import whole_polynomial_report
+
+    calls = []
+    original = exactnum.factor_int_poly
+
+    def counting(coeffs):
+        calls.append(coeffs)
+        return original(coeffs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ltireach") and getattr(module, "factor_int_poly", None) is original:
+            monkeypatch.setattr(module, "factor_int_poly", counting)
+    shear = RatMatrix.from_rows([[1, 1], [0, 1]])
+    gadget = vector_reach_to_lti(VectorReachInstance((shear,), vec(0, 1), vec(2, 1))).system
+    assert not gadget.controls.is_single_polytope
+    v = driver.decide(gadget, small_budgets(max_steps=4))
+    assert v.kind == "reachable" and calls == []
+    reasons = whole_polynomial_report(gadget).failing_conditions()
+    assert "spectral radius is not below one" in reasons
+    assert v.warnings == ("certificate search disabled (" + "; ".join(reasons) + "); forward search only",)
+    assert driver.decide(quad_system(GenPolyhedron.point(vec(0, 3))), small_budgets()).kind == "unreachable"
+    assert calls
 
 
 def test_audit_unknown_is_vacuous():

@@ -248,15 +248,26 @@ def without(cons, banned):
             for con in cons]
 
 
-def test_restricted_tableau_is_the_lp_without_the_banned_variables():
+def test_restricted_tableau_is_the_lp_without_the_banned_variables(monkeypatch):
     """Restricting a feasible tableau to the columns of the variables not
     banned gives a feasible tableau exactly when the Fraction simplex finds
     the LP without the banned variables feasible, twice in a row.  Its
     point satisfies that LP, its rows are in lowest terms with unit basic
     columns, the parent is left as it was, and with no banned column basic
-    it is the parent with those columns dropped."""
+    it is the parent with those columns dropped.  An infeasible restriction
+    that one row proves (a banned basic column, a positive right-hand side,
+    no positive entry in a kept column) returns without running phase 1,
+    and the Fraction simplex agrees that it is infeasible."""
     rng = random.Random(37)
     counts = Counter()
+    phase_ones = []
+    phase_one = geometry._Tableau.phase_one
+
+    def counting(self, banned):
+        phase_ones.append(banned)
+        return phase_one(self, banned)
+
+    monkeypatch.setattr(geometry._Tableau, "phase_one", counting)
     for _, cons, n, nn, _ in random_lps(31, 400):
         tab = feasible_tableau(*integer_rows(cons, n), nn)
         if tab is None:
@@ -267,7 +278,12 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables():
             col_of, _ = geometry.tableau_columns(nn)
             cols = {c for j in banned for c in col_of[j] if c is not None}
             before = ([list(row) for row in tab.rows], list(tab.dens), list(tab.basis))
+            phase_ones.clear()
             child = tab.restricted(sorted(cols))
+            early = child is None and not phase_ones
+            assert early == any(b in cols and row[-1] > 0 and all(row[j] <= 0 for j in range(tab.ncols)
+                                                                  if j not in cols)
+                                for row, b in zip(tab.rows, tab.basis))
             assert ([list(row) for row in tab.rows], tab.dens, tab.basis) == before
             cons = without(cons, banned)
             want = fraction_lp_solve(None, cons, n - len(banned), nonneg=kept_nn)
@@ -279,6 +295,7 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables():
                 assert [(row, den) for row, den in zip(child.rows, child.dens)] == dropped
             if child is None:
                 counts["infeasible"] += 1
+                counts["early exit"] += early
                 break
             counts["feasible"] += 1
             counts["rows dropped"] += len(child.rows) < len(tab.rows)
@@ -294,6 +311,7 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables():
             tab, n, nn = child, n - len(banned), kept_nn
     assert counts["infeasible"] > 20 and counts["feasible"] > 100
     assert counts["no pivot"] > 50 and counts["rows dropped"] > 5
+    assert 30 <= counts["early exit"] < counts["infeasible"], counts
 
 
 def test_phase_one_tableau_grown_from_no_variables_matches_cold_solves():
@@ -553,16 +571,33 @@ def seeded_polytope(rng, d: int) -> tuple[str, GenPolyhedron]:
     return kind, GenPolyhedron.polytope([vec(*v) for v in pts])
 
 
-def test_relative_interior_matches_max_t_oracle_on_seeded_polytopes():
+def test_relative_interior_matches_max_t_oracle_on_seeded_polytopes(monkeypatch):
     """The d-row feasibility test equals the max-t LP on seeded polytopes
-    of every kind, with both answers common."""
+    of every kind, with both answers common.  Exactly the polytopes whose
+    vertices sum to 0, among them every centrally symmetric one, are
+    answered without a tableau, and the others, inside or not, by the LP."""
     rng = random.Random(4242)
     answers = Counter()
+    solved = []
+    feasible = geometry.feasible_tableau
+
+    def counting(*args):
+        solved.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(geometry, "feasible_tableau", counting)
     for _ in range(600):
         kind, p = seeded_polytope(rng, rng.randint(1, 4))
+        solved.clear()
         got = relative_interior_contains_origin(p)
+        symmetric = not any(sum(v[i] for v in p.vertices) for i in range(p.dim))
+        assert bool(solved) is not symmetric
         assert got is max_t_interior_contains_origin(p), (kind, p)
         answers[kind, got] += 1
+        answers["shortcut" if symmetric else "lp", got] += 1
+        if kind == "centered":
+            assert symmetric
+    assert answers["shortcut", True] >= 100 and answers["lp", True] >= 30 and answers["lp", False] >= 100, answers
     assert answers["centered", True] and answers["outside", False] and answers["vertex", False]
     assert answers["lower", True] and answers["lower", False] and answers["facet", False]
     assert answers["point", True] and answers["point", False] and answers["full", True] and answers["full", False]

@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from ltireach.exactnum import sturm_isolate_real_roots
+from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import (
     RatMatrix,
     SpectralError,
@@ -18,11 +19,14 @@ from ltireach.linalg import (
     real_spectrum_power_bound,
     schur_stable,
     vec,
+    zero_vec,
 )
+from ltireach.preprocess import LtiSystem, SimplicityReport, check_simple
 from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, bilinear_row_values, decompose,
                      expansion_values, frac_to_int_poly, fraction_charpoly, fraction_inverse,
                      fraction_real_nonneg_spectrum, fraction_schur_stable, fraction_spectral_decompose,
-                     inner_product_at, int_poly, projector_values, rat, scan_real_spectrum_power, sign)
+                     inner_product_at, int_poly, projector_values, rat, scan_real_spectrum_power, sign,
+                     whole_polynomial_report)
 
 F = Fraction
 
@@ -343,10 +347,31 @@ def seeded_matrix(rng, d: int) -> RatMatrix:
     return p @ core @ p.inverse()
 
 
+def cross_system(a: RatMatrix) -> LtiSystem:
+    """A around the cross-polytope, from the origin to the origin: every
+    condition but the spectral ones holds, so check_simple reads those off
+    the eigenvalues it isolates."""
+    d = a.rows
+    cross = GenPolyhedron.polytope([vec(*(s if j == i else 0 for j in range(d))) for i in range(d) for s in (-1, 1)])
+    return LtiSystem(a, ControlSet.single(cross), zero_vec(d), GenPolyhedron.point(zero_vec(d)))
+
+
+def assert_same_report(a: RatMatrix) -> SimplicityReport:
+    """check_simple of cross_system(a) answers as the whole-polynomial
+    tests do, condition by condition."""
+    got = check_simple(cross_system(a))
+    want = whole_polynomial_report(cross_system(a))
+    assert (got.schur, got.real_power, got.failing_conditions()) == \
+        (want.schur, want.real_power, want.failing_conditions()), a
+    return got
+
+
 def test_spectral_tests_match_the_scan_and_fraction_oracles():
     """On 1,000 seeded matrices with d <= 4, real_spectrum_power equals the
     scan over Fraction matrix powers and schur_stable the Fraction
-    Cayley/Hurwitz test."""
+    Cayley/Hurwitz test, and check_simple, which reads both factor by
+    factor off the isolated eigenvalues, reports what the two tests on the
+    whole polynomial report."""
     rng = random.Random(1701)
     seen = set()
     stable = set()
@@ -358,8 +383,53 @@ def test_spectral_tests_match_the_scan_and_fraction_oracles():
         schur = schur_stable(eigen_poly(a))
         assert schur is fraction_schur_stable(a), a
         stable.add(schur)
+        assert_same_report(a)
     assert {1, 2, 3, 4, 6, 8, 12, None} <= seen
     assert stable == {True, False}
+
+
+# (a, b, c) with a^2 + b^2 = c^2: the block (1/2c) [[a, -b], [b, a]] has
+# eigenvalues of modulus 1/2 at the angle arccos(a/c), which is no rational
+# multiple of pi (cos of one is rational only at 0, +-1/2, +-1)
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29),
+               (12, 35, 37), (9, 40, 41), (28, 45, 53), (11, 60, 61), (33, 56, 65))
+
+
+def test_per_factor_spectral_report_matches_the_whole_polynomial(monkeypatch):
+    """The ten irrational rotation blocks of PYTHAGOREAN, 20-D: the whole
+    polynomial's real_spectrum_power forms the degree-380 polynomial of root
+    ratios (seconds), check_simple decides one quadratic factor at a time.
+    Both report a stable matrix with no real-spectrum power.  The reports
+    agree too on block-diagonal matrices of ANGLE_BLOCKS and UNIT_BLOCKS,
+    whose least powers are lcms of the blocks', and at a bound just below
+    and at the lcm of two blocks that each pass it alone."""
+    from ltireach import linalg
+
+    a = RatMatrix.block_diag([mat([[F(x, 2 * z), F(-y, 2 * z)], [F(y, 2 * z), F(x, 2 * z)]])
+                              for x, y, z in PYTHAGOREAN])
+    start = time.perf_counter()
+    got = check_simple(cross_system(a))
+    assert time.perf_counter() - start < 5.0
+    want = whole_polynomial_report(cross_system(a))
+    assert (got.schur, got.real_power) == (want.schur, want.real_power) == (True, None)
+    assert got.failing_conditions() == want.failing_conditions() == \
+        ["no power of the matrix has exclusively real spectrum"]
+    assert [(f.degree, mult, roots) for f, mult, roots in got.eigenvalues] == [(2, 1, ())] * 10
+
+    blocks = [companion(*ANGLE_BLOCKS[k](scale)) for k in sorted(ANGLE_BLOCKS) for scale in (F(1, 2), F(6, 5))]
+    blocks += [companion(*c) for c in UNIT_BLOCKS]
+    powers = Counter()
+    for i, first in enumerate(blocks):
+        for second in blocks[i:]:
+            report = assert_same_report(RatMatrix.block_diag([mat(first), mat(second)]))
+            powers[report.real_power] += 1
+    three = RatMatrix.block_diag([mat(companion(*ANGLE_BLOCKS[k](F(1, 2)))) for k in ("pi/3", "pi/4", "3pi/4")])
+    assert assert_same_report(three).real_power == 24
+    assert {3, 4, 6, 8, 12, 24, None} <= set(powers), powers
+    pair = RatMatrix.block_diag([mat(companion(*ANGLE_BLOCKS[k](F(1, 2)))) for k in ("pi/4", "pi/6")])
+    for bound, expected in ((23, None), (24, 24)):
+        monkeypatch.setattr(linalg, "real_spectrum_power_bound", lambda d, b=bound: b)
+        assert assert_same_report(pair).real_power == expected
 
 
 def test_real_spectrum_power_answers_none_above_the_bound(monkeypatch):

@@ -20,7 +20,8 @@ RealAlg, so the representation of an algebraic number can change in one
 module.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
-digest, with the workloads loaded from their text like the span table.
+digest, with the workloads loaded from their text like the span table, and
+on the same rounds check_simple answers as the whole-polynomial tests do.
 """
 
 import ast
@@ -195,6 +196,30 @@ def test_round_verdict_bytes_are_pinned_at_two_seeds():
                 digest.update(instances.dump_json(body).encode() + b"\n")
         got[name, seed] = digest.hexdigest()
     assert got == ROUND_DIGESTS
+
+
+def test_check_simple_matches_the_whole_polynomial_report_on_the_bench():
+    """On every system of rounds 0-4 of each workload at seeds 1 and 7,
+    check_simple, which reads the spectral conditions factor by factor off
+    the eigenvalues when the other conditions hold, answers each condition
+    as the tests on the whole polynomial do."""
+    from ltireach import instances
+    from ltireach.preprocess import check_simple
+    from oracles import whole_polynomial_report
+
+    workloads = load_workloads()
+    factored = 0
+    for name, wl in workloads.WORKLOADS.items():
+        for seed in (1, 7):
+            stream = workloads.rounds(wl, seed)
+            for _ in range(5):
+                for inst in next(stream):
+                    sys_ = instances.parse_instance(inst.text)
+                    got, want = check_simple(sys_), whole_polynomial_report(sys_)
+                    assert (got.schur, got.real_power, got.failing_conditions()) == \
+                        (want.schur, want.real_power, want.failing_conditions()), inst.text
+                    factored += got.eigenvalues is not None
+    assert factored >= 100
 
 
 SRC = ROOT / "src" / "ltireach"
