@@ -19,14 +19,18 @@ where every step ranges over the pooled hull, is horizon n's with the
 block of power n before its columns, one more convexity row and a new
 right-hand side in the state rows.  A child that fixes one step's
 component has its parent's LP with the other components' variables of
-that step at 0, so its feasible tableau is the parent's restricted to
-the other columns (`geometry._Tableau.restricted`), often without a
-pivot.  A lone control polytope is a union of one: each node has one
-child, which bans nothing and keeps its parent's tableau.  Feasibility
-does not depend on the basis, so the search visits the nodes a search
-that solves each node from scratch would; the witness is the point of
-the feasible leaf's tableau, whichever basis the growth and the
-restrictions reached.
+that step at 0, so its feasible tableau is the parent's with those
+columns dead (`geometry._Tableau.restricted`).  Every node keeps the
+root's columns, each step a pooled block, so step t's block starts at t
+times the pooled width.  A child in which no dead column is basic takes
+no pivot and shares its parent's rows; one that pivots copies the
+parent's row list first, and no node changes its parent's rows.  A lone
+control polytope is a union of one: each node has one child, which
+bans nothing and keeps its parent's tableau.  Feasibility does not
+depend on the basis, so the search visits the nodes a search that
+solves each node from scratch would; the witness is the point of the
+feasible leaf's tableau, whichever basis the growth and the restrictions
+reached, read at its component's columns of each pooled block.
 
 The search runs in integers.  StepColumns holds A as integer rows over
 one denominator and grows each A^k g, an integer vector over its own
@@ -180,18 +184,6 @@ def _pool(blocks: list[_Block]) -> _Block:
                   sum(b.nr for b in blocks), sum(b.nl for b in blocks))
 
 
-def _foreign_columns(blocks: list[_Block]) -> list[list[int]]:
-    """For each component, the tableau columns of the pooled block that hold
-    another component's generators.  The pooled block lists every
-    component's vertices, then their rays, then their lines."""
-    owner = [c for c, b in enumerate(blocks) for _ in range(b.nv)]
-    owner += [c for c, b in enumerate(blocks) for _ in range(b.nr)]
-    owner += [c for c, b in enumerate(blocks) for _ in range(b.nl)]
-    col_of, _ = tableau_columns(_pool(blocks).nonneg)
-    return [[j for o, pm in zip(owner, col_of) if o != c for j in pm if j is not None]
-            for c in range(len(blocks))]
-
-
 class StepColumns:
     """The columns of every horizon LP of one system, grown one power of A
     at a time.
@@ -202,8 +194,9 @@ class StepColumns:
     A^k and pooled[k] the pooled hull's; step t of horizon n reads power
     n-1-t.  bases[n] is A^n source, and target holds the negated target
     generators.  One object serves every horizon of one decision, so each
-    A^k g is formed once.  widths[c] counts the tableau columns of
-    component c's block, and foreign[c] lists the columns of a pooled block
+    A^k g is formed once.  width counts the tableau columns of a pooled
+    block, members[c] lists the variables of a pooled block that are
+    component c's generators, in their order, and foreign[c] the columns
     that are not component c's, for the search's restrictions.  root is the
     phase-1 tableau of the pooled root LP of horizon root_horizon, grown
     from the LP with no variables and kept with its artificial columns so
@@ -215,8 +208,15 @@ class StepColumns:
         self.comps = [[_Block.of_generators(c.vertices, c.rays, c.lines)] for c in sys.controls.components]
         blocks = [table[0] for table in self.comps]
         self.pooled = [_pool(blocks)]
-        self.widths = [tableau_columns(b.nonneg)[1] for b in blocks]
-        self.foreign = _foreign_columns(blocks)
+        # the component of each pooled variable: every component's vertices,
+        # then their rays, then their lines
+        owner = [c for c, b in enumerate(blocks) for _ in range(b.nv)]
+        owner += [c for c, b in enumerate(blocks) for _ in range(b.nr)]
+        owner += [c for c, b in enumerate(blocks) for _ in range(b.nl)]
+        self.members = [[i for i, o in enumerate(owner) if o == c] for c in range(len(blocks))]
+        col_of, self.width = tableau_columns(self.pooled[0].nonneg)
+        self.foreign = [[j for o, pm in zip(owner, col_of) if o != c for j in pm if j is not None]
+                        for c in range(len(blocks))]
         self.bases = [_int_vec(sys.source)]
         q = sys.target
         self.target = _Block.of_generators(*([tuple(-x for x in g) for g in gens]
@@ -285,14 +285,17 @@ def reach_exactly(columns: StepColumns, n: int) -> ReachWitness | None:
 
 def _witness(cols: StepColumns, assignment, tab) -> ReachWitness:
     """The witness at the basic point of tab, the feasible tableau of the
-    leaf that assigns every step: each variable times its generator's
-    denominator."""
+    leaf that assigns every step: each variable of step t's assigned
+    component, read at its place in step t's pooled block, times its
+    generator's denominator."""
     n = len(assignment)
-    blocks = [cols.comps[c][n - 1 - t] for t, c in enumerate(assignment)]
-    point = iter(tab.point([x for b in (*blocks, cols.target) for x in b.nonneg]))
+    pooled = cols.pooled[0]
+    point = tab.point(pooled.nonneg * n + cols.target.nonneg)
+    size = len(pooled.dens)
     steps = []
-    for c, b in zip(assignment, blocks):
-        coeffs = [den * y for den, y in zip(b.dens, point)]
+    for t, c in enumerate(assignment):
+        b = cols.comps[c][n - 1 - t]
+        coeffs = [den * point[t * size + i] for den, i in zip(b.dens, cols.members[c])]
         i, j = b.nv, b.nv + b.nr
         steps.append(WitnessStep(c, tuple(coeffs[:i]), tuple(coeffs[i:j]), tuple(coeffs[j:])))
     return ReachWitness(n, tuple(steps))
@@ -306,16 +309,16 @@ def _search(cols: StepColumns, assignment: list[int], depth: int, tab) -> ReachW
 
     The child that gives step `depth` component c has its parent's LP with
     the other components' variables of that step at 0, so its tableau is
-    tab restricted to the other columns.  A leaf's columns are then each
-    step's assigned block and the target's, and its witness is the point
-    of the feasible tableau it holds."""
+    tab with those columns dead.  Every node keeps the root's columns, so
+    a leaf's live columns are each step's assigned generators and the
+    target's, and its witness is the point of the feasible tableau it
+    holds."""
     if tab is None:
         return None
     n = len(assignment)
     if depth == n:
         return _witness(cols, assignment, tab)
-    # step depth's pooled block follows the assigned blocks of earlier steps
-    offset = sum(cols.widths[c] for c in assignment[:depth])
+    offset = depth * cols.width
     for c, foreign in enumerate(cols.foreign):
         assignment[depth] = c
         found = _search(cols, assignment, depth + 1, tab.restricted([offset + j for j in foreign]))

@@ -10,22 +10,27 @@ is a feasibility LP with one row per coordinate, or none at all when the
 vertices sum to 0.  The tableau is
 fraction-free: each row is a list of integer numerators over one
 positive integer denominator, and a pivot combines rows by integer
-products and one gcd (Edmonds 1967; Bareiss 1968).  It takes the pivots
-a Fraction tableau would take, so it returns the same point; Fractions
-appear only in that point and the objective value.
+products along the pivot row's nonzero columns (Edmonds 1967; Bareiss
+1968).  A row is divided by its gcd only once its denominator has grown
+past a word-sized bound, since every decision reads signs and
+cross-multiplied ratios that a common factor does not move.  It takes
+the pivots a Fraction tableau would take, so it returns the same point;
+Fractions appear only in that point and the objective value.
 
-One routine fixes columns at zero: `_Tableau.restricted` takes a
-feasible tableau to the same LP without the banned columns, by a
-phase 1 from its current basis that maximizes minus their sum, unless
-one row of the tableau already proves the restriction infeasible.  Phase 1
-of `lp_solve` is that routine with the artificial columns banned, and
-`feasible_tableau` runs it on rows that are already integers.
-`PhaseOneTableau` runs the same phase 1 on equality rows but keeps the
-artificial columns, which then hold the inverse of the basis: `extend`
-adds columns, a row and a new right-hand side to the LP and decides it
-again from the basis it has.  The forward search builds every LP that
-way, from an LP with no variables, and restricts a parent's tableau to
-reach each child's.
+One routine fixes columns at zero: `_Tableau.restricted` marks the
+banned columns of a feasible tableau dead, by a phase 1 from its
+current basis that maximizes minus their sum, unless one row of the
+tableau already proves the restriction infeasible.  Every column keeps
+its index, and a tableau in which no banned column is basic shares its
+parent's rows.  A column leaves for good only through
+`_Tableau.compacted`.  Phase 1 of `lp_solve` is `restricted` with the
+artificial columns banned and then compacted, and `feasible_tableau`
+runs it on rows that are already integers.  `PhaseOneTableau` runs the
+same phase 1 on equality rows but keeps the artificial columns, which
+then hold the inverse of the basis: `extend` adds columns, a row and a
+new right-hand side to the LP and decides it again from the basis it
+has.  The forward search builds every LP that way, from an LP with no
+variables, and restricts a parent's tableau to reach each child's.
 
 Facet enumeration is brute force over vertex subsets inside the affine
 hull, guarded by a ceiling on the affine dimension of the polytope (not
@@ -97,24 +102,29 @@ class _Tableau:
     """Simplex tableau in fraction-free form.
 
     Row i stands for rows[i] / dens[i]: Python ints, one per column and
-    then the right-hand side, over a positive int, with their common gcd
-    divided out.  A basic column holds dens[i] in its own row and 0 in the
-    others.  ncols counts the columns.  While `maximize` runs, red / red_den
-    is the reduced-cost row in the same form; its last entry is minus the
-    objective value."""
+    then the right-hand side, over a positive int, reduced by their common
+    gcd once the denominator grows (`_lowest_terms`).  A basic column holds
+    dens[i] in its own row and 0 in the others.  ncols counts the columns.
+    The columns in dead are held at 0: none of them enters, and a row left
+    basic in one is 0 on every other column, a redundant row.  While
+    `maximize` runs, red / red_den is the reduced-cost row in the same
+    form; its last entry is minus the objective value."""
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int):
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int,
+                 dead: frozenset[int] = frozenset()):
         self.rows = rows
         self.dens = dens
         self.basis = basis
         self.ncols = ncols
+        self.dead = dead
         self.red: list[int] | None = None
         self.red_den = 1
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot on (r, c).  The pivot row keeps its numerators, negated when
         the entry is negative, over the entry's absolute value, all divided
-        by their gcd; rows with a zero in column c are not touched."""
+        by their gcd; rows with a zero in column c are not touched, and the
+        others change only in the pivot row's nonzero columns."""
         prow = self.rows[r]
         g = gcd(*prow)
         if prow[c] < 0:
@@ -124,13 +134,14 @@ class _Tableau:
             self.rows[r] = prow
         s = prow[c]
         self.dens[r] = s
+        nonzero = [j for j, x in enumerate(prow) if x]
         rows, dens = self.rows, self.dens
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, s)
+                rows[i], dens[i] = _eliminate(row, dens[i], f, prow, s, nonzero)
         if self.red is not None and self.red[c]:
-            self.red, self.red_den = _eliminate(self.red, self.red_den, self.red[c], prow, s)
+            self.red, self.red_den = _eliminate(self.red, self.red_den, self.red[c], prow, s, nonzero)
         self.basis[r] = c
 
     def reduced_costs(self, cost: list[int], cost_den: int) -> tuple[list[int], int]:
@@ -139,20 +150,21 @@ class _Tableau:
         for r, b in enumerate(self.basis):
             f = red[b]
             if f:
-                red, den = _eliminate(red, den, f, self.rows[r], self.dens[r])
+                prow = self.rows[r]
+                red, den = _eliminate(red, den, f, prow, self.dens[r], [j for j, x in enumerate(prow) if x])
         return red, den
 
     def maximize(self, cost: list[int], cost_den: int = 1) -> str:
-        """Bland's rule simplex on the current basis; returns 'optimal' or
-        'unbounded'.  The reduced costs are computed once and then carried
-        through the pivots."""
+        """Bland's rule simplex on the current basis, over the columns not
+        dead; returns 'optimal' or 'unbounded'.  The reduced costs are
+        computed once and then carried through the pivots."""
         self.red, self.red_den = self.reduced_costs(cost, cost_den)
-        ncols = len(cost)
+        ncols, dead = len(cost), self.dead
         while True:
-            # first positive reduced cost; stopping on the last slot, the
-            # objective's, means there is none
+            # first positive reduced cost of a live column; stopping on the
+            # last slot, the objective's, means there is none
             for enter, x in enumerate(self.red):
-                if x > 0:
+                if x > 0 and enter not in dead:
                     break
             if enter == ncols:
                 return "optimal"
@@ -187,45 +199,63 @@ class _Tableau:
         return feasible
 
     def restricted(self, banned) -> _Tableau | None:
-        """This feasible tableau's LP with the banned columns held at 0: a
-        feasible tableau over the other columns, kept in their order, or
-        None when no feasible point has them all at 0 (self when nothing is
-        banned).  self is unchanged.
+        """This feasible tableau's LP with the live banned columns held at
+        0: a feasible tableau in which they are dead, or None when no
+        feasible point has them all at 0 (self when nothing is banned).
+        self, its row list and its rows are unchanged, and every column
+        keeps its index.
 
-        From the current basis it runs `phase_one` on the banned columns,
-        so it takes no pivot when no banned column is basic.  A row that
-        proves the LP infeasible returns None before any copy: its basic
-        column is banned, its right-hand side positive, and no kept column
-        has a positive entry, so with the banned columns at 0 its left side
-        is at most 0 for every nonnegative point.  A banned
-        column still basic, at 0, is driven out on its row's first nonzero
-        entry in a kept column (the entry may be negative; pivot normalizes
-        its sign).  Rows left basic in a banned column are redundant and
-        are dropped, and so are the banned columns."""
+        A child in which no banned column is basic needs no pivot, so it
+        shares self's row list, dens and basis: such a child must not be
+        pivoted or maximized in place, since that would change self too;
+        restrict it again, which copies before its first pivot, or copy
+        its lists first.  A row that proves the LP infeasible
+        returns None before any copy: its basic column is banned, its
+        right-hand side positive, and no live column has a positive entry,
+        so with the dead columns at 0 its left side is at most 0 for every
+        nonnegative point.  Otherwise the child copies the row list (not
+        the rows, which a pivot replaces and never changes) and runs
+        `phase_one` on the banned columns from the current basis, with the
+        columns already dead kept out.  A banned column still basic, at 0,
+        is driven out on its row's first nonzero entry in a live column (the
+        entry may be negative; pivot normalizes its sign); a row without
+        one stays, basic in a dead column.  Bland's rule sees the live
+        columns in the order and with the basic indices of the LP that
+        drops the dead ones, so it takes that LP's pivots."""
         ban = set(banned)
         if not ban:
             return self
-        tab = self
-        if any(b in ban for b in self.basis):
-            for row, b in zip(self.rows, self.basis):
-                if b in ban and row[-1] > 0 and all(row[j] <= 0 or j in ban for j in range(self.ncols)):
-                    return None
-            tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols)
-            if not tab.phase_one(ban):
+        dead = self.dead | ban
+        if ban.isdisjoint(self.basis):
+            return _Tableau(self.rows, self.dens, self.basis, self.ncols, dead)
+        for row, b in zip(self.rows, self.basis):
+            if b in ban and row[-1] > 0 and all(row[j] <= 0 or j in dead for j in range(self.ncols)):
                 return None
-            for r in range(len(tab.rows)):
-                if tab.basis[r] in ban:
-                    row = tab.rows[r]
-                    for j in range(self.ncols):
-                        if row[j] and j not in ban:
-                            tab.pivot(r, j)
-                            break
-        kept = [j for j in range(self.ncols) if j not in ban]
+        tab = _Tableau(list(self.rows), list(self.dens), list(self.basis), self.ncols, self.dead)
+        if not tab.phase_one(ban):
+            return None
+        tab.dead = dead
+        for r in range(len(tab.rows)):
+            if tab.basis[r] in ban:
+                row = tab.rows[r]
+                for j in range(self.ncols):
+                    if row[j] and j not in dead:
+                        tab.pivot(r, j)
+                        break
+        return tab
+
+    def compacted(self) -> _Tableau:
+        """The same tableau without its dead columns and the rows basic in
+        them, the other columns kept in their order: how a column leaves for
+        good.  self when nothing is dead."""
+        if not self.dead:
+            return self
+        kept = [j for j in range(self.ncols) if j not in self.dead]
         new_index = {j: i for i, j in enumerate(kept)}
         kept.append(self.ncols)  # the right-hand side
         rows, dens, basis = [], [], []
-        for row, den, b in zip(tab.rows, tab.dens, tab.basis):
-            if b not in ban:
+        for row, den, b in zip(self.rows, self.dens, self.basis):
+            if b in new_index:
                 row, den = _lowest_terms([row[j] for j in kept], den)
                 rows.append(row)
                 dens.append(den)
@@ -247,15 +277,37 @@ class _Tableau:
         return tuple(point)
 
 
-def _eliminate(row: list[int], den: int, f: int, prow: list[int], s: int) -> tuple[list[int], int]:
+def _eliminate(row: list[int], den: int, f: int, prow: list[int], s: int,
+               nonzero: list[int]) -> tuple[list[int], int]:
     """row / den minus (f / den) times prow / s, where prow / s is 1 in the
-    pivot column: s·row − f·prow over den·s."""
+    pivot column and nonzero lists prow's nonzero columns: s·row − f·prow
+    over den·s, subtracting only where prow is not 0."""
     if s == 1:
-        return _lowest_terms([x - f * y for x, y in zip(row, prow)], den)
-    return _lowest_terms([s * x - f * y for x, y in zip(row, prow)], den * s)
+        new = row.copy()
+    else:
+        new = [s * x for x in row]
+        den *= s
+    for j in nonzero:
+        new[j] -= f * prow[j]
+    return _lowest_terms(new, den)
+
+
+# A row is divided by its gcd only once its denominator reaches 2^40.  Every
+# decision of the simplex reads a sign, a cross-multiplied ratio or a zero,
+# which a common factor of a row leaves alone, so no pivot depends on it.
+# The factor divides the denominator, so below the bound an entry is at most
+# 40 bits (two 30-bit int digits) longer than in lowest terms, and the gcd
+# over the row that each elimination would take is saved: 3-9 % of the
+# decide time of the forward_union bench decisions (in-process, best of 5,
+# 2-CPU x86-64 host).
+_REDUCE_AT = 1 << 40
 
 
 def _lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    """row / den, divided by the gcd of den and the row when den has reached
+    _REDUCE_AT, else unchanged."""
+    if den < _REDUCE_AT:
+        return row, den
     g = gcd(den, *row)
     if g != 1:
         return [x // g for x in row], den // g
@@ -289,7 +341,8 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
     surplus per inequality, then one artificial per row that is not a
     "<=", which start basic.  Phase 1 restricts that tableau to the other
     columns, so the artificials, being last, change no choice of Bland's
-    rule.  `lp_solve` reads its constraints into such rows."""
+    rule, and compacts it without them.  `lp_solve` reads its constraints
+    into such rows."""
     col_of, nstruct = tableau_columns(nonneg)
     split = not all(nonneg)
     body: list[list[int]] = []
@@ -332,10 +385,8 @@ def feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], no
             basis.append(art)
             art += 1
         row[nstruct:nstruct] = ext
-    tab = _Tableau(body, list(dens), basis, total)
-    if total > first_art:
-        return tab.restricted(range(first_art, total))
-    return tab
+    tab = _Tableau(body, list(dens), basis, total).restricted(range(first_art, total))
+    return None if tab is None else tab.compacted()
 
 
 class PhaseOneTableau:
@@ -364,7 +415,7 @@ class PhaseOneTableau:
         """The LP's feasible tableau over its variables' columns, or None."""
         if not self.feasible:
             return None
-        return self.tab.restricted(range(self.first_art, self.tab.ncols))
+        return self.tab.restricted(range(self.first_art, self.tab.ncols)).compacted()
 
     def extend(self, columns, nonneg, row: list[int], rhs: list[int], rhs_den: int) -> None:
         """Put new variables before the others and one new equality row after
@@ -385,10 +436,13 @@ class PhaseOneTableau:
         tab = self.tab
         col_of, width = tableau_columns(nonneg)
         first, signs = self.first_art, self.signs
+        negated = -1 in signs
         rows, dens = [], []
         for old, den in zip(tab.rows, tab.dens):
             # this row of B^-1, over den: the artificials' entries times D
-            inv = [a * s for a, s in zip(old[first:first + len(signs)], signs)]
+            inv = old[first:first + len(signs)]
+            if negated:
+                inv = [a * s for a, s in zip(inv, signs)]
             ext = [0] * width
             for (p, q), col in zip(col_of, columns):
                 x = sum(map(mul, inv, col))

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exactnum import (
     Alg,
@@ -389,11 +390,11 @@ def charpoly_primitive(a: RatMatrix) -> IntPoly:
         cur = [bi[r] for bi in b[:r]]
         first = [1, -b[r][r]]
         for k in range(r):
-            first.append(-sum(x * y for x, y in zip(row, cur)))
+            first.append(-sum(map(mul, row, cur)))
             if k + 1 < r:
-                cur = [sum(x * y for x, y in zip(bi, cur)) for bi in block]
-        c = [sum(first[i - j] * c[j] for j in range(max(0, i - r - 1), min(i, r) + 1))
-             for i in range(r + 2)]
+                cur = [sum(map(mul, bi, cur)) for bi in block]
+        # the new c[i] is the sum of first[i - j] c[j] over j <= min(i, r)
+        c = [sum(map(mul, first[i::-1], c)) for i in range(r + 2)]
     return IntPoly(tuple(c[n - k] * den ** k for k in range(n + 1))).primitive()
 
 

@@ -67,13 +67,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from ltireach.certify import (PREFIX_CHECK_DEPTH, PrefixSums, SeparatorCertificate, SeqClass, SeqKind, VertexImages,
                               classify_sequence)
 from ltireach.exactnum import (Alg, IntPoly, RealAlg, _isolate_squarefree, count_roots_halfopen, factor_int_poly,
                                sturm_chain, sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
-from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve
+from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve, tableau_columns
 from ltireach.linalg import (RatMatrix, SpectralData, SpectralError, Vec, bilinear_rows, charpoly_primitive,
                              eigen_factors, expand_inner_product, nonzero_eigen_poly, real_spectrum_power,
                              real_spectrum_power_bound, schur_stable, spectral_decompose, vec_add, vec_dot,
@@ -1093,6 +1094,412 @@ def cold_reach_exactly(sys: LtiSystem, n: int) -> ReachWitness | None:
 
 
 # ---------------------------------------------------------------------------
+# the simplex kernel as it was: rows in lowest terms, restrictions rebuilt
+# ---------------------------------------------------------------------------
+#
+# `OldTableau`, `old_feasible_tableau` and `OldPhaseOneTableau` are the
+# integer tableau before restrictions masked their banned columns: a
+# restriction rebuilt every row without them, every row was kept in
+# lowest terms, and an elimination ran over every column.  `old_search`
+# is the forward DFS on it, each step's block the assigned component's
+# columns.  The library must take the same pivots, named in the root's
+# layout, and reach the same basic points.
+
+
+class OldTableau:
+    """Simplex tableau in fraction-free form.
+
+    Row i stands for rows[i] / dens[i]: Python ints, one per column and
+    then the right-hand side, over a positive int, with their common gcd
+    divided out.  A basic column holds dens[i] in its own row and 0 in the
+    others.  ncols counts the columns.  While `maximize` runs, red / red_den
+    is the reduced-cost row in the same form; its last entry is minus the
+    objective value.
+
+    Added for the tests: origin[j] is column j's index in the tableau that
+    the restrictions started from (None: the same index), and every pivot
+    is appended to `log`, when it is a list, as (entering column, leaving
+    basic column) named by origin."""
+
+    log: list | None = None
+
+    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int], ncols: int, origin=None):
+        self.rows = rows
+        self.dens = dens
+        self.basis = basis
+        self.ncols = ncols
+        self.red: list[int] | None = None
+        self.red_den = 1
+        self.origin = origin
+
+    def pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c).  The pivot row keeps its numerators, negated when
+        the entry is negative, over the entry's absolute value, all divided
+        by their gcd; rows with a zero in column c are not touched."""
+        if self.log is not None:
+            name = self.origin or range(self.ncols + 1)
+            self.log.append((name[c], name[self.basis[r]]))
+        prow = self.rows[r]
+        g = gcd(*prow)
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            prow = [x // g for x in prow]
+            self.rows[r] = prow
+        s = prow[c]
+        self.dens[r] = s
+        rows, dens = self.rows, self.dens
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i], dens[i] = _old_eliminate(row, dens[i], f, prow, s)
+        if self.red is not None and self.red[c]:
+            self.red, self.red_den = _old_eliminate(self.red, self.red_den, self.red[c], prow, s)
+        self.basis[r] = c
+
+    def reduced_costs(self, cost: list[int], cost_den: int) -> tuple[list[int], int]:
+        """cost / cost_den minus the basic rows weighted by their costs."""
+        red, den = cost + [0], cost_den
+        for r, b in enumerate(self.basis):
+            f = red[b]
+            if f:
+                red, den = _old_eliminate(red, den, f, self.rows[r], self.dens[r])
+        return red, den
+
+    def maximize(self, cost: list[int], cost_den: int = 1) -> str:
+        """Bland's rule simplex on the current basis; returns 'optimal' or
+        'unbounded'.  The reduced costs are computed once and then carried
+        through the pivots."""
+        self.red, self.red_den = self.reduced_costs(cost, cost_den)
+        ncols = len(cost)
+        while True:
+            # first positive reduced cost; stopping on the last slot, the
+            # objective's, means there is none
+            for enter, x in enumerate(self.red):
+                if x > 0:
+                    break
+            if enter == ncols:
+                return "optimal"
+            # least ratio rhs / entry (the row denominators cancel), ties to
+            # the least basic column
+            leave = None
+            for i, row in enumerate(self.rows):
+                a = row[enter]
+                if a > 0:
+                    b = row[-1]
+                    if leave is None:
+                        leave, best_a, best_b = i, a, b
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
+                        leave, best_a, best_b = i, a, b
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+    def phase_one(self, banned) -> bool:
+        """Maximize minus the banned columns' sum from the current basis,
+        which is feasible, in place: True when the optimum is 0, that is
+        when some feasible point has them all at 0."""
+        cost = [0] * self.ncols
+        for j in banned:
+            cost[j] = -1
+        status = self.maximize(cost)
+        assert status == "optimal", "the banned columns' sum is bounded below by 0"
+        feasible = self.red[-1] == 0  # minus the optimum
+        self.red = None
+        return feasible
+
+    def restricted(self, banned) -> OldTableau | None:
+        """This feasible tableau's LP with the banned columns held at 0: a
+        feasible tableau over the other columns, kept in their order, or
+        None when no feasible point has them all at 0 (self when nothing is
+        banned).  self is unchanged.
+
+        From the current basis it runs `phase_one` on the banned columns,
+        so it takes no pivot when no banned column is basic.  A row that
+        proves the LP infeasible returns None before any copy: its basic
+        column is banned, its right-hand side positive, and no kept column
+        has a positive entry, so with the banned columns at 0 its left side
+        is at most 0 for every nonnegative point.  A banned
+        column still basic, at 0, is driven out on its row's first nonzero
+        entry in a kept column (the entry may be negative; pivot normalizes
+        its sign).  Rows left basic in a banned column are redundant and
+        are dropped, and so are the banned columns."""
+        ban = set(banned)
+        if not ban:
+            return self
+        tab = self
+        if any(b in ban for b in self.basis):
+            for row, b in zip(self.rows, self.basis):
+                if b in ban and row[-1] > 0 and all(row[j] <= 0 or j in ban for j in range(self.ncols)):
+                    return None
+            tab = OldTableau(list(self.rows), list(self.dens), list(self.basis), self.ncols, self.origin)
+            if not tab.phase_one(ban):
+                return None
+            for r in range(len(tab.rows)):
+                if tab.basis[r] in ban:
+                    row = tab.rows[r]
+                    for j in range(self.ncols):
+                        if row[j] and j not in ban:
+                            tab.pivot(r, j)
+                            break
+        kept = [j for j in range(self.ncols) if j not in ban]
+        new_index = {j: i for i, j in enumerate(kept)}
+        kept.append(self.ncols)  # the right-hand side
+        rows, dens, basis = [], [], []
+        for row, den, b in zip(tab.rows, tab.dens, tab.basis):
+            if b not in ban:
+                row, den = _old_lowest_terms([row[j] for j in kept], den)
+                rows.append(row)
+                dens.append(den)
+                basis.append(new_index[b])
+        origin = self.origin or range(self.ncols)
+        return OldTableau(rows, dens, basis, len(kept) - 1, [origin[j] for j in kept[:-1]])
+
+    def point(self, nonneg) -> tuple[Fraction, ...]:
+        """The basic solution in the variables of `old_feasible_tableau`'s
+        layout, each free variable its positive part minus its negative
+        part."""
+        values = {b: Fraction(row[-1], den) for row, den, b in zip(self.rows, self.dens, self.basis)}
+        zero = Fraction(0)
+        point = []
+        for p, m in tableau_columns(nonneg)[0]:
+            x = values.get(p, zero)
+            if m is not None and m in values:
+                x = x - values[m]
+            point.append(x)
+        return tuple(point)
+
+
+def _old_eliminate(row: list[int], den: int, f: int, prow: list[int], s: int) -> tuple[list[int], int]:
+    """row / den minus (f / den) times prow / s, where prow / s is 1 in the
+    pivot column: s·row − f·prow over den·s."""
+    if s == 1:
+        return _old_lowest_terms([x - f * y for x, y in zip(row, prow)], den)
+    return _old_lowest_terms([s * x - f * y for x, y in zip(row, prow)], den * s)
+
+
+def _old_lowest_terms(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(den, *row)
+    if g != 1:
+        return [x // g for x in row], den // g
+    return row, den
+
+
+def old_feasible_tableau(rows: list[list[int]], dens: list[int], rels: list[str], nonneg) -> OldTableau | None:
+    """Phase 1 of the simplex on integer rows: a feasible tableau of the LP,
+    or None when it is infeasible.
+
+    Row i stands for rows[i] / dens[i], in lowest terms: one int
+    coefficient per variable and then the right-hand side, over a
+    positive int; rels[i] is its relation, "<=", ">=" or "==".  The
+    tableau's columns are the variables' (`tableau_columns`), then one slack or
+    surplus per inequality, then one artificial per row that is not a
+    "<=", which start basic.  Phase 1 restricts that tableau to the other
+    columns, so the artificials, being last, change no choice of Bland's
+    rule.  `lp_solve` reads its constraints into such rows."""
+    col_of, nstruct = tableau_columns(nonneg)
+    split = not all(nonneg)
+    body: list[list[int]] = []
+    flipped: list[str] = []
+    for row, rel in zip(rows, rels):
+        b = row[-1]
+        if split:
+            ext = [0] * nstruct
+            for (p, m), c in zip(col_of, row):
+                if c:
+                    ext[p] = c
+                    if m is not None:
+                        ext[m] = -c
+        else:
+            ext = row[:-1]
+        if b < 0:
+            ext = [-x for x in ext]
+            b = -b
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        ext.append(b)
+        body.append(ext)
+        flipped.append(rel)
+
+    # slacks / surplus, then artificials, as the last columns
+    nslack = sum(rel != "==" for rel in flipped)
+    first_art = nstruct + nslack
+    total = first_art + sum(rel != "<=" for rel in flipped)
+    basis = []
+    slack = nstruct
+    art = first_art
+    for row, den, rel in zip(body, dens, flipped):
+        ext = [0] * (total - nstruct)
+        if rel != "==":
+            ext[slack - nstruct] = den if rel == "<=" else -den
+            slack += 1
+        if rel == "<=":
+            basis.append(slack - 1)
+        else:
+            ext[art - nstruct] = den
+            basis.append(art)
+            art += 1
+        row[nstruct:nstruct] = ext
+    tab = OldTableau(body, list(dens), basis, total)
+    if total > first_art:
+        return tab.restricted(range(first_art, total))
+    return tab
+
+
+class OldPhaseOneTableau:
+    """Phase 1 of an equality LP that keeps its artificial columns, so that
+    the LP can grow and be decided again from the basis it reached.
+
+    It starts as the LP with no variables and d rows 0 = 0, its tableau
+    the d artificials basic on the identity.  The artificials stay one per
+    row in the order the rows came, after the variables' columns (from
+    `first_art` on); a row added with a negative right-hand side is
+    negated (signs[i] = -1), so for the current basis B they hold B^-1 D,
+    D the diagonal of the signs: the tableau column of any new column c
+    is that block times D c, which is what `extend` uses.  `feasible`
+    tells whether the LP has a point with every artificial at 0, and
+    `without_artificials` gives the feasible tableau that
+    `old_feasible_tableau` would."""
+
+    def __init__(self, d: int):
+        self.signs = [1] * d
+        identity = [[int(i == j) for j in range(d + 1)] for i in range(d)]  # right-hand sides 0
+        self.tab = OldTableau(identity, [1] * d, list(range(d)), d)
+        self.first_art = 0
+        self.feasible = True
+
+    def without_artificials(self) -> OldTableau | None:
+        """The LP's feasible tableau over its variables' columns, or None."""
+        if not self.feasible:
+            return None
+        return self.tab.restricted(range(self.first_art, self.tab.ncols))
+
+    def extend(self, columns, nonneg, row: list[int], rhs: list[int], rhs_den: int) -> None:
+        """Put new variables before the others and one new equality row after
+        the others, set every row's right-hand side, and run phase 1 again
+        from the current basis.
+
+        columns[k] is new variable k's integer coefficients in the rows so
+        far (zero past its end), row[k] its coefficient in the new row and
+        nonneg[k] its sign restriction; the other variables have 0 in the
+        new row.  rhs / rhs_den is the new right-hand side of every row, the
+        new row's last.  The old basis plus the new row's artificial is a
+        basis of the grown LP, since no old basic column meets the new row.
+        Where a basic value comes out negative, one more artificial, with
+        -1 in each such row, enters on the most negative one, which makes
+        every basic value nonnegative (Chvatal, Linear Programming, 1983,
+        ch. 3); phase 1 then minimizes the sum of every artificial, and the
+        extra one leaves the tableau."""
+        tab = self.tab
+        col_of, width = tableau_columns(nonneg)
+        first, signs = self.first_art, self.signs
+        rows, dens = [], []
+        for old, den in zip(tab.rows, tab.dens):
+            # this row of B^-1, over den: the artificials' entries times D
+            inv = [a * s for a, s in zip(old[first:first + len(signs)], signs)]
+            ext = [0] * width
+            for (p, q), col in zip(col_of, columns):
+                x = sum(map(mul, inv, col))
+                ext[p] = x
+                if q is not None:
+                    ext[q] = -x
+            new = [*ext, *old]
+            if rhs_den != 1:
+                new = [x * rhs_den for x in new]
+                den *= rhs_den
+            new[-1] = 0  # the new artificial, where the old right-hand side was
+            new.append(sum(map(mul, inv, rhs)))
+            new, den = _old_lowest_terms(new, den)
+            rows.append(new)
+            dens.append(den)
+        sign = -1 if rhs[-1] < 0 else 1
+        ext = [0] * width
+        for (p, q), c in zip(col_of, row):
+            ext[p] = sign * c * rhs_den
+            if q is not None:
+                ext[q] = -sign * c * rhs_den
+        new, den = _old_lowest_terms([*ext, *[0] * tab.ncols, rhs_den, sign * rhs[-1]], rhs_den)
+        rows.append(new)
+        dens.append(den)
+        total = width + tab.ncols + 1
+        basis = [b + width for b in tab.basis] + [total - 1]
+        self.signs.append(sign)
+        self.first_art += width
+        self.tab = tab = OldTableau(rows, dens, basis, total)
+
+        arts = range(self.first_art, total)
+        below = [i for i, r in enumerate(rows) if r[-1] < 0]
+        if not below:
+            self.feasible = tab.phase_one(arts)
+            return
+        extra = total
+        for i, r in enumerate(rows):
+            r.insert(extra, -dens[i] if r[-1] < 0 else 0)
+        tab.ncols += 1
+        tab.pivot(min(below, key=lambda i: Fraction(rows[i][-1], dens[i])), extra)
+        self.feasible = tab.phase_one([*arts, extra])
+        if extra in tab.basis:
+            r = tab.basis.index(extra)
+            tab.pivot(r, next(j for j, x in enumerate(tab.rows[r][:-1]) if x and j != extra))
+        for i, r in enumerate(tab.rows):
+            del r[extra]
+            tab.rows[i], tab.dens[i] = _old_lowest_terms(r, tab.dens[i])
+        tab.ncols -= 1
+
+
+def old_root(cols: StepColumns, n: int) -> OldTableau | None:
+    """The feasible tableau of horizon n's pooled root LP, grown as
+    `StepColumns.root_at` grows it, by the old kernel; cols.grow(n) first."""
+    root = OldPhaseOneTableau(cols.system.dim)
+    for k in range(n + 1):
+        b = cols.pooled[k - 1] if k else cols.target
+        base, den = cols.bases[k]
+        convexity = [*b.dens[:b.nv], *[0] * (b.nr + b.nl)]
+        root.extend(b.nums, b.nonneg, convexity, [*(-x for x in base), *[den] * (k + 1)], den)
+    return root.without_artificials()
+
+
+def old_search(cols: StepColumns, assignment: list[int], depth: int, tab, visit) -> ReachWitness | None:
+    """`forward._search` on the old kernel: step depth's pooled block
+    follows the assigned components' blocks of the earlier steps.  Calls
+    visit(assignment[:depth], tab) at every node."""
+    visit(tuple(assignment[:depth]), tab)
+    if tab is None:
+        return None
+    n = len(assignment)
+    if depth == n:
+        blocks = [cols.comps[c][n - 1 - t] for t, c in enumerate(assignment)]
+        point = iter(tab.point([x for b in (*blocks, cols.target) for x in b.nonneg]))
+        steps = []
+        for c, b in zip(assignment, blocks):
+            coeffs = [den * y for den, y in zip(b.dens, point)]
+            i, j = b.nv, b.nv + b.nr
+            steps.append(WitnessStep(c, tuple(coeffs[:i]), tuple(coeffs[i:j]), tuple(coeffs[j:])))
+        return ReachWitness(n, tuple(steps))
+    widths = [tableau_columns(table[0].nonneg)[1] for table in cols.comps]
+    offset = sum(widths[c] for c in assignment[:depth])
+    for c, foreign in enumerate(cols.foreign):
+        assignment[depth] = c
+        found = old_search(cols, assignment, depth + 1, tab.restricted([offset + j for j in foreign]), visit)
+        if found is not None:
+            return found
+    assignment[depth] = 0
+    return None
+
+
+def basic_values(tab) -> dict[int, Fraction] | None:
+    """A tableau's basic point as {column in the root's layout: value},
+    without the rows left basic in a dead column; None for no tableau."""
+    if tab is None:
+        return None
+    origin = getattr(tab, "origin", None) or range(tab.ncols)
+    dead = getattr(tab, "dead", ())
+    return {origin[b]: Fraction(row[-1], den) for row, den, b in zip(tab.rows, tab.dens, tab.basis)
+            if b not in dead}
+
+
+# ---------------------------------------------------------------------------
 # the spectral tests, the interior test and the replay as they were
 # ---------------------------------------------------------------------------
 
@@ -1252,3 +1659,4 @@ def fraction_replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
                 u = vec_add(u, vec_scale(g, c))
         x = vec_add(sys.a.matvec(x), u)
     return x
+

@@ -27,8 +27,9 @@ from ltireach.geometry import (
 )
 from ltireach.linalg import RatMatrix, vec, vec_add
 from ltireach.preprocess import LtiSystem
-from oracles import (build_lp, cold_reach_exactly, fraction_replay, lp_contains_point, solve_forward_lp,
-                     witness_from_solution)
+import oracles
+from oracles import (basic_values, build_lp, cold_reach_exactly, fraction_replay, lp_contains_point, old_root,
+                     old_search, solve_forward_lp, witness_from_solution)
 
 F = Fraction
 
@@ -282,10 +283,14 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
     """At every DFS node of every horizon, the search's tableau (grown at
     the root, restricted from the parent's below it) is feasible exactly
     when the Fraction simplex finds the node's LP, build_lp(assignment,
-    depth), feasible.  At each feasible leaf the tableau's point satisfies
-    that LP exactly, with every sign-restricted variable nonnegative, and
-    the witness is that point times the column scales; it replays, and
-    the LP in the generator coefficients themselves holds at it."""
+    depth), feasible.  A leaf's tableau keeps the root's layout, every
+    step a pooled block: its point satisfies the root LP,
+    build_lp(assignment, 0), exactly, with every sign-restricted variable
+    nonnegative and every variable of another component than its step's
+    at 0.  Read at the assigned components' columns, that point satisfies
+    the leaf's LP, and the witness is it times the column scales; it
+    replays, and the LP in the generator coefficients themselves holds at
+    it."""
     feasible = Counter()
     witnesses = []
 
@@ -298,8 +303,16 @@ def test_every_dfs_lp_matches_fraction_oracle(monkeypatch):
     def witness(cols, assignment, tab):
         got = _witness(cols, assignment, tab)
         n = len(assignment)
+        root_rows, _, root_layout = build_lp(assignment, 0, cols)
+        pooled = tab.point(root_layout.nonneg)
+        assert all(y >= 0 for y, nn in zip(pooled, root_layout.nonneg) if nn)
+        assert all(sum(map(F.__mul__, pooled, row[:-1])) == row[-1] for row in root_rows)
+        size = len(cols.pooled[0].dens)
+        kept = [t * size + i for t, c in enumerate(assignment) for i in cols.members[c]]
+        kept += range(n * size, len(pooled))
+        assert all(y == 0 for j, y in enumerate(pooled) if j not in kept)
+        point = [pooled[j] for j in kept]
         rows, dens, layout = build_lp(assignment, n, cols)
-        point = tab.point(layout.nonneg)
         assert all(y >= 0 for y, nn in zip(point, layout.nonneg) if nn)
         assert all(sum(map(F.__mul__, point, row[:-1])) == row[-1] for row in rows)
         assert got == witness_from_solution(n, assignment, layout, point)
@@ -445,6 +458,109 @@ def test_union_solves_one_seed_per_search_and_one_leaf_per_witness(monkeypatch):
     assert reach_within(far, 5) is None and events == {"seeds": 1}
 
 
+def kernel_systems():
+    """The union test systems whose every DFS node the kernel tests below
+    compare, each with its horizons."""
+    return [(sys, n) for sys in (*union_systems(), rays_and_lines_system()) for n in range(1, 4)]
+
+
+def entry_bits(tab) -> int:
+    return max((abs(x).bit_length() for row in tab.rows for x in row), default=0)
+
+
+def test_search_takes_the_old_kernels_pivots(monkeypatch):
+    """On every DFS node of the union test systems at horizons 1 to 3, the
+    kernel whose restrictions mask their banned columns takes the pivots
+    of the one that rebuilt every row without them (oracles.OldTableau),
+    in the same order, each named by its entering column and its leaving
+    basic column in the root's layout; it visits the same nodes, with the
+    same basic point at each, and returns the same witness.  No node
+    changes its parent's row list or rows: a child shares the parent's
+    rows until it pivots, and then copies the list first.  Every row is in
+    lowest terms or over a denominator below the bound at which rows are
+    reduced, and no entry is more than that bound's bits longer than the
+    old kernel's longest."""
+    new_log, old_log, new_nodes, old_nodes, bits = [], [], [], [], Counter()
+
+    def pivot(self, r, c):
+        new_log.append((c, self.basis[r]))
+        _pivot(self, r, c)
+        for row, den in zip(self.rows, self.dens):
+            assert den > 0 and (den < geometry._REDUCE_AT or math.gcd(den, *row) == 1)
+        bits["new"] = max(bits["new"], entry_bits(self))
+
+    def old_pivot(self, r, c):
+        _old_pivot(self, r, c)
+        bits["old"] = max(bits["old"], entry_bits(self))
+
+    def search(cols, assignment, depth, tab):
+        new_nodes.append((tuple(assignment[:depth]), basic_values(tab)))
+        if tab is None:
+            return _search(cols, assignment, depth, tab)
+        rows, contents = list(tab.rows), [list(row) for row in tab.rows]
+        dens, basis = list(tab.dens), list(tab.basis)
+        found = _search(cols, assignment, depth, tab)
+        assert all(a is b for a, b in zip(tab.rows, rows)) and len(tab.rows) == len(rows)
+        assert [list(row) for row in tab.rows] == contents and tab.dens == dens and tab.basis == basis
+        return found
+
+    _pivot, _old_pivot, _search = geometry._Tableau.pivot, oracles.OldTableau.pivot, forward._search
+    monkeypatch.setattr(geometry._Tableau, "pivot", pivot)
+    monkeypatch.setattr(oracles.OldTableau, "pivot", old_pivot)
+    monkeypatch.setattr(oracles.OldTableau, "log", old_log)
+    monkeypatch.setattr(forward, "_search", search)
+    witnesses = 0
+    for sys, n in kernel_systems():
+        new_log.clear(), old_log.clear(), new_nodes.clear(), old_nodes.clear()
+        got = reach_exactly(StepColumns(sys), n)
+        cols = StepColumns(sys)
+        cols.grow(n)
+        want = old_search(cols, [0] * n, 0, old_root(cols, n),
+                          lambda prefix, tab: old_nodes.append((prefix, basic_values(tab))))
+        assert new_log == old_log and new_nodes == old_nodes and got == want
+        witnesses += got is not None
+        bits["pivots"] += len(new_log)
+        bits["infeasible nodes"] += sum(values is None for _, values in new_nodes)
+    assert witnesses >= 3 and bits["pivots"] > 100 and bits["infeasible nodes"] > 20, bits
+    assert bits["new"] <= bits["old"] + geometry._REDUCE_AT.bit_length(), bits
+
+
+def test_forward_search_work_is_pinned(monkeypatch):
+    """The work of the DFS below the root, over the union test systems at
+    horizons 1 to 3: the pivots (those the old kernel takes, see
+    test_search_takes_the_old_kernels_pivots), the children that copy
+    their parent's row list because they pivot, and the tableaux rebuilt
+    without some columns, which no node of the search makes.  A change
+    that adds forward work fails here."""
+    work = Counter()
+
+    def pivot(self, r, c):
+        work["pivots"] += 1
+        _pivot(self, r, c)
+
+    def restricted(self, banned):
+        out = _restricted(self, banned)
+        work["copies"] += out is not None and out.rows is not self.rows
+        return out
+
+    def compacted(self):
+        work["rebuilds"] += 1
+        return _compacted(self)
+
+    _pivot, _restricted, _compacted = (geometry._Tableau.pivot, geometry._Tableau.restricted,
+                                       geometry._Tableau.compacted)
+    for sys, n in kernel_systems():
+        cols = StepColumns(sys)
+        cols.grow(n)
+        root = cols.root_at(n).without_artificials()
+        with monkeypatch.context() as m:
+            m.setattr(geometry._Tableau, "pivot", pivot)
+            m.setattr(geometry._Tableau, "restricted", restricted)
+            m.setattr(geometry._Tableau, "compacted", compacted)
+            forward._search(cols, [0] * n, 0, root)
+    assert (work["pivots"], work["copies"], work["rebuilds"]) == (72, 17, 0), work
+
+
 def random_union_system(rng: random.Random) -> LtiSystem:
     """2 or 3 components of one to three vertices, some with a ray or a line
     and some sharing a vertex, a point or line target and a zero or
@@ -493,7 +609,8 @@ def test_union_search_matches_cold_oracle(monkeypatch):
     the search that solves every DFS node from scratch does, for every
     n <= 4, with the same horizon and components, and the witness
     replays.  The corpus includes restrictions that find a banned column
-    basic at 0 and restrictions that drop a redundant row."""
+    basic at 0 and restrictions that leave a redundant row basic in a dead
+    column."""
     events = Counter()
 
     def restricted(self, banned):
@@ -502,8 +619,8 @@ def test_union_search_matches_cold_oracle(monkeypatch):
         events["restrictions"] += 1
         if any(b in ban and row[-1] == 0 for row, b in zip(self.rows, self.basis)):
             events["banned basic at 0"] += 1
-        if out is not None and len(out.rows) < len(self.rows):
-            events["redundant row dropped"] += 1
+        if out is not None and any(b in ban for b in out.basis):
+            events["redundant row kept"] += 1
         return out
 
     _restricted = geometry._Tableau.restricted
@@ -516,7 +633,7 @@ def test_union_search_matches_cold_oracle(monkeypatch):
             if matches_cold_search(sys, reach_exactly(StepColumns(sys), n), n):
                 reached += 1
     assert reached > 30
-    assert events["banned basic at 0"] > 10 and events["redundant row dropped"] > 10, events
+    assert events["banned basic at 0"] > 10 and events["redundant row kept"] > 10, events
 
 
 def random_forward_system(rng: random.Random) -> LtiSystem:

@@ -25,6 +25,7 @@ from ltireach.geometry import (
     vertices_from_h_rep,
 )
 from ltireach.linalg import RatMatrix, vec
+import oracles
 from oracles import fraction_lp_solve, lp_contains_point, max_t_interior_contains_origin, maximize_over, negate
 
 F = Fraction
@@ -163,8 +164,9 @@ def lp_solve_as_drawn(obj, cons, n, nn, mx):
 
 
 def test_lp_carries_exact_reduced_costs(monkeypatch):
-    """After every pivot, each row is in lowest terms over a positive
-    denominator, each basic column is a unit column, and the carried
+    """After every pivot, each row is over a positive denominator and in
+    lowest terms once that denominator has reached the bound at which
+    rows are reduced, each basic column is a unit column, and the carried
     reduced costs equal, as values, the ones recomputed from the basis."""
     checked = []
 
@@ -177,7 +179,7 @@ def test_lp_carries_exact_reduced_costs(monkeypatch):
             super().pivot(r, c)
             rows = [[F(x, den) for x in row] for row, den in zip(self.rows, self.dens)]
             for i, (row, den) in enumerate(zip(self.rows, self.dens)):
-                assert den > 0 and math.gcd(den, *row) == 1
+                assert den > 0 and (den < geometry._REDUCE_AT or math.gcd(den, *row) == 1)
                 assert [rw[self.basis[i]] for rw in rows] == [int(k == i) for k in range(len(rows))]
             if self.red is None:
                 return
@@ -204,6 +206,43 @@ def test_lp_matches_fraction_oracle():
         assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
         assert all(type(x) is F for x in got.point or ())
     assert counts["tied_ratio"] > 100 and counts["negative_driveout"] > 10
+
+
+def test_lp_takes_the_old_kernels_pivots(monkeypatch):
+    """On the LPs of test_lp_matches_fraction_oracle, lp_solve takes the
+    pivots of the kernel that kept every row in lowest terms and rebuilt a
+    restricted tableau without its banned columns (oracles.OldTableau, run
+    through lp_solve by old_feasible_tableau), in the same order, and
+    returns the same result.  Every row is in lowest terms or over a
+    denominator below the bound at which rows are reduced, and no entry is
+    more than that bound's bits longer than the old kernel's longest."""
+    new_log, old_log, bits = [], [], Counter()
+
+    def pivot(self, r, c):
+        new_log.append((c, self.basis[r]))
+        _pivot(self, r, c)
+        for row, den in zip(self.rows, self.dens):
+            assert den > 0 and (den < geometry._REDUCE_AT or math.gcd(den, *row) == 1)
+        bits["new"] = max(bits["new"], max(abs(x).bit_length() for row in self.rows for x in row))
+
+    def old_pivot(self, r, c):
+        _old_pivot(self, r, c)
+        bits["old"] = max(bits["old"], max(abs(x).bit_length() for row in self.rows for x in row))
+
+    _pivot, _old_pivot = geometry._Tableau.pivot, oracles.OldTableau.pivot
+    monkeypatch.setattr(geometry._Tableau, "pivot", pivot)
+    monkeypatch.setattr(oracles.OldTableau, "pivot", old_pivot)
+    monkeypatch.setattr(oracles.OldTableau, "log", old_log)
+    for case in [BEALE, *random_lps(23, 600)]:
+        new_log.clear(), old_log.clear()
+        got = lp_solve_as_drawn(*case)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "feasible_tableau", oracles.old_feasible_tableau)
+            want = lp_solve_as_drawn(*case)
+        assert got == want and new_log == old_log
+        bits["pivots"] += len(new_log)
+    assert bits["pivots"] > 1000, bits
+    assert bits["new"] <= bits["old"] + geometry._REDUCE_AT.bit_length(), bits
 
 
 def test_lp_column_scaling_keeps_pivots():
@@ -251,13 +290,17 @@ def without(cons, banned):
 def test_restricted_tableau_is_the_lp_without_the_banned_variables(monkeypatch):
     """Restricting a feasible tableau to the columns of the variables not
     banned gives a feasible tableau exactly when the Fraction simplex finds
-    the LP without the banned variables feasible, twice in a row.  Its
-    point satisfies that LP, its rows are in lowest terms with unit basic
-    columns, the parent is left as it was, and with no banned column basic
-    it is the parent with those columns dropped.  An infeasible restriction
-    that one row proves (a banned basic column, a positive right-hand side,
-    no positive entry in a kept column) returns without running phase 1,
-    and the Fraction simplex agrees that it is infeasible."""
+    the LP without the banned variables feasible, twice in a row.  The
+    banned columns are masked, not dropped: every column keeps its index
+    and the banned ones are dead.  Its point has the banned variables at 0
+    and satisfies the LP without them, its rows have unit basic columns, a
+    row left basic in a dead column is 0 on every live column, the parent
+    is left as it was, and with no banned column basic the child shares
+    the parent's rows and, compacted, is the parent with those columns
+    dropped.  An infeasible restriction that one row proves (a banned
+    basic column, a positive right-hand side, no positive entry in a live
+    column) returns without running phase 1, and the Fraction simplex
+    agrees that it is infeasible."""
     rng = random.Random(37)
     counts = Counter()
     phase_ones = []
@@ -272,45 +315,55 @@ def test_restricted_tableau_is_the_lp_without_the_banned_variables(monkeypatch):
         tab = feasible_tableau(*integer_rows(cons, n), nn)
         if tab is None:
             continue
+        col_of, _ = geometry.tableau_columns(nn)
+        ncols = tab.ncols  # the variables' columns, then the slacks
+        dead_vars: set[int] = set()
         for _ in range(2):
-            banned = {j for j in range(n) if rng.random() < 0.4}
-            kept_nn = [k for j, k in enumerate(nn) if j not in banned]
-            col_of, _ = geometry.tableau_columns(nn)
+            banned = {j for j in range(n) if j not in dead_vars and rng.random() < 0.4}
             cols = {c for j in banned for c in col_of[j] if c is not None}
             before = ([list(row) for row in tab.rows], list(tab.dens), list(tab.basis))
             phase_ones.clear()
             child = tab.restricted(sorted(cols))
             early = child is None and not phase_ones
             assert early == any(b in cols and row[-1] > 0 and all(row[j] <= 0 for j in range(tab.ncols)
-                                                                  if j not in cols)
+                                                                  if j not in cols | tab.dead)
                                 for row, b in zip(tab.rows, tab.basis))
             assert ([list(row) for row in tab.rows], tab.dens, tab.basis) == before
-            cons = without(cons, banned)
-            want = fraction_lp_solve(None, cons, n - len(banned), nonneg=kept_nn)
+            dead_vars |= banned
+            want = fraction_lp_solve(None, without(cons, dead_vars), n - len(dead_vars),
+                                     nonneg=[k for j, k in enumerate(nn) if j not in dead_vars])
             assert (child is not None) == want.is_feasible
-            if not any(b in cols for b in tab.basis):
+            if cols and not any(b in cols for b in tab.basis):
                 counts["no pivot"] += 1
-                dropped = [_lowest_terms_row([x for j, x in enumerate(row) if j not in cols], den)
-                           for row, den in zip(tab.rows, tab.dens)]
-                assert [(row, den) for row, den in zip(child.rows, child.dens)] == dropped
+                assert child.rows is tab.rows and child.dens is tab.dens and child.basis is tab.basis
+                flat = child.compacted()
+                dropped = [[F(x, den) for j, x in enumerate(row) if j not in child.dead]
+                           for row, den, b in zip(tab.rows, tab.dens, tab.basis) if b not in child.dead]
+                assert [[F(x, den) for x in row] for row, den in zip(flat.rows, flat.dens)] == dropped
             if child is None:
                 counts["infeasible"] += 1
                 counts["early exit"] += early
                 break
             counts["feasible"] += 1
-            counts["rows dropped"] += len(child.rows) < len(tab.rows)
+            assert child.ncols == ncols and child.dead == tab.dead | cols
+            assert child.dead == {c for j in dead_vars for c in col_of[j] if c is not None}
             for i, (row, den) in enumerate(zip(child.rows, child.dens)):
-                assert den > 0 and math.gcd(den, *row) == 1 and len(row) == child.ncols + 1
+                assert den > 0 and len(row) == ncols + 1
+                assert den < geometry._REDUCE_AT or math.gcd(den, *row) == 1
                 unit = [den * (k == i) for k in range(len(child.rows))]
                 assert [r[child.basis[i]] for r in child.rows] == unit
-            x = child.point(kept_nn)
-            assert all(xj >= 0 for xj, k in zip(x, kept_nn) if k)
+                if child.basis[i] in child.dead:
+                    counts["row basic in a dead column"] += 1
+                    assert row[-1] == 0 and not any(row[j] for j in range(ncols) if j not in child.dead)
+            x = child.point(nn)
+            assert all(x[j] == 0 for j in dead_vars)
+            assert all(xj >= 0 for xj, k in zip(x, nn) if k)
             for con in cons:
                 lhs = sum(c * xj for c, xj in zip(con.coeffs, x))
                 assert {"<=": lhs <= con.rhs, ">=": lhs >= con.rhs, "==": lhs == con.rhs}[con.rel]
-            tab, n, nn = child, n - len(banned), kept_nn
+            tab = child
     assert counts["infeasible"] > 20 and counts["feasible"] > 100
-    assert counts["no pivot"] > 50 and counts["rows dropped"] > 5
+    assert counts["no pivot"] > 50 and counts["row basic in a dead column"] > 5
     assert 30 <= counts["early exit"] < counts["infeasible"], counts
 
 
