@@ -42,7 +42,7 @@ vertices run classify_sequence's threshold search, each on r_ij . (v - w)
 over the nonzero coordinates of the integer difference: |V| - 1 searches
 for |V| vertices.  sup_from is the one routine that evaluates the closed
 form, for the direction of the PrefixSums it is given, with (I - A)^{-1}
-as integer rows over one denominator (SpectralData.resolvent), so on a
+(SpectralData.resolvent) applied in integers by RatMatrix.step, so on a
 rational direction the supremum is the one Fraction formed past the
 prefix sums; verify_separator feeds it the maximizer and threshold it has
 just found.  The audit runs verify_separator on the
@@ -68,15 +68,15 @@ supremum, and tau cannot separate once S_k > min_Q tau
 only directions that verify_separator rejects too, so the first accepted
 direction, and the verdict, do not change.  The vertex images A^i v do
 not depend on tau, so one VertexImages table per decision forms each of
-them once, in integers: A as integer rows over one denominator, and each
-step's images as integer vectors over one common denominator, grown
+them once, in integers: each step's images are one RatMatrix, a row per
+vertex over one common denominator, the step before times A^T, grown
 lazily.  PrefixSums holds the S_k of one direction in a lazily extended
 list read from that table; a rational tau is cleared to integers over its
 denominator t, so each <tau, A^i v> is an integer dot product and t S_k
 is kept as an integer over the steps' common denominator.  The target's
-vertices are cleared to integers over one denominator once per decision
-(cleared_vertices), so t min_Q tau is one integer dot product per vertex
-over that denominator, t cancels, and the check cross-multiplies
+vertices are one RatMatrix, a row per vertex, formed once per decision,
+so t min_Q tau is one integer dot product per vertex over its
+denominator, t cancels, and the check cross-multiplies
 integers: no Fraction is formed for a direction it rejects.  sup_from
 reads S_N from the same list and the maximizer's image A^N u from the
 same table, so a direction that passes computes no term twice.  The
@@ -104,9 +104,9 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
-from .exactnum import Alg, IntPoly, RealAlg, in_one_quadratic_field, interval, sturm_isolate_real_roots
+from .exactnum import Alg, IntPoly, RealAlg, cleared, in_one_quadratic_field, interval, sturm_isolate_real_roots
 from .geometry import (
     DimensionCeilingError,
     GenPolyhedron,
@@ -114,17 +114,7 @@ from .geometry import (
     _primitive_direction,
     facet_normals,
 )
-from .linalg import (
-    IntRows,
-    RatMatrix,
-    SpectralData,
-    Vec,
-    alg_dot,
-    alg_kernel_basis,
-    bilinear_rows,
-    cleared,
-    expand_inner_product,
-)
+from .linalg import RatMatrix, SpectralData, Vec, alg_dot, alg_kernel_basis, bilinear_rows, expand_inner_product
 
 AlgVec = tuple[Alg, ...]
 
@@ -316,17 +306,17 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     vertex at every step, at least s.transient, where the expansion starts
     to hold.
 
-    The vertices are cleared to integers over one denominator, and each is
-    expanded once against the rows of tau; the scan reads only the sign of
-    a pair's dominant coefficient, and only the winner's pairs run the
-    threshold search, each on the expansion of the integer difference of
-    the two vertices.  That sign compares the expansions lexicographically
+    The vertices are read as integers over one denominator, a RatMatrix
+    with a row per vertex, and each is expanded once against the rows of
+    tau; the scan reads only the sign of a pair's dominant coefficient,
+    and only the winner's pairs run the threshold search, each on the
+    expansion of the integer difference of the two vertices.  That sign compares the expansions lexicographically
     from the dominant end, a total preorder, and a tie never replaces the
     leader, so the scan ends on the first of the maximal vertices in sorted
     order."""
     rows, _ = bilinear_rows(s, tau)
     # over one positive denominator the numerators sort as the vertices do
-    verts, nums = zip(*sorted(zip(u.vertices, cleared_vertices(u.vertices)[0]), key=lambda pair: pair[1]))
+    verts, nums = zip(*sorted(zip(u.vertices, RatMatrix.from_rows(u.vertices).nums), key=lambda pair: pair[1]))
     coeffs = [expand_inner_product(rows, v) for v in nums]
     best = 0
     for i in range(1, len(verts)):
@@ -345,37 +335,26 @@ def eventual_maximizer(s: SpectralData, u: GenPolyhedron, tau) -> tuple[Vec, int
     return verts[best], n
 
 
-def cleared_vertices(vertices) -> tuple[list[tuple[int, ...]], int]:
-    """(nums, den) with nums[k] / den = vertices[k]: the rational vertices
-    as integer vectors over their least common denominator."""
-    den = lcm(*(x.denominator for v in vertices for x in v))
-    return [tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices], den
-
-
 class VertexImages:
     """The images A^i v of the control vertices, shared by every direction
     of one decision and grown one step at a time.
 
-    A is held as integer rows over one denominator (linalg.IntRows), and
-    step i as integer vectors over one denominator: at(i) is (nums, den)
-    with nums[k] / den = A^i v_k, and den shares no factor with every
-    numerator of the step, so the integers stay as small as one common
-    denominator allows."""
+    Step i is the RatMatrix whose row k is A^i v_k, the step before times
+    A^T, so its rows are integers over one denominator in lowest terms and
+    stay as small as one common denominator allows; the product multiplies
+    only the nonzero entries of A."""
 
     def __init__(self, a: RatMatrix, vertices):
         self.index = {v: k for k, v in enumerate(vertices)}
-        self._a = IntRows(a)
-        self._steps = [cleared_vertices(vertices)]
+        self._at = a.transpose()
+        self._steps = [RatMatrix.from_rows(vertices)]
 
-    def at(self, i: int) -> tuple[list[tuple[int, ...]], int]:
+    def at(self, i: int) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(nums, den) of step i: nums[k] / den = A^i v_k."""
         while len(self._steps) <= i:
-            nums, den = self._steps[-1]
-            out = [self._a.times(num) for num in nums]
-            den *= self._a.den
-            g = gcd(den, *(x for num in out for x in num))
-            self._steps.append(([tuple(x // g for x in num) for num in out], den // g))
-        return self._steps[i]
+            self._steps.append(self._steps[-1] @ self._at)
+        step = self._steps[i]
+        return step.nums, step.den
 
     def image(self, v: Vec, i: int) -> tuple[tuple[int, ...], int]:
         """(num, den) with num / den = A^i v, for a control vertex v."""
@@ -394,7 +373,7 @@ class PrefixSums:
 
     The vertex images come from `images`, the decision's VertexImages.  tau
     is cleared to integers over one denominator t when it is rational
-    (linalg.cleared), and each S_k is kept as t S_k = num_k / den_k, with
+    (exactnum.cleared), and each S_k is kept as t S_k = num_k / den_k, with
     den_k the lcm of the step denominators so far: each <tau, A^i v> is
     then an integer dot product, a step adds its maximum by integer
     products, and no Fraction is formed until at(k) asks for S_k itself.
@@ -442,16 +421,16 @@ class PrefixSums:
 PREFIX_CHECK_DEPTH = 3
 
 
-def fails_prefix_check(sums: PrefixSums, target: tuple[list[tuple[int, ...]], int]) -> bool:
+def fails_prefix_check(sums: PrefixSums, target: RatMatrix) -> bool:
     """Whether S_k > min_Q tau for some k <= PREFIX_CHECK_DEPTH, so that tau
     cannot separate the target: S_k is a lower bound on the supremum, since
     0 in U nests F_k in F_infinity.  target is the decision's table of the
-    target vertices, cleared_vertices(Q), nums over den.  With t tau's
+    target vertices, a RatMatrix with a row per vertex.  With t tau's
     denominator, t min_Q tau is the least dot product over den, and t S_k
     is num_k / den_k (PrefixSums.scaled): t cancels, and the test is
     num_k den > low den_k, in integers when tau is rational."""
-    nums, den = target
-    low = min(sums.dot(num) for num in nums)
+    den = target.den
+    low = min(sums.dot(num) for num in target.nums)
     for k in range(1, PREFIX_CHECK_DEPTH + 1):
         num_k, den_k = sums.scaled(k)
         if num_k * den > low * den_k:
@@ -466,11 +445,9 @@ def sup_from(s: SpectralData, sums: PrefixSums, maximizer: Vec, threshold: int) 
     S_threshold, then the maximizer's geometric tail."""
     if s.dim == 0:
         return Fraction(0)
-    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den and the
-    # resolvent integer rows over its own denominator
-    num, den = sums.images.image(maximizer, threshold)
-    resolvent = s.resolvent()
-    return sums.at(threshold) + sums.value(resolvent.times(num), resolvent.den * den)
+    # A^N (I-A)^{-1} u = (I-A)^{-1} A^N u, with A^N u = num / den
+    num, den = s.resolvent().step(*sums.images.image(maximizer, threshold))
+    return sums.at(threshold) + sums.value(num, den)
 
 
 def sup_in_direction(s: SpectralData, u: GenPolyhedron, tau) -> Alg:

@@ -13,8 +13,8 @@ is drawn, and one whose prefix sums already exceed the target's minimum
 (certify.fails_prefix_check) is rejected before the maximizer tournament;
 every candidate reads its prefix sums from one table of control-vertex
 images (certify.VertexImages) and the target's minimum from one table of
-target vertices in integers (certify.cleared_vertices), each built once
-per decision.  The audit
+target vertices in integers (a RatMatrix, a row per vertex), each built
+once per decision.  The audit
 derives the certificate for the stored direction without that check and
 compares it whole with the stored one.  A separator whose certificate
 the audit's parser would refuse (instances.minpoly_within_ceiling), or
@@ -44,7 +44,6 @@ from .certify import (
     PrefixSums,
     SeparatorCertificate,
     VertexImages,
-    cleared_vertices,
     enumerate_algebraic_vectors,
     extremal_candidates,
     fails_prefix_check,
@@ -52,7 +51,7 @@ from .certify import (
 )
 from .forward import ReachWitness, StepColumns, reach_exactly, verify_witness
 from .geometry import DimensionCeilingError
-from .linalg import SpectralData, charpoly_primitive, eigen_factors, nonzero_eigen_poly, spectral_decompose
+from .linalg import RatMatrix, SpectralData, charpoly_primitive, eigen_factors, nonzero_eigen_poly, spectral_decompose
 from .preprocess import LtiSystem, SimpleForm, check_simple, to_simple_form
 
 
@@ -161,7 +160,8 @@ def _certification_inputs(sys: LtiSystem):
     except DimensionCeilingError as exc:
         return [f"normalization needs facet enumeration: {exc}"], None
     vertices = form.u_reduced.vertices + form.q_reduced.vertices
-    if not _printable([*a.entries, *(x for v in vertices for x in v)]):
+    # the digit rule reads each entry as the artifact writes it, one Fraction
+    if not _printable([*(x for r in a.to_rows() for x in r), *(x for v in vertices for x in v)]):
         return ["the reduced system has integers too long to write as text"], None
     # the vertex images A^i v do not depend on tau: one table serves every candidate
     return [], (spectral, form, VertexImages(spectral.matrix, form.u_reduced.vertices))
@@ -223,7 +223,7 @@ def decide(sys: LtiSystem, budgets: Budgets = Budgets()) -> Verdict:
         if form.dim > 0:
             candidates = _candidate_stream(spectral, form, budgets)
             # the pre-check's min_Q tau reads the target vertices in integers
-            target = cleared_vertices(form.q_reduced.vertices)
+            target = RatMatrix.from_rows(form.q_reduced.vertices)
     tried = 0
     candidates_done = False
     columns = StepColumns(sys)

@@ -90,6 +90,21 @@ def as_fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def cleared(xs) -> tuple[tuple, int]:
+    """(nums, den) with xs[k] = nums[k] / den: for a sequence of rationals,
+    ints or Fractions, their numerators over their least common
+    denominator, which leaves them in lowest terms; for one with a RealAlg
+    entry, the entries themselves over 1.  The one place where
+    denominators are cleared."""
+    try:
+        den = lcm(*[x.denominator for x in xs])
+    except AttributeError:
+        if not any(isinstance(x, RealAlg) for x in xs):
+            raise
+        return tuple(xs), 1
+    return tuple([x.numerator * (den // x.denominator) for x in xs]), den
+
+
 def rat_to_str(q: Fraction) -> str:
     q = as_fraction(q)
     if q.denominator == 1:
@@ -194,7 +209,7 @@ class IntPoly:
                 nxt[i] -= a * r
             nxt[0] += c
             acc = nxt
-        return _from_frac(acc or [Fraction(0)]).primitive()
+        return IntPoly(cleared(acc)[0]).primitive()
 
     def with_root_scaled(self, r: Fraction) -> "IntPoly":
         """Roots move from a to a*r (r nonzero); computes p(x/r) cleared."""
@@ -202,7 +217,7 @@ class IntPoly:
             raise ValueError("scale by zero")
         r = Fraction(r)
         out = [c / (r ** i) for i, c in enumerate(self.coeffs)]
-        return _from_frac(out).primitive()
+        return IntPoly(cleared(out)[0]).primitive()
 
     def with_root_inverted(self) -> "IntPoly":
         """Roots move from a to 1/a; requires nonzero constant term."""
@@ -226,17 +241,6 @@ class IntPoly:
                 else:
                     terms.append(f"{c}*x^{i}")
         return "IntPoly(" + " + ".join(terms) + ")"
-
-
-def _from_frac(coeffs: list[Fraction]) -> IntPoly:
-    """Clear denominators of a Fraction-coefficient polynomial."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return IntPoly(())
-    den = lcm(*(c.denominator for c in coeffs))
-    return IntPoly(tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
 
 def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -32,27 +32,27 @@ solves each node from scratch would; the witness is the point of the
 feasible leaf's tableau, whichever basis the growth and the restrictions
 reached, read at its component's columns of each pooled block.
 
-The search runs in integers.  StepColumns holds A as integer rows over
-one denominator and grows each A^k g, an integer vector over its own
-denominator, one power at a time, once per decision: reach_exactly takes
-the StepColumns of its system and reads the system from them.  Each LP
-variable is a generator's coefficient divided by that denominator, so
-every column is an integer column, and the witness is each variable
-times its denominator.
+The search runs in integers.  StepColumns grows each A^k g, an integer
+vector over its own denominator, one power at a time by RatMatrix.step,
+once per decision: reach_exactly takes the StepColumns of its system and
+reads the system from them.  Each LP variable is a generator's
+coefficient divided by that denominator, so every column is an integer
+column, and the witness is each variable times its denominator.
 
 The replay that `verify_witness` audits runs in integers as well: the
-state is an integer vector over one denominator, stepped by A's IntRows,
-and a point target's membership is an equality test.
+state is an integer vector over one denominator, stepped by
+RatMatrix.step, and a point target's membership is an equality test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
+from .exactnum import cleared
 from .geometry import PhaseOneTableau, contains_point, tableau_columns
-from .linalg import IntRows, Vec
+from .linalg import Vec
 from .preprocess import LtiSystem
 
 
@@ -80,19 +80,19 @@ class ReachWitness:
 
 def replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
     """Exact trajectory endpoint under the witness controls.  The state is
-    an integer vector over one denominator, stepped by A's IntRows, and
-    each control term c g is added over the lcm of the two denominators."""
+    an integer vector over one denominator, stepped by A (RatMatrix.step),
+    which also brings it to lowest terms, and each control term c g is
+    added over the lcm of the two denominators."""
     comps = sys.controls.components
-    a = IntRows(sys.a)
     blocks: dict[int, _Block] = {}
-    x, den = _int_vec(sys.source)
+    x, den = cleared(sys.source)
     for step in witness.steps:
         if not 0 <= step.component < len(comps):
             raise MalformedWitnessError(f"component index {step.component} out of range")
         if step.component not in blocks:
             comp = comps[step.component]
             blocks[step.component] = _Block.of_generators(comp.vertices, comp.rays, comp.lines)
-        x, den = a.times(x), den * a.den
+        x, den = sys.a.step(x, den)
         groups = (step.vertex_coeffs, step.ray_coeffs, step.line_coeffs)
         for coeffs, (nums, dens) in zip(groups, blocks[step.component].groups()):
             for c, num, gden in zip(coeffs, nums, dens):
@@ -102,9 +102,6 @@ def replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
                     common = lcm(den, term_den)
                     fx, ft = common // den, c.numerator * (common // term_den)
                     x, den = [xi * fx + ft * gi for xi, gi in zip(x, num)], common
-        g = gcd(den, *x)
-        if g != 1:
-            x, den = [xi // g for xi in x], den // g
     return tuple(Fraction(xi, den) for xi in x)
 
 
@@ -132,13 +129,6 @@ def verify_witness(sys: LtiSystem, witness: ReachWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _int_vec(v: Vec) -> tuple[tuple[int, ...], int]:
-    """v as integer numerators over their least common denominator, which
-    leaves them in lowest terms."""
-    den = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
-
-
 @dataclass(frozen=True)
 class _Block:
     """Generators in the order vertices, rays, lines: generator i is
@@ -157,7 +147,7 @@ class _Block:
 
     @staticmethod
     def of_generators(vertices, rays, lines) -> "_Block":
-        return _Block.of([_int_vec(g) for g in (*vertices, *rays, *lines)],
+        return _Block.of([cleared(g) for g in (*vertices, *rays, *lines)],
                          len(vertices), len(rays), len(lines))
 
     @property
@@ -188,12 +178,11 @@ class StepColumns:
     """The columns of every horizon LP of one system, grown one power of A
     at a time.
 
-    A is held as integer rows over one denominator and every A^k g as an
-    integer vector over its own denominator, so a power costs one integer
-    matvec per generator.  comps[c][k] is component c's block mapped by
-    A^k and pooled[k] the pooled hull's; step t of horizon n reads power
-    n-1-t.  bases[n] is A^n source, and target holds the negated target
-    generators.  One object serves every horizon of one decision, so each
+    Every A^k g is an integer vector over its own denominator, so a power
+    costs one integer step (RatMatrix.step) per generator.  comps[c][k]
+    is component c's block mapped by A^k and pooled[k] the pooled hull's;
+    step t of horizon n reads power n-1-t.  bases[n] is A^n source, and
+    target holds the negated target generators.  One object serves every horizon of one decision, so each
     A^k g is formed once.  width counts the tableau columns of a pooled
     block, members[c] lists the variables of a pooled block that are
     component c's generators, in their order, and foreign[c] the columns
@@ -204,7 +193,6 @@ class StepColumns:
 
     def __init__(self, sys: LtiSystem):
         self.system = sys
-        self._a = IntRows(sys.a)
         self.comps = [[_Block.of_generators(c.vertices, c.rays, c.lines)] for c in sys.controls.components]
         blocks = [table[0] for table in self.comps]
         self.pooled = [_pool(blocks)]
@@ -217,31 +205,22 @@ class StepColumns:
         col_of, self.width = tableau_columns(self.pooled[0].nonneg)
         self.foreign = [[j for o, pm in zip(owner, col_of) if o != c for j in pm if j is not None]
                         for c in range(len(blocks))]
-        self.bases = [_int_vec(sys.source)]
+        self.bases = [cleared(sys.source)]
         q = sys.target
         self.target = _Block.of_generators(*([tuple(-x for x in g) for g in gens]
                                              for gens in (q.vertices, q.rays, q.lines)))
         self.root: PhaseOneTableau | None = None
         self.root_horizon = 0
 
-    def _matvec(self, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-        """A (num / den) in lowest terms."""
-        out = self._a.times(num)
-        den *= self._a.den
-        g = gcd(den, *out)
-        if g != 1:
-            return tuple(x // g for x in out), den // g
-        return tuple(out), den
-
     def grow(self, n: int) -> None:
         """Form the blocks of every power below n and A^n source."""
+        a = self.system.a
         while len(self.bases) <= n:
-            self.bases.append(self._matvec(*self.bases[-1]))
+            self.bases.append(a.step(*self.bases[-1]))
         while len(self.pooled) < n:
             for table in self.comps:
                 b = table[-1]
-                table.append(_Block.of([self._matvec(num, den) for num, den in zip(b.nums, b.dens)],
-                                       b.nv, b.nr, b.nl))
+                table.append(_Block.of([a.step(num, den) for num, den in zip(b.nums, b.dens)], b.nv, b.nr, b.nl))
             self.pooled.append(_pool([table[-1] for table in self.comps]))
 
     def root_at(self, n: int) -> PhaseOneTableau:

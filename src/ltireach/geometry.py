@@ -42,10 +42,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
-from .exactnum import as_fraction
+from .exactnum import as_fraction, cleared
 from .linalg import RatMatrix, Vec, vec_add, vec_dot, vec_is_zero, vec_scale, vec_sub, zero_vec
 
 FACET_DIMENSION_CEILING = 5
@@ -512,22 +512,18 @@ def lp_solve(objective, constraints, num_vars: int, nonneg) -> LpResult:
     dens: list[int] = []
     for con in constraints:
         coeffs = con.coeffs[:num_vars]
-        den = lcm(con.rhs.denominator, *(c.denominator for c in coeffs))
-        row = [c.numerator * (den // c.denominator) if c else 0 for c in coeffs]
-        row += [0] * (num_vars - len(row))
-        row.append(con.rhs.numerator * (den // con.rhs.denominator))
-        rows.append(row)
+        nums, den = cleared((*coeffs, con.rhs))
+        rows.append([*nums[:-1], *[0] * (num_vars - len(coeffs)), nums[-1]])
         dens.append(den)
     tab = feasible_tableau(rows, dens, [con.rel for con in constraints], nonneg)
     if tab is None:
         return LpResult("infeasible")
 
     if obj is not None:
-        cost_den = lcm(*(o.denominator for o in obj))
+        nums, cost_den = cleared(obj)
         cost = [0] * tab.ncols
-        for (p, m), o in zip(tableau_columns(nonneg)[0], obj):
-            if o:
-                k = o.numerator * (cost_den // o.denominator)
+        for (p, m), k in zip(tableau_columns(nonneg)[0], nums):
+            if k:
                 cost[p] = k
                 if m is not None:
                     cost[m] = -k
@@ -548,8 +544,7 @@ def lp_solve(objective, constraints, num_vars: int, nonneg) -> LpResult:
 
 def _primitive_direction(v: Vec) -> Vec:
     """Scale to a primitive integer vector, keeping orientation."""
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    ints, _ = cleared(v)
     g = gcd(*ints)
     if g == 0:
         return tuple(Fraction(0) for _ in v)
@@ -869,9 +864,8 @@ def relative_interior_contains_origin(p: GenPolyhedron) -> bool:
     rows: list[list[int]] = []
     dens: list[int] = []
     for coeffs, total in zip(columns, sums):
-        coeffs.append(-total)
-        den = lcm(*(c.denominator for c in coeffs))
-        rows.append([c.numerator * (den // c.denominator) for c in coeffs])
+        nums, den = cleared((*coeffs, -total))
+        rows.append(list(nums))
         dens.append(den)
     return feasible_tableau(rows, dens, ["=="] * p.dim, [True] * len(p.vertices)) is not None
 

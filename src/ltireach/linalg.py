@@ -1,14 +1,17 @@
 """Exact linear algebra over Q and over real algebraic numbers.
 
-RatMatrix is the rational workhorse (Fraction entries).  IntRows holds a
-matrix as integer rows over one denominator, for callers that step
-integer vectors by it many times (the forward columns, the certificate
-search's vertex images, the Krylov span, the Jordan chains of the
-bilinear rows) and for (I - A)^{-1}; _int_inverse forms an inverse that
-way, by fraction-free elimination.  Values that may be irrational (the
-projectors of irrational eigenvalues, the matrices of the certificate
-search) are plain lists of rows whose entries are Fractions where
-rational and RealAlg where not.
+RatMatrix is the one rational matrix type: integer rows over one
+positive denominator, in lowest terms.  Its entries read as Fractions,
+and its products, powers, determinant and inverse (by fraction-free
+elimination) run on the integers.  RatMatrix.step maps integer vectors
+over one denominator by the matrix, for callers that step vectors many
+times (the forward columns and the witness replay, the certificate
+search's vertex images, the Krylov span); the Jordan chains of the
+bilinear rows read the same integer rows.  Vectors are cleared to
+integers over one denominator by exactnum.cleared.  Values that may be
+irrational (the projectors of irrational eigenvalues, the matrices of the
+certificate search) are plain lists of rows whose entries are Fractions
+where rational and RealAlg where not.
 
 The characteristic polynomial is formed once per matrix, in integers
 (charpoly_primitive), and every spectral step takes it as an argument.
@@ -57,8 +60,8 @@ from operator import mul
 from .exactnum import (
     Alg,
     IntPoly,
-    RealAlg,
     as_fraction,
+    cleared,
     composed_poly,
     count_roots_halfopen,
     factor_int_poly,
@@ -110,18 +113,56 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    """A rational matrix as integer rows over one positive denominator, in
+    lowest terms: entry (i, j) is nums[i][j] / den, and no integer above 1
+    divides den and every numerator, so each matrix has one form.  get,
+    row, col and to_rows give Fractions, those the matrix was built from
+    or, for a computed matrix, formed once when first read; +, -, @,
+    matvec, transpose, power, det and inverse run on the integers.  step
+    maps integer vectors over one denominator by the matrix, and matvec
+    goes through it; step multiplies only the matrix's nonzero entries,
+    and @ only those of its right factor, so a sparse matrix costs one
+    product per nonzero.
+    A matrix is immutable, as it is hashed (LtiSystem holds one).
+    rref, rank, kernel_basis and solve eliminate over Fractions, as
+    alg_kernel_basis does for rows of real algebraic numbers."""
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    __slots__ = ("rows", "cols", "nums", "den", "_entries", "_pairs")
+
+    def __init__(self, rows: int, cols: int, entries):
+        """The rows x cols matrix with these entries, row by row: Fractions,
+        ints, or strings and floats that Fraction reads."""
+        entries = tuple(map(as_fraction, entries))
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        entries = self.entries
-        if type(entries) is not tuple or any(type(e) is not Fraction for e in entries):
-            object.__setattr__(self, "entries", tuple(map(as_fraction, entries)))
+        flat, den = cleared(entries)
+        self._set(rows, cols, tuple(flat[i * cols:(i + 1) * cols] for i in range(rows)), den, entries)
+
+    def _set(self, rows: int, cols: int, nums, den: int, entries) -> None:
+        put = object.__setattr__
+        put(self, "rows", rows)
+        put(self, "cols", cols)
+        put(self, "nums", nums)
+        put(self, "den", den)
+        put(self, "_entries", entries)
+        put(self, "_pairs", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatMatrix is immutable")
+
+    @staticmethod
+    def _of(nums: tuple[tuple[int, ...], ...], den: int, cols: int) -> "RatMatrix":
+        """The matrix nums / den, for integer rows of length cols and den
+        not 0, brought to lowest terms over a positive denominator."""
+        g = gcd(den, *(x for r in nums for x in r))
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple(tuple(x // g for x in r) for r in nums), den // g
+        m = object.__new__(RatMatrix)
+        m._set(len(nums), cols, nums, den, None)
+        return m
 
     @staticmethod
     def from_rows(rows) -> "RatMatrix":
@@ -130,44 +171,45 @@ class RatMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return RatMatrix(nr, nc, tuple(x for r in rows for x in r))
+        return RatMatrix(nr, nc, [x for r in rows for x in r])
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        return RatMatrix._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @staticmethod
     def zeros(r: int, c: int) -> "RatMatrix":
-        return RatMatrix(r, c, tuple(Fraction(0) for _ in range(r * c)))
+        return RatMatrix._of(((0,) * c,) * r, 1, c)
 
     @staticmethod
     def diag(*values) -> "RatMatrix":
         n = len(values)
-        return RatMatrix(n, n, tuple(Fraction(values[i]) if i == j else Fraction(0)
-                                     for i in range(n) for j in range(n)))
+        return RatMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
 
     @staticmethod
     def block_diag(blocks) -> "RatMatrix":
-        n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * m for _ in range(n)]
-        r0 = c0 = 0
+        rows: list[list[Fraction]] = []
+        c0 = 0
         for b in blocks:
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b.get(i, j)
-            r0 += b.rows
+            rows += [[0] * c0 + r + [0] * (m - c0 - b.cols) for r in b.to_rows()]
             c0 += b.cols
-        return RatMatrix.from_rows(out)
+        return RatMatrix(len(rows), m, [x for r in rows for x in r])
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        """The entries row by row as Fractions, formed once."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(Fraction(x, self.den) for r in self.nums for x in r))
+        return self._entries
 
     def get(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self._fractions()[i * self.cols + j]
 
     def row(self, i: int) -> Vec:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return self._fractions()[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> Vec:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self._fractions()[j::self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -176,29 +218,63 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.nums) == (other.rows, other.cols, other.den, other.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, self.nums))
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other, over the product of the denominators."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
+        f, g = other.den, sign * self.den
+        return RatMatrix._of(tuple(tuple(x * f + y * g for x, y in zip(r, s)) for r, s in zip(self.nums, other.nums)),
+                             self.den * other.den, self.cols)
+
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, -1)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        out = []
-        ocols = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            out.extend(vec_dot(r, c) for c in ocols)
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        ocols = [tuple((i, x) for i, r in enumerate(other.nums) if (x := r[j])) for j in range(other.cols)]
+        return RatMatrix._of(tuple(tuple(sum(r[i] * x for i, x in c) for c in ocols) for r in self.nums),
+                             self.den * other.den, other.cols)
 
     def matvec(self, v: Vec) -> Vec:
+        """A v for a rational vector v."""
         if self.cols != len(v):
             raise ValueError("dimension mismatch")
-        return tuple(vec_dot(self.row(i), v) for i in range(self.rows))
+        out, den = self.step(*cleared(v))
+        return tuple(Fraction(x, den) for x in out)
+
+    def _nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each integer row's nonzero entries as (column, value) pairs,
+        formed once."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.nums))
+        return self._pairs
+
+    def step(self, num, den: int) -> tuple[tuple[int, ...], int]:
+        """(out, e) with out / e = A (num / den) in lowest terms, e > 0, for
+        an integer vector num over den > 0.  The products run over each
+        row's nonzero entries, so a sparse matrix costs one product per
+        nonzero."""
+        out = tuple([sum(x * num[j] for j, x in row) for row in self._nonzeros()])
+        den *= self.den
+        g = gcd(den, *out)
+        if g != 1:
+            return tuple(x // g for x in out), den // g
+        return out, den
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return RatMatrix._of(tuple(tuple(r[j] for r in self.nums) for j in range(self.cols)), self.den, self.rows)
 
     def power(self, n: int) -> "RatMatrix":
         if not self.is_square:
@@ -219,14 +295,13 @@ class RatMatrix:
         return result
 
     def det(self) -> Fraction:
-        """Fraction-free Bareiss on the denominator-cleared matrix."""
+        """Fraction-free Bareiss elimination on the integer rows."""
         if not self.is_square:
             raise ValueError("determinant of non-square matrix")
         n = self.rows
         if n == 0:
             return Fraction(1)
-        den = lcm(*(e.denominator for e in self.entries))
-        m = [[e.numerator * (den // e.denominator) for e in self.row(i)] for i in range(n)]
+        m = [list(r) for r in self.nums]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -243,7 +318,7 @@ class RatMatrix:
                     m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
                 m[i][k] = 0
             prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], den ** n)
+        return Fraction(sign * m[n - 1][n - 1], self.den ** n)
 
     def rref(self) -> tuple[list[list[Fraction]], list[int]]:
         """Reduced row echelon form and pivot column indices."""
@@ -257,9 +332,9 @@ class RatMatrix:
 
     def solve(self, b: Vec) -> Vec | None:
         """One solution of Ax = b, or None if inconsistent."""
-        aug = RatMatrix(self.rows, self.cols + 1,
-                        tuple(x for i in range(self.rows) for x in (*self.row(i), b[i])))
-        m, pivots = aug.rref()
+        if self.rows != len(b):
+            raise ValueError("dimension mismatch")
+        m, pivots = _gauss_jordan([[*r, as_fraction(x)] for r, x in zip(self.to_rows(), b)], self.cols + 1)
         if self.cols in pivots:
             return None
         x = [Fraction(0)] * self.cols
@@ -268,98 +343,34 @@ class RatMatrix:
         return tuple(x)
 
     def inverse(self) -> "RatMatrix | None":
-        """A^-1, or None when A is singular: _int_inverse of the integer
-        matrix D·A, for D the least common denominator, each entry becoming
-        one Fraction at the end."""
+        """A^-1, or None when A is singular.
+
+        Fraction-free (Bareiss) Gauss-Jordan on [nums | I]: every division
+        is exact, and the left block ends as p I for the last pivot p, so
+        A^-1 = den·right / p."""
         if not self.is_square:
             raise ValueError("inverse of non-square matrix")
-        den = lcm(*(x.denominator for x in self.entries))
-        inv = _int_inverse([[x.numerator * (den // x.denominator) for x in self.row(i)] for i in range(self.rows)],
-                           den)
-        if inv is None:
-            return None
-        rows, d = inv
-        return RatMatrix(self.rows, self.cols, tuple(Fraction(x, d) for r in rows for x in r))
+        n = self.rows
+        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.nums)]
+        prev = 1
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if m[i][k]), None)
+            if pivot is None:
+                return None
+            m[k], m[pivot] = m[pivot], m[k]
+            mk = m[k]
+            p = mk[k]
+            for i in range(n):
+                if i != k:
+                    mi = m[i]
+                    f = mi[k]
+                    m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
+            prev = p
+        return RatMatrix._of(tuple(tuple(self.den * x for x in r[n:]) for r in m), prev, n)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"RatMatrix[{body}]"
-
-
-def _int_inverse(m: list[list[int]], den: int) -> tuple[list[list[int]], int] | None:
-    """(rows, d) with (m / den)^-1 = rows / d, d > 0 and no factor common to
-    d and every entry, for a square integer matrix m and den > 0; None when
-    m is singular.
-
-    Fraction-free (Bareiss) Gauss-Jordan on [m | I]: every division is
-    exact, and the left block ends as p I for the last pivot p, so
-    (m / den)^-1 = den·right / p."""
-    n = len(m)
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return None
-        m[k], m[pivot] = m[pivot], m[k]
-        mk = m[k]
-        p = mk[k]
-        for i in range(n):
-            if i != k:
-                mi = m[i]
-                f = mi[k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(mi, mk)]
-        prev = p
-    rows = [[den * x for x in r[n:]] for r in m]
-    g = gcd(prev, *(x for r in rows for x in r))
-    if prev < 0:
-        g = -g
-    return [[x // g for x in r] for r in rows], prev // g
-
-
-class IntRows:
-    """A square rational matrix as integer rows over one positive
-    denominator: row i of den * A is rows[i], its nonzero entries as
-    (column, value) pairs.  times() applies den * A to an integer vector, so
-    a caller that holds its vectors as integers over a denominator steps
-    them by A without building a Fraction; row_times() multiplies a row
-    vector by den * A."""
-
-    def __init__(self, a: RatMatrix):
-        self.den = lcm(*(x.denominator for x in a.entries))
-        self.rows = [[(j, x.numerator * (self.den // x.denominator)) for j, x in enumerate(a.row(i)) if x]
-                     for i in range(a.rows)]
-
-    @staticmethod
-    def _from_ints(rows: list[list[int]], den: int) -> "IntRows":
-        """The matrix rows / den, for integer rows and den > 0."""
-        out = object.__new__(IntRows)
-        out.den = den
-        out.rows = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
-        return out
-
-    def times(self, num) -> list[int]:
-        """den * A * num."""
-        return [sum(x * num[j] for j, x in row) for row in self.rows]
-
-    def row_times(self, row) -> list:
-        """row * den * A, for a row of integers or real algebraic numbers."""
-        out = [0] * len(self.rows)
-        for r, pairs in zip(row, self.rows):
-            if r:
-                for j, x in pairs:
-                    out[j] = out[j] + r * x
-        return out
-
-
-def cleared(xs) -> tuple[list, int]:
-    """(nums, den) with xs[k] = nums[k] / den: integers over the least
-    common denominator when every entry is rational, otherwise the entries
-    themselves over 1."""
-    if any(isinstance(x, RealAlg) for x in xs):
-        return list(xs), 1
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +382,13 @@ def charpoly_primitive(a: RatMatrix) -> IntPoly:
     """det(xI - A) cleared of denominators, primitive, positive lead.
 
     Samuelson-Berkowitz recursion, which is division-free, run in integers
-    on B = D·A for D the least common denominator of A's entries; then
+    on the integer rows B = D·A of A, over its denominator D; then
     D^n p_A(x) = p_B(Dx), so the coefficient of x^k is that of p_B times
     D^k, and no Fraction is built.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of non-square matrix")
-    n = a.rows
-    den = lcm(*(e.denominator for e in a.entries))
-    b = [[e.numerator * (den // e.denominator) for e in a.row(i)] for i in range(n)]
+    n, b, den = a.rows, a.nums, a.den
     # coefficients of p_B highest degree first, built up one leading block
     # at a time: block r+1 has c = T·c, T lower-triangular Toeplitz with
     # first column (1, -b_rr, -row·col, -row·B_r·col, ...)
@@ -641,20 +650,18 @@ def krylov_invariant_span(a: RatMatrix, generators) -> list[Vec]:
     is the identity and spans everything, so the scan stops there.
 
     Fraction-free: a scaling leaves a span alone, so each generator is
-    cleared to integers and stepped by the integer matrix D·A, and each
+    cleared to integers over a denominator and stepped by A.step, and each
     echelon row is kept as an integer multiple of its reduced row, divided
     by the gcd of its entries; the reduced rows, each over its pivot,
     become Fractions at the end."""
-    ints = IntRows(a)
     basis: dict[int, list[int]] = {}  # pivot column -> row, 0 in the other pivot columns
     for g in generators:
         if len(basis) == a.rows:
             break
-        den = lcm(*(x.denominator for x in g))
-        cur = [x.numerator * (den // x.denominator) for x in g]
+        cur, den = cleared(g)
         for k in range(a.rows - len(basis)):
             if k:
-                cur = ints.times(cur)
+                cur, den = a.step(cur, den)
             v = cur
             for c, row in basis.items():
                 f = v[c]
@@ -746,14 +753,13 @@ class SpectralData:
     vanishes once n >= k.
 
     Everything the certificate search reads is held over integers.  For D
-    the least common denominator of A's entries, betas[i] = D lam_i is an
-    eigenvalue of the integer matrix B = D·A (int_matrix()): an int when
-    lam_i is rational, and D^n cancels from every comparison of terms
+    the denominator of A (matrix.den), betas[i] = D lam_i is an eigenvalue
+    of the integer matrix B = D·A (matrix.nums): an int when lam_i is
+    rational, and D^n cancels from every comparison of terms
     C(n,j) lam_i^n c, so they compare C(n,j) beta_i^n c instead.  Each
     projector is (rows, scale) with P_i = rows / scale: integer rows over a
     positive integer scale for a rational eigenvalue, rows of real algebraic
-    numbers over 1 for an irrational one.  resolvent() is (I - A)^{-1} as
-    integer rows over one denominator.
+    numbers over 1 for an irrational one.
     """
 
     matrix: RatMatrix
@@ -762,33 +768,19 @@ class SpectralData:
     multiplicities: list[int]
     projectors: list[tuple[list[list], int]]
     transient: int
-    _int_matrix: IntRows | None = field(default=None, repr=False)
-    _resolvent: IntRows | None = field(default=None, repr=False)
+    _resolvent: RatMatrix | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.rows
 
-    def int_matrix(self) -> IntRows:
-        """A as integer rows over D: the rows of B = D·A."""
-        if self._int_matrix is None:
-            self._int_matrix = IntRows(self.matrix)
-        return self._int_matrix
-
-    def resolvent(self) -> IntRows:
-        """(I - A)^{-1} as integer rows over one denominator; requires
-        spectral radius < 1 so 1 is no eigenvalue."""
+    def resolvent(self) -> RatMatrix:
+        """(I - A)^{-1}, formed once; requires spectral radius < 1 so 1 is
+        no eigenvalue."""
         if self._resolvent is None:
-            # I - A = (D I - B) / D
-            b = self.int_matrix()
-            m = [[b.den * (i == j) for j in range(self.dim)] for i in range(self.dim)]
-            for i, row in enumerate(b.rows):
-                for j, x in row:
-                    m[i][j] -= x
-            inv = _int_inverse(m, b.den)
-            if inv is None:
+            self._resolvent = (RatMatrix.identity(self.dim) - self.matrix).inverse()
+            if self._resolvent is None:
                 raise SpectralError("I - A singular; spectral radius not below one")
-            self._resolvent = IntRows._from_ints(*inv)
         return self._resolvent
 
 
@@ -830,8 +822,8 @@ def spectral_decompose(a: RatMatrix, p: IntPoly, eigen: tuple[EigenFactor, ...])
         eig += [(r, mult) for r in roots]
     eig.sort(key=lambda e: e[0])
 
-    den = lcm(*(x.denominator for x in a.entries))
-    b = [x.numerator * (den // x.denominator) for x in a.entries]
+    den = a.den
+    b = [x for r in a.nums for x in r]
     lead = p.coeffs[-1]
     pb = [c * den ** (d - k) // lead for k, c in enumerate(p.coeffs)]  # p_B(y) = D^d p(y/D) / lead
     betas = [lam.numerator * (den // lam.denominator) if isinstance(lam, Fraction) else lam * den
@@ -943,7 +935,8 @@ def bilinear_rows(s: SpectralData, tau) -> tuple[list[list[list]], int]:
     rows of the bilinear forms for one direction.
 
     Row j of eigenvalue i is row j-1 times (A - lam_i I) / lam_i =
-    (B - beta_i I) / beta_i, read from the integer rows of B: an integer
+    (B - beta_i I) / beta_i, read from the integer rows B of A over its
+    denominator, over their nonzero entries: an integer
     beta_i goes into that row's denominator, an irrational one divides the
     row.  A rational tau is cleared to integers and a rational eigenvalue's
     projector is integer rows over a scale, so on a rational spectrum with
@@ -959,6 +952,7 @@ def bilinear_rows(s: SpectralData, tau) -> tuple[list[list[list]], int]:
     if len(tau) != d:
         raise ValueError(f"direction has {len(tau)} entries, expected {d}")
     t, tau_den = cleared(tau)
+    b = s.matrix._nonzeros()
     chains = []
     for beta, mu, (proj, scale) in zip(s.betas, s.multiplicities, s.projectors):
         row = [sum(x * y for x, y in zip(t, col)) for col in zip(*proj)]
@@ -966,7 +960,11 @@ def bilinear_rows(s: SpectralData, tau) -> tuple[list[list[list]], int]:
         chain = [(row, den)]
         inv = 1 / beta if mu > 1 and not isinstance(beta, int) else None
         while len(chain) < mu and any(row):
-            step = s.int_matrix().row_times(row)
+            step = [0] * d
+            for r, pairs in zip(row, b):
+                if r:
+                    for j, x in pairs:
+                        step[j] = step[j] + r * x
             if inv is None:
                 row = [x - beta * y for x, y in zip(step, row)]
                 den *= beta

@@ -45,7 +45,9 @@ integer state over one denominator.  `pairwise_eventual_maximizer` runs
 the full threshold search on every pair the tournament compares, where
 the library reads only signs until it has the winner, and
 `fraction_inverse` is Gauss-Jordan over Fractions where the library
-eliminates fraction-free in integers.  `fraction_spectral_decompose` is
+eliminates fraction-free in integers; `FractionMatrix` is the matrix type
+as it was, one Fraction per entry, and the reference for every operation
+of the library's integer rows over one denominator.  `fraction_spectral_decompose` is
 the spectral decomposition over Fraction and RealAlg, Hermite
 interpolation summed over the Fraction powers of A and the semisimple
 part by Newton's iteration, where the library interpolates without a
@@ -533,6 +535,159 @@ def fraction_charpoly(a: RatMatrix) -> tuple[Fraction, ...]:
     return tuple(reversed(c))
 
 
+@dataclass(frozen=True)
+class FractionMatrix:
+    """`RatMatrix` as it was, one Fraction per entry, row by row, and every
+    operation on those Fractions: the reference for the integer rows over
+    one denominator that the library holds.  det eliminates by Fraction
+    Gaussian elimination, and inverse, rref and solve by Fraction
+    Gauss-Jordan, where the library runs Bareiss in integers."""
+
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match dimensions")
+        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+
+    @staticmethod
+    def from_rows(rows) -> "FractionMatrix":
+        rows = [list(r) for r in rows]
+        nc = len(rows[0]) if rows else 0
+        return FractionMatrix(len(rows), nc, tuple(x for r in rows for x in r))
+
+    @staticmethod
+    def identity(n: int) -> "FractionMatrix":
+        return FractionMatrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
+
+    @staticmethod
+    def zeros(r: int, c: int) -> "FractionMatrix":
+        return FractionMatrix(r, c, (Fraction(0),) * (r * c))
+
+    @staticmethod
+    def diag(*values) -> "FractionMatrix":
+        n = len(values)
+        return FractionMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+    @staticmethod
+    def block_diag(blocks) -> "FractionMatrix":
+        n, m = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+        out = [[Fraction(0)] * m for _ in range(n)]
+        r0 = c0 = 0
+        for b in blocks:
+            for i in range(b.rows):
+                for j in range(b.cols):
+                    out[r0 + i][c0 + j] = b.get(i, j)
+            r0, c0 = r0 + b.rows, c0 + b.cols
+        return FractionMatrix(n, m, tuple(x for r in out for x in r))
+
+    def get(self, i: int, j: int) -> Fraction:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple[Fraction, ...]:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
+
+    def col(self, j: int) -> tuple[Fraction, ...]:
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+    def to_rows(self) -> list[list[Fraction]]:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    def __add__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def __matmul__(self, other: "FractionMatrix") -> "FractionMatrix":
+        return FractionMatrix(self.rows, other.cols, tuple(
+            sum((x * y for x, y in zip(self.row(i), other.col(j))), Fraction(0))
+            for i in range(self.rows) for j in range(other.cols)))
+
+    def matvec(self, v) -> tuple[Fraction, ...]:
+        return tuple(sum((x * y for x, y in zip(self.row(i), v)), Fraction(0)) for i in range(self.rows))
+
+    def transpose(self) -> "FractionMatrix":
+        return FractionMatrix(self.cols, self.rows, tuple(self.get(i, j) for j in range(self.cols)
+                                                          for i in range(self.rows)))
+
+    def power(self, n: int) -> "FractionMatrix":
+        base = self if n >= 0 else self.inverse()
+        out = FractionMatrix.identity(self.rows)
+        for _ in range(abs(n)):
+            out = out @ base
+        return out
+
+    def det(self) -> Fraction:
+        m = self.to_rows()
+        n = len(m)
+        out = Fraction(1)
+        for k in range(n):
+            piv = next((i for i in range(k, n) if m[i][k]), None)
+            if piv is None:
+                return Fraction(0)
+            if piv != k:
+                m[k], m[piv] = m[piv], m[k]
+                out = -out
+            out *= m[k][k]
+            for i in range(k + 1, n):
+                f = m[i][k] / m[k][k]
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+        return out
+
+    def rref(self) -> tuple[list[list[Fraction]], list[int]]:
+        m = self.to_rows()
+        pivots: list[int] = []
+        for c in range(self.cols):
+            r = len(pivots)
+            piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            m[r] = [x / m[r][c] for x in m[r]]
+            for i in range(len(m)):
+                if i != r and m[i][c]:
+                    f = m[i][c]
+                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            pivots.append(c)
+        return m, pivots
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
+
+    def kernel_basis(self) -> list[tuple[Fraction, ...]]:
+        red, pivots = self.rref()
+        out = []
+        for fc in (c for c in range(self.cols) if c not in pivots):
+            v = [Fraction(int(c == fc)) for c in range(self.cols)]
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc]
+            out.append(tuple(v))
+        return out
+
+    def solve(self, b) -> tuple[Fraction, ...] | None:
+        aug = FractionMatrix.from_rows([[*r, x] for r, x in zip(self.to_rows(), b)]) if self.rows else None
+        if aug is None:
+            return (Fraction(0),) * self.cols
+        red, pivots = aug.rref()
+        if self.cols in pivots:
+            return None
+        x = [Fraction(0)] * self.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = red[r][self.cols]
+        return tuple(x)
+
+    def inverse(self) -> "FractionMatrix | None":
+        n = self.rows
+        aug = FractionMatrix.from_rows([[*self.row(i), *FractionMatrix.identity(n).row(i)] for i in range(n)])
+        red, pivots = aug.rref() if n else ([], [])
+        if pivots[:n] != list(range(n)):
+            return None
+        return FractionMatrix(n, n, tuple(x for r in red[:n] for x in r[n:]))
+
+
 def fraction_inverse(a: RatMatrix) -> RatMatrix | None:
     """`RatMatrix.inverse` as it was: Gauss-Jordan over Fractions on the
     augmented matrix [A | I]; None when A is singular."""
@@ -773,10 +928,10 @@ def fraction_spectral_decompose(a: RatMatrix) -> tuple[SpectralData, RatMatrix]:
         h = _fraction_projector_poly(p, lam, mu)
         while len(powers) < len(h):
             powers.append(powers[-1] @ a)
-        terms = [(c, m.entries) for c, m in zip(h, powers)]
+        terms = [(c, [x for row in m.to_rows() for x in row]) for c, m in zip(h, powers)]
         projectors.append([[sum((c * m[k] for c, m in terms if m[k]), Fraction(0))
                             for k in range(r * d, (r + 1) * d)] for r in range(d)])
-    den = lcm(*(x.denominator for x in a.entries))
+    den = lcm(*(x.denominator for row in a.to_rows() for x in row))
     return SpectralData(a, [lam for lam, _ in eig], [lam * den for lam, _ in eig], [mu for _, mu in eig],
                         [(rows, 1) for rows in projectors], transient), nilpotent
 
@@ -797,7 +952,7 @@ def newton_semisimple_part(a: RatMatrix, p: IntPoly) -> RatMatrix:
     x = a
     for _ in range(a.rows + 2):
         px = eval_at(pf, x)
-        if all(e == 0 for e in px.entries):
+        if all(e == 0 for row in px.to_rows() for e in row):
             return x
         x = x - fraction_inverse(eval_at(dpf, x)) @ px
     raise SpectralError("semisimple splitting did not converge")

@@ -15,7 +15,6 @@ from fractions import Fraction
 from ltireach import driver, instances
 from ltireach.certify import (
     SeqKind,
-    cleared_vertices,
     fails_prefix_check,
     sup_in_direction,
     verify_separator,
@@ -465,7 +464,7 @@ def test_prefix_check_rejects_only_failing_directions():
         for tau in driver._candidate_stream(s, form, budgets):
             sums = prefix_sums(s, form.u_reduced, tau)
             cert = verify_separator(s, form.u_reduced, form.q_reduced, sums)
-            if fails_prefix_check(sums, cleared_vertices(form.q_reduced.vertices)):
+            if fails_prefix_check(sums, RatMatrix.from_rows(form.q_reduced.vertices)):
                 assert cert is None
                 rejected += 1
             elif cert is not None:

@@ -9,7 +9,6 @@ from ltireach.certify import (
     PrefixSums,
     SeqKind,
     VertexImages,
-    cleared_vertices,
     enumerate_algebraic_vectors,
     eventual_maximizer,
     extremal_candidates,
@@ -23,7 +22,7 @@ from ltireach.certify import (
 )
 from ltireach.exactnum import RealAlg, interval, sturm_isolate_real_roots
 from ltireach.geometry import ControlSet, GenPolyhedron, constraint, lp_solve
-from ltireach.linalg import IntRows, RatMatrix, bilinear_rows, expand_inner_product, vec
+from ltireach.linalg import RatMatrix, bilinear_rows, expand_inner_product, vec
 from ltireach.preprocess import LtiSystem
 from oracles import (FractionPrefixSums, classify, decompose, dominant_index, fraction_fails_prefix_check,
                      fraction_sup_from, fraction_certificate, int_poly, pairwise_eventual_maximizer, prefix_sums, rat, sign)
@@ -456,7 +455,7 @@ def test_prefix_sums_match_per_direction_oracle():
             deep += n > PREFIX_CHECK_DEPTH
             deep_algebraic += n > PREFIX_CHECK_DEPTH and any(isinstance(x, RealAlg) for x in tau)
             checked += 1
-        a_den = IntRows(a).den
+        a_den = a.den
         power = RatMatrix.identity(a.rows)
         for i in range(12):
             nums, den = images.at(i)
@@ -530,7 +529,7 @@ def test_integer_prefix_check_matches_the_fraction_check():
                         targets.append(GenPolyhedron.point(vec(*[(oracle.at(k) - below) * x / norm for x in r])))
             sums = PrefixSums(images, tau)
             for q in targets:
-                got = fails_prefix_check(sums, cleared_vertices(q.vertices))
+                got = fails_prefix_check(sums, RatMatrix.from_rows(q.vertices))
                 assert got is fraction_fails_prefix_check(s, u, q, tau)
                 algebraic = any(isinstance(x, RealAlg) for x in tau)
                 counts["algebraic" if algebraic else "rational", got] += 1

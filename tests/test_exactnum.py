@@ -14,9 +14,9 @@ from ltireach.exactnum import (
     RealAlg,
     _combination_poly,
     _count_roots_closed,
-    _from_frac,
     _isolate_squarefree,
     _sign_at,
+    cleared,
     count_roots_halfopen,
     factor_int_poly,
     interval,
@@ -955,7 +955,7 @@ def isolated_quadratic(p, r, n: int) -> Alg:
     p, r = F(p), F(r)
     if r == 0:
         return p
-    (coeffs, _), = factor_int_poly(_from_frac([p * p - r * r * n, -2 * p, F(1)]).coeffs)
+    (coeffs, _), = factor_int_poly(cleared([p * p - r * r * n, -2 * p, F(1)])[0])
     f = IntPoly(coeffs)
     lo, hi = _isolate_squarefree(f)[1 if r > 0 else 0]
     return RealAlg(f, lo, hi)

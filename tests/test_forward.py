@@ -366,16 +366,28 @@ def test_each_power_is_formed_once_per_decision(monkeypatch):
 
     made = []
     products = Counter()
+    growing = []  # the column object whose grow() is running
 
     class Recorded(forward.StepColumns):
         def __init__(self, sys):
             super().__init__(sys)
             made.append(self)
 
-        def _matvec(self, num, den):
-            products[id(self)] += 1
-            return super()._matvec(num, den)
+        def grow(self, n):
+            growing.append(id(self))
+            try:
+                super().grow(n)
+            finally:
+                growing.pop()
 
+    step = RatMatrix.step
+
+    def counted(self, num, den):
+        if growing:
+            products[growing[-1]] += 1
+        return step(self, num, den)
+
+    monkeypatch.setattr(RatMatrix, "step", counted)
     monkeypatch.setattr(forward, "StepColumns", Recorded)
     monkeypatch.setattr(driver, "StepColumns", Recorded)
     sys = union_systems()[2]  # (5, 5) lies outside every reachable set
@@ -646,7 +658,7 @@ def random_forward_system(rng: random.Random) -> LtiSystem:
     comps = sys.controls.components[:k]
     a = sys.a
     if rng.random() < 0.25:
-        rows = [list(a.entries[i * a.cols:(i + 1) * a.cols]) for i in range(a.rows)]
+        rows = a.to_rows()
         a = RatMatrix.from_rows(rows[:-1] + rows[:1])
     return dataclasses.replace(sys, a=a, controls=ControlSet(comps))
 

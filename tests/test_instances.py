@@ -219,11 +219,11 @@ def test_constructors_keep_the_fractions_they_are_given():
     from ltireach.exactnum import IntPoly, RealAlg, rat_to_str
 
     x, y, z, w = F(1, 3), F(-2, 5), F(7), F(0)
-    m = RatMatrix(2, 2, (x, y, z, w))
-    assert all(a is b for a, b in zip(m.entries, (x, y, z, w)))
-    m = RatMatrix.from_rows([[x, y], [z, w]])
-    assert all(a is b for a, b in zip(m.entries, (x, y, z, w)))
-    assert RatMatrix.from_rows([[1, "1/2"], [0.5, F(2)]]).entries == (F(1), F(1, 2), F(1, 2), F(2))
+    for m in (RatMatrix(2, 2, (x, y, z, w)), RatMatrix.from_rows([[x, y], [z, w]])):
+        assert all(a is b for a, b in zip(m.row(0) + m.row(1), (x, y, z, w), strict=True))
+        assert m.get(0, 1) is y and m.col(0)[1] is z
+        assert all(a is b for a, b in zip(sum(m.to_rows(), []), (x, y, z, w), strict=True))
+    assert RatMatrix.from_rows([[1, "1/2"], [0.5, F(2)]]).to_rows() == [[F(1), F(1, 2)], [F(1, 2), F(2)]]
     (v,) = GenPolyhedron.point((x, y)).vertices
     assert v[0] is x and v[1] is y
     verts = GenPolyhedron.polytope([(x, w), (z, y)]).vertices

@@ -6,10 +6,11 @@ from math import gcd, lcm
 
 import pytest
 
-from ltireach.exactnum import sturm_isolate_real_roots
+from ltireach.exactnum import cleared, sturm_isolate_real_roots
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.linalg import (
     RatMatrix,
+    SpectralData,
     SpectralError,
     alg_kernel_basis,
     charpoly_primitive,
@@ -22,8 +23,8 @@ from ltireach.linalg import (
     zero_vec,
 )
 from ltireach.preprocess import LtiSystem, SimplicityReport, check_simple
-from oracles import (alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, bilinear_row_values, decompose,
-                     expansion_values, frac_to_int_poly, fraction_charpoly, fraction_inverse,
+from oracles import (FractionMatrix, alg_dot, alg_matmul, all_bilinear_rows, bilinear_coeff, bilinear_row_values,
+                     decompose, expansion_values, frac_to_int_poly, fraction_charpoly, fraction_inverse,
                      fraction_real_nonneg_spectrum, fraction_schur_stable, fraction_spectral_decompose,
                      inner_product_at, int_poly, projector_values, rat, scan_real_spectrum_power, sign,
                      whole_polynomial_report)
@@ -90,6 +91,156 @@ def test_matmul_inverse_roundtrip():
             assert a.det() == 0
 
 
+def mixed_rows(rng: random.Random, r: int, c: int, singular: bool = False) -> list[list[Fraction]]:
+    """r rows of c Fractions over mixed denominators, about a third of
+    them 0; with singular, the last row a combination of the others (a
+    zero row when it is the only one)."""
+    rows = [[F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10, 12)))
+             for _ in range(c)] for _ in range(r)]
+    if singular:
+        rows[-1] = [F(0)] * c
+        for k in rng.sample(range(r - 1), min(2, r - 1)):
+            f = F(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+            rows[-1] = [x + f * y for x, y in zip(rows[-1], rows[k])]
+    return rows
+
+
+def pair(rows: list[list[Fraction]], c: int) -> tuple[RatMatrix, FractionMatrix]:
+    """The matrix with these rows of c entries, as the library's type and
+    as the Fraction-entry oracle."""
+    flat = [x for row in rows for x in row]
+    return RatMatrix(len(rows), c, flat), FractionMatrix(len(rows), c, flat)
+
+
+def assert_same_matrix(got: RatMatrix, want: FractionMatrix):
+    """got holds want's values as integer rows over the lcm of their
+    denominators, in lowest terms, and compares and hashes as the matrix
+    built from want's Fractions."""
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got.to_rows() == want.to_rows()
+    assert got.den == lcm(*(x.denominator for x in want.entries)) > 0
+    assert gcd(got.den, *(x for row in got.nums for x in row)) == 1
+    built = RatMatrix(want.rows, want.cols, want.entries)
+    assert got == built and hash(got) == hash(built)
+
+
+def test_rat_matrix_matches_the_fraction_matrix_oracle():
+    """Every operation of RatMatrix, on its integer rows over one
+    denominator, gives what the Fraction-entry matrix gives, on seeded
+    square, non-square, singular and empty matrices with mixed
+    denominators: the constructors, the entry accessors, +, -, @, matvec,
+    step, transpose, power (negative too), det, inverse, rref, rank,
+    kernel_basis, solve, charpoly_primitive and (I - A)^-1 (resolvent)."""
+    rng = random.Random(2027)
+    for n in range(5):
+        assert_same_matrix(RatMatrix.identity(n), FractionMatrix.identity(n))
+        assert_same_matrix(RatMatrix.zeros(n, 3), FractionMatrix.zeros(n, 3))
+        values = mixed_rows(rng, 1, n)[0]
+        assert_same_matrix(RatMatrix.diag(*values), FractionMatrix.diag(*values))
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1)]
+    shapes += [(d, d) for d in (1, 2, 3, 4) for _ in range(40)]
+    shapes += [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(80)]
+    kinds = Counter()
+    for r, c in shapes:
+        rows = mixed_rows(rng, r, c, singular=r == c and r > 1 and rng.random() < 0.3)
+        a, fa = pair(rows, c)
+        assert_same_matrix(a, fa)
+        if r:
+            assert_same_matrix(RatMatrix.from_rows(rows), fa)
+        assert [[a.get(i, j) for j in range(c)] for i in range(r)] == fa.to_rows()
+        assert [a.row(i) for i in range(r)] == [fa.row(i) for i in range(r)]
+        assert [a.col(j) for j in range(c)] == [fa.col(j) for j in range(c)]
+        b, fb = pair(mixed_rows(rng, r, c), c)
+        assert_same_matrix(a + b, fa + fb)
+        assert_same_matrix(a - b, fa - fb)
+        k = rng.randint(0, 3)
+        m, fm = pair(mixed_rows(rng, c, k), k)
+        assert_same_matrix(a @ m, fa @ fm)
+        blocks = [(a, fa), (m, fm), pair(mixed_rows(rng, 2, 1), 1)]
+        assert_same_matrix(RatMatrix.block_diag([x for x, _ in blocks]),
+                           FractionMatrix.block_diag([y for _, y in blocks]))
+        assert_same_matrix(a.transpose(), fa.transpose())
+        v = tuple(mixed_rows(rng, 1, c)[0])
+        assert a.matvec(v) == fa.matvec(v)
+        num, den = cleared(v)
+        out, e = a.step(num, den)
+        assert e > 0 and gcd(e, *out) == 1 and tuple(F(x, e) for x in out) == fa.matvec(v)
+        assert a.rref() == fa.rref() and a.rank() == fa.rank()
+        assert a.kernel_basis() == fa.kernel_basis()
+        for rhs in (fa.matvec(v), tuple(mixed_rows(rng, 1, r)[0])):
+            assert a.solve(rhs) == fa.solve(rhs)
+        if r != c:
+            kinds["non-square"] += 1
+            continue
+        assert a.det() == fa.det()
+        inv, want = a.inverse(), fa.inverse()
+        assert (inv is None) == (want is None)
+        kinds["singular" if inv is None else "invertible"] += 1
+        for n in (0, 1, 2, 3, 5):
+            assert_same_matrix(a.power(n), fa.power(n))
+        if inv is None:
+            with pytest.raises(ValueError):
+                a.power(-1)
+        else:
+            assert_same_matrix(inv, want)
+            assert_same_matrix(a.power(-2), fa.power(-2))
+        assert charpoly_primitive(a) == frac_to_int_poly(list(fraction_charpoly(fa)))
+        spectral = SpectralData(a, [], [], [], [], 0)
+        resolvent = (FractionMatrix.identity(r) - fa).inverse()
+        if resolvent is None:
+            with pytest.raises(SpectralError):
+                spectral.resolvent()
+            kinds["eigenvalue 1"] += 1
+        else:
+            assert_same_matrix(spectral.resolvent(), resolvent)
+    assert kinds["non-square"] >= 50 and kinds["singular"] >= 30 and kinds["invertible"] >= 80, kinds
+    assert kinds["eigenvalue 1"] >= 1, kinds
+
+
+def test_sum_difference_and_solve_check_shapes():
+    """+ and - raise ValueError on matrices of two shapes, as @ and matvec
+    do, and never cut the larger one down to the smaller; so does solve on
+    a right-hand side of the wrong length."""
+    a = mat([[1, 2], [3, 4]])
+    for rhs in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            a.solve(rhs)
+    for other in (RatMatrix.identity(3), mat([[1, 2, 3, 4]]), mat([[1], [2]]), RatMatrix.zeros(0, 0)):
+        with pytest.raises(ValueError):
+            a + other
+        with pytest.raises(ValueError):
+            a - other
+        with pytest.raises(ValueError):
+            other + a
+
+
+def test_rat_matrix_is_immutable():
+    """No field of a matrix can be reassigned, so its hash and equality,
+    which read them, stay fixed; reading its entries still works."""
+    a = mat([[1, F(1, 2)], [0, 3]])
+    h = hash(a)
+    for name in ("rows", "cols", "nums", "den", "_entries", "_pairs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+    assert a.get(0, 1) == F(1, 2) and a.step((2, 2), 1) == ((3, 6), 1)
+    assert hash(a) == hash(mat([[1, F(1, 2)], [0, 3]])) == h
+
+
+def test_products_skip_zero_entries():
+    """@ multiplies only the nonzero entries of its right factor, and step
+    only those of the matrix: an entry that would be multiplied by zero
+    is never read."""
+    class Trap(int):
+        def __mul__(self, other):
+            raise AssertionError("a zero entry was multiplied")
+        __rmul__ = __mul__
+
+    sparse = mat([[0, 2, 0], [0, 0, 0], [5, 0, 0]])
+    dense = RatMatrix._of(((1, Trap(2), 3), (4, Trap(5), 6), (7, Trap(8), 9)), 1, 3)
+    assert (dense @ sparse).to_rows() == [[15, 2, 0], [30, 8, 0], [45, 14, 0]]
+    assert sparse.step((1, 1, Trap(1)), 1) == ((2, 0, 5), 1)
+
+
 def test_integer_inverse_matches_fraction_oracle():
     """The fraction-free elimination in integers gives the inverse that
     Gauss-Jordan over Fractions gives, and None on the same singular
@@ -121,9 +272,7 @@ def test_integer_inverse_matches_fraction_oracle():
             a = random_positive_spectrum_matrix(rng, d)
             expected = fraction_inverse(RatMatrix.identity(d) - a)
             resolvent = decompose(a).resolvent()
-            assert resolvent.den > 0 and gcd(resolvent.den, *(x for row in resolvent.rows for _, x in row)) == 1
-            dense = [dict(row) for row in resolvent.rows]
-            assert [[F(row.get(j, 0), resolvent.den) for j in range(d)] for row in dense] == expected.to_rows()
+            assert resolvent.to_rows() == expected.to_rows()
 
 
 def test_kernel_and_column_space():
@@ -714,7 +863,7 @@ def test_spectral_decompose_matches_the_fraction_oracle():
         want, nilpotent = fraction_spectral_decompose(a)
         assert_same_decomposition(s, want)
         assert_same_chains(s, want, nilpotent, directions(d))
-        if any(x != 0 for x in nilpotent.entries):
+        if any(x != 0 for row in nilpotent.to_rows() for x in row):
             kinds["defective"] += 1
         elif len(s.eigenvalues) < d:
             kinds["repeated"] += 1

@@ -201,7 +201,7 @@ def test_span_reduction():
     form = to_simple_form(sys, check_simple(sys))
     assert form.span_applied
     assert form.dim == 1
-    assert form.a_reduced.entries == (F(1, 2),)
+    assert form.a_reduced.to_rows() == [[F(1, 2)]]
     # reachable set on the line is (-2, 2); target [3/2, 3] clipped stays
     assert not form.q_reduced.is_empty
 

@@ -497,3 +497,26 @@ def test_no_module_but_exactnum_reads_a_realalg_slot():
                     isinstance(node, ast.Constant) and node.value in slots:
                 readers.add((path.stem, node.attr if isinstance(node, ast.Attribute) else node.value))
     assert readers == set()
+
+
+def test_one_function_clears_denominators():
+    """Exactly one function of src/ltireach takes an lcm over `.denominator`
+    attributes, exactnum.cleared: every other place that needs rationals
+    as integers over one denominator calls it, or reads a RatMatrix, which
+    holds that form.  A call is charged to the innermost function around
+    it, or to the module when no function is."""
+    clearing = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm":
+            if any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                   for arg in node.args for n in ast.walk(arg)):
+                clearing.add((path.stem, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "<module>")
+    assert clearing == {("exactnum", "cleared")}
