@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forward import ReachWitness, WitnessStep
-from .geometry import ControlSet, GenPolyhedron, canonical, vertices_from_h_rep
+from .geometry import ControlSet, GenPolyhedron
 from .linalg import RatMatrix, Vec, unit_vec, zero_vec
 from .preprocess import LtiSystem
 
@@ -360,26 +360,14 @@ def markov_to_lti(m: RatMatrix) -> ThresholdLti:
             raise ValueError("matrix must be column-stochastic")
     dim = d + 3
     a = RatMatrix.block_diag([m, RatMatrix.diag(0, 0, 1)])
-    # controls (-x, y, z, z): x >= 0, 0 <= y <= x_1, sum x = z <= 1,
-    # emitted in vertex form from the half-space description
-    ineqs = []
-    for i in range(d):
-        ineqs.append((unit_vec(dim, i), F(0)))  # u_i <= 0, i.e. x_i >= 0
-    ineqs.append((tuple(-x for x in unit_vec(dim, d)), F(0)))  # y >= 0
-    row = [F(0)] * dim
-    row[0] = F(1)
-    row[d] = F(1)
-    ineqs.append((tuple(row), F(0)))  # y <= x_1
-    ineqs.append((unit_vec(dim, d + 1), F(1)))  # z <= 1
-    eqs = []
-    row = [F(0)] * dim
-    row[d + 1] = F(1)
-    row[d + 2] = F(-1)
-    eqs.append((tuple(row), F(0)))  # the two z copies agree
-    row = [F(1)] * d + [F(0), F(1), F(0)]
-    eqs.append((tuple(row), F(0)))  # sum x_i = z
-    verts = vertices_from_h_rep(ineqs, eqs, dim)
-    u = canonical(GenPolyhedron(dim, tuple(verts)))
+    # controls (-x, y, z, z): x >= 0, 0 <= y <= x_1, sum x = z <= 1.  They
+    # form a simplex whatever M is, with vertices 0, (-e_i, 0, 1, 1) for
+    # each i and (-e_1, 1, 1, 1), listed in the order that vertex
+    # enumeration of the half-space description finds them
+    zero, one = F(0), F(1)
+    corners = [tuple(-x for x in unit_vec(d, i)) for i in reversed(range(d))]
+    verts = [(zero,) * dim] + [c + (zero, one, one) for c in corners] + [corners[-1] + (one, one, one)]
+    u = GenPolyhedron(dim, tuple(verts))
     source = tuple(list(unit_vec(d, 1)) + [F(0)] * 3)
     target = tuple([F(0)] * d + [F(1, 2), F(1), F(1)])
     sys = LtiSystem(a, ControlSet.single(u), source, GenPolyhedron.point(target))

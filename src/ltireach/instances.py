@@ -23,8 +23,17 @@ ASCII digits, never decimals) after a first line that is exactly
     1 1
 
 `control` blocks may contain `vertices`, `rays`, and `lines` sections.
+N is at least 1: a system of dimension 0 cannot be built.
 parse(emit(sys)) is the identity, and emit(parse(text)) is byte-stable
 after canonicalization.
+
+Every table here lives for one call and nothing outlives it, so a second
+parse, hash or audit in one process costs what the first did.
+parse_instance and the artifact readers read rationals through one
+`Rationals` table per call, so each distinct token goes through
+rat_from_str once and equal tokens of one call share a Fraction; two
+calls share none.  emit_instance, which instance_sha256 hashes, formats
+each distinct entry object once per call.
 
 A verdict is one JSON object, written by verdict_to_json and read by
 verdict_from_json: `verdict` and `instance_sha256`, then a reachable
@@ -38,7 +47,9 @@ from scratch.  The interval written is the canonical one that root
 isolation of the minimal polynomial gives, so equal numbers serialize to
 equal bytes however they were computed.  A rational p/q (a Fraction in
 memory) is written in the same form, as the root of q x - p with
-lo = hi = p/q, and reads back as a Fraction.
+lo = hi = p/q, and reads back as a Fraction.  dump_json writes the bytes
+of json.dumps(body, indent=1, sort_keys=True) + "\n" directly, escaping
+strings with json's own ASCII encoder.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import exactnum
 from .certify import SeparatorCertificate
@@ -68,6 +81,8 @@ from .preprocess import LtiSystem, SimpleForm
 DIGITS = re.compile(r"[0-9]+")
 # what separates entries, in a file or on the command line: ASCII blanks only
 BLANKS = re.compile(r"[ \t]+")
+# the words that open a section of an instance
+SECTIONS = frozenset(("matrix", "control", "source", "target"))
 
 
 class ParseError(Exception):
@@ -78,17 +93,30 @@ class ParseError(Exception):
         self.line_no = line_no
 
 
-def _parse_row(line_no: int, text: str, dim: int) -> Vec:
+class Rationals(dict):
+    """Token -> Fraction for one parse or one artifact read: each distinct
+    token goes through rat_from_str once, and its repeats share that
+    Fraction.  The call that makes a table drops it when it returns, so no
+    Fraction is shared between two calls; a malformed token raises
+    rat_from_str's ValueError and is not stored."""
+
+    def __missing__(self, token: str) -> Fraction:
+        value = self[token] = rat_from_str(token)
+        return value
+
+
+def _parse_row(line_no: int, text: str, dim: int, rats: Rationals) -> Vec:
     parts = BLANKS.split(text)
     if len(parts) != dim:
         raise ParseError(line_no, f"expected {dim} entries, got {len(parts)}")
     try:
-        return tuple(rat_from_str(p) for p in parts)
+        return tuple([rats[p] for p in parts])
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from None
 
 
 def parse_instance(text: str) -> LtiSystem:
+    rats = Rationals()
     lines = []
     # lines end at "\n" (a "\r" before it is dropped) and entries are
     # separated by ASCII blanks, so other Unicode whitespace stays in a
@@ -116,24 +144,24 @@ def parse_instance(text: str) -> LtiSystem:
         dim = int(parts[1]) if len(parts) == 2 and DIGITS.fullmatch(parts[1]) else -1
     except ValueError:  # past Python's limit on the digits of an int
         dim = -1
-    if dim < 0:
-        raise ParseError(line_no, "malformed dimension: expected 'dim N', N in ASCII digits")
+    if dim < 1:
+        raise ParseError(line_no, "malformed dimension: expected 'dim N', N >= 1 in ASCII digits")
 
     def generators() -> GenPolyhedron:
         """The vertices, rays and lines rows up to the next section."""
+        nonlocal pos
         groups = {"vertices": [], "rays": [], "lines": []}
         current = None
-        while pos < len(lines):
-            ln, nxt = peek()
-            if nxt in ("control", "source", "target", "matrix"):
+        for ln, nxt in lines[pos:]:
+            if nxt in SECTIONS:
                 break
-            take()
+            pos += 1
             if nxt in groups:
-                current = nxt
+                current = groups[nxt]
             elif current is None:
                 raise ParseError(ln, "expected vertices/rays/lines header")
             else:
-                groups[current].append(_parse_row(ln, nxt, dim))
+                current.append(_parse_row(ln, nxt, dim, rats))
         return GenPolyhedron(dim, tuple(groups["vertices"]), tuple(groups["rays"]), tuple(groups["lines"]))
 
     matrix = None
@@ -155,7 +183,7 @@ def parse_instance(text: str) -> LtiSystem:
                 ln, row = take()
                 if row is None:
                     raise ParseError(ln, "matrix row missing")
-                rows.append(_parse_row(ln, row, dim))
+                rows.append(_parse_row(ln, row, dim, rats))
             matrix = RatMatrix.from_rows(rows)
         elif word == "control":
             components.append(generators())
@@ -163,7 +191,7 @@ def parse_instance(text: str) -> LtiSystem:
             ln, row = take()
             if row is None:
                 raise ParseError(ln, "source row missing")
-            source = _parse_row(ln, row, dim)
+            source = _parse_row(ln, row, dim, rats)
         elif word == "target":
             target = generators()
         else:
@@ -180,31 +208,51 @@ def parse_instance(text: str) -> LtiSystem:
     return LtiSystem(matrix, ControlSet(tuple(components)), source, target)
 
 
-def _emit_rows(out: list[str], rows) -> None:
-    for r in rows:
-        out.append(" ".join(rat_to_str(x) for x in r))
+class _RowWriter:
+    """The text of instance rows for one emit_instance call.  Each distinct
+    entry object is formatted once, keyed by its id: a parsed system's
+    equal tokens share one Fraction (Rationals), and Fraction hashing runs
+    in Python, so a value-keyed table would cost more than rat_to_str.  The
+    writer holds every entry it keys, so no id is reused while it lives."""
 
+    def __init__(self):
+        self.out: list[str] = []
+        self.texts: dict[int, str] = {}
+        self.held: list = []
 
-def _emit_block(out: list[str], header: str, p: GenPolyhedron) -> None:
-    """A control or target block: its vertices, then its rays and its
-    lines when it has any."""
-    out += [header, "vertices"]
-    _emit_rows(out, p.vertices)
-    for name, gens in (("rays", p.rays), ("lines", p.lines)):
-        if gens:
-            out.append(name)
-            _emit_rows(out, gens)
+    def rows(self, rows) -> None:
+        texts, held = self.texts, self.held
+        for r in rows:
+            parts = []
+            for x in r:
+                text = texts.get(id(x))
+                if text is None:
+                    text = texts[id(x)] = rat_to_str(x)
+                    held.append(x)
+                parts.append(text)
+            self.out.append(" ".join(parts))
+
+    def block(self, header: str, p: GenPolyhedron) -> None:
+        """A control or target block: its vertices, then its rays and its
+        lines when it has any."""
+        self.out += [header, "vertices"]
+        self.rows(p.vertices)
+        for name, gens in (("rays", p.rays), ("lines", p.lines)):
+            if gens:
+                self.out.append(name)
+                self.rows(gens)
 
 
 def emit_instance(sys: LtiSystem) -> str:
-    out = [f"dim {sys.dim}", "matrix"]
-    _emit_rows(out, (sys.a.row(i) for i in range(sys.dim)))
+    w = _RowWriter()
+    w.out += [f"dim {sys.dim}", "matrix"]
+    w.rows(sys.a.row(i) for i in range(sys.dim))
     for comp in sys.controls.components:
-        _emit_block(out, "control", comp)
-    out.append("source")
-    _emit_rows(out, [sys.source])
-    _emit_block(out, "target", sys.target)
-    return "\n".join(out) + "\n"
+        w.block("control", comp)
+    w.out.append("source")
+    w.rows([sys.source])
+    w.block("target", sys.target)
+    return "\n".join(w.out) + "\n"
 
 
 def instance_sha256(sys: LtiSystem) -> str:
@@ -231,17 +279,17 @@ def _fields(data, **kinds) -> tuple:
     return tuple(data[key] for key in kinds)
 
 
-def _rat_from_json(text):
+def _rat_from_json(text, rats: Rationals) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(None, "rational entries must be strings")
     try:
-        return rat_from_str(text)
+        return rats[text]
     except ValueError as exc:
         raise ParseError(None, str(exc)) from None
 
 
-def _vec_from_json(entries: list) -> Vec:
-    return tuple(_rat_from_json(x) for x in entries)
+def _vec_from_json(entries: list, rats: Rationals) -> Vec:
+    return tuple([_rat_from_json(x, rats) for x in entries])
 
 
 def alg_to_json(a: Alg) -> dict:
@@ -281,8 +329,9 @@ def minpoly_within_ceiling(coeffs) -> bool:
     return len(coeffs) <= 3 or _minpoly_size(coeffs) <= MINPOLY_SIZE_CEILING
 
 
-def alg_from_json(data) -> Alg:
-    """A Fraction for a degree-1 minimal polynomial, else a RealAlg."""
+def alg_from_json(data, rats: Rationals) -> Alg:
+    """A Fraction for a degree-1 minimal polynomial, else a RealAlg; its
+    endpoints are read through the caller's table."""
     coeffs, lo, hi = _fields(data, minpoly=list, lo=str, hi=str)
     if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
         raise ParseError(None, "minimal polynomial coefficients must be integers")
@@ -292,7 +341,7 @@ def alg_from_json(data) -> Alg:
         raise ParseError(None, f"minimal polynomial degree x coefficient bits {_minpoly_size(coeffs)} "
                                f"exceeds {MINPOLY_SIZE_CEILING}")
     try:
-        return RealAlg.from_root(IntPoly(tuple(coeffs)), _rat_from_json(lo), _rat_from_json(hi))
+        return RealAlg.from_root(IntPoly(tuple(coeffs)), _rat_from_json(lo, rats), _rat_from_json(hi, rats))
     except (ValueError, DegreeCeilingError) as exc:
         raise ParseError(None, f"not an algebraic number: {exc}") from None
 
@@ -312,13 +361,13 @@ def witness_to_json(w: ReachWitness) -> dict:
     }
 
 
-def witness_from_json(data) -> ReachWitness:
+def witness_from_json(data, rats: Rationals) -> ReachWitness:
     horizon, steps = _fields(data, horizon=int, steps=list)
     out = []
     for step in steps:
         component, *coeffs = _fields(step, component=int, vertex_coeffs=list, ray_coeffs=list,
                                      line_coeffs=list)
-        out.append(WitnessStep(component, *map(_vec_from_json, coeffs)))
+        out.append(WitnessStep(component, *(_vec_from_json(c, rats) for c in coeffs)))
     return ReachWitness(horizon, tuple(out))
 
 
@@ -344,17 +393,17 @@ def certificate_to_json(cert: SeparatorCertificate, form: SimpleForm) -> dict:
     }
 
 
-def certificate_from_json(data) -> SeparatorCertificate:
+def certificate_from_json(data, rats: Rationals) -> SeparatorCertificate:
     """The reduced system, which the audit compares whole, stays JSON."""
     tau, maximizer, threshold, sup_value, min_over_q, _ = _fields(
         data, tau=list, maximizer=list, threshold=int, sup_value=dict, min_over_q=(dict, type(None)),
         reduced_system=object)
     return SeparatorCertificate(
-        tau=tuple(alg_from_json(x) for x in tau),
-        maximizer=_vec_from_json(maximizer),
+        tau=tuple(alg_from_json(x, rats) for x in tau),
+        maximizer=_vec_from_json(maximizer, rats),
         threshold=threshold,
-        sup_value=alg_from_json(sup_value),
-        min_over_q=None if min_over_q is None else alg_from_json(min_over_q),
+        sup_value=alg_from_json(sup_value, rats),
+        min_over_q=None if min_over_q is None else alg_from_json(min_over_q, rats),
     )
 
 
@@ -385,15 +434,16 @@ class Artifact:
 
 
 def verdict_from_json(data) -> Artifact:
-    """The one artifact reader, of the shape verdict_to_json writes."""
+    """The one artifact reader, of the shape verdict_to_json writes, with
+    one Rationals table for the whole artifact."""
     kind = data.get("verdict") if isinstance(data, dict) else None
     head = dict(verdict=str, instance_sha256=str)
     if kind == "reachable":
         _, instance_hash, witness = _fields(data, **head, witness=dict)
-        return Artifact(kind, instance_hash, witness=witness_from_json(witness))
+        return Artifact(kind, instance_hash, witness=witness_from_json(witness, Rationals()))
     if kind == "unreachable":
         _, instance_hash, cert = _fields(data, **head, certificate=dict)
-        return Artifact(kind, instance_hash, certificate=certificate_from_json(cert),
+        return Artifact(kind, instance_hash, certificate=certificate_from_json(cert, Rationals()),
                         reduced_system=cert["reduced_system"])
     if kind != "unknown":
         raise ParseError(None, "an artifact's verdict is reachable, unreachable or unknown")
@@ -404,8 +454,46 @@ def verdict_from_json(data) -> Artifact:
     return Artifact(kind, instance_hash)
 
 
+def _json_text(value, newline: str) -> str:
+    """The indent-1, sorted-key, ASCII-only JSON text of value, whose lines
+    after the first start with newline and one more blank per level of
+    nesting.  A key that is not a string raises TypeError, where json.dumps
+    would convert it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        # a string, the most common entry, is written without a call
+        items = [encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        items = [encode_basestring_ascii(key) + ": "
+                 + (encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner))
+                 for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"an artifact holds no {type(value).__name__}")
+
+
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+    """json.dumps(data, indent=1, sort_keys=True) + "\n", byte for byte, for
+    data of dicts with string keys, lists and tuples, strings, ints,
+    booleans and None; anything else raises TypeError.  Python 3.10 and
+    3.11 run json.dumps's pure-Python encoder whenever an indent is set,
+    so the artifact writer is this direct one."""
+    return _json_text(data, "\n") + "\n"
 
 
 def load_json(text: str) -> dict:

@@ -81,6 +81,10 @@ class LtiSystem:
         d = self.a.rows
         if not self.a.is_square:
             raise ValueError("transition matrix must be square")
+        # the instance text writes a 0-entry row as a blank line, which the
+        # parser skips, so a system of dimension 0 would not read back
+        if d == 0:
+            raise ValueError("a system has dimension at least 1")
         if self.controls.dim != d or len(self.source) != d or self.target.dim != d:
             raise ValueError("dimension mismatch across system fields")
 

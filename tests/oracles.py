@@ -60,11 +60,15 @@ where the library strips the zero roots before it factors.
 the eigenvalues it takes.  `FractionQuad` is a quadratic irrational as
 Fraction coordinates (a, b, d), with the formulas exactnum used before it held integer
 coordinates, including which discriminant d a result carries and the
-intervals that d gives.
+intervals that d gives.  `reference_emit_instance` formats every entry
+with rat_to_str, where the library formats each distinct entry once per
+call, and `reference_dump_json` is json.dumps, where the library writes
+the artifact JSON directly.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +78,7 @@ from operator import mul
 from ltireach.certify import (PREFIX_CHECK_DEPTH, PrefixSums, SeparatorCertificate, SeqClass, SeqKind, VertexImages,
                               classify_sequence)
 from ltireach.exactnum import (Alg, IntPoly, RealAlg, _isolate_squarefree, count_roots_halfopen, factor_int_poly,
-                               sturm_chain, sturm_isolate_real_roots)
+                               rat_to_str, sturm_chain, sturm_isolate_real_roots)
 from ltireach.forward import ReachWitness, StepColumns, WitnessStep, reach_exactly, verify_witness
 from ltireach.geometry import ControlSet, GenPolyhedron, LpResult, constraint, lp_solve, tableau_columns
 from ltireach.linalg import (RatMatrix, SpectralData, SpectralError, Vec, bilinear_rows, charpoly_primitive,
@@ -1815,3 +1819,32 @@ def fraction_replay(sys: LtiSystem, witness: ReachWitness) -> Vec:
         x = vec_add(sys.a.matvec(x), u)
     return x
 
+
+
+def reference_emit_instance(sys: LtiSystem) -> str:
+    """`instances.emit_instance` as it was: rat_to_str on every entry."""
+    out = [f"dim {sys.dim}", "matrix"]
+
+    def rows(rs):
+        out.extend(" ".join(rat_to_str(x) for x in r) for r in rs)
+
+    def block(header: str, p: GenPolyhedron):
+        out.extend([header, "vertices"])
+        rows(p.vertices)
+        for name, gens in (("rays", p.rays), ("lines", p.lines)):
+            if gens:
+                out.append(name)
+                rows(gens)
+
+    rows(sys.a.row(i) for i in range(sys.dim))
+    for comp in sys.controls.components:
+        block("control", comp)
+    out.append("source")
+    rows([sys.source])
+    block("target", sys.target)
+    return "\n".join(out) + "\n"
+
+
+def reference_dump_json(data) -> str:
+    """`instances.dump_json` as it was: the standard library's encoder."""
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"

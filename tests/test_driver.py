@@ -1208,7 +1208,7 @@ def test_worst_admitted_minimal_polynomials_parse_quickly(coeffs):
     start = time.monotonic()
     for lo, hi in (("-100", "100"), ("0", "1/1000")):
         try:
-            instances.alg_from_json({"minpoly": coeffs, "lo": lo, "hi": hi})
+            instances.alg_from_json({"minpoly": coeffs, "lo": lo, "hi": hi}, instances.Rationals())
         except instances.ParseError:
             pass
     assert time.monotonic() - start < 15

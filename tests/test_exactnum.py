@@ -28,7 +28,7 @@ from ltireach.exactnum import (
     sturm_chain,
     sturm_isolate_real_roots,
 )
-from ltireach.instances import alg_from_json, alg_to_json
+from ltireach.instances import Rationals, alg_from_json, alg_to_json
 from oracles import (FractionQuad, decompose, expansion_values, frac_divmod, fraction_poly_gcd,
                      fraction_squarefree_part, int_poly, prefix_sums, projector_values, rat, sign)
 
@@ -342,8 +342,8 @@ def test_linear_from_root_accepts_what_the_sturm_count_accepts(monkeypatch):
     assert outcomes[True, True, False] and outcomes[True, False, False]
     assert outcomes[False, False, True] and outcomes[False, False, False] and outcomes[False, True, False]
     # a rational certificate entry (q x - p) parses without factoring
-    assert rat(alg_from_json(alg_to_json(F(-7, 3)))) == F(-7, 3)
-    assert rat(alg_from_json({"minpoly": [0, 5], "lo": "0", "hi": "0"})) == 0
+    assert rat(alg_from_json(alg_to_json(F(-7, 3)), Rationals())) == F(-7, 3)
+    assert rat(alg_from_json({"minpoly": [0, 5], "lo": "0", "hi": "0"}, Rationals())) == 0
     monkeypatch.undo()
     for p in (IntPoly(()), IntPoly((3,)), IntPoly((-2,))):
         with pytest.raises(ValueError):
@@ -1049,7 +1049,7 @@ def assert_same_value(got, want) -> None:
     assert got == want and want == got
     assert hash(got) == hash(want)
     assert alg_to_json(got) == alg_to_json(want)
-    back = alg_from_json(alg_to_json(got))
+    back = alg_from_json(alg_to_json(got), Rationals())
     assert back == got and hash(back) == hash(got)
 
 

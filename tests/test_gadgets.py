@@ -16,6 +16,7 @@ from ltireach.gadgets import (
     skolem_to_lti,
     vector_reach_to_lti,
 )
+from ltireach.geometry import GenPolyhedron
 from ltireach.linalg import RatMatrix, vec
 
 F = Fraction
@@ -267,3 +268,24 @@ def test_markov_control_polytope_contains_needed_control():
     needed = tuple([-x for x in m.matvec(vec(0, 1))] + [F(1, 2), F(1), F(1)])
     assert contains_point(u, needed)
     assert contains_point(u, vec(0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_markov_controls_are_the_vertices_of_their_half_spaces(d):
+    """The closed-form control vertices are those that vertex enumeration
+    finds for the half-space description, x >= 0, 0 <= y <= x_1,
+    sum x = z <= 1 and the two z copies equal, in the same order, so the
+    emitted instance text does not move."""
+    from ltireach.geometry import canonical, vertices_from_h_rep
+    from ltireach.linalg import unit_vec
+
+    dim = d + 3
+    ineqs = [(unit_vec(dim, i), F(0)) for i in range(d)]
+    ineqs.append((tuple(-x for x in unit_vec(dim, d)), F(0)))
+    ineqs.append((tuple(F(int(j in (0, d))) for j in range(dim)), F(0)))
+    ineqs.append((unit_vec(dim, d + 1), F(1)))
+    eqs = [(tuple(F(1 if j == d + 1 else -1 if j == d + 2 else 0) for j in range(dim)), F(0)),
+           (tuple([F(1)] * d + [F(0), F(1), F(0)]), F(0))]
+    want = canonical(GenPolyhedron(dim, tuple(vertices_from_h_rep(ineqs, eqs, dim))))
+    for m in (RatMatrix.identity(d), mat([[F(1, d)] * d for _ in range(d)])):
+        assert markov_to_lti(m).system.controls.components[0] == want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ltireach.geometry import ControlSet, GenPolyhedron
 from ltireach.instances import (
     ParseError,
+    Rationals,
     alg_from_json,
     alg_to_json,
     dump_json,
@@ -59,6 +60,11 @@ def test_emit_parse_roundtrip():
     again = parse_instance(text)
     assert again == sys
     assert emit_instance(again) == text  # byte-stable after canonicalization
+    # a system of dimension 0, whose rows the text would write as blank
+    # lines, cannot be built, so it is never emitted or hashed
+    empty = GenPolyhedron(0, ((),))
+    with pytest.raises(ValueError):
+        LtiSystem(RatMatrix.zeros(0, 0), ControlSet.single(empty), (), empty)
 
 
 def test_roundtrip_with_union_and_lines():
@@ -145,6 +151,7 @@ DIM1_TEXT = "dim 1\nmatrix\n4/5\ncontrol\nvertices\n1\n-1\nsource\n0\ntarget\nve
     (DIM1_TEXT.replace("dim 1", "dim +1"), 1),
     (DIM1_TEXT.replace("dim 1", "dim 1.0"), 1),
     (DIM1_TEXT.replace("dim 1", "dim \u0661"), 1),
+    ("dim 0\nmatrix\ncontrol\nvertices\n\nsource\n\ntarget\nvertices\n\n", 1),
     (DIM1_TEXT.replace("4/5", "1_0"), 3),
     (DIM1_TEXT.replace("4/5", "\u0661"), 3),
     (DIM1_TEXT.replace("4/5", "\uff14/5"), 3),
@@ -159,7 +166,7 @@ DIM1_TEXT = "dim 1\nmatrix\n4/5\ncontrol\nvertices\n1\n-1\nsource\n0\ntarget\nve
     (DIM1_TEXT.replace("4/5", "4/5\u2028"), 3),
     (DIM1_TEXT.replace("vertices\n1\n-1", "vertices\n1\x1c-1"), 6),
 ], ids=["dimension-word", "dim-extra-token", "dim-no-number", "dim-negative", "dim-signed", "dim-decimal",
-        "dim-arabic-indic", "underscore", "arabic-indic-digit", "fullwidth-digit", "decimal",
+        "dim-arabic-indic", "dim-zero", "underscore", "arabic-indic-digit", "fullwidth-digit", "decimal",
         "signed-denominator", "two-slashes", "two-signs", "plus-denominator", "exponent", "hex",
         "no-break-space", "unicode-line-separator", "ascii-file-separator"])
 def test_text_outside_the_format_is_a_parse_error(tmp_path, text, line):
@@ -189,12 +196,12 @@ def test_numerals_in_the_format_parse():
 def test_artifact_rationals_follow_the_instance_grammar():
     """Rational strings in artifacts are read by the same grammar."""
     step = {"component": 0, "vertex_coeffs": ["1"], "ray_coeffs": [], "line_coeffs": []}
-    assert witness_from_json({"horizon": 1, "steps": [step]}).steps[0].vertex_coeffs == (F(1),)
+    assert witness_from_json({"horizon": 1, "steps": [step]}, Rationals()).steps[0].vertex_coeffs == (F(1),)
     for bad in ("1_0", "\u0661", " 1", "1 ", "1.0", "1/-1", "+-1", ""):
         with pytest.raises(ParseError):
-            witness_from_json({"horizon": 1, "steps": [{**step, "vertex_coeffs": [bad]}]})
+            witness_from_json({"horizon": 1, "steps": [{**step, "vertex_coeffs": [bad]}]}, Rationals())
         with pytest.raises(ParseError):
-            alg_from_json({"minpoly": [-2, 0, 1], "lo": bad, "hi": "2"})
+            alg_from_json({"minpoly": [-2, 0, 1], "lo": bad, "hi": "2"}, Rationals())
 
 
 def test_benchmark_instances_parse_to_their_systems():
@@ -249,9 +256,9 @@ def test_alg_json_roundtrip():
     from ltireach.exactnum import sturm_isolate_real_roots
 
     r = sturm_isolate_real_roots(int_poly(-2, 0, 1))[-1]
-    again = alg_from_json(alg_to_json(r))
+    again = alg_from_json(alg_to_json(r), Rationals())
     assert sign(again - r) == 0
-    q = alg_from_json(alg_to_json(F(5, 3)))
+    q = alg_from_json(alg_to_json(F(5, 3)), Rationals())
     assert rat(q) == F(5, 3)
 
 
@@ -265,7 +272,7 @@ def test_rational_alg_json_golden():
     }
     for q, text in golden.items():
         assert dump_json(alg_to_json(q)) == text
-        assert rat(alg_from_json(load_json(text))) == q
+        assert rat(alg_from_json(load_json(text), Rationals())) == q
 
 
 def test_irrational_entry_counts_its_roots_once(monkeypatch):
@@ -281,7 +288,7 @@ def test_irrational_entry_counts_its_roots_once(monkeypatch):
         return count(*args)
 
     monkeypatch.setattr(exactnum, "_count_roots_closed", counted)
-    r = alg_from_json({"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"})
+    r = alg_from_json({"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"}, Rationals())
     assert r.minpoly == int_poly(-2, 0, 1) and len(calls) == 1
 
 
@@ -291,7 +298,7 @@ def test_witness_json_roundtrip():
     sys = parse_instance(QUAD_TEXT)
     w = reach_within(sys, 4)
     data = witness_to_json(w)
-    again = witness_from_json(data)
+    again = witness_from_json(data, Rationals())
     assert again == w
     assert verify_witness(sys, again)
 
@@ -318,17 +325,118 @@ def test_artifact_loaders_raise_parse_error():
                 {"minpoly": [0], "lo": "0", "hi": "0"}, {"minpoly": [1, True], "lo": "0", "hi": "1"},
                 {**good, "kind": "alg"}):
         with pytest.raises(ParseError):
-            alg_from_json(bad)
-    assert alg_from_json(good).degree == 2
+            alg_from_json(bad, Rationals())
+    assert alg_from_json(good, Rationals()).degree == 2
     for bad in ({}, {"horizon": 1, "steps": [{"component": 0}]}, {"horizon": 0, "steps": [], "kind": "witness"},
                 {"horizon": 1, "steps": [{"component": 0, "vertex_coeffs": ["1/0"],
                                           "ray_coeffs": [], "line_coeffs": []}]}):
         with pytest.raises(ParseError):
-            witness_from_json(bad)
+            witness_from_json(bad, Rationals())
     cert = {"tau": [good], "maximizer": ["1"], "threshold": 0,
             "sup_value": good, "min_over_q": None, "reduced_system": {}}
-    assert certificate_from_json(cert).threshold == 0
+    assert certificate_from_json(cert, Rationals()).threshold == 0
     for key, value in (("tau", 7), ("threshold", "0"), ("threshold", 1.5), ("min_over_q", []),
                        ("maximizer", "1"), ("bound", good)):
         with pytest.raises(ParseError):
-            certificate_from_json({**cert, key: value})
+            certificate_from_json({**cert, key: value}, Rationals())
+
+
+# the benchmark rounds whose instances and verdict bodies are compared with
+# the reference writers, by workload: (rounds, seeds)
+BENCH_ROUNDS = {"forward_union": 10, "algebraic_2d": 8, "rational_batch": 35}
+
+
+def test_writers_match_the_references_on_the_bench():
+    """On every instance and verdict body of the bench rounds above at
+    seeds 1 and 7, emit_instance writes what rat_to_str on every entry
+    wrote, for the system the benchmark built and for the one parsed back
+    from its text, and dump_json writes json.dumps's bytes."""
+    from test_tooling import load_workloads
+
+    from ltireach import driver
+    from ltireach.instances import verdict_to_json
+    from oracles import reference_dump_json, reference_emit_instance
+
+    workloads = load_workloads()
+    kinds = set()
+    for name, count in BENCH_ROUNDS.items():
+        wl = workloads.WORKLOADS[name]
+        for seed in (1, 7):
+            stream = workloads.rounds(wl, seed)
+            for _ in range(count):
+                for inst in next(stream):
+                    sys_ = parse_instance(inst.text)
+                    assert emit_instance(sys_) == reference_emit_instance(sys_) == inst.text
+                    assert emit_instance(inst.system) == reference_emit_instance(inst.system)
+                    body = verdict_to_json(driver.decide(sys_, wl.budgets))
+                    assert dump_json(body) == reference_dump_json(body)
+                    kinds.add(body["verdict"])
+    assert kinds == {"reachable", "unreachable", "unknown"}
+
+
+_CERT = {"tau": [{"minpoly": [-2, 0, 1], "lo": "1", "hi": "2"}], "maximizer": ["1", "-1/2"], "threshold": 3,
+         "sup_value": {"minpoly": [-7, 3], "lo": "7/3", "hi": "7/3"}, "min_over_q": None,
+         "reduced_system": {"dim": 1, "matrix": [["1/2"]], "control_vertices": [["-1"], ["1"]],
+                            "target_vertices": [], "power": 1, "span_applied": False}}
+
+
+@pytest.mark.parametrize("body", [
+    {"verdict": "unknown", "instance_sha256": "ab", "budgets_exhausted": {},
+     "warnings": ["café – 日本 \U0001f600", 'say "no" \\ twice', "tab\tnew\nline\r\x00\x1f\x7f",
+                  "", "</script>"]},
+    {"verdict": "unknown", "instance_sha256": "", "warnings": [],
+     "budgets_exhausted": {"max_steps": 0, "enumeration": [], "nested": {"b": [[]], "a": {}}, "zß": -10**40}},
+    {"verdict": "unreachable", "instance_sha256": "00", "certificate": _CERT},
+    {"verdict": "reachable", "instance_sha256": "ff",
+     "witness": {"horizon": 0, "steps": [{"component": 0, "vertex_coeffs": [], "ray_coeffs": [],
+                                          "line_coeffs": []}]}},
+    [True, False, None, 0, -1, (1, 2), ()],
+], ids=["unicode-quotes-controls", "empty-containers", "min-over-q-null", "empty-steps", "scalars"])
+def test_dump_json_matches_json_dumps_on_hand_made_bodies(body):
+    """Non-ASCII, quote, backslash and control characters, empty lists and
+    objects, nested objects, big integers, null, booleans and tuples are
+    written as json.dumps writes them."""
+    from oracles import reference_dump_json
+
+    assert dump_json(body) == reference_dump_json(body)
+
+
+def test_dump_json_refuses_what_an_artifact_never_holds():
+    for bad in ({"x": 0.5}, {1: "a"}, {"x": {1, 2}}, {"x": F(1, 2)}):
+        with pytest.raises(TypeError):
+            dump_json(bad)
+
+
+def test_parses_share_fractions_within_a_call_and_never_across_calls():
+    """Equal tokens of one parse or one artifact read share one Fraction,
+    and no Fraction is shared between two calls."""
+    from ltireach.instances import verdict_from_json
+
+    def entries(sys_):
+        rows = [sys_.a.row(i) for i in range(sys_.dim)] + [sys_.source, *sys_.target.vertices]
+        return [x for comp in sys_.controls.components for v in comp.vertices for x in v] + \
+            [x for r in rows for x in r]
+
+    first, second = entries(parse_instance(QUAD_TEXT)), entries(parse_instance(QUAD_TEXT))
+    assert first == second and not {id(x) for x in first} & {id(x) for x in second}
+    zeros = [x for x in first if x == 0]
+    assert len(zeros) > 1 and len({id(x) for x in zeros}) == 1
+    step = {"component": 0, "vertex_coeffs": ["1/2", "1/2"], "ray_coeffs": [], "line_coeffs": ["1/2"]}
+    body = {"verdict": "reachable", "instance_sha256": "00", "witness": {"horizon": 1, "steps": [step]}}
+    reads = [verdict_from_json(body).witness.steps[0] for _ in range(2)]
+    halves = [[*s.vertex_coeffs, *s.line_coeffs] for s in reads]
+    assert [len({id(x) for x in h}) for h in halves] == [1, 1] and halves[0][0] is not halves[1][0]
+
+
+def test_non_canonical_tokens_hash_as_their_canonical_text():
+    """Signs, leading zeros, unreduced fractions and -0 hash as the
+    canonical text of the same system, which emit_instance writes."""
+    import hashlib
+
+    odd = DIM1_TEXT.replace("4/5", "8/10").replace("vertices\n1\n-1", "vertices\n+1\n-001") \
+        .replace("source\n0", "source\n-0").replace("vertices\n4", "vertices\n004/1")
+    assert odd != DIM1_TEXT
+    sys_ = parse_instance(odd)
+    assert emit_instance(sys_) == DIM1_TEXT
+    assert instance_sha256(sys_) == hashlib.sha256(DIM1_TEXT.encode()).hexdigest() == \
+        instance_sha256(parse_instance(DIM1_TEXT))

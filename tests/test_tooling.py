@@ -17,7 +17,8 @@ computed on every run for nothing.  Every public method must be read by
 the library or the benchmark too, bar the gadget reduction API that the
 gadgets module documents.  No module but exactnum reads a slot of
 RealAlg, so the representation of an algebraic number can change in one
-module.
+module.  Every piece of state that the library keeps across calls in a
+process is listed with its reason, so a new table stays per call.
 
 The verdicts of the first rounds of each benchmark workload are pinned by
 digest, with the workloads loaded from their text like the span table, and
@@ -520,3 +521,75 @@ def test_one_function_clears_denominators():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), "<module>")
     assert clearing == {("exactnum", "cleared")}
+
+
+# the state that src/ltireach keeps from one call to the next in a process,
+# (module, name), each with its reason: any other table lives for the one
+# call that builds it, so a second parse, hash or audit in one process
+# costs what the first did, as a fresh `ltireach` process sees it
+PROCESS_CACHES = {
+    ("exactnum", "factor_int_poly"): "sympy factoring takes milliseconds, and the polynomials of one matrix "
+                                     "recur across the decisions of a batch; the result is an immutable tuple",
+    ("exactnum", "_sturm_chain_cached"): "every comparison of two algebraic numbers runs the Sturm chains of the "
+                                         "same few minimal polynomials; the result is an immutable tuple",
+    ("exactnum", "_isolate_squarefree"): "a root's canonical interval is its minimal polynomial's isolation, read "
+                                         "again at each serialization; the result is an immutable tuple",
+    ("cli", "_PARSER"): "building the argparse tree costs more than auditing a rational certificate, "
+                        "and parsing leaves it as it was",
+}
+
+_MUTATORS = {"append", "add", "update", "setdefault", "pop", "popitem", "clear", "extend", "insert", "remove",
+             "discard", "__setitem__"}
+
+
+def _is_memo_decorator(node: ast.expr) -> bool:
+    f = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(f, ast.Name) and f.id in ("lru_cache", "cache")) or \
+        (isinstance(f, ast.Attribute) and f.attr in ("lru_cache", "cache"))
+
+
+def _is_mutable_container(node: ast.expr) -> bool:
+    return isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)) or \
+        (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+         and node.func.id in ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"))
+
+
+def test_every_process_wide_cache_is_listed():
+    """The process-wide state of src/ltireach is exactly PROCESS_CACHES: a
+    function memoized by functools (lru_cache or cache), a module-level
+    name that a function rebinds through `global`, a module-level
+    container that the module mutates (an item assigned or deleted, or a
+    mutating method called on it), and a module-level instance of a src
+    class that subclasses dict, list or set, which may fill itself on a
+    lookup as `instances.Rationals` does.  A new cache fails here until it
+    is listed with its reason; a removed one must leave the list."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    container_classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef)
+                         and any(isinstance(b, ast.Name) and b.id in ("dict", "list", "set") for b in node.bases)}
+    found = set()
+    for stem, tree in trees.items():
+        containers = set()
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) and node.value is not None else []
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if targets and _is_mutable_container(node.value):
+                containers |= names
+            if targets and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name) \
+                    and node.value.func.id in container_classes:
+                found |= {(stem, name) for name in names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(map(_is_memo_decorator, node.decorator_list)):
+                found.add((stem, node.name))
+            elif isinstance(node, ast.Global):
+                found |= {(stem, name) for name in node.names}
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                if isinstance(node.value, ast.Name) and node.value.id in containers:
+                    found.add((stem, node.value.id))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id in containers:
+                found.add((stem, node.func.value.id))
+    assert found == set(PROCESS_CACHES)
+    assert all(reason for reason in PROCESS_CACHES.values())
